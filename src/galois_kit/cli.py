@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 
-from .errors import BudgetExceededError, GaloisKitError
+from .errors import BudgetExceededError, GaloisKitError, NotSeparableError
 from .operations import close_composition, close_perm_dummy
 from .constraints import DEFAULT_BUDGET, satisfies_constraint
 from .clusters import satisfies_cluster
@@ -210,12 +210,10 @@ def cmd_separate(args, report):
                 report.raw(format_matrix("witness.applied", m1))
                 report.raw(format_multiset("witness.rest", m2))
                 report.raw(format_multiset("witness.output", out))
-    except GaloisKitError as e:
-        if "no separating" in str(e) or "in the closed class" in str(e):
-            report.add("separated", "no")
-            report.add("reason", str(e))
-            return 1
-        raise
+    except NotSeparableError as e:
+        report.add("separated", "no")
+        report.add("reason", str(e))
+        return 1
     return 0
 
 

@@ -13,8 +13,15 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import BudgetExceededError, GaloisKitError
-from .extnat import INF, ext_min, ext_sub, format_extnat, is_extnat
-from .multisets import FiniteMultiset, TupleMatrix, apply_op_rows, ms_join, split_enumerate
+from .extnat import INF, ext_min, ext_sub, is_extnat
+from .multisets import (
+    FiniteMultiset,
+    TupleMatrix,
+    _bounded_multisets,
+    apply_op_rows,
+    ms_join,
+    split_enumerate,
+)
 from .repetition import RepetitionFunction
 from .minors import apply_scheme_map, skolem_maps
 
@@ -121,25 +128,12 @@ def _generator_members(gen, limit, budget):
         space = box.domain_size ** box.arity
         if space > budget:
             raise BudgetExceededError(space, budget, "cluster member enumeration")
-    support = box.positive_support()
     total_cap = ext_min(gen.cap, limit)
     if total_cap == INF:
         raise GaloisKitError("member enumeration needs a finite cardinality limit")
-
-    def rec(idx, remaining, counts):
-        yield FiniteMultiset(box.arity, dict(counts))
-        if remaining == 0:
-            return
-        for i in range(idx, len(support)):
-            t = support[i]
-            if counts.get(t, 0) < box.value(t):
-                counts[t] = counts.get(t, 0) + 1
-                yield from rec(i, remaining - 1, counts)
-                counts[t] -= 1
-                if not counts[t]:
-                    del counts[t]
-
-    yield from rec(0, int(total_cap), {})
+    return _bounded_multisets(
+        box.arity, box.positive_support(), box.value, int(total_cap)
+    )
 
 
 def enumerate_cluster_members(cluster, limit, budget=DEFAULT_BUDGET):
@@ -374,24 +368,6 @@ def cluster_minor_member(m, clusters, scheme):
     return False
 
 
-def _all_multisets(arity, domain_size, max_card):
-    tuples = sorted(product(range(domain_size), repeat=arity))
-
-    def rec(idx, remaining, counts):
-        yield FiniteMultiset(arity, dict(counts))
-        if remaining == 0:
-            return
-        for i in range(idx, len(tuples)):
-            t = tuples[i]
-            counts[t] = counts.get(t, 0) + 1
-            yield from rec(i, remaining - 1, counts)
-            counts[t] -= 1
-            if not counts[t]:
-                del counts[t]
-
-    yield from rec(0, max_card, {})
-
-
 def materialize_minor(clusters, scheme, breadth_cap, budget=DEFAULT_BUDGET):
     """Explicit antichain presentation of a cluster conjunctive minor.
 
@@ -409,7 +385,8 @@ def materialize_minor(clusters, scheme, breadth_cap, budget=DEFAULT_BUDGET):
     from .multisets import ms_sub
 
     members = []
-    for s in _all_multisets(m, k, breadth_cap):
+    tuples = list(product(range(k), repeat=m))
+    for s in _bounded_multisets(m, tuples, lambda t: INF, breadth_cap):
         matrix = TupleMatrix(m, tuple(s.elements()))
         if cluster_minor_member(matrix, clusters, scheme):
             members.append(s)
@@ -425,7 +402,3 @@ def materialize_minor(clusters, scheme, breadth_cap, budget=DEFAULT_BUDGET):
         for s in maximal
     )
     return Cluster(m, k, gens)
-
-
-def format_cap(cap):
-    return format_extnat(cap)

@@ -2,6 +2,10 @@ class GaloisKitError(Exception):
     """Base class for toolkit errors."""
 
 
+class NotSeparableError(GaloisKitError):
+    """g lies in the closed class, so no separating object exists."""
+
+
 class BudgetExceededError(GaloisKitError):
     """An enumeration would exceed the configured work budget.
 

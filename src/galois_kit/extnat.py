@@ -8,6 +8,8 @@ subtraction on naturals) so callers never improvise them.
 
 import math
 
+from .errors import GaloisKitError
+
 INF = math.inf
 
 
@@ -25,7 +27,7 @@ def ext_sub(a, b):
     """Truncated subtraction; inf - n = inf for finite n."""
     if a == INF:
         if b == INF:
-            raise ValueError("inf - inf is undefined")
+            raise GaloisKitError("inf - inf is undefined")
         return INF
     if b == INF:
         return 0

@@ -10,11 +10,12 @@ the function being excluded.
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .errors import BudgetExceededError, GaloisKitError
+from .errors import BudgetExceededError, GaloisKitError, NotSeparableError
 from .operations import OperationClass, all_operations, close_composition, close_perm_dummy
 from .multisets import (
     FiniteMultiset,
     TupleMatrix,
+    _bounded_multisets,
     apply_op_rows,
     columns_multiset,
     ms_diff,
@@ -135,15 +136,11 @@ def _inv_cluster_for_arity(closed, n, k):
     m = matrix.row_count
     mstar = columns_multiset(matrix)
 
-    def submultisets(s):
-        items = sorted(s.counts.items())
-        for counts in product(*[range(c + 1) for _, c in items]):
-            yield FiniteMultiset(
-                s.arity, {t: c for (t, _), c in zip(items, counts) if c}
-            )
-
     members = set()
-    for x in submultisets(mstar):
+    submultisets = _bounded_multisets(
+        m, mstar.support(), mstar.multiplicity, mstar.cardinality
+    )
+    for x in submultisets:
         rest = ms_diff(mstar, x)
         for blocks in ms_partitions(rest):
             image_sets = []
@@ -209,7 +206,7 @@ def separating_constraint(cls_, g):
     matrix = TupleMatrix.from_rows(all_rows)
     consequent = class_image(closed, matrix)
     if apply_op_rows(g, matrix) in consequent:
-        raise GaloisKitError(
+        raise NotSeparableError(
             "no separating constraint: g is in the closed class at its arity"
         )
     chi = RepetitionFunction.from_counts(
@@ -228,7 +225,7 @@ def separating_cluster(cls_, g, cfg):
     n = g.arity
     closed = close_composition(cls_, max(n, cls_.max_arity or 1, cfg.n_max))
     if g in closed:
-        raise GaloisKitError("no separating cluster: g is in the closed class")
+        raise NotSeparableError("no separating cluster: g is in the closed class")
     k = cls_.domain_size
     cluster = _inv_cluster_for_arity(closed, n, k)
     all_rows = sorted(product(range(k), repeat=n))

@@ -210,7 +210,60 @@ def apply_op_rows(f, m):
         raise GaloisKitError(
             f"matrix has {m.column_count} columns but f has arity {f.arity}"
         )
-    return tuple(f(*m.row(i)) for i in range(m.row_count))
+    k = f.domain_size
+    if any(not 0 <= x < k for col in m.columns for x in col):
+        raise GaloisKitError("argument out of domain range")
+    return tuple(f.table[f.rank(row)] for row in zip(*m.columns))
+
+
+def _bounded_multisets(arity, support, bound, cap):
+    """Every multiset over ``support`` with at most bound(t) copies of each
+    tuple t and at most ``cap`` elements, each once, the empty one first.
+
+    Tuples are added in support order (a multiset is a nondecreasing
+    index sequence), so the stream order is fixed by ``support``.
+    """
+    counts = {}
+
+    def rec(idx, remaining):
+        yield FiniteMultiset(arity, dict(counts))
+        if remaining == 0:
+            return
+        for i in range(idx, len(support)):
+            t = support[i]
+            if counts.get(t, 0) < bound(t):
+                counts[t] = counts.get(t, 0) + 1
+                yield from rec(i, remaining - 1)
+                counts[t] -= 1
+                if not counts[t]:
+                    del counts[t]
+
+    yield from rec(0, cap)
+
+
+def _ordered_selections(support, bound, n, used):
+    """Every sequence of n columns from ``support`` using each column t at
+    most bound(t) times, in lexicographic order of support positions.
+
+    ``used`` counts the columns of the sequence just yielded, so the
+    caller can read the remainder off it before resuming the stream.
+    """
+    chosen = []
+
+    def rec(pos):
+        if pos == n:
+            yield tuple(chosen)
+            return
+        for col in support:
+            c = used.get(col, 0)
+            if c < bound(col):
+                used[col] = c + 1
+                chosen.append(col)
+                yield from rec(pos + 1)
+                chosen.pop()
+                used[col] = c
+
+    yield from rec(0)
 
 
 def enumerate_matrices_leq(phi, n):
@@ -223,22 +276,8 @@ def enumerate_matrices_leq(phi, n):
     """
     if n < 1:
         raise GaloisKitError("column count must be positive")
-    candidates = phi.positive_support()
-    used = {}
-
-    def rec(pos, chosen):
-        if pos == n:
-            yield TupleMatrix(phi.arity, tuple(chosen))
-            return
-        for col in candidates:
-            if used.get(col, 0) < phi.value(col):
-                used[col] = used.get(col, 0) + 1
-                chosen.append(col)
-                yield from rec(pos + 1, chosen)
-                chosen.pop()
-                used[col] -= 1
-
-    yield from rec(0, [])
+    for cols in _ordered_selections(phi.positive_support(), phi.value, n, {}):
+        yield TupleMatrix(phi.arity, cols)
 
 
 def split_enumerate(s, n):
@@ -252,20 +291,7 @@ def split_enumerate(s, n):
         raise GaloisKitError("selection size must be positive")
     if s.cardinality < n:
         return
-    remaining = dict(s.counts)
-    support = sorted(s.counts)
-
-    def rec(pos, chosen):
-        if pos == n:
-            m1 = TupleMatrix(s.arity, tuple(chosen))
-            yield m1, FiniteMultiset(s.arity, remaining)
-            return
-        for col in support:
-            if remaining.get(col, 0) > 0:
-                remaining[col] -= 1
-                chosen.append(col)
-                yield from rec(pos + 1, chosen)
-                chosen.pop()
-                remaining[col] += 1
-
-    yield from rec(0, [])
+    used = {}
+    for cols in _ordered_selections(sorted(s.counts), s.counts.get, n, used):
+        remainder = {t: c - used.get(t, 0) for t, c in s.counts.items()}
+        yield TupleMatrix(s.arity, cols), FiniteMultiset(s.arity, remainder)

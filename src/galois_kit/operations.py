@@ -82,11 +82,6 @@ class Operation:
         return (self.arity, self.table)
 
 
-def eval_op(op, inputs):
-    """Table lookup f(x_1, ..., x_n)."""
-    return op(*inputs)
-
-
 def projection(n, i, k):
     """The i-th n-ary projection (1-based i) over domain size k."""
     if not 1 <= i <= n:
@@ -94,59 +89,59 @@ def projection(n, i, k):
     return Operation.from_callable(k, k, n, lambda *xs: xs[i - 1])
 
 
+def _substitute(f, arity, positions):
+    """The minor g(x_0, ..., x_{arity-1}) = f(x_{p_1}, ..., x_{p_n}).
+
+    ``positions`` lists one 0-based variable of g per argument of f; each
+    entry of g is read from f's table at the rank of the mapped tuple.
+    """
+    table = tuple(
+        f.table[f.rank([xs[p] for p in positions])]
+        for xs in product(range(f.domain_size), repeat=arity)
+    )
+    return Operation(f.domain_size, f.codomain_size, arity, table)
+
+
 def zeta(op):
     """Cyclic shift: (zeta f)(x1, ..., xn) = f(x2, ..., xn, x1)."""
     if op.arity == 1:
         return op
-    return Operation.from_callable(
-        op.domain_size, op.codomain_size, op.arity,
-        lambda *xs: op(*xs[1:], xs[0]),
-    )
+    return _substitute(op, op.arity, (*range(1, op.arity), 0))
 
 
 def tau(op):
     """Transposition: (tau f)(x1, x2, ...) = f(x2, x1, ...)."""
     if op.arity == 1:
         return op
-    return Operation.from_callable(
-        op.domain_size, op.codomain_size, op.arity,
-        lambda *xs: op(xs[1], xs[0], *xs[2:]),
-    )
+    return _substitute(op, op.arity, (1, 0, *range(2, op.arity)))
 
 
 def delta(op):
     """Identification: (delta f)(x1, ..., x_{n-1}) = f(x1, x1, x2, ...)."""
     if op.arity == 1:
         return op
-    return Operation.from_callable(
-        op.domain_size, op.codomain_size, op.arity - 1,
-        lambda *xs: op(xs[0], *xs),
-    )
+    return _substitute(op, op.arity - 1, (0, *range(op.arity - 1)))
 
 
 def nabla(op):
     """Dummy variable: (nabla f)(x1, ..., x_{n+1}) = f(x2, ..., x_{n+1})."""
-    return Operation.from_callable(
-        op.domain_size, op.codomain_size, op.arity + 1,
-        lambda *xs: op(*xs[1:]),
-    )
+    return _substitute(op, op.arity + 1, range(1, op.arity + 1))
 
 
 def star(f, g):
     """Substitution into the first argument.
 
     (f * g)(x_1, ..., x_{m+n-1}) = f(g(x_1, ..., x_m), x_{m+1}, ...)
-    where g is m-ary and f is n-ary.
+    where g is m-ary and f is n-ary.  Entry i * k^(n-1) + j of the result
+    is entry g(i) * k^(n-1) + j of f.
     """
     if g.codomain_size != f.domain_size:
         raise GaloisKitError("codomain of g must equal domain of f")
     if g.domain_size != f.domain_size:
         raise GaloisKitError("star requires equal domain sizes")
-    m = g.arity
-    return Operation.from_callable(
-        f.domain_size, f.codomain_size, m + f.arity - 1,
-        lambda *xs: f(g(*xs[:m]), *xs[m:]),
-    )
+    rest = f.domain_size ** (f.arity - 1)
+    table = tuple(f.table[v * rest + j] for v in g.table for j in range(rest))
+    return Operation(f.domain_size, f.codomain_size, g.arity + f.arity - 1, table)
 
 
 def minor_by_injection(f, sigma, target_arity):
@@ -163,10 +158,7 @@ def minor_by_injection(f, sigma, target_arity):
         raise GaloisKitError("sigma must be injective")
     if any(not 1 <= s <= target_arity for s in sigma):
         raise GaloisKitError("sigma value out of range")
-    return Operation.from_callable(
-        f.domain_size, f.codomain_size, target_arity,
-        lambda *xs: f(*(xs[s - 1] for s in sigma)),
-    )
+    return _substitute(f, target_arity, [s - 1 for s in sigma])
 
 
 class OperationClass:
@@ -221,9 +213,6 @@ class OperationClass:
 
     def __le__(self, other):
         return all(op in other for op in self)
-
-    def copy(self):
-        return OperationClass(self.domain_size, self.codomain_size, self)
 
     def __repr__(self):
         sizes = {n: len(d) for n, d in sorted(self._by_arity.items())}

@@ -11,9 +11,9 @@ re-derived, so structural equality coincides with pointwise equality.
 from itertools import product
 
 from .errors import GaloisKitError
-from .extnat import INF, ext_max, ext_min, is_extnat
+from .extnat import INF, ext_min, is_extnat
 
-__all__ = ["RepetitionFunction", "rf_leq", "rf_pointwise_inf", "rf_pointwise_sup"]
+__all__ = ["RepetitionFunction", "rf_leq", "rf_pointwise_inf"]
 
 
 class RepetitionFunction:
@@ -136,17 +136,6 @@ def rf_leq(phi, phi2):
         return False
     keys = set(phi.exceptions) | set(phi2.exceptions)
     return all(phi.value(t) <= phi2.value(t) for t in keys)
-
-
-def rf_pointwise_sup(family):
-    """Pointwise maximum of a non-empty finite family, inf absorbing."""
-    family = list(family)
-    if not family:
-        raise GaloisKitError("sup of an empty family")
-    acc = family[0]
-    for phi in family[1:]:
-        acc = acc.pointwise(phi, ext_max)
-    return acc
 
 
 def rf_pointwise_inf(family):

@@ -370,77 +370,81 @@ def parse_workspace(text, workspace=None):
         pending_scheme = None
         ws.add("scheme", name, MinorScheme(target, indeterminates, tuple(maps)))
 
-    while i < len(lines):
-        line = lines[i].strip()
-        i += 1
-        if not line or line.startswith("#"):
-            continue
-        if not seen_header:
-            if line != HEADER:
-                raise GaloisKitError(
-                    f"missing header line {HEADER!r} (got {line!r})"
-                )
-            seen_header = True
-            continue
-        kind, _, body = line.partition(" ")
-        if kind == "map":
-            if pending_scheme is None:
-                raise GaloisKitError("map line outside a scheme block")
-            j, h = _parse_map_line(body, pending_scheme[2])
-            if j != len(pending_scheme[3]):
-                raise GaloisKitError(f"map index j={j} out of order")
-            pending_scheme[3].append(h)
-            continue
-        flush_scheme()
-        if kind == "op":
-            name, op = _parse_operation(body)
-            ws.add("operation", name, op)
-        elif kind == "class":
-            m = re.match(r"^(\S+)\s*\{\s*$", body)
-            if not m:
-                raise GaloisKitError(f"malformed class line {body!r}")
-            members = []
-            while True:
-                if i >= len(lines):
-                    raise GaloisKitError("unterminated class block")
-                inner = lines[i].strip()
-                i += 1
-                if inner == "}":
-                    break
-                if not inner or inner.startswith("#"):
-                    continue
-                ikind, _, ibody = inner.partition(" ")
-                if ikind != "op":
+    try:
+        while i < len(lines):
+            line = lines[i].strip()
+            i += 1
+            if not line or line.startswith("#"):
+                continue
+            if not seen_header:
+                if line != HEADER:
                     raise GaloisKitError(
-                        f"class blocks contain only op lines, got {inner!r}"
+                        f"missing header line {HEADER!r} (got {line!r})"
                     )
-                members.append(_parse_operation(ibody)[1])
-            if not members:
-                raise GaloisKitError("class blocks need at least one op line")
-            cls_ = OperationClass(
-                members[0].domain_size, members[0].codomain_size, members
-            )
-            ws.add("class", m.group(1), cls_)
-        elif kind == "ms":
-            name, s = _parse_multiset(body)
-            ws.add("multiset", name, s)
-        elif kind == "mat":
-            name, mat = _parse_matrix(body)
-            ws.add("matrix", name, mat)
-        elif kind == "rf":
-            name, phi = _parse_rf(body)
-            ws.add("rf", name, phi)
-        elif kind == "constraint":
-            name, c = _parse_constraint(body, ws)
-            ws.add("constraint", name, c)
-        elif kind == "scheme":
-            name, target, indeterminates = _parse_scheme_header(body)
-            pending_scheme = (name, target, indeterminates, [])
-        elif kind == "cluster":
-            name, cluster = _parse_cluster(body, ws)
-            ws.add("cluster", name, cluster)
-        else:
-            raise GaloisKitError(f"unknown entity kind {kind!r}")
+                seen_header = True
+                continue
+            kind, _, body = line.partition(" ")
+            if kind == "map":
+                if pending_scheme is None:
+                    raise GaloisKitError("map line outside a scheme block")
+                j, h = _parse_map_line(body, pending_scheme[2])
+                if j != len(pending_scheme[3]):
+                    raise GaloisKitError(f"map index j={j} out of order")
+                pending_scheme[3].append(h)
+                continue
+            flush_scheme()
+            if kind == "op":
+                name, op = _parse_operation(body)
+                ws.add("operation", name, op)
+            elif kind == "class":
+                m = re.match(r"^(\S+)\s*\{\s*$", body)
+                if not m:
+                    raise GaloisKitError(f"malformed class line {body!r}")
+                members = []
+                while True:
+                    if i >= len(lines):
+                        raise GaloisKitError("unterminated class block")
+                    inner = lines[i].strip()
+                    i += 1
+                    if inner == "}":
+                        break
+                    if not inner or inner.startswith("#"):
+                        continue
+                    ikind, _, ibody = inner.partition(" ")
+                    if ikind != "op":
+                        raise GaloisKitError(
+                            f"class blocks contain only op lines, got {inner!r}"
+                        )
+                    members.append(_parse_operation(ibody)[1])
+                if not members:
+                    raise GaloisKitError("class blocks need at least one op line")
+                cls_ = OperationClass(
+                    members[0].domain_size, members[0].codomain_size, members
+                )
+                ws.add("class", m.group(1), cls_)
+            elif kind == "ms":
+                name, s = _parse_multiset(body)
+                ws.add("multiset", name, s)
+            elif kind == "mat":
+                name, mat = _parse_matrix(body)
+                ws.add("matrix", name, mat)
+            elif kind == "rf":
+                name, phi = _parse_rf(body)
+                ws.add("rf", name, phi)
+            elif kind == "constraint":
+                name, c = _parse_constraint(body, ws)
+                ws.add("constraint", name, c)
+            elif kind == "scheme":
+                name, target, indeterminates = _parse_scheme_header(body)
+                pending_scheme = (name, target, indeterminates, [])
+            elif kind == "cluster":
+                name, cluster = _parse_cluster(body, ws)
+                ws.add("cluster", name, cluster)
+            else:
+                raise GaloisKitError(f"unknown entity kind {kind!r}")
+    except ValueError as e:
+        # int() and parse_extnat on malformed numbers; i is the line just read
+        raise GaloisKitError(f"line {i}: {e}") from e
     flush_scheme()
     if not seen_header:
         raise GaloisKitError(f"missing header line {HEADER!r}")
@@ -448,5 +452,9 @@ def parse_workspace(text, workspace=None):
 
 
 def parse_workspace_file(path, workspace=None):
-    with open(path, encoding="utf-8") as fh:
-        return parse_workspace(fh.read(), workspace)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise GaloisKitError(f"{path} is not UTF-8 text: {e.reason}") from e
+    return parse_workspace(text, workspace)

@@ -23,7 +23,13 @@ from .operations import (
     tau,
     zeta,
 )
-from .multisets import FiniteMultiset, apply_op_rows, ms_join, split_enumerate
+from .multisets import (
+    FiniteMultiset,
+    _bounded_multisets,
+    apply_op_rows,
+    ms_join,
+    split_enumerate,
+)
 from .repetition import RepetitionFunction
 from .constraints import (
     GeneralizedConstraint,
@@ -332,24 +338,6 @@ def _random_cluster(rng, m, k=2):
     return Cluster(m, k, frozenset(gens))
 
 
-def _all_multisets_upto(m, k, card):
-    tuples = sorted(product(range(k), repeat=m))
-
-    def rec(idx, remaining, counts):
-        yield FiniteMultiset(m, dict(counts))
-        if remaining == 0:
-            return
-        for i in range(idx, len(tuples)):
-            t = tuples[i]
-            counts[t] = counts.get(t, 0) + 1
-            yield from rec(i, remaining - 1, counts)
-            counts[t] -= 1
-            if not counts[t]:
-                del counts[t]
-
-    yield from rec(0, card, {})
-
-
 def suite_cluster_lemmas(instances=100, seed=1206):
     """Quotient, union, quotient-satisfaction, dividend, and
     breadth-restriction laws on random boxed-generator clusters."""
@@ -365,7 +353,8 @@ def suite_cluster_lemmas(instances=100, seed=1206):
 
         # union law, by full enumeration up to the breadth bound
         union = cluster_union([phi, phi2])
-        for s in _all_multisets_upto(m, k, b):
+        tuples = list(product(range(k), repeat=m))
+        for s in _bounded_multisets(m, tuples, lambda t: INF, b):
             if cluster_member(s, union) != (
                 cluster_member(s, phi) or cluster_member(s, phi2)
             ):
@@ -375,7 +364,7 @@ def suite_cluster_lemmas(instances=100, seed=1206):
         members = enumerate_cluster_members(phi, 2)
         for s in members[: 3]:
             q = quotient(phi, s)
-            for s2 in _all_multisets_upto(m, k, b - s.cardinality):
+            for s2 in _bounded_multisets(m, tuples, lambda t: INF, b - s.cardinality):
                 if cluster_member(s2, q) != cluster_member(ms_join(s, s2), phi):
                     return [
                         CheckResult(

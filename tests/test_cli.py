@@ -158,3 +158,27 @@ class TestVerifyCommand:
     def test_unknown_suite_exits_two(self, capsys):
         code, _ = run(capsys, "verify", "bogus")
         assert code == 2
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("line", [
+        "op F k=x arity=2 : 0 0 0 1",
+        "rf r arity=1 k=2 default=-3 { }",
+        "rf r arity=1 k=2 default=0 { 0 -> x }",
+        "ms s arity=1 { 0 * y }",
+    ])
+    def test_bad_number_exits_two_naming_the_line(self, line, tmp_path, capsys):
+        path = tmp_path / "bad.gk"
+        path.write_text("galois-kit v1\n# comment\n" + line + "\n")
+        code, out = run(capsys, "close", "-w", str(path), "--class", "c",
+                        "--ops", "zeta,tau,nabla", "--cap", "2")
+        assert code == 2
+        assert out.startswith("error: line 3: ")
+
+    def test_binary_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.gk"
+        path.write_bytes(b"galois-kit v1\n\xff\xfe\n")
+        code, out = run(capsys, "close", "-w", str(path), "--class", "c",
+                        "--ops", "zeta,tau,nabla", "--cap", "2")
+        assert code == 2
+        assert out.startswith("error: ")

@@ -32,6 +32,7 @@ from galois_kit import (
     trivial_cluster,
     TupleMatrix,
 )
+from galois_kit.extnat import ext_sub
 
 
 def all_multisets(m, k, card):
@@ -305,3 +306,8 @@ class TestClusterMinors:
                 assert cluster_member(s, minor) == cluster_minor_member(
                     matrix, [a], scheme
                 )
+
+
+def test_inf_minus_inf_raises_toolkit_error():
+    with pytest.raises(GaloisKitError):
+        ext_sub(INF, INF)

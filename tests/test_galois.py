@@ -30,6 +30,7 @@ from galois_kit import (
     equality_constraint,
     trivial_constraint,
 )
+from galois_kit.errors import NotSeparableError
 
 LEQ = frozenset({(0, 0), (0, 1), (1, 1)})
 AND = Operation(2, 2, 2, (0, 0, 0, 1))
@@ -206,3 +207,13 @@ class TestRoundTrips:
         lin = linear_class_fixture(3, 2, 2)
         cfg = GaloisConfig(3, n_max=2, m_max=1, breadth=2)
         assert c_pol(cl_inv(lin, cfg), cfg) == lin
+
+
+def test_separating_a_member_raises_not_separable():
+    proj = OperationClass(2, members=[projection(2, 1, 2)])
+    member = projection(2, 2, 2)
+    cfg = GaloisConfig(2, n_max=2, m_max=1, breadth=2)
+    with pytest.raises(NotSeparableError):
+        separating_constraint(proj, member)
+    with pytest.raises(NotSeparableError):
+        separating_cluster(proj, member, cfg)

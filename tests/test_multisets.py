@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 from galois_kit import (
+    INF,
     FiniteMultiset,
     GaloisKitError,
     Operation,
@@ -17,6 +20,7 @@ from galois_kit import (
     ms_sub,
     split_enumerate,
 )
+from galois_kit.multisets import _bounded_multisets
 
 pairs = st.tuples(st.integers(0, 1), st.integers(0, 1))
 multisets = st.dictionaries(pairs, st.integers(0, 3), max_size=4).map(
@@ -167,3 +171,67 @@ class TestSplitEnumerate:
     def test_too_small_multiset_yields_nothing(self):
         s = FiniteMultiset.from_tuples(1, [(0,)])
         assert list(split_enumerate(s, 2)) == []
+
+
+def random_box(rng, arity, k=2):
+    """A random support with random per-tuple bounds, some infinite."""
+    tuples = list(product(range(k), repeat=arity))
+    support = sorted(rng.sample(tuples, rng.randint(0, len(tuples))))
+    bounds = {t: rng.choice((0, 1, 2, 3, INF)) for t in support}
+    return support, bounds
+
+
+class TestBoundedMultisets:
+    def oracle(self, arity, support, bounds, cap):
+        """combinations_with_replacement filtered by the bounds and the cap."""
+        top = cap if cap != INF else sum(bounds.values())
+        out = []
+        for r in range(int(top) + 1):
+            for combo in combinations_with_replacement(support, r):
+                s = FiniteMultiset.from_tuples(arity, combo)
+                if all(c <= bounds[t] for t, c in s.counts.items()):
+                    out.append(s)
+        return out
+
+    def test_matches_oracle_on_random_boxes(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            arity = rng.randint(1, 2)
+            support, bounds = random_box(rng, arity)
+            if INF in bounds.values():
+                cap = rng.choice((0, 1, 2, 3, 4))
+            else:
+                cap = rng.choice((0, 1, 2, 3, 4, INF))
+            got = list(_bounded_multisets(arity, support, bounds.get, cap))
+            expected = self.oracle(arity, support, bounds, cap)
+            assert got[0] == FiniteMultiset.empty(arity)
+            assert len(got) == len(set(got))
+            assert set(got) == set(expected)
+
+    def test_cap_zero_yields_only_the_empty_multiset(self):
+        got = list(_bounded_multisets(1, [(0,), (1,)], lambda t: INF, 0))
+        assert got == [FiniteMultiset.empty(1)]
+
+
+class TestStreamOrder:
+    """The first witness of every check depends on these stream orders."""
+
+    def test_matrices_in_increasing_lexicographic_order(self):
+        rng = random.Random(23)
+        for _ in range(50):
+            arity = rng.randint(1, 2)
+            support, bounds = random_box(rng, arity)
+            phi = RepetitionFunction(arity, 2, 0, bounds)
+            for n in (1, 2, 3):
+                seq = [m.columns for m in enumerate_matrices_leq(phi, n)]
+                assert all(a < b for a, b in zip(seq, seq[1:]))
+
+    def test_splits_in_increasing_lexicographic_order(self):
+        rng = random.Random(29)
+        for _ in range(50):
+            arity = rng.randint(1, 2)
+            tuples = list(product(range(2), repeat=arity))
+            s = FiniteMultiset(arity, {t: rng.randint(0, 3) for t in tuples})
+            for n in (1, 2, 3):
+                seq = [m1.columns for m1, _ in split_enumerate(s, n)]
+                assert all(a < b for a, b in zip(seq, seq[1:]))

@@ -1,12 +1,14 @@
 import pytest
 from hypothesis import given, strategies as st
-from itertools import product
+from itertools import permutations, product
 
 from galois_kit import (
     GaloisKitError,
     Operation,
     OperationClass,
+    TupleMatrix,
     all_operations,
+    apply_op_rows,
     close_composition,
     close_perm_dummy,
     delta,
@@ -203,3 +205,102 @@ class TestLinearClassFixture:
             linear_class_fixture(4, 2, 2)  # not prime
         with pytest.raises(GaloisKitError):
             linear_class_fixture(2, 2, 2)  # degenerate case rejected
+
+
+# Reference rewrites: the pointwise definitions, evaluated through
+# from_callable and Operation.__call__, as the oracle for the gathers.
+
+def ref_zeta(op):
+    if op.arity == 1:
+        return op
+    return Operation.from_callable(
+        op.domain_size, op.codomain_size, op.arity,
+        lambda *xs: op(*xs[1:], xs[0]),
+    )
+
+
+def ref_tau(op):
+    if op.arity == 1:
+        return op
+    return Operation.from_callable(
+        op.domain_size, op.codomain_size, op.arity,
+        lambda *xs: op(xs[1], xs[0], *xs[2:]),
+    )
+
+
+def ref_delta(op):
+    if op.arity == 1:
+        return op
+    return Operation.from_callable(
+        op.domain_size, op.codomain_size, op.arity - 1,
+        lambda *xs: op(xs[0], *xs),
+    )
+
+
+def ref_nabla(op):
+    return Operation.from_callable(
+        op.domain_size, op.codomain_size, op.arity + 1,
+        lambda *xs: op(*xs[1:]),
+    )
+
+
+def ref_star(f, g):
+    m = g.arity
+    return Operation.from_callable(
+        f.domain_size, f.codomain_size, m + f.arity - 1,
+        lambda *xs: f(g(*xs[:m]), *xs[m:]),
+    )
+
+
+def ref_minor_by_injection(f, sigma, target_arity):
+    return Operation.from_callable(
+        f.domain_size, f.codomain_size, target_arity,
+        lambda *xs: f(*(xs[s - 1] for s in sigma)),
+    )
+
+
+def ops_upto(k, max_arity, k_out=None):
+    return [
+        f for n in range(1, max_arity + 1) for f in all_operations(k, n, k_out)
+    ]
+
+
+class TestGathersMatchReference:
+    @pytest.mark.parametrize("ops", [
+        pytest.param(lambda: ops_upto(2, 3), id="k2-arity3"),
+        pytest.param(lambda: ops_upto(3, 2), id="k3-arity2"),
+        pytest.param(lambda: ops_upto(2, 2, 3), id="k2to3-arity2"),
+    ])
+    def test_unary_rewrites(self, ops):
+        pairs = [(zeta, ref_zeta), (tau, ref_tau), (delta, ref_delta),
+                 (nabla, ref_nabla)]
+        for f in ops():
+            for rewrite, reference in pairs:
+                assert rewrite(f) == reference(f), (rewrite.__name__, f)
+
+    def test_star_all_boolean_pairs(self):
+        ops = ops_upto(2, 2)
+        for f in ops:
+            for g in ops:
+                assert star(f, g) == ref_star(f, g), (f, g)
+
+    def test_every_injection(self):
+        for f in ops_upto(2, 3):
+            for target in range(f.arity, 4):
+                for sigma in permutations(range(1, target + 1), f.arity):
+                    assert minor_by_injection(f, sigma, target) == (
+                        ref_minor_by_injection(f, sigma, target)
+                    ), (f, sigma, target)
+
+
+class TestRowApplication:
+    def test_matches_pointwise_calls(self):
+        for f in ops_upto(3, 2):
+            rows = list(product(range(3), repeat=f.arity))
+            m = TupleMatrix.from_rows(rows)
+            assert apply_op_rows(f, m) == tuple(f(*row) for row in rows)
+
+    def test_out_of_range_entry_rejected_even_when_rank_fits(self):
+        # rank of (0, 2) at k=2 is 2, a valid table index
+        with pytest.raises(GaloisKitError):
+            apply_op_rows(AND, TupleMatrix.from_rows([(0, 2)]))
