@@ -226,6 +226,16 @@ def cmd_verify(args, report):
     return 0 if passed else 1
 
 
+def _budget(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"budget must be nonnegative, got {value}")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="galois-kit",
@@ -240,7 +250,7 @@ def _build_parser():
     def common(p, breadth=True):
         p.add_argument("--workspace", "-w", action="append", metavar="FILE",
                        help="input file (repeatable)")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+        p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
         if breadth:
             p.add_argument("--breadth", type=int, default=None)
 

@@ -17,10 +17,9 @@ from .extnat import INF, ext_min, ext_sub, is_extnat
 from .multisets import (
     FiniteMultiset,
     TupleMatrix,
+    _apply_columns,
     _bounded_multisets,
-    apply_op_rows,
-    ms_join,
-    split_enumerate,
+    _ordered_selections,
 )
 from .repetition import RepetitionFunction
 from .minors import apply_scheme_map, skolem_maps
@@ -164,6 +163,8 @@ def satisfies_cluster(f, cluster, breadth_cap, budget=DEFAULT_BUDGET):
     Checks every member S with |S| <= breadth_cap and every ordered
     selection [M1 | M2] with n = arity(f) columns in M1; the verdict
     equals exact satisfaction of the breadth restriction of the cluster.
+    The witness is the first violating split, members in the order of
+    ``enumerate_cluster_members`` and splits in that of ``split_enumerate``.
     """
     if f.domain_size != cluster.domain_size or f.codomain_size != cluster.domain_size:
         raise GaloisKitError("operation alphabet does not match the cluster")
@@ -171,14 +172,34 @@ def satisfies_cluster(f, cluster, breadth_cap, budget=DEFAULT_BUDGET):
         raise GaloisKitError(
             f"breadth cap {breadth_cap} is below the arity {f.arity}: no split exists"
         )
+    n = f.arity
+    boxes = [
+        (g.cap, g.box.exceptions, g.box.default) for g in cluster.generators
+    ]
     for s in enumerate_cluster_members(cluster, breadth_cap, budget):
-        if s.cardinality < f.arity:
+        size = s.cardinality - n + 1  # |f M1| + |M2|
+        if size <= 0:
             continue
-        for m1, m2 in split_enumerate(s, f.arity):
-            image = apply_op_rows(f, m1)
-            out = ms_join(FiniteMultiset.from_tuples(cluster.arity, [image]), m2)
-            if not cluster_member(out, cluster):
-                return ClusterVerdict(False, breadth_cap, (m1, m2, out))
+        # only generators whose cap admits the output size can admit it
+        live = [(exc, default) for cap, exc, default in boxes if size <= cap]
+        counts = s.counts
+        used = {}
+        for cols in _ordered_selections(sorted(counts), counts.get, n, used):
+            image = _apply_columns(f, cols)
+            out = {t: c - used.get(t, 0) for t, c in counts.items()}
+            out[image] = out.get(image, 0) + 1
+            if not any(
+                all(c <= exc.get(t, default) for t, c in out.items())
+                for exc, default in live
+            ):
+                rest = dict(out)
+                rest[image] -= 1
+                witness = (
+                    TupleMatrix(cluster.arity, cols),
+                    FiniteMultiset(cluster.arity, rest),
+                    FiniteMultiset(cluster.arity, out),
+                )
+                return ClusterVerdict(False, breadth_cap, witness)
     return ClusterVerdict(True, breadth_cap)
 
 

@@ -11,7 +11,12 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceededError, GaloisKitError
 from .extnat import INF
-from .multisets import columns_multiset, apply_op_rows, enumerate_matrices_leq
+from .multisets import (
+    TupleMatrix,
+    _apply_columns,
+    _ordered_selections,
+    columns_multiset,
+)
 from .repetition import RepetitionFunction, rf_leq
 
 __all__ = [
@@ -78,10 +83,11 @@ class ConstraintVerdict:
 def satisfies_constraint(f, c, budget=DEFAULT_BUDGET):
     """Exhaustively decide whether f satisfies (phi, S).
 
-    Enumerates every n-column matrix M with M < phi (n = arity of f) and
-    checks f M in S; the first counterexample in enumeration order is
-    the witness.  Cost is support(phi)^n matrices; instances whose
-    estimate exceeds the budget are refused, never answered wrongly.
+    Enumerates every n-column matrix M with M < phi (n = arity of f), in
+    the order of ``enumerate_matrices_leq``, and checks f M in S; the
+    first counterexample in that order is the witness.  Cost is
+    support(phi)^n matrices; instances whose estimate exceeds the budget
+    are refused, never answered wrongly.
     """
     phi = c.antecedent
     if f.domain_size != phi.domain_size:
@@ -92,9 +98,10 @@ def satisfies_constraint(f, c, budget=DEFAULT_BUDGET):
     estimate = support ** f.arity
     if estimate > budget:
         raise BudgetExceededError(estimate, budget, "constraint satisfaction check")
-    for m in enumerate_matrices_leq(phi, f.arity):
-        if apply_op_rows(f, m) not in c.consequent:
-            return ConstraintVerdict(False, m)
+    consequent = c.consequent
+    for cols in _ordered_selections(phi.positive_support(), phi.value, f.arity, {}):
+        if _apply_columns(f, cols) not in consequent:
+            return ConstraintVerdict(False, TupleMatrix(phi.arity, cols))
     return ConstraintVerdict(True)
 
 

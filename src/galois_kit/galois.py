@@ -9,6 +9,7 @@ the function being excluded.
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
 
 from .errors import BudgetExceededError, GaloisKitError, NotSeparableError
 from .operations import OperationClass, all_operations, close_composition, close_perm_dummy
@@ -85,12 +86,17 @@ def gc_inv(cls_, cfg):
     every width n <= min(n_max, col_max) and row count m <= m_max.  The
     class is closed under permutation and dummy variables first, which
     is exactly the hypothesis making every emitted constraint satisfied
-    by every member.
+    by every member.  The matrix count, sum of C(k^n, m) over those
+    widths and row counts, is checked against the budget first.
     """
-    closed = close_perm_dummy(cls_, max(cfg.n_max, cls_.max_arity or 1))
     k = cls_.domain_size
+    widths = range(1, min(cfg.n_max, cfg.col_max) + 1)
+    matrices = sum(comb(k ** n, m) for n in widths for m in range(1, cfg.m_max + 1))
+    if matrices > cfg.budget:
+        raise BudgetExceededError(matrices, cfg.budget, "invariant constraint enumeration")
+    closed = close_perm_dummy(cls_, max(cfg.n_max, cls_.max_arity or 1))
     out = []
-    for n in range(1, min(cfg.n_max, cfg.col_max) + 1):
+    for n in widths:
         all_rows = sorted(product(range(k), repeat=n))
         for m in range(1, cfg.m_max + 1):
             for rows in combinations(all_rows, m):

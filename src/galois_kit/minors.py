@@ -13,7 +13,7 @@ from itertools import product
 
 from .errors import GaloisKitError
 from .extnat import INF, ext_add
-from .multisets import TupleMatrix, columns_multiset, enumerate_matrices_leq
+from .multisets import TupleMatrix, _nondecreasing_selections
 from .repetition import RepetitionFunction
 
 __all__ = [
@@ -158,64 +158,100 @@ def default_col_cap(scheme):
     return max(scheme.source_arities) + 2
 
 
-def _mapped_matrix(m, sigmas, h):
-    cols = tuple(
-        apply_scheme_map(col, sigma, h) for col, sigma in zip(m.columns, sigmas)
-    )
-    return TupleMatrix(len(h), cols)
+def _family_respected(images, limits):
+    """True iff, for every map h_j, the j-th mapped columns respect phi_j.
 
-
-def _family_respected(m, sigmas, scheme, phis):
-    for h, phi in zip(scheme.maps, phis):
-        mapped = _mapped_matrix(m, sigmas, h)
-        if any(
-            c > phi.value(t) for t, c in columns_multiset(mapped).counts.items()
-        ):
+    ``images`` holds one entry per column: its mapped tuple per map.
+    ``limits`` holds (exceptions, default) of each phi_j.
+    """
+    for j, (exc, default) in enumerate(limits):
+        counts = {}
+        for image in images:
+            t = image[j]
+            counts[t] = counts.get(t, 0) + 1
+        if any(c > exc.get(t, default) for t, c in counts.items()):
             return False
     return True
 
 
-def _exists_sigmas(m, scheme, phis, k):
-    n = m.column_count
-    per_column = list(skolem_maps(scheme.indeterminates, k))
-    for sigmas in product(per_column, repeat=n):
-        if _family_respected(m, sigmas, scheme, phis):
-            return True
-    return False
+def _skolem_search(scheme, phis, k):
+    """exists(columns): do Skolem maps send the columns into the family?
+
+    The answer depends only on the column multiset.  Each column's
+    mapped tuples under every Skolem map are computed once per call of
+    this factory and reused across selections.
+    """
+    sigmas = list(skolem_maps(scheme.indeterminates, k))
+    limits = [(phi.exceptions, phi.default) for phi in phis]
+    images = {}
+
+    def exists(columns):
+        per_column = []
+        for col in columns:
+            if col not in images:
+                images[col] = [
+                    tuple(apply_scheme_map(col, sigma, h) for h in scheme.maps)
+                    for sigma in sigmas
+                ]
+            per_column.append(images[col])
+        return any(
+            _family_respected(chosen, limits) for chosen in product(*per_column)
+        )
+
+    return exists
 
 
-def is_restrictive_rf_minor(phi, phis, scheme, col_cap=None):
-    """Bounded check: M < phi implies Skolem maps exist mapping M into the family."""
+def _column_multisets(phi, n):
+    """Every n-column selection M < phi, one per column multiset.
+
+    Each multiset comes as its sorted arrangement, its first ordering in
+    the stream of ``enumerate_matrices_leq``, and the multisets come in
+    the order of those arrangements.  Yields (columns, counts), counts
+    being the live multiplicity dict of the columns.
+    """
+    counts = {}
+    for cols in _nondecreasing_selections(phi.positive_support(), phi.value, n, counts):
+        if len(cols) == n:
+            yield cols, counts
+
+
+def _check_family(phis, scheme, col_cap):
     phis = list(phis)
     if len(phis) != len(scheme.maps):
         raise GaloisKitError("need one repetition function per scheme map")
-    if col_cap is None:
-        col_cap = default_col_cap(scheme)
-    k = phi.domain_size
+    return phis, default_col_cap(scheme) if col_cap is None else col_cap
+
+
+def is_restrictive_rf_minor(phi, phis, scheme, col_cap=None):
+    """Bounded check: M < phi implies Skolem maps exist mapping M into the family.
+
+    Both sides depend on M only through its column multiset, so one
+    sorted arrangement per multiset is checked; the counterexample is
+    the first one in ``enumerate_matrices_leq`` order, widths ascending.
+    """
+    phis, col_cap = _check_family(phis, scheme, col_cap)
+    exists = _skolem_search(scheme, phis, phi.domain_size)
     for n in range(1, col_cap + 1):
-        for m in enumerate_matrices_leq(phi, n):
-            if not _exists_sigmas(m, scheme, phis, k):
-                return MinorVerdict(False, col_cap, m)
+        for cols, _ in _column_multisets(phi, n):
+            if not exists(cols):
+                return MinorVerdict(False, col_cap, TupleMatrix(phi.arity, cols))
     return MinorVerdict(True, col_cap)
 
 
 def is_extensive_rf_minor(phi, phis, scheme, col_cap=None):
-    """Bounded check: whenever Skolem maps exist for M, M < phi holds."""
-    phis = list(phis)
-    if len(phis) != len(scheme.maps):
-        raise GaloisKitError("need one repetition function per scheme map")
-    if col_cap is None:
-        col_cap = default_col_cap(scheme)
+    """Bounded check: whenever Skolem maps exist for M, M < phi holds.
+
+    Checked on one sorted arrangement per column multiset, as in
+    ``is_restrictive_rf_minor``.
+    """
+    phis, col_cap = _check_family(phis, scheme, col_cap)
     k = phi.domain_size
+    exists = _skolem_search(scheme, phis, k)
     everything = RepetitionFunction.constant(phi.arity, k, INF)
     for n in range(1, col_cap + 1):
-        for m in enumerate_matrices_leq(everything, n):
-            if _exists_sigmas(m, scheme, phis, k):
-                if any(
-                    c > phi.value(t)
-                    for t, c in columns_multiset(m).counts.items()
-                ):
-                    return MinorVerdict(False, col_cap, m)
+        for cols, counts in _column_multisets(everything, n):
+            if any(c > phi.value(t) for t, c in counts.items()) and exists(cols):
+                return MinorVerdict(False, col_cap, TupleMatrix(phi.arity, cols))
     return MinorVerdict(True, col_cap)
 
 

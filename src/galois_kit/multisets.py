@@ -213,53 +213,83 @@ def apply_op_rows(f, m):
     k = f.domain_size
     if any(not 0 <= x < k for col in m.columns for x in col):
         raise GaloisKitError("argument out of domain range")
-    return tuple(f.table[f.rank(row)] for row in zip(*m.columns))
+    return _apply_columns(f, m.columns)
 
 
-def _bounded_multisets(arity, support, bound, cap):
+def _apply_columns(f, columns):
+    """f applied row-wise to the matrix with these columns, unchecked.
+
+    The rank of each row is built column by column (leftmost column most
+    significant) and read straight from ``f.table``; callers guarantee
+    len(columns) == f.arity and entries below f.domain_size.
+    """
+    k = f.domain_size
+    ranks = columns[0]
+    for col in columns[1:]:
+        ranks = [r * k + x for r, x in zip(ranks, col)]
+    table = f.table
+    return tuple([table[r] for r in ranks])
+
+
+def _nondecreasing_selections(support, bound, cap, counts):
     """Every multiset over ``support`` with at most bound(t) copies of each
     tuple t and at most ``cap`` elements, each once, the empty one first.
 
-    Tuples are added in support order (a multiset is a nondecreasing
-    index sequence), so the stream order is fixed by ``support``.
+    A multiset is yielded as its columns in support order (a
+    nondecreasing index sequence), so the stream is in lexicographic
+    order of support positions within each size.  ``counts`` holds the
+    multiplicities of the selection just yielded.
     """
-    counts = {}
+    chosen = []
 
     def rec(idx, remaining):
-        yield FiniteMultiset(arity, dict(counts))
+        yield tuple(chosen)
         if remaining == 0:
             return
         for i in range(idx, len(support)):
             t = support[i]
-            if counts.get(t, 0) < bound(t):
-                counts[t] = counts.get(t, 0) + 1
+            c = counts.get(t, 0)
+            if c < bound(t):
+                counts[t] = c + 1
+                chosen.append(t)
                 yield from rec(i, remaining - 1)
-                counts[t] -= 1
-                if not counts[t]:
+                chosen.pop()
+                if c:
+                    counts[t] = c
+                else:
                     del counts[t]
 
     yield from rec(0, cap)
 
 
+def _bounded_multisets(arity, support, bound, cap):
+    """The multisets of ``_nondecreasing_selections`` as FiniteMultisets."""
+    counts = {}
+    for _ in _nondecreasing_selections(support, bound, cap, counts):
+        yield FiniteMultiset(arity, dict(counts))
+
+
 def _ordered_selections(support, bound, n, used):
-    """Every sequence of n columns from ``support`` using each column t at
-    most bound(t) times, in lexicographic order of support positions.
+    """Every sequence of n >= 1 columns from ``support`` using each column
+    t at most bound(t) times, in lexicographic order of support positions.
 
     ``used`` counts the columns of the sequence just yielded, so the
     caller can read the remainder off it before resuming the stream.
     """
     chosen = []
+    bounded = [(col, bound(col)) for col in support]
 
     def rec(pos):
-        if pos == n:
-            yield tuple(chosen)
-            return
-        for col in support:
+        last = pos == n - 1
+        for col, b in bounded:
             c = used.get(col, 0)
-            if c < bound(col):
+            if c < b:
                 used[col] = c + 1
                 chosen.append(col)
-                yield from rec(pos + 1)
+                if last:
+                    yield tuple(chosen)
+                else:
+                    yield from rec(pos + 1)
                 chosen.pop()
                 used[col] = c
 

@@ -20,7 +20,6 @@ from galois_kit import (
     all_operations,
     c_pol,
     cl_inv,
-    close_perm_dummy,
     cluster_member,
     columns_multiset,
     compose_schemes,
@@ -47,6 +46,9 @@ from galois_kit import (
 )
 from galois_kit.verify import (
     _candidate_antecedent,
+    _iterate_n,
+    _monotone_ops,
+    _random_closed_class,
     suite_cluster_lemmas,
 )
 
@@ -60,7 +62,7 @@ def report(number, ok, label):
 def test_acceptance_1_malcev_identities():
     ops = [f for n in (1, 2, 3) for f in all_operations(2, n)]
     ok = all(
-        _iter(zeta, f, f.arity) == f
+        _iterate_n(zeta, f, f.arity) == f
         and tau(tau(f)) == f
         and delta(nabla(f)) == f
         and (f.arity != 1 or zeta(f) == tau(f) == delta(f) == f)
@@ -68,20 +70,6 @@ def test_acceptance_1_malcev_identities():
     )
     report(1, ok, f"table-rewrite identities over all {len(ops)} Boolean "
            "operations of arity <= 3")
-
-
-def _iter(fn, x, times):
-    for _ in range(times):
-        x = fn(x)
-    return x
-
-
-def _random_closed_class(rng):
-    cls_ = OperationClass(2)
-    for _ in range(rng.randint(1, 2)):
-        n = rng.randint(1, 2)
-        cls_.add(Operation(2, 2, n, tuple(rng.randrange(2) for _ in range(2 ** n))))
-    return close_perm_dummy(cls_, 3)
 
 
 def test_acceptance_2_characteristic_constraint_lemma():
@@ -244,22 +232,8 @@ def test_acceptance_6_cluster_lemma_suite():
            "breadth-restriction laws on 100 random clusters")
 
 
-def _monotone_oracle():
-    out = OperationClass(2)
-    for n in (1, 2):
-        for f in all_operations(2, n):
-            if all(
-                f(*x) <= f(*y)
-                for x in product(range(2), repeat=n)
-                for y in product(range(2), repeat=n)
-                if all(a <= b for a, b in zip(x, y))
-            ):
-                out.add(f)
-    return out
-
-
 def test_acceptance_7_galois_round_trips():
-    mono = _monotone_oracle()
+    mono = _monotone_ops(2)
     cfg = GaloisConfig(2, n_max=2, m_max=4, breadth=4, col_max=2)
     first = f_pol(gc_inv(mono, cfg), cfg) == mono and len(mono) == 9
 

@@ -58,6 +58,12 @@ class TestSatisfies:
         assert code == 3
         assert "budget" in out
 
+    def test_negative_budget_exits_two(self, ws_file, capsys):
+        code = main(["satisfies", "-w", ws_file, "--fn", "AND",
+                     "--constraint", "ord", "--budget", "-5"])
+        assert code == 2
+        assert "budget must be nonnegative, got -5" in capsys.readouterr().err
+
     def test_both_kinds_rejected(self, ws_file, capsys):
         code, out = run(capsys, "satisfies", "-w", ws_file, "--fn", "AND",
                         "--constraint", "eq2", "--cluster", "ord")
@@ -182,3 +188,26 @@ class TestMalformedInput:
                         "--ops", "zeta,tau,nabla", "--cap", "2")
         assert code == 2
         assert out.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["satisfies", "--fn", "AND", "--constraint", "ord"],
+    ["close", "--class", "proj2", "--ops", "zeta,tau,nabla", "--cap", "2"],
+    ["inv", "--class", "proj2", "--kind", "constraint", "--cap", "2"],
+    ["pol", "--kind", "constraint", "--names", "ord", "--cap", "2"],
+    ["separate", "--class", "proj2", "--fn", "AND", "--kind", "constraint"],
+])
+def test_negative_budget_rejected_by_every_subcommand(argv, ws_file, capsys):
+    code = main([*argv, "-w", ws_file, "--budget", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "budget must be nonnegative" in captured.err
+
+
+def test_inv_constraint_over_budget_exits_three(ws_file, capsys):
+    # 2 + 1 matrices of width 1 and 4 + 6 of width 2 exceed a budget of 10
+    code, out = run(capsys, "inv", "-w", ws_file, "--class", "proj2",
+                    "--kind", "constraint", "--cap", "2", "--budget", "10")
+    assert code == 3
+    assert "estimated 13 enumeration steps exceeds budget 10" in out

@@ -2,6 +2,7 @@ import pytest
 from itertools import product
 
 from galois_kit import (
+    BudgetExceededError,
     FiniteMultiset,
     GaloisConfig,
     GaloisKitError,
@@ -96,6 +97,16 @@ class TestGcInvFPol:
         survivors = f_pol([c], cfg)
         assert len(survivors) == 16
         assert all(f.arity == 2 for f in survivors)
+
+    def test_gc_inv_refuses_matrices_over_budget(self):
+        proj = OperationClass(2, members=[projection(2, 1, 2)])
+        # sum of C(k^n, m) for n <= 2, m <= 4: 2 + 1 + 4 + 6 + 4 + 1 = 18
+        cfg = GaloisConfig(2, n_max=2, m_max=4, breadth=2, budget=10)
+        with pytest.raises(BudgetExceededError) as info:
+            gc_inv(proj, cfg)
+        assert (info.value.estimated, info.value.budget) == (18, 10)
+        cfg = GaloisConfig(2, n_max=2, m_max=4, breadth=2, budget=18)
+        assert len(gc_inv(proj, cfg)) == 18
 
     def test_antitone_law(self):
         cfg = GaloisConfig(2, n_max=1, m_max=2, breadth=1)

@@ -76,6 +76,8 @@ CASES = {
     "satisfies_cluster_witness_json": [
         "--format", "json-lines", "satisfies", "-w", "{ws}", "-w",
         "{inv_cluster}", "--fn", "XOR", "--cluster", "proj2.inv1"],
+    "verify_minors": ["verify", "minors"],
+    "verify_lemma_all": ["verify", "lemma-all"],
 }
 
 
