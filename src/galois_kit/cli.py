@@ -9,10 +9,10 @@ import argparse
 import json
 import sys
 
-from .errors import BudgetExceededError, GaloisKitError, NotSeparableError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, GaloisKitError, NotSeparableError
 from .operations import close_composition, close_perm_dummy
-from .constraints import DEFAULT_BUDGET, satisfies_constraint
-from .clusters import satisfies_cluster
+from .constraints import satisfies_constraint
+from .clusters import ClusterVerdict, satisfies_cluster
 from .galois import (
     GaloisConfig,
     c_pol,
@@ -74,6 +74,19 @@ def _names(text):
     return [n for n in text.split(",") if n]
 
 
+def _report_witness(report, verdict):
+    """The witness lines of a violated constraint or cluster verdict."""
+    if verdict:
+        return
+    if isinstance(verdict, ClusterVerdict):
+        m1, m2, out = verdict.witness
+        report.raw(format_matrix("witness.applied", m1))
+        report.raw(format_multiset("witness.rest", m2))
+        report.raw(format_multiset("witness.output", out))
+    else:
+        report.raw(format_matrix("witness", verdict.witness))
+
+
 def cmd_satisfies(args, report):
     ws = _load_workspace(args.workspace)
     f = ws.get("operation", args.fn)
@@ -83,21 +96,14 @@ def cmd_satisfies(args, report):
         c = ws.get("constraint", args.constraint)
         verdict = satisfies_constraint(f, c, args.budget)
         report.add("check", f"satisfies {args.fn} constraint {args.constraint}")
-        report.add("satisfied", "yes" if verdict else "no")
-        if not verdict:
-            report.raw(format_matrix("witness", verdict.witness))
-        return 0 if verdict else 1
-    cluster = ws.get("cluster", args.cluster)
-    breadth = args.breadth if args.breadth is not None else max(f.arity, 4)
-    verdict = satisfies_cluster(f, cluster, breadth, args.budget)
-    report.add("check", f"satisfies {args.fn} cluster {args.cluster}")
-    report.add("breadth", breadth)
+    else:
+        cluster = ws.get("cluster", args.cluster)
+        breadth = args.breadth if args.breadth is not None else max(f.arity, 4)
+        verdict = satisfies_cluster(f, cluster, breadth, args.budget)
+        report.add("check", f"satisfies {args.fn} cluster {args.cluster}")
+        report.add("breadth", breadth)
     report.add("satisfied", "yes" if verdict else "no")
-    if not verdict:
-        m1, m2, out = verdict.witness
-        report.raw(format_matrix("witness.applied", m1))
-        report.raw(format_multiset("witness.rest", m2))
-        report.raw(format_multiset("witness.output", out))
+    _report_witness(report, verdict)
     return 0 if verdict else 1
 
 
@@ -126,13 +132,13 @@ def cmd_close(args, report):
     return 0
 
 
-def _config(args, cls_):
+def _config(args, domain_size, codomain_size):
     return GaloisConfig(
-        cls_.domain_size,
+        domain_size,
         n_max=args.cap,
         m_max=args.m_max,
         breadth=args.breadth if args.breadth is not None else max(args.cap, 2),
-        codomain_size=cls_.codomain_size,
+        codomain_size=codomain_size,
         budget=args.budget,
     )
 
@@ -140,7 +146,7 @@ def _config(args, cls_):
 def cmd_inv(args, report):
     ws = _load_workspace(args.workspace)
     cls_ = ws.get("class", args.cls)
-    cfg = _config(args, cls_)
+    cfg = _config(args, cls_.domain_size, cls_.codomain_size)
     report.raw(HEADER)
     report.raw(
         f"# invariants at bounded caps (arity <= {cfg.n_max}); the emitted "
@@ -160,24 +166,12 @@ def cmd_pol(args, report):
     names = _names(args.names)
     if not names:
         raise GaloisKitError("--names must list at least one entity")
+    entities = [ws.get(args.kind, n) for n in names]
+    k = entities[0].domain_size
     if args.kind == "constraint":
-        entities = [ws.get("constraint", n) for n in names]
-        k = entities[0].domain_size
-        cfg = GaloisConfig(
-            k, n_max=args.cap, m_max=args.m_max,
-            breadth=args.breadth if args.breadth is not None else max(args.cap, 2),
-            codomain_size=entities[0].codomain_size, budget=args.budget,
-        )
-        result = f_pol(entities, cfg)
+        result = f_pol(entities, _config(args, k, entities[0].codomain_size))
     else:
-        entities = [ws.get("cluster", n) for n in names]
-        k = entities[0].domain_size
-        cfg = GaloisConfig(
-            k, n_max=args.cap, m_max=args.m_max,
-            breadth=args.breadth if args.breadth is not None else max(args.cap, 2),
-            budget=args.budget,
-        )
-        result = c_pol(entities, cfg)
+        result = c_pol(entities, _config(args, k, k))
     report.raw(HEADER)
     report.raw(format_class("pol", result))
     return 0
@@ -193,27 +187,20 @@ def cmd_separate(args, report):
             report.raw(HEADER)
             report.raw(format_constraint("separator", c))
             verdict = satisfies_constraint(g, c, args.budget)
-            report.add("separated", "yes" if not verdict else "no")
-            if not verdict:
-                report.raw(format_matrix("witness", verdict.witness))
         else:
-            cfg = _config(args, cls_)
+            cfg = _config(args, cls_.domain_size, cls_.codomain_size)
             cluster = separating_cluster(cls_, g, cfg)
             report.raw(HEADER)
             report.raw(format_cluster("separator", cluster))
             verdict = satisfies_cluster(
                 g, cluster, max(cfg.breadth, g.arity), args.budget
             )
-            report.add("separated", "yes" if not verdict else "no")
-            if not verdict:
-                m1, m2, out = verdict.witness
-                report.raw(format_matrix("witness.applied", m1))
-                report.raw(format_multiset("witness.rest", m2))
-                report.raw(format_multiset("witness.output", out))
     except NotSeparableError as e:
         report.add("separated", "no")
         report.add("reason", str(e))
         return 1
+    report.add("separated", "yes" if not verdict else "no")
+    _report_witness(report, verdict)
     return 0
 
 

@@ -12,7 +12,7 @@ the contract.
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import BudgetExceededError, GaloisKitError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, GaloisKitError
 from .extnat import INF, ext_min, ext_sub, is_extnat
 from .multisets import (
     FiniteMultiset,
@@ -20,6 +20,7 @@ from .multisets import (
     _apply_columns,
     _bounded_multisets,
     _ordered_selections,
+    ms_sub,
 )
 from .repetition import RepetitionFunction
 from .minors import apply_scheme_map, skolem_maps
@@ -45,8 +46,6 @@ __all__ = [
     "trivial_cluster",
 ]
 
-DEFAULT_BUDGET = 2_000_000
-
 
 @dataclass(frozen=True)
 class BoxedGenerator:
@@ -60,9 +59,7 @@ class BoxedGenerator:
             raise GaloisKitError(f"invalid generator cap {self.cap!r}")
 
     def admits(self, s):
-        if s.cardinality > self.cap:
-            return False
-        return all(c <= self.box.value(t) for t, c in s.counts.items())
+        return s.cardinality <= self.cap and self.box.bounds(s.counts)
 
     def dominated_by(self, other):
         from .repetition import rf_leq
@@ -87,13 +84,7 @@ class Cluster:
     def sorted_generators(self):
         return sorted(
             self.generators,
-            key=lambda g: (
-                g.cap == INF,
-                g.cap if g.cap != INF else 0,
-                g.box.default == INF,
-                g.box.default if g.box.default != INF else 0,
-                sorted(g.box.exceptions.items(), key=lambda kv: (kv[0], kv[1] == INF, kv[1] if kv[1] != INF else 0)),
-            ),
+            key=lambda g: (g.cap, g.box.default, sorted(g.box.exceptions.items())),
         )
 
     def normalize(self):
@@ -173,25 +164,20 @@ def satisfies_cluster(f, cluster, breadth_cap, budget=DEFAULT_BUDGET):
             f"breadth cap {breadth_cap} is below the arity {f.arity}: no split exists"
         )
     n = f.arity
-    boxes = [
-        (g.cap, g.box.exceptions, g.box.default) for g in cluster.generators
-    ]
+    boxes = [(g.cap, g.box.bounds) for g in cluster.generators]
     for s in enumerate_cluster_members(cluster, breadth_cap, budget):
         size = s.cardinality - n + 1  # |f M1| + |M2|
         if size <= 0:
             continue
         # only generators whose cap admits the output size can admit it
-        live = [(exc, default) for cap, exc, default in boxes if size <= cap]
+        live = [bounds for cap, bounds in boxes if size <= cap]
         counts = s.counts
         used = {}
         for cols in _ordered_selections(sorted(counts), counts.get, n, used):
             image = _apply_columns(f, cols)
             out = {t: c - used.get(t, 0) for t, c in counts.items()}
             out[image] = out.get(image, 0) + 1
-            if not any(
-                all(c <= exc.get(t, default) for t, c in out.items())
-                for exc, default in live
-            ):
+            if not any(bounds(out) for bounds in live):
                 rest = dict(out)
                 rest[image] -= 1
                 witness = (
@@ -380,7 +366,7 @@ def cluster_minor_member(m, clusters, scheme):
                 apply_scheme_map(col, sigma, h)
                 for col, sigma in zip(m.columns, sigmas)
             )
-            mapped = FiniteMultiset.from_tuples(len(h), cols) if cols else FiniteMultiset.empty(len(h))
+            mapped = FiniteMultiset.from_tuples(len(h), cols)
             if not cluster_member(mapped, phi_cluster):
                 ok = False
                 break
@@ -403,23 +389,24 @@ def materialize_minor(clusters, scheme, breadth_cap, budget=DEFAULT_BUDGET):
     estimate = space ** breadth_cap if breadth_cap else 1
     if estimate > budget:
         raise BudgetExceededError(estimate, budget, "cluster minor materialization")
-    from .multisets import ms_sub
-
     members = []
     tuples = list(product(range(k), repeat=m))
     for s in _bounded_multisets(m, tuples, lambda t: INF, breadth_cap):
         matrix = TupleMatrix(m, tuple(s.elements()))
         if cluster_minor_member(matrix, clusters, scheme):
             members.append(s)
-    maximal = [
-        s
+    return _antichain_cluster(m, k, members)
+
+
+def _antichain_cluster(m, k, members):
+    """The downward closure of a finite family of multisets.
+
+    One boxed generator per maximal member: box = the multiset, cap =
+    its cardinality.
+    """
+    gens = frozenset(
+        BoxedGenerator(RepetitionFunction.from_counts(m, k, s.counts), s.cardinality)
         for s in members
         if not any(t != s and ms_sub(s, t) for t in members)
-    ]
-    gens = frozenset(
-        BoxedGenerator(
-            RepetitionFunction.from_counts(m, k, s.counts), s.cardinality
-        )
-        for s in maximal
     )
     return Cluster(m, k, gens)

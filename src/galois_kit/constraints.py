@@ -9,7 +9,7 @@ and is guarded by a work budget.
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, GaloisKitError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, GaloisKitError
 from .extnat import INF
 from .multisets import (
     TupleMatrix,
@@ -34,8 +34,6 @@ __all__ = [
     "satisfies_constraint",
     "trivial_constraint",
 ]
-
-DEFAULT_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -66,9 +64,7 @@ def precedes(m, phi):
     """M < phi: each tuple occurs as a column of M at most phi(tuple) times."""
     if m.row_count != phi.arity:
         raise GaloisKitError("matrix row count must equal the antecedent arity")
-    return all(
-        c <= phi.value(t) for t, c in columns_multiset(m).counts.items()
-    )
+    return phi.bounds(columns_multiset(m).counts)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,9 @@ class NotSeparableError(GaloisKitError):
     """g lies in the closed class, so no separating object exists."""
 
 
+DEFAULT_BUDGET = 2_000_000
+
+
 class BudgetExceededError(GaloisKitError):
     """An enumeration would exceed the configured work budget.
 

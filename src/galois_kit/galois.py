@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 
-from .errors import BudgetExceededError, GaloisKitError, NotSeparableError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, GaloisKitError, NotSeparableError
 from .operations import OperationClass, all_operations, close_composition, close_perm_dummy
 from .multisets import (
     FiniteMultiset,
@@ -22,16 +22,10 @@ from .multisets import (
     ms_diff,
     ms_join,
     ms_partitions,
-    ms_sub,
 )
 from .repetition import RepetitionFunction
 from .constraints import GeneralizedConstraint, satisfies_constraint
-from .clusters import (
-    BoxedGenerator,
-    Cluster,
-    cluster_member,
-    satisfies_cluster,
-)
+from .clusters import _antichain_cluster, cluster_member, satisfies_cluster
 
 __all__ = [
     "GaloisConfig",
@@ -49,9 +43,9 @@ __all__ = [
 class GaloisConfig:
     """Caps that make the unbounded connections effective.
 
-    n_max bounds function arities, m_max bounds constraint arities,
-    col_max bounds matrix widths in gc_inv (defaults to n_max), breadth
-    bounds cluster member cardinalities, budget bounds enumeration work.
+    n_max bounds function arities and the matrix widths of gc_inv,
+    m_max bounds constraint arities, breadth bounds cluster member
+    cardinalities, budget bounds enumeration work.
     """
 
     domain_size: int
@@ -59,15 +53,12 @@ class GaloisConfig:
     m_max: int
     breadth: int
     codomain_size: int = None
-    col_max: int = None
-    budget: int = 2_000_000
+    budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
         if self.codomain_size is None:
             object.__setattr__(self, "codomain_size", self.domain_size)
-        if self.col_max is None:
-            object.__setattr__(self, "col_max", self.n_max)
-        for name in ("domain_size", "n_max", "m_max", "breadth", "codomain_size", "col_max"):
+        for name in ("domain_size", "n_max", "m_max", "breadth", "codomain_size"):
             if getattr(self, name) < 1:
                 raise GaloisKitError(f"{name} must be at least 1")
 
@@ -79,66 +70,86 @@ def class_image(cls_, m):
     )
 
 
+def _all_rows(k, n):
+    """The matrix whose rows are all n-tuples over k, in lexicographic order.
+
+    Row-wise application of an n-ary f to it gives f's value table.
+    """
+    return TupleMatrix.from_rows(product(range(k), repeat=n))
+
+
+def _invariant_constraint(closed, matrix, codomain_size):
+    """The constraint (chi_M, C M) of a matrix M.
+
+    Every member of a class closed under permutation and dummy variables
+    satisfies it.
+    """
+    chi = RepetitionFunction.from_counts(
+        matrix.row_count, closed.domain_size, columns_multiset(matrix).counts
+    )
+    return GeneralizedConstraint(chi, class_image(closed, matrix), codomain_size)
+
+
 def gc_inv(cls_, cfg):
     """The proof-canonical invariant constraints of a class.
 
     One constraint (chi_M, C M) per matrix M with distinct rows, for
-    every width n <= min(n_max, col_max) and row count m <= m_max.  The
-    class is closed under permutation and dummy variables first, which
-    is exactly the hypothesis making every emitted constraint satisfied
-    by every member.  The matrix count, sum of C(k^n, m) over those
-    widths and row counts, is checked against the budget first.
+    every width n <= n_max and row count m <= m_max.  The class is
+    closed under permutation and dummy variables first, which is exactly
+    the hypothesis making every emitted constraint satisfied by every
+    member.  The matrix count, sum of C(k^n, m) over those widths and
+    row counts, is checked against the budget first.
     """
     k = cls_.domain_size
-    widths = range(1, min(cfg.n_max, cfg.col_max) + 1)
+    widths = range(1, cfg.n_max + 1)
     matrices = sum(comb(k ** n, m) for n in widths for m in range(1, cfg.m_max + 1))
     if matrices > cfg.budget:
         raise BudgetExceededError(matrices, cfg.budget, "invariant constraint enumeration")
     closed = close_perm_dummy(cls_, max(cfg.n_max, cls_.max_arity or 1))
-    out = []
-    for n in widths:
-        all_rows = sorted(product(range(k), repeat=n))
-        for m in range(1, cfg.m_max + 1):
-            for rows in combinations(all_rows, m):
-                matrix = TupleMatrix.from_rows(rows)
-                chi = RepetitionFunction.from_counts(
-                    m, k, columns_multiset(matrix).counts
-                )
-                out.append(
-                    GeneralizedConstraint(
-                        chi, class_image(closed, matrix), cls_.codomain_size
-                    )
-                )
+    return [
+        _invariant_constraint(closed, TupleMatrix.from_rows(rows), cls_.codomain_size)
+        for n in widths
+        for m in range(1, cfg.m_max + 1)
+        for rows in combinations(product(range(k), repeat=n), m)
+    ]
+
+
+def _pol(cfg, codomain_size, accepts):
+    """All operations of arity <= n_max into the codomain that ``accepts`` keeps.
+
+    The candidate count, sum of codomain_size^(k^n) over the arities, is
+    checked against the budget first.
+    """
+    candidates = sum(
+        codomain_size ** (cfg.domain_size ** n) for n in range(1, cfg.n_max + 1)
+    )
+    if candidates > cfg.budget:
+        raise BudgetExceededError(candidates, cfg.budget, "operation enumeration")
+    out = OperationClass(cfg.domain_size, codomain_size)
+    for n in range(1, cfg.n_max + 1):
+        for op in all_operations(cfg.domain_size, n, codomain_size):
+            if accepts(op):
+                out.add(op)
     return out
 
 
 def f_pol(constraints, cfg):
     """All operations of arity <= n_max satisfying every constraint."""
     constraints = list(constraints)
-    candidates = sum(
-        cfg.codomain_size ** (cfg.domain_size ** n) for n in range(1, cfg.n_max + 1)
+    return _pol(
+        cfg,
+        cfg.codomain_size,
+        lambda op: all(satisfies_constraint(op, c, cfg.budget) for c in constraints),
     )
-    if candidates > cfg.budget:
-        raise BudgetExceededError(candidates, cfg.budget, "operation enumeration")
-    out = OperationClass(cfg.domain_size, cfg.codomain_size)
-    for n in range(1, cfg.n_max + 1):
-        for op in all_operations(cfg.domain_size, n, cfg.codomain_size):
-            if all(
-                satisfies_constraint(op, c, cfg.budget) for c in constraints
-            ):
-                out.add(op)
-    return out
 
 
-def _inv_cluster_for_arity(closed, n, k):
-    """The separating cluster built from the all-rows matrix of width n.
+def _inv_cluster_for_arity(closed, matrix):
+    """The separating cluster built from an all-rows matrix.
 
     Members are generated as X joined with one class image per block of
     a partition of the remaining columns; the cluster is the downward
     closure of those generators, stored as an explicit antichain.
     """
-    all_rows = sorted(product(range(k), repeat=n))
-    matrix = TupleMatrix.from_rows(all_rows)
     m = matrix.row_count
     mstar = columns_multiset(matrix)
 
@@ -155,15 +166,7 @@ def _inv_cluster_for_arity(closed, n, k):
                 image_sets.append(sorted(class_image(closed, block_matrix)))
             for d in product(*image_sets):
                 members.add(ms_join(x, FiniteMultiset.from_tuples(m, d)))
-    members = sorted(members, key=lambda s: (s.cardinality, sorted(s.counts.items())))
-    maximal = [
-        s for s in members if not any(t != s and ms_sub(s, t) for t in members)
-    ]
-    gens = frozenset(
-        BoxedGenerator(RepetitionFunction.from_counts(m, k, s.counts), s.cardinality)
-        for s in maximal
-    )
-    return Cluster(m, k, gens)
+    return _antichain_cluster(m, closed.domain_size, members)
 
 
 def cl_inv(cls_, cfg):
@@ -171,7 +174,7 @@ def cl_inv(cls_, cfg):
     closed = close_composition(cls_, max(cfg.n_max, cls_.max_arity or 1))
     k = cls_.domain_size
     return [
-        _inv_cluster_for_arity(closed, n, k) for n in range(1, cfg.n_max + 1)
+        _inv_cluster_for_arity(closed, _all_rows(k, n)) for n in range(1, cfg.n_max + 1)
     ]
 
 
@@ -180,20 +183,13 @@ def c_pol(clusters, cfg):
     clusters = list(clusters)
     if cfg.breadth < cfg.n_max:
         raise GaloisKitError("breadth cap must be at least n_max")
-    candidates = sum(
-        cfg.domain_size ** (cfg.domain_size ** n) for n in range(1, cfg.n_max + 1)
+    return _pol(
+        cfg,
+        cfg.domain_size,
+        lambda op: all(
+            satisfies_cluster(op, phi, cfg.breadth, cfg.budget) for phi in clusters
+        ),
     )
-    if candidates > cfg.budget:
-        raise BudgetExceededError(candidates, cfg.budget, "operation enumeration")
-    out = OperationClass(cfg.domain_size, cfg.domain_size)
-    for n in range(1, cfg.n_max + 1):
-        for op in all_operations(cfg.domain_size, n):
-            if all(
-                satisfies_cluster(op, phi, cfg.breadth, cfg.budget)
-                for phi in clusters
-            ):
-                out.add(op)
-    return out
 
 
 def separating_constraint(cls_, g):
@@ -207,18 +203,13 @@ def separating_constraint(cls_, g):
         raise GaloisKitError("cannot separate from the empty class")
     n = g.arity
     closed = close_perm_dummy(cls_, max(n, cls_.max_arity))
-    k = cls_.domain_size
-    all_rows = sorted(product(range(k), repeat=n))
-    matrix = TupleMatrix.from_rows(all_rows)
-    consequent = class_image(closed, matrix)
-    if apply_op_rows(g, matrix) in consequent:
+    matrix = _all_rows(cls_.domain_size, n)
+    c = _invariant_constraint(closed, matrix, cls_.codomain_size)
+    if apply_op_rows(g, matrix) in c.consequent:
         raise NotSeparableError(
             "no separating constraint: g is in the closed class at its arity"
         )
-    chi = RepetitionFunction.from_counts(
-        matrix.row_count, k, columns_multiset(matrix).counts
-    )
-    return GeneralizedConstraint(chi, consequent, cls_.codomain_size)
+    return c
 
 
 def separating_cluster(cls_, g, cfg):
@@ -232,10 +223,8 @@ def separating_cluster(cls_, g, cfg):
     closed = close_composition(cls_, max(n, cls_.max_arity or 1, cfg.n_max))
     if g in closed:
         raise NotSeparableError("no separating cluster: g is in the closed class")
-    k = cls_.domain_size
-    cluster = _inv_cluster_for_arity(closed, n, k)
-    all_rows = sorted(product(range(k), repeat=n))
-    matrix = TupleMatrix.from_rows(all_rows)
+    matrix = _all_rows(cls_.domain_size, n)
+    cluster = _inv_cluster_for_arity(closed, matrix)
     image = FiniteMultiset.from_tuples(
         matrix.row_count, [apply_op_rows(g, matrix)]
     )

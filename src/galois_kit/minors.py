@@ -158,18 +158,17 @@ def default_col_cap(scheme):
     return max(scheme.source_arities) + 2
 
 
-def _family_respected(images, limits):
+def _family_respected(images, phis):
     """True iff, for every map h_j, the j-th mapped columns respect phi_j.
 
     ``images`` holds one entry per column: its mapped tuple per map.
-    ``limits`` holds (exceptions, default) of each phi_j.
     """
-    for j, (exc, default) in enumerate(limits):
+    for j, phi in enumerate(phis):
         counts = {}
         for image in images:
             t = image[j]
             counts[t] = counts.get(t, 0) + 1
-        if any(c > exc.get(t, default) for t, c in counts.items()):
+        if not phi.bounds(counts):
             return False
     return True
 
@@ -182,7 +181,6 @@ def _skolem_search(scheme, phis, k):
     this factory and reused across selections.
     """
     sigmas = list(skolem_maps(scheme.indeterminates, k))
-    limits = [(phi.exceptions, phi.default) for phi in phis]
     images = {}
 
     def exists(columns):
@@ -195,7 +193,7 @@ def _skolem_search(scheme, phis, k):
                 ]
             per_column.append(images[col])
         return any(
-            _family_respected(chosen, limits) for chosen in product(*per_column)
+            _family_respected(chosen, phis) for chosen in product(*per_column)
         )
 
     return exists
@@ -250,7 +248,7 @@ def is_extensive_rf_minor(phi, phis, scheme, col_cap=None):
     everything = RepetitionFunction.constant(phi.arity, k, INF)
     for n in range(1, col_cap + 1):
         for cols, counts in _column_multisets(everything, n):
-            if any(c > phi.value(t) for t, c in counts.items()) and exists(cols):
+            if not phi.bounds(counts) and exists(cols):
                 return MinorVerdict(False, col_cap, TupleMatrix(phi.arity, cols))
     return MinorVerdict(True, col_cap)
 

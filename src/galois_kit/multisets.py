@@ -237,29 +237,35 @@ def _nondecreasing_selections(support, bound, cap, counts):
 
     A multiset is yielded as its columns in support order (a
     nondecreasing index sequence), so the stream is in lexicographic
-    order of support positions within each size.  ``counts`` holds the
-    multiplicities of the selection just yielded.
+    order of support positions within each size: each selection comes
+    right before its extensions.  ``counts`` holds the multiplicities of
+    the selection just yielded.  The search keeps an explicit stack, so
+    the depth of a selection is not limited by the recursion limit.
     """
+    bounds = [bound(t) for t in support]
     chosen = []
-
-    def rec(idx, remaining):
-        yield tuple(chosen)
-        if remaining == 0:
-            return
-        for i in range(idx, len(support)):
-            t = support[i]
-            c = counts.get(t, 0)
-            if c < bound(t):
-                counts[t] = c + 1
+    positions = []  # support index of each chosen tuple
+    i = 0  # next support index to try after the current selection
+    yield ()
+    while True:
+        if len(chosen) < cap:
+            while i < len(support) and counts.get(support[i], 0) >= bounds[i]:
+                i += 1
+            if i < len(support):
+                t = support[i]
+                counts[t] = counts.get(t, 0) + 1
                 chosen.append(t)
-                yield from rec(i, remaining - 1)
-                chosen.pop()
-                if c:
-                    counts[t] = c
-                else:
-                    del counts[t]
-
-    yield from rec(0, cap)
+                positions.append(i)
+                yield tuple(chosen)
+                continue
+        if not chosen:
+            return
+        t = chosen.pop()
+        i = positions.pop() + 1
+        if counts[t] > 1:
+            counts[t] -= 1
+        else:
+            del counts[t]
 
 
 def _bounded_multisets(arity, support, bound, cap):

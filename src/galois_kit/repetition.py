@@ -97,17 +97,20 @@ class RepetitionFunction:
             return INF
         return self.default * rest + sum(self.exceptions.values())
 
-    def pointwise(self, other, fn, check=None):
+    def bounds(self, counts):
+        """True iff every count is at most this function's value at its tuple.
+
+        ``counts`` maps m-tuples to multiplicities, as in
+        ``FiniteMultiset.counts``; this is the box test M < phi.
+        """
+        exceptions, default = self.exceptions, self.default
+        return all(c <= exceptions.get(t, default) for t, c in counts.items())
+
+    def pointwise(self, other, fn):
         if (self.arity, self.domain_size) != (other.arity, other.domain_size):
             raise GaloisKitError("repetition function arity/domain mismatch")
         keys = set(self.exceptions) | set(other.exceptions)
-        if check is not None and not check(self.default, other.default):
-            return None
         exc = {t: fn(self.value(t), other.value(t)) for t in keys}
-        if check is not None and any(
-            not check(self.value(t), other.value(t)) for t in keys
-        ):
-            return None
         return RepetitionFunction(
             self.arity, self.domain_size, fn(self.default, other.default), exc
         )

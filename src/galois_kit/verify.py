@@ -128,7 +128,7 @@ def suite_chi_m(classes=50, seed=1202):
     """Every member of a closed class satisfies (chi_M, C M) for every
     distinct-row matrix with at most 3 rows and 3 columns."""
     rng = random.Random(seed)
-    cfg = GaloisConfig(2, n_max=3, m_max=3, breadth=1, col_max=3)
+    cfg = GaloisConfig(2, n_max=3, m_max=3, breadth=1)
     for i in range(classes):
         cls_ = _random_closed_class(rng)
         for c in gc_inv(cls_, cfg):
@@ -444,7 +444,7 @@ def suite_roundtrip():
     results = []
 
     mono = _monotone_ops()
-    cfg = GaloisConfig(2, n_max=2, m_max=4, breadth=4, col_max=2)
+    cfg = GaloisConfig(2, n_max=2, m_max=4, breadth=4)
     back = f_pol(gc_inv(mono, cfg), cfg)
     results.append(
         CheckResult(

@@ -234,7 +234,7 @@ def test_acceptance_6_cluster_lemma_suite():
 
 def test_acceptance_7_galois_round_trips():
     mono = _monotone_ops(2)
-    cfg = GaloisConfig(2, n_max=2, m_max=4, breadth=4, col_max=2)
+    cfg = GaloisConfig(2, n_max=2, m_max=4, breadth=4)
     first = f_pol(gc_inv(mono, cfg), cfg) == mono and len(mono) == 9
 
     proj = OperationClass(2, members=[

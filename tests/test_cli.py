@@ -69,6 +69,18 @@ class TestSatisfies:
                         "--constraint", "eq2", "--cluster", "ord")
         assert code == 2
 
+    def test_deep_breadth_cap_is_answered(self, tmp_path, capsys):
+        path = tmp_path / "deep.gk"
+        path.write_text(
+            "galois-kit v1\n"
+            "op f k=2 arity=1 : 0 0\n"
+            "cluster c arity=1 k=2 { gen cap=inf rf=[default=0 { 0 -> inf }] }\n"
+        )
+        code, out = run(capsys, "satisfies", "-w", str(path),
+                        "--fn", "f", "--cluster", "c", "--breadth", "5000")
+        assert code == 0
+        assert "satisfied: yes" in out
+
 
 class TestJsonLines:
     def test_fields_match_text_rendering(self, ws_file, capsys):

@@ -93,6 +93,20 @@ def random_cluster(rng, m, k=2):
     return Cluster(m, k, frozenset(gens))
 
 
+def reference_generator_key(g):
+    """Generator order with INF encoded as a flag and a 0 placeholder."""
+    return (
+        g.cap == INF,
+        g.cap if g.cap != INF else 0,
+        g.box.default == INF,
+        g.box.default if g.box.default != INF else 0,
+        sorted(
+            g.box.exceptions.items(),
+            key=lambda kv: (kv[0], kv[1] == INF, kv[1] if kv[1] != INF else 0),
+        ),
+    )
+
+
 class TestMembership:
     def test_generator_box_and_cap(self):
         gen = BoxedGenerator(RepetitionFunction(1, 2, 0, {(0,): 2, (1,): 1}), 2)
@@ -126,6 +140,29 @@ class TestMembership:
                 s for s in all_multisets(2, 2, 3) if cluster_member(s, cluster)
             }
             assert got == expected
+
+    def test_deep_breadth_enumeration(self):
+        box = RepetitionFunction(1, 2, 0, {(0,): INF})
+        cluster = Cluster(1, 2, frozenset({BoxedGenerator(box, INF)}))
+        members = enumerate_cluster_members(cluster, 5000)
+        assert len(members) == 5001
+        assert members[-1] == FiniteMultiset(1, {(0,): 5000})
+
+    def test_sorted_generators_matches_reference_key(self):
+        rng = random.Random(37)
+        for _ in range(300):
+            m, k = rng.randint(1, 2), rng.randint(2, 3)
+            gens = set()
+            for _ in range(rng.randint(1, 6)):
+                exc = {
+                    tuple(rng.randrange(k) for _ in range(m)): rng.choice([0, 1, 2, INF])
+                    for _ in range(rng.randint(0, 3))
+                }
+                box = RepetitionFunction(m, k, rng.choice([0, 1, INF]), exc)
+                gens.add(BoxedGenerator(box, rng.choice([0, 1, 2, 3, INF])))
+            cluster = Cluster(m, k, frozenset(gens))
+            expected = sorted(cluster.generators, key=reference_generator_key)
+            assert cluster.sorted_generators() == expected
 
     def test_empty_cluster_has_no_members(self):
         c = empty_cluster(2, 2)

@@ -81,6 +81,23 @@ class TestRepetitionFunctionCanonical:
         assert RepetitionFunction(1, 2, INF).total() == INF
 
 
+tuples_k3 = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+rfs_with_inf = st.builds(
+    lambda default, exc: RepetitionFunction(2, 3, default, exc),
+    st.sampled_from([0, 1, 2, INF]),
+    st.dictionaries(tuples_k3, st.sampled_from([0, 1, 2, 3, INF]), max_size=5),
+)
+
+
+class TestBounds:
+    @settings(max_examples=200, deadline=None)
+    @given(rfs_with_inf, st.dictionaries(tuples_k3, st.integers(0, 4), max_size=5))
+    def test_bounds_is_the_per_tuple_comparison(self, phi, counts):
+        expected = all(c <= phi.value(t) for t, c in counts.items())
+        assert phi.bounds(counts) == expected
+
+
 class TestPrecedes:
     def test_counts_bounded_by_values(self):
         phi = RepetitionFunction(2, 2, 0, {(0, 1): 2})

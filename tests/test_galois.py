@@ -206,7 +206,7 @@ class TestSeparatingCluster:
 class TestRoundTrips:
     def test_constraint_round_trip_on_monotone(self):
         mono = monotone_ops()
-        cfg = GaloisConfig(2, n_max=2, m_max=4, breadth=4, col_max=2)
+        cfg = GaloisConfig(2, n_max=2, m_max=4, breadth=4)
         assert f_pol(gc_inv(mono, cfg), cfg) == mono
 
     def test_cluster_round_trip_on_projections(self):

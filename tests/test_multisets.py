@@ -20,7 +20,7 @@ from galois_kit import (
     ms_sub,
     split_enumerate,
 )
-from galois_kit.multisets import _bounded_multisets
+from galois_kit.multisets import _bounded_multisets, _nondecreasing_selections
 
 pairs = st.tuples(st.integers(0, 1), st.integers(0, 1))
 multisets = st.dictionaries(pairs, st.integers(0, 3), max_size=4).map(
@@ -235,3 +235,43 @@ class TestStreamOrder:
             for n in (1, 2, 3):
                 seq = [m1.columns for m1, _ in split_enumerate(s, n)]
                 assert all(a < b for a, b in zip(seq, seq[1:]))
+
+    def test_nondecreasing_selections_match_the_recursive_stream(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            arity = rng.randint(1, 2)
+            support, bounds = random_box(rng, arity, k=rng.randint(2, 3))
+            cap = rng.choice((0, 1, 2, 3, 4, 6))
+            live = {}
+            got = [
+                (cols, dict(live))
+                for cols in _nondecreasing_selections(support, bounds.get, cap, live)
+            ]
+            assert got == recursive_nondecreasing_selections(support, bounds.get, cap)
+            assert live == {}
+
+
+def recursive_nondecreasing_selections(support, bound, cap):
+    """Reference stream: the depth-first recursion, each selection with
+    a snapshot of its counts, before its extensions."""
+    out, chosen, counts = [], [], {}
+
+    def rec(idx, remaining):
+        out.append((tuple(chosen), dict(counts)))
+        if remaining == 0:
+            return
+        for i in range(idx, len(support)):
+            t = support[i]
+            c = counts.get(t, 0)
+            if c < bound(t):
+                counts[t] = c + 1
+                chosen.append(t)
+                rec(i, remaining - 1)
+                chosen.pop()
+                if c:
+                    counts[t] = c
+                else:
+                    del counts[t]
+
+    rec(0, cap)
+    return out
