@@ -10,6 +10,7 @@ the contract.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, GaloisKitError
@@ -18,12 +19,11 @@ from .multisets import (
     FiniteMultiset,
     TupleMatrix,
     _apply_columns,
-    _bounded_multisets,
+    _nondecreasing_selections,
     _ordered_selections,
-    ms_sub,
 )
 from .repetition import RepetitionFunction
-from .minors import apply_scheme_map, skolem_maps
+from .minors import _skolem_search
 
 __all__ = [
     "BoxedGenerator",
@@ -58,8 +58,9 @@ class BoxedGenerator:
         if not is_extnat(self.cap):
             raise GaloisKitError(f"invalid generator cap {self.cap!r}")
 
-    def admits(self, s):
-        return s.cardinality <= self.cap and self.box.bounds(s.counts)
+    def admits(self, counts, size):
+        """True iff the multiset with these counts and cardinality lies in the box."""
+        return size <= self.cap and self.box.bounds(counts)
 
     def dominated_by(self, other):
         from .repetition import rf_leq
@@ -109,31 +110,42 @@ def cluster_member(s, cluster):
     """True iff some generator boxes-and-caps the multiset."""
     if s.arity != cluster.arity:
         raise GaloisKitError("multiset arity does not match the cluster")
-    return any(g.admits(s) for g in cluster.generators)
+    return _admitted(cluster.generators, s.counts)
 
 
-def _generator_members(gen, limit, budget):
-    box = gen.box
-    if box.default > 0:
+def _admitted(generators, counts):
+    """True iff some generator admits the multiset with these counts."""
+    size = sum(counts.values())
+    return any(g.admits(counts, size) for g in generators)
+
+
+def _members(cluster, limit, budget):
+    """The count dicts of all members of cardinality <= limit, each once,
+    by cardinality, then by sorted (tuple, count) items.
+
+    The generators' boxes are walked in ``sorted_generators`` order.
+    """
+    found = {}  # sorted elements -> counts
+    for gen in cluster.sorted_generators():
+        box = gen.box
         space = box.domain_size ** box.arity
-        if space > budget:
+        if box.default > 0 and space > budget:
             raise BudgetExceededError(space, budget, "cluster member enumeration")
-    total_cap = ext_min(gen.cap, limit)
-    if total_cap == INF:
-        raise GaloisKitError("member enumeration needs a finite cardinality limit")
-    return _bounded_multisets(
-        box.arity, box.positive_support(), box.value, int(total_cap)
-    )
+        cap = ext_min(gen.cap, limit)
+        if cap == INF:
+            raise GaloisKitError("member enumeration needs a finite cardinality limit")
+        counts = {}
+        support = box.positive_support()
+        for cols in _nondecreasing_selections(support, box.value, int(cap), counts):
+            if cols not in found:
+                found[cols] = dict(counts)
+    return sorted(found.values(), key=lambda c: (sum(c.values()), sorted(c.items())))
 
 
 def enumerate_cluster_members(cluster, limit, budget=DEFAULT_BUDGET):
-    """All members of cardinality <= limit, deduplicated, deterministic order."""
-    seen = set()
-    for gen in cluster.sorted_generators():
-        for s in _generator_members(gen, limit, budget):
-            if s not in seen:
-                seen.add(s)
-    return sorted(seen, key=lambda s: (s.cardinality, sorted(s.counts.items())))
+    """All members of cardinality <= limit, each once, by cardinality, then
+    by sorted (tuple, count) items: the order ``satisfies_cluster`` checks."""
+    return [FiniteMultiset(cluster.arity, c) for c in _members(cluster, limit, budget)]
 
 
 @dataclass(frozen=True)
@@ -165,13 +177,12 @@ def satisfies_cluster(f, cluster, breadth_cap, budget=DEFAULT_BUDGET):
         )
     n = f.arity
     boxes = [(g.cap, g.box.bounds) for g in cluster.generators]
-    for s in enumerate_cluster_members(cluster, breadth_cap, budget):
-        size = s.cardinality - n + 1  # |f M1| + |M2|
+    for counts in _members(cluster, breadth_cap, budget):
+        size = sum(counts.values()) - n + 1  # |f M1| + |M2|
         if size <= 0:
             continue
         # only generators whose cap admits the output size can admit it
         live = [bounds for cap, bounds in boxes if size <= cap]
-        counts = s.counts
         used = {}
         for cols in _ordered_selections(sorted(counts), counts.get, n, used):
             image = _apply_columns(f, cols)
@@ -203,7 +214,7 @@ def quotient(cluster, s):
         raise GaloisKitError("multiset arity does not match the cluster")
     gens = set()
     for g in cluster.generators:
-        if g.admits(s):
+        if g.admits(s.counts, s.cardinality):
             gens.add(
                 BoxedGenerator(_rf_minus_counts(g.box, s), ext_sub(g.cap, s.cardinality))
             )
@@ -351,28 +362,19 @@ def cluster_minor_member(m, clusters, scheme):
     True iff per-column Skolem maps exist sending every mapped matrix
     into its cluster; exhausted over all |A|^(|V| * n) assignments.
     """
+    exists = _minor_search(clusters, scheme)
+    if m.row_count != scheme.target:
+        raise GaloisKitError("matrix row count must equal the scheme target")
+    return exists(m.columns)
+
+
+def _minor_search(clusters, scheme):
+    """The Skolem search of a cluster minor, one cluster per scheme map."""
     clusters = list(clusters)
     if len(clusters) != len(scheme.maps):
         raise GaloisKitError("need one cluster per scheme map")
-    if m.row_count != scheme.target:
-        raise GaloisKitError("matrix row count must equal the scheme target")
-    k = clusters[0].domain_size
-    n = m.column_count
-    per_column = list(skolem_maps(scheme.indeterminates, k))
-    for sigmas in product(per_column, repeat=n):
-        ok = True
-        for h, phi_cluster in zip(scheme.maps, clusters):
-            cols = tuple(
-                apply_scheme_map(col, sigma, h)
-                for col, sigma in zip(m.columns, sigmas)
-            )
-            mapped = FiniteMultiset.from_tuples(len(h), cols)
-            if not cluster_member(mapped, phi_cluster):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    tests = [partial(_admitted, c.generators) for c in clusters]
+    return _skolem_search(scheme, tests, clusters[0].domain_size)
 
 
 def materialize_minor(clusters, scheme, breadth_cap, budget=DEFAULT_BUDGET):
@@ -383,30 +385,30 @@ def materialize_minor(clusters, scheme, breadth_cap, budget=DEFAULT_BUDGET):
     generators (box = the multiset, cap = its cardinality).
     """
     clusters = list(clusters)
+    exists = _minor_search(clusters, scheme)
     k = clusters[0].domain_size
     m = scheme.target
-    space = k ** m
-    estimate = space ** breadth_cap if breadth_cap else 1
+    estimate = (k ** m) ** breadth_cap if breadth_cap else 1
     if estimate > budget:
         raise BudgetExceededError(estimate, budget, "cluster minor materialization")
-    members = []
     tuples = list(product(range(k), repeat=m))
-    for s in _bounded_multisets(m, tuples, lambda t: INF, breadth_cap):
-        matrix = TupleMatrix(m, tuple(s.elements()))
-        if cluster_minor_member(matrix, clusters, scheme):
-            members.append(s)
+    counts = {}
+    selections = _nondecreasing_selections(tuples, lambda t: INF, breadth_cap, counts)
+    members = [dict(counts) for cols in selections if exists(cols)]
     return _antichain_cluster(m, k, members)
 
 
 def _antichain_cluster(m, k, members):
-    """The downward closure of a finite family of multisets.
+    """The downward closure of a finite family of distinct count dicts.
 
     One boxed generator per maximal member: box = the multiset, cap =
     its cardinality.
     """
+    members = [(sum(s.values()), s) for s in members]
     gens = frozenset(
-        BoxedGenerator(RepetitionFunction.from_counts(m, k, s.counts), s.cardinality)
-        for s in members
-        if not any(t != s and ms_sub(s, t) for t in members)
+        BoxedGenerator(RepetitionFunction.from_counts(m, k, s), size)
+        for size, s in members
+        if not any(size < n and all(c <= t.get(x, 0) for x, c in s.items())
+                   for n, t in members)
     )
     return Cluster(m, k, gens)

@@ -16,12 +16,11 @@ from .operations import OperationClass, all_operations, close_composition, close
 from .multisets import (
     FiniteMultiset,
     TupleMatrix,
-    _bounded_multisets,
+    _apply_columns,
+    _counts,
+    _set_partitions,
     apply_op_rows,
     columns_multiset,
-    ms_diff,
-    ms_join,
-    ms_partitions,
 )
 from .repetition import RepetitionFunction
 from .constraints import GeneralizedConstraint, satisfies_constraint
@@ -146,27 +145,28 @@ def f_pol(constraints, cfg):
 def _inv_cluster_for_arity(closed, matrix):
     """The separating cluster built from an all-rows matrix.
 
-    Members are generated as X joined with one class image per block of
-    a partition of the remaining columns; the cluster is the downward
-    closure of those generators, stored as an explicit antichain.
+    For every set partition of the columns, a member takes one class
+    image f B per block B, computed once per block; the cluster is their
+    downward closure, stored as an explicit antichain.  No column is left
+    unmapped: the composition-closed class contains the unary projection,
+    so an unmapped column is the image of its one-column block.
     """
-    m = matrix.row_count
-    mstar = columns_multiset(matrix)
-
-    members = set()
-    submultisets = _bounded_multisets(
-        m, mstar.support(), mstar.multiplicity, mstar.cardinality
+    columns = matrix.columns
+    images = {}  # block -> its class images
+    members = set()  # each as its sorted elements
+    for blocks in _set_partitions(list(range(len(columns)))):
+        image_sets = []
+        for block in map(tuple, blocks):
+            if block not in images:
+                cols = [columns[j] for j in block]
+                images[block] = {
+                    _apply_columns(f, cols) for f in closed.arity_part(len(block))
+                }
+            image_sets.append(images[block])
+        members.update(tuple(sorted(d)) for d in product(*image_sets))
+    return _antichain_cluster(
+        matrix.row_count, closed.domain_size, map(_counts, members)
     )
-    for x in submultisets:
-        rest = ms_diff(mstar, x)
-        for blocks in ms_partitions(rest):
-            image_sets = []
-            for block in blocks:
-                block_matrix = TupleMatrix(m, tuple(block.elements()))
-                image_sets.append(sorted(class_image(closed, block_matrix)))
-            for d in product(*image_sets):
-                members.add(ms_join(x, FiniteMultiset.from_tuples(m, d)))
-    return _antichain_cluster(m, closed.domain_size, members)
 
 
 def cl_inv(cls_, cfg):

@@ -13,7 +13,7 @@ from itertools import product
 
 from .errors import GaloisKitError
 from .extnat import INF, ext_add
-from .multisets import TupleMatrix, _nondecreasing_selections
+from .multisets import TupleMatrix, _counts, _nondecreasing_selections
 from .repetition import RepetitionFunction
 
 __all__ = [
@@ -158,27 +158,24 @@ def default_col_cap(scheme):
     return max(scheme.source_arities) + 2
 
 
-def _family_respected(images, phis):
-    """True iff, for every map h_j, the j-th mapped columns respect phi_j.
+def _family_respected(images, accepts):
+    """True iff, for every map h_j, accepts[j] holds of the j-th mapped columns.
 
     ``images`` holds one entry per column: its mapped tuple per map.
     """
-    for j, phi in enumerate(phis):
-        counts = {}
-        for image in images:
-            t = image[j]
-            counts[t] = counts.get(t, 0) + 1
-        if not phi.bounds(counts):
-            return False
-    return True
+    return all(
+        accept(_counts([image[j] for image in images]))
+        for j, accept in enumerate(accepts)
+    )
 
 
-def _skolem_search(scheme, phis, k):
+def _skolem_search(scheme, accepts, k):
     """exists(columns): do Skolem maps send the columns into the family?
 
-    The answer depends only on the column multiset.  Each column's
-    mapped tuples under every Skolem map are computed once per call of
-    this factory and reused across selections.
+    The family is one test per scheme map on the count dict of the mapped
+    columns: ``phi.bounds``, or cluster admission.  The answer depends
+    only on the column multiset.  Each column's mapped tuples under every
+    Skolem map are computed once per call of this factory.
     """
     sigmas = list(skolem_maps(scheme.indeterminates, k))
     images = {}
@@ -193,7 +190,7 @@ def _skolem_search(scheme, phis, k):
                 ]
             per_column.append(images[col])
         return any(
-            _family_respected(chosen, phis) for chosen in product(*per_column)
+            _family_respected(chosen, accepts) for chosen in product(*per_column)
         )
 
     return exists
@@ -228,7 +225,7 @@ def is_restrictive_rf_minor(phi, phis, scheme, col_cap=None):
     the first one in ``enumerate_matrices_leq`` order, widths ascending.
     """
     phis, col_cap = _check_family(phis, scheme, col_cap)
-    exists = _skolem_search(scheme, phis, phi.domain_size)
+    exists = _skolem_search(scheme, [p.bounds for p in phis], phi.domain_size)
     for n in range(1, col_cap + 1):
         for cols, _ in _column_multisets(phi, n):
             if not exists(cols):
@@ -244,7 +241,7 @@ def is_extensive_rf_minor(phi, phis, scheme, col_cap=None):
     """
     phis, col_cap = _check_family(phis, scheme, col_cap)
     k = phi.domain_size
-    exists = _skolem_search(scheme, phis, k)
+    exists = _skolem_search(scheme, [p.bounds for p in phis], k)
     everything = RepetitionFunction.constant(phi.arity, k, INF)
     for n in range(1, col_cap + 1):
         for cols, counts in _column_multisets(everything, n):

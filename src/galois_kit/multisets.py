@@ -43,11 +43,7 @@ class FiniteMultiset:
 
     @classmethod
     def from_tuples(cls, arity, tuples):
-        counts = {}
-        for t in tuples:
-            t = tuple(t)
-            counts[t] = counts.get(t, 0) + 1
-        return cls(arity, counts)
+        return cls(arity, _counts(tuple(t) for t in tuples))
 
     @classmethod
     def empty(cls, arity):
@@ -84,6 +80,14 @@ class FiniteMultiset:
     def __repr__(self):
         inner = ", ".join(f"{t}:{c}" for t, c in sorted(self.counts.items()))
         return "{" + inner + "}"
+
+
+def _counts(columns):
+    """The multiplicity dict of a sequence of m-tuples."""
+    counts = {}
+    for t in columns:
+        counts[t] = counts.get(t, 0) + 1
+    return counts
 
 
 def _check_arities(a, b):
@@ -266,13 +270,6 @@ def _nondecreasing_selections(support, bound, cap, counts):
             counts[t] -= 1
         else:
             del counts[t]
-
-
-def _bounded_multisets(arity, support, bound, cap):
-    """The multisets of ``_nondecreasing_selections`` as FiniteMultisets."""
-    counts = {}
-    for _ in _nondecreasing_selections(support, bound, cap, counts):
-        yield FiniteMultiset(arity, dict(counts))
 
 
 def _ordered_selections(support, bound, n, used):

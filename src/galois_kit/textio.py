@@ -354,46 +354,48 @@ def _parse_cluster(body, workspace):
 # --- workspace files ---
 
 def parse_workspace(text, workspace=None):
-    """Parse one file's worth of entity lines into a workspace."""
+    """Parse one file's worth of entity lines into a workspace, naming
+    the line of each error (a scheme's header line for the scheme)."""
     ws = workspace if workspace is not None else Workspace()
     lines = text.splitlines()
-    # join continuation state for class blocks and scheme map lines
     i = 0
     seen_header = False
-    pending_scheme = None  # (name, target, indeterminates, maps)
+    pending_scheme = None  # (header line, name, target, indeterminates, maps)
 
     def flush_scheme():
         nonlocal pending_scheme
         if pending_scheme is None:
             return
-        name, target, indeterminates, maps = pending_scheme
+        lineno, name, target, indeterminates, maps = pending_scheme
         pending_scheme = None
-        ws.add("scheme", name, MinorScheme(target, indeterminates, tuple(maps)))
+        try:
+            ws.add("scheme", name, MinorScheme(target, indeterminates, tuple(maps)))
+        except GaloisKitError as e:
+            raise GaloisKitError(f"line {lineno}: {e}") from e
 
-    try:
-        while i < len(lines):
-            line = lines[i].strip()
-            i += 1
-            if not line or line.startswith("#"):
-                continue
+    while i < len(lines):
+        line = lines[i].strip()
+        i += 1
+        if not line or line.startswith("#"):
+            continue
+        kind, _, body = line.partition(" ")
+        if seen_header and kind != "map":
+            flush_scheme()
+        try:
             if not seen_header:
                 if line != HEADER:
                     raise GaloisKitError(
                         f"missing header line {HEADER!r} (got {line!r})"
                     )
                 seen_header = True
-                continue
-            kind, _, body = line.partition(" ")
-            if kind == "map":
+            elif kind == "map":
                 if pending_scheme is None:
                     raise GaloisKitError("map line outside a scheme block")
-                j, h = _parse_map_line(body, pending_scheme[2])
-                if j != len(pending_scheme[3]):
+                j, h = _parse_map_line(body, pending_scheme[3])
+                if j != len(pending_scheme[4]):
                     raise GaloisKitError(f"map index j={j} out of order")
-                pending_scheme[3].append(h)
-                continue
-            flush_scheme()
-            if kind == "op":
+                pending_scheme[4].append(h)
+            elif kind == "op":
                 name, op = _parse_operation(body)
                 ws.add("operation", name, op)
             elif kind == "class":
@@ -436,15 +438,15 @@ def parse_workspace(text, workspace=None):
                 ws.add("constraint", name, c)
             elif kind == "scheme":
                 name, target, indeterminates = _parse_scheme_header(body)
-                pending_scheme = (name, target, indeterminates, [])
+                pending_scheme = (i, name, target, indeterminates, [])
             elif kind == "cluster":
                 name, cluster = _parse_cluster(body, ws)
                 ws.add("cluster", name, cluster)
             else:
                 raise GaloisKitError(f"unknown entity kind {kind!r}")
-    except ValueError as e:
-        # int() and parse_extnat on malformed numbers; i is the line just read
-        raise GaloisKitError(f"line {i}: {e}") from e
+        except (ValueError, GaloisKitError) as e:
+            # ValueError: int() and parse_extnat on malformed numbers
+            raise GaloisKitError(f"line {i}: {e}") from e
     flush_scheme()
     if not seen_header:
         raise GaloisKitError(f"missing header line {HEADER!r}")

@@ -25,7 +25,6 @@ from .operations import (
 )
 from .multisets import (
     FiniteMultiset,
-    _bounded_multisets,
     apply_op_rows,
     ms_join,
     split_enumerate,
@@ -57,6 +56,7 @@ from .clusters import (
     order_cluster,
     quotient,
     satisfies_cluster,
+    trivial_cluster,
 )
 from .galois import (
     GaloisConfig,
@@ -353,8 +353,7 @@ def suite_cluster_lemmas(instances=100, seed=1206):
 
         # union law, by full enumeration up to the breadth bound
         union = cluster_union([phi, phi2])
-        tuples = list(product(range(k), repeat=m))
-        for s in _bounded_multisets(m, tuples, lambda t: INF, b):
+        for s in enumerate_cluster_members(trivial_cluster(m, b, k), b):
             if cluster_member(s, union) != (
                 cluster_member(s, phi) or cluster_member(s, phi2)
             ):
@@ -364,7 +363,8 @@ def suite_cluster_lemmas(instances=100, seed=1206):
         members = enumerate_cluster_members(phi, 2)
         for s in members[: 3]:
             q = quotient(phi, s)
-            for s2 in _bounded_multisets(m, tuples, lambda t: INF, b - s.cardinality):
+            rest = b - s.cardinality
+            for s2 in enumerate_cluster_members(trivial_cluster(m, rest, k), rest):
                 if cluster_member(s2, q) != cluster_member(ms_join(s, s2), phi):
                     return [
                         CheckResult(

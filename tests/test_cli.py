@@ -193,6 +193,37 @@ class TestMalformedInput:
         assert code == 2
         assert out.startswith("error: line 3: ")
 
+    @pytest.mark.parametrize("lines, lineno", [
+        pytest.param(["op f k=2 arity=1 : 0 1", "op f k=2 arity=1 : 1 0"], 4,
+                     id="duplicate-name"),
+        pytest.param(["widget w : 1 2 3"], 3, id="unknown-kind"),
+        pytest.param(["op f k=2 arity=1 0 1"], 3, id="malformed-op"),
+        pytest.param(["constraint c : rf=@r"], 3, id="malformed-constraint"),
+        pytest.param(["cluster c arity=1 k=2 { gen cap=1 }"], 3,
+                     id="malformed-cluster"),
+        pytest.param(["class c {", "  op f k=2 arity=1 : 0 1",
+                      "  rf r arity=1 k=2 default=0 { }", "}"], 5,
+                     id="non-op-line-in-class"),
+        pytest.param(["scheme s target=1 vars=[]", "map j=1 arity=1 : 0"], 4,
+                     id="map-index-out-of-order"),
+        # an invalid scheme names its header line, whether the next entity
+        # or the end of the file closes it
+        pytest.param(["scheme s target=1 vars=[]", "map j=0 arity=1 : 5",
+                      "op f k=2 arity=1 : 0 1"], 3, id="scheme-before-entity"),
+        pytest.param(["scheme s target=1 vars=[u,u]", "map j=0 arity=1 : 0"], 3,
+                     id="scheme-at-end"),
+    ])
+    def test_bad_line_exits_two_naming_the_line(self, lines, lineno, tmp_path,
+                                                capsys):
+        path = tmp_path / "bad.gk"
+        path.write_text("galois-kit v1\n# comment\n" + "\n".join(lines) + "\n")
+        code, out = run(capsys, "close", "-w", str(path), "--class", "c",
+                        "--ops", "zeta,tau,nabla", "--cap", "2")
+        assert code == 2
+        prefix = f"error: line {lineno}: "
+        assert out.startswith(prefix)
+        assert not out[len(prefix):].startswith("line ")
+
     def test_binary_file_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.gk"
         path.write_bytes(b"galois-kit v1\n\xff\xfe\n")

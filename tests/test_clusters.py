@@ -345,6 +345,11 @@ class TestClusterMinors:
                 )
 
 
+def test_materialize_minor_needs_one_cluster_per_map():
+    with pytest.raises(GaloisKitError, match="one cluster per scheme map"):
+        materialize_minor([], MinorScheme(1, (), ((0,),)), 2)
+
+
 def test_inf_minus_inf_raises_toolkit_error():
     with pytest.raises(GaloisKitError):
         ext_sub(INF, INF)

@@ -1,12 +1,14 @@
-"""The predicate kernels against their object-based reference bodies.
+"""The predicate and cluster kernels against their object-based reference bodies.
 
-``satisfies_constraint``, ``satisfies_cluster`` and the two rf-minor
-predicates work on raw column tuples and count dicts.  The reference
-versions below are the earlier bodies, which build and validate a
-``TupleMatrix`` or ``FiniteMultiset`` for every matrix, split and Skolem
-candidate, and which walk every ordering of each column multiset.  On
-randomized instances both sides must give the same verdict, the same
-first witness, and refuse the same budget cases.
+``satisfies_constraint``, ``satisfies_cluster``, the two rf-minor
+predicates, cluster member enumeration, the cluster minors and the
+invariant cluster of ``cl_inv`` work on raw column tuples and count
+dicts.  The reference versions below are the earlier bodies, which
+build and validate a ``TupleMatrix`` or ``FiniteMultiset`` for every
+matrix, split, member, block and Skolem candidate, and which walk every
+ordering of each column multiset.  On randomized instances both sides
+must give the same verdict, the same first witness, the same members in
+the same order, the same clusters, and refuse the same cases.
 """
 
 import random
@@ -20,6 +22,7 @@ from galois_kit import (
     ConstraintVerdict,
     FiniteMultiset,
     GaloisConfig,
+    GaloisKitError,
     GeneralizedConstraint,
     INF,
     MinorScheme,
@@ -31,20 +34,32 @@ from galois_kit import (
     apply_op_rows,
     apply_scheme_map,
     cl_inv,
-    cluster_member,
+    class_image,
+    close_composition,
+    cluster_minor_member,
     columns_multiset,
+    empty_cluster,
     enumerate_cluster_members,
     enumerate_matrices_leq,
+    format_cluster,
     is_extensive_rf_minor,
     is_restrictive_rf_minor,
+    materialize_minor,
+    ms_diff,
     ms_join,
+    ms_partitions,
+    ms_sub,
     order_cluster,
     satisfies_cluster,
     satisfies_constraint,
     split_enumerate,
     TupleMatrix,
 )
+from galois_kit.errors import DEFAULT_BUDGET
+from galois_kit.extnat import ext_min
+from galois_kit.galois import _all_rows
 from galois_kit.minors import default_col_cap, skolem_maps
+from galois_kit.multisets import _nondecreasing_selections
 
 
 # --- reference bodies -------------------------------------------------
@@ -61,14 +76,49 @@ def ref_satisfies_constraint(f, c, budget):
     return ConstraintVerdict(True)
 
 
+def ref_bounded_multisets(arity, support, bound, cap):
+    counts = {}
+    for _ in _nondecreasing_selections(support, bound, cap, counts):
+        yield FiniteMultiset(arity, dict(counts))
+
+
+def _ref_generator_members(gen, limit, budget):
+    box = gen.box
+    if box.default > 0:
+        space = box.domain_size ** box.arity
+        if space > budget:
+            raise BudgetExceededError(space, budget, "cluster member enumeration")
+    total_cap = ext_min(gen.cap, limit)
+    if total_cap == INF:
+        raise GaloisKitError("member enumeration needs a finite cardinality limit")
+    return ref_bounded_multisets(
+        box.arity, box.positive_support(), box.value, int(total_cap)
+    )
+
+
+def ref_enumerate_cluster_members(cluster, limit, budget=DEFAULT_BUDGET):
+    seen = set()
+    for gen in cluster.sorted_generators():
+        for s in _ref_generator_members(gen, limit, budget):
+            if s not in seen:
+                seen.add(s)
+    return sorted(seen, key=lambda s: (s.cardinality, sorted(s.counts.items())))
+
+
+def ref_cluster_member(s, cluster):
+    return any(
+        s.cardinality <= g.cap and g.box.bounds(s.counts) for g in cluster.generators
+    )
+
+
 def ref_satisfies_cluster(f, cluster, breadth_cap, budget):
-    for s in enumerate_cluster_members(cluster, breadth_cap, budget):
+    for s in ref_enumerate_cluster_members(cluster, breadth_cap, budget):
         if s.cardinality < f.arity:
             continue
         for m1, m2 in split_enumerate(s, f.arity):
             image = apply_op_rows(f, m1)
             out = ms_join(FiniteMultiset.from_tuples(cluster.arity, [image]), m2)
-            if not cluster_member(out, cluster):
+            if not ref_cluster_member(out, cluster):
                 return ClusterVerdict(False, breadth_cap, (m1, m2, out))
     return ClusterVerdict(True, breadth_cap)
 
@@ -119,15 +169,86 @@ def ref_is_extensive_rf_minor(phi, phis, scheme, col_cap=None):
     return MinorVerdict(True, col_cap)
 
 
+def ref_cluster_minor_member(m, clusters, scheme):
+    clusters = list(clusters)
+    if len(clusters) != len(scheme.maps):
+        raise GaloisKitError("need one cluster per scheme map")
+    if m.row_count != scheme.target:
+        raise GaloisKitError("matrix row count must equal the scheme target")
+    k = clusters[0].domain_size
+    n = m.column_count
+    per_column = list(skolem_maps(scheme.indeterminates, k))
+    for sigmas in product(per_column, repeat=n):
+        ok = True
+        for h, phi_cluster in zip(scheme.maps, clusters):
+            cols = tuple(
+                apply_scheme_map(col, sigma, h)
+                for col, sigma in zip(m.columns, sigmas)
+            )
+            mapped = FiniteMultiset.from_tuples(len(h), cols)
+            if not ref_cluster_member(mapped, phi_cluster):
+                ok = False
+                break
+        if ok:
+            return True
+    return False
+
+
+def ref_antichain_cluster(m, k, members):
+    gens = frozenset(
+        BoxedGenerator(RepetitionFunction.from_counts(m, k, s.counts), s.cardinality)
+        for s in members
+        if not any(t != s and ms_sub(s, t) for t in members)
+    )
+    return Cluster(m, k, gens)
+
+
+def ref_materialize_minor(clusters, scheme, breadth_cap, budget=DEFAULT_BUDGET):
+    clusters = list(clusters)
+    k = clusters[0].domain_size
+    m = scheme.target
+    space = k ** m
+    estimate = space ** breadth_cap if breadth_cap else 1
+    if estimate > budget:
+        raise BudgetExceededError(estimate, budget, "cluster minor materialization")
+    members = []
+    tuples = list(product(range(k), repeat=m))
+    for s in ref_bounded_multisets(m, tuples, lambda t: INF, breadth_cap):
+        matrix = TupleMatrix(m, tuple(s.elements()))
+        if ref_cluster_minor_member(matrix, clusters, scheme):
+            members.append(s)
+    return ref_antichain_cluster(m, k, members)
+
+
+def ref_inv_cluster_for_arity(closed, matrix):
+    m = matrix.row_count
+    mstar = columns_multiset(matrix)
+
+    members = set()
+    submultisets = ref_bounded_multisets(
+        m, mstar.support(), mstar.multiplicity, mstar.cardinality
+    )
+    for x in submultisets:
+        rest = ms_diff(mstar, x)
+        for blocks in ms_partitions(rest):
+            image_sets = []
+            for block in blocks:
+                block_matrix = TupleMatrix(m, tuple(block.elements()))
+                image_sets.append(sorted(class_image(closed, block_matrix)))
+            for d in product(*image_sets):
+                members.add(ms_join(x, FiniteMultiset.from_tuples(m, d)))
+    return ref_antichain_cluster(m, closed.domain_size, members)
+
+
 # --- random instances -------------------------------------------------
 
 
 def _outcome(fn, *args):
-    """The verdict, or the refusal message when the budget is exceeded."""
+    """The result, or the kind and message of a refusal."""
     try:
         return fn(*args)
-    except BudgetExceededError as e:
-        return ("refused", str(e))
+    except GaloisKitError as e:
+        return ("refused", type(e).__name__, str(e))
 
 
 def _assert_same(got, want):
@@ -273,3 +394,106 @@ def test_minor_kernels_match_reference_at_default_cap():
             (ref_is_extensive_rf_minor, is_extensive_rf_minor),
         ):
             _assert_same(kernel(phi, phis, scheme), ref(phi, phis, scheme))
+
+
+def test_cluster_members_match_reference():
+    rng = random.Random(3105)
+    outcomes = {"members": 0, "BudgetExceededError": 0, "GaloisKitError": 0}
+    for i in range(300):
+        k = rng.choice([2, 3])
+        m = rng.randint(1, 2)
+        if i % 25 == 0:
+            cluster = empty_cluster(m, k)
+        else:
+            cluster = _random_boxed_cluster(rng, m, k)
+        limit = rng.choice([0, 1, 2, 3, 4, INF])
+        budget = rng.choice([DEFAULT_BUDGET, DEFAULT_BUDGET, 3, 8])
+        want = _outcome(ref_enumerate_cluster_members, cluster, limit, budget)
+        got = _outcome(enumerate_cluster_members, cluster, limit, budget)
+        assert got == want
+        if isinstance(want, tuple):
+            outcomes[want[1]] += 1
+        else:
+            assert all(type(s) is FiniteMultiset for s in got)
+            outcomes["members"] += 1
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+def _random_composition_classes(rng):
+    """(class, n): 1-2 random generators of arity <= n, k=2 with n <= 3
+    or k=3 with n <= 2."""
+    for i in range(160):
+        k, n = ((2, 1), (2, 2), (2, 3), (2, 3), (3, 1), (3, 2))[i % 6]
+        cls_ = OperationClass(k)
+        for _ in range(rng.randint(1, 2)):
+            cls_.add(_random_op(rng, k, rng.randint(1, n)))
+        yield cls_, n
+
+
+def test_inv_clusters_match_reference():
+    rng = random.Random(3106)
+    classes = 0
+    for cls_, n in _random_composition_classes(rng):
+        k = cls_.domain_size
+        got = cl_inv(cls_, GaloisConfig(k, n_max=n, m_max=1, breadth=n))
+        closed = close_composition(cls_, n)
+        for a, cluster in enumerate(got, start=1):
+            want = ref_inv_cluster_for_arity(closed, _all_rows(k, a))
+            assert format_cluster("c", cluster) == format_cluster("c", want)
+            assert cluster == want
+        classes += 1
+    assert classes >= 150
+
+
+def _random_cluster_minor(rng):
+    k = rng.choice([2, 2, 3])
+    target = rng.randint(1, 2)
+    scheme = _random_scheme(rng, target, with_vars=rng.random() < 0.5)
+    clusters = [_random_boxed_cluster(rng, len(h), k) for h in scheme.maps]
+    return k, scheme, clusters
+
+
+def test_cluster_minor_member_matches_reference():
+    rng = random.Random(3107)
+    verdicts = {True: 0, False: 0}
+    for _ in range(200):
+        k, scheme, clusters = _random_cluster_minor(rng)
+        for _ in range(4):
+            columns = tuple(
+                tuple(rng.randrange(k) for _ in range(scheme.target))
+                for _ in range(rng.randint(0, 3))
+            )
+            matrix = TupleMatrix(scheme.target, columns)
+            want = ref_cluster_minor_member(matrix, clusters, scheme)
+            assert cluster_minor_member(matrix, clusters, scheme) == want
+            verdicts[want] += 1
+    assert min(verdicts.values()) >= 100, verdicts
+
+
+def test_cluster_minor_member_refusals_match_reference():
+    scheme = MinorScheme(2, (), ((0,), (1,)))
+    one = [_random_boxed_cluster(random.Random(1), 1, 2)]
+    short = TupleMatrix(1, ((0,),))
+    for clusters, matrix in ((one, short), (one * 2, short), (one * 3, short)):
+        want = _outcome(ref_cluster_minor_member, matrix, clusters, scheme)
+        assert _outcome(cluster_minor_member, matrix, clusters, scheme) == want
+        assert isinstance(want, tuple)
+
+
+def test_materialized_minors_match_reference():
+    rng = random.Random(3108)
+    outcomes = {"cluster": 0, "refused": 0}
+    for _ in range(120):
+        k, scheme, clusters = _random_cluster_minor(rng)
+        breadth_cap = rng.randint(0, 3)
+        budget = rng.choice([DEFAULT_BUDGET, 10])
+        want = _outcome(ref_materialize_minor, clusters, scheme, breadth_cap, budget)
+        got = _outcome(materialize_minor, clusters, scheme, breadth_cap, budget)
+        if isinstance(want, tuple):
+            assert got == want
+            outcomes["refused"] += 1
+        else:
+            assert format_cluster("c", got) == format_cluster("c", want)
+            assert got == want
+            outcomes["cluster"] += 1
+    assert min(outcomes.values()) >= 10, outcomes

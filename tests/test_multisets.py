@@ -20,7 +20,7 @@ from galois_kit import (
     ms_sub,
     split_enumerate,
 )
-from galois_kit.multisets import _bounded_multisets, _nondecreasing_selections
+from galois_kit.multisets import _nondecreasing_selections
 
 pairs = st.tuples(st.integers(0, 1), st.integers(0, 1))
 multisets = st.dictionaries(pairs, st.integers(0, 3), max_size=4).map(
@@ -181,6 +181,13 @@ def random_box(rng, arity, k=2):
     return support, bounds
 
 
+def bounded_multisets(arity, support, bound, cap):
+    """The multisets of ``_nondecreasing_selections`` as FiniteMultisets."""
+    counts = {}
+    for _ in _nondecreasing_selections(support, bound, cap, counts):
+        yield FiniteMultiset(arity, dict(counts))
+
+
 class TestBoundedMultisets:
     def oracle(self, arity, support, bounds, cap):
         """combinations_with_replacement filtered by the bounds and the cap."""
@@ -202,14 +209,14 @@ class TestBoundedMultisets:
                 cap = rng.choice((0, 1, 2, 3, 4))
             else:
                 cap = rng.choice((0, 1, 2, 3, 4, INF))
-            got = list(_bounded_multisets(arity, support, bounds.get, cap))
+            got = list(bounded_multisets(arity, support, bounds.get, cap))
             expected = self.oracle(arity, support, bounds, cap)
             assert got[0] == FiniteMultiset.empty(arity)
             assert len(got) == len(set(got))
             assert set(got) == set(expected)
 
     def test_cap_zero_yields_only_the_empty_multiset(self):
-        got = list(_bounded_multisets(1, [(0,), (1,)], lambda t: INF, 0))
+        got = list(bounded_multisets(1, [(0,), (1,)], lambda t: INF, 0))
         assert got == [FiniteMultiset.empty(1)]
 
 

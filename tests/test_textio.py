@@ -1,7 +1,9 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from galois_kit import (
+    BoxedGenerator,
+    Cluster,
     FiniteMultiset,
     GaloisKitError,
     GeneralizedConstraint,
@@ -21,6 +23,7 @@ from galois_kit import (
     format_operation,
     format_rf,
     format_scheme,
+    empty_cluster,
     order_cluster,
     parse_workspace,
     trivial_cluster,
@@ -113,6 +116,55 @@ class TestRoundTrips:
     def test_rf_round_trip_property(self, exc, default):
         phi = RepetitionFunction(2, 2, default, exc)
         assert parse_one("rf", format_rf("phi", phi)) == phi
+
+
+_values = st.sampled_from([0, 1, INF])
+
+
+@st.composite
+def clusters(draw):
+    k = draw(st.integers(2, 3))
+    m = draw(st.integers(1, 2))
+    boxes = st.builds(
+        lambda default, exceptions: RepetitionFunction(m, k, default, exceptions),
+        _values,
+        st.dictionaries(
+            st.tuples(*[st.integers(0, k - 1)] * m), _values, max_size=4
+        ),
+    )
+    generators = st.builds(BoxedGenerator, boxes, st.sampled_from([0, 1, 2, 3, INF]))
+    return Cluster(m, k, frozenset(draw(st.lists(generators, max_size=3))))
+
+
+@st.composite
+def schemes(draw):
+    target = draw(st.integers(1, 3))
+    names = draw(st.sampled_from([(), ("u",), ("u", "v")]))
+    entries = st.sampled_from(list(range(target)) + list(names))
+    maps = draw(
+        st.lists(st.lists(entries, min_size=1, max_size=3).map(tuple),
+                 min_size=1, max_size=3)
+    )
+    return MinorScheme(target, names, tuple(maps))
+
+
+class TestRoundTripProperties:
+    """parse_workspace gives back an equal value that formats to the same bytes."""
+
+    @given(clusters())
+    @example(empty_cluster(1, 2))
+    def test_cluster_round_trip(self, cluster):
+        text = format_cluster("c", cluster)
+        parsed = parse_one("cluster", text)
+        assert parsed == cluster
+        assert format_cluster("c", parsed) == text
+
+    @given(schemes())
+    def test_scheme_round_trip(self, scheme):
+        text = format_scheme("s", scheme)
+        parsed = parse_one("scheme", text)
+        assert parsed == scheme
+        assert format_scheme("s", parsed) == text
 
 
 class TestSerializationDeterminism:
