@@ -10,6 +10,7 @@ import json
 import sys
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, GaloisKitError, NotSeparableError
+from .errors import _Meter
 from .operations import close_composition, close_perm_dummy
 from .constraints import satisfies_constraint
 from .clusters import ClusterVerdict, satisfies_cluster
@@ -94,12 +95,12 @@ def cmd_satisfies(args, report):
         raise GaloisKitError("give exactly one of --constraint / --cluster")
     if args.constraint is not None:
         c = ws.get("constraint", args.constraint)
-        verdict = satisfies_constraint(f, c, args.budget)
+        verdict = satisfies_constraint(f, c)
         report.add("check", f"satisfies {args.fn} constraint {args.constraint}")
     else:
         cluster = ws.get("cluster", args.cluster)
         breadth = args.breadth if args.breadth is not None else max(f.arity, 4)
-        verdict = satisfies_cluster(f, cluster, breadth, args.budget)
+        verdict = satisfies_cluster(f, cluster, breadth)
         report.add("check", f"satisfies {args.fn} cluster {args.cluster}")
         report.add("breadth", breadth)
     report.add("satisfied", "yes" if verdict else "no")
@@ -139,7 +140,6 @@ def _config(args, domain_size, codomain_size):
         m_max=args.m_max,
         breadth=args.breadth if args.breadth is not None else max(args.cap, 2),
         codomain_size=codomain_size,
-        budget=args.budget,
     )
 
 
@@ -186,15 +186,13 @@ def cmd_separate(args, report):
             c = separating_constraint(cls_, g)
             report.raw(HEADER)
             report.raw(format_constraint("separator", c))
-            verdict = satisfies_constraint(g, c, args.budget)
+            verdict = satisfies_constraint(g, c)
         else:
             cfg = _config(args, cls_.domain_size, cls_.codomain_size)
             cluster = separating_cluster(cls_, g, cfg)
             report.raw(HEADER)
             report.raw(format_cluster("separator", cluster))
-            verdict = satisfies_cluster(
-                g, cluster, max(cfg.breadth, g.arity), args.budget
-            )
+            verdict = satisfies_cluster(g, cluster, max(cfg.breadth, g.arity))
     except NotSeparableError as e:
         report.add("separated", "no")
         report.add("reason", str(e))
@@ -287,7 +285,8 @@ def _build_parser():
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=SUITE_NAMES)
-    p.set_defaults(run=cmd_verify)
+    # the fixed suites take no --budget and run without one
+    p.set_defaults(run=cmd_verify, budget=float("inf"))
 
     return parser
 
@@ -300,7 +299,8 @@ def main(argv=None):
         return 2 if e.code not in (0, None) else 0
     report = _Reporter(args.format)
     try:
-        code = args.run(args, report)
+        with _Meter(args.budget):  # every call the command makes charges it
+            code = args.run(args, report)
     except BudgetExceededError as e:
         report.add("error", str(e))
         report.emit()

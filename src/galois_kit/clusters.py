@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import product
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError, GaloisKitError
+from .errors import DEFAULT_BUDGET, GaloisKitError, _Meter
 from .extnat import INF, ext_min, ext_sub, is_extnat
 from .multisets import (
     FiniteMultiset,
@@ -119,33 +119,37 @@ def _admitted(generators, counts):
     return any(g.admits(counts, size) for g in generators)
 
 
-def _members(cluster, limit, budget):
+def _members(cluster, limit, meter):
     """The count dicts of all members of cardinality <= limit, each once,
     by cardinality, then by sorted (tuple, count) items.
 
     The generators' boxes are walked in ``sorted_generators`` order.
     """
     found = {}  # sorted elements -> counts
+    left, steps = meter.left("cluster members"), 0
     for gen in cluster.sorted_generators():
         box = gen.box
-        space = box.domain_size ** box.arity
-        if box.default > 0 and space > budget:
-            raise BudgetExceededError(space, budget, "cluster member enumeration")
+        support = box.positive_support()
         cap = ext_min(gen.cap, limit)
         if cap == INF:
             raise GaloisKitError("member enumeration needs a finite cardinality limit")
         counts = {}
-        support = box.positive_support()
         for cols in _nondecreasing_selections(support, box.value, int(cap), counts):
+            steps += 1
+            if steps > left:
+                meter.charge("cluster members", steps)
             if cols not in found:
                 found[cols] = dict(counts)
+    meter.charge("cluster members", steps)
     return sorted(found.values(), key=lambda c: (sum(c.values()), sorted(c.items())))
 
 
 def enumerate_cluster_members(cluster, limit, budget=DEFAULT_BUDGET):
     """All members of cardinality <= limit, each once, by cardinality, then
     by sorted (tuple, count) items: the order ``satisfies_cluster`` checks."""
-    return [FiniteMultiset(cluster.arity, c) for c in _members(cluster, limit, budget)]
+    with _Meter(budget) as meter:
+        members = _members(cluster, limit, meter)
+    return [FiniteMultiset(cluster.arity, c) for c in members]
 
 
 @dataclass(frozen=True)
@@ -177,26 +181,31 @@ def satisfies_cluster(f, cluster, breadth_cap, budget=DEFAULT_BUDGET):
         )
     n = f.arity
     boxes = [(g.cap, g.box.bounds) for g in cluster.generators]
-    for counts in _members(cluster, breadth_cap, budget):
-        size = sum(counts.values()) - n + 1  # |f M1| + |M2|
-        if size <= 0:
-            continue
-        # only generators whose cap admits the output size can admit it
-        live = [bounds for cap, bounds in boxes if size <= cap]
-        used = {}
-        for cols in _ordered_selections(sorted(counts), counts.get, n, used):
-            image = _apply_columns(f, cols)
-            out = {t: c - used.get(t, 0) for t, c in counts.items()}
-            out[image] = out.get(image, 0) + 1
-            if not any(bounds(out) for bounds in live):
-                rest = dict(out)
-                rest[image] -= 1
-                witness = (
-                    TupleMatrix(cluster.arity, cols),
-                    FiniteMultiset(cluster.arity, rest),
-                    FiniteMultiset(cluster.arity, out),
-                )
-                return ClusterVerdict(False, breadth_cap, witness)
+    with _Meter(budget) as meter:
+        left, splits = meter.left("cluster splits"), 0
+        for counts in _members(cluster, breadth_cap, meter):
+            size = sum(counts.values()) - n + 1  # |f M1| + |M2|
+            if size <= 0:
+                continue
+            # only generators whose cap admits the output size can admit it
+            live = [bounds for cap, bounds in boxes if size <= cap]
+            used = {}
+            for cols in _ordered_selections(sorted(counts), counts.get, n, used):
+                splits += 1
+                image = _apply_columns(f, cols)
+                out = {t: c - used.get(t, 0) for t, c in counts.items()}
+                out[image] = out.get(image, 0) + 1
+                if splits > left or not any(bounds(out) for bounds in live):
+                    meter.charge("cluster splits", splits)  # refuses past the budget
+                    rest = dict(out)
+                    rest[image] -= 1
+                    witness = (
+                        TupleMatrix(cluster.arity, cols),
+                        FiniteMultiset(cluster.arity, rest),
+                        FiniteMultiset(cluster.arity, out),
+                    )
+                    return ClusterVerdict(False, breadth_cap, witness)
+        meter.charge("cluster splits", splits)
     return ClusterVerdict(True, breadth_cap)
 
 
@@ -385,16 +394,15 @@ def materialize_minor(clusters, scheme, breadth_cap, budget=DEFAULT_BUDGET):
     generators (box = the multiset, cap = its cardinality).
     """
     clusters = list(clusters)
-    exists = _minor_search(clusters, scheme)
-    k = clusters[0].domain_size
-    m = scheme.target
-    estimate = (k ** m) ** breadth_cap if breadth_cap else 1
-    if estimate > budget:
-        raise BudgetExceededError(estimate, budget, "cluster minor materialization")
-    tuples = list(product(range(k), repeat=m))
-    counts = {}
-    selections = _nondecreasing_selections(tuples, lambda t: INF, breadth_cap, counts)
-    members = [dict(counts) for cols in selections if exists(cols)]
+    with _Meter(budget) as meter:
+        exists = _minor_search(clusters, scheme)
+        k = clusters[0].domain_size
+        m = scheme.target
+        tuples = RepetitionFunction.constant(m, k, INF).positive_support()
+        counts = {}
+        selections = _nondecreasing_selections(tuples, lambda t: INF, breadth_cap, counts)
+        selections = meter.counted("minor multisets", selections)
+        members = [dict(counts) for cols in selections if exists(cols)]
     return _antichain_cluster(m, k, members)
 
 

@@ -9,7 +9,7 @@ and is guarded by a work budget.
 
 from dataclasses import dataclass
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError, GaloisKitError
+from .errors import DEFAULT_BUDGET, GaloisKitError, _Meter
 from .extnat import INF
 from .multisets import (
     TupleMatrix,
@@ -81,23 +81,24 @@ def satisfies_constraint(f, c, budget=DEFAULT_BUDGET):
 
     Enumerates every n-column matrix M with M < phi (n = arity of f), in
     the order of ``enumerate_matrices_leq``, and checks f M in S; the
-    first counterexample in that order is the witness.  Cost is
-    support(phi)^n matrices; instances whose estimate exceeds the budget
-    are refused, never answered wrongly.
+    first counterexample in that order is the witness.  Each matrix is a
+    "constraint matrices" step; past the budget the check is refused,
+    never answered wrongly.
     """
     phi = c.antecedent
     if f.domain_size != phi.domain_size:
         raise GaloisKitError("operation domain does not match the antecedent domain")
     if f.codomain_size != c.codomain_size:
         raise GaloisKitError("operation codomain does not match the consequent alphabet")
-    support = phi.support_size()
-    estimate = support ** f.arity
-    if estimate > budget:
-        raise BudgetExceededError(estimate, budget, "constraint satisfaction check")
     consequent = c.consequent
-    for cols in _ordered_selections(phi.positive_support(), phi.value, f.arity, {}):
-        if _apply_columns(f, cols) not in consequent:
-            return ConstraintVerdict(False, TupleMatrix(phi.arity, cols))
+    with _Meter(budget) as meter:
+        left, steps = meter.left("constraint matrices"), 0
+        for cols in _ordered_selections(phi.positive_support(), phi.value, f.arity, {}):
+            steps += 1
+            if steps > left or _apply_columns(f, cols) not in consequent:
+                meter.charge("constraint matrices", steps)  # refuses past the budget
+                return ConstraintVerdict(False, TupleMatrix(phi.arity, cols))
+        meter.charge("constraint matrices", steps)
     return ConstraintVerdict(True)
 
 

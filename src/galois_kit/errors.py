@@ -1,3 +1,6 @@
+from contextvars import ContextVar
+
+
 class GaloisKitError(Exception):
     """Base class for toolkit errors."""
 
@@ -10,17 +13,46 @@ DEFAULT_BUDGET = 2_000_000
 
 
 class BudgetExceededError(GaloisKitError):
-    """An enumeration would exceed the configured work budget.
+    """Raised, instead of a possibly wrong answer, as soon as ``done``, the
+    steps of ``phase`` in the outermost metered call, passes ``budget``."""
 
-    Raised instead of returning a possibly wrong answer; the message
-    reports both the estimated cost and the budget.
-    """
+    def __init__(self, phase, done, budget):
+        self.phase, self.done, self.budget = phase, done, budget
+        super().__init__(f"refusing {phase}: {done} steps exceed budget {budget}")
 
-    def __init__(self, estimated, budget, what):
-        self.estimated = estimated
-        self.budget = budget
-        self.what = what
-        super().__init__(
-            f"refusing {what}: estimated {estimated} enumeration steps "
-            f"exceeds budget {budget}"
-        )
+
+_OPEN = ContextVar("galois_kit_meter", default=None)
+
+
+class _Meter:
+    """Steps per phase of the outermost metered call: ``with _Meter(budget)
+    as meter`` gives the open meter, or opens this one for the block."""
+
+    def __init__(self, budget=DEFAULT_BUDGET):
+        self.budget, self.done = budget, {}
+
+    def __enter__(self):
+        self.token = None if _OPEN.get() else _OPEN.set(self)
+        return _OPEN.get()
+
+    def __exit__(self, *exc):
+        if self.token:
+            _OPEN.reset(self.token)
+
+    def left(self, phase):
+        return self.budget - self.done.get(phase, 0)
+
+    def charge(self, phase, steps=1):
+        done = self.done[phase] = self.done.get(phase, 0) + steps
+        if done > self.budget:
+            raise BudgetExceededError(phase, done, self.budget)
+
+    def counted(self, phase, items):
+        for item in items:
+            self.charge(phase)
+            yield item
+
+
+def _current_meter():
+    """The open meter, or a new one at the default budget."""
+    return _OPEN.get() or _Meter()

@@ -9,9 +9,9 @@ the function being excluded.
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError, GaloisKitError, NotSeparableError
+from .errors import DEFAULT_BUDGET, GaloisKitError, NotSeparableError, _Meter, _current_meter
 from .operations import OperationClass, all_operations, close_composition, close_perm_dummy
 from .multisets import (
     FiniteMultiset,
@@ -44,7 +44,7 @@ class GaloisConfig:
 
     n_max bounds function arities and the matrix widths of gc_inv,
     m_max bounds constraint arities, breadth bounds cluster member
-    cardinalities, budget bounds enumeration work.
+    cardinalities, budget bounds the steps of each phase of work.
     """
 
     domain_size: int
@@ -96,39 +96,39 @@ def gc_inv(cls_, cfg):
     every width n <= n_max and row count m <= m_max.  The class is
     closed under permutation and dummy variables first, which is exactly
     the hypothesis making every emitted constraint satisfied by every
-    member.  The matrix count, sum of C(k^n, m) over those widths and
-    row counts, is checked against the budget first.
+    member.  The C(k^n, m) matrices of each width and row count are
+    charged up front, so an oversized request builds none of them.
     """
     k = cls_.domain_size
-    widths = range(1, cfg.n_max + 1)
-    matrices = sum(comb(k ** n, m) for n in widths for m in range(1, cfg.m_max + 1))
-    if matrices > cfg.budget:
-        raise BudgetExceededError(matrices, cfg.budget, "invariant constraint enumeration")
-    closed = close_perm_dummy(cls_, max(cfg.n_max, cls_.max_arity or 1))
-    return [
-        _invariant_constraint(closed, TupleMatrix.from_rows(rows), cls_.codomain_size)
-        for n in widths
-        for m in range(1, cfg.m_max + 1)
-        for rows in combinations(product(range(k), repeat=n), m)
-    ]
+    blocks = []  # (width, row count); no matrix has more than k^n distinct rows
+    with _Meter(cfg.budget) as meter:
+        for n in range(1, cfg.n_max + 1):
+            for m in range(1, min(cfg.m_max, k ** n) + 1):
+                meter.charge("invariant matrices", comb(k ** n, m))
+                blocks.append((n, m))
+        closed = close_perm_dummy(cls_, max(cfg.n_max, cls_.max_arity or 1))
+        return [
+            _invariant_constraint(closed, TupleMatrix.from_rows(rows), cls_.codomain_size)
+            for n, m in blocks
+            for rows in combinations(product(range(k), repeat=n), m)
+        ]
 
 
 def _pol(cfg, codomain_size, accepts):
     """All operations of arity <= n_max into the codomain that ``accepts`` keeps.
 
-    The candidate count, sum of codomain_size^(k^n) over the arities, is
-    checked against the budget first.
+    The codomain_size^(k^n) tables of each arity are charged up front, in
+    order of arity, so an oversized sweep refuses before testing any.
     """
-    candidates = sum(
-        codomain_size ** (cfg.domain_size ** n) for n in range(1, cfg.n_max + 1)
-    )
-    if candidates > cfg.budget:
-        raise BudgetExceededError(candidates, cfg.budget, "operation enumeration")
+    arities = range(1, cfg.n_max + 1)
     out = OperationClass(cfg.domain_size, codomain_size)
-    for n in range(1, cfg.n_max + 1):
-        for op in all_operations(cfg.domain_size, n, codomain_size):
-            if accepts(op):
-                out.add(op)
+    with _Meter(cfg.budget) as meter:
+        for n in arities:
+            meter.charge("operation tables", codomain_size ** (cfg.domain_size ** n))
+        for n in arities:
+            for op in all_operations(cfg.domain_size, n, codomain_size):
+                if accepts(op):
+                    out.add(op)
     return out
 
 
@@ -138,7 +138,7 @@ def f_pol(constraints, cfg):
     return _pol(
         cfg,
         cfg.codomain_size,
-        lambda op: all(satisfies_constraint(op, c, cfg.budget) for c in constraints),
+        lambda op: all(satisfies_constraint(op, c) for c in constraints),
     )
 
 
@@ -163,6 +163,7 @@ def _inv_cluster_for_arity(closed, matrix):
                     _apply_columns(f, cols) for f in closed.arity_part(len(block))
                 }
             image_sets.append(images[block])
+        _current_meter().charge("invariant cluster members", prod(map(len, image_sets)))
         members.update(tuple(sorted(d)) for d in product(*image_sets))
     return _antichain_cluster(
         matrix.row_count, closed.domain_size, map(_counts, members)
@@ -171,11 +172,12 @@ def _inv_cluster_for_arity(closed, matrix):
 
 def cl_inv(cls_, cfg):
     """The proof-canonical invariant clusters of a class, one per arity <= n_max."""
-    closed = close_composition(cls_, max(cfg.n_max, cls_.max_arity or 1))
     k = cls_.domain_size
-    return [
-        _inv_cluster_for_arity(closed, _all_rows(k, n)) for n in range(1, cfg.n_max + 1)
-    ]
+    with _Meter(cfg.budget):
+        closed = close_composition(cls_, max(cfg.n_max, cls_.max_arity or 1))
+        return [
+            _inv_cluster_for_arity(closed, _all_rows(k, n)) for n in range(1, cfg.n_max + 1)
+        ]
 
 
 def c_pol(clusters, cfg):
@@ -186,9 +188,7 @@ def c_pol(clusters, cfg):
     return _pol(
         cfg,
         cfg.domain_size,
-        lambda op: all(
-            satisfies_cluster(op, phi, cfg.breadth, cfg.budget) for phi in clusters
-        ),
+        lambda op: all(satisfies_cluster(op, phi, cfg.breadth) for phi in clusters),
     )
 
 
@@ -219,22 +219,23 @@ def separating_cluster(cls_, g, cfg):
     on both sides before returning (members at arities <= n_max checked
     at the configured breadth, g checked on the all-rows witness).
     """
-    n = g.arity
-    closed = close_composition(cls_, max(n, cls_.max_arity or 1, cfg.n_max))
-    if g in closed:
-        raise NotSeparableError("no separating cluster: g is in the closed class")
-    matrix = _all_rows(cls_.domain_size, n)
-    cluster = _inv_cluster_for_arity(closed, matrix)
-    image = FiniteMultiset.from_tuples(
-        matrix.row_count, [apply_op_rows(g, matrix)]
-    )
-    if cluster_member(image, cluster):
-        raise GaloisKitError("separation failed: g image unexpectedly admitted")
-    for f in closed:
-        if f.arity <= cfg.n_max:
-            verdict = satisfies_cluster(f, cluster, max(cfg.breadth, f.arity), cfg.budget)
-            if not verdict:
-                raise GaloisKitError(
-                    f"separation failed: class member {f} violates the cluster"
-                )
-    return cluster
+    with _Meter(cfg.budget):
+        n = g.arity
+        closed = close_composition(cls_, max(n, cls_.max_arity or 1, cfg.n_max))
+        if g in closed:
+            raise NotSeparableError("no separating cluster: g is in the closed class")
+        matrix = _all_rows(cls_.domain_size, n)
+        cluster = _inv_cluster_for_arity(closed, matrix)
+        image = FiniteMultiset.from_tuples(
+            matrix.row_count, [apply_op_rows(g, matrix)]
+        )
+        if cluster_member(image, cluster):
+            raise GaloisKitError("separation failed: g image unexpectedly admitted")
+        for f in closed:
+            if f.arity <= cfg.n_max:
+                verdict = satisfies_cluster(f, cluster, max(cfg.breadth, f.arity))
+                if not verdict:
+                    raise GaloisKitError(
+                        f"separation failed: class member {f} violates the cluster"
+                    )
+        return cluster

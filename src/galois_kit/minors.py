@@ -11,7 +11,7 @@ matrix widths and are therefore checked up to an explicit column cap.
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import GaloisKitError
+from .errors import GaloisKitError, _current_meter
 from .extnat import INF, ext_add
 from .multisets import TupleMatrix, _counts, _nondecreasing_selections
 from .repetition import RepetitionFunction
@@ -125,8 +125,10 @@ def tight_relation_minor(scheme, relations, domain_size):
     if len(relations) != len(scheme.maps):
         raise GaloisKitError("need one relation per scheme map")
     out = set()
+    meter = _current_meter()
     for a in product(range(domain_size), repeat=scheme.target):
-        for sigma in skolem_maps(scheme.indeterminates, domain_size):
+        sigmas = skolem_maps(scheme.indeterminates, domain_size)
+        for sigma in meter.counted("Skolem maps", sigmas):
             if all(
                 apply_scheme_map(a, sigma, h) in r
                 for h, r in zip(scheme.maps, relations)
@@ -179,6 +181,7 @@ def _skolem_search(scheme, accepts, k):
     """
     sigmas = list(skolem_maps(scheme.indeterminates, k))
     images = {}
+    meter = _current_meter()
 
     def exists(columns):
         per_column = []
@@ -189,25 +192,28 @@ def _skolem_search(scheme, accepts, k):
                     for sigma in sigmas
                 ]
             per_column.append(images[col])
-        return any(
-            _family_respected(chosen, accepts) for chosen in product(*per_column)
-        )
+        choices = meter.counted("Skolem maps", product(*per_column))
+        return any(_family_respected(chosen, accepts) for chosen in choices)
 
     return exists
 
 
-def _column_multisets(phi, n):
-    """Every n-column selection M < phi, one per column multiset.
+def _column_multisets(phi, col_cap):
+    """Every selection M < phi of 1 to col_cap columns, one per column
+    multiset, widths ascending.
 
     Each multiset comes as its sorted arrangement, its first ordering in
-    the stream of ``enumerate_matrices_leq``, and the multisets come in
-    the order of those arrangements.  Yields (columns, counts), counts
-    being the live multiplicity dict of the columns.
+    the stream of ``enumerate_matrices_leq``, and the multisets of one
+    width come in the order of those arrangements.  Yields (columns,
+    counts), counts being the live multiplicity dict of the columns.
     """
-    counts = {}
-    for cols in _nondecreasing_selections(phi.positive_support(), phi.value, n, counts):
-        if len(cols) == n:
-            yield cols, counts
+    support, meter = phi.positive_support(), _current_meter()
+    for n in range(1, col_cap + 1):
+        counts = {}
+        selections = _nondecreasing_selections(support, phi.value, n, counts)
+        for cols in meter.counted("minor multisets", selections):
+            if len(cols) == n:
+                yield cols, counts
 
 
 def _check_family(phis, scheme, col_cap):
@@ -226,10 +232,9 @@ def is_restrictive_rf_minor(phi, phis, scheme, col_cap=None):
     """
     phis, col_cap = _check_family(phis, scheme, col_cap)
     exists = _skolem_search(scheme, [p.bounds for p in phis], phi.domain_size)
-    for n in range(1, col_cap + 1):
-        for cols, _ in _column_multisets(phi, n):
-            if not exists(cols):
-                return MinorVerdict(False, col_cap, TupleMatrix(phi.arity, cols))
+    for cols, _ in _column_multisets(phi, col_cap):
+        if not exists(cols):
+            return MinorVerdict(False, col_cap, TupleMatrix(phi.arity, cols))
     return MinorVerdict(True, col_cap)
 
 
@@ -243,10 +248,9 @@ def is_extensive_rf_minor(phi, phis, scheme, col_cap=None):
     k = phi.domain_size
     exists = _skolem_search(scheme, [p.bounds for p in phis], k)
     everything = RepetitionFunction.constant(phi.arity, k, INF)
-    for n in range(1, col_cap + 1):
-        for cols, counts in _column_multisets(everything, n):
-            if not phi.bounds(counts) and exists(cols):
-                return MinorVerdict(False, col_cap, TupleMatrix(phi.arity, cols))
+    for cols, counts in _column_multisets(everything, col_cap):
+        if not phi.bounds(counts) and exists(cols):
+            return MinorVerdict(False, col_cap, TupleMatrix(phi.arity, cols))
     return MinorVerdict(True, col_cap)
 
 

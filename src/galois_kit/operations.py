@@ -11,7 +11,7 @@ substitution into the first argument.
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .errors import GaloisKitError
+from .errors import GaloisKitError, _current_meter
 
 __all__ = [
     "Operation",
@@ -235,9 +235,11 @@ def close_perm_dummy(cls_, arity_cap):
     if cls_.max_arity > arity_cap:
         raise GaloisKitError("arity cap below an existing member arity")
     out = OperationClass(cls_.domain_size, cls_.codomain_size)
+    meter = _current_meter()
     for f in cls_:
         for target in range(f.arity, arity_cap + 1):
             for sigma in permutations(range(1, target + 1), f.arity):
+                meter.charge("closure", cls_.domain_size ** target)
                 out.add(minor_by_injection(f, sigma, target))
     return out
 
@@ -245,8 +247,9 @@ def close_perm_dummy(cls_, arity_cap):
 def close_composition(cls_, arity_cap):
     """Fixpoint closure under zeta, tau, nabla, star with all projections.
 
-    All intermediate arities stay <= arity_cap; the bounded fixpoint may
-    undercount functions derivable only through arities above the cap.
+    All intermediate arities stay <= arity_cap, and the closure is exact at
+    every arity up to the cap: no rewrite lowers arity (f * g is (m+n-1)-ary),
+    so an n-ary member is derived through arities <= n only.
     """
     if cls_.domain_size != cls_.codomain_size:
         raise GaloisKitError("composition closure requires domain == codomain")
@@ -255,8 +258,10 @@ def close_composition(cls_, arity_cap):
     k = cls_.domain_size
     out = OperationClass(k, k)
     worklist = []
+    meter = _current_meter()
 
     def push(op):
+        meter.charge("closure", len(op.table))
         if op not in out:
             out.add(op)
             worklist.append(op)
@@ -273,6 +278,7 @@ def close_composition(cls_, arity_cap):
         push(tau(f))
         if f.arity + 1 <= arity_cap:
             push(nabla(f))
+        meter.charge("closure", len(out))
         for g in list(out):
             if f.arity + g.arity - 1 <= arity_cap:
                 push(star(f, g))

@@ -10,7 +10,7 @@ re-derived, so structural equality coincides with pointwise equality.
 
 from itertools import product
 
-from .errors import GaloisKitError
+from .errors import GaloisKitError, _current_meter
 from .extnat import INF, ext_min, is_extnat
 
 __all__ = ["RepetitionFunction", "rf_leq", "rf_pointwise_inf"]
@@ -75,20 +75,13 @@ class RepetitionFunction:
     def positive_support(self):
         """Tuples with value > 0, in lexicographic order.
 
-        Enumerates the full tuple space when the default is positive;
-        callers must budget-guard that case.
+        When the default is positive this walks the whole tuple space, so
+        its k^m tuples are charged up front to the "support tuples" phase.
         """
         if self.default > 0:
+            _current_meter().charge("support tuples", self.domain_size ** self.arity)
             return [t for t in self.all_tuples() if self.value(t) > 0]
         return sorted(t for t, v in self.exceptions.items() if v > 0)
-
-    def support_size(self):
-        total = self.domain_size ** self.arity
-        positive_exc = sum(1 for v in self.exceptions.values() if v > 0)
-        if self.default > 0:
-            zero_exc = sum(1 for v in self.exceptions.values() if v == 0)
-            return total - zero_exc
-        return positive_exc
 
     def total(self):
         """Sum of all values, with inf propagation; no tuple enumeration."""

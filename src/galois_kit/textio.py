@@ -104,7 +104,9 @@ def _parse_operation(body):
 
 
 def format_class(name, cls_):
-    lines = [f"class {name} {{"]
+    # an empty class has no op line to carry its alphabet, so its header does
+    alphabet = "" if len(cls_) else f" k={cls_.domain_size},{cls_.codomain_size}"
+    lines = [f"class {name}{alphabet} {{"]
     for i, op in enumerate(cls_):
         lines.append("  " + format_operation(f"{name}.{i}", op))
     lines.append("}")
@@ -399,7 +401,7 @@ def parse_workspace(text, workspace=None):
                 name, op = _parse_operation(body)
                 ws.add("operation", name, op)
             elif kind == "class":
-                m = re.match(r"^(\S+)\s*\{\s*$", body)
+                m = re.match(r"^(\S+)\s*(?:k=([1-9]\d*),([1-9]\d*)\s*)?\{\s*$", body)
                 if not m:
                     raise GaloisKitError(f"malformed class line {body!r}")
                 members = []
@@ -418,11 +420,13 @@ def parse_workspace(text, workspace=None):
                             f"class blocks contain only op lines, got {inner!r}"
                         )
                     members.append(_parse_operation(ibody)[1])
-                if not members:
-                    raise GaloisKitError("class blocks need at least one op line")
-                cls_ = OperationClass(
-                    members[0].domain_size, members[0].codomain_size, members
-                )
+                if m.group(2):
+                    alphabet = int(m.group(2)), int(m.group(3))
+                elif members:
+                    alphabet = members[0].domain_size, members[0].codomain_size
+                else:
+                    raise GaloisKitError("an empty class block needs k=<k>,<k_out>")
+                cls_ = OperationClass(*alphabet, members)
                 ws.add("class", m.group(1), cls_)
             elif kind == "ms":
                 name, s = _parse_multiset(body)

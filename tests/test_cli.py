@@ -253,4 +253,52 @@ def test_inv_constraint_over_budget_exits_three(ws_file, capsys):
     code, out = run(capsys, "inv", "-w", ws_file, "--class", "proj2",
                     "--kind", "constraint", "--cap", "2", "--budget", "10")
     assert code == 3
-    assert "estimated 13 enumeration steps exceeds budget 10" in out
+    assert "error: refusing invariant matrices: 13 steps exceed budget 10" in out
+
+
+BUDGET_WORKSPACE = WORKSPACE + """\
+constraint lo : rf=[arity=2 k=2 default=0 { 0 0 -> 5 ; 0 1 -> 7 }] consequent={ (0 0), (0 1), (1 0), (1 1) }
+cluster pair arity=1 k=2 { gen cap=inf rf=[default=0 { 0 -> inf ; 1 -> inf }] }
+"""
+
+
+# inv --kind constraint is test_inv_constraint_over_budget_exits_three above
+@pytest.mark.parametrize("argv, budget, phase, done", [
+    # the refusal comes at the step past the budget, not after the 4 matrices
+    pytest.param(["satisfies", "--fn", "AND", "--constraint", "lo"], 2,
+                 "constraint matrices", 3, id="satisfies-constraint"),
+    # ord's antecedent is 9 on three of the four pairs, so its default is 9
+    pytest.param(["satisfies", "--fn", "AND", "--constraint", "ord"], 2,
+                 "support tuples", 4, id="satisfies-positive-default"),
+    # 1 + 2 + 3 + 4 members of cardinality <= 3 over two tuples
+    pytest.param(["satisfies", "--fn", "NOT", "--cluster", "pair", "--breadth", "3"], 5,
+                 "cluster members", 6, id="satisfies-cluster-members"),
+    # NOT satisfies pair: its 10 members have 12 splits, refused at the 11th
+    pytest.param(["satisfies", "--fn", "NOT", "--cluster", "pair", "--breadth", "3"], 10,
+                 "cluster splits", 11, id="satisfies-cluster-splits"),
+    pytest.param(["pol", "--kind", "constraint", "--names", "ord", "--cap", "2"], 10,
+                 "operation tables", 20, id="pol-constraint"),
+    pytest.param(["pol", "--kind", "cluster", "--names", "pair", "--cap", "2"], 10,
+                 "operation tables", 20, id="pol-cluster"),
+    # the closure pushes the 2-entry unary and then a 4-entry binary projection
+    pytest.param(["inv", "--class", "proj2", "--kind", "cluster", "--cap", "2"], 5,
+                 "closure", 6, id="inv-cluster"),
+    pytest.param(["close", "--class", "proj2", "--ops", "zeta,tau,nabla", "--cap", "2"], 5,
+                 "closure", 6, id="close-perm-dummy"),
+    pytest.param(["close", "--class", "proj2", "--ops", "zeta,tau,nabla,star",
+                  "--cap", "2"], 5, "closure", 6, id="close-composition"),
+    pytest.param(["separate", "--class", "proj2", "--fn", "AND", "--kind", "constraint"], 5,
+                 "closure", 6, id="separate-constraint"),
+    pytest.param(["separate", "--class", "proj2", "--fn", "AND", "--kind", "cluster"], 5,
+                 "closure", 6, id="separate-cluster"),
+])
+def test_budget_refusal_names_phase_work_and_budget(argv, budget, phase, done, tmp_path,
+                                                    capsys):
+    path = tmp_path / "ws.gk"
+    path.write_text(BUDGET_WORKSPACE)
+    command = [argv[0], "-w", str(path), *argv[1:]]
+    code, out = run(capsys, *command, "--budget", str(budget))
+    assert code == 3
+    assert out.endswith(f"error: refusing {phase}: {done} steps exceed budget {budget}\n")
+    # at the default budget the same command answers
+    assert run(capsys, *command)[0] in (0, 1)

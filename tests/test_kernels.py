@@ -56,6 +56,8 @@ from galois_kit import (
     TupleMatrix,
 )
 from galois_kit.errors import DEFAULT_BUDGET
+
+UNLIMITED = float("inf")
 from galois_kit.extnat import ext_min
 from galois_kit.galois import _all_rows
 from galois_kit.minors import default_col_cap, skolem_maps
@@ -65,11 +67,8 @@ from galois_kit.multisets import _nondecreasing_selections
 # --- reference bodies -------------------------------------------------
 
 
-def ref_satisfies_constraint(f, c, budget):
+def ref_satisfies_constraint(f, c):
     phi = c.antecedent
-    estimate = phi.support_size() ** f.arity
-    if estimate > budget:
-        raise BudgetExceededError(estimate, budget, "constraint satisfaction check")
     for m in enumerate_matrices_leq(phi, f.arity):
         if apply_op_rows(f, m) not in c.consequent:
             return ConstraintVerdict(False, m)
@@ -82,12 +81,8 @@ def ref_bounded_multisets(arity, support, bound, cap):
         yield FiniteMultiset(arity, dict(counts))
 
 
-def _ref_generator_members(gen, limit, budget):
+def _ref_generator_members(gen, limit):
     box = gen.box
-    if box.default > 0:
-        space = box.domain_size ** box.arity
-        if space > budget:
-            raise BudgetExceededError(space, budget, "cluster member enumeration")
     total_cap = ext_min(gen.cap, limit)
     if total_cap == INF:
         raise GaloisKitError("member enumeration needs a finite cardinality limit")
@@ -96,10 +91,10 @@ def _ref_generator_members(gen, limit, budget):
     )
 
 
-def ref_enumerate_cluster_members(cluster, limit, budget=DEFAULT_BUDGET):
+def ref_enumerate_cluster_members(cluster, limit):
     seen = set()
     for gen in cluster.sorted_generators():
-        for s in _ref_generator_members(gen, limit, budget):
+        for s in _ref_generator_members(gen, limit):
             if s not in seen:
                 seen.add(s)
     return sorted(seen, key=lambda s: (s.cardinality, sorted(s.counts.items())))
@@ -111,8 +106,8 @@ def ref_cluster_member(s, cluster):
     )
 
 
-def ref_satisfies_cluster(f, cluster, breadth_cap, budget):
-    for s in ref_enumerate_cluster_members(cluster, breadth_cap, budget):
+def ref_satisfies_cluster(f, cluster, breadth_cap):
+    for s in ref_enumerate_cluster_members(cluster, breadth_cap):
         if s.cardinality < f.arity:
             continue
         for m1, m2 in split_enumerate(s, f.arity):
@@ -203,14 +198,10 @@ def ref_antichain_cluster(m, k, members):
     return Cluster(m, k, gens)
 
 
-def ref_materialize_minor(clusters, scheme, breadth_cap, budget=DEFAULT_BUDGET):
+def ref_materialize_minor(clusters, scheme, breadth_cap):
     clusters = list(clusters)
     k = clusters[0].domain_size
     m = scheme.target
-    space = k ** m
-    estimate = space ** breadth_cap if breadth_cap else 1
-    if estimate > budget:
-        raise BudgetExceededError(estimate, budget, "cluster minor materialization")
     members = []
     tuples = list(product(range(k), repeat=m))
     for s in ref_bounded_multisets(m, tuples, lambda t: INF, breadth_cap):
@@ -244,9 +235,11 @@ def ref_inv_cluster_for_arity(closed, matrix):
 
 
 def _outcome(fn, *args):
-    """The result, or the kind and message of a refusal."""
+    """The result, or the kind and message of a refusal other than the budget's."""
     try:
         return fn(*args)
+    except BudgetExceededError:
+        raise
     except GaloisKitError as e:
         return ("refused", type(e).__name__, str(e))
 
@@ -257,6 +250,22 @@ def _assert_same(got, want):
         return
     assert type(got) is type(want)
     assert got == want  # dataclass equality: verdict, caps and witness
+
+
+def _assert_agrees(want, kernel, *args, budget):
+    """The kernel gives the oracle's outcome ``want`` at an unlimited budget,
+    and at ``budget`` gives it too or refuses having done more steps than
+    ``budget``, which is then below the default.  Returns the outcome at
+    ``budget``, or "refused"."""
+    _assert_same(_outcome(kernel, *args, UNLIMITED), want)
+    try:
+        got = _outcome(kernel, *args, budget)
+    except BudgetExceededError as e:
+        assert e.done > e.budget == budget
+        assert budget < DEFAULT_BUDGET
+        return "refused"
+    _assert_same(got, want)
+    return got
 
 
 def _random_rf(rng, m, k, positive_default=False):
@@ -298,10 +307,10 @@ def test_constraint_kernel_matches_reference():
         c = GeneralizedConstraint(phi, consequent, k_out)
         f = _random_op(rng, k, n, k_out)
         budget = rng.choice([2_000_000, 2_000_000, 50, 5])
-        want = _outcome(ref_satisfies_constraint, f, c, budget)
-        got = _outcome(satisfies_constraint, f, c, budget)
-        _assert_same(got, want)
-        verdicts[want[0] if isinstance(want, tuple) else want.satisfied] += 1
+        want = _outcome(ref_satisfies_constraint, f, c)
+        if _assert_agrees(want, satisfies_constraint, f, c, budget=budget) == "refused":
+            verdicts["refused"] += 1
+        verdicts[want.satisfied] += 1
     assert min(verdicts.values()) >= 20, verdicts
 
 
@@ -340,10 +349,12 @@ def test_cluster_kernel_matches_reference():
     rng = random.Random(3102)
     verdicts = {True: 0, False: 0, "refused": 0}
     for f, cluster, breadth_cap, budget in _cluster_cases(rng):
-        want = _outcome(ref_satisfies_cluster, f, cluster, breadth_cap, budget)
-        got = _outcome(satisfies_cluster, f, cluster, breadth_cap, budget)
-        _assert_same(got, want)
-        verdicts[want[0] if isinstance(want, tuple) else want.satisfied] += 1
+        want = _outcome(ref_satisfies_cluster, f, cluster, breadth_cap)
+        got = _assert_agrees(want, satisfies_cluster, f, cluster, breadth_cap,
+                             budget=budget)
+        if got == "refused":
+            verdicts["refused"] += 1
+        verdicts[want.satisfied] += 1
     assert min(verdicts.values()) >= 10, verdicts
 
 
@@ -408,13 +419,15 @@ def test_cluster_members_match_reference():
             cluster = _random_boxed_cluster(rng, m, k)
         limit = rng.choice([0, 1, 2, 3, 4, INF])
         budget = rng.choice([DEFAULT_BUDGET, DEFAULT_BUDGET, 3, 8])
-        want = _outcome(ref_enumerate_cluster_members, cluster, limit, budget)
-        got = _outcome(enumerate_cluster_members, cluster, limit, budget)
-        assert got == want
+        want = _outcome(ref_enumerate_cluster_members, cluster, limit)
+        got = _assert_agrees(want, enumerate_cluster_members, cluster, limit,
+                             budget=budget)
+        if got == "refused":
+            outcomes["BudgetExceededError"] += 1
         if isinstance(want, tuple):
             outcomes[want[1]] += 1
         else:
-            assert all(type(s) is FiniteMultiset for s in got)
+            assert got == "refused" or all(type(s) is FiniteMultiset for s in got)
             outcomes["members"] += 1
     assert min(outcomes.values()) >= 10, outcomes
 
@@ -487,13 +500,12 @@ def test_materialized_minors_match_reference():
         k, scheme, clusters = _random_cluster_minor(rng)
         breadth_cap = rng.randint(0, 3)
         budget = rng.choice([DEFAULT_BUDGET, 10])
-        want = _outcome(ref_materialize_minor, clusters, scheme, breadth_cap, budget)
-        got = _outcome(materialize_minor, clusters, scheme, breadth_cap, budget)
-        if isinstance(want, tuple):
-            assert got == want
+        want = _outcome(ref_materialize_minor, clusters, scheme, breadth_cap)
+        got = _assert_agrees(want, materialize_minor, clusters, scheme, breadth_cap,
+                             budget=budget)
+        if got == "refused":
             outcomes["refused"] += 1
         else:
             assert format_cluster("c", got) == format_cluster("c", want)
-            assert got == want
-            outcomes["cluster"] += 1
+        outcomes["cluster"] += 1
     assert min(outcomes.values()) >= 10, outcomes

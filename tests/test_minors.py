@@ -1,9 +1,11 @@
 import random
+from functools import partial
 
 import pytest
 from itertools import product
 
 from galois_kit import (
+    BudgetExceededError,
     GaloisKitError,
     GeneralizedConstraint,
     INF,
@@ -16,11 +18,14 @@ from galois_kit import (
     is_conjunctive_minor_constraint,
     is_extensive_rf_minor,
     is_restrictive_rf_minor,
+    materialize_minor,
     rf_minor_sum_check,
     scheme_fixture,
     tight_relation_minor,
+    trivial_cluster,
     trivial_constraint,
 )
+from galois_kit.errors import _Meter
 from galois_kit.minors import skolem_maps
 
 
@@ -260,3 +265,36 @@ class TestSchemeFixtures:
     def test_unknown_kind_rejected(self):
         with pytest.raises(GaloisKitError):
             scheme_fixture("bogus", 2)
+
+
+def _refusal(call, budget):
+    """The message of the refusal of call() inside a meter of this budget."""
+    with pytest.raises(BudgetExceededError) as info, _Meter(budget):
+        call()
+    assert info.value.done > info.value.budget == budget
+    return str(info.value)
+
+
+class TestMetering:
+    """The minor phases are unreachable from the command line; each refuses
+    here, naming the phase, the steps done and the budget."""
+
+    def test_tight_minor_charges_skolem_maps(self):
+        # four Skolem maps fail for a = (0,), then a = (1,) tries a fifth and sixth
+        scheme = MinorScheme(1, ("u", "v"), ((0, "u", "v"),))
+        call = partial(tight_relation_minor, scheme, [set()], 2)
+        assert _refusal(call, 5) == "refusing Skolem maps: 6 steps exceed budget 5"
+
+    def test_rf_minor_column_loop_charges_minor_multisets(self):
+        phi = RepetitionFunction(1, 2, 0, {(0,): 2, (1,): 1})
+        call = partial(is_restrictive_rf_minor, phi, [phi], MinorScheme.identity(1), 3)
+        assert _refusal(call, 4) == "refusing minor multisets: 5 steps exceed budget 4"
+        assert call()
+
+    def test_materialized_minor_charges_minor_multisets(self):
+        # (), (0), (0 0), (0 1), then (1) is the fifth multiset of breadth <= 2
+        args = ([trivial_cluster(1, 3, 2)], MinorScheme(1, (), ((0,),)), 2)
+        with pytest.raises(BudgetExceededError) as info:
+            materialize_minor(*args, budget=4)
+        assert str(info.value) == "refusing minor multisets: 5 steps exceed budget 4"
+        assert len(materialize_minor(*args, budget=6).generators) == 3

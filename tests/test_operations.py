@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from itertools import permutations, product
 
 from galois_kit import (
@@ -20,6 +20,7 @@ from galois_kit import (
     tau,
     zeta,
 )
+from galois_kit.errors import _Meter
 
 
 def op(table, arity, k=2):
@@ -172,6 +173,31 @@ class TestOperationClass:
             for g in cls_:
                 if f.arity + g.arity - 1 <= 2:
                     assert star(f, g) in cls_
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(1, 2), (1, 3), (2, 3)]),
+       st.lists(st.one_of(random_ops(2, 1), random_ops(2, 2)), max_size=2))
+@example((2, 3), [NOT, AND])  # AND(NOT x, y) is a star at the cap
+def test_close_composition_is_exact_below_its_cap(caps, generators):
+    """No rewrite lowers arity, so a larger cap adds no member of lower arity."""
+    lower, cap = caps
+    cls_ = OperationClass(2, members=[f for f in generators if f.arity <= lower])
+    closed = close_composition(cls_, cap)
+    below = OperationClass(2, members=[f for f in closed if f.arity <= lower])
+    assert below == close_composition(cls_, lower)
+
+
+def test_closures_charge_table_entries_and_member_pairs():
+    with _Meter() as meter:
+        close_perm_dummy(OperationClass(2, members=[NOT]), 2)
+    # NOT itself, then its two binary images of 4 entries each
+    assert meter.done == {"closure": 2 + 2 * 4}
+    with _Meter() as meter:
+        close_composition(OperationClass(2, members=[NOT]), 1)
+    # the projection and NOT are pushed (2 entries each); popping either
+    # pushes zeta, tau and four stars (2 entries each) and scans 2 pairs
+    assert meter.done == {"closure": 2 + 2 + 2 * (6 * 2 + 2)}
 
 
 class TestLinearClassFixture:

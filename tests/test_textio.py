@@ -148,8 +148,63 @@ def schemes(draw):
     return MinorScheme(target, names, tuple(maps))
 
 
+@st.composite
+def operations(draw, k=None, k_out=None):
+    k = draw(st.integers(1, 3)) if k is None else k
+    k_out = draw(st.integers(1, 3)) if k_out is None else k_out
+    arity = draw(st.integers(1, 2))
+    table = draw(st.lists(st.integers(0, k_out - 1), min_size=k ** arity,
+                          max_size=k ** arity))
+    return Operation(k, k_out, arity, tuple(table))
+
+
+@st.composite
+def classes(draw):
+    k, k_out = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return OperationClass(k, k_out, draw(st.lists(operations(k, k_out), max_size=4)))
+
+
+@st.composite
+def multisets(draw):
+    m = draw(st.integers(1, 3))
+    counts = st.dictionaries(st.tuples(*[st.integers(0, 2)] * m), st.integers(0, 4),
+                             max_size=4)
+    return FiniteMultiset(m, draw(counts))
+
+
+@st.composite
+def matrices(draw):
+    rows = draw(st.integers(1, 3))
+    column = st.tuples(*[st.integers(0, 2)] * rows)
+    return TupleMatrix(rows, tuple(draw(st.lists(column, max_size=4))))
+
+
+@st.composite
+def constraints(draw):
+    k, k_out, m = draw(st.integers(2, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    phi = RepetitionFunction(m, k, draw(_values), draw(
+        st.dictionaries(st.tuples(*[st.integers(0, k - 1)] * m), _values, max_size=4)))
+    consequent = draw(st.sets(st.tuples(*[st.integers(0, k_out - 1)] * m), max_size=5))
+    return GeneralizedConstraint(phi, consequent, k_out)
+
+
 class TestRoundTripProperties:
     """parse_workspace gives back an equal value that formats to the same bytes."""
+
+    @pytest.mark.parametrize("kind, fmt, values", [
+        ("operation", format_operation, operations()),
+        ("class", format_class, classes()),
+        ("multiset", format_multiset, multisets()),
+        ("matrix", format_matrix, matrices()),
+        ("constraint", format_constraint, constraints()),
+    ])
+    @given(data=st.data())
+    def test_round_trip(self, kind, fmt, values, data):
+        value = data.draw(values)
+        text = fmt("x", value)
+        parsed = parse_one(kind, text)
+        assert parsed == value
+        assert fmt("x", parsed) == text
 
     @given(clusters())
     @example(empty_cluster(1, 2))
@@ -199,6 +254,13 @@ class TestParsingErrors:
     def test_unterminated_class_rejected(self):
         with pytest.raises(GaloisKitError, match="unterminated"):
             parse_workspace(HEADER + "\nclass c {\n  op f k=2 arity=1 : 0 1")
+
+    def test_class_alphabet_comes_from_members_or_header(self):
+        with pytest.raises(GaloisKitError, match="line 3: an empty class block needs k="):
+            parse_workspace(HEADER + "\nclass c {\n}")
+        with pytest.raises(GaloisKitError, match="line 4: operation domain/codomain"):
+            parse_workspace(HEADER + "\nclass c k=3,3 {\n  op f k=2 arity=1 : 0 1\n}")
+        assert parse_one("class", "class c k=3,2 {\n}") == OperationClass(3, 2)
 
     def test_map_line_outside_scheme_rejected(self):
         with pytest.raises(GaloisKitError, match="outside"):
