@@ -8,6 +8,7 @@ deterministic: identical inputs and flags give identical bytes.
 import argparse
 import json
 import sys
+from functools import cache
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, GaloisKitError, NotSeparableError
 from .errors import _Meter
@@ -221,7 +222,13 @@ def _budget(text):
     return value
 
 
+@cache
 def _build_parser():
+    """The parser, built on the first call and reused for the process.
+
+    Parsing leaves the parser unchanged: each call fills a fresh
+    namespace from the defaults, and ``-w`` starts from None every time.
+    """
     parser = argparse.ArgumentParser(
         prog="galois-kit",
         description="Finite-domain Galois connections between function "

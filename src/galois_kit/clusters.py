@@ -11,9 +11,10 @@ the contract.
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
+from itertools import groupby, product
+from operator import itemgetter
 
-from .errors import DEFAULT_BUDGET, GaloisKitError, _Meter
+from .errors import DEFAULT_BUDGET, GaloisKitError, _Meter, _current_meter
 from .extnat import INF, ext_min, ext_sub, is_extnat
 from .multisets import (
     FiniteMultiset,
@@ -272,7 +273,7 @@ def breadth(cluster):
     """Max member cardinality: max over generators of min(cap, box mass)."""
     best = 0
     for g in cluster.generators:
-        best = max(best, ext_min(g.cap, g.box.total()))
+        best = max(best, g.box.total(g.cap))
     return best
 
 
@@ -403,20 +404,32 @@ def materialize_minor(clusters, scheme, breadth_cap, budget=DEFAULT_BUDGET):
         selections = _nondecreasing_selections(tuples, lambda t: INF, breadth_cap, counts)
         selections = meter.counted("minor multisets", selections)
         members = [dict(counts) for cols in selections if exists(cols)]
-    return _antichain_cluster(m, k, members)
+        return _antichain_cluster(m, k, members)
 
 
 def _antichain_cluster(m, k, members):
     """The downward closure of a finite family of distinct count dicts.
 
     One boxed generator per maximal member: box = the multiset, cap =
-    its cardinality.
+    its cardinality.  Members are taken largest first, and each is tested
+    only against the strictly larger maximal members kept so far: a
+    member below another lies below a maximal one, which is larger.  Each
+    subset test is one "antichain comparisons" step.
     """
-    members = [(sum(s.values()), s) for s in members]
+    meter = _current_meter()
+    kept = []  # (size, counts) of the maximal members, largest first
+    members = sorted(((sum(s.values()), s) for s in members), key=itemgetter(0), reverse=True)
+    for size, group in groupby(members, key=itemgetter(0)):
+        fresh = []
+        for _, s in group:
+            keys, items = s.keys(), s.items()
+            hit = next((i for i, (_, t) in enumerate(kept, 1)
+                        if keys <= t.keys() and all(c <= t[x] for x, c in items)), 0)
+            meter.charge("antichain comparisons", hit or len(kept))
+            if not hit:
+                fresh.append((size, s))
+        kept += fresh
     gens = frozenset(
-        BoxedGenerator(RepetitionFunction.from_counts(m, k, s), size)
-        for size, s in members
-        if not any(size < n and all(c <= t.get(x, 0) for x, c in s.items())
-                   for n, t in members)
+        BoxedGenerator(RepetitionFunction.from_counts(m, k, s), size) for size, s in kept
     )
     return Cluster(m, k, gens)

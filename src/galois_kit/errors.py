@@ -1,4 +1,5 @@
 from contextvars import ContextVar
+from math import log2
 
 
 class GaloisKitError(Exception):
@@ -14,7 +15,8 @@ DEFAULT_BUDGET = 2_000_000
 
 class BudgetExceededError(GaloisKitError):
     """Raised, instead of a possibly wrong answer, as soon as ``done``, the
-    steps of ``phase`` in the outermost metered call, passes ``budget``."""
+    steps of ``phase`` in the outermost metered call, passes ``budget``.
+    An up-front charge too large to build is given as the text ``"k^m"``."""
 
     def __init__(self, phase, done, budget):
         self.phase, self.done, self.budget = phase, done, budget
@@ -46,6 +48,16 @@ class _Meter:
         done = self.done[phase] = self.done.get(phase, 0) + steps
         if done > self.budget:
             raise BudgetExceededError(phase, done, self.budget)
+
+    def charge_power(self, phase, base, exp):
+        """Charge base ** exp steps up front.  A power over 2^64 times the
+        budget is refused without being built, and named as ``base^exp``."""
+        if exp * log2(base) > log2(self.budget + 1) + 64:
+            done = self.done.get(phase, 0)
+            power = f"{base}^{exp}"
+            raise BudgetExceededError(phase, f"{done} + {power}" if done else power,
+                                      self.budget)
+        self.charge(phase, base ** exp)
 
     def counted(self, phase, items):
         for item in items:

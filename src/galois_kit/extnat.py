@@ -42,6 +42,14 @@ def ext_max(a, b):
     return a if a >= b else b
 
 
+def power_upto(base, exp, limit):
+    """min(base ** exp, limit), building no power past twice a finite limit,
+    so a tuple count k^m stays cheap however large m is."""
+    if limit != INF and exp * math.log2(base) > math.log2(limit + 1) + 1:
+        return limit
+    return ext_min(base ** exp, limit)
+
+
 def parse_extnat(text):
     if text in ("inf", "INF", "oo"):
         return INF

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 
 from .errors import GaloisKitError, _current_meter
+from .extnat import power_upto
 
 __all__ = [
     "Operation",
@@ -44,7 +45,7 @@ class Operation:
             raise GaloisKitError("nullary operations are not supported")
         if self.domain_size < 1 or self.codomain_size < 1:
             raise GaloisKitError("domain sizes must be positive")
-        expected = self.domain_size ** self.arity
+        expected = power_upto(self.domain_size, self.arity, len(self.table) + 1)
         if len(self.table) != expected:
             raise GaloisKitError(
                 f"table length {len(self.table)} != {self.domain_size}^{self.arity}"

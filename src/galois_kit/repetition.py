@@ -11,7 +11,7 @@ re-derived, so structural equality coincides with pointwise equality.
 from itertools import product
 
 from .errors import GaloisKitError, _current_meter
-from .extnat import INF, ext_min, is_extnat
+from .extnat import INF, ext_min, is_extnat, power_upto
 
 __all__ = ["RepetitionFunction", "rf_leq", "rf_pointwise_inf"]
 
@@ -34,8 +34,9 @@ class RepetitionFunction:
         exceptions = {t: v for t, v in exceptions.items() if v != default}
         # Canonical default: the most frequent value, with a fixed tie
         # order, so pointwise-equal functions are structurally equal even
-        # when the exceptions nearly cover the tuple space.
-        space = domain_size ** arity
+        # when the exceptions nearly cover the tuple space.  Past twice the
+        # exceptions' count the default wins, so k^m is built no further.
+        space = power_upto(domain_size, arity, 2 * len(exceptions) + 1)
         hist = {default: space - len(exceptions)}
         for v in exceptions.values():
             hist[v] = hist.get(v, 0) + 1
@@ -79,16 +80,25 @@ class RepetitionFunction:
         its k^m tuples are charged up front to the "support tuples" phase.
         """
         if self.default > 0:
-            _current_meter().charge("support tuples", self.domain_size ** self.arity)
+            _current_meter().charge_power("support tuples", self.domain_size, self.arity)
             return [t for t in self.all_tuples() if self.value(t) > 0]
         return sorted(t for t, v in self.exceptions.items() if v > 0)
 
-    def total(self):
-        """Sum of all values, with inf propagation; no tuple enumeration."""
-        rest = self.domain_size ** self.arity - len(self.exceptions)
-        if (self.default == INF and rest > 0) or INF in self.exceptions.values():
-            return INF
-        return self.default * rest + sum(self.exceptions.values())
+    def total(self, limit=INF):
+        """Sum of all values, with inf propagation, or ``limit`` if smaller.
+
+        No tuple enumeration: k^m is built only as far as ``limit`` needs.
+        """
+        values = self.exceptions.values()
+        # canonically the default is the most frequent value, so it is taken
+        # at least once
+        if self.default == INF or INF in values:
+            return limit
+        total = sum(values)
+        if self.default:
+            space = power_upto(self.domain_size, self.arity, limit + len(values) + 1)
+            total += self.default * (space - len(values))
+        return ext_min(total, limit)
 
     def bounds(self, counts):
         """True iff every count is at most this function's value at its tuple.

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from galois_kit.cli import main
+from galois_kit.cli import _build_parser, main
+from galois_kit.errors import DEFAULT_BUDGET
 
 WORKSPACE = """\
 galois-kit v1
@@ -302,3 +303,106 @@ def test_budget_refusal_names_phase_work_and_budget(argv, budget, phase, done, t
     assert out.endswith(f"error: refusing {phase}: {done} steps exceed budget {budget}\n")
     # at the default budget the same command answers
     assert run(capsys, *command)[0] in (0, 1)
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; no call leaks into the next."""
+
+    def test_parser_is_built_once(self, ws_file, capsys):
+        run(capsys, "satisfies", "-w", ws_file, "--fn", "AND", "--constraint", "ord")
+        misses = _build_parser.cache_info().misses
+        run(capsys, "satisfies", "-w", ws_file, "--fn", "XOR", "--constraint", "ord")
+        assert _build_parser.cache_info().misses == misses
+
+    def test_workspaces_do_not_accumulate(self, ws_file, tmp_path, capsys):
+        extra = tmp_path / "extra.gk"
+        extra.write_text("galois-kit v1\nop MAJ k=2 arity=1 : 0 1\n")
+        args = _build_parser().parse_args(["satisfies", "-w", ws_file, "-w", str(extra),
+                                           "--fn", "MAJ", "--constraint", "ord"])
+        assert args.workspace == [ws_file, str(extra)]
+        assert run(capsys, "satisfies", "-w", ws_file, "-w", str(extra),
+                   "--fn", "MAJ", "--constraint", "ord")[0] == 0
+        args = _build_parser().parse_args(["satisfies", "-w", ws_file,
+                                           "--fn", "MAJ", "--constraint", "ord"])
+        assert args.workspace == [ws_file]
+        # a leftover extra.gk would define MAJ; loading ws_file twice would
+        # fail on duplicate names
+        code, out = run(capsys, "satisfies", "-w", ws_file, "--fn", "MAJ",
+                        "--constraint", "ord")
+        assert (code, out) == (2, "error: no operation named 'MAJ'\n")
+        assert run(capsys, "satisfies", "-w", ws_file, "--fn", "AND",
+                   "--constraint", "ord")[0] == 0
+
+    def test_budget_falls_back_to_the_default(self, ws_file, capsys):
+        argv = ["satisfies", "-w", ws_file, "--fn", "AND", "--constraint", "ord"]
+        assert _build_parser().parse_args([*argv, "--budget", "2"]).budget == 2
+        assert run(capsys, *argv, "--budget", "2")[0] == 3
+        assert _build_parser().parse_args(argv).budget == DEFAULT_BUDGET
+        assert run(capsys, *argv) == (0, "check: satisfies AND constraint ord\n"
+                                         "satisfied: yes\n")
+
+    def test_format_falls_back_to_text(self, ws_file, capsys):
+        argv = ["satisfies", "-w", ws_file, "--fn", "XOR", "--constraint", "ord"]
+        _, json_out = run(capsys, "--format", "json-lines", *argv)
+        assert json_out.startswith('{"check": ')
+        _, text_out = run(capsys, *argv)
+        assert text_out.startswith("check: satisfies XOR constraint ord\n")
+        assert "{" not in text_out
+
+    def test_verify_budget_stays_with_verify(self, ws_file):
+        parser = _build_parser()
+        assert parser.parse_args(["verify", "lemma-all"]).budget == float("inf")
+        for argv in (["satisfies", "--fn", "AND", "--constraint", "ord"],
+                     ["close", "--class", "proj2", "--ops", "zeta,tau,nabla", "--cap", "2"],
+                     ["inv", "--class", "proj2", "--kind", "cluster", "--cap", "2"],
+                     ["pol", "--kind", "cluster", "--names", "ord", "--cap", "2"],
+                     ["separate", "--class", "proj2", "--fn", "AND", "--kind", "cluster"]):
+            assert parser.parse_args([argv[0], "-w", ws_file, *argv[1:]]).budget == DEFAULT_BUDGET
+
+    def test_usage_error_leaves_later_calls_unchanged(self, ws_file, capsys):
+        argv = ["satisfies", "-w", ws_file, "--fn", "XOR", "--constraint", "ord"]
+        _build_parser.cache_clear()
+        alone = main(argv), capsys.readouterr()
+        assert main(["satisfies", "-w", ws_file, "--constraint", "ord"]) == 2  # no --fn
+        assert "the following arguments are required: --fn" in capsys.readouterr().err
+        assert main(["nope"]) == 2
+        capsys.readouterr()
+        assert (main(argv), capsys.readouterr()) == alone
+
+
+# Entity lines whose tuple space k^m is astronomically large refuse or reject
+# in one short line instead of building k^m.
+HUGE = "100000000"
+
+
+@pytest.mark.parametrize("entity, argv, code, message", [
+    pytest.param(f"cluster c arity={HUGE} k=2 {{ gen cap=2 rf=[default=1 {{ }}] }}",
+                 ["satisfies", "--fn", "g", "--cluster", "c"], 3,
+                 f"error: refusing support tuples: 2^{HUGE} steps exceed budget 2000000",
+                 id="cluster-positive-default"),
+    pytest.param("cluster c arity=3000 k=2 { gen cap=2 rf=[default=1 { }] }",
+                 ["satisfies", "--fn", "g", "--cluster", "c"], 3,
+                 "error: refusing support tuples: 2^3000 steps exceed budget 2000000",
+                 id="cluster-arity-3000"),
+    pytest.param(f"cluster c arity={HUGE} k=3 {{ gen cap=2 rf=[default=inf {{ }}] }}",
+                 ["pol", "--kind", "cluster", "--names", "c", "--cap", "1"], 3,
+                 f"error: refusing support tuples: 3^{HUGE} steps exceed budget 2000000",
+                 id="pol-cluster-k3"),
+    pytest.param(f"cluster c arity={HUGE} k=2 {{ gen cap=2 rf=[default=1 {{ }}] }}",
+                 ["pol", "--kind", "cluster", "--names", "c", "--cap", "1"], 3,
+                 f"error: refusing support tuples: 2^{HUGE} steps exceed budget 2000000",
+                 id="pol-cluster"),
+    pytest.param(f"constraint d : rf=[arity={HUGE} k=2 default=1 {{ }}] consequent={{ }}",
+                 ["satisfies", "--fn", "g", "--constraint", "d"], 3,
+                 f"error: refusing support tuples: 2^{HUGE} steps exceed budget 2000000",
+                 id="constraint-positive-default"),
+    pytest.param(f"op h k=3 arity={HUGE} : 0 1 2",
+                 ["satisfies", "--fn", "g", "--constraint", "d"], 2,
+                 f"error: line 3: table length 3 != 3^{HUGE}",
+                 id="op-table-length"),
+])
+def test_huge_tuple_space_answers_in_one_line(entity, argv, code, message, tmp_path,
+                                              capsys):
+    path = tmp_path / "ws.gk"
+    path.write_text(f"galois-kit v1\nop g k=2 arity=1 : 0 1\n{entity}\n")
+    assert run(capsys, argv[0], "-w", str(path), *argv[1:]) == (code, message + "\n")

@@ -256,6 +256,9 @@ class TestAlgebra:
         )
         assert breadth(tight) == 2
         assert breadth(equality_cluster(2)) == INF
+        # 3^(10^8) tuples of mass 1 each, capped at 2
+        huge = Cluster(10**8, 3, frozenset({BoxedGenerator(RepetitionFunction(10**8, 3, 1), 2)}))
+        assert breadth(huge) == 2
 
 
 class TestDistinguishedClusters:

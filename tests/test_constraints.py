@@ -80,6 +80,19 @@ class TestRepetitionFunctionCanonical:
         assert phi.total() == 5 + 0 + 1 + 1
         assert RepetitionFunction(1, 2, INF).total() == INF
 
+    def test_total_up_to_a_limit(self):
+        phi = RepetitionFunction(2, 2, 1, {(0, 0): 5, (1, 1): 0})
+        assert [phi.total(limit) for limit in (0, 6, 7, 8, INF)] == [0, 6, 7, 7, 7]
+        assert RepetitionFunction(1, 2, INF).total(3) == 3
+
+    def test_huge_tuple_space_is_not_built(self):
+        # 3^(10^8) tuples: the default and a capped total never need them all
+        phi = RepetitionFunction(10**8, 3, 1)
+        assert phi.default == 1 and not phi.exceptions
+        assert phi.total(10) == 10
+        assert RepetitionFunction(10**8, 3, INF).total(10) == 10
+        assert RepetitionFunction(10**8, 3, 0).total() == 0
+
 
 tuples_k3 = st.tuples(st.integers(0, 2), st.integers(0, 2))
 
@@ -88,6 +101,14 @@ rfs_with_inf = st.builds(
     st.sampled_from([0, 1, 2, INF]),
     st.dictionaries(tuples_k3, st.sampled_from([0, 1, 2, 3, INF]), max_size=5),
 )
+
+
+class TestTotal:
+    @settings(max_examples=200, deadline=None)
+    @given(rfs_with_inf, st.sampled_from([0, 1, 5, 9, 12, 30, INF]))
+    def test_limit_caps_the_exact_total(self, phi, limit):
+        total = phi.total()
+        assert phi.total(limit) == (total if total <= limit else limit)
 
 
 class TestBounds:

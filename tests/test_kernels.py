@@ -14,6 +14,8 @@ the same order, the same clusters, and refuse the same cases.
 import random
 from itertools import product
 
+import pytest
+
 from galois_kit import (
     BoxedGenerator,
     BudgetExceededError,
@@ -55,7 +57,8 @@ from galois_kit import (
     split_enumerate,
     TupleMatrix,
 )
-from galois_kit.errors import DEFAULT_BUDGET
+from galois_kit.clusters import _antichain_cluster
+from galois_kit.errors import DEFAULT_BUDGET, _Meter
 
 UNLIMITED = float("inf")
 from galois_kit.extnat import ext_min
@@ -509,3 +512,42 @@ def test_materialized_minors_match_reference():
             assert format_cluster("c", got) == format_cluster("c", want)
         outcomes["cluster"] += 1
     assert min(outcomes.values()) >= 10, outcomes
+
+
+def _random_count_family(rng):
+    """Distinct count dicts over few tuples, so many lie below others."""
+    k, m = rng.choice([2, 3]), rng.randint(1, 2)
+    tuples = list(product(range(k), repeat=m))
+    family = {}
+    for _ in range(rng.randint(0, 40)):
+        support = rng.sample(tuples, rng.randint(0, min(len(tuples), 4)))
+        counts = {t: rng.randint(1, 3) for t in support}
+        family[frozenset(counts.items())] = counts
+    return m, k, list(family.values())
+
+
+def test_antichain_cluster_matches_reference():
+    rng = random.Random(3109)
+    dropped = 0
+    for _ in range(300):
+        m, k, members = _random_count_family(rng)
+        want = ref_antichain_cluster(m, k, [FiniteMultiset(m, s) for s in members])
+        got = _antichain_cluster(m, k, members)
+        assert got == want
+        dropped += len(members) - len(got.generators)
+    assert dropped >= 1000
+
+
+def test_antichain_comparisons_are_metered():
+    x, y, z, w = {(0,): 1, (1,): 2}, {(0,): 2}, {(0,): 1, (2,): 1}, {(2,): 1}
+    # largest first, each against the larger maxima kept: x against none,
+    # z and y against x, w against x and then z, which holds it: 0 + 1 + 1 + 2
+    members = [w, z, x, y]
+    with pytest.raises(BudgetExceededError) as info, _Meter(3):
+        _antichain_cluster(1, 3, members)
+    assert str(info.value) == "refusing antichain comparisons: 4 steps exceed budget 3"
+    with _Meter(4) as meter:
+        got = _antichain_cluster(1, 3, members)
+    assert meter.done == {"antichain comparisons": 4}
+    assert got == ref_antichain_cluster(1, 3, [FiniteMultiset(1, s) for s in members])
+    assert sorted(g.cap for g in got.generators) == [2, 2, 3]
