@@ -3,202 +3,24 @@
 Everything here works over explicit finite domains {0, ..., k-1} and is
 exhaustively checkable: operations are stored as value tables, constraints
 and clusters are finitely presented, and every satisfaction predicate is a
-brute-force enumeration with a deterministic witness order.
+brute-force enumeration with a deterministic witness order.  Each public
+name is declared once, in its module's ``__all__``.
 """
 
-from .errors import BudgetExceededError, GaloisKitError
-from .extnat import INF
-from .operations import (
-    Operation,
-    OperationClass,
-    all_operations,
-    close_composition,
-    close_perm_dummy,
-    delta,
-    linear_class_fixture,
-    minor_by_injection,
-    nabla,
-    projection,
-    star,
-    tau,
-    zeta,
-)
-from .multisets import (
-    FiniteMultiset,
-    TupleMatrix,
-    apply_op_rows,
-    columns_multiset,
-    enumerate_matrices_leq,
-    ms_diff,
-    ms_join,
-    ms_partitions,
-    ms_sub,
-    split_enumerate,
-)
-from .repetition import RepetitionFunction, rf_leq, rf_pointwise_inf
-from .constraints import (
-    ConstraintVerdict,
-    GeneralizedConstraint,
-    empty_constraint,
-    equality_constraint,
-    extend_consequent,
-    finite_restriction,
-    intersect_consequents,
-    maximal_elements,
-    precedes,
-    restrict_antecedent,
-    satisfies_constraint,
-    trivial_constraint,
-)
-from .minors import (
-    MinorScheme,
-    MinorVerdict,
-    apply_scheme_map,
-    compose_schemes,
-    is_conjunctive_minor_constraint,
-    is_extensive_rf_minor,
-    is_restrictive_rf_minor,
-    rf_minor_sum_check,
-    scheme_fixture,
-    tight_relation_minor,
-)
-from .clusters import (
-    BoxedGenerator,
-    Cluster,
-    ClusterVerdict,
-    breadth,
-    breadth_restrict,
-    cluster_intersect,
-    cluster_member,
-    cluster_minor_member,
-    cluster_union,
-    empty_cluster,
-    enumerate_cluster_members,
-    equality_cluster,
-    materialize_minor,
-    order_cluster,
-    quotient,
-    relation_cluster,
-    satisfies_cluster,
-    trivial_cluster,
-)
-from .galois import (
-    GaloisConfig,
-    c_pol,
-    cl_inv,
-    class_image,
-    f_pol,
-    gc_inv,
-    separating_cluster,
-    separating_constraint,
-)
-from .textio import (
-    HEADER,
-    Workspace,
-    format_class,
-    format_cluster,
-    format_constraint,
-    format_matrix,
-    format_multiset,
-    format_operation,
-    format_rf,
-    format_scheme,
-    parse_workspace,
-    parse_workspace_file,
-)
-from .verify import CheckResult, SUITE_NAMES, run_suite
+from .errors import *
+from .extnat import *
+from .operations import *
+from .multisets import *
+from .repetition import *
+from .constraints import *
+from .minors import *
+from .clusters import *
+from .galois import *
+from .textio import *
+from .verify import *
 
 __all__ = [
-    "BudgetExceededError",
-    "GaloisKitError",
-    "INF",
-    "Operation",
-    "OperationClass",
-    "all_operations",
-    "close_composition",
-    "close_perm_dummy",
-    "delta",
-    "linear_class_fixture",
-    "minor_by_injection",
-    "nabla",
-    "projection",
-    "star",
-    "tau",
-    "zeta",
-    "FiniteMultiset",
-    "TupleMatrix",
-    "apply_op_rows",
-    "columns_multiset",
-    "enumerate_matrices_leq",
-    "ms_diff",
-    "ms_join",
-    "ms_partitions",
-    "ms_sub",
-    "split_enumerate",
-    "RepetitionFunction",
-    "rf_leq",
-    "rf_pointwise_inf",
-    "ConstraintVerdict",
-    "GeneralizedConstraint",
-    "empty_constraint",
-    "equality_constraint",
-    "extend_consequent",
-    "finite_restriction",
-    "intersect_consequents",
-    "maximal_elements",
-    "precedes",
-    "restrict_antecedent",
-    "satisfies_constraint",
-    "trivial_constraint",
-    "MinorScheme",
-    "MinorVerdict",
-    "apply_scheme_map",
-    "compose_schemes",
-    "is_conjunctive_minor_constraint",
-    "is_extensive_rf_minor",
-    "is_restrictive_rf_minor",
-    "rf_minor_sum_check",
-    "scheme_fixture",
-    "tight_relation_minor",
-    "BoxedGenerator",
-    "Cluster",
-    "ClusterVerdict",
-    "breadth",
-    "breadth_restrict",
-    "cluster_intersect",
-    "cluster_member",
-    "cluster_minor_member",
-    "cluster_union",
-    "empty_cluster",
-    "enumerate_cluster_members",
-    "equality_cluster",
-    "materialize_minor",
-    "order_cluster",
-    "quotient",
-    "relation_cluster",
-    "satisfies_cluster",
-    "trivial_cluster",
-    "GaloisConfig",
-    "c_pol",
-    "cl_inv",
-    "class_image",
-    "f_pol",
-    "gc_inv",
-    "separating_cluster",
-    "separating_constraint",
-    "HEADER",
-    "Workspace",
-    "format_class",
-    "format_cluster",
-    "format_constraint",
-    "format_matrix",
-    "format_multiset",
-    "format_operation",
-    "format_rf",
-    "format_scheme",
-    "parse_workspace",
-    "parse_workspace_file",
-    "CheckResult",
-    "SUITE_NAMES",
-    "run_suite",
+    *errors.__all__, *extnat.__all__, *operations.__all__, *multisets.__all__,
+    *repetition.__all__, *constraints.__all__, *minors.__all__, *clusters.__all__,
+    *galois.__all__, *textio.__all__, *verify.__all__,
 ]

@@ -10,8 +10,9 @@ import json
 import sys
 from functools import cache
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError, GaloisKitError, NotSeparableError
-from .errors import _Meter
+from .errors import (
+    DEFAULT_BUDGET, BudgetExceededError, GaloisKitError, Meter, NotSeparableError,
+)
 from .operations import close_composition, close_perm_dummy
 from .constraints import satisfies_constraint
 from .clusters import ClusterVerdict, satisfies_cluster
@@ -306,7 +307,7 @@ def main(argv=None):
         return 2 if e.code not in (0, None) else 0
     report = _Reporter(args.format)
     try:
-        with _Meter(args.budget):  # every call the command makes charges it
+        with Meter(args.budget):  # every call the command makes charges it
             code = args.run(args, report)
     except BudgetExceededError as e:
         report.add("error", str(e))

@@ -14,7 +14,7 @@ from functools import partial
 from itertools import groupby, product
 from operator import itemgetter
 
-from .errors import DEFAULT_BUDGET, GaloisKitError, _Meter, _current_meter
+from .errors import GaloisKitError, Meter, _current_meter
 from .extnat import INF, ext_min, ext_sub, is_extnat
 from .multisets import (
     FiniteMultiset,
@@ -127,7 +127,6 @@ def _members(cluster, limit, meter):
     The generators' boxes are walked in ``sorted_generators`` order.
     """
     found = {}  # sorted elements -> counts
-    left, steps = meter.left("cluster members"), 0
     for gen in cluster.sorted_generators():
         box = gen.box
         support = box.positive_support()
@@ -135,20 +134,17 @@ def _members(cluster, limit, meter):
         if cap == INF:
             raise GaloisKitError("member enumeration needs a finite cardinality limit")
         counts = {}
-        for cols in _nondecreasing_selections(support, box.value, int(cap), counts):
-            steps += 1
-            if steps > left:
-                meter.charge("cluster members", steps)
+        selections = _nondecreasing_selections(support, box.value, int(cap), counts)
+        for cols in meter.counted("cluster members", selections):
             if cols not in found:
                 found[cols] = dict(counts)
-    meter.charge("cluster members", steps)
     return sorted(found.values(), key=lambda c: (sum(c.values()), sorted(c.items())))
 
 
-def enumerate_cluster_members(cluster, limit, budget=DEFAULT_BUDGET):
+def enumerate_cluster_members(cluster, limit):
     """All members of cardinality <= limit, each once, by cardinality, then
     by sorted (tuple, count) items: the order ``satisfies_cluster`` checks."""
-    with _Meter(budget) as meter:
+    with Meter() as meter:
         members = _members(cluster, limit, meter)
     return [FiniteMultiset(cluster.arity, c) for c in members]
 
@@ -165,7 +161,7 @@ class ClusterVerdict:
         return self.satisfied
 
 
-def satisfies_cluster(f, cluster, breadth_cap, budget=DEFAULT_BUDGET):
+def satisfies_cluster(f, cluster, breadth_cap):
     """Exhaustive cluster satisfaction at the given breadth bound.
 
     Checks every member S with |S| <= breadth_cap and every ordered
@@ -182,8 +178,7 @@ def satisfies_cluster(f, cluster, breadth_cap, budget=DEFAULT_BUDGET):
         )
     n = f.arity
     boxes = [(g.cap, g.box.bounds) for g in cluster.generators]
-    with _Meter(budget) as meter:
-        left, splits = meter.left("cluster splits"), 0
+    with Meter() as meter:
         for counts in _members(cluster, breadth_cap, meter):
             size = sum(counts.values()) - n + 1  # |f M1| + |M2|
             if size <= 0:
@@ -191,13 +186,12 @@ def satisfies_cluster(f, cluster, breadth_cap, budget=DEFAULT_BUDGET):
             # only generators whose cap admits the output size can admit it
             live = [bounds for cap, bounds in boxes if size <= cap]
             used = {}
-            for cols in _ordered_selections(sorted(counts), counts.get, n, used):
-                splits += 1
+            splits = _ordered_selections(sorted(counts), counts.get, n, used)
+            for cols in meter.counted("cluster splits", splits):
                 image = _apply_columns(f, cols)
                 out = {t: c - used.get(t, 0) for t, c in counts.items()}
                 out[image] = out.get(image, 0) + 1
-                if splits > left or not any(bounds(out) for bounds in live):
-                    meter.charge("cluster splits", splits)  # refuses past the budget
+                if not any(bounds(out) for bounds in live):
                     rest = dict(out)
                     rest[image] -= 1
                     witness = (
@@ -206,7 +200,6 @@ def satisfies_cluster(f, cluster, breadth_cap, budget=DEFAULT_BUDGET):
                         FiniteMultiset(cluster.arity, out),
                     )
                     return ClusterVerdict(False, breadth_cap, witness)
-        meter.charge("cluster splits", splits)
     return ClusterVerdict(True, breadth_cap)
 
 
@@ -387,7 +380,7 @@ def _minor_search(clusters, scheme):
     return _skolem_search(scheme, tests, clusters[0].domain_size)
 
 
-def materialize_minor(clusters, scheme, breadth_cap, budget=DEFAULT_BUDGET):
+def materialize_minor(clusters, scheme, breadth_cap):
     """Explicit antichain presentation of a cluster conjunctive minor.
 
     Enumerates every multiset up to the breadth cap through the
@@ -395,7 +388,7 @@ def materialize_minor(clusters, scheme, breadth_cap, budget=DEFAULT_BUDGET):
     generators (box = the multiset, cap = its cardinality).
     """
     clusters = list(clusters)
-    with _Meter(budget) as meter:
+    with Meter() as meter:
         exists = _minor_search(clusters, scheme)
         k = clusters[0].domain_size
         m = scheme.target

@@ -9,7 +9,7 @@ and is guarded by a work budget.
 
 from dataclasses import dataclass
 
-from .errors import DEFAULT_BUDGET, GaloisKitError, _Meter
+from .errors import GaloisKitError, Meter
 from .extnat import INF
 from .multisets import (
     TupleMatrix,
@@ -20,7 +20,6 @@ from .multisets import (
 from .repetition import RepetitionFunction, rf_leq
 
 __all__ = [
-    "DEFAULT_BUDGET",
     "ConstraintVerdict",
     "GeneralizedConstraint",
     "empty_constraint",
@@ -76,7 +75,7 @@ class ConstraintVerdict:
         return self.satisfied
 
 
-def satisfies_constraint(f, c, budget=DEFAULT_BUDGET):
+def satisfies_constraint(f, c):
     """Exhaustively decide whether f satisfies (phi, S).
 
     Enumerates every n-column matrix M with M < phi (n = arity of f), in
@@ -91,14 +90,11 @@ def satisfies_constraint(f, c, budget=DEFAULT_BUDGET):
     if f.codomain_size != c.codomain_size:
         raise GaloisKitError("operation codomain does not match the consequent alphabet")
     consequent = c.consequent
-    with _Meter(budget) as meter:
-        left, steps = meter.left("constraint matrices"), 0
-        for cols in _ordered_selections(phi.positive_support(), phi.value, f.arity, {}):
-            steps += 1
-            if steps > left or _apply_columns(f, cols) not in consequent:
-                meter.charge("constraint matrices", steps)  # refuses past the budget
+    with Meter() as meter:
+        selections = _ordered_selections(phi.positive_support(), phi.value, f.arity, {})
+        for cols in meter.counted("constraint matrices", selections):
+            if _apply_columns(f, cols) not in consequent:
                 return ConstraintVerdict(False, TupleMatrix(phi.arity, cols))
-        meter.charge("constraint matrices", steps)
     return ConstraintVerdict(True)
 
 

@@ -1,6 +1,8 @@
 from contextvars import ContextVar
 from math import log2
 
+__all__ = ["BudgetExceededError", "DEFAULT_BUDGET", "GaloisKitError", "Meter"]
+
 
 class GaloisKitError(Exception):
     """Base class for toolkit errors."""
@@ -16,7 +18,7 @@ DEFAULT_BUDGET = 2_000_000
 class BudgetExceededError(GaloisKitError):
     """Raised, instead of a possibly wrong answer, as soon as ``done``, the
     steps of ``phase`` in the outermost metered call, passes ``budget``.
-    An up-front charge too large to build is given as the text ``"k^m"``."""
+    An up-front charge too large to build is given as text, such as ``"k^m"``."""
 
     def __init__(self, phase, done, budget):
         self.phase, self.done, self.budget = phase, done, budget
@@ -26,45 +28,60 @@ class BudgetExceededError(GaloisKitError):
 _OPEN = ContextVar("galois_kit_meter", default=None)
 
 
-class _Meter:
-    """Steps per phase of the outermost metered call: ``with _Meter(budget)
-    as meter`` gives the open meter, or opens this one for the block."""
+class Meter:
+    """The work budget and the steps per phase of everything run inside
+    ``with Meter(budget) as meter:``; ``meter.done`` maps each phase to
+    its steps.  Opened inside an open meter, the block joins that one.
+    Every library call joins the open meter, or opens one at
+    ``DEFAULT_BUDGET`` for itself."""
 
     def __init__(self, budget=DEFAULT_BUDGET):
-        self.budget, self.done = budget, {}
+        self.budget, self.done, self.tokens = budget, {}, []
 
     def __enter__(self):
-        self.token = None if _OPEN.get() else _OPEN.set(self)
+        self.tokens.append(None if _OPEN.get() else _OPEN.set(self))
         return _OPEN.get()
 
     def __exit__(self, *exc):
-        if self.token:
-            _OPEN.reset(self.token)
-
-    def left(self, phase):
-        return self.budget - self.done.get(phase, 0)
+        token = self.tokens.pop()
+        if token:
+            _OPEN.reset(token)
 
     def charge(self, phase, steps=1):
         done = self.done[phase] = self.done.get(phase, 0) + steps
         if done > self.budget:
             raise BudgetExceededError(phase, done, self.budget)
 
-    def charge_power(self, phase, base, exp):
-        """Charge base ** exp steps up front.  A power over 2^64 times the
-        budget is refused without being built, and named as ``base^exp``."""
-        if exp * log2(base) > log2(self.budget + 1) + 64:
+    def charge_power(self, phase, base, exp, times=1):
+        """Charge times * base ** exp steps up front.  A charge over 2^64
+        times the budget is refused without being built, and named as
+        ``base^exp``, or ``times * base^exp``."""
+        limit = log2(self.budget + 1) + 64
+        if base > 1 and (exp > limit or exp * log2(base) + log2(times) > limit):
             done = self.done.get(phase, 0)
-            power = f"{base}^{exp}"
+            power = f"{base}^{exp}" if times == 1 else f"{times} * {base}^{exp}"
             raise BudgetExceededError(phase, f"{done} + {power}" if done else power,
                                       self.budget)
-        self.charge(phase, base ** exp)
+        self.charge(phase, times * base ** exp)
 
     def counted(self, phase, items):
-        for item in items:
-            self.charge(phase)
-            yield item
+        """The items, one ``phase`` step each: refused as soon as the phase
+        passes the budget, and the steps taken charged once, when the
+        stream ends or is dropped.  Streams of one phase run one after
+        another, never interleaved."""
+        left, taken = self.budget - self.done.get(phase, 0), 0
+        try:
+            for item in items:
+                taken += 1
+                if taken > left:  # refuse, leaving nothing to charge again
+                    steps, taken = taken, 0
+                    self.charge(phase, steps)
+                yield item
+        finally:
+            if taken:
+                self.charge(phase, taken)
 
 
 def _current_meter():
     """The open meter, or a new one at the default budget."""
-    return _OPEN.get() or _Meter()
+    return _OPEN.get() or Meter()

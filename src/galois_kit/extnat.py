@@ -10,6 +10,8 @@ import math
 
 from .errors import GaloisKitError
 
+__all__ = ["INF"]
+
 INF = math.inf
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, prod
 
-from .errors import DEFAULT_BUDGET, GaloisKitError, NotSeparableError, _Meter, _current_meter
+from .errors import GaloisKitError, Meter, NotSeparableError, _current_meter
 from .operations import OperationClass, all_operations, close_composition, close_perm_dummy
 from .multisets import (
     FiniteMultiset,
@@ -44,7 +44,7 @@ class GaloisConfig:
 
     n_max bounds function arities and the matrix widths of gc_inv,
     m_max bounds constraint arities, breadth bounds cluster member
-    cardinalities, budget bounds the steps of each phase of work.
+    cardinalities.
     """
 
     domain_size: int
@@ -52,7 +52,6 @@ class GaloisConfig:
     m_max: int
     breadth: int
     codomain_size: int = None
-    budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
         if self.codomain_size is None:
@@ -101,7 +100,7 @@ def gc_inv(cls_, cfg):
     """
     k = cls_.domain_size
     blocks = []  # (width, row count); no matrix has more than k^n distinct rows
-    with _Meter(cfg.budget) as meter:
+    with Meter() as meter:
         for n in range(1, cfg.n_max + 1):
             for m in range(1, min(cfg.m_max, k ** n) + 1):
                 meter.charge("invariant matrices", comb(k ** n, m))
@@ -117,16 +116,17 @@ def gc_inv(cls_, cfg):
 def _pol(cfg, codomain_size, accepts):
     """All operations of arity <= n_max into the codomain that ``accepts`` keeps.
 
-    The codomain_size^(k^n) tables of each arity are charged up front, in
-    order of arity, so an oversized sweep refuses before testing any.
+    The codomain_size^(k^n) tables of each arity, k^n entries each, are
+    charged up front, in order of arity, so an oversized sweep refuses
+    before building any.
     """
-    arities = range(1, cfg.n_max + 1)
-    out = OperationClass(cfg.domain_size, codomain_size)
-    with _Meter(cfg.budget) as meter:
+    k, arities = cfg.domain_size, range(1, cfg.n_max + 1)
+    out = OperationClass(k, codomain_size)
+    with Meter() as meter:
         for n in arities:
-            meter.charge("operation tables", codomain_size ** (cfg.domain_size ** n))
+            meter.charge_power("operation tables", codomain_size, k ** n, k ** n)
         for n in arities:
-            for op in all_operations(cfg.domain_size, n, codomain_size):
+            for op in all_operations(k, n, codomain_size):
                 if accepts(op):
                     out.add(op)
     return out
@@ -173,7 +173,7 @@ def _inv_cluster_for_arity(closed, matrix):
 def cl_inv(cls_, cfg):
     """The proof-canonical invariant clusters of a class, one per arity <= n_max."""
     k = cls_.domain_size
-    with _Meter(cfg.budget):
+    with Meter():
         closed = close_composition(cls_, max(cfg.n_max, cls_.max_arity or 1))
         return [
             _inv_cluster_for_arity(closed, _all_rows(k, n)) for n in range(1, cfg.n_max + 1)
@@ -219,7 +219,7 @@ def separating_cluster(cls_, g, cfg):
     on both sides before returning (members at arities <= n_max checked
     at the configured breadth, g checked on the all-rows witness).
     """
-    with _Meter(cfg.budget):
+    with Meter():
         n = g.arity
         closed = close_composition(cls_, max(n, cls_.max_arity or 1, cfg.n_max))
         if g in closed:

@@ -269,7 +269,9 @@ def close_composition(cls_, arity_cap):
 
     for n in range(1, arity_cap + 1):
         for i in range(1, n + 1):
-            push(projection(n, i, k))
+            meter.charge_power("closure", k, n)  # before its k^n entries are built
+            worklist.append(projection(n, i, k))  # the projections are distinct
+            out.add(worklist[-1])
     for op in cls_:
         push(op)
 

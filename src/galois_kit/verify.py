@@ -288,16 +288,6 @@ def suite_claim1(instances=100, seed=1205):
             MinorScheme(len(h), inner.indeterminates, inner.maps)
             for h, inner in zip(outer.maps, inners)
         ]
-        fixed = []
-        for h, inner in zip(outer.maps, inners):
-            maps = tuple(
-                tuple(
-                    e if isinstance(e, str) else e % len(h) for e in hm
-                )
-                for hm in inner.maps
-            )
-            fixed.append(MinorScheme(len(h), inner.indeterminates, maps))
-        inners = fixed
         relations = [
             [
                 frozenset(

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -278,9 +279,9 @@ cluster pair arity=1 k=2 { gen cap=inf rf=[default=0 { 0 -> inf ; 1 -> inf }] }
     pytest.param(["satisfies", "--fn", "NOT", "--cluster", "pair", "--breadth", "3"], 10,
                  "cluster splits", 11, id="satisfies-cluster-splits"),
     pytest.param(["pol", "--kind", "constraint", "--names", "ord", "--cap", "2"], 10,
-                 "operation tables", 20, id="pol-constraint"),
+                 "operation tables", 72, id="pol-constraint"),
     pytest.param(["pol", "--kind", "cluster", "--names", "pair", "--cap", "2"], 10,
-                 "operation tables", 20, id="pol-cluster"),
+                 "operation tables", 72, id="pol-cluster"),
     # the closure pushes the 2-entry unary and then a 4-entry binary projection
     pytest.param(["inv", "--class", "proj2", "--kind", "cluster", "--cap", "2"], 5,
                  "closure", 6, id="inv-cluster"),
@@ -400,9 +401,41 @@ HUGE = "100000000"
                  ["satisfies", "--fn", "g", "--constraint", "d"], 2,
                  f"error: line 3: table length 3 != 3^{HUGE}",
                  id="op-table-length"),
+    # 1400^1400 candidate tables of 1400 entries, refused by their logarithm
+    pytest.param("cluster c arity=1 k=1400 { }",
+                 ["pol", "--kind", "cluster", "--names", "c", "--cap", "1"], 3,
+                 "error: refusing operation tables: 1400 * 1400^1400 steps exceed budget 2000000",
+                 id="pol-cluster-alphabet"),
+    pytest.param("constraint d : rf=[arity=1 k=1400 default=0 { }] k_out=2000 consequent={ }",
+                 ["pol", "--kind", "constraint", "--names", "d", "--cap", "1"], 3,
+                 "error: refusing operation tables: 1400 * 2000^1400 steps exceed budget 2000000",
+                 id="pol-constraint-codomain"),
 ])
 def test_huge_tuple_space_answers_in_one_line(entity, argv, code, message, tmp_path,
                                               capsys):
     path = tmp_path / "ws.gk"
     path.write_text(f"galois-kit v1\nop g k=2 arity=1 : 0 1\n{entity}\n")
     assert run(capsys, argv[0], "-w", str(path), *argv[1:]) == (code, message + "\n")
+
+
+def test_pol_charges_table_entries(tmp_path, capsys):
+    # one table per arity into a codomain of size 1, of 2^n entries each:
+    # 2 + 4 + 8 + 16 + 32 entries fit the budget, the 64 of arity 6 do not
+    path = tmp_path / "ws.gk"
+    path.write_text("galois-kit v1\nconstraint one : rf=[arity=1 k=2 default=0 { }] "
+                    "k_out=1 consequent={ (0) }\n")
+    assert run(capsys, "pol", "-w", str(path), "--kind", "constraint", "--names", "one",
+               "--cap", "30", "--budget", "100") == (
+        3, "error: refusing operation tables: 126 steps exceed budget 100\n")
+
+
+def test_huge_alphabet_closure_refuses_before_building(tmp_path, capsys):
+    # the unary projection alone would be a table of 10^8 entries
+    path = tmp_path / "ws.gk"
+    path.write_text("galois-kit v1\nclass c k=100000000,100000000 {\n}\n")
+    start = time.perf_counter()
+    code, out = run(capsys, "inv", "-w", str(path), "--class", "c", "--kind", "cluster",
+                    "--cap", "2")
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out.endswith("error: refusing closure: 100000000 steps exceed budget 2000000\n")

@@ -10,6 +10,7 @@ from galois_kit import (
     FiniteMultiset,
     GaloisKitError,
     INF,
+    Meter,
     MinorScheme,
     Operation,
     RepetitionFunction,
@@ -211,8 +212,8 @@ class TestSatisfaction:
             frozenset({BoxedGenerator(RepetitionFunction.constant(3, 2, 1), 2)}),
         )
         f = Operation(2, 2, 1, (0, 1))
-        with pytest.raises(BudgetExceededError):
-            satisfies_cluster(f, wide, 2, budget=3)
+        with pytest.raises(BudgetExceededError), Meter(3):
+            satisfies_cluster(f, wide, 2)
 
 
 class TestAlgebra:

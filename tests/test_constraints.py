@@ -7,6 +7,7 @@ from galois_kit import (
     GaloisKitError,
     GeneralizedConstraint,
     INF,
+    Meter,
     Operation,
     RepetitionFunction,
     TupleMatrix,
@@ -168,8 +169,8 @@ class TestSatisfiesConstraint:
     def test_budget_refusal(self):
         c = trivial_constraint(2, 2)
         f = Operation(2, 2, 2, (0, 0, 0, 1))
-        with pytest.raises(BudgetExceededError):
-            satisfies_constraint(f, c, budget=3)
+        with pytest.raises(BudgetExceededError), Meter(3):
+            satisfies_constraint(f, c)
 
     def test_alphabet_mismatch_rejected(self):
         c = equality_constraint(2, 3)

@@ -32,7 +32,7 @@ from galois_kit import (
     equality_constraint,
     trivial_constraint,
 )
-from galois_kit.errors import NotSeparableError, _Meter
+from galois_kit.errors import Meter, NotSeparableError
 from galois_kit.galois import _all_rows, _inv_cluster_for_arity
 
 LEQ = frozenset({(0, 0), (0, 1), (1, 1)})
@@ -104,32 +104,34 @@ class TestGcInvFPol:
         proj = OperationClass(2, members=[projection(2, 1, 2)])
         # C(k^n, m) for n <= 2, m <= 4, charged in order: 2 + 1 + 0 + 0 + 4 + 6
         # passes 10 before any matrix is built; all of them make 18
-        cfg = GaloisConfig(2, n_max=2, m_max=4, breadth=2, budget=10)
-        with pytest.raises(BudgetExceededError) as info:
+        cfg = GaloisConfig(2, n_max=2, m_max=4, breadth=2)
+        with pytest.raises(BudgetExceededError) as info, Meter(10):
             gc_inv(proj, cfg)
         error = info.value
         assert (error.phase, error.done, error.budget) == ("invariant matrices", 13, 10)
-        cfg = GaloisConfig(2, n_max=2, m_max=4, breadth=2, budget=18)
-        assert len(gc_inv(proj, cfg)) == 18
+        with Meter(18):
+            assert len(gc_inv(proj, cfg)) == 18
 
     def test_nested_calls_share_the_meter(self):
         # each of the 20 checks c_pol makes walks at most 6 members, 120 in all
         cluster = relation_cluster({(0,), (1,)}, 1, 2)
         ops = [f for n in (1, 2) for f in all_operations(2, n)]
-        assert all(satisfies_cluster(f, cluster, 2, budget=6) for f in ops)
-        cfg = GaloisConfig(2, n_max=2, m_max=1, breadth=2, budget=100)
-        with pytest.raises(BudgetExceededError) as info:
+        for f in ops:
+            with Meter(6):
+                assert satisfies_cluster(f, cluster, 2)
+        cfg = GaloisConfig(2, n_max=2, m_max=1, breadth=2)
+        with pytest.raises(BudgetExceededError) as info, Meter(100):
             c_pol([cluster], cfg)
         assert str(info.value) == "refusing cluster members: 101 steps exceed budget 100"
-        with _Meter() as meter:
+        with Meter() as meter:
             assert len(c_pol([cluster], cfg)) == 20  # joins the open meter
-        assert meter.done == {"operation tables": 20, "support tuples": 40,
+        assert meter.done == {"operation tables": 72, "support tuples": 40,
                               "cluster members": 120, "cluster splits": 88}
 
     def test_invariant_cluster_members_are_metered(self):
         # cl_inv's closure charges more steps first, so this is asked directly
         closed = close_composition(OperationClass(2, members=[projection(2, 1, 2)]), 2)
-        with pytest.raises(BudgetExceededError) as info, _Meter(2):
+        with pytest.raises(BudgetExceededError) as info, Meter(2):
             _inv_cluster_for_arity(closed, _all_rows(2, 2))
         # one member from the partition {0} {1}, two from {0, 1}
         assert str(info.value) == "refusing invariant cluster members: 3 steps exceed budget 2"

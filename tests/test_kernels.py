@@ -58,7 +58,7 @@ from galois_kit import (
     TupleMatrix,
 )
 from galois_kit.clusters import _antichain_cluster
-from galois_kit.errors import DEFAULT_BUDGET, _Meter
+from galois_kit.errors import DEFAULT_BUDGET, Meter
 
 UNLIMITED = float("inf")
 from galois_kit.extnat import ext_min
@@ -260,9 +260,11 @@ def _assert_agrees(want, kernel, *args, budget):
     and at ``budget`` gives it too or refuses having done more steps than
     ``budget``, which is then below the default.  Returns the outcome at
     ``budget``, or "refused"."""
-    _assert_same(_outcome(kernel, *args, UNLIMITED), want)
+    with Meter(UNLIMITED):
+        _assert_same(_outcome(kernel, *args), want)
     try:
-        got = _outcome(kernel, *args, budget)
+        with Meter(budget):
+            got = _outcome(kernel, *args)
     except BudgetExceededError as e:
         assert e.done > e.budget == budget
         assert budget < DEFAULT_BUDGET
@@ -543,10 +545,10 @@ def test_antichain_comparisons_are_metered():
     # largest first, each against the larger maxima kept: x against none,
     # z and y against x, w against x and then z, which holds it: 0 + 1 + 1 + 2
     members = [w, z, x, y]
-    with pytest.raises(BudgetExceededError) as info, _Meter(3):
+    with pytest.raises(BudgetExceededError) as info, Meter(3):
         _antichain_cluster(1, 3, members)
     assert str(info.value) == "refusing antichain comparisons: 4 steps exceed budget 3"
-    with _Meter(4) as meter:
+    with Meter(4) as meter:
         got = _antichain_cluster(1, 3, members)
     assert meter.done == {"antichain comparisons": 4}
     assert got == ref_antichain_cluster(1, 3, [FiniteMultiset(1, s) for s in members])

@@ -25,7 +25,7 @@ from galois_kit import (
     trivial_cluster,
     trivial_constraint,
 )
-from galois_kit.errors import _Meter
+from galois_kit.errors import Meter
 from galois_kit.minors import skolem_maps
 
 
@@ -269,7 +269,7 @@ class TestSchemeFixtures:
 
 def _refusal(call, budget):
     """The message of the refusal of call() inside a meter of this budget."""
-    with pytest.raises(BudgetExceededError) as info, _Meter(budget):
+    with pytest.raises(BudgetExceededError) as info, Meter(budget):
         call()
     assert info.value.done > info.value.budget == budget
     return str(info.value)
@@ -294,7 +294,8 @@ class TestMetering:
     def test_materialized_minor_charges_minor_multisets(self):
         # (), (0), (0 0), (0 1), then (1) is the fifth multiset of breadth <= 2
         args = ([trivial_cluster(1, 3, 2)], MinorScheme(1, (), ((0,),)), 2)
-        with pytest.raises(BudgetExceededError) as info:
-            materialize_minor(*args, budget=4)
+        with pytest.raises(BudgetExceededError) as info, Meter(4):
+            materialize_minor(*args)
         assert str(info.value) == "refusing minor multisets: 5 steps exceed budget 4"
-        assert len(materialize_minor(*args, budget=6).generators) == 3
+        with Meter(6):
+            assert len(materialize_minor(*args).generators) == 3

@@ -20,7 +20,7 @@ from galois_kit import (
     tau,
     zeta,
 )
-from galois_kit.errors import _Meter
+from galois_kit.errors import Meter
 
 
 def op(table, arity, k=2):
@@ -189,11 +189,11 @@ def test_close_composition_is_exact_below_its_cap(caps, generators):
 
 
 def test_closures_charge_table_entries_and_member_pairs():
-    with _Meter() as meter:
+    with Meter() as meter:
         close_perm_dummy(OperationClass(2, members=[NOT]), 2)
     # NOT itself, then its two binary images of 4 entries each
     assert meter.done == {"closure": 2 + 2 * 4}
-    with _Meter() as meter:
+    with Meter() as meter:
         close_composition(OperationClass(2, members=[NOT]), 1)
     # the projection and NOT are pushed (2 entries each); popping either
     # pushes zeta, tau and four stars (2 entries each) and scans 2 pairs
