@@ -244,6 +244,8 @@ def _build_parser():
         p.add_argument("--workspace", "-w", action="append", metavar="FILE",
                        help="input file (repeatable)")
         p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
+        p.add_argument("--stats", action="store_true",
+                       help="print the work meter's steps per phase")
         if breadth:
             p.add_argument("--breadth", type=int, default=None)
 
@@ -294,7 +296,7 @@ def _build_parser():
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=SUITE_NAMES)
     # the fixed suites take no --budget and run without one
-    p.set_defaults(run=cmd_verify, budget=float("inf"))
+    p.set_defaults(run=cmd_verify, budget=float("inf"), stats=False)
 
     return parser
 
@@ -306,17 +308,19 @@ def main(argv=None):
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     report = _Reporter(args.format)
+    meter = Meter(args.budget)
     try:
-        with Meter(args.budget):  # every call the command makes charges it
+        with meter:  # every call the command makes charges it
             code = args.run(args, report)
     except BudgetExceededError as e:
         report.add("error", str(e))
-        report.emit()
-        return 3
+        code = 3
     except (GaloisKitError, OSError) as e:
         report.add("error", str(e))
-        report.emit()
-        return 2
+        code = 2
+    if args.stats:
+        for phase in sorted(meter.done):
+            report.add("stats." + phase.replace(" ", "_"), meter.done[phase])
     report.emit()
     return code
 

@@ -9,14 +9,9 @@ and is guarded by a work budget.
 
 from dataclasses import dataclass
 
-from .errors import GaloisKitError, Meter
+from .errors import GaloisKitError, Meter, _current_meter
 from .extnat import INF
-from .multisets import (
-    TupleMatrix,
-    _apply_columns,
-    _ordered_selections,
-    columns_multiset,
-)
+from .multisets import TupleMatrix, _ordered_selections, _row_ranks, columns_multiset
 from .repetition import RepetitionFunction, rf_leq
 
 __all__ = [
@@ -75,26 +70,43 @@ class ConstraintVerdict:
         return self.satisfied
 
 
+def _check_alphabets(domain_size, codomain_size, c):
+    """Refuse an operation alphabet that does not match the constraint's."""
+    if domain_size != c.antecedent.domain_size:
+        raise GaloisKitError("operation domain does not match the antecedent domain")
+    if codomain_size != c.codomain_size:
+        raise GaloisKitError("operation codomain does not match the consequent alphabet")
+
+
+def _tests(phi, n):
+    """The tests of phi on n-ary operations: every n-column matrix M < phi
+    as ``(cols, ranks)``, in the order of ``enumerate_matrices_leq``.
+
+    ``ranks`` is the row-rank vector of M, so an operation f maps M to
+    the tuple of f.table at those ranks.  Each matrix is a "constraint
+    matrices" step of the open meter.
+    """
+    k = phi.domain_size
+    selections = _ordered_selections(phi.positive_support(), phi.value, n, {})
+    for cols in _current_meter().counted("constraint matrices", selections):
+        yield cols, _row_ranks(k, cols)
+
+
 def satisfies_constraint(f, c):
     """Exhaustively decide whether f satisfies (phi, S).
 
-    Enumerates every n-column matrix M with M < phi (n = arity of f), in
+    Tests f on every n-column matrix M with M < phi (n = arity of f), in
     the order of ``enumerate_matrices_leq``, and checks f M in S; the
     first counterexample in that order is the witness.  Each matrix is a
     "constraint matrices" step; past the budget the check is refused,
     never answered wrongly.
     """
-    phi = c.antecedent
-    if f.domain_size != phi.domain_size:
-        raise GaloisKitError("operation domain does not match the antecedent domain")
-    if f.codomain_size != c.codomain_size:
-        raise GaloisKitError("operation codomain does not match the consequent alphabet")
-    consequent = c.consequent
-    with Meter() as meter:
-        selections = _ordered_selections(phi.positive_support(), phi.value, f.arity, {})
-        for cols in meter.counted("constraint matrices", selections):
-            if _apply_columns(f, cols) not in consequent:
-                return ConstraintVerdict(False, TupleMatrix(phi.arity, cols))
+    _check_alphabets(f.domain_size, f.codomain_size, c)
+    consequent, table = c.consequent, f.table
+    with Meter():
+        for cols, ranks in _tests(c.antecedent, f.arity):
+            if tuple([table[r] for r in ranks]) not in consequent:
+                return ConstraintVerdict(False, TupleMatrix(c.arity, cols))
     return ConstraintVerdict(True)
 
 

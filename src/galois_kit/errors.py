@@ -1,7 +1,9 @@
 from contextvars import ContextVar
 from math import log2
 
-__all__ = ["BudgetExceededError", "DEFAULT_BUDGET", "GaloisKitError", "Meter"]
+__all__ = [
+    "BudgetExceededError", "DEFAULT_BUDGET", "GaloisKitError", "Meter", "NotSeparableError",
+]
 
 
 class GaloisKitError(Exception):

@@ -12,7 +12,9 @@ from itertools import combinations, product
 from math import comb, prod
 
 from .errors import GaloisKitError, Meter, NotSeparableError, _current_meter
-from .operations import OperationClass, all_operations, close_composition, close_perm_dummy
+from .operations import (
+    Operation, OperationClass, all_operations, close_composition, close_perm_dummy,
+)
 from .multisets import (
     FiniteMultiset,
     TupleMatrix,
@@ -23,7 +25,7 @@ from .multisets import (
     columns_multiset,
 )
 from .repetition import RepetitionFunction
-from .constraints import GeneralizedConstraint, satisfies_constraint
+from .constraints import GeneralizedConstraint, _check_alphabets, _tests
 from .clusters import _antichain_cluster, cluster_member, satisfies_cluster
 
 __all__ = [
@@ -113,33 +115,83 @@ def gc_inv(cls_, cfg):
         ]
 
 
-def _pol(cfg, codomain_size, accepts):
-    """All operations of arity <= n_max into the codomain that ``accepts`` keeps.
+def _charge_tables(meter, cfg, codomain_size):
+    """Charge the codomain_size^(k^n) tables of each arity, k^n entries
+    each, up front, in order of arity, so an oversized sweep refuses
+    before building any."""
+    for n in range(1, cfg.n_max + 1):
+        k_n = cfg.domain_size ** n
+        meter.charge_power("operation tables", codomain_size, k_n, k_n)
 
-    The codomain_size^(k^n) tables of each arity, k^n entries each, are
-    charged up front, in order of arity, so an oversized sweep refuses
-    before building any.
-    """
-    k, arities = cfg.domain_size, range(1, cfg.n_max + 1)
-    out = OperationClass(k, codomain_size)
+
+def _pol(cfg, codomain_size, accepts):
+    """All operations of arity <= n_max into the codomain that ``accepts`` keeps."""
+    out = OperationClass(cfg.domain_size, codomain_size)
     with Meter() as meter:
-        for n in arities:
-            meter.charge_power("operation tables", codomain_size, k ** n, k ** n)
-        for n in arities:
-            for op in all_operations(k, n, codomain_size):
+        _charge_tables(meter, cfg, codomain_size)
+        for n in range(1, cfg.n_max + 1):
+            for op in all_operations(cfg.domain_size, n, codomain_size):
                 if accepts(op):
                     out.add(op)
     return out
 
 
+def _satisfying_tables(constraints, cfg):
+    """Every table of arity <= n_max satisfying all the constraints, as
+    (arity, table), in order of arity and then of table.
+
+    At each arity n the tests of every constraint are read once and
+    merged by rank vector: one test per distinct rank vector, allowing
+    the intersection of the consequents that share it.  Each table meets
+    the merged tests most restrictive first (the smallest share of the
+    k_out^m tuples allowed, ties by rank vector), so a rejected table
+    usually fails its first few; each test evaluated is a "sweep tests"
+    step.
+    """
+    k, k_out = cfg.domain_size, cfg.codomain_size
+    meter = _current_meter()
+    for n in range(1, cfg.n_max + 1):
+        merged = {}  # rank vector -> the tuples every constraint allows there
+        for c in constraints:
+            for _, ranks in _tests(c.antecedent, n):
+                ranks = tuple(ranks)
+                allowed = merged.get(ranks)
+                merged[ranks] = c.consequent if allowed is None else allowed & c.consequent
+        tests = sorted(merged.items(), key=lambda t: (len(t[1]) / k_out ** len(t[0]), t[0]))
+        for table in product(range(k_out), repeat=k ** n):
+            for i, (ranks, allowed) in enumerate(tests):
+                if tuple([table[r] for r in ranks]) not in allowed:
+                    meter.charge("sweep tests", i + 1)
+                    break
+            else:
+                meter.charge("sweep tests", len(tests))
+                yield n, table
+
+
 def f_pol(constraints, cfg):
-    """All operations of arity <= n_max satisfying every constraint."""
+    """All operations of arity <= n_max satisfying every constraint.
+
+    The candidate tables are charged up front.  A constraint over another
+    alphabet than the configuration's is an error once some table
+    satisfies every constraint before it, as it is for
+    ``satisfies_constraint`` on that table; if none does, the class is
+    empty.
+    """
     constraints = list(constraints)
-    return _pol(
-        cfg,
-        cfg.codomain_size,
-        lambda op: all(satisfies_constraint(op, c) for c in constraints),
-    )
+    k, k_out = cfg.domain_size, cfg.codomain_size
+    out = OperationClass(k, k_out)
+    with Meter() as meter:
+        _charge_tables(meter, cfg, k_out)
+        for j, c in enumerate(constraints):
+            try:
+                _check_alphabets(k, k_out, c)
+            except GaloisKitError:
+                if next(_satisfying_tables(constraints[:j], cfg), None):
+                    raise
+                return out  # no table reaches the mismatched constraint
+        for n, table in _satisfying_tables(constraints, cfg):
+            out.add(Operation(k, k_out, n, table))
+    return out
 
 
 def _inv_cluster_for_arity(closed, matrix):

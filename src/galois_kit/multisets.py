@@ -220,19 +220,24 @@ def apply_op_rows(f, m):
     return _apply_columns(f, m.columns)
 
 
-def _apply_columns(f, columns):
-    """f applied row-wise to the matrix with these columns, unchecked.
-
-    The rank of each row is built column by column (leftmost column most
-    significant) and read straight from ``f.table``; callers guarantee
-    len(columns) == f.arity and entries below f.domain_size.
-    """
-    k = f.domain_size
+def _row_ranks(k, columns):
+    """The rank of each row of the matrix with these columns over domain
+    size k, built column by column (leftmost column most significant), as
+    a sequence."""
     ranks = columns[0]
     for col in columns[1:]:
         ranks = [r * k + x for r, x in zip(ranks, col)]
+    return ranks
+
+
+def _apply_columns(f, columns):
+    """f applied row-wise to the matrix with these columns, unchecked.
+
+    Each row's rank is read straight from ``f.table``; callers guarantee
+    len(columns) == f.arity and entries below f.domain_size.
+    """
     table = f.table
-    return tuple([table[r] for r in ranks])
+    return tuple([table[r] for r in _row_ranks(f.domain_size, columns)])
 
 
 def _nondecreasing_selections(support, bound, cap, counts):

@@ -282,6 +282,9 @@ cluster pair arity=1 k=2 { gen cap=inf rf=[default=0 { 0 -> inf ; 1 -> inf }] }
                  "operation tables", 72, id="pol-constraint"),
     pytest.param(["pol", "--kind", "cluster", "--names", "pair", "--cap", "2"], 10,
                  "operation tables", 72, id="pol-cluster"),
+    # the 72 table entries fit; a table's tests are charged together, passing 80 at 82
+    pytest.param(["pol", "--kind", "constraint", "--names", "ord", "--cap", "2"], 80,
+                 "sweep tests", 82, id="pol-constraint-sweep"),
     # the closure pushes the 2-entry unary and then a 4-entry binary projection
     pytest.param(["inv", "--class", "proj2", "--kind", "cluster", "--cap", "2"], 5,
                  "closure", 6, id="inv-cluster"),
@@ -439,3 +442,34 @@ def test_huge_alphabet_closure_refuses_before_building(tmp_path, capsys):
     assert time.perf_counter() - start < 1
     assert code == 3
     assert out.endswith("error: refusing closure: 100000000 steps exceed budget 2000000\n")
+
+
+class TestStats:
+    """``--stats`` prints the CLI meter's steps per phase after the command."""
+
+    def test_pol_compiles_each_constraint_once_per_arity(self, ws_file, capsys):
+        code, out = run(capsys, "pol", "-w", ws_file, "--kind", "constraint",
+                        "--names", "ord,eq2", "--cap", "2", "--stats")
+        assert code == 0
+        stats = [line for line in out.splitlines() if line.startswith("stats.")]
+        # ord: 3 one-column and 9 two-column matrices; eq2: 2 and 4
+        assert "stats.constraint_matrices: 18" in stats
+        assert "stats.operation_tables: 72" in stats
+        assert stats == sorted(stats)
+        assert out.endswith(stats[-1] + "\n")
+
+    def test_stats_follow_a_refusal(self, ws_file, capsys):
+        code, out = run(capsys, "--format", "json-lines", "pol", "-w", ws_file,
+                        "--kind", "constraint", "--names", "ord", "--cap", "2",
+                        "--budget", "30", "--stats")
+        assert code == 3
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {"error": "refusing operation tables: 72 steps exceed budget 30"},
+            {"stats.operation_tables": "72"},
+        ]
+
+    def test_without_the_flag_no_stats(self, ws_file, capsys):
+        code, out = run(capsys, "pol", "-w", ws_file, "--kind", "constraint",
+                        "--names", "ord", "--cap", "2")
+        assert code == 0
+        assert "stats." not in out

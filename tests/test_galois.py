@@ -256,3 +256,12 @@ def test_separating_a_member_raises_not_separable():
         separating_constraint(proj, member)
     with pytest.raises(NotSeparableError):
         separating_cluster(proj, member, cfg)
+
+
+def test_not_separable_error_is_exported():
+    import galois_kit
+
+    assert "NotSeparableError" in galois_kit.errors.__all__
+    assert galois_kit.NotSeparableError is galois_kit.errors.NotSeparableError
+    with pytest.raises(galois_kit.NotSeparableError):
+        separating_constraint(projections2(), projection(2, 1, 2))

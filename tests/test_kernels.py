@@ -58,6 +58,7 @@ from galois_kit import (
     TupleMatrix,
 )
 from galois_kit.clusters import _antichain_cluster
+from galois_kit.constraints import _tests
 from galois_kit.errors import DEFAULT_BUDGET, Meter
 
 UNLIMITED = float("inf")
@@ -317,6 +318,22 @@ def test_constraint_kernel_matches_reference():
             verdicts["refused"] += 1
         verdicts[want.satisfied] += 1
     assert min(verdicts.values()) >= 20, verdicts
+
+
+def test_constraint_tests_are_the_matrices_in_order_with_their_row_ranks():
+    rng = random.Random(3102)
+    for _ in range(150):
+        k = rng.choice([2, 3])
+        n = rng.randint(1, 3)
+        m = rng.randint(1, 3 if k == 2 else 2)
+        phi = _random_rf(rng, m, k, positive_default=rng.random() < 0.2)
+        with Meter(UNLIMITED):
+            tests = list(_tests(phi, n))
+            want = list(enumerate_matrices_leq(phi, n))
+        assert [TupleMatrix(m, cols) for cols, _ in tests] == want
+        assert [list(ranks) for _, ranks in tests] == [
+            [sum(x * k ** (n - 1 - j) for j, x in enumerate(row)) for row in matrix.rows()]
+            for matrix in want]
 
 
 def _cluster_cases(rng):

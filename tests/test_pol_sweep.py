@@ -1,0 +1,151 @@
+"""The compiled ``f_pol`` sweep against the sweep it replaced.
+
+The oracle is the earlier ``f_pol``: ``galois._pol`` over every table,
+keeping the operations for which ``satisfies_constraint`` holds on every
+constraint in turn.  The compiled sweep must return the same class, or
+refuse with the same error, on randomized families.
+"""
+
+import random
+from itertools import product
+
+import pytest
+
+from galois_kit import (
+    BudgetExceededError,
+    GaloisConfig,
+    GaloisKitError,
+    GeneralizedConstraint,
+    Meter,
+    OperationClass,
+    RepetitionFunction,
+    enumerate_matrices_leq,
+    f_pol,
+    gc_inv,
+    satisfies_constraint,
+    trivial_constraint,
+)
+from galois_kit.errors import DEFAULT_BUDGET
+from galois_kit.extnat import INF
+from galois_kit.galois import _pol
+from galois_kit.verify import _monotone_ops
+
+
+def ref_f_pol(constraints, cfg):
+    constraints = list(constraints)
+    return _pol(cfg, cfg.codomain_size,
+                lambda op: all(satisfies_constraint(op, c) for c in constraints))
+
+
+def _outcome(fn, *args):
+    with Meter(INF):
+        try:
+            return fn(*args)
+        except GaloisKitError as e:
+            return (type(e).__name__, str(e))
+
+
+def _random_constraint(rng, m, k, k_out, phi=None):
+    if phi is None:
+        exc = {}
+        for _ in range(rng.randint(0, 4)):
+            exc[tuple(rng.randrange(k) for _ in range(m))] = rng.choice([0, 1, 2, 3, INF])
+        phi = RepetitionFunction(m, k, rng.choice([0, 0, 0, 1, INF]), exc)
+    space = list(product(range(k_out), repeat=m))
+    consequent = rng.sample(space, rng.randint(0, len(space)))
+    return GeneralizedConstraint(phi, consequent, k_out)
+
+
+def _random_case(rng):
+    k = rng.choice([2, 3])
+    k_out = rng.choice([k, k, 2, 3])
+    # at most 4,096 tables of the top arity, so the oracle stays quick
+    n_max = rng.randint(1, max(n for n in (1, 2, 3) if k_out ** (k ** n) <= 4096))
+    family = []
+    for _ in range(rng.randint(1, 3)):
+        m = rng.randint(1, 3 if k == 2 else 2)
+        if family and rng.random() < 0.3:
+            # a second consequent on an earlier antecedent: shared rank vectors
+            m = family[-1].arity
+            family.append(_random_constraint(rng, m, k, k_out, family[-1].antecedent))
+        else:
+            family.append(_random_constraint(rng, m, k, k_out))
+    if rng.random() < 0.15:
+        # one constraint over another alphabet
+        k2, k2_out = (k, 5 - k_out) if rng.random() < 0.5 else (5 - k, k_out)
+        family.insert(rng.randrange(len(family) + 1),
+                      _random_constraint(rng, rng.randint(1, 2), k2, k2_out))
+    return family, GaloisConfig(k, n_max=n_max, m_max=3, breadth=n_max, codomain_size=k_out)
+
+
+def test_compiled_sweep_matches_reference_sweep():
+    rng = random.Random(9001)
+    seen = {"error": 0, "empty": 0, "members": 0}
+    for _ in range(300):
+        family, cfg = _random_case(rng)
+        want = _outcome(ref_f_pol, family, cfg)
+        assert _outcome(f_pol, family, cfg) == want
+        if isinstance(want, tuple):
+            seen["error"] += 1
+        else:
+            seen["members" if len(want) else "empty"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("first", ["mismatched", "rejects all"])
+def test_mismatched_constraint_is_reached_only_past_the_ones_before(first):
+    # the reference checks a constraint's alphabet only on a table that
+    # satisfies every constraint before it
+    cfg = GaloisConfig(2, n_max=2, m_max=1, breadth=2)
+    rejects_all = GeneralizedConstraint(trivial_constraint(1, 2).antecedent, (), 2)
+    mismatched = trivial_constraint(1, 3)
+    family = [mismatched, rejects_all] if first == "mismatched" else [rejects_all, mismatched]
+    want = _outcome(ref_f_pol, family, cfg)
+    assert _outcome(f_pol, family, cfg) == want
+    if first == "mismatched":
+        assert want == ("GaloisKitError",
+                        "operation domain does not match the antecedent domain")
+    else:
+        assert want == OperationClass(2)
+
+
+def test_tables_are_charged_before_the_alphabets_are_checked():
+    cfg = GaloisConfig(2, n_max=3, m_max=1, breadth=3)
+    with pytest.raises(BudgetExceededError) as info, Meter(100):
+        f_pol([trivial_constraint(1, 3)], cfg)
+    assert info.value.phase == "operation tables"
+
+
+def test_each_constraint_is_compiled_once_per_arity():
+    rng = random.Random(17)
+    family = [_random_constraint(rng, 2, 2, 2) for _ in range(4)]
+    cfg = GaloisConfig(2, n_max=3, m_max=2, breadth=3)
+    with Meter() as meter:
+        f_pol(family, cfg)
+    assert meter.done.get("constraint matrices", 0) == sum(
+        len(list(enumerate_matrices_leq(c.antecedent, n)))
+        for c in family for n in range(1, 4))
+
+
+def test_sweep_refuses_in_its_own_phase():
+    cfg = GaloisConfig(2, n_max=2, m_max=2, breadth=2)
+    family = gc_inv(OperationClass(2, members=_monotone_ops(2)), cfg)
+    with Meter() as meter:
+        f_pol(family, cfg)
+    tests = meter.done.pop("sweep tests")
+    budget = tests - 1
+    assert max(meter.done.values()) <= budget  # every other phase fits
+    with pytest.raises(BudgetExceededError) as info, Meter(budget):
+        f_pol(family, cfg)
+    assert info.value.phase == "sweep tests"
+    assert budget < info.value.done <= tests
+
+
+def test_monotone_frontier_answers_at_the_default_budget():
+    # f_pol(gc_inv(mono)) at n_max=4, m_max=3: 805 constraints, 65,536 4-ary tables
+    mono = OperationClass(2, members=_monotone_ops(2))
+    cfg = GaloisConfig(2, n_max=4, m_max=3, breadth=4)
+    with Meter(DEFAULT_BUDGET) as meter:
+        got = f_pol(gc_inv(mono, cfg), cfg)
+    assert {n: len(got.arity_part(n)) for n in got.arities()} == {1: 3, 2: 6, 3: 20, 4: 168}
+    assert meter.done["sweep tests"] <= DEFAULT_BUDGET
