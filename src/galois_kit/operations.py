@@ -9,7 +9,7 @@ substitution into the first argument.
 """
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 from .errors import GaloisKitError, _current_meter
 from .extnat import power_upto
@@ -87,34 +87,57 @@ def projection(n, i, k):
     """The i-th n-ary projection (1-based i) over domain size k."""
     if not 1 <= i <= n:
         raise GaloisKitError(f"projection index {i} out of range 1..{n}")
-    return Operation.from_callable(k, k, n, lambda *xs: xs[i - 1])
+    return Operation(k, k, n, tuple(_source_ranks(k, n, (i - 1,))))
+
+
+def _source_ranks(k, arity, positions):
+    """The source-rank map of g(x_0, ..., x_{arity-1}) = f(x_{p_1}, ..., x_{p_n}).
+
+    ``positions`` lists one 0-based variable of g per argument of f; entry
+    r of the map is the rank in f's table of the tuple that g's r-th input
+    maps to, so g's table is f's table gathered at the map.
+    """
+    n = len(positions)
+    weights = [0] * arity
+    for j, p in enumerate(positions):
+        weights[p] += k ** (n - 1 - j)
+    ranks = [0]
+    for w in weights:
+        ranks = [r + x * w for r in ranks for x in range(k)]
+    return ranks
+
+
+def _gather(table, ranks):
+    return tuple(map(table.__getitem__, ranks))
 
 
 def _substitute(f, arity, positions):
-    """The minor g(x_0, ..., x_{arity-1}) = f(x_{p_1}, ..., x_{p_n}).
+    ranks = _source_ranks(f.domain_size, arity, positions)
+    return Operation(f.domain_size, f.codomain_size, arity, _gather(f.table, ranks))
 
-    ``positions`` lists one 0-based variable of g per argument of f; each
-    entry of g is read from f's table at the rank of the mapped tuple.
-    """
-    table = tuple(
-        f.table[f.rank([xs[p] for p in positions])]
-        for xs in product(range(f.domain_size), repeat=arity)
-    )
-    return Operation(f.domain_size, f.codomain_size, arity, table)
+
+def _shift(n):
+    """zeta's positions: f(x_2, ..., x_n, x_1)."""
+    return (*range(1, n), 0)
+
+
+def _swap(n):
+    """tau's positions: f(x_2, x_1, x_3, ..., x_n)."""
+    return (1, 0, *range(2, n))
 
 
 def zeta(op):
     """Cyclic shift: (zeta f)(x1, ..., xn) = f(x2, ..., xn, x1)."""
     if op.arity == 1:
         return op
-    return _substitute(op, op.arity, (*range(1, op.arity), 0))
+    return _substitute(op, op.arity, _shift(op.arity))
 
 
 def tau(op):
     """Transposition: (tau f)(x1, x2, ...) = f(x2, x1, ...)."""
     if op.arity == 1:
         return op
-    return _substitute(op, op.arity, (1, 0, *range(2, op.arity)))
+    return _substitute(op, op.arity, _swap(op.arity))
 
 
 def delta(op):
@@ -129,6 +152,17 @@ def nabla(op):
     return _substitute(op, op.arity + 1, range(1, op.arity + 1))
 
 
+def _rows(table, k):
+    """f's table cut into its k rows, one per value of the first argument."""
+    rest = len(table) // k
+    return [table[v * rest:(v + 1) * rest] for v in range(k)]
+
+
+def _star_table(f_rows, g_table):
+    """The table of f * g: entry i * k^(n-1) + j is f[g[i] * k^(n-1) + j]."""
+    return tuple(chain.from_iterable(map(f_rows.__getitem__, g_table)))
+
+
 def star(f, g):
     """Substitution into the first argument.
 
@@ -140,8 +174,7 @@ def star(f, g):
         raise GaloisKitError("codomain of g must equal domain of f")
     if g.domain_size != f.domain_size:
         raise GaloisKitError("star requires equal domain sizes")
-    rest = f.domain_size ** (f.arity - 1)
-    table = tuple(f.table[v * rest + j] for v in g.table for j in range(rest))
+    table = _star_table(_rows(f.table, f.domain_size), g.table)
     return Operation(f.domain_size, f.codomain_size, g.arity + f.arity - 1, table)
 
 
@@ -251,42 +284,65 @@ def close_composition(cls_, arity_cap):
     All intermediate arities stay <= arity_cap, and the closure is exact at
     every arity up to the cap: no rewrite lowers arity (f * g is (m+n-1)-ary),
     so an n-ary member is derived through arities <= n only.
+
+    The worklist holds raw tables, kept by arity.  A popped n-ary f is
+    composed only with itself and, in both orders, with the members popped
+    before it of arity <= cap - n + 1: any later member meets f when it is
+    popped, and every other pair is over the cap.  An ``Operation`` is
+    built once per member, at the end.
     """
     if cls_.domain_size != cls_.codomain_size:
         raise GaloisKitError("composition closure requires domain == codomain")
     if arity_cap < 1 or cls_.max_arity > arity_cap:
         raise GaloisKitError("invalid arity cap")
     k = cls_.domain_size
-    out = OperationClass(k, k)
+    members = {n: {} for n in range(1, arity_cap + 1)}  # arity -> {table: None}
     worklist = []
     meter = _current_meter()
 
-    def push(op):
-        meter.charge("closure", len(op.table))
-        if op not in out:
-            out.add(op)
-            worklist.append(op)
+    def add(n, table):
+        if table not in members[n]:
+            members[n][table] = None
+            worklist.append((n, table))
+
+    def push(n, table):
+        meter.charge("closure", len(table))
+        add(n, table)
 
     for n in range(1, arity_cap + 1):
-        for i in range(1, n + 1):
+        for i in range(n):
             meter.charge_power("closure", k, n)  # before its k^n entries are built
-            worklist.append(projection(n, i, k))  # the projections are distinct
-            out.add(worklist[-1])
+            add(n, tuple(_source_ranks(k, n, (i,))))
+    # the rewrites of a popped n-ary member, as (arity, source-rank map),
+    # built once every projection is charged, so no map outgrows the
+    # charges; zeta and tau are the identity at n = 1 and agree at n = 2
+    rewrites = {}
+    for n in range(1, arity_cap + 1):
+        perms = dict.fromkeys((_shift(n), _swap(n))) if n > 1 else ()
+        rewrites[n] = [(n, _source_ranks(k, n, p)) for p in perms]
+        if n < arity_cap:
+            rewrites[n].append((n + 1, _source_ranks(k, n + 1, range(1, n + 1))))
     for op in cls_:
-        push(op)
+        push(op.arity, op.table)
 
+    popped = {n: [] for n in range(1, arity_cap + 1)}  # arity -> [(table, rows)]
     while worklist:
-        f = worklist.pop()
-        push(zeta(f))
-        push(tau(f))
-        if f.arity + 1 <= arity_cap:
-            push(nabla(f))
-        meter.charge("closure", len(out))
-        for g in list(out):
-            if f.arity + g.arity - 1 <= arity_cap:
-                push(star(f, g))
-            if g.arity + f.arity - 1 <= arity_cap:
-                push(star(g, f))
+        n, f = worklist.pop()
+        for arity, ranks in rewrites[n]:
+            push(arity, _gather(f, ranks))
+        f_rows = _rows(f, k)
+        popped[n].append((f, f_rows))
+        partners = [(m, g) for m in range(1, arity_cap - n + 2) for g in popped[m]]
+        meter.charge("closure", len(partners))
+        for m, (g, g_rows) in partners:
+            push(n + m - 1, _star_table(f_rows, g))
+            if g is not f:
+                push(n + m - 1, _star_table(g_rows, f))
+
+    out = OperationClass(k, k)
+    for n, tables in members.items():
+        for table in tables:
+            out.add(Operation(k, k, n, table))
     return out
 
 

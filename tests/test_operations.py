@@ -3,6 +3,8 @@ from hypothesis import example, given, settings, strategies as st
 from itertools import permutations, product
 
 from galois_kit import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
     GaloisKitError,
     Operation,
     OperationClass,
@@ -20,7 +22,9 @@ from galois_kit import (
     tau,
     zeta,
 )
-from galois_kit.errors import Meter
+from galois_kit import operations
+from galois_kit.errors import Meter, _current_meter
+from galois_kit.verify import _monotone_ops
 
 
 def op(table, arity, k=2):
@@ -193,11 +197,165 @@ def test_closures_charge_table_entries_and_member_pairs():
         close_perm_dummy(OperationClass(2, members=[NOT]), 2)
     # NOT itself, then its two binary images of 4 entries each
     assert meter.done == {"closure": 2 + 2 * 4}
+    # Every term below is independent of the pop order: each member is
+    # rewritten once, and each pair within the cap is composed once, when
+    # the later of the two is popped.
     with Meter() as meter:
         close_composition(OperationClass(2, members=[NOT]), 1)
-    # the projection and NOT are pushed (2 entries each); popping either
-    # pushes zeta, tau and four stars (2 entries each) and scans 2 pairs
-    assert meter.done == {"closure": 2 + 2 + 2 * (6 * 2 + 2)}
+    # members x, NOT.  The projection and NOT: 2 + 2 entries.  zeta and
+    # tau are the identity on unary members, and nabla is over the cap, so
+    # no rewrite.  Pairs {NOT, NOT}, {x, NOT}, {x, x}: 3 steps; their stars
+    # NOT*NOT, x*NOT, NOT*x, x*x: 4 tables of 2 entries.
+    assert meter.done == {"closure": 2 + 2 + 3 + 4 * 2}
+    with Meter() as meter:
+        close_composition(OperationClass(2, members=[NOT]), 2)
+    # members x, NOT and the binary p1, p2, NOT x1, NOT x2.  Projections
+    # x, p1, p2: 2 + 2 * 4 entries; NOT: 2.  nabla of the 2 unary
+    # members and one swap (zeta = tau) of the 4 binary ones: 6 tables of
+    # 4 entries.  Pairs: 3 unary-unary and 2 * 4 unary-binary; a binary
+    # member is never paired with a binary one, since the star would be
+    # ternary.  Stars: the 4 unary ones above (2 entries) and both orders
+    # of each unary-binary pair, 16 tables of 4 entries.
+    assert meter.done == {
+        "closure": (2 + 2 * 4) + 2 + 6 * 4 + (3 + 2 * 4) + (4 * 2 + 16 * 4)
+    }
+
+
+def test_close_composition_frontier():
+    """The monotone Boolean class (arity <= 2) closed at caps 5 and 6: the
+    work, not the time, is pinned."""
+    mono = _monotone_ops()
+    with Meter(10 ** 8) as meter:
+        closed = close_composition(mono, 6)
+    assert {n: len(closed.arity_part(n)) for n in closed.arities()} == {
+        1: 3, 2: 6, 3: 19, 4: 102, 5: 839, 6: 9314,
+    }
+    assert meter.done == {"closure": 6_041_833}
+    with pytest.raises(BudgetExceededError) as refusal:
+        close_composition(mono, 6)
+    assert refusal.value.phase == "closure"
+    assert refusal.value.budget == DEFAULT_BUDGET
+    assert len(close_composition(mono, 5)) == 969
+
+
+def test_close_composition_charges_every_projection_before_any_map(monkeypatch):
+    built = []
+
+    def recording(k, arity, positions):
+        built.append(arity)
+        return source_ranks(k, arity, positions)
+
+    source_ranks = operations._source_ranks
+    monkeypatch.setattr(operations, "_source_ranks", recording)
+    with pytest.raises(BudgetExceededError) as refusal:
+        close_composition(OperationClass(3000), 2)
+    assert refusal.value.done == 3000 + 3000 ** 2
+    # only the unary projection: no arity-2 map of 9,000,000 entries
+    assert built == [1]
+
+
+def ref_close_composition(cls_, arity_cap):
+    """The earlier worklist: each popped member is composed with every
+    member found so far, through the validated public rewrites."""
+    if cls_.domain_size != cls_.codomain_size:
+        raise GaloisKitError("composition closure requires domain == codomain")
+    if arity_cap < 1 or cls_.max_arity > arity_cap:
+        raise GaloisKitError("invalid arity cap")
+    k = cls_.domain_size
+    out = OperationClass(k, k)
+    worklist = []
+    meter = _current_meter()
+
+    def push(op):
+        meter.charge("closure", len(op.table))
+        if op not in out:
+            out.add(op)
+            worklist.append(op)
+
+    for n in range(1, arity_cap + 1):
+        for i in range(1, n + 1):
+            meter.charge_power("closure", k, n)  # before its k^n entries are built
+            worklist.append(projection(n, i, k))  # the projections are distinct
+            out.add(worklist[-1])
+    for op in cls_:
+        push(op)
+
+    while worklist:
+        f = worklist.pop()
+        push(zeta(f))
+        push(tau(f))
+        if f.arity + 1 <= arity_cap:
+            push(nabla(f))
+        meter.charge("closure", len(out))
+        for g in list(out):
+            if f.arity + g.arity - 1 <= arity_cap:
+                push(star(f, g))
+            if g.arity + f.arity - 1 <= arity_cap:
+                push(star(g, f))
+    return out
+
+
+CLOSURE_BUDGET = 200_000
+
+
+def _closure_outcome(close, cls_, cap):
+    """The class and its closure steps, or the refusal's type (and its
+    message, unless the budget refused)."""
+    try:
+        with Meter(CLOSURE_BUDGET) as meter:
+            return close(cls_, cap), meter.done["closure"]
+    except BudgetExceededError as e:
+        return BudgetExceededError, e.phase
+    except GaloisKitError as e:
+        return GaloisKitError, str(e)
+
+
+def closure_inputs():
+    """(k, cap) and 0 to 3 generators over k, of arity <= 3 (k = 2) or
+    <= 2 (k = 3); a generator over the cap makes both closures refuse."""
+    def generators(case):
+        arities = (1, 2, 3) if case[0] == 2 else (1, 2)
+        ops = st.one_of(*(random_ops(case[0], n) for n in arities))
+        return st.tuples(st.just(case), st.lists(ops, max_size=3))
+
+    cases = [(2, cap) for cap in (1, 2, 3, 4)] + [(3, cap) for cap in (1, 2, 3)]
+    return st.sampled_from(cases).flatmap(generators)
+
+
+@settings(max_examples=200, deadline=None)
+@given(closure_inputs())
+@example(((2, 3), [NOT, AND]))
+def test_close_composition_matches_reference(inputs):
+    """The same class as the earlier worklist, in no more closure steps.
+    Where the reference answers, so must the closure, as its steps are
+    no more; where the budget refuses the reference, the closure may
+    still answer."""
+    (k, cap), generators = inputs
+    cls_ = OperationClass(k, members=generators)
+    want = _closure_outcome(ref_close_composition, cls_, cap)
+    got = _closure_outcome(close_composition, cls_, cap)
+    if isinstance(want[0], OperationClass):
+        assert got[0] == want[0]
+        assert got[1] <= want[1]
+    elif want[0] is GaloisKitError:
+        assert got == want
+    else:
+        assert got == want or isinstance(got[0], OperationClass)
+
+
+@pytest.mark.parametrize("cls_, cap", [
+    pytest.param(OperationClass(2, 3, [Operation(2, 3, 1, (2, 0))]), 2, id="k2to3"),
+    pytest.param(OperationClass(2, 3), 1, id="k2to3-empty"),
+    pytest.param(OperationClass(2, members=[AND]), 1, id="cap-below-arity"),
+    pytest.param(OperationClass(2, members=[NOT]), 0, id="cap-zero"),
+])
+def test_close_composition_refuses_like_reference(cls_, cap):
+    with pytest.raises(GaloisKitError) as want:
+        ref_close_composition(cls_, cap)
+    with pytest.raises(GaloisKitError) as got:
+        close_composition(cls_, cap)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
 
 
 class TestLinearClassFixture:
