@@ -2,11 +2,12 @@
 
 A cluster is presented as a finite union of boxed generators: a
 repetition-function box bounding per-tuple multiplicities plus a
-cardinality cap.  The presentation is closed under union, intersection,
-quotient, and breadth restriction with closed-form generator
-arithmetic, and explicit antichains (box = the multiset itself) cover
-everything else.  Membership equivalence, not generator identity, is
-the contract.
+cardinality cap.  The presentation is closed under union, quotient,
+and breadth restriction with closed-form generator arithmetic, and
+explicit antichains (box = the multiset itself) cover everything else,
+conjunctive minors included; the intersection of two clusters is the
+minor with two identity maps.  Membership equivalence, not generator
+identity, is the contract.
 """
 
 from dataclasses import dataclass
@@ -32,7 +33,6 @@ __all__ = [
     "ClusterVerdict",
     "breadth",
     "breadth_restrict",
-    "cluster_intersect",
     "cluster_member",
     "cluster_minor_member",
     "cluster_union",
@@ -63,11 +63,6 @@ class BoxedGenerator:
         """True iff the multiset with these counts and cardinality lies in the box."""
         return size <= self.cap and self.box.bounds(counts)
 
-    def dominated_by(self, other):
-        from .repetition import rf_leq
-
-        return self.cap <= other.cap and rf_leq(self.box, other.box)
-
 
 @dataclass(frozen=True)
 class Cluster:
@@ -78,6 +73,8 @@ class Cluster:
     generators: frozenset
 
     def __post_init__(self):
+        if self.arity < 1 or self.domain_size < 1:
+            raise GaloisKitError("cluster arity and domain size must be positive")
         object.__setattr__(self, "generators", frozenset(self.generators))
         for g in self.generators:
             if g.box.arity != self.arity or g.box.domain_size != self.domain_size:
@@ -88,17 +85,6 @@ class Cluster:
             self.generators,
             key=lambda g: (g.cap, g.box.default, sorted(g.box.exceptions.items())),
         )
-
-    def normalize(self):
-        """Drop generators dominated pointwise-and-cap by another."""
-        gens = list(self.generators)
-        kept = [
-            g
-            for g in gens
-            if not any(h != g and g.dominated_by(h) for h in gens)
-        ]
-        # Equal generators were already merged by the frozenset.
-        return Cluster(self.arity, self.domain_size, frozenset(kept))
 
     def __repr__(self):
         return (
@@ -235,23 +221,6 @@ def cluster_union(family):
             raise GaloisKitError("cluster arity mismatch in union")
         gens |= c.generators
     return Cluster(first.arity, first.domain_size, frozenset(gens))
-
-
-def cluster_intersect(c1, c2):
-    """Pairwise generator intersection: pointwise-min boxes, min caps."""
-    if (c1.arity, c1.domain_size) != (c2.arity, c2.domain_size):
-        raise GaloisKitError("cluster arity mismatch in intersection")
-    from .repetition import rf_pointwise_inf
-
-    gens = set()
-    for g in c1.generators:
-        for h in c2.generators:
-            gens.add(
-                BoxedGenerator(
-                    rf_pointwise_inf([g.box, h.box]), ext_min(g.cap, h.cap)
-                )
-            )
-    return Cluster(c1.arity, c1.domain_size, frozenset(gens))
 
 
 def breadth_restrict(cluster, p):

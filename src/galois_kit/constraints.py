@@ -22,7 +22,6 @@ __all__ = [
     "extend_consequent",
     "finite_restriction",
     "intersect_consequents",
-    "maximal_elements",
     "precedes",
     "restrict_antecedent",
     "satisfies_constraint",
@@ -179,15 +178,3 @@ def trivial_constraint(m, domain_size, codomain_size=None):
     return GeneralizedConstraint(
         RepetitionFunction.constant(m, domain_size, INF), full, k_out
     )
-
-
-def maximal_elements(q):
-    """The <=-maximal members of a finite set of repetition functions."""
-    q = list(q)
-    out = []
-    for phi in q:
-        if any(phi2 is not phi and rf_leq(phi, phi2) and phi != phi2 for phi2 in q):
-            continue
-        if phi not in out:
-            out.append(phi)
-    return out

@@ -2,8 +2,8 @@
 
 Infinity is the float ``math.inf`` throughout the toolkit; all other
 values are plain non-negative ints.  These helpers centralize the
-arithmetic rules (inf absorbs addition, inf - n = inf, truncated
-subtraction on naturals) so callers never improvise them.
+arithmetic rules (inf - n = inf, truncated subtraction on naturals) so
+callers never improvise them.
 """
 
 import math
@@ -17,12 +17,6 @@ INF = math.inf
 
 def is_extnat(x):
     return x == INF or (isinstance(x, int) and x >= 0 and not isinstance(x, bool))
-
-
-def ext_add(a, b):
-    if a == INF or b == INF:
-        return INF
-    return a + b
 
 
 def ext_sub(a, b):

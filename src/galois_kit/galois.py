@@ -124,18 +124,6 @@ def _charge_tables(meter, cfg, codomain_size):
         meter.charge_power("operation tables", codomain_size, k_n, k_n)
 
 
-def _pol(cfg, codomain_size, accepts):
-    """All operations of arity <= n_max into the codomain that ``accepts`` keeps."""
-    out = OperationClass(cfg.domain_size, codomain_size)
-    with Meter() as meter:
-        _charge_tables(meter, cfg, codomain_size)
-        for n in range(1, cfg.n_max + 1):
-            for op in all_operations(cfg.domain_size, n, codomain_size):
-                if accepts(op):
-                    out.add(op)
-    return out
-
-
 def _satisfying_tables(constraints, cfg):
     """Every table of arity <= n_max satisfying all the constraints, as
     (arity, table), in order of arity and then of table.
@@ -237,11 +225,15 @@ def c_pol(clusters, cfg):
     clusters = list(clusters)
     if cfg.breadth < cfg.n_max:
         raise GaloisKitError("breadth cap must be at least n_max")
-    return _pol(
-        cfg,
-        cfg.domain_size,
-        lambda op: all(satisfies_cluster(op, phi, cfg.breadth) for phi in clusters),
-    )
+    k = cfg.domain_size
+    out = OperationClass(k, k)
+    with Meter() as meter:
+        _charge_tables(meter, cfg, k)
+        for n in range(1, cfg.n_max + 1):
+            for op in all_operations(k, n):
+                if all(satisfies_cluster(op, phi, cfg.breadth) for phi in clusters):
+                    out.add(op)
+    return out
 
 
 def separating_constraint(cls_, g):

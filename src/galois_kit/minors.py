@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import GaloisKitError, _current_meter
-from .extnat import INF, ext_add
+from .extnat import INF
 from .multisets import TupleMatrix, _counts, _nondecreasing_selections
 from .repetition import RepetitionFunction
 
@@ -24,7 +24,6 @@ __all__ = [
     "is_conjunctive_minor_constraint",
     "is_extensive_rf_minor",
     "is_restrictive_rf_minor",
-    "rf_minor_sum_check",
     "scheme_fixture",
     "tight_relation_minor",
 ]
@@ -252,43 +251,6 @@ def is_extensive_rf_minor(phi, phis, scheme, col_cap=None):
         if not phi.bounds(counts) and exists(cols):
             return MinorVerdict(False, col_cap, TupleMatrix(phi.arity, cols))
     return MinorVerdict(True, col_cap)
-
-
-def rf_minor_sum_check(phi, phis, scheme, direction="restrictive"):
-    """Necessary sum condition on equivalence classes of target tuples.
-
-    For each target tuple a and map h_j, compares the phi-mass of the
-    tuples indistinguishable from a under h_j with the phi_j-mass of the
-    reachable source tuples.  Restrictive minors need <=, extensive
-    minors need >=.  Returns the first violating (a, j) or None.
-    """
-    if direction not in ("restrictive", "extensive"):
-        raise GaloisKitError("direction must be 'restrictive' or 'extensive'")
-    phis = list(phis)
-    k = phi.domain_size
-    m = scheme.target
-    for j, (h, phi_j) in enumerate(zip(scheme.maps, phis)):
-        used = sorted({e for e in h if isinstance(e, int)})
-        free = [i for i in range(m) if i not in used]
-        for a in product(range(k), repeat=m):
-            cls_sum = 0
-            for fill in product(range(k), repeat=len(free)):
-                b = list(a)
-                for i, v in zip(free, fill):
-                    b[i] = v
-                cls_sum = ext_add(cls_sum, phi.value(tuple(b)))
-            reach = {
-                apply_scheme_map(a, sigma, h)
-                for sigma in skolem_maps(scheme.indeterminates, k)
-            }
-            reach_sum = 0
-            for c in sorted(reach):
-                reach_sum = ext_add(reach_sum, phi_j.value(c))
-            if direction == "restrictive" and not cls_sum <= reach_sum:
-                return (a, j)
-            if direction == "extensive" and not cls_sum >= reach_sum:
-                return (a, j)
-    return None
 
 
 def is_conjunctive_minor_constraint(c, family, scheme, col_cap=None):

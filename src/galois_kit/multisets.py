@@ -15,10 +15,7 @@ __all__ = [
     "apply_op_rows",
     "columns_multiset",
     "enumerate_matrices_leq",
-    "ms_diff",
     "ms_join",
-    "ms_partitions",
-    "ms_sub",
     "split_enumerate",
 ]
 
@@ -66,9 +63,6 @@ class FiniteMultiset:
             out.extend([t] * self.counts[t])
         return out
 
-    def is_empty(self):
-        return not self.counts
-
     def __eq__(self, other):
         if not isinstance(other, FiniteMultiset):
             return NotImplemented
@@ -90,31 +84,14 @@ def _counts(columns):
     return counts
 
 
-def _check_arities(a, b):
-    if a.arity != b.arity:
-        raise GaloisKitError("multiset arity mismatch")
-
-
 def ms_join(s, s2):
     """Additive union: multiplicities add."""
-    _check_arities(s, s2)
+    if s.arity != s2.arity:
+        raise GaloisKitError("multiset arity mismatch")
     counts = dict(s.counts)
     for t, c in s2.counts.items():
         counts[t] = counts.get(t, 0) + c
     return FiniteMultiset(s.arity, counts)
-
-
-def ms_diff(s, s2):
-    """Truncated difference: max(count - count', 0)."""
-    _check_arities(s, s2)
-    counts = {t: c - s2.multiplicity(t) for t, c in s.counts.items()}
-    return FiniteMultiset(s.arity, {t: c for t, c in counts.items() if c > 0})
-
-
-def ms_sub(s2, s):
-    """Submultiset test: every multiplicity of s2 bounded by s."""
-    _check_arities(s2, s)
-    return all(c <= s.multiplicity(t) for t, c in s2.counts.items())
 
 
 def _set_partitions(items):
@@ -139,30 +116,6 @@ def _set_partitions(items):
     yield from rec(0, [])
 
 
-def ms_partitions(s):
-    """All partitions of s into non-empty submultisets, duplicate-free.
-
-    A partition is returned as a sorted tuple of blocks, each block a
-    FiniteMultiset; identical blocks may repeat within a partition.
-    """
-    items = s.elements()
-    seen = set()
-    out = []
-    for blocks in _set_partitions(items):
-        part = tuple(
-            sorted(
-                (FiniteMultiset.from_tuples(s.arity, b) for b in blocks),
-                key=lambda m: m._key,
-            )
-        )
-        key = tuple(m._key for m in part)
-        if key not in seen:
-            seen.add(key)
-            out.append(part)
-    out.sort(key=lambda part: (len(part), [m._key for m in part]))
-    return out
-
-
 @dataclass(frozen=True)
 class TupleMatrix:
     """A matrix viewed as an ordered sequence of columns (m-tuples)."""
@@ -171,6 +124,8 @@ class TupleMatrix:
     columns: tuple
 
     def __post_init__(self):
+        if self.row_count < 1:
+            raise GaloisKitError("a matrix needs at least one row")
         cols = tuple(tuple(c) for c in self.columns)
         if any(len(c) != self.row_count for c in cols):
             raise GaloisKitError("column length must equal row count")
@@ -196,11 +151,6 @@ class TupleMatrix:
 
     def rows(self):
         return [self.row(i) for i in range(self.row_count)]
-
-    def concat(self, other):
-        if other.row_count != self.row_count:
-            raise GaloisKitError("row count mismatch in concatenation")
-        return TupleMatrix(self.row_count, self.columns + other.columns)
 
 
 def columns_multiset(m):

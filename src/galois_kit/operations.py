@@ -79,9 +79,6 @@ class Operation:
         )
         return cls(domain_size, codomain_size, arity, table)
 
-    def sort_key(self):
-        return (self.arity, self.table)
-
 
 def projection(n, i, k):
     """The i-th n-ary projection (1-based i) over domain size k."""
@@ -281,6 +278,8 @@ def close_perm_dummy(cls_, arity_cap):
 def close_composition(cls_, arity_cap):
     """Fixpoint closure under zeta, tau, nabla, star with all projections.
 
+    Only zeta, tau and star are applied: nabla f = f * p, with p the second
+    binary projection, so a star already adds each dummy variable.
     All intermediate arities stay <= arity_cap, and the closure is exact at
     every arity up to the cap: no rewrite lowers arity (f * g is (m+n-1)-ary),
     so an n-ary member is derived through arities <= n only.
@@ -313,23 +312,21 @@ def close_composition(cls_, arity_cap):
         for i in range(n):
             meter.charge_power("closure", k, n)  # before its k^n entries are built
             add(n, tuple(_source_ranks(k, n, (i,))))
-    # the rewrites of a popped n-ary member, as (arity, source-rank map),
-    # built once every projection is charged, so no map outgrows the
-    # charges; zeta and tau are the identity at n = 1 and agree at n = 2
-    rewrites = {}
-    for n in range(1, arity_cap + 1):
-        perms = dict.fromkeys((_shift(n), _swap(n))) if n > 1 else ()
-        rewrites[n] = [(n, _source_ranks(k, n, p)) for p in perms]
-        if n < arity_cap:
-            rewrites[n].append((n + 1, _source_ranks(k, n + 1, range(1, n + 1))))
+    # the source-rank maps of zeta and tau on n-ary members, built once
+    # every projection is charged, so no map outgrows the charges; both
+    # are the identity at n = 1 and agree at n = 2
+    rewrites = {
+        n: [_source_ranks(k, n, p) for p in dict.fromkeys((_shift(n), _swap(n)))]
+        for n in range(2, arity_cap + 1)
+    }
     for op in cls_:
         push(op.arity, op.table)
 
     popped = {n: [] for n in range(1, arity_cap + 1)}  # arity -> [(table, rows)]
     while worklist:
         n, f = worklist.pop()
-        for arity, ranks in rewrites[n]:
-            push(arity, _gather(f, ranks))
+        for ranks in rewrites.get(n, ()):
+            push(n, _gather(f, ranks))
         f_rows = _rows(f, k)
         popped[n].append((f, f_rows))
         partners = [(m, g) for m in range(1, arity_cap - n + 2) for g in popped[m]]

@@ -13,7 +13,7 @@ from itertools import product
 from .errors import GaloisKitError, _current_meter
 from .extnat import INF, ext_min, is_extnat, power_upto
 
-__all__ = ["RepetitionFunction", "rf_leq", "rf_pointwise_inf"]
+__all__ = ["RepetitionFunction", "rf_leq"]
 
 
 class RepetitionFunction:
@@ -109,15 +109,6 @@ class RepetitionFunction:
         exceptions, default = self.exceptions, self.default
         return all(c <= exceptions.get(t, default) for t, c in counts.items())
 
-    def pointwise(self, other, fn):
-        if (self.arity, self.domain_size) != (other.arity, other.domain_size):
-            raise GaloisKitError("repetition function arity/domain mismatch")
-        keys = set(self.exceptions) | set(other.exceptions)
-        exc = {t: fn(self.value(t), other.value(t)) for t in keys}
-        return RepetitionFunction(
-            self.arity, self.domain_size, fn(self.default, other.default), exc
-        )
-
     def __eq__(self, other):
         if not isinstance(other, RepetitionFunction):
             return NotImplemented
@@ -142,14 +133,3 @@ def rf_leq(phi, phi2):
         return False
     keys = set(phi.exceptions) | set(phi2.exceptions)
     return all(phi.value(t) <= phi2.value(t) for t in keys)
-
-
-def rf_pointwise_inf(family):
-    """Pointwise minimum of a non-empty finite family."""
-    family = list(family)
-    if not family:
-        raise GaloisKitError("inf of an empty family")
-    acc = family[0]
-    for phi in family[1:]:
-        acc = acc.pointwise(phi, ext_min)
-    return acc

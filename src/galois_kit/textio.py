@@ -96,6 +96,8 @@ def _parse_operation(body):
         raise GaloisKitError(f"malformed op line head {head!r}")
     name = tokens[0]
     ks = _kv(tokens[1], "k").split(",")
+    if len(ks) > 2:
+        raise GaloisKitError(f"op k= takes one or two sizes, not {len(ks)}")
     k_in = int(ks[0])
     k_out = int(ks[1]) if len(ks) > 1 else k_in
     arity = int(_kv(tokens[2], "arity"))

@@ -214,6 +214,10 @@ class TestMalformedInput:
                       "op f k=2 arity=1 : 0 1"], 3, id="scheme-before-entity"),
         pytest.param(["scheme s target=1 vars=[u,u]", "map j=0 arity=1 : 0"], 3,
                      id="scheme-at-end"),
+        pytest.param(["cluster c arity=0 k=2 { }"], 3, id="cluster-arity-0"),
+        pytest.param(["cluster c arity=1 k=0 { }"], 3, id="cluster-k-0"),
+        pytest.param(["mat m rows=0 cols=1 : col()"], 3, id="matrix-rows-0"),
+        pytest.param(["op f k=2,2,9 arity=1 : 0 1"], 3, id="op-three-sizes"),
     ])
     def test_bad_line_exits_two_naming_the_line(self, lines, lineno, tmp_path,
                                                 capsys):

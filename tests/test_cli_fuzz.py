@@ -2,8 +2,9 @@
 code in {0, 1, 2, 3} and output without a traceback.
 
 Workspaces mix well-formed entity lines, near misses (wrong table lengths,
-out-of-range values, unknown names) and arbitrary text.  Budgets are 0, 1,
-10 or the default, so oversized requests must be refused, not hang.
+out-of-range values, unknown names, zero or huge sizes) and arbitrary text.
+Budgets are 0, 1, 10 or the default, so oversized requests must be refused,
+not hang.
 """
 
 import io
@@ -17,6 +18,34 @@ from galois_kit.cli import main
 
 FNS, CLASS, CONSTRAINT, CLUSTER = ("f", "g"), "c", "d", "cl"
 small = st.sampled_from([1, 1, 2, 2, 3, 3, 4, 5, 0, -1])
+HUGE = 100_000_000
+
+
+def _sized(k, m):
+    """Entity lines with a zero or a huge size, by damage and by the entity
+    they stand in for; each huge one is refused (exit 2 or 3) before its
+    tuple space is built."""
+    return {
+        "zero": {
+            "f": ["op f k=0 arity=1 : 0"],
+            "constraint": [f"constraint {CONSTRAINT} : rf=[arity=0 k={k} default=0 {{ }}] "
+                           "consequent={ }"],
+            "cluster": [f"cluster {CLUSTER} arity=0 k={k} {{ }}",
+                        f"cluster {CLUSTER} arity={m} k=0 {{ }}"],
+            "matrix": ["mat mm rows=0 cols=1 : col()"],
+        },
+        "huge": {
+            "f": [f"op f k=3 arity={HUGE} : 0 1 2"],
+            "constraint": [
+                f"constraint {CONSTRAINT} : rf=[arity={HUGE} k=2 default=1 {{ }}] consequent={{ }}",
+                f"constraint {CONSTRAINT} : rf=[arity=1 k=1400 default=0 {{ }}] k_out=2000 "
+                "consequent={ }"],
+            "cluster": [
+                f"cluster {CLUSTER} arity={HUGE} k=2 {{ gen cap=2 rf=[default=1 {{ }}] }}",
+                f"cluster {CLUSTER} arity={HUGE} k=3 {{ gen cap=2 rf=[default=inf {{ }}] }}",
+                f"cluster {CLUSTER} arity=1 k=1400 {{ }}"],
+        },
+    }
 
 
 def _tuple(k, m):
@@ -46,28 +75,43 @@ def _op(draw, name, k, damaged=False):
 def workspaces(draw):
     """Well-formed entities over one alphabet, with at most one kind of damage:
     a wrong header, a wrong table length, a stray line of arbitrary text,
-    or one entity over another alphabet."""
+    one entity over another alphabet, or one entity with a zero or a huge
+    size in place of its well-formed line."""
     k, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
-    damage = draw(st.sampled_from(["none"] * 4 + ["header", "table", "text", "alphabet"]))
+    damage = draw(st.sampled_from(
+        ["none"] * 4 + ["header", "table", "text", "alphabet", "zero", "huge"]))
     present = st.sampled_from([True, True, True, False])
+    sized = {}  # entity -> the line standing in for its well-formed one
+    if damage in ("zero", "huge"):
+        options = _sized(k, m)[damage]
+        entity = draw(st.sampled_from(sorted(options)))
+        sized[entity] = draw(st.sampled_from(options[entity]))
 
     def alphabet():
         return k % 3 + 1 if damage == "alphabet" and draw(st.booleans()) else k
 
     lines = ["galois-kit v2" if damage == "header" else "galois-kit v1"]
+    if "matrix" in sized:
+        lines.append(sized["matrix"])
     for name in FNS:
-        if draw(present):
+        if name in sized:
+            lines.append(sized[name])
+        elif draw(present):
             lines.append(draw(_op(name, alphabet(), damage == "table" and draw(st.booleans()))))
     if draw(present):
         ka = alphabet()
         ops = draw(st.lists(_op("x", ka), min_size=1, max_size=3))
         lines += [f"class {CLASS} {{", *("  " + line for line in ops), "}"]
-    if draw(present):
+    if "constraint" in sized:
+        lines.append(sized["constraint"])
+    elif draw(present):
         ka = alphabet()
         consequent = ", ".join(f"({t})" for t in draw(st.lists(_tuple(ka, m), max_size=4)))
         lines.append(f"constraint {CONSTRAINT} : rf=[{draw(_rf_body(ka, m))}] "
                      f"consequent={{ {consequent} }}")
-    if draw(present):
+    if "cluster" in sized:
+        lines.append(sized["cluster"])
+    elif draw(present):
         ka = alphabet()
         gens = " ; ".join(
             f"gen cap={cap} rf=[{body}]" for cap, body in draw(st.lists(

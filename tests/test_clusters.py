@@ -17,7 +17,6 @@ from galois_kit import (
     all_operations,
     breadth,
     breadth_restrict,
-    cluster_intersect,
     cluster_member,
     cluster_minor_member,
     cluster_union,
@@ -170,12 +169,6 @@ class TestMembership:
         assert not cluster_member(FiniteMultiset.empty(2), c)
         assert enumerate_cluster_members(c, 3) == []
 
-    def test_normalize_drops_dominated_generators(self):
-        lo = BoxedGenerator(RepetitionFunction(1, 2, 0, {(0,): 1}), 1)
-        hi = BoxedGenerator(RepetitionFunction(1, 2, 0, {(0,): 2}), 2)
-        c = Cluster(1, 2, frozenset({lo, hi})).normalize()
-        assert c.generators == frozenset({hi})
-
 
 class TestSatisfaction:
     def test_agrees_with_naive_oracle(self):
@@ -228,19 +221,15 @@ class TestAlgebra:
                         ms_join(s, s2), cluster
                     )
 
-    def test_union_and_intersection_laws(self):
+    def test_union_law(self):
         rng = random.Random(17)
         for _ in range(20):
             a = random_cluster(rng, 2)
             b = random_cluster(rng, 2)
             u = cluster_union([a, b])
-            i = cluster_intersect(a, b)
             for s in all_multisets(2, 2, 3):
                 assert cluster_member(s, u) == (
                     cluster_member(s, a) or cluster_member(s, b)
-                )
-                assert cluster_member(s, i) == (
-                    cluster_member(s, a) and cluster_member(s, b)
                 )
 
     def test_breadth_restrict_caps_cardinality(self):
@@ -329,12 +318,11 @@ class TestClusterMinors:
         for _ in range(10):
             a = random_cluster(rng, 2)
             b = random_cluster(rng, 2)
-            i = cluster_intersect(a, b)
             for s in all_multisets(2, 2, 3):
                 matrix = TupleMatrix(2, tuple(s.elements()))
-                assert cluster_minor_member(
-                    matrix, [a, b], scheme
-                ) == cluster_member(s, i)
+                assert cluster_minor_member(matrix, [a, b], scheme) == (
+                    cluster_member(s, a) and cluster_member(s, b)
+                )
 
     def test_materialize_minor_agrees_with_oracle(self):
         rng = random.Random(29)

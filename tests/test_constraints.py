@@ -16,7 +16,6 @@ from galois_kit import (
     extend_consequent,
     finite_restriction,
     intersect_consequents,
-    maximal_elements,
     precedes,
     restrict_antecedent,
     rf_leq,
@@ -221,10 +220,3 @@ class TestRelaxations:
         assert r.antecedent.value((0, 1)) == INF
         assert r.antecedent.value((1, 1)) == 0
 
-
-class TestMaximalElements:
-    def test_dominated_functions_removed(self):
-        lo = RepetitionFunction(1, 2, 0, {(0,): 1})
-        hi = RepetitionFunction(1, 2, 0, {(0,): 2})
-        other = RepetitionFunction(1, 2, 0, {(1,): 1})
-        assert set(maximal_elements([lo, hi, other])) == {hi, other}

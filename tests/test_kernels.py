@@ -47,10 +47,7 @@ from galois_kit import (
     is_extensive_rf_minor,
     is_restrictive_rf_minor,
     materialize_minor,
-    ms_diff,
     ms_join,
-    ms_partitions,
-    ms_sub,
     order_cluster,
     satisfies_cluster,
     satisfies_constraint,
@@ -66,6 +63,7 @@ from galois_kit.extnat import ext_min
 from galois_kit.galois import _all_rows
 from galois_kit.minors import default_col_cap, skolem_maps
 from galois_kit.multisets import _nondecreasing_selections
+from multiset_oracles import ms_diff, ms_partitions, ms_sub
 
 
 # --- reference bodies -------------------------------------------------

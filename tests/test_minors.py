@@ -19,7 +19,6 @@ from galois_kit import (
     is_extensive_rf_minor,
     is_restrictive_rf_minor,
     materialize_minor,
-    rf_minor_sum_check,
     scheme_fixture,
     tight_relation_minor,
     trivial_cluster,
@@ -167,32 +166,6 @@ class TestRfMinorPredicates:
         v = is_restrictive_rf_minor(phi, [low], MinorScheme.identity(1))
         assert not v
         assert v.counterexample.columns == ((0,), (0,))
-
-    def test_sum_check_necessary_for_restrictive(self):
-        rng = random.Random(11)
-        for _ in range(60):
-            m = rng.randint(1, 2)
-            scheme = MinorScheme(
-                m,
-                (),
-                (tuple(rng.randrange(m) for _ in range(rng.randint(1, 2))),),
-            )
-            phi = RepetitionFunction(
-                m, 2, 0,
-                {
-                    tuple(rng.randrange(2) for _ in range(m)):
-                    rng.choice([0, 1, 2, INF])
-                },
-            )
-            phi_j = RepetitionFunction(
-                len(scheme.maps[0]), 2, 0,
-                {
-                    tuple(rng.randrange(2) for _ in range(len(scheme.maps[0]))):
-                    rng.choice([0, 1, 2, INF])
-                },
-            )
-            if is_restrictive_rf_minor(phi, [phi_j], scheme, col_cap=4):
-                assert rf_minor_sum_check(phi, [phi_j], scheme, "restrictive") is None
 
     def test_family_size_validated(self):
         phi = RepetitionFunction(1, 2, 0)

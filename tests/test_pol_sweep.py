@@ -1,7 +1,7 @@
 """The compiled ``f_pol`` sweep against the sweep it replaced.
 
-The oracle is the earlier ``f_pol``: ``galois._pol`` over every table,
-keeping the operations for which ``satisfies_constraint`` holds on every
+The oracle is the earlier ``f_pol``: a sweep over every table, keeping
+the operations for which ``satisfies_constraint`` holds on every
 constraint in turn.  The compiled sweep must return the same class, or
 refuse with the same error, on randomized families.
 """
@@ -19,6 +19,7 @@ from galois_kit import (
     Meter,
     OperationClass,
     RepetitionFunction,
+    all_operations,
     enumerate_matrices_leq,
     f_pol,
     gc_inv,
@@ -27,14 +28,17 @@ from galois_kit import (
 )
 from galois_kit.errors import DEFAULT_BUDGET
 from galois_kit.extnat import INF
-from galois_kit.galois import _pol
 from galois_kit.verify import _monotone_ops
 
 
 def ref_f_pol(constraints, cfg):
     constraints = list(constraints)
-    return _pol(cfg, cfg.codomain_size,
-                lambda op: all(satisfies_constraint(op, c) for c in constraints))
+    out = OperationClass(cfg.domain_size, cfg.codomain_size)
+    for n in range(1, cfg.n_max + 1):
+        for op in all_operations(cfg.domain_size, n, cfg.codomain_size):
+            if all(satisfies_constraint(op, c) for c in constraints):
+                out.add(op)
+    return out
 
 
 def _outcome(fn, *args):
