@@ -22,7 +22,7 @@ from .multisets import (
     TupleMatrix,
     _apply_columns,
     _nondecreasing_selections,
-    _ordered_selections,
+    _splits,
 )
 from .repetition import RepetitionFunction
 from .minors import _skolem_search
@@ -171,11 +171,8 @@ def satisfies_cluster(f, cluster, breadth_cap):
                 continue
             # only generators whose cap admits the output size can admit it
             live = [bounds for cap, bounds in boxes if size <= cap]
-            used = {}
-            splits = _ordered_selections(sorted(counts), counts.get, n, used)
-            for cols in meter.counted("cluster splits", splits):
+            for cols, out in _splits(counts, n, meter):
                 image = _apply_columns(f, cols)
-                out = {t: c - used.get(t, 0) for t, c in counts.items()}
                 out[image] = out.get(image, 0) + 1
                 if not any(bounds(out) for bounds in live):
                     rest = dict(out)

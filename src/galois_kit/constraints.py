@@ -9,9 +9,9 @@ and is guarded by a work budget.
 
 from dataclasses import dataclass
 
-from .errors import GaloisKitError, Meter, _current_meter
+from .errors import GaloisKitError, Meter
 from .extnat import INF
-from .multisets import TupleMatrix, _ordered_selections, _row_ranks, columns_multiset
+from .multisets import TupleMatrix, _matrices, columns_multiset
 from .repetition import RepetitionFunction, rf_leq
 
 __all__ = [
@@ -77,20 +77,6 @@ def _check_alphabets(domain_size, codomain_size, c):
         raise GaloisKitError("operation codomain does not match the consequent alphabet")
 
 
-def _tests(phi, n):
-    """The tests of phi on n-ary operations: every n-column matrix M < phi
-    as ``(cols, ranks)``, in the order of ``enumerate_matrices_leq``.
-
-    ``ranks`` is the row-rank vector of M, so an operation f maps M to
-    the tuple of f.table at those ranks.  Each matrix is a "constraint
-    matrices" step of the open meter.
-    """
-    k = phi.domain_size
-    selections = _ordered_selections(phi.positive_support(), phi.value, n, {})
-    for cols in _current_meter().counted("constraint matrices", selections):
-        yield cols, _row_ranks(k, cols)
-
-
 def satisfies_constraint(f, c):
     """Exhaustively decide whether f satisfies (phi, S).
 
@@ -103,7 +89,7 @@ def satisfies_constraint(f, c):
     _check_alphabets(f.domain_size, f.codomain_size, c)
     consequent, table = c.consequent, f.table
     with Meter():
-        for cols, ranks in _tests(c.antecedent, f.arity):
+        for cols, ranks in _matrices(c.antecedent, f.arity):
             if tuple([table[r] for r in ranks]) not in consequent:
                 return ConstraintVerdict(False, TupleMatrix(c.arity, cols))
     return ConstraintVerdict(True)

@@ -13,19 +13,12 @@ from math import comb, prod
 
 from .errors import GaloisKitError, Meter, NotSeparableError, _current_meter
 from .operations import (
-    Operation, OperationClass, all_operations, close_composition, close_perm_dummy,
+    Operation, OperationClass, _gather, _source_ranks, all_operations, close_composition,
+    close_perm_dummy,
 )
-from .multisets import (
-    FiniteMultiset,
-    TupleMatrix,
-    _apply_columns,
-    _counts,
-    _set_partitions,
-    apply_op_rows,
-    columns_multiset,
-)
+from .multisets import FiniteMultiset, _counts, _matrices, _set_partitions, apply_op_rows
 from .repetition import RepetitionFunction
-from .constraints import GeneralizedConstraint, _check_alphabets, _tests
+from .constraints import GeneralizedConstraint, _check_alphabets
 from .clusters import _antichain_cluster, cluster_member, satisfies_cluster
 
 __all__ = [
@@ -70,35 +63,33 @@ def class_image(cls_, m):
     )
 
 
-def _all_rows(k, n):
-    """The matrix whose rows are all n-tuples over k, in lexicographic order.
+def _invariant_constraint(closed, n, ranks, codomain_size):
+    """The constraint (chi_M, C M) of the matrix M of the n-tuples at
+    these ranks, in order.
 
-    Row-wise application of an n-ary f to it gives f's value table.
+    Column j of M is the table of the projection x_j read at the ranks,
+    and f M is f's table read there.  Every member of a class closed
+    under permutation and dummy variables satisfies the constraint.
     """
-    return TupleMatrix.from_rows(product(range(k), repeat=n))
-
-
-def _invariant_constraint(closed, matrix, codomain_size):
-    """The constraint (chi_M, C M) of a matrix M.
-
-    Every member of a class closed under permutation and dummy variables
-    satisfies it.
-    """
-    chi = RepetitionFunction.from_counts(
-        matrix.row_count, closed.domain_size, columns_multiset(matrix).counts
-    )
-    return GeneralizedConstraint(chi, class_image(closed, matrix), codomain_size)
+    k = closed.domain_size
+    # x_j's table holds digit j of each rank, leftmost most significant
+    columns = [tuple([r // k ** (n - 1 - j) % k for r in ranks]) for j in range(n)]
+    chi = RepetitionFunction.from_counts(len(ranks), k, _counts(columns))
+    image = frozenset(_gather(f.table, ranks) for f in closed.arity_part(n))
+    return GeneralizedConstraint(chi, image, codomain_size)
 
 
 def gc_inv(cls_, cfg):
     """The proof-canonical invariant constraints of a class.
 
     One constraint (chi_M, C M) per matrix M with distinct rows, for
-    every width n <= n_max and row count m <= m_max.  The class is
-    closed under permutation and dummy variables first, which is exactly
-    the hypothesis making every emitted constraint satisfied by every
-    member.  The C(k^n, m) matrices of each width and row count are
-    charged up front, so an oversized request builds none of them.
+    every width n <= n_max and row count m <= m_max.  M's rows are the
+    n-tuples at m increasing ranks, so the matrices come in the order of
+    their row lists.  The class is closed under permutation and dummy
+    variables first, which is exactly the hypothesis making every
+    emitted constraint satisfied by every member.  The C(k^n, m)
+    matrices of each width and row count are charged up front, so an
+    oversized request builds none of them.
     """
     k = cls_.domain_size
     blocks = []  # (width, row count); no matrix has more than k^n distinct rows
@@ -109,9 +100,9 @@ def gc_inv(cls_, cfg):
                 blocks.append((n, m))
         closed = close_perm_dummy(cls_, max(cfg.n_max, cls_.max_arity or 1))
         return [
-            _invariant_constraint(closed, TupleMatrix.from_rows(rows), cls_.codomain_size)
+            _invariant_constraint(closed, n, ranks, cls_.codomain_size)
             for n, m in blocks
-            for rows in combinations(product(range(k), repeat=n), m)
+            for ranks in combinations(range(k ** n), m)
         ]
 
 
@@ -141,7 +132,7 @@ def _satisfying_tables(constraints, cfg):
     for n in range(1, cfg.n_max + 1):
         merged = {}  # rank vector -> the tuples every constraint allows there
         for c in constraints:
-            for _, ranks in _tests(c.antecedent, n):
+            for _, ranks in _matrices(c.antecedent, n):
                 ranks = tuple(ranks)
                 allowed = merged.get(ranks)
                 merged[ranks] = c.consequent if allowed is None else allowed & c.consequent
@@ -182,42 +173,37 @@ def f_pol(constraints, cfg):
     return out
 
 
-def _inv_cluster_for_arity(closed, matrix):
-    """The separating cluster built from an all-rows matrix.
+def _inv_cluster_for_arity(closed, n):
+    """The separating cluster built from the all-rows matrix of width n,
+    whose columns are the tables of the projections x_1, ..., x_n.
 
     For every set partition of the columns, a member takes one class
-    image f B per block B, computed once per block; the cluster is their
-    downward closure, stored as an explicit antichain.  No column is left
+    image f B per block B, computed once per block: f's table read at
+    the block's source-rank map.  The cluster is the members' downward
+    closure, stored as an explicit antichain.  No column is left
     unmapped: the composition-closed class contains the unary projection,
     so an unmapped column is the image of its one-column block.
     """
-    columns = matrix.columns
+    k = closed.domain_size
     images = {}  # block -> its class images
     members = set()  # each as its sorted elements
-    for blocks in _set_partitions(list(range(len(columns)))):
+    for blocks in _set_partitions(list(range(n))):
         image_sets = []
         for block in map(tuple, blocks):
             if block not in images:
-                cols = [columns[j] for j in block]
-                images[block] = {
-                    _apply_columns(f, cols) for f in closed.arity_part(len(block))
-                }
+                ranks = _source_ranks(k, n, block)
+                images[block] = {_gather(f.table, ranks) for f in closed.arity_part(len(block))}
             image_sets.append(images[block])
         _current_meter().charge("invariant cluster members", prod(map(len, image_sets)))
         members.update(tuple(sorted(d)) for d in product(*image_sets))
-    return _antichain_cluster(
-        matrix.row_count, closed.domain_size, map(_counts, members)
-    )
+    return _antichain_cluster(k ** n, k, map(_counts, members))
 
 
 def cl_inv(cls_, cfg):
     """The proof-canonical invariant clusters of a class, one per arity <= n_max."""
-    k = cls_.domain_size
     with Meter():
         closed = close_composition(cls_, max(cfg.n_max, cls_.max_arity or 1))
-        return [
-            _inv_cluster_for_arity(closed, _all_rows(k, n)) for n in range(1, cfg.n_max + 1)
-        ]
+        return [_inv_cluster_for_arity(closed, n) for n in range(1, cfg.n_max + 1)]
 
 
 def c_pol(clusters, cfg):
@@ -236,6 +222,13 @@ def c_pol(clusters, cfg):
     return out
 
 
+def _check_domain(cls_, g):
+    """Refuse a g over another domain than the class's: the separators
+    read g's table as the image of the class's all-rows matrix."""
+    if g.domain_size != cls_.domain_size:
+        raise GaloisKitError("operation domain does not match the class")
+
+
 def separating_constraint(cls_, g):
     """A constraint satisfied by the whole class but violated by g.
 
@@ -245,11 +238,11 @@ def separating_constraint(cls_, g):
     """
     if len(cls_) == 0:
         raise GaloisKitError("cannot separate from the empty class")
+    _check_domain(cls_, g)
     n = g.arity
     closed = close_perm_dummy(cls_, max(n, cls_.max_arity))
-    matrix = _all_rows(cls_.domain_size, n)
-    c = _invariant_constraint(closed, matrix, cls_.codomain_size)
-    if apply_op_rows(g, matrix) in c.consequent:
+    c = _invariant_constraint(closed, n, range(cls_.domain_size ** n), cls_.codomain_size)
+    if g.table in c.consequent:
         raise NotSeparableError(
             "no separating constraint: g is in the closed class at its arity"
         )
@@ -263,17 +256,14 @@ def separating_cluster(cls_, g, cfg):
     on both sides before returning (members at arities <= n_max checked
     at the configured breadth, g checked on the all-rows witness).
     """
+    _check_domain(cls_, g)
     with Meter():
         n = g.arity
         closed = close_composition(cls_, max(n, cls_.max_arity or 1, cfg.n_max))
         if g in closed:
             raise NotSeparableError("no separating cluster: g is in the closed class")
-        matrix = _all_rows(cls_.domain_size, n)
-        cluster = _inv_cluster_for_arity(closed, matrix)
-        image = FiniteMultiset.from_tuples(
-            matrix.row_count, [apply_op_rows(g, matrix)]
-        )
-        if cluster_member(image, cluster):
+        cluster = _inv_cluster_for_arity(closed, n)
+        if cluster_member(FiniteMultiset.from_tuples(len(g.table), [g.table]), cluster):
             raise GaloisKitError("separation failed: g image unexpectedly admitted")
         for f in closed:
             if f.arity <= cfg.n_max:

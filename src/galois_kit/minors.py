@@ -288,8 +288,6 @@ def scheme_fixture(kind, m):
         rebuilds the m-ary equality constraint from binary copies (m >= 2).
       - empty_spread(m): h: 1 -> m with h(0) = 0;
         rebuilds the m-ary empty constraint from the unary one.
-      - dummy_add(m): the same 1 -> m map as a generic dummy-adder.
-      - identify(m): h: m -> 1 collapsing every coordinate to 0.
     """
     if m < 1:
         raise GaloisKitError("arity must be positive")
@@ -302,8 +300,4 @@ def scheme_fixture(kind, m):
         return MinorScheme(m, (), maps), (2,) * (m - 1)
     if kind == "empty_spread":
         return MinorScheme(m, (), ((0,),)), (1,)
-    if kind == "dummy_add":
-        return MinorScheme(m, (), ((0,),)), (1,)
-    if kind == "identify":
-        return MinorScheme(1, (), ((0,) * m,)), (m,)
     raise GaloisKitError(f"unknown scheme fixture kind {kind!r}")

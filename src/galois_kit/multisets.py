@@ -7,7 +7,7 @@ matrix is the workhorse of every satisfaction check.
 
 from dataclasses import dataclass
 
-from .errors import GaloisKitError
+from .errors import GaloisKitError, _current_meter
 
 __all__ = [
     "FiniteMultiset",
@@ -254,17 +254,44 @@ def _ordered_selections(support, bound, n, used):
     yield from rec(0)
 
 
+def _matrices(phi, n):
+    """Every n-column matrix M < phi as ``(cols, ranks)``, columns chosen
+    in lexicographic order position by position.
+
+    ``ranks`` is the row-rank vector of M, so an operation f maps M to
+    the tuple of f.table at those ranks.  Each matrix is a "constraint
+    matrices" step of the open meter.
+    """
+    k = phi.domain_size
+    selections = _ordered_selections(phi.positive_support(), phi.value, n, {})
+    for cols in _current_meter().counted("constraint matrices", selections):
+        yield cols, _row_ranks(k, cols)
+
+
+def _splits(counts, n, meter):
+    """Every ordered selection of n columns from the multiset with these
+    counts, as ``(cols, rest)``: ``rest`` is a fresh dict of the counts
+    left over, zeros included.  Identical columns give one ordering.
+    Each selection is a "cluster splits" step of ``meter``.
+    """
+    used = {}
+    selections = _ordered_selections(sorted(counts), counts.get, n, used)
+    for cols in meter.counted("cluster splits", selections):
+        yield cols, {t: c - used.get(t, 0) for t, c in counts.items()}
+
+
 def enumerate_matrices_leq(phi, n):
     """All n-column matrices whose column multiset respects phi.
 
     Each m-tuple may appear as a column at most phi(tuple) times.
     Matrices are emitted once each, columns chosen in lexicographic
     order position by position (so the stream order is column-rank
-    lexicographic and restartable).
+    lexicographic and restartable).  Each matrix is a "constraint
+    matrices" step of the open meter.
     """
     if n < 1:
         raise GaloisKitError("column count must be positive")
-    for cols in _ordered_selections(phi.positive_support(), phi.value, n, {}):
+    for cols, _ in _matrices(phi, n):
         yield TupleMatrix(phi.arity, cols)
 
 
@@ -273,13 +300,12 @@ def split_enumerate(s, n):
 
     Yields (matrix, remainder) pairs; the matrix column order is
     significant, the remainder is kept as a multiset.  Identical columns
-    produce a single distinct ordering.  Empty stream if |s| < n.
+    produce a single distinct ordering.  Empty stream if |s| < n.  Each
+    selection is a "cluster splits" step of the open meter.
     """
     if n < 1:
         raise GaloisKitError("selection size must be positive")
     if s.cardinality < n:
         return
-    used = {}
-    for cols in _ordered_selections(sorted(s.counts), s.counts.get, n, used):
-        remainder = {t: c - used.get(t, 0) for t, c in s.counts.items()}
-        yield TupleMatrix(s.arity, cols), FiniteMultiset(s.arity, remainder)
+    for cols, rest in _splits(s.counts, n, _current_meter()):
+        yield TupleMatrix(s.arity, cols), FiniteMultiset(s.arity, rest)

@@ -69,6 +69,12 @@ from .galois import (
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite"]
 
+# the fixed size and seed of each randomized suite
+CHI_M_CLASSES, CHI_M_SEED = 50, 1202
+MINORS_INSTANCES, MINORS_SEED = 200, 1203
+CLAIM1_INSTANCES, CLAIM1_SEED = 100, 1205
+CLUSTER_LEMMAS_INSTANCES, CLUSTER_LEMMAS_SEED = 100, 1206
+
 
 @dataclass
 class CheckResult:
@@ -124,12 +130,12 @@ def _random_closed_class(rng, k=2, cap=3):
     return close_perm_dummy(cls_, cap)
 
 
-def suite_chi_m(classes=50, seed=1202):
+def suite_chi_m():
     """Every member of a closed class satisfies (chi_M, C M) for every
     distinct-row matrix with at most 3 rows and 3 columns."""
-    rng = random.Random(seed)
+    rng = random.Random(CHI_M_SEED)
     cfg = GaloisConfig(2, n_max=3, m_max=3, breadth=1)
-    for i in range(classes):
+    for i in range(CHI_M_CLASSES):
         cls_ = _random_closed_class(rng)
         for c in gc_inv(cls_, cfg):
             for f in cls_:
@@ -137,13 +143,13 @@ def suite_chi_m(classes=50, seed=1202):
                 if not verdict:
                     return [
                         CheckResult(
-                            f"chi-m: {classes} random closed classes",
+                            f"chi-m: {CHI_M_CLASSES} random closed classes",
                             False,
                             f"class #{i}, member {f!r} violates {c!r} "
                             f"at {verdict.witness!r}",
                         )
                     ]
-    return [CheckResult(f"chi-m: {classes} random closed classes", True)]
+    return [CheckResult(f"chi-m: {CHI_M_CLASSES} random closed classes", True)]
 
 
 def _random_scheme(rng, max_target=3, max_maps=2, max_vars=2, max_arity=3):
@@ -185,13 +191,13 @@ def _candidate_antecedent(scheme, phis, k):
     return RepetitionFunction(scheme.target, k, 0, exc)
 
 
-def suite_minors(instances=200, seed=1203):
+def suite_minors():
     """Verified conjunctive minors transfer satisfaction from the family."""
-    rng = random.Random(seed)
+    rng = random.Random(MINORS_SEED)
     k = 2
     ops = list(all_operations(k, 1)) + list(all_operations(k, 2))
     verified = 0
-    for i in range(instances):
+    for i in range(MINORS_INSTANCES):
         scheme = _random_scheme(rng)
         phis = [_random_rf(rng, len(h), k) for h in scheme.maps]
         family = [
@@ -219,7 +225,7 @@ def suite_minors(instances=200, seed=1203):
                 if not satisfies_constraint(f, candidate):
                     return [
                         CheckResult(
-                            f"minors: {instances} random instances",
+                            f"minors: {MINORS_INSTANCES} random instances",
                             False,
                             f"instance #{i}: {f!r} satisfies the family but "
                             f"violates the verified minor",
@@ -227,7 +233,7 @@ def suite_minors(instances=200, seed=1203):
                     ]
     return [
         CheckResult(
-            f"minors: {instances} random instances "
+            f"minors: {MINORS_INSTANCES} random instances "
             f"({verified} with a verified minor predicate)",
             True,
         )
@@ -272,12 +278,12 @@ def suite_lemma_all():
     return results
 
 
-def suite_claim1(instances=100, seed=1205):
+def suite_claim1():
     """Tight minor through a composite scheme equals the tight minor of
     tight minors, on random two-level stacks."""
-    rng = random.Random(seed)
+    rng = random.Random(CLAIM1_SEED)
     k = 2
-    for i in range(instances):
+    for i in range(CLAIM1_INSTANCES):
         outer = _random_scheme(rng, max_vars=1)
         inners = [
             _random_scheme(rng, max_vars=1, max_target=len(h), max_arity=3)
@@ -310,13 +316,13 @@ def suite_claim1(instances=100, seed=1205):
         if via_composite != nested:
             return [
                 CheckResult(
-                    f"claim1: {instances} random two-level stacks",
+                    f"claim1: {CLAIM1_INSTANCES} random two-level stacks",
                     False,
                     f"instance #{i}: composite {sorted(via_composite)} != "
                     f"nested {sorted(nested)}",
                 )
             ]
-    return [CheckResult(f"claim1: {instances} random two-level stacks", True)]
+    return [CheckResult(f"claim1: {CLAIM1_INSTANCES} random two-level stacks", True)]
 
 
 def _random_cluster(rng, m, k=2):
@@ -328,14 +334,14 @@ def _random_cluster(rng, m, k=2):
     return Cluster(m, k, frozenset(gens))
 
 
-def suite_cluster_lemmas(instances=100, seed=1206):
+def suite_cluster_lemmas():
     """Quotient, union, quotient-satisfaction, dividend, and
     breadth-restriction laws on random boxed-generator clusters."""
-    rng = random.Random(seed)
+    rng = random.Random(CLUSTER_LEMMAS_SEED)
     k = 2
     ops = list(all_operations(k, 1)) + list(all_operations(k, 2))
-    name = f"cluster-lemmas: {instances} random clusters"
-    for i in range(instances):
+    name = f"cluster-lemmas: {CLUSTER_LEMMAS_INSTANCES} random clusters"
+    for i in range(CLUSTER_LEMMAS_INSTANCES):
         m = rng.randint(1, 3)
         b = rng.randint(2, 4)
         phi = _random_cluster(rng, m, k)

@@ -33,7 +33,7 @@ from galois_kit import (
     trivial_constraint,
 )
 from galois_kit.errors import Meter, NotSeparableError
-from galois_kit.galois import _all_rows, _inv_cluster_for_arity
+from galois_kit.galois import _inv_cluster_for_arity
 
 LEQ = frozenset({(0, 0), (0, 1), (1, 1)})
 AND = Operation(2, 2, 2, (0, 0, 0, 1))
@@ -132,7 +132,7 @@ class TestGcInvFPol:
         # cl_inv's closure charges more steps first, so this is asked directly
         closed = close_composition(OperationClass(2, members=[projection(2, 1, 2)]), 2)
         with pytest.raises(BudgetExceededError) as info, Meter(2):
-            _inv_cluster_for_arity(closed, _all_rows(2, 2))
+            _inv_cluster_for_arity(closed, 2)
         # one member from the partition {0} {1}, two from {0, 1}
         assert str(info.value) == "refusing invariant cluster members: 3 steps exceed budget 2"
 

@@ -3,16 +3,18 @@
 ``satisfies_constraint``, ``satisfies_cluster``, the two rf-minor
 predicates, cluster member enumeration, the cluster minors and the
 invariant cluster of ``cl_inv`` work on raw column tuples and count
-dicts.  The reference versions below are the earlier bodies, which
+dicts; ``gc_inv`` and both separators work on row ranks of the all-rows
+matrix.  The reference versions below are the earlier bodies, which
 build and validate a ``TupleMatrix`` or ``FiniteMultiset`` for every
 matrix, split, member, block and Skolem candidate, and which walk every
 ordering of each column multiset.  On randomized instances both sides
 must give the same verdict, the same first witness, the same members in
-the same order, the same clusters, and refuse the same cases.
+the same order, the same clusters and constraints, and refuse the same
+cases.
 """
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -38,12 +40,14 @@ from galois_kit import (
     cl_inv,
     class_image,
     close_composition,
+    close_perm_dummy,
     cluster_minor_member,
     columns_multiset,
     empty_cluster,
     enumerate_cluster_members,
     enumerate_matrices_leq,
     format_cluster,
+    gc_inv,
     is_extensive_rf_minor,
     is_restrictive_rf_minor,
     materialize_minor,
@@ -51,18 +55,18 @@ from galois_kit import (
     order_cluster,
     satisfies_cluster,
     satisfies_constraint,
+    separating_cluster,
+    separating_constraint,
     split_enumerate,
     TupleMatrix,
 )
 from galois_kit.clusters import _antichain_cluster
-from galois_kit.constraints import _tests
-from galois_kit.errors import DEFAULT_BUDGET, Meter
+from galois_kit.errors import DEFAULT_BUDGET, Meter, NotSeparableError
 
 UNLIMITED = float("inf")
 from galois_kit.extnat import ext_min
-from galois_kit.galois import _all_rows
 from galois_kit.minors import default_col_cap, skolem_maps
-from galois_kit.multisets import _nondecreasing_selections
+from galois_kit.multisets import _matrices, _nondecreasing_selections
 from multiset_oracles import ms_diff, ms_partitions, ms_sub
 
 
@@ -213,6 +217,14 @@ def ref_materialize_minor(clusters, scheme, breadth_cap):
     return ref_antichain_cluster(m, k, members)
 
 
+def _all_rows(k, n):
+    """The matrix whose rows are all n-tuples over k, in lexicographic order.
+
+    Row-wise application of an n-ary f to it gives f's value table.
+    """
+    return TupleMatrix.from_rows(product(range(k), repeat=n))
+
+
 def ref_inv_cluster_for_arity(closed, matrix):
     m = matrix.row_count
     mstar = columns_multiset(matrix)
@@ -231,6 +243,57 @@ def ref_inv_cluster_for_arity(closed, matrix):
             for d in product(*image_sets):
                 members.add(ms_join(x, FiniteMultiset.from_tuples(m, d)))
     return ref_antichain_cluster(m, closed.domain_size, members)
+
+
+def ref_invariant_constraint(closed, matrix, codomain_size):
+    chi = RepetitionFunction.from_counts(
+        matrix.row_count, closed.domain_size, columns_multiset(matrix).counts
+    )
+    return GeneralizedConstraint(chi, class_image(closed, matrix), codomain_size)
+
+
+def ref_gc_inv(cls_, cfg):
+    k = cls_.domain_size
+    closed = close_perm_dummy(cls_, max(cfg.n_max, cls_.max_arity or 1))
+    return [
+        ref_invariant_constraint(closed, TupleMatrix.from_rows(rows), cls_.codomain_size)
+        for n in range(1, cfg.n_max + 1)
+        for m in range(1, min(cfg.m_max, k ** n) + 1)
+        for rows in combinations(product(range(k), repeat=n), m)
+    ]
+
+
+def ref_separating_constraint(cls_, g):
+    if len(cls_) == 0:
+        raise GaloisKitError("cannot separate from the empty class")
+    n = g.arity
+    closed = close_perm_dummy(cls_, max(n, cls_.max_arity))
+    matrix = _all_rows(cls_.domain_size, n)
+    c = ref_invariant_constraint(closed, matrix, cls_.codomain_size)
+    if apply_op_rows(g, matrix) in c.consequent:
+        raise NotSeparableError(
+            "no separating constraint: g is in the closed class at its arity"
+        )
+    return c
+
+
+def ref_separating_cluster(cls_, g, cfg):
+    n = g.arity
+    closed = close_composition(cls_, max(n, cls_.max_arity or 1, cfg.n_max))
+    if g in closed:
+        raise NotSeparableError("no separating cluster: g is in the closed class")
+    matrix = _all_rows(cls_.domain_size, n)
+    cluster = ref_inv_cluster_for_arity(closed, matrix)
+    image = FiniteMultiset.from_tuples(matrix.row_count, [apply_op_rows(g, matrix)])
+    if ref_cluster_member(image, cluster):
+        raise GaloisKitError("separation failed: g image unexpectedly admitted")
+    for f in closed:
+        if f.arity <= cfg.n_max:
+            if not ref_satisfies_cluster(f, cluster, max(cfg.breadth, f.arity)):
+                raise GaloisKitError(
+                    f"separation failed: class member {f} violates the cluster"
+                )
+    return cluster
 
 
 # --- random instances -------------------------------------------------
@@ -326,7 +389,7 @@ def test_constraint_tests_are_the_matrices_in_order_with_their_row_ranks():
         m = rng.randint(1, 3 if k == 2 else 2)
         phi = _random_rf(rng, m, k, positive_default=rng.random() < 0.2)
         with Meter(UNLIMITED):
-            tests = list(_tests(phi, n))
+            tests = list(_matrices(phi, n))
             want = list(enumerate_matrices_leq(phi, n))
         assert [TupleMatrix(m, cols) for cols, _ in tests] == want
         assert [list(ranks) for _, ranks in tests] == [
@@ -476,6 +539,87 @@ def test_inv_clusters_match_reference():
             assert cluster == want
         classes += 1
     assert classes >= 150
+
+
+def _random_classes(rng, count):
+    """(class, n_max): 0-2 random generators of arity <= 2; k=2 with
+    n_max <= 3, or k=3 with n_max <= 2, and now and then n_max = 3."""
+    for i in range(count):
+        k, n = ((2, 1), (2, 2), (2, 3), (2, 3), (3, 1), (3, 2), (3, 2))[i % 7]
+        if k == 3 and i % 21 == 6:
+            n = 3
+        k_out = rng.choice([k, k, 2])
+        cls_ = OperationClass(k, k_out)
+        for _ in range(rng.choice([0, 1, 1, 2, 2])):
+            cls_.add(_random_op(rng, k, rng.randint(1, min(n, 2)), k_out))
+        yield cls_, n
+
+
+def test_inv_constraints_match_reference():
+    rng = random.Random(3110)
+    for cls_, n in _random_classes(rng, 42):
+        k = cls_.domain_size
+        m_max = 3 if k ** n == 27 else rng.randint(1, 3)
+        cfg = GaloisConfig(k, n_max=n, m_max=m_max, breadth=n,
+                           codomain_size=cls_.codomain_size)
+        assert gc_inv(cls_, cfg) == ref_gc_inv(cls_, cfg)
+
+
+def test_separating_constraint_matches_reference():
+    rng = random.Random(3111)
+    outcomes = {"separated": 0, "NotSeparableError": 0}
+    for cls_, n in _random_classes(rng, 140):
+        k, k_out = cls_.domain_size, cls_.codomain_size
+        closed = close_perm_dummy(cls_, n)
+        for _ in range(3):
+            a = rng.randint(1, n)
+            members = closed.arity_part(a)
+            if members and rng.random() < 0.4:
+                g = rng.choice(members)
+            else:
+                g = _random_op(rng, k, a, k_out)
+            want = _outcome(ref_separating_constraint, cls_, g)
+            assert _outcome(separating_constraint, cls_, g) == want
+            if not isinstance(want, tuple):
+                outcomes["separated"] += 1
+                assert not satisfies_constraint(g, want)
+            elif len(cls_):
+                outcomes[want[1]] += 1
+    assert min(outcomes.values()) >= 40, outcomes
+
+
+def test_separating_cluster_matches_reference():
+    rng = random.Random(3112)
+    outcomes = {"separated": 0, "NotSeparableError": 0}
+    for cls_, n in _random_composition_classes(rng):
+        k = cls_.domain_size
+        if k ** n > 8:
+            continue  # the reference walks every submultiset of the all-rows columns
+        cfg = GaloisConfig(k, n_max=n, m_max=1, breadth=n)
+        closed = close_composition(cls_, n)
+        a = rng.randint(1, n)
+        members = closed.arity_part(a)
+        g = rng.choice(members) if members and rng.random() < 0.4 else _random_op(rng, k, a)
+        want = _outcome(ref_separating_cluster, cls_, g, cfg)
+        got = _outcome(separating_cluster, cls_, g, cfg)
+        if isinstance(want, tuple):
+            assert got == want
+            outcomes[want[1]] += 1
+        else:
+            assert format_cluster("c", got) == format_cluster("c", want)
+            assert got == want
+            outcomes["separated"] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_separators_refuse_an_operation_over_another_domain():
+    cls_ = OperationClass(2, members=[Operation(2, 2, 1, (0, 1))])
+    cfg = GaloisConfig(2, n_max=1, m_max=1, breadth=1)
+    for g in (Operation(3, 2, 1, (0, 1, 1)), Operation(1, 2, 1, (0,))):
+        for separate in (lambda: separating_constraint(cls_, g),
+                         lambda: separating_cluster(cls_, g, cfg)):
+            with pytest.raises(GaloisKitError, match="operation domain does not match"):
+                separate()
 
 
 def _random_cluster_minor(rng):

@@ -6,8 +6,10 @@ from itertools import combinations_with_replacement, permutations, product
 
 from galois_kit import (
     INF,
+    BudgetExceededError,
     FiniteMultiset,
     GaloisKitError,
+    Meter,
     Operation,
     RepetitionFunction,
     TupleMatrix,
@@ -142,6 +144,19 @@ class TestEnumerateMatrices:
         phi = RepetitionFunction(2, 2, 0)
         assert list(enumerate_matrices_leq(phi, 1)) == []
 
+    PHI = RepetitionFunction(2, 2, 0, {(0, 0): 2, (0, 1): 1, (1, 1): INF})
+
+    def test_refused_past_the_budget(self):
+        with pytest.raises(BudgetExceededError) as info, Meter(5):
+            list(enumerate_matrices_leq(self.PHI, 3))
+        assert (info.value.phase, info.value.done) == ("constraint matrices", 6)
+
+    def test_charges_each_matrix(self):
+        matrices = len(self.brute(self.PHI, 3))
+        with Meter(10 ** 9) as meter:
+            assert len(list(enumerate_matrices_leq(self.PHI, 3))) == matrices
+        assert meter.done["constraint matrices"] == matrices
+
 
 class TestSplitEnumerate:
     def test_all_ordered_selections_covered(self):
@@ -164,6 +179,19 @@ class TestSplitEnumerate:
     def test_too_small_multiset_yields_nothing(self):
         s = FiniteMultiset.from_tuples(1, [(0,)])
         assert list(split_enumerate(s, 2)) == []
+
+    S = FiniteMultiset.from_tuples(1, [(0,), (0,), (1,), (2,)])
+
+    def test_refused_past_the_budget(self):
+        with pytest.raises(BudgetExceededError) as info, Meter(5):
+            list(split_enumerate(self.S, 3))
+        assert (info.value.phase, info.value.done) == ("cluster splits", 6)
+
+    def test_charges_each_split(self):
+        splits = len(set(permutations(self.S.elements(), 3)))
+        with Meter(10 ** 9) as meter:
+            assert len(list(split_enumerate(self.S, 3))) == splits
+        assert meter.done == {"cluster splits": splits}
 
 
 def random_box(rng, arity, k=2):
