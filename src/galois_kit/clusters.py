@@ -17,13 +17,7 @@ from operator import itemgetter
 
 from .errors import GaloisKitError, Meter, _current_meter
 from .extnat import INF, ext_min, ext_sub, is_extnat
-from .multisets import (
-    FiniteMultiset,
-    TupleMatrix,
-    _apply_columns,
-    _nondecreasing_selections,
-    _splits,
-)
+from .multisets import FiniteMultiset, TupleMatrix, _nondecreasing_selections, _splits
 from .repetition import RepetitionFunction
 from .minors import _skolem_search
 
@@ -107,12 +101,14 @@ def _admitted(generators, counts):
 
 
 def _members(cluster, limit, meter):
-    """The count dicts of all members of cardinality <= limit, each once,
-    by cardinality, then by sorted (tuple, count) items.
+    """All members of cardinality <= limit, each once, by cardinality, then
+    by sorted (tuple, count) items, as ``(counts, box)``.
 
-    The generators' boxes are walked in ``sorted_generators`` order.
+    The generators' boxes are walked in ``sorted_generators`` order, and
+    ``box`` is that of the first generator yielding the member: the
+    member lies in it, and its cardinality is within that generator's cap.
     """
-    found = {}  # sorted elements -> counts
+    found = {}  # the member's (tuple, count) items -> (counts, box)
     for gen in cluster.sorted_generators():
         box = gen.box
         support = box.positive_support()
@@ -121,10 +117,11 @@ def _members(cluster, limit, meter):
             raise GaloisKitError("member enumeration needs a finite cardinality limit")
         counts = {}
         selections = _nondecreasing_selections(support, box.value, int(cap), counts)
-        for cols in meter.counted("cluster members", selections):
-            if cols not in found:
-                found[cols] = dict(counts)
-    return sorted(found.values(), key=lambda c: (sum(c.values()), sorted(c.items())))
+        for _ in meter.counted("cluster members", selections):
+            key = frozenset(counts.items())
+            if key not in found:
+                found[key] = (dict(counts), box)
+    return sorted(found.values(), key=lambda m: (sum(m[0].values()), sorted(m[0].items())))
 
 
 def enumerate_cluster_members(cluster, limit):
@@ -132,7 +129,7 @@ def enumerate_cluster_members(cluster, limit):
     by sorted (tuple, count) items: the order ``satisfies_cluster`` checks."""
     with Meter() as meter:
         members = _members(cluster, limit, meter)
-    return [FiniteMultiset(cluster.arity, c) for c in members]
+    return [FiniteMultiset(cluster.arity, c) for c, _ in members]
 
 
 @dataclass(frozen=True)
@@ -162,17 +159,26 @@ def satisfies_cluster(f, cluster, breadth_cap):
         raise GaloisKitError(
             f"breadth cap {breadth_cap} is below the arity {f.arity}: no split exists"
         )
-    n = f.arity
+    n, k, table = f.arity, cluster.domain_size, f.table
     boxes = [(g.cap, g.box.bounds) for g in cluster.generators]
     with Meter() as meter:
-        for counts in _members(cluster, breadth_cap, meter):
+        for counts, box in _members(cluster, breadth_cap, meter):
             size = sum(counts.values()) - n + 1  # |f M1| + |M2|
             if size <= 0:
                 continue
             # only generators whose cap admits the output size can admit it
             live = [bounds for cap, bounds in boxes if size <= cap]
-            for cols, out in _splits(counts, n, meter):
-                image = _apply_columns(f, cols)
+            exceptions, default = box.exceptions, box.default
+            used = {}
+            for cols, ranks in _splits(counts, n, k, used, meter):
+                image = tuple([table[r] for r in ranks])
+                # The output f M1 + M2 is no larger than the member and
+                # has no more of any tuple but the image, so the member's
+                # own generator admits it if its box allows the image's
+                # new count.
+                if counts.get(image, 0) - used.get(image, 0) < exceptions.get(image, default):
+                    continue
+                out = {t: c - used.get(t, 0) for t, c in counts.items()}
                 out[image] = out.get(image, 0) + 1
                 if not any(bounds(out) for bounds in live):
                     rest = dict(out)

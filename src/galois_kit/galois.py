@@ -222,11 +222,14 @@ def c_pol(clusters, cfg):
     return out
 
 
-def _check_domain(cls_, g):
-    """Refuse a g over another domain than the class's: the separators
-    read g's table as the image of the class's all-rows matrix."""
+def _check_class_alphabet(cls_, g):
+    """Refuse a g over another domain or codomain than the class's: the
+    separators read g's table as the image of the class's all-rows
+    matrix, and test it against the class's images."""
     if g.domain_size != cls_.domain_size:
         raise GaloisKitError("operation domain does not match the class")
+    if g.codomain_size != cls_.codomain_size:
+        raise GaloisKitError("operation codomain does not match the class")
 
 
 def separating_constraint(cls_, g):
@@ -238,7 +241,7 @@ def separating_constraint(cls_, g):
     """
     if len(cls_) == 0:
         raise GaloisKitError("cannot separate from the empty class")
-    _check_domain(cls_, g)
+    _check_class_alphabet(cls_, g)
     n = g.arity
     closed = close_perm_dummy(cls_, max(n, cls_.max_arity))
     c = _invariant_constraint(closed, n, range(cls_.domain_size ** n), cls_.codomain_size)
@@ -256,7 +259,7 @@ def separating_cluster(cls_, g, cfg):
     on both sides before returning (members at arities <= n_max checked
     at the configured breadth, g checked on the all-rows witness).
     """
-    _check_domain(cls_, g)
+    _check_class_alphabet(cls_, g)
     with Meter():
         n = g.arity
         closed = close_composition(cls_, max(n, cls_.max_arity or 1, cfg.n_max))

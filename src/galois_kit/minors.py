@@ -212,7 +212,7 @@ def _column_multisets(phi, col_cap):
         selections = _nondecreasing_selections(support, phi.value, n, counts)
         for cols in meter.counted("minor multisets", selections):
             if len(cols) == n:
-                yield cols, counts
+                yield tuple(cols), counts
 
 
 def _check_family(phis, scheme, col_cap):

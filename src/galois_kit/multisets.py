@@ -197,15 +197,18 @@ def _nondecreasing_selections(support, bound, cap, counts):
     A multiset is yielded as its columns in support order (a
     nondecreasing index sequence), so the stream is in lexicographic
     order of support positions within each size: each selection comes
-    right before its extensions.  ``counts`` holds the multiplicities of
-    the selection just yielded.  The search keeps an explicit stack, so
-    the depth of a selection is not limited by the recursion limit.
+    right before its extensions.  The columns come as one live list and
+    ``counts`` holds the multiplicities of the selection just yielded;
+    neither is copied, so a step costs time in the support, not in the
+    cardinality, and a caller that keeps the columns copies them.  The
+    search keeps an explicit stack, so the depth of a selection is not
+    limited by the recursion limit.
     """
     bounds = [bound(t) for t in support]
     chosen = []
     positions = []  # support index of each chosen tuple
     i = 0  # next support index to try after the current selection
-    yield ()
+    yield chosen
     while True:
         if len(chosen) < cap:
             while i < len(support) and counts.get(support[i], 0) >= bounds[i]:
@@ -215,7 +218,7 @@ def _nondecreasing_selections(support, bound, cap, counts):
                 counts[t] = counts.get(t, 0) + 1
                 chosen.append(t)
                 positions.append(i)
-                yield tuple(chosen)
+                yield chosen
                 continue
         if not chosen:
             return
@@ -227,31 +230,55 @@ def _nondecreasing_selections(support, bound, cap, counts):
             del counts[t]
 
 
-def _ordered_selections(support, bound, n, used):
-    """Every sequence of n >= 1 columns from ``support`` using each column
-    t at most bound(t) times, in lexicographic order of support positions.
+def _prefixes(bounded, n, k, used, cols=(), ranks=None):
+    """Every sequence of n columns from ``bounded`` after ``cols``, as
+    ``(cols, ranks)``, with ``used`` counting its columns while it is
+    current; ``ranks`` is None for the empty sequence."""
+    if not n:
+        yield cols, ranks
+        return
+    for col, b in bounded:
+        c = used.get(col, 0)
+        if c < b:
+            used[col] = c + 1
+            yield from _prefixes(bounded, n - 1, k, used, cols + (col,),
+                                 col if ranks is None else [r * k + x for r, x in zip(ranks, col)])
+            used[col] = c
 
-    ``used`` counts the columns of the sequence just yielded, so the
-    caller can read the remainder off it before resuming the stream.
+
+def _ranked_selections(bounded, n, k, used, meter, phase):
+    """Every sequence of n >= 1 columns from the ``(column, bound)`` pairs
+    of ``bounded``, using each column at most its bound times, in
+    lexicographic order of positions in ``bounded``, as ``(cols, ranks)``.
+
+    ``ranks`` is the row-rank vector of the matrix with these columns
+    over domain size k (leftmost column most significant), built one
+    column at a time: a prefix's ranks are computed once, for all its
+    extensions.  ``used`` counts the columns of the sequence just
+    yielded.  Each sequence is one ``phase`` step of ``meter``, refused
+    as ``Meter.counted`` refuses: as soon as the phase passes the budget,
+    the steps taken charged once when the stream ends or is dropped.
     """
-    chosen = []
-    bounded = [(col, bound(col)) for col in support]
-
-    def rec(pos):
-        last = pos == n - 1
-        for col, b in bounded:
-            c = used.get(col, 0)
-            if c < b:
-                used[col] = c + 1
-                chosen.append(col)
-                if last:
-                    yield tuple(chosen)
-                else:
-                    yield from rec(pos + 1)
-                chosen.pop()
-                used[col] = c
-
-    yield from rec(0)
+    left, taken = meter.budget - meter.done.get(phase, 0), 0
+    try:
+        # a one-column stream has only the empty prefix: no generator for it
+        prefixes = _prefixes(bounded, n - 1, k, used) if n > 1 else [((), None)]
+        for prefix, prefix_ranks in prefixes:
+            for col, b in bounded:
+                c = used.get(col, 0)
+                if c < b:
+                    taken += 1
+                    if taken > left:  # refuse, leaving nothing to charge again
+                        steps, taken = taken, 0
+                        meter.charge(phase, steps)
+                    used[col] = c + 1
+                    yield prefix + (col,), (
+                        col if prefix_ranks is None
+                        else [r * k + x for r, x in zip(prefix_ranks, col)])
+                    used[col] = c
+    finally:
+        if taken:
+            meter.charge(phase, taken)
 
 
 def _matrices(phi, n):
@@ -262,22 +289,20 @@ def _matrices(phi, n):
     the tuple of f.table at those ranks.  Each matrix is a "constraint
     matrices" step of the open meter.
     """
-    k = phi.domain_size
-    selections = _ordered_selections(phi.positive_support(), phi.value, n, {})
-    for cols in _current_meter().counted("constraint matrices", selections):
-        yield cols, _row_ranks(k, cols)
+    bounded = [(t, phi.value(t)) for t in phi.positive_support()]
+    return _ranked_selections(bounded, n, phi.domain_size, {}, _current_meter(),
+                              "constraint matrices")
 
 
-def _splits(counts, n, meter):
+def _splits(counts, n, k, used, meter):
     """Every ordered selection of n columns from the multiset with these
-    counts, as ``(cols, rest)``: ``rest`` is a fresh dict of the counts
-    left over, zeros included.  Identical columns give one ordering.
-    Each selection is a "cluster splits" step of ``meter``.
+    counts over domain size k, as ``(cols, ranks)``; identical columns
+    give one ordering.  ``used`` counts the columns of the selection just
+    yielded, so the remainder is counts minus used.  Each selection is a
+    "cluster splits" step of ``meter``.
     """
-    used = {}
-    selections = _ordered_selections(sorted(counts), counts.get, n, used)
-    for cols in meter.counted("cluster splits", selections):
-        yield cols, {t: c - used.get(t, 0) for t, c in counts.items()}
+    bounded = sorted(counts.items())
+    return _ranked_selections(bounded, n, k, used, meter, "cluster splits")
 
 
 def enumerate_matrices_leq(phi, n):
@@ -307,5 +332,8 @@ def split_enumerate(s, n):
         raise GaloisKitError("selection size must be positive")
     if s.cardinality < n:
         return
-    for cols, rest in _splits(s.counts, n, _current_meter()):
+    counts, used = s.counts, {}
+    k = 1 + max(max(t) for t in counts)  # an alphabet holding every entry
+    for cols, _ in _splits(counts, n, k, used, _current_meter()):
+        rest = {t: c - used.get(t, 0) for t, c in counts.items()}
         yield TupleMatrix(s.arity, cols), FiniteMultiset(s.arity, rest)

@@ -230,7 +230,11 @@ class OperationClass:
         return sum(len(d) for d in self._by_arity.values())
 
     def __contains__(self, op):
-        return op.table in self._by_arity.get(op.arity, {})
+        return (
+            op.domain_size == self.domain_size
+            and op.codomain_size == self.codomain_size
+            and op.table in self._by_arity.get(op.arity, {})
+        )
 
     def __eq__(self, other):
         if not isinstance(other, OperationClass):

@@ -35,6 +35,13 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+DEEP_WORKSPACE = (
+    "galois-kit v1\n"
+    "op f k=2 arity=1 : 0 0\n"
+    "cluster c arity=1 k=2 { gen cap=inf rf=[default=0 { 0 -> inf }] }\n"
+)
+
+
 class TestSatisfies:
     def test_satisfied_exits_zero(self, ws_file, capsys):
         code, out = run(capsys, "satisfies", "-w", ws_file,
@@ -73,15 +80,23 @@ class TestSatisfies:
 
     def test_deep_breadth_cap_is_answered(self, tmp_path, capsys):
         path = tmp_path / "deep.gk"
-        path.write_text(
-            "galois-kit v1\n"
-            "op f k=2 arity=1 : 0 0\n"
-            "cluster c arity=1 k=2 { gen cap=inf rf=[default=0 { 0 -> inf }] }\n"
-        )
+        path.write_text(DEEP_WORKSPACE)
         code, out = run(capsys, "satisfies", "-w", str(path),
                         "--fn", "f", "--cluster", "c", "--breadth", "5000")
         assert code == 0
         assert "satisfied: yes" in out
+
+    def test_deep_breadth_cap_is_answered_in_linear_time(self, tmp_path, capsys):
+        # one member per cardinality, each step costing time in its support
+        path = tmp_path / "deep.gk"
+        path.write_text(DEEP_WORKSPACE)
+        start = time.perf_counter()
+        code, out = run(capsys, "satisfies", "-w", str(path),
+                        "--fn", "f", "--cluster", "c", "--breadth", "40000")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert "satisfied: yes" in out
+        assert elapsed < 5.0, elapsed
 
 
 class TestJsonLines:
@@ -144,6 +159,28 @@ class TestCloseInvPolSeparate:
                         "--fn", "P21", "--kind", "constraint")
         assert code == 1
         assert "separated: no" in out
+
+
+CODOMAIN_WORKSPACE = """\
+galois-kit v1
+class C {
+  op C.0 k=2 arity=2 : 0 0 0 1
+}
+op w k=2,3 arity=2 : 0 0 0 1
+op u k=2,3 arity=1 : 0 2
+"""
+
+
+class TestSeparateOverAnotherCodomain:
+    @pytest.mark.parametrize("fn", ["w", "u"])
+    @pytest.mark.parametrize("kind", ["constraint", "cluster"])
+    def test_refused_before_any_entity(self, tmp_path, capsys, fn, kind):
+        path = tmp_path / "codomain.gk"
+        path.write_text(CODOMAIN_WORKSPACE)
+        code, out = run(capsys, "separate", "-w", str(path), "--class", "C",
+                        "--fn", fn, "--kind", kind, "--cap", "2")
+        assert code == 2
+        assert out == "error: operation codomain does not match the class\n"
 
 
 class TestDeterminism:

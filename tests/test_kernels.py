@@ -1,5 +1,6 @@
 """The predicate and cluster kernels against their object-based reference bodies.
 
+The ranked selection stream of ``_matrices`` and ``_splits``,
 ``satisfies_constraint``, ``satisfies_cluster``, the two rf-minor
 predicates, cluster member enumeration, the cluster minors and the
 invariant cluster of ``cl_inv`` work on raw column tuples and count
@@ -14,9 +15,11 @@ cases.
 """
 
 import random
+from functools import cache
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from galois_kit import (
     BoxedGenerator,
@@ -60,13 +63,13 @@ from galois_kit import (
     split_enumerate,
     TupleMatrix,
 )
-from galois_kit.clusters import _antichain_cluster
+from galois_kit.clusters import _antichain_cluster, _members
 from galois_kit.errors import DEFAULT_BUDGET, Meter, NotSeparableError
 
 UNLIMITED = float("inf")
 from galois_kit.extnat import ext_min
 from galois_kit.minors import default_col_cap, skolem_maps
-from galois_kit.multisets import _matrices, _nondecreasing_selections
+from galois_kit.multisets import _matrices, _nondecreasing_selections, _ranked_selections
 from multiset_oracles import ms_diff, ms_partitions, ms_sub
 
 
@@ -79,6 +82,75 @@ def ref_satisfies_constraint(f, c):
         if apply_op_rows(f, m) not in c.consequent:
             return ConstraintVerdict(False, m)
     return ConstraintVerdict(True)
+
+
+def ref_ordered_selections(support, bound, n, used):
+    """Every sequence of n >= 1 columns from ``support`` using each column
+    t at most bound(t) times, in lexicographic order of support positions;
+    ``used`` counts the columns of the sequence just yielded."""
+    chosen = []
+    bounded = [(col, bound(col)) for col in support]
+
+    def rec(pos):
+        last = pos == n - 1
+        for col, b in bounded:
+            c = used.get(col, 0)
+            if c < b:
+                used[col] = c + 1
+                chosen.append(col)
+                if last:
+                    yield tuple(chosen)
+                else:
+                    yield from rec(pos + 1)
+                chosen.pop()
+                used[col] = c
+
+    yield from rec(0)
+
+
+def ref_row_ranks(k, columns):
+    """The rank of each row of the matrix with these columns over domain
+    size k, leftmost column most significant, rebuilt from scratch."""
+    ranks = columns[0]
+    for col in columns[1:]:
+        ranks = [r * k + x for r, x in zip(ranks, col)]
+    return ranks
+
+
+def ref_full_test_satisfies_cluster(f, cluster, breadth_cap):
+    """The count-dict kernel without the admission shortcut: every split's
+    output f M1 + M2 is built and tested against each live generator,
+    and its row ranks are rebuilt per split."""
+    if f.domain_size != cluster.domain_size or f.codomain_size != cluster.domain_size:
+        raise GaloisKitError("operation alphabet does not match the cluster")
+    if breadth_cap < f.arity:
+        raise GaloisKitError(
+            f"breadth cap {breadth_cap} is below the arity {f.arity}: no split exists"
+        )
+    n, k = f.arity, cluster.domain_size
+    boxes = [(g.cap, g.box.bounds) for g in cluster.generators]
+    with Meter() as meter:
+        for counts, _ in _members(cluster, breadth_cap, meter):
+            size = sum(counts.values()) - n + 1
+            if size <= 0:
+                continue
+            live = [bounds for cap, bounds in boxes if size <= cap]
+            used = {}
+            selections = ref_ordered_selections(sorted(counts), counts.get, n, used)
+            for cols in meter.counted("cluster splits", selections):
+                out = {t: c - used.get(t, 0) for t, c in counts.items()}
+                image = tuple(f.table[r] for r in ref_row_ranks(k, cols))
+                out[image] = out.get(image, 0) + 1
+                if not any(bounds(out) for bounds in live):
+                    rest = dict(out)
+                    rest[image] -= 1
+                    witness = (
+                        TupleMatrix(cluster.arity, cols),
+                        FiniteMultiset(cluster.arity, rest),
+                        FiniteMultiset(cluster.arity, out),
+                    )
+                    return ClusterVerdict(False, breadth_cap, witness)
+    return ClusterVerdict(True, breadth_cap)
 
 
 def ref_bounded_multisets(arity, support, bound, cap):
@@ -622,6 +694,18 @@ def test_separators_refuse_an_operation_over_another_domain():
                 separate()
 
 
+def test_separators_refuse_an_operation_over_another_codomain():
+    cls_ = OperationClass(2, members=[Operation(2, 2, 2, (0, 0, 0, 1))])
+    cfg = GaloisConfig(2, n_max=2, m_max=1, breadth=2)
+    # the first has the member's table, the second leaves the class's codomain
+    for g in (Operation(2, 3, 2, (0, 0, 0, 1)), Operation(2, 3, 1, (0, 2))):
+        assert g not in cls_
+        for separate in (lambda: separating_constraint(cls_, g),
+                         lambda: separating_cluster(cls_, g, cfg)):
+            with pytest.raises(GaloisKitError, match="operation codomain does not match"):
+                separate()
+
+
 def _random_cluster_minor(rng):
     k = rng.choice([2, 2, 3])
     target = rng.randint(1, 2)
@@ -712,3 +796,169 @@ def test_antichain_comparisons_are_metered():
     assert meter.done == {"antichain comparisons": 4}
     assert got == ref_antichain_cluster(1, 3, [FiniteMultiset(1, s) for s in members])
     assert sorted(g.cap for g in got.generators) == [2, 2, 3]
+
+
+# --- the ranked selection stream and the admission shortcut -----------
+
+EXTNATS = st.sampled_from([0, 1, 2, 3, INF])
+
+
+@st.composite
+def bounded_columns(draw):
+    """(k, n, support, bounds): up to four columns over k = 2 or 3 with
+    random bounds, and a selection length n of 1 to 4."""
+    k = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(1, 3 if k == 2 else 2))
+    space = list(product(range(k), repeat=m))
+    support = sorted(draw(st.sets(st.sampled_from(space), max_size=4)))
+    bounds = {t: draw(EXTNATS) for t in support}
+    return k, draw(st.integers(1, 4)), support, bounds
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounded_columns())
+def test_ranked_selections_match_the_ordered_selections(case):
+    k, n, support, bounds = case
+    want_used, got_used = {}, {}
+    want = [(cols, list(ref_row_ranks(k, cols)), dict(want_used))
+            for cols in ref_ordered_selections(support, bounds.get, n, want_used)]
+    with Meter(UNLIMITED) as meter:
+        stream = _ranked_selections(list(bounds.items()), n, k, got_used, meter, "p")
+        got = [(cols, list(ranks), dict(got_used)) for cols, ranks in stream]
+    assert got == want
+    assert got_used == want_used
+    assert meter.done == ({"p": len(want)} if want else {})
+
+
+def _drive(stream, used, stop):
+    """The columns and live counts a stream yields, read until it ends,
+    refuses, or has yielded ``stop`` items, and the refusal if any."""
+    items, refusal = [], None
+    try:
+        for item in stream:
+            if len(items) == stop:
+                break
+            items.append((item, dict(used)))
+    except BudgetExceededError as e:
+        refusal = (e.phase, e.done, e.budget)
+    stream.close()
+    return items, refusal
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounded_columns(), st.data())
+def test_ranked_selections_charge_and_refuse_like_the_counted_stream(case, data):
+    k, n, support, bounds = case
+    total = sum(1 for _ in ref_ordered_selections(support, bounds.get, n, {}))
+    budget = data.draw(st.integers(0, total + 2), label="budget")
+    stop = data.draw(st.integers(0, total + 1), label="stop")
+    before = data.draw(st.integers(0, 3), label="steps already charged")
+    runs = []
+    for ranked in (False, True):
+        used = {}
+        with Meter(budget + before) as meter:
+            meter.charge("p", before)
+            if ranked:
+                stream = _ranked_selections(list(bounds.items()), n, k, used, meter, "p")
+                items, refusal = _drive(stream, used, stop)
+                items = [(cols, counts) for (cols, _), counts in items]
+            else:
+                stream = meter.counted("p", ref_ordered_selections(support, bounds.get, n, used))
+                items, refusal = _drive(stream, used, stop)
+        runs.append((items, refusal, meter.done))
+    assert runs[1] == runs[0]
+
+
+@st.composite
+def boxed_cluster_cases(draw):
+    """(f, cluster, breadth cap): a random boxed cluster of arity 1 or 2
+    over k = 2 or 3, and an operation of arity 1 to 4 over the same k."""
+    k, m = draw(st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2)]))
+    space = list(product(range(k), repeat=m))
+    gens = set()
+    for _ in range(draw(st.integers(1, 3))):
+        default = draw(st.sampled_from([0, 0, 1, 2, INF]))
+        exceptions = draw(st.dictionaries(st.sampled_from(space), EXTNATS, max_size=4))
+        box = RepetitionFunction(m, k, default, exceptions)
+        gens.add(BoxedGenerator(box, draw(EXTNATS)))
+    n = draw(st.integers(1, 4 if k ** m <= 4 else 2))
+    f = Operation(k, k, n, tuple(draw(st.lists(st.integers(0, k - 1),
+                                                min_size=k ** n, max_size=k ** n))))
+    return f, Cluster(m, k, frozenset(gens)), n + draw(st.integers(0, 1))
+
+
+ORDERS = {
+    2: [{(0, 0), (0, 1), (1, 1)}],
+    3: [{(a, b) for a in range(3) for b in range(3) if a <= b},
+        {(0, 0), (1, 1), (2, 2), (0, 1), (0, 2)}],
+}
+
+
+@st.composite
+def order_cluster_cases(draw):
+    """(f, order cluster, breadth cap) over a chain or a vee; k = 2 with
+    arity 1 to 3, or k = 3 with arity 1 or 2."""
+    k = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 3 if k == 2 else 2))
+    f = Operation(k, k, n, tuple(draw(st.lists(st.integers(0, k - 1),
+                                                min_size=k ** n, max_size=k ** n))))
+    return f, order_cluster(draw(st.sampled_from(ORDERS[k])), k), n + draw(st.integers(0, 1))
+
+
+@cache
+def _inv_clusters():
+    """The cl_inv clusters of a few seeded binary classes at n_max = 2."""
+    rng = random.Random(3113)
+    clusters = []
+    for _ in range(4):
+        cls_ = OperationClass(2)
+        for _ in range(rng.randint(1, 2)):
+            cls_.add(_random_op(rng, 2, rng.randint(1, 2)))
+        clusters += cl_inv(cls_, GaloisConfig(2, n_max=2, m_max=1, breadth=2))
+    return tuple(clusters)
+
+
+@st.composite
+def inv_cluster_cases(draw):
+    """(f, cl_inv cluster, breadth cap) over k = 2, arity 1 to 3."""
+    n = draw(st.integers(1, 3))
+    f = Operation(2, 2, n, tuple(draw(st.lists(st.integers(0, 1),
+                                                min_size=2 ** n, max_size=2 ** n))))
+    return f, draw(st.sampled_from(_inv_clusters())), n + draw(st.integers(0, 2))
+
+
+def _metered_outcome(fn, args, budget):
+    """The verdict or the refusal of fn(*args) under Meter(budget), and the
+    meter's steps per phase."""
+    with Meter(budget) as meter:
+        try:
+            outcome = fn(*args)
+        except BudgetExceededError as e:
+            outcome = ("refused", e.phase, e.done)
+    return outcome, meter.done
+
+
+def _assert_shortcut_exact(case, budget):
+    want = _metered_outcome(ref_full_test_satisfies_cluster, case, UNLIMITED)
+    assert _metered_outcome(satisfies_cluster, case, UNLIMITED) == want
+    assert (_metered_outcome(satisfies_cluster, case, budget)
+            == _metered_outcome(ref_full_test_satisfies_cluster, case, budget))
+    return want[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxed_cluster_cases(), st.integers(0, 60))
+def test_cluster_shortcut_matches_the_full_test_on_boxed_clusters(case, budget):
+    _assert_shortcut_exact(case, budget)
+
+
+@settings(max_examples=120, deadline=None)
+@given(order_cluster_cases(), st.integers(0, 200))
+def test_cluster_shortcut_matches_the_full_test_on_order_clusters(case, budget):
+    _assert_shortcut_exact(case, budget)
+
+
+@settings(max_examples=120, deadline=None)
+@given(inv_cluster_cases(), st.integers(0, 200))
+def test_cluster_shortcut_matches_the_full_test_on_inv_clusters(case, budget):
+    _assert_shortcut_exact(case, budget)

@@ -272,7 +272,7 @@ class TestStreamOrder:
             cap = rng.choice((0, 1, 2, 3, 4, 6))
             live = {}
             got = [
-                (cols, dict(live))
+                (tuple(cols), dict(live))
                 for cols in _nondecreasing_selections(support, bounds.get, cap, live)
             ]
             assert got == recursive_nondecreasing_selections(support, bounds.get, cap)

@@ -151,6 +151,7 @@ class TestOperationClass:
         a = OperationClass(2, members=[AND, NOT])
         b = OperationClass(2, members=[NOT, AND])
         assert a == b and AND in a and OR not in a
+        assert Operation(2, 3, 2, AND.table) not in a  # another codomain
 
     def test_all_operations_counts(self):
         assert len(list(all_operations(2, 1))) == 4
