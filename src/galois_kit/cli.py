@@ -149,17 +149,18 @@ def cmd_inv(args, report):
     ws = _load_workspace(args.workspace)
     cls_ = ws.get("class", args.cls)
     cfg = _config(args, cls_.domain_size, cls_.codomain_size)
+    # answer first, so that a refusal or error prints no workspace lines
+    if args.kind == "constraint":
+        invariants, fmt = gc_inv(cls_, cfg), format_constraint
+    else:
+        invariants, fmt = cl_inv(cls_, cfg), format_cluster
     report.raw(HEADER)
     report.raw(
         f"# invariants at bounded caps (arity <= {cfg.n_max}); the emitted "
         "family generates the Galois-closed class at matching caps"
     )
-    if args.kind == "constraint":
-        for i, c in enumerate(gc_inv(cls_, cfg)):
-            report.raw(format_constraint(f"{args.cls}.inv{i}", c))
-    else:
-        for i, cluster in enumerate(cl_inv(cls_, cfg)):
-            report.raw(format_cluster(f"{args.cls}.inv{i}", cluster))
+    for i, entity in enumerate(invariants):
+        report.raw(fmt(f"{args.cls}.inv{i}", entity))
     return 0
 
 

@@ -38,10 +38,11 @@ class GeneralizedConstraint:
     codomain_size: int
 
     def __post_init__(self):
-        object.__setattr__(self, "consequent", frozenset(map(tuple, self.consequent)))
-        m = self.antecedent.arity
-        for t in self.consequent:
-            if len(t) != m or any(not 0 <= x < self.codomain_size for x in t):
+        consequent = frozenset(map(tuple, self.consequent))
+        object.__setattr__(self, "consequent", consequent)
+        m, k_out = self.antecedent.arity, self.codomain_size
+        for t in consequent:
+            if len(t) != m or min(t) < 0 or max(t) >= k_out:
                 raise GaloisKitError(f"consequent tuple {t!r} invalid for arity {m}")
 
     @property

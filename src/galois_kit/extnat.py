@@ -16,7 +16,7 @@ INF = math.inf
 
 
 def is_extnat(x):
-    return x == INF or (isinstance(x, int) and x >= 0 and not isinstance(x, bool))
+    return isinstance(x, int) and x >= 0 and not isinstance(x, bool) or x == INF
 
 
 def ext_sub(a, b):

@@ -45,14 +45,14 @@ class Operation:
             raise GaloisKitError("nullary operations are not supported")
         if self.domain_size < 1 or self.codomain_size < 1:
             raise GaloisKitError("domain sizes must be positive")
-        expected = power_upto(self.domain_size, self.arity, len(self.table) + 1)
-        if len(self.table) != expected:
+        table = self.table
+        if len(table) != power_upto(self.domain_size, self.arity, len(table) + 1):
             raise GaloisKitError(
-                f"table length {len(self.table)} != {self.domain_size}^{self.arity}"
+                f"table length {len(table)} != {self.domain_size}^{self.arity}"
             )
-        if any(not (0 <= v < self.codomain_size) for v in self.table):
+        if min(table) < 0 or max(table) >= self.codomain_size:
             raise GaloisKitError("table entry out of codomain range")
-        object.__setattr__(self, "table", tuple(self.table))
+        object.__setattr__(self, "table", tuple(table))
 
     def rank(self, inputs):
         r = 0

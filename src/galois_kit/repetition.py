@@ -27,31 +27,32 @@ class RepetitionFunction:
             raise GaloisKitError(f"invalid default value {default!r}")
         exceptions = dict(exceptions or {})
         for t, v in exceptions.items():
-            if len(t) != arity or any(not 0 <= x < domain_size for x in t):
+            if len(t) != arity or min(t) < 0 or max(t) >= domain_size:
                 raise GaloisKitError(f"invalid exception key {t!r}")
             if not is_extnat(v):
                 raise GaloisKitError(f"invalid exception value {v!r}")
-        exceptions = {t: v for t, v in exceptions.items() if v != default}
-        # Canonical default: the most frequent value, with a fixed tie
-        # order, so pointwise-equal functions are structurally equal even
-        # when the exceptions nearly cover the tuple space.  Past twice the
-        # exceptions' count the default wins, so k^m is built no further.
-        space = power_upto(domain_size, arity, 2 * len(exceptions) + 1)
-        hist = {default: space - len(exceptions)}
-        for v in exceptions.values():
-            hist[v] = hist.get(v, 0) + 1
-        best = max(
-            hist, key=lambda v: (hist[v], v == INF, v if v != INF else -1)
-        )
-        if best != default:
-            # only possible when exceptions cover at least half the space,
-            # so the rewrite below stays proportional to their size
-            exceptions = {
-                t: exceptions.get(t, default)
-                for t in product(range(domain_size), repeat=arity)
-                if exceptions.get(t, default) != best
-            }
-            default = best
+        if default in exceptions.values():
+            exceptions = {t: v for t, v in exceptions.items() if v != default}
+        # Canonical default: the most frequent value, ties going to the
+        # larger (inf the largest), so pointwise-equal functions are
+        # structurally equal even when the exceptions nearly cover the tuple
+        # space.  On more than twice the exceptions' count of tuples the
+        # default holds a strict majority, so only a smaller space, never
+        # k^m, is counted out.
+        twice = 2 * len(exceptions)
+        space = power_upto(domain_size, arity, twice + 1)
+        if space <= twice:
+            hist = {default: space - len(exceptions)}
+            for v in exceptions.values():
+                hist[v] = hist.get(v, 0) + 1
+            best = max(zip(hist.values(), hist))[1]
+            if best != default:
+                exceptions = {
+                    t: exceptions.get(t, default)
+                    for t in product(range(domain_size), repeat=arity)
+                    if exceptions.get(t, default) != best
+                }
+                default = best
         self.arity = arity
         self.domain_size = domain_size
         self.default = default
@@ -77,10 +78,12 @@ class RepetitionFunction:
         """Tuples with value > 0, in lexicographic order.
 
         When the default is positive this walks the whole tuple space, so
-        its k^m tuples are charged up front to the "support tuples" phase.
+        its k^m tuples of m entries each are charged up front to the
+        "support tuples" phase, one step per entry.
         """
         if self.default > 0:
-            _current_meter().charge_power("support tuples", self.domain_size, self.arity)
+            _current_meter().charge_power("support tuples", self.domain_size, self.arity,
+                                          times=self.arity)
             return [t for t in self.all_tuples() if self.value(t) > 0]
         return sorted(t for t, v in self.exceptions.items() if v > 0)
 

@@ -299,6 +299,24 @@ def test_inv_constraint_over_budget_exits_three(ws_file, capsys):
     assert "error: refusing invariant matrices: 13 steps exceed budget 10" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json-lines"])
+@pytest.mark.parametrize("argv, code, message", [
+    (["--class", "proj2", "--kind", "cluster", "--cap", "3", "--budget", "50"], 3,
+     "refusing closure: 52 steps exceed budget 50"),
+    (["--class", "E", "--kind", "cluster", "--cap", "2"], 2,
+     "composition closure requires domain == codomain"),
+    (["--class", "E", "--kind", "constraint", "--cap", "2", "--budget", "0"], 3,
+     "refusing invariant matrices: 2 steps exceed budget 0"),
+])
+def test_inv_prints_only_the_error_when_it_has_no_answer(argv, code, message, fmt, tmp_path,
+                                                         capsys):
+    path = tmp_path / "ws.gk"
+    path.write_text(WORKSPACE + "class E k=2,3 {\n}\n")
+    out = run(capsys, "--format", fmt, "inv", "-w", str(path), *argv)
+    line = json.dumps({"error": message}) if fmt == "json-lines" else f"error: {message}"
+    assert out == (code, line + "\n")
+
+
 BUDGET_WORKSPACE = WORKSPACE + """\
 constraint lo : rf=[arity=2 k=2 default=0 { 0 0 -> 5 ; 0 1 -> 7 }] consequent={ (0 0), (0 1), (1 0), (1 1) }
 cluster pair arity=1 k=2 { gen cap=inf rf=[default=0 { 0 -> inf ; 1 -> inf }] }
@@ -310,9 +328,10 @@ cluster pair arity=1 k=2 { gen cap=inf rf=[default=0 { 0 -> inf ; 1 -> inf }] }
     # the refusal comes at the step past the budget, not after the 4 matrices
     pytest.param(["satisfies", "--fn", "AND", "--constraint", "lo"], 2,
                  "constraint matrices", 3, id="satisfies-constraint"),
-    # ord's antecedent is 9 on three of the four pairs, so its default is 9
+    # ord's antecedent is 9 on three of the four pairs, so its default is 9:
+    # 4 pairs of 2 entries each
     pytest.param(["satisfies", "--fn", "AND", "--constraint", "ord"], 2,
-                 "support tuples", 4, id="satisfies-positive-default"),
+                 "support tuples", 8, id="satisfies-positive-default"),
     # 1 + 2 + 3 + 4 members of cardinality <= 3 over two tuples
     pytest.param(["satisfies", "--fn", "NOT", "--cluster", "pair", "--breadth", "3"], 5,
                  "cluster members", 6, id="satisfies-cluster-members"),
@@ -423,24 +442,35 @@ HUGE = "100000000"
 @pytest.mark.parametrize("entity, argv, code, message", [
     pytest.param(f"cluster c arity={HUGE} k=2 {{ gen cap=2 rf=[default=1 {{ }}] }}",
                  ["satisfies", "--fn", "g", "--cluster", "c"], 3,
-                 f"error: refusing support tuples: 2^{HUGE} steps exceed budget 2000000",
+                 f"error: refusing support tuples: {HUGE} * 2^{HUGE} steps exceed budget 2000000",
                  id="cluster-positive-default"),
     pytest.param("cluster c arity=3000 k=2 { gen cap=2 rf=[default=1 { }] }",
                  ["satisfies", "--fn", "g", "--cluster", "c"], 3,
-                 "error: refusing support tuples: 2^3000 steps exceed budget 2000000",
+                 "error: refusing support tuples: 3000 * 2^3000 steps exceed budget 2000000",
                  id="cluster-arity-3000"),
     pytest.param(f"cluster c arity={HUGE} k=3 {{ gen cap=2 rf=[default=inf {{ }}] }}",
                  ["pol", "--kind", "cluster", "--names", "c", "--cap", "1"], 3,
-                 f"error: refusing support tuples: 3^{HUGE} steps exceed budget 2000000",
+                 f"error: refusing support tuples: {HUGE} * 3^{HUGE} steps exceed budget 2000000",
                  id="pol-cluster-k3"),
     pytest.param(f"cluster c arity={HUGE} k=2 {{ gen cap=2 rf=[default=1 {{ }}] }}",
                  ["pol", "--kind", "cluster", "--names", "c", "--cap", "1"], 3,
-                 f"error: refusing support tuples: 2^{HUGE} steps exceed budget 2000000",
+                 f"error: refusing support tuples: {HUGE} * 2^{HUGE} steps exceed budget 2000000",
                  id="pol-cluster"),
     pytest.param(f"constraint d : rf=[arity={HUGE} k=2 default=1 {{ }}] consequent={{ }}",
                  ["satisfies", "--fn", "g", "--constraint", "d"], 3,
-                 f"error: refusing support tuples: 2^{HUGE} steps exceed budget 2000000",
+                 f"error: refusing support tuples: {HUGE} * 2^{HUGE} steps exceed budget 2000000",
                  id="constraint-positive-default"),
+    # over one letter the tuple space is a single tuple, still of 10^8 entries
+    pytest.param(f"op u k=1 arity=1 : 0\ncluster c arity={HUGE} k=1 "
+                 "{ gen cap=2 rf=[default=1 { }] }",
+                 ["satisfies", "--fn", "u", "--cluster", "c"], 3,
+                 f"error: refusing support tuples: {HUGE} steps exceed budget 2000000",
+                 id="cluster-one-letter"),
+    pytest.param(f"op u k=1 arity=1 : 0\nconstraint d : rf=[arity={HUGE} k=1 default=1 {{ }}] "
+                 "consequent={ }",
+                 ["satisfies", "--fn", "u", "--constraint", "d"], 3,
+                 f"error: refusing support tuples: {HUGE} steps exceed budget 2000000",
+                 id="constraint-one-letter"),
     pytest.param(f"op h k=3 arity={HUGE} : 0 1 2",
                  ["satisfies", "--fn", "g", "--constraint", "d"], 2,
                  f"error: line 3: table length 3 != 3^{HUGE}",
@@ -459,7 +489,9 @@ def test_huge_tuple_space_answers_in_one_line(entity, argv, code, message, tmp_p
                                               capsys):
     path = tmp_path / "ws.gk"
     path.write_text(f"galois-kit v1\nop g k=2 arity=1 : 0 1\n{entity}\n")
+    start = time.perf_counter()
     assert run(capsys, argv[0], "-w", str(path), *argv[1:]) == (code, message + "\n")
+    assert time.perf_counter() - start < 1
 
 
 def test_pol_charges_table_entries(tmp_path, capsys):

@@ -147,9 +147,11 @@ class TestEnumerateMatrices:
     PHI = RepetitionFunction(2, 2, 0, {(0, 0): 2, (0, 1): 1, (1, 1): INF})
 
     def test_refused_past_the_budget(self):
-        with pytest.raises(BudgetExceededError) as info, Meter(5):
+        # PHI's default is inf, so its 4 tuples of 2 entries, 8 support tuple
+        # steps, are charged first and fit
+        with pytest.raises(BudgetExceededError) as info, Meter(8):
             list(enumerate_matrices_leq(self.PHI, 3))
-        assert (info.value.phase, info.value.done) == ("constraint matrices", 6)
+        assert (info.value.phase, info.value.done) == ("constraint matrices", 9)
 
     def test_charges_each_matrix(self):
         matrices = len(self.brute(self.PHI, 3))
