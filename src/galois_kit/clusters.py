@@ -10,6 +10,7 @@ minor with two identity maps.  Membership equivalence, not generator
 identity, is the contract.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from itertools import groupby, product
@@ -100,36 +101,121 @@ def _admitted(generators, counts):
     return any(g.admits(counts, size) for g in generators)
 
 
-def _members(cluster, limit, meter):
-    """All members of cardinality <= limit, each once, by cardinality, then
-    by sorted (tuple, count) items, as ``(counts, box)``.
+def _compiled(cluster):
+    """The cluster as generator bitmasks, bit i standing for the i-th
+    generator in ``sorted_generators`` order, as ``(caps, allows, exact)``.
 
-    The generators' boxes are walked in ``sorted_generators`` order, and
-    ``box`` is that of the first generator yielding the member: the
-    member lies in it, and its cardinality is within that generator's cap.
+    ``caps`` lists the generators' caps in that order, which is
+    ascending, so the generators whose cap admits a size are a suffix.
+    ``allows`` maps each tuple some box allows to the generators whose box
+    allows one copy of it, and ``exact`` maps it to ``{c: generators whose
+    box allows exactly c copies}`` for each finite c > 0.  Built in one
+    pass over the generators' positive supports.
     """
-    found = {}  # the member's (tuple, count) items -> (counts, box)
-    for gen in cluster.sorted_generators():
-        box = gen.box
-        support = box.positive_support()
-        cap = ext_min(gen.cap, limit)
-        if cap == INF:
-            raise GaloisKitError("member enumeration needs a finite cardinality limit")
-        counts = {}
-        selections = _nondecreasing_selections(support, box.value, int(cap), counts)
-        for _ in meter.counted("cluster members", selections):
-            key = frozenset(counts.items())
-            if key not in found:
-                found[key] = (dict(counts), box)
-    return sorted(found.values(), key=lambda m: (sum(m[0].values()), sorted(m[0].items())))
+    caps, allows, exact = [], {}, {}
+    for i, gen in enumerate(cluster.sorted_generators()):
+        bit, box = 1 << i, gen.box
+        exceptions, default = box.exceptions, box.default
+        caps.append(gen.cap)
+        # canonically, a default-0 box has only positive exceptions
+        support = (exceptions.items() if not default else
+                   [(t, exceptions.get(t, default)) for t in box.positive_support()])
+        for t, v in support:
+            if t in allows:
+                allows[t] |= bit
+            else:
+                allows[t], exact[t] = bit, {}
+            if v != INF:
+                at = exact[t]
+                at[v] = at.get(v, 0) | bit
+    return caps, allows, exact
+
+
+def _at_least(allows, exact, t, c):
+    """The generators whose box allows c >= 1 copies of t."""
+    mask = allows.get(t, 0)
+    if mask:
+        for v, gens in exact[t].items():
+            if v < c:
+                mask &= ~gens
+    return mask
+
+
+def _walk(caps, allows, exact, top, counts):
+    """Every member of cardinality <= top, each once, the empty one first,
+    as its live mask: the generators that admit it.
+
+    The members are the multisets over the union of the supports in
+    nondecreasing support order, a selection extended only while the AND
+    of its tuples' masks and the cap suffix is non-zero; the cluster is
+    downward closed, so no member is missed.  ``counts`` holds the
+    multiplicities of the member just yielded, in sorted tuple order.
+    The candidate tuples are narrowed to those some live generator allows
+    only when the live set shrinks.  The search keeps an explicit stack.
+    """
+    if not caps:
+        return
+    low = caps[0]  # below the smallest cap, no cap drops a generator
+    frames = []  # (tuple chosen, candidates, its index there, live before it)
+    cands, i, live = sorted(allows), 0, (1 << len(caps)) - 1
+    yield live
+    while True:
+        size, new = len(frames), 0
+        if size < top:
+            # only generators whose cap admits size + 1 stay live
+            keep = live
+            if size >= low:
+                j = bisect_left(caps, size + 1)
+                keep = keep >> j << j
+            while keep and i < len(cands):
+                t = cands[i]
+                c = counts.get(t, 0)
+                # every live box allows c copies of t: drop those allowing no more
+                new = keep & ~exact[t].get(c, 0) if c else keep & allows[t]
+                if new:
+                    break
+                i += 1
+        if new:
+            counts[t] = c + 1
+            frames.append((t, cands, i, live))
+            if new != live:
+                cands, i = [u for u in cands[i:] if new & allows[u]], 0
+            live = new
+            yield live
+            continue
+        if not frames:
+            return
+        t, cands, i, live = frames.pop()
+        i += 1
+        if counts[t] > 1:
+            counts[t] -= 1
+        else:
+            del counts[t]
+
+
+def _members(compiled, limit, meter):
+    """All members of cardinality <= limit, each once and one "cluster
+    members" step, by cardinality, then by sorted (tuple, count) items, as
+    ``(size, items, live)``: ``live`` is the mask of the generators of the
+    ``_compiled`` cluster that admit the member."""
+    caps, allows, exact = compiled
+    top = ext_min(limit, caps[-1]) if caps else 0
+    if top == INF:
+        raise GaloisKitError("member enumeration needs a finite cardinality limit")
+    counts = {}
+    members = [(sum(counts.values()), tuple(counts.items()), live)
+               for live in meter.counted("cluster members",
+                                         _walk(caps, allows, exact, int(top), counts))]
+    members.sort()
+    return members
 
 
 def enumerate_cluster_members(cluster, limit):
     """All members of cardinality <= limit, each once, by cardinality, then
     by sorted (tuple, count) items: the order ``satisfies_cluster`` checks."""
     with Meter() as meter:
-        members = _members(cluster, limit, meter)
-    return [FiniteMultiset(cluster.arity, c) for c, _ in members]
+        members = _members(_compiled(cluster), limit, meter)
+    return [FiniteMultiset(cluster.arity, dict(items)) for _, items, _ in members]
 
 
 @dataclass(frozen=True)
@@ -160,27 +246,37 @@ def satisfies_cluster(f, cluster, breadth_cap):
             f"breadth cap {breadth_cap} is below the arity {f.arity}: no split exists"
         )
     n, k, table = f.arity, cluster.domain_size, f.table
-    boxes = [(g.cap, g.box.bounds) for g in cluster.generators]
+    compiled = caps, allows, exact = _compiled(cluster)
+    full = (1 << len(caps)) - 1
     with Meter() as meter:
-        for counts, box in _members(cluster, breadth_cap, meter):
-            size = sum(counts.values()) - n + 1  # |f M1| + |M2|
+        for member_size, items, live in _members(compiled, breadth_cap, meter):
+            size = member_size - n + 1  # |f M1| + |M2|
             if size <= 0:
                 continue
+            counts = dict(items)
             # only generators whose cap admits the output size can admit it
-            live = [bounds for cap, bounds in boxes if size <= cap]
-            exceptions, default = box.exceptions, box.default
+            j = bisect_left(caps, size)
+            fits = full >> j << j
             used = {}
             for cols, ranks in _splits(counts, n, k, used, meter):
                 image = tuple([table[r] for r in ranks])
                 # The output f M1 + M2 is no larger than the member and
-                # has no more of any tuple but the image, so the member's
-                # own generator admits it if its box allows the image's
-                # new count.
-                if counts.get(image, 0) - used.get(image, 0) < exceptions.get(image, default):
+                # has no more of any tuple but the image, so every live
+                # generator admits it if the image is a column of M1, and
+                # one does if its box allows the image's new count.
+                held = counts.get(image, 0)
+                if used.get(image, 0) or live & (~exact[image].get(held, 0) if held
+                                                 else allows.get(image, 0)):
                     continue
                 out = {t: c - used.get(t, 0) for t, c in counts.items()}
-                out[image] = out.get(image, 0) + 1
-                if not any(bounds(out) for bounds in live):
+                out[image] = held + 1
+                admitting = fits
+                for t, c in out.items():
+                    if c:
+                        admitting &= _at_least(allows, exact, t, c)
+                        if not admitting:
+                            break
+                if not admitting:
                     rest = dict(out)
                     rest[image] -= 1
                     witness = (

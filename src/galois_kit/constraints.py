@@ -42,8 +42,12 @@ class GeneralizedConstraint:
         object.__setattr__(self, "consequent", consequent)
         m, k_out = self.antecedent.arity, self.codomain_size
         for t in consequent:
-            if len(t) != m or min(t) < 0 or max(t) >= k_out:
+            if len(t) != m:
                 raise GaloisKitError(f"consequent tuple {t!r} invalid for arity {m}")
+            if min(t) < 0 or max(t) >= k_out:
+                x = next(x for x in t if not 0 <= x < k_out)
+                raise GaloisKitError(
+                    f"consequent tuple {t!r}: entry {x} out of range for codomain size {k_out}")
 
     @property
     def arity(self):

@@ -255,6 +255,9 @@ class TestMalformedInput:
         pytest.param(["cluster c arity=1 k=0 { }"], 3, id="cluster-k-0"),
         pytest.param(["mat m rows=0 cols=1 : col()"], 3, id="matrix-rows-0"),
         pytest.param(["op f k=2,2,9 arity=1 : 0 1"], 3, id="op-three-sizes"),
+        pytest.param(["constraint c : rf=[arity=2 k=2 default=0 { 0 1 -> 1 }] "
+                      "consequent={ (0 1), junk (1 1 }"], 3, id="consequent-junk"),
+        pytest.param(["mat m rows=1 cols=1 : col(0) col(1"], 3, id="matrix-open-column"),
     ])
     def test_bad_line_exits_two_naming_the_line(self, lines, lineno, tmp_path,
                                                 capsys):

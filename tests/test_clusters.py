@@ -8,15 +8,18 @@ from galois_kit import (
     BudgetExceededError,
     Cluster,
     FiniteMultiset,
+    GaloisConfig,
     GaloisKitError,
     INF,
     Meter,
     MinorScheme,
     Operation,
+    OperationClass,
     RepetitionFunction,
     all_operations,
     breadth,
     breadth_restrict,
+    cl_inv,
     cluster_member,
     cluster_minor_member,
     cluster_union,
@@ -33,6 +36,7 @@ from galois_kit import (
     TupleMatrix,
 )
 from galois_kit.extnat import ext_sub
+from galois_kit.verify import _monotone_ops
 
 
 def all_multisets(m, k, card):
@@ -147,6 +151,26 @@ class TestMembership:
         members = enumerate_cluster_members(cluster, 5000)
         assert len(members) == 5001
         assert members[-1] == FiniteMultiset(1, {(0,): 5000})
+
+    @pytest.mark.parametrize("limit, members", [(2, 595), (3, 3190)])
+    def test_each_member_of_overlapping_boxes_is_one_step(self, limit, members):
+        # the 3-chain order cluster has 55 generators sharing every free tuple;
+        # walked box by box it took 3,565 and 15,070 steps
+        chain = {(a, b) for a in range(3) for b in range(3) if a <= b}
+        with Meter(10**9) as meter:
+            got = enumerate_cluster_members(order_cluster(chain, 3), limit)
+        assert len(got) == meter.done["cluster members"] == members
+
+    def test_invariant_clusters_of_mono_list_each_member_once(self):
+        # walked box by box: 6 / 34 / 224 / 1,835 steps
+        cfg = GaloisConfig(2, n_max=4, m_max=1, breadth=4)
+        steps = {}
+        for cluster in cl_inv(OperationClass(2, members=_monotone_ops(2)), cfg):
+            with Meter(10**9) as meter:
+                got = enumerate_cluster_members(cluster, 4)
+            assert len(got) == meter.done["cluster members"]
+            steps[cluster.arity] = meter.done["cluster members"]
+        assert steps == {2: 4, 4: 15, 8: 70, 16: 452}
 
     def test_sorted_generators_matches_reference_key(self):
         rng = random.Random(37)

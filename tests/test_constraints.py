@@ -171,6 +171,16 @@ class TestSatisfiesConstraint:
         with pytest.raises(BudgetExceededError), Meter(3):
             satisfies_constraint(f, c)
 
+    @pytest.mark.parametrize("tuple_, message", [
+        ((2,), "consequent tuple (2,): entry 2 out of range for codomain size 2"),
+        ((0, -1), "consequent tuple (0, -1) invalid for arity 1"),
+        ((-1,), "consequent tuple (-1,): entry -1 out of range for codomain size 2"),
+    ])
+    def test_bad_consequent_tuple_names_what_is_wrong(self, tuple_, message):
+        with pytest.raises(GaloisKitError) as e:
+            GeneralizedConstraint(RepetitionFunction(1, 2), [tuple_], 2)
+        assert str(e.value) == message
+
     def test_alphabet_mismatch_rejected(self):
         c = equality_constraint(2, 3)
         with pytest.raises(GaloisKitError):

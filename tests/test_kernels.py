@@ -8,7 +8,9 @@ dicts; ``gc_inv`` and both separators work on row ranks of the all-rows
 matrix.  The reference versions below are the earlier bodies, which
 build and validate a ``TupleMatrix`` or ``FiniteMultiset`` for every
 matrix, split, member, block and Skolem candidate, and which walk every
-ordering of each column multiset.  On randomized instances both sides
+ordering of each column multiset; ``ref_members`` walks each generator's
+box in full, where ``clusters._members`` walks the union of the boxes
+once, by generator bitmask.  On randomized instances both sides
 must give the same verdict, the same first witness, the same members in
 the same order, the same clusters and constraints, and refuse the same
 cases.
@@ -63,7 +65,7 @@ from galois_kit import (
     split_enumerate,
     TupleMatrix,
 )
-from galois_kit.clusters import _antichain_cluster, _members
+from galois_kit.clusters import _antichain_cluster, _compiled, _members
 from galois_kit.errors import DEFAULT_BUDGET, Meter, NotSeparableError
 
 UNLIMITED = float("inf")
@@ -117,10 +119,33 @@ def ref_row_ranks(k, columns):
     return ranks
 
 
+def ref_members(cluster, limit, meter):
+    """The per-generator member walk: each generator's box is walked in
+    full, in ``sorted_generators`` order, so a member in g boxes is
+    listed, and charged, g times; returns each member once as
+    ``(counts, box)``, ``box`` that of the first generator listing it, by
+    cardinality, then by sorted (tuple, count) items."""
+    found = {}
+    for gen in cluster.sorted_generators():
+        box = gen.box
+        support = box.positive_support()
+        cap = ext_min(gen.cap, limit)
+        if cap == INF:
+            raise GaloisKitError("member enumeration needs a finite cardinality limit")
+        counts = {}
+        selections = _nondecreasing_selections(support, box.value, int(cap), counts)
+        for _ in meter.counted("cluster members", selections):
+            key = frozenset(counts.items())
+            if key not in found:
+                found[key] = (dict(counts), box)
+    return sorted(found.values(), key=lambda m: (sum(m[0].values()), sorted(m[0].items())))
+
+
 def ref_full_test_satisfies_cluster(f, cluster, breadth_cap):
-    """The count-dict kernel without the admission shortcut: every split's
-    output f M1 + M2 is built and tested against each live generator,
-    and its row ranks are rebuilt per split."""
+    """The count-dict kernel on the per-generator walk and without the
+    admission shortcut: every split's output f M1 + M2 is built and
+    tested against each generator whose cap admits its size, and its row
+    ranks are rebuilt per split."""
     if f.domain_size != cluster.domain_size or f.codomain_size != cluster.domain_size:
         raise GaloisKitError("operation alphabet does not match the cluster")
     if breadth_cap < f.arity:
@@ -130,7 +155,7 @@ def ref_full_test_satisfies_cluster(f, cluster, breadth_cap):
     n, k = f.arity, cluster.domain_size
     boxes = [(g.cap, g.box.bounds) for g in cluster.generators]
     with Meter() as meter:
-        for counts, _ in _members(cluster, breadth_cap, meter):
+        for counts, _ in ref_members(cluster, breadth_cap, meter):
             size = sum(counts.values()) - n + 1
             if size <= 0:
                 continue
@@ -938,27 +963,65 @@ def _metered_outcome(fn, args, budget):
     return outcome, meter.done
 
 
-def _assert_shortcut_exact(case, budget):
+def _expected_under(budget, cluster, members, want):
+    """The outcome of ``satisfies_cluster`` under ``Meter(budget)``, from
+    the unlimited reference outcome ``want`` with its steps per phase: the
+    walk charges every generator's support first, then lists each member
+    once, then splits."""
+    outcome, done = want
+    with Meter(budget):
+        try:
+            for gen in cluster.sorted_generators():
+                gen.box.positive_support()
+        except BudgetExceededError as e:
+            return ("refused", e.phase, e.done)
+    if members > budget:
+        return ("refused", "cluster members", budget + 1)
+    if done.get("cluster splits", 0) > budget:
+        return ("refused", "cluster splits", budget + 1)
+    return outcome
+
+
+def _assert_walk_exact(case, budget):
+    """The one-pass member walk and the bitmask admission give the
+    reference walk's members, in its order, each with the mask of the
+    generators admitting it, and the full test's verdict, witness, split
+    steps and refusal, with one member step per distinct member."""
+    f, cluster, breadth_cap = case
+    with Meter(UNLIMITED) as meter:
+        want_members = ref_members(cluster, breadth_cap, meter)
+    with Meter(UNLIMITED) as meter:
+        got_members = _members(_compiled(cluster), breadth_cap, meter)
+    assert [dict(items) for _, items, _ in got_members] == [c for c, _ in want_members]
+    assert meter.done.get("cluster members", 0) == len(got_members)
+    gens = cluster.sorted_generators()
+    for size, items, live in got_members:
+        counts = dict(items)
+        assert live == sum(1 << i for i, g in enumerate(gens) if g.admits(counts, size))
     want = _metered_outcome(ref_full_test_satisfies_cluster, case, UNLIMITED)
-    assert _metered_outcome(satisfies_cluster, case, UNLIMITED) == want
-    assert (_metered_outcome(satisfies_cluster, case, budget)
-            == _metered_outcome(ref_full_test_satisfies_cluster, case, budget))
+    got = _metered_outcome(satisfies_cluster, case, UNLIMITED)
+    assert got[0] == want[0]
+    assert got[1].get("cluster splits") == want[1].get("cluster splits")
+    assert got[1].get("support tuples") == want[1].get("support tuples")
+    assert got[1].get("cluster members", 0) == len(got_members)
+    assert (_metered_outcome(satisfies_cluster, case, budget)[0]
+            == _expected_under(budget, cluster, len(got_members), want))
     return want[0]
 
 
 @settings(max_examples=300, deadline=None)
 @given(boxed_cluster_cases(), st.integers(0, 60))
 def test_cluster_shortcut_matches_the_full_test_on_boxed_clusters(case, budget):
-    _assert_shortcut_exact(case, budget)
+    _assert_walk_exact(case, budget)
 
 
 @settings(max_examples=120, deadline=None)
 @given(order_cluster_cases(), st.integers(0, 200))
 def test_cluster_shortcut_matches_the_full_test_on_order_clusters(case, budget):
-    _assert_shortcut_exact(case, budget)
+    _assert_walk_exact(case, budget)
 
 
 @settings(max_examples=120, deadline=None)
 @given(inv_cluster_cases(), st.integers(0, 200))
 def test_cluster_shortcut_matches_the_full_test_on_inv_clusters(case, budget):
-    _assert_shortcut_exact(case, budget)
+    _assert_walk_exact(case, budget)

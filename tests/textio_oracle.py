@@ -2,9 +2,10 @@
 
 These are the workspace parser and the validating constructors of
 ``RepetitionFunction``, ``Operation`` and ``GeneralizedConstraint`` as
-they were written before they were tuned for speed, kept unchanged as
-an executable specification.  ``test_textio_oracle.py`` requires the
-library to accept, build and reject exactly what they do, with the
+they were written before they were tuned for speed, kept as an
+executable specification and changed only where the accepted input or
+a message was changed on purpose.  ``test_textio_oracle.py`` requires
+the library to accept, build and reject exactly what they do, with the
 same error messages.
 
 The constructor bodies are plain functions of the instance being
@@ -87,8 +88,12 @@ def constraint_post_init(self):
     object.__setattr__(self, "consequent", frozenset(map(tuple, self.consequent)))
     m = self.antecedent.arity
     for t in self.consequent:
-        if len(t) != m or any(not 0 <= x < self.codomain_size for x in t):
+        if len(t) != m:
             raise GaloisKitError(f"consequent tuple {t!r} invalid for arity {m}")
+        for x in t:
+            if not 0 <= x < self.codomain_size:
+                raise GaloisKitError(f"consequent tuple {t!r}: entry {x} out of range "
+                                     f"for codomain size {self.codomain_size}")
 
 
 # --- builders running the bodies above ---
@@ -178,6 +183,9 @@ def _parse_matrix(body):
     name = tokens[0]
     rows = int(_kv(tokens[1], "rows"))
     cols = int(_kv(tokens[2], "cols"))
+    # nothing but col(...) groups and whitespace
+    if any(text.strip() for text in re.split(r"col\([^()]*\)", rest)):
+        raise GaloisKitError(f"malformed mat columns {rest.strip()!r}")
     columns = [
         _parse_ints(m.group(1).split())
         for m in re.finditer(r"col\(([^()]*)\)", rest)
@@ -247,6 +255,11 @@ def _parse_constraint(body, workspace):
         raise GaloisKitError(f"malformed constraint line {body!r}")
     name, rf_text, k_out, inner = m.groups()
     phi = _rf_field(rf_text, workspace)
+    # (...) groups, one comma between each two, and whitespace around them
+    between = re.split(r"\([^()]*\)", inner)
+    if (between[0].strip() or between[-1].strip()
+            or any(text.strip() != "," for text in between[1:-1])):
+        raise GaloisKitError(f"malformed consequent {inner.strip()!r}")
     tuples = [
         _parse_ints(t.group(1).split())
         for t in re.finditer(r"\(([^()]*)\)", inner)
