@@ -18,7 +18,7 @@ from operator import itemgetter
 
 from .errors import GaloisKitError, Meter, _current_meter
 from .extnat import INF, ext_min, ext_sub, is_extnat
-from .multisets import FiniteMultiset, TupleMatrix, _nondecreasing_selections, _splits
+from .multisets import FiniteMultiset, TupleMatrix, _compiled, _splits, _walk
 from .repetition import RepetitionFunction
 from .minors import _skolem_search
 
@@ -101,36 +101,6 @@ def _admitted(generators, counts):
     return any(g.admits(counts, size) for g in generators)
 
 
-def _compiled(cluster):
-    """The cluster as generator bitmasks, bit i standing for the i-th
-    generator in ``sorted_generators`` order, as ``(caps, allows, exact)``.
-
-    ``caps`` lists the generators' caps in that order, which is
-    ascending, so the generators whose cap admits a size are a suffix.
-    ``allows`` maps each tuple some box allows to the generators whose box
-    allows one copy of it, and ``exact`` maps it to ``{c: generators whose
-    box allows exactly c copies}`` for each finite c > 0.  Built in one
-    pass over the generators' positive supports.
-    """
-    caps, allows, exact = [], {}, {}
-    for i, gen in enumerate(cluster.sorted_generators()):
-        bit, box = 1 << i, gen.box
-        exceptions, default = box.exceptions, box.default
-        caps.append(gen.cap)
-        # canonically, a default-0 box has only positive exceptions
-        support = (exceptions.items() if not default else
-                   [(t, exceptions.get(t, default)) for t in box.positive_support()])
-        for t, v in support:
-            if t in allows:
-                allows[t] |= bit
-            else:
-                allows[t], exact[t] = bit, {}
-            if v != INF:
-                at = exact[t]
-                at[v] = at.get(v, 0) | bit
-    return caps, allows, exact
-
-
 def _at_least(allows, exact, t, c):
     """The generators whose box allows c >= 1 copies of t."""
     mask = allows.get(t, 0)
@@ -141,71 +111,19 @@ def _at_least(allows, exact, t, c):
     return mask
 
 
-def _walk(caps, allows, exact, top, counts):
-    """Every member of cardinality <= top, each once, the empty one first,
-    as its live mask: the generators that admit it.
-
-    The members are the multisets over the union of the supports in
-    nondecreasing support order, a selection extended only while the AND
-    of its tuples' masks and the cap suffix is non-zero; the cluster is
-    downward closed, so no member is missed.  ``counts`` holds the
-    multiplicities of the member just yielded, in sorted tuple order.
-    The candidate tuples are narrowed to those some live generator allows
-    only when the live set shrinks.  The search keeps an explicit stack.
-    """
-    if not caps:
-        return
-    low = caps[0]  # below the smallest cap, no cap drops a generator
-    frames = []  # (tuple chosen, candidates, its index there, live before it)
-    cands, i, live = sorted(allows), 0, (1 << len(caps)) - 1
-    yield live
-    while True:
-        size, new = len(frames), 0
-        if size < top:
-            # only generators whose cap admits size + 1 stay live
-            keep = live
-            if size >= low:
-                j = bisect_left(caps, size + 1)
-                keep = keep >> j << j
-            while keep and i < len(cands):
-                t = cands[i]
-                c = counts.get(t, 0)
-                # every live box allows c copies of t: drop those allowing no more
-                new = keep & ~exact[t].get(c, 0) if c else keep & allows[t]
-                if new:
-                    break
-                i += 1
-        if new:
-            counts[t] = c + 1
-            frames.append((t, cands, i, live))
-            if new != live:
-                cands, i = [u for u in cands[i:] if new & allows[u]], 0
-            live = new
-            yield live
-            continue
-        if not frames:
-            return
-        t, cands, i, live = frames.pop()
-        i += 1
-        if counts[t] > 1:
-            counts[t] -= 1
-        else:
-            del counts[t]
-
-
 def _members(compiled, limit, meter):
     """All members of cardinality <= limit, each once and one "cluster
     members" step, by cardinality, then by sorted (tuple, count) items, as
-    ``(size, items, live)``: ``live`` is the mask of the generators of the
-    ``_compiled`` cluster that admit the member."""
+    ``(size, items, live)``: ``live`` is the mask of the ``_compiled``
+    generators that admit the member."""
     caps, allows, exact = compiled
     top = ext_min(limit, caps[-1]) if caps else 0
     if top == INF:
         raise GaloisKitError("member enumeration needs a finite cardinality limit")
-    counts = {}
-    members = [(sum(counts.values()), tuple(counts.items()), live)
+    counts, chosen = {}, []
+    members = [(len(chosen), tuple(counts.items()), live)
                for live in meter.counted("cluster members",
-                                         _walk(caps, allows, exact, int(top), counts))]
+                                         _walk(caps, allows, exact, int(top), counts, chosen))]
     members.sort()
     return members
 
@@ -213,8 +131,11 @@ def _members(compiled, limit, meter):
 def enumerate_cluster_members(cluster, limit):
     """All members of cardinality <= limit, each once, by cardinality, then
     by sorted (tuple, count) items: the order ``satisfies_cluster`` checks."""
+    if limit < 0:
+        raise GaloisKitError("limit must be nonnegative")
     with Meter() as meter:
-        members = _members(_compiled(cluster), limit, meter)
+        members = _members(_compiled([(g.box, g.cap) for g in cluster.sorted_generators()]),
+                           limit, meter)
     return [FiniteMultiset(cluster.arity, dict(items)) for _, items, _ in members]
 
 
@@ -246,7 +167,8 @@ def satisfies_cluster(f, cluster, breadth_cap):
             f"breadth cap {breadth_cap} is below the arity {f.arity}: no split exists"
         )
     n, k, table = f.arity, cluster.domain_size, f.table
-    compiled = caps, allows, exact = _compiled(cluster)
+    compiled = caps, allows, exact = _compiled([(g.box, g.cap)
+                                                for g in cluster.sorted_generators()])
     full = (1 << len(caps)) - 1
     with Meter() as meter:
         for member_size, items, live in _members(compiled, breadth_cap, meter):
@@ -455,16 +377,18 @@ def materialize_minor(clusters, scheme, breadth_cap):
     membership oracle and stores the maximal members as boxed
     generators (box = the multiset, cap = its cardinality).
     """
+    if breadth_cap < 0:
+        raise GaloisKitError("breadth cap must be nonnegative")
     clusters = list(clusters)
     with Meter() as meter:
         exists = _minor_search(clusters, scheme)
         k = clusters[0].domain_size
         m = scheme.target
-        tuples = RepetitionFunction.constant(m, k, INF).positive_support()
-        counts = {}
-        selections = _nondecreasing_selections(tuples, lambda t: INF, breadth_cap, counts)
-        selections = meter.counted("minor multisets", selections)
-        members = [dict(counts) for cols in selections if exists(cols)]
+        caps, allows, exact = _compiled([(RepetitionFunction.constant(m, k, INF), INF)])
+        counts, chosen = {}, []
+        walk = _walk(caps, allows, exact, breadth_cap, counts, chosen)
+        members = [dict(counts) for _ in meter.counted("minor multisets", walk)
+                   if exists(chosen)]
         return _antichain_cluster(m, k, members)
 
 

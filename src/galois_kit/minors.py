@@ -13,7 +13,7 @@ from itertools import product
 
 from .errors import GaloisKitError, _current_meter
 from .extnat import INF
-from .multisets import TupleMatrix, _counts, _nondecreasing_selections
+from .multisets import TupleMatrix, _compiled, _counts, _walk
 from .repetition import RepetitionFunction
 
 __all__ = [
@@ -204,22 +204,27 @@ def _column_multisets(phi, col_cap):
     Each multiset comes as its sorted arrangement, its first ordering in
     the stream of ``enumerate_matrices_leq``, and the multisets of one
     width come in the order of those arrangements.  Yields (columns,
-    counts), counts being the live multiplicity dict of the columns.
+    counts): the live list of the columns and their live multiplicity
+    dict, which a caller that keeps them copies.
     """
-    support, meter = phi.positive_support(), _current_meter()
+    caps, allows, exact = _compiled([(phi, INF)])
+    meter = _current_meter()
     for n in range(1, col_cap + 1):
-        counts = {}
-        selections = _nondecreasing_selections(support, phi.value, n, counts)
-        for cols in meter.counted("minor multisets", selections):
-            if len(cols) == n:
-                yield tuple(cols), counts
+        counts, chosen = {}, []
+        for _ in meter.counted("minor multisets", _walk(caps, allows, exact, n, counts, chosen)):
+            if len(chosen) == n:
+                yield chosen, counts
 
 
 def _check_family(phis, scheme, col_cap):
     phis = list(phis)
     if len(phis) != len(scheme.maps):
         raise GaloisKitError("need one repetition function per scheme map")
-    return phis, default_col_cap(scheme) if col_cap is None else col_cap
+    if col_cap is None:
+        return phis, default_col_cap(scheme)
+    if col_cap < 1:
+        raise GaloisKitError("column cap must be positive")
+    return phis, col_cap
 
 
 def is_restrictive_rf_minor(phi, phis, scheme, col_cap=None):

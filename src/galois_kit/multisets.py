@@ -5,9 +5,11 @@ columns forgets the order.  Row-wise application of an operation to a
 matrix is the workhorse of every satisfaction check.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import GaloisKitError, _current_meter
+from .extnat import INF
 
 __all__ = [
     "FiniteMultiset",
@@ -190,40 +192,88 @@ def _apply_columns(f, columns):
     return tuple([table[r] for r in _row_ranks(f.domain_size, columns)])
 
 
-def _nondecreasing_selections(support, bound, cap, counts):
-    """Every multiset over ``support`` with at most bound(t) copies of each
-    tuple t and at most ``cap`` elements, each once, the empty one first.
+def _compiled(generators):
+    """The ``(box, cap)`` pairs of ``generators`` as bitmasks, bit i
+    standing for the i-th pair, as ``(caps, allows, exact)``.
 
-    A multiset is yielded as its columns in support order (a
-    nondecreasing index sequence), so the stream is in lexicographic
-    order of support positions within each size: each selection comes
-    right before its extensions.  The columns come as one live list and
-    ``counts`` holds the multiplicities of the selection just yielded;
-    neither is copied, so a step costs time in the support, not in the
-    cardinality, and a caller that keeps the columns copies them.  The
-    search keeps an explicit stack, so the depth of a selection is not
-    limited by the recursion limit.
+    The pairs come in ascending cap order, so the generators whose cap
+    admits a size are a suffix of ``caps``.  ``allows`` maps each tuple
+    some box allows to the generators whose box allows one copy of it,
+    and ``exact`` maps it to ``{c: generators whose box allows exactly c
+    copies}`` for each finite c > 0.  Built in one pass over the boxes'
+    positive supports.
     """
-    bounds = [bound(t) for t in support]
-    chosen = []
-    positions = []  # support index of each chosen tuple
-    i = 0  # next support index to try after the current selection
-    yield chosen
+    caps, allows, exact = [], {}, {}
+    for i, (box, cap) in enumerate(generators):
+        bit = 1 << i
+        exceptions, default = box.exceptions, box.default
+        caps.append(cap)
+        # canonically, a default-0 box has only positive exceptions
+        support = (exceptions.items() if not default else
+                   [(t, exceptions.get(t, default)) for t in box.positive_support()])
+        for t, v in support:
+            if t in allows:
+                allows[t] |= bit
+            else:
+                allows[t], exact[t] = bit, {}
+            if v != INF:
+                at = exact[t]
+                at[v] = at.get(v, 0) | bit
+    return caps, allows, exact
+
+
+def _walk(caps, allows, exact, top, counts, chosen):
+    """Every multiset of cardinality <= top that some ``_compiled``
+    generator admits, each once, the empty one first, as its live mask:
+    the generators that admit it.
+
+    The multisets are the selections over the union of the supports in
+    nondecreasing support order, so each selection comes right before its
+    extensions; a selection is extended only while the AND of its tuples'
+    masks and the cap suffix is non-zero, and the union of the boxes is
+    downward closed, so none is missed.  ``chosen`` holds the tuples of the
+    selection just yielded, in that order, and ``counts`` their
+    multiplicities, in sorted tuple order; neither is copied, so a step
+    costs time in the support, not in the cardinality.  The candidate
+    tuples are narrowed to those some live generator allows only when the
+    live set shrinks.  The search keeps an explicit stack.
+    """
+    if not caps:
+        return
+    low = caps[0]  # below the smallest cap, no cap drops a generator
+    frames = []  # (candidates, index of the chosen tuple there, live before it)
+    cands, i, live = sorted(allows), 0, (1 << len(caps)) - 1
+    yield live
     while True:
-        if len(chosen) < cap:
-            while i < len(support) and counts.get(support[i], 0) >= bounds[i]:
+        size, new = len(chosen), 0
+        if size < top:
+            # only generators whose cap admits size + 1 stay live
+            keep = live
+            if size >= low:
+                j = bisect_left(caps, size + 1)
+                keep = keep >> j << j
+            while keep and i < len(cands):
+                t = cands[i]
+                c = counts.get(t, 0)
+                # every live box allows c copies of t: drop those allowing no more
+                new = keep & ~exact[t].get(c, 0) if c else keep & allows[t]
+                if new:
+                    break
                 i += 1
-            if i < len(support):
-                t = support[i]
-                counts[t] = counts.get(t, 0) + 1
-                chosen.append(t)
-                positions.append(i)
-                yield chosen
-                continue
-        if not chosen:
+        if new:
+            counts[t] = c + 1
+            chosen.append(t)
+            frames.append((cands, i, live))
+            if new != live:
+                cands, i = [u for u in cands[i:] if new & allows[u]], 0
+            live = new
+            yield live
+            continue
+        if not frames:
             return
+        cands, i, live = frames.pop()
         t = chosen.pop()
-        i = positions.pop() + 1
+        i += 1
         if counts[t] > 1:
             counts[t] -= 1
         else:

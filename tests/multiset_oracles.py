@@ -1,9 +1,11 @@
-"""Multiset algebra that only the test oracles use.
+"""Multiset algebra and the multiset stream that only the test oracles use.
 
-Truncated difference, the submultiset test and duplicate-free
-partitions of a ``FiniteMultiset``.  The reference bodies in
-``test_kernels.py`` build members and antichains with them, and
-``test_multisets.py`` checks their laws.
+Truncated difference, the submultiset test, duplicate-free partitions
+of a ``FiniteMultiset``, and the bounded multisets over a box listed by
+plain recursion.  The reference bodies in ``test_kernels.py`` build
+members, minors and antichains with them, and ``test_multisets.py``
+checks their laws and holds the library's multiset walk to the
+recursive stream.
 """
 
 from galois_kit import FiniteMultiset, GaloisKitError
@@ -50,3 +52,38 @@ def ms_partitions(s):
             out.append(part)
     out.sort(key=lambda part: (len(part), [m._key for m in part]))
     return out
+
+
+def recursive_nondecreasing_selections(support, bound, cap):
+    """Reference stream: every multiset over ``support`` with at most
+    bound(t) copies of each tuple t and at most ``cap`` elements, by the
+    depth-first recursion over nondecreasing support positions, each
+    selection with a snapshot of its counts, before its extensions."""
+    out, chosen, counts = [], [], {}
+
+    def rec(idx, remaining):
+        out.append((tuple(chosen), dict(counts)))
+        if remaining == 0:
+            return
+        for i in range(idx, len(support)):
+            t = support[i]
+            c = counts.get(t, 0)
+            if c < bound(t):
+                counts[t] = c + 1
+                chosen.append(t)
+                rec(i, remaining - 1)
+                chosen.pop()
+                if c:
+                    counts[t] = c
+                else:
+                    del counts[t]
+
+    rec(0, cap)
+    return out
+
+
+def bounded_multisets(arity, support, bound, cap):
+    """The multisets of ``recursive_nondecreasing_selections`` as
+    FiniteMultisets, in its order."""
+    return [FiniteMultiset(arity, counts)
+            for _, counts in recursive_nondecreasing_selections(support, bound, cap)]

@@ -2,7 +2,8 @@
 code in {0, 1, 2, 3} and output without a traceback.
 
 Workspaces mix well-formed entity lines, near misses (wrong table lengths,
-out-of-range values, unknown names, zero or huge sizes) and arbitrary text.
+out-of-range values, unknown names, zero or huge sizes), operations and
+constraints from one alphabet into another, and arbitrary text.
 Budgets are 0, 1, 10 or the default, so oversized requests must be refused,
 not hang.
 """
@@ -64,22 +65,27 @@ def _rf_body(draw, k, m, shape=True):
 
 
 @st.composite
-def _op(draw, name, k, damaged=False):
+def _op(draw, name, k, damaged=False, k_out=None):
+    """An op line over k, into k_out when it is given (written k=k,k_out)."""
     n = draw(st.integers(1, 2))
     size = k ** n + (draw(st.sampled_from([-1, 1])) if damaged else 0)
-    values = draw(st.lists(st.integers(0, k - 1), min_size=size, max_size=size))
-    return f"op {name} k={k} arity={n} : " + " ".join(map(str, values))
+    values = draw(st.lists(st.integers(0, (k_out or k) - 1), min_size=size, max_size=size))
+    sizes = f"{k},{k_out}" if k_out else f"{k}"
+    return f"op {name} k={sizes} arity={n} : " + " ".join(map(str, values))
 
 
 @st.composite
 def workspaces(draw):
     """Well-formed entities over one alphabet, with at most one kind of damage:
     a wrong header, a wrong table length, a stray line of arbitrary text,
-    one entity over another alphabet, or one entity with a zero or a huge
-    size in place of its well-formed line."""
+    one entity over another alphabet, one entity with a zero or a huge
+    size in place of its well-formed line, or mixed alphabets: the ops and
+    the class from k into another size, written k=k,k_out, and the
+    constraint into it, written k_out=k_out."""
     k, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
     damage = draw(st.sampled_from(
-        ["none"] * 4 + ["header", "table", "text", "alphabet", "zero", "huge"]))
+        ["none"] * 4 + ["header", "table", "text", "alphabet", "zero", "huge", "mixed"]))
+    k_out = k % 3 + 1 if damage == "mixed" else None
     present = st.sampled_from([True, True, True, False])
     sized = {}  # entity -> the line standing in for its well-formed one
     if damage in ("zero", "huge"):
@@ -97,18 +103,22 @@ def workspaces(draw):
         if name in sized:
             lines.append(sized[name])
         elif draw(present):
-            lines.append(draw(_op(name, alphabet(), damage == "table" and draw(st.booleans()))))
+            lines.append(draw(_op(name, alphabet(), damage == "table" and draw(st.booleans()),
+                                  k_out)))
     if draw(present):
         ka = alphabet()
-        ops = draw(st.lists(_op("x", ka), min_size=1, max_size=3))
-        lines += [f"class {CLASS} {{", *("  " + line for line in ops), "}"]
+        ops = draw(st.lists(_op("x", ka, k_out=k_out), min_size=1, max_size=3))
+        header = f"class {CLASS} k={ka},{k_out} {{" if k_out else f"class {CLASS} {{"
+        lines += [header, *("  " + line for line in ops), "}"]
     if "constraint" in sized:
         lines.append(sized["constraint"])
     elif draw(present):
         ka = alphabet()
-        consequent = ", ".join(f"({t})" for t in draw(st.lists(_tuple(ka, m), max_size=4)))
+        tuples = draw(st.lists(_tuple(k_out or ka, m), max_size=4))
+        consequent = ", ".join(f"({t})" for t in tuples)
+        into = f"k_out={k_out} " if k_out else ""
         lines.append(f"constraint {CONSTRAINT} : rf=[{draw(_rf_body(ka, m))}] "
-                     f"consequent={{ {consequent} }}")
+                     f"{into}consequent={{ {consequent} }}")
     if "cluster" in sized:
         lines.append(sized["cluster"])
     elif draw(present):

@@ -361,6 +361,16 @@ class TestClusterMinors:
                 )
 
 
+def test_negative_limits_are_refused():
+    # the empty multiset has cardinality 0, above any negative limit
+    c = trivial_cluster(1, 3, 2)
+    with pytest.raises(GaloisKitError, match="limit must be nonnegative"):
+        enumerate_cluster_members(c, -1)
+    with pytest.raises(GaloisKitError, match="breadth cap must be nonnegative"):
+        materialize_minor([c], MinorScheme(1, (), ((0,),)), -1)
+    assert enumerate_cluster_members(c, 0) == [FiniteMultiset.empty(1)]
+
+
 def test_materialize_minor_needs_one_cluster_per_map():
     with pytest.raises(GaloisKitError, match="one cluster per scheme map"):
         materialize_minor([], MinorScheme(1, (), ((0,),)), 2)

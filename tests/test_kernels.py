@@ -8,16 +8,18 @@ dicts; ``gc_inv`` and both separators work on row ranks of the all-rows
 matrix.  The reference versions below are the earlier bodies, which
 build and validate a ``TupleMatrix`` or ``FiniteMultiset`` for every
 matrix, split, member, block and Skolem candidate, and which walk every
-ordering of each column multiset; ``ref_members`` walks each generator's
-box in full, where ``clusters._members`` walks the union of the boxes
-once, by generator bitmask.  On randomized instances both sides
+ordering of each column multiset.  Their multisets come from the
+recursive stream of ``multiset_oracles``: ``ref_members`` walks each
+generator's box in full with it, where ``clusters._members`` walks the
+union of the boxes once, by generator bitmask.  On randomized instances both sides
 must give the same verdict, the same first witness, the same members in
 the same order, the same clusters and constraints, and refuse the same
 cases.
 """
 
 import random
-from functools import cache
+from contextvars import Context
+from functools import cache, lru_cache
 from itertools import combinations, product
 
 import pytest
@@ -65,14 +67,20 @@ from galois_kit import (
     split_enumerate,
     TupleMatrix,
 )
-from galois_kit.clusters import _antichain_cluster, _compiled, _members
+from galois_kit.clusters import _antichain_cluster, _members
 from galois_kit.errors import DEFAULT_BUDGET, Meter, NotSeparableError
 
 UNLIMITED = float("inf")
 from galois_kit.extnat import ext_min
 from galois_kit.minors import default_col_cap, skolem_maps
-from galois_kit.multisets import _matrices, _nondecreasing_selections, _ranked_selections
-from multiset_oracles import ms_diff, ms_partitions, ms_sub
+from galois_kit.multisets import _compiled, _matrices, _ranked_selections
+from multiset_oracles import (
+    bounded_multisets,
+    ms_diff,
+    ms_partitions,
+    ms_sub,
+    recursive_nondecreasing_selections,
+)
 
 
 # --- reference bodies -------------------------------------------------
@@ -119,26 +127,49 @@ def ref_row_ranks(k, columns):
     return ranks
 
 
-def ref_members(cluster, limit, meter):
+@lru_cache(maxsize=256)
+def _reference_walk(cluster, limit):
     """The per-generator member walk: each generator's box is walked in
     full, in ``sorted_generators`` order, so a member in g boxes is
-    listed, and charged, g times; returns each member once as
+    listed, and charged, g times.  Returns each member once as
     ``(counts, box)``, ``box`` that of the first generator listing it, by
-    cardinality, then by sorted (tuple, count) items."""
+    cardinality, then by sorted (tuple, count) items; the mask of the
+    generators admitting each member; and the walk's steps per phase.
+    All three depend on (cluster, limit) alone, so each is walked once,
+    in an empty context: its steps are counted apart from any open meter."""
     found = {}
-    for gen in cluster.sorted_generators():
-        box = gen.box
-        support = box.positive_support()
-        cap = ext_min(gen.cap, limit)
-        if cap == INF:
-            raise GaloisKitError("member enumeration needs a finite cardinality limit")
-        counts = {}
-        selections = _nondecreasing_selections(support, box.value, int(cap), counts)
-        for _ in meter.counted("cluster members", selections):
-            key = frozenset(counts.items())
-            if key not in found:
-                found[key] = (dict(counts), box)
-    return sorted(found.values(), key=lambda m: (sum(m[0].values()), sorted(m[0].items())))
+    gens = cluster.sorted_generators()
+    meter = Meter(UNLIMITED)
+
+    def walk():
+        with meter:
+            for gen in gens:
+                box = gen.box
+                support = box.positive_support()
+                cap = ext_min(gen.cap, limit)
+                if cap == INF:
+                    raise GaloisKitError("member enumeration needs a finite cardinality limit")
+                selections = recursive_nondecreasing_selections(support, box.value, int(cap))
+                for _, counts in meter.counted("cluster members", selections):
+                    key = frozenset(counts.items())
+                    if key not in found:
+                        found[key] = (counts, box)
+
+    Context().run(walk)
+    members = sorted(found.values(), key=lambda m: (sum(m[0].values()), sorted(m[0].items())))
+    lives = [sum(1 << i for i, g in enumerate(gens) if g.admits(counts, sum(counts.values())))
+             for counts, _ in members]
+    return members, lives, dict(meter.done)
+
+
+def ref_members(cluster, limit, meter):
+    """The members of ``_reference_walk``, its steps charged to ``meter``
+    as one lump per phase, which is exact only under an unlimited meter."""
+    assert meter.budget == UNLIMITED
+    members, _, done = _reference_walk(cluster, limit)
+    for phase, steps in done.items():
+        meter.charge(phase, steps)
+    return members
 
 
 def ref_full_test_satisfies_cluster(f, cluster, breadth_cap):
@@ -178,18 +209,12 @@ def ref_full_test_satisfies_cluster(f, cluster, breadth_cap):
     return ClusterVerdict(True, breadth_cap)
 
 
-def ref_bounded_multisets(arity, support, bound, cap):
-    counts = {}
-    for _ in _nondecreasing_selections(support, bound, cap, counts):
-        yield FiniteMultiset(arity, dict(counts))
-
-
 def _ref_generator_members(gen, limit):
     box = gen.box
     total_cap = ext_min(gen.cap, limit)
     if total_cap == INF:
         raise GaloisKitError("member enumeration needs a finite cardinality limit")
-    return ref_bounded_multisets(
+    return bounded_multisets(
         box.arity, box.positive_support(), box.value, int(total_cap)
     )
 
@@ -307,7 +332,7 @@ def ref_materialize_minor(clusters, scheme, breadth_cap):
     m = scheme.target
     members = []
     tuples = list(product(range(k), repeat=m))
-    for s in ref_bounded_multisets(m, tuples, lambda t: INF, breadth_cap):
+    for s in bounded_multisets(m, tuples, lambda t: INF, breadth_cap):
         matrix = TupleMatrix(m, tuple(s.elements()))
         if ref_cluster_minor_member(matrix, clusters, scheme):
             members.append(s)
@@ -327,7 +352,7 @@ def ref_inv_cluster_for_arity(closed, matrix):
     mstar = columns_multiset(matrix)
 
     members = set()
-    submultisets = ref_bounded_multisets(
+    submultisets = bounded_multisets(
         m, mstar.support(), mstar.multiplicity, mstar.cardinality
     )
     for x in submultisets:
@@ -919,6 +944,12 @@ ORDERS = {
 }
 
 
+@cache
+def _order_clusters(k):
+    """The order clusters of ``ORDERS[k]``, built once."""
+    return tuple(order_cluster(leq, k) for leq in ORDERS[k])
+
+
 @st.composite
 def order_cluster_cases(draw):
     """(f, order cluster, breadth cap) over a chain or a vee; k = 2 with
@@ -927,7 +958,7 @@ def order_cluster_cases(draw):
     n = draw(st.integers(1, 3 if k == 2 else 2))
     f = Operation(k, k, n, tuple(draw(st.lists(st.integers(0, k - 1),
                                                 min_size=k ** n, max_size=k ** n))))
-    return f, order_cluster(draw(st.sampled_from(ORDERS[k])), k), n + draw(st.integers(0, 1))
+    return f, draw(st.sampled_from(_order_clusters(k))), n + draw(st.integers(0, 1))
 
 
 @cache
@@ -988,16 +1019,14 @@ def _assert_walk_exact(case, budget):
     generators admitting it, and the full test's verdict, witness, split
     steps and refusal, with one member step per distinct member."""
     f, cluster, breadth_cap = case
+    want_members, want_lives, _ = _reference_walk(cluster, breadth_cap)
+    compiled = _compiled([(g.box, g.cap) for g in cluster.sorted_generators()])
     with Meter(UNLIMITED) as meter:
-        want_members = ref_members(cluster, breadth_cap, meter)
-    with Meter(UNLIMITED) as meter:
-        got_members = _members(_compiled(cluster), breadth_cap, meter)
+        got_members = _members(compiled, breadth_cap, meter)
     assert [dict(items) for _, items, _ in got_members] == [c for c, _ in want_members]
     assert meter.done.get("cluster members", 0) == len(got_members)
-    gens = cluster.sorted_generators()
-    for size, items, live in got_members:
-        counts = dict(items)
-        assert live == sum(1 << i for i, g in enumerate(gens) if g.admits(counts, size))
+    assert [size for size, _, _ in got_members] == [sum(c.values()) for c, _ in want_members]
+    assert [live for _, _, live in got_members] == want_lives
     want = _metered_outcome(ref_full_test_satisfies_cluster, case, UNLIMITED)
     got = _metered_outcome(satisfies_cluster, case, UNLIMITED)
     assert got[0] == want[0]

@@ -26,6 +26,7 @@ from galois_kit import (
 )
 from galois_kit.errors import Meter
 from galois_kit.minors import skolem_maps
+from multiset_oracles import recursive_nondecreasing_selections
 
 
 class TestMinorScheme:
@@ -172,6 +173,18 @@ class TestRfMinorPredicates:
         with pytest.raises(GaloisKitError):
             is_restrictive_rf_minor(phi, [], MinorScheme.identity(1))
 
+    @pytest.mark.parametrize("predicate", [is_restrictive_rf_minor, is_extensive_rf_minor])
+    @pytest.mark.parametrize("col_cap", [0, -3])
+    def test_column_cap_below_one_is_refused(self, predicate, col_cap):
+        # no width is checked below 1, so a verdict would assert nothing
+        phi = RepetitionFunction(1, 2, 0, {(0,): 1})
+        args = (phi, [RepetitionFunction(1, 2, 0, {})], MinorScheme(1, (), ((0,),)))
+        with pytest.raises(GaloisKitError, match="column cap must be positive"):
+            predicate(*args, col_cap=col_cap)
+        if predicate is is_restrictive_rf_minor:
+            v = predicate(*args, col_cap=1)
+            assert not v and v.counterexample.columns == ((0,),)
+
 
 class TestConjunctiveMinorConstraint:
     def test_relaxation_via_identity_scheme(self):
@@ -263,6 +276,25 @@ class TestMetering:
         call = partial(is_restrictive_rf_minor, phi, [phi], MinorScheme.identity(1), 3)
         assert _refusal(call, 4) == "refusing minor multisets: 5 steps exceed budget 4"
         assert call()
+
+    @pytest.mark.parametrize("extensive, phi, col_cap", [
+        (False, RepetitionFunction(2, 2, 0, {(0, 0): 2, (0, 1): 1, (1, 1): INF}), 3),
+        (False, RepetitionFunction(2, 3, 1, {(0, 0): 0, (1, 2): 2, (2, 2): INF}), 2),
+        (True, RepetitionFunction(2, 2, 0, {(0, 1): 2, (1, 0): 1}), 3),
+    ], ids=["default-0", "positive-default", "all-inf-box"])
+    def test_rf_minor_work_matches_the_recursive_stream(self, extensive, phi, col_cap):
+        # each predicate holds, so it walks every multiset of every width;
+        # a positive default is charged one step per entry of its k^m tuples
+        predicate = is_extensive_rf_minor if extensive else is_restrictive_rf_minor
+        m, k = phi.arity, phi.domain_size
+        walked = RepetitionFunction.constant(m, k, INF) if extensive else phi
+        tuples = list(product(range(k), repeat=m))
+        multisets = sum(len(recursive_nondecreasing_selections(tuples, walked.value, n))
+                        for n in range(1, col_cap + 1))
+        with Meter(10 ** 9) as meter:
+            assert predicate(phi, [phi], MinorScheme.identity(m), col_cap)
+        assert meter.done["minor multisets"] == multisets
+        assert meter.done.get("support tuples", 0) == (k ** m * m if walked.default else 0)
 
     def test_materialized_minor_charges_minor_multisets(self):
         # (), (0), (0 0), (0 1), then (1) is the fifth multiset of breadth <= 2

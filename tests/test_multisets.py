@@ -19,8 +19,14 @@ from galois_kit import (
     ms_join,
     split_enumerate,
 )
-from galois_kit.multisets import _nondecreasing_selections
-from multiset_oracles import ms_diff, ms_partitions, ms_sub
+from galois_kit.multisets import _compiled, _walk
+from multiset_oracles import (
+    bounded_multisets,
+    ms_diff,
+    ms_partitions,
+    ms_sub,
+    recursive_nondecreasing_selections,
+)
 
 pairs = st.tuples(st.integers(0, 1), st.integers(0, 1))
 multisets = st.dictionaries(pairs, st.integers(0, 3), max_size=4).map(
@@ -204,14 +210,10 @@ def random_box(rng, arity, k=2):
     return support, bounds
 
 
-def bounded_multisets(arity, support, bound, cap):
-    """The multisets of ``_nondecreasing_selections`` as FiniteMultisets."""
-    counts = {}
-    for _ in _nondecreasing_selections(support, bound, cap, counts):
-        yield FiniteMultiset(arity, dict(counts))
-
-
 class TestBoundedMultisets:
+    """The recursive reference stream lists every bounded multiset once;
+    ``TestStreamOrder`` holds the library's walk to that stream."""
+
     def oracle(self, arity, support, bounds, cap):
         """combinations_with_replacement filtered by the bounds and the cap."""
         top = cap if cap != INF else sum(bounds.values())
@@ -267,41 +269,18 @@ class TestStreamOrder:
                 assert all(a < b for a, b in zip(seq, seq[1:]))
 
     def test_nondecreasing_selections_match_the_recursive_stream(self):
+        # the member walk over one box with no cardinality cap is the
+        # selection stream of that box, item for item
         rng = random.Random(31)
         for _ in range(300):
             arity = rng.randint(1, 2)
-            support, bounds = random_box(rng, arity, k=rng.randint(2, 3))
+            k = rng.randint(2, 3)
+            support, bounds = random_box(rng, arity, k=k)
             cap = rng.choice((0, 1, 2, 3, 4, 6))
-            live = {}
-            got = [
-                (tuple(cols), dict(live))
-                for cols in _nondecreasing_selections(support, bounds.get, cap, live)
-            ]
-            assert got == recursive_nondecreasing_selections(support, bounds.get, cap)
-            assert live == {}
-
-
-def recursive_nondecreasing_selections(support, bound, cap):
-    """Reference stream: the depth-first recursion, each selection with
-    a snapshot of its counts, before its extensions."""
-    out, chosen, counts = [], [], {}
-
-    def rec(idx, remaining):
-        out.append((tuple(chosen), dict(counts)))
-        if remaining == 0:
-            return
-        for i in range(idx, len(support)):
-            t = support[i]
-            c = counts.get(t, 0)
-            if c < bound(t):
-                counts[t] = c + 1
-                chosen.append(t)
-                rec(i, remaining - 1)
-                chosen.pop()
-                if c:
-                    counts[t] = c
-                else:
-                    del counts[t]
-
-    rec(0, cap)
-    return out
+            caps, allows, exact = _compiled([(RepetitionFunction(arity, k, 0, bounds), INF)])
+            counts, chosen = {}, []
+            got = [(tuple(chosen), dict(counts), live)
+                   for live in _walk(caps, allows, exact, cap, counts, chosen)]
+            want = recursive_nondecreasing_selections(support, bounds.get, cap)
+            assert got == [(cols, c, 1) for cols, c in want]
+            assert counts == {} and chosen == []
