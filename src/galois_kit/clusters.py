@@ -111,6 +111,18 @@ def _at_least(allows, exact, t, c):
     return mask
 
 
+def _check_limit(name, value):
+    """Refuse a cardinality limit that is neither a nonnegative int nor INF."""
+    if not is_extnat(value):
+        raise GaloisKitError(f"{name} must be nonnegative: an int or inf, not {value!r}")
+
+
+def _compiled_cluster(cluster):
+    """The ``_compiled`` masks of the cluster's generators, bit i standing
+    for the i-th in ``sorted_generators`` order."""
+    return _compiled([(g.box, g.cap) for g in cluster.sorted_generators()])
+
+
 def _members(compiled, limit, meter):
     """All members of cardinality <= limit, each once and one "cluster
     members" step, by cardinality, then by sorted (tuple, count) items, as
@@ -131,11 +143,9 @@ def _members(compiled, limit, meter):
 def enumerate_cluster_members(cluster, limit):
     """All members of cardinality <= limit, each once, by cardinality, then
     by sorted (tuple, count) items: the order ``satisfies_cluster`` checks."""
-    if limit < 0:
-        raise GaloisKitError("limit must be nonnegative")
+    _check_limit("limit", limit)
     with Meter() as meter:
-        members = _members(_compiled([(g.box, g.cap) for g in cluster.sorted_generators()]),
-                           limit, meter)
+        members = _members(_compiled_cluster(cluster), limit, meter)
     return [FiniteMultiset(cluster.arity, dict(items)) for _, items, _ in members]
 
 
@@ -160,54 +170,66 @@ def satisfies_cluster(f, cluster, breadth_cap):
     The witness is the first violating split, members in the order of
     ``enumerate_cluster_members`` and splits in that of ``split_enumerate``.
     """
+    _check_limit("breadth cap", breadth_cap)
     if f.domain_size != cluster.domain_size or f.codomain_size != cluster.domain_size:
         raise GaloisKitError("operation alphabet does not match the cluster")
     if breadth_cap < f.arity:
         raise GaloisKitError(
             f"breadth cap {breadth_cap} is below the arity {f.arity}: no split exists"
         )
-    n, k, table = f.arity, cluster.domain_size, f.table
-    compiled = caps, allows, exact = _compiled([(g.box, g.cap)
-                                                for g in cluster.sorted_generators()])
-    full = (1 << len(caps)) - 1
+    compiled = _compiled_cluster(cluster)
     with Meter() as meter:
-        for member_size, items, live in _members(compiled, breadth_cap, meter):
-            size = member_size - n + 1  # |f M1| + |M2|
-            if size <= 0:
+        found = _violation(f.table, f.arity, cluster.domain_size, compiled, breadth_cap, meter)
+    if found is None:
+        return ClusterVerdict(True, breadth_cap)
+    cols, image, out = found
+    rest = dict(out)
+    rest[image] -= 1
+    witness = (
+        TupleMatrix(cluster.arity, cols),
+        FiniteMultiset(cluster.arity, rest),
+        FiniteMultiset(cluster.arity, out),
+    )
+    return ClusterVerdict(False, breadth_cap, witness)
+
+
+def _violation(table, n, k, compiled, breadth_cap, meter):
+    """The first split of a member of the ``_compiled`` cluster whose
+    output leaves the cluster under the n-ary table over k, as
+    ``(columns of M1, image, output counts)``, or None if there is none:
+    the check of ``satisfies_cluster``, unvalidated, charged to ``meter``."""
+    caps, allows, exact = compiled
+    full = (1 << len(caps)) - 1
+    for member_size, items, live in _members(compiled, breadth_cap, meter):
+        size = member_size - n + 1  # |f M1| + |M2|
+        if size <= 0:
+            continue
+        counts = dict(items)
+        # only generators whose cap admits the output size can admit it
+        j = bisect_left(caps, size)
+        fits = full >> j << j
+        used = {}
+        for cols, ranks in _splits(counts, n, k, used, meter):
+            image = tuple([table[r] for r in ranks])
+            # The output f M1 + M2 is no larger than the member and
+            # has no more of any tuple but the image, so every live
+            # generator admits it if the image is a column of M1, and
+            # one does if its box allows the image's new count.
+            held = counts.get(image, 0)
+            if used.get(image, 0) or live & (~exact[image].get(held, 0) if held
+                                             else allows.get(image, 0)):
                 continue
-            counts = dict(items)
-            # only generators whose cap admits the output size can admit it
-            j = bisect_left(caps, size)
-            fits = full >> j << j
-            used = {}
-            for cols, ranks in _splits(counts, n, k, used, meter):
-                image = tuple([table[r] for r in ranks])
-                # The output f M1 + M2 is no larger than the member and
-                # has no more of any tuple but the image, so every live
-                # generator admits it if the image is a column of M1, and
-                # one does if its box allows the image's new count.
-                held = counts.get(image, 0)
-                if used.get(image, 0) or live & (~exact[image].get(held, 0) if held
-                                                 else allows.get(image, 0)):
-                    continue
-                out = {t: c - used.get(t, 0) for t, c in counts.items()}
-                out[image] = held + 1
-                admitting = fits
-                for t, c in out.items():
-                    if c:
-                        admitting &= _at_least(allows, exact, t, c)
-                        if not admitting:
-                            break
-                if not admitting:
-                    rest = dict(out)
-                    rest[image] -= 1
-                    witness = (
-                        TupleMatrix(cluster.arity, cols),
-                        FiniteMultiset(cluster.arity, rest),
-                        FiniteMultiset(cluster.arity, out),
-                    )
-                    return ClusterVerdict(False, breadth_cap, witness)
-    return ClusterVerdict(True, breadth_cap)
+            out = {t: c - used.get(t, 0) for t, c in counts.items()}
+            out[image] = held + 1
+            admitting = fits
+            for t, c in out.items():
+                if c:
+                    admitting &= _at_least(allows, exact, t, c)
+                    if not admitting:
+                        break
+            if not admitting:
+                return cols, image, out
+    return None
 
 
 def _rf_minus_counts(box, s):
@@ -377,8 +399,7 @@ def materialize_minor(clusters, scheme, breadth_cap):
     membership oracle and stores the maximal members as boxed
     generators (box = the multiset, cap = its cardinality).
     """
-    if breadth_cap < 0:
-        raise GaloisKitError("breadth cap must be nonnegative")
+    _check_limit("breadth cap", breadth_cap)
     clusters = list(clusters)
     with Meter() as meter:
         exists = _minor_search(clusters, scheme)
@@ -396,24 +417,33 @@ def _antichain_cluster(m, k, members):
     """The downward closure of a finite family of distinct count dicts.
 
     One boxed generator per maximal member: box = the multiset, cap =
-    its cardinality.  Members are taken largest first, and each is tested
-    only against the strictly larger maximal members kept so far: a
-    member below another lies below a maximal one, which is larger.  Each
-    subset test is one "antichain comparisons" step.
+    its cardinality.  Members are taken largest first.  A member below
+    another lies below a maximal one, which is strictly larger and holds
+    every tuple the member holds, so each member is tested only against
+    the maximal members kept so far that hold its rarest tuple, the one
+    fewest of them hold.  Each subset test is one "antichain
+    comparisons" step.
     """
     meter = _current_meter()
     kept = []  # (size, counts) of the maximal members, largest first
+    holders = {}  # tuple -> the counts of the kept members holding it
     members = sorted(((sum(s.values()), s) for s in members), key=itemgetter(0), reverse=True)
     for size, group in groupby(members, key=itemgetter(0)):
         fresh = []
         for _, s in group:
             keys, items = s.keys(), s.items()
-            hit = next((i for i, (_, t) in enumerate(kept, 1)
+            # the empty member is held by every kept member
+            rare = min((holders.get(x, ()) for x in keys), key=len,
+                       default=[t for _, t in kept])
+            hit = next((i for i, t in enumerate(rare, 1)
                         if keys <= t.keys() and all(c <= t[x] for x, c in items)), 0)
-            meter.charge("antichain comparisons", hit or len(kept))
+            meter.charge("antichain comparisons", hit or len(rare))
             if not hit:
                 fresh.append((size, s))
-        kept += fresh
+        for size, s in fresh:
+            kept.append((size, s))
+            for x in s:
+                holders.setdefault(x, []).append(s)
     gens = frozenset(
         BoxedGenerator(RepetitionFunction.from_counts(m, k, s), size) for size, s in kept
     )

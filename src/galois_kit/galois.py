@@ -19,7 +19,9 @@ from .operations import (
 from .multisets import FiniteMultiset, _counts, _matrices, _set_partitions, apply_op_rows
 from .repetition import RepetitionFunction
 from .constraints import GeneralizedConstraint, _check_alphabets
-from .clusters import _antichain_cluster, cluster_member, satisfies_cluster
+from .clusters import (
+    _antichain_cluster, _compiled_cluster, _violation, cluster_member, satisfies_cluster,
+)
 
 __all__ = [
     "GaloisConfig",
@@ -52,8 +54,9 @@ class GaloisConfig:
         if self.codomain_size is None:
             object.__setattr__(self, "codomain_size", self.domain_size)
         for name in ("domain_size", "n_max", "m_max", "breadth", "codomain_size"):
-            if getattr(self, name) < 1:
-                raise GaloisKitError(f"{name} must be at least 1")
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise GaloisKitError(f"{name} must be an int of at least 1, not {value!r}")
 
 
 def class_image(cls_, m):
@@ -207,17 +210,32 @@ def cl_inv(cls_, cfg):
 
 
 def c_pol(clusters, cfg):
-    """All operations of arity <= n_max satisfying every cluster at the breadth cap."""
+    """All operations of arity <= n_max satisfying every cluster at the breadth cap.
+
+    Each cluster is compiled once per call, when the first candidate table
+    reaches it, and every candidate runs the check of ``satisfies_cluster``
+    on that compile.  A cluster over another alphabet is an error once some
+    table satisfies every cluster before it, as it is for
+    ``satisfies_cluster`` on that table; the unary projection always does.
+    """
     clusters = list(clusters)
     if cfg.breadth < cfg.n_max:
         raise GaloisKitError("breadth cap must be at least n_max")
     k = cfg.domain_size
     out = OperationClass(k, k)
+    compiled = {}  # cluster position -> its _compiled masks
     with Meter() as meter:
         _charge_tables(meter, cfg, k)
         for n in range(1, cfg.n_max + 1):
             for op in all_operations(k, n):
-                if all(satisfies_cluster(op, phi, cfg.breadth) for phi in clusters):
+                for j, phi in enumerate(clusters):
+                    if j not in compiled:
+                        if phi.domain_size != k:
+                            raise GaloisKitError("operation alphabet does not match the cluster")
+                        compiled[j] = _compiled_cluster(phi)
+                    if _violation(op.table, n, k, compiled[j], cfg.breadth, meter):
+                        break
+                else:
                     out.add(op)
     return out
 

@@ -222,8 +222,8 @@ def _check_family(phis, scheme, col_cap):
         raise GaloisKitError("need one repetition function per scheme map")
     if col_cap is None:
         return phis, default_col_cap(scheme)
-    if col_cap < 1:
-        raise GaloisKitError("column cap must be positive")
+    if not isinstance(col_cap, int) or isinstance(col_cap, bool) or col_cap < 1:
+        raise GaloisKitError(f"column cap must be positive: an int, not {col_cap!r}")
     return phis, col_cap
 
 

@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Operation:
     """A total finitary function stored as a rank-indexed value table."""
 
@@ -198,6 +198,8 @@ class OperationClass:
     Members are deduplicated by table equality; iteration is in the
     canonical order (arity ascending, table lexicographic ascending).
     """
+
+    __slots__ = ("domain_size", "codomain_size", "_by_arity")
 
     def __init__(self, domain_size, codomain_size=None, members=()):
         self.domain_size = domain_size

@@ -371,6 +371,28 @@ def test_negative_limits_are_refused():
     assert enumerate_cluster_members(c, 0) == [FiniteMultiset.empty(1)]
 
 
+@pytest.mark.parametrize("limit", [1.5, "2", None])
+def test_limits_that_are_not_whole_are_refused(limit):
+    # a fractional limit would otherwise be read as its floor
+    c = trivial_cluster(1, 3, 2)
+    f = Operation(2, 2, 1, (0, 1))
+    with pytest.raises(GaloisKitError, match="limit must be nonnegative"):
+        enumerate_cluster_members(c, limit)
+    with pytest.raises(GaloisKitError, match="breadth cap must be nonnegative"):
+        satisfies_cluster(f, c, limit)
+    with pytest.raises(GaloisKitError, match="breadth cap must be nonnegative"):
+        materialize_minor([c], MinorScheme(1, (), ((0,),)), limit)
+
+
+def test_an_infinite_limit_stops_at_the_largest_cap():
+    c = trivial_cluster(1, 3, 2)
+    assert enumerate_cluster_members(c, INF) == enumerate_cluster_members(c, 3)
+    f = Operation(2, 2, 2, (0, 1, 1, 0))
+    assert satisfies_cluster(f, c, INF).satisfied == satisfies_cluster(f, c, 3).satisfied
+    with pytest.raises(GaloisKitError, match="needs a finite cardinality limit"):
+        enumerate_cluster_members(relation_cluster({(0,)}, 1, 2), INF)
+
+
 def test_materialize_minor_needs_one_cluster_per_map():
     with pytest.raises(GaloisKitError, match="one cluster per scheme map"):
         materialize_minor([], MinorScheme(1, (), ((0,),)), 2)

@@ -28,12 +28,14 @@ from galois_kit import (
     separating_cluster,
     separating_constraint,
     GeneralizedConstraint,
+    INF,
     empty_constraint,
     equality_constraint,
     trivial_constraint,
 )
-from galois_kit.errors import Meter, NotSeparableError
+from galois_kit.errors import DEFAULT_BUDGET, Meter, NotSeparableError
 from galois_kit.galois import _inv_cluster_for_arity
+from galois_kit.verify import _monotone_ops
 
 LEQ = frozenset({(0, 0), (0, 1), (1, 1)})
 AND = Operation(2, 2, 2, (0, 0, 0, 1))
@@ -125,7 +127,10 @@ class TestGcInvFPol:
         assert str(info.value) == "refusing cluster members: 101 steps exceed budget 100"
         with Meter() as meter:
             assert len(c_pol([cluster], cfg)) == 20  # joins the open meter
-        assert meter.done == {"operation tables": 72, "support tuples": 40,
+        # c_pol compiles the cluster once: its box allows both unary tuples
+        # without bound, so its canonical default is INF and listing its
+        # positive support builds the k^m = 2 tuples of m = 1 entry: 2 steps
+        assert meter.done == {"operation tables": 72, "support tuples": 2,
                               "cluster members": 120, "cluster splits": 88}
 
     def test_invariant_cluster_members_are_metered(self):
@@ -180,6 +185,25 @@ class TestClInvCPol:
         cfg = GaloisConfig(2, n_max=3, m_max=1, breadth=2)
         with pytest.raises(GaloisKitError):
             c_pol([], cfg)
+
+    @pytest.mark.parametrize("field", ["n_max", "breadth"])
+    @pytest.mark.parametrize("value", [2.5, INF, "2", 0])
+    def test_caps_must_be_whole(self, field, value):
+        # c_pol would otherwise read a breadth of 2.5 as 2
+        caps = dict(n_max=2, m_max=1, breadth=2)
+        caps[field] = value
+        with pytest.raises(GaloisKitError, match=f"{field} must be an int of at least 1"):
+            GaloisConfig(2, **caps)
+
+    def test_monotone_invariants_to_arity_five_fit_the_default_budget(self):
+        # the arity-32 antichain keeps 2,744 of its members;
+        # comparing each with every kept one takes 3.6M steps, past the budget
+        mono = OperationClass(2, members=_monotone_ops(2))
+        cfg = GaloisConfig(2, n_max=5, m_max=1, breadth=5)
+        with Meter(DEFAULT_BUDGET) as meter:
+            clusters = cl_inv(mono, cfg)
+        assert [len(c.generators) for c in clusters] == [3, 10, 46, 304, 2744]
+        assert meter.done["antichain comparisons"] == 9982
 
 
 class TestSeparatingConstraint:

@@ -20,7 +20,8 @@ cases.
 import random
 from contextvars import Context
 from functools import cache, lru_cache
-from itertools import combinations, product
+from itertools import combinations, groupby, product
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -68,7 +69,7 @@ from galois_kit import (
     TupleMatrix,
 )
 from galois_kit.clusters import _antichain_cluster, _members
-from galois_kit.errors import DEFAULT_BUDGET, Meter, NotSeparableError
+from galois_kit.errors import DEFAULT_BUDGET, Meter, NotSeparableError, _current_meter
 
 UNLIMITED = float("inf")
 from galois_kit.extnat import ext_min
@@ -821,29 +822,57 @@ def _random_count_family(rng):
     return m, k, list(family.values())
 
 
+def kept_antichain_cluster(m, k, members):
+    """The earlier build: each member, largest first, against every
+    maximal member kept so far, one "antichain comparisons" step each."""
+    meter = _current_meter()
+    kept = []
+    members = sorted(((sum(s.values()), s) for s in members), key=itemgetter(0), reverse=True)
+    for size, group in groupby(members, key=itemgetter(0)):
+        fresh = []
+        for _, s in group:
+            keys, items = s.keys(), s.items()
+            hit = next((i for i, (_, t) in enumerate(kept, 1)
+                        if keys <= t.keys() and all(c <= t[x] for x, c in items)), 0)
+            meter.charge("antichain comparisons", hit or len(kept))
+            if not hit:
+                fresh.append((size, s))
+        kept += fresh
+    gens = frozenset(
+        BoxedGenerator(RepetitionFunction.from_counts(m, k, s), size) for size, s in kept
+    )
+    return Cluster(m, k, gens)
+
+
 def test_antichain_cluster_matches_reference():
     rng = random.Random(3109)
     dropped = 0
     for _ in range(300):
         m, k, members = _random_count_family(rng)
         want = ref_antichain_cluster(m, k, [FiniteMultiset(m, s) for s in members])
-        got = _antichain_cluster(m, k, members)
+        with Meter() as old:
+            assert kept_antichain_cluster(m, k, members) == want
+        with Meter() as new:
+            got = _antichain_cluster(m, k, members)
         assert got == want
+        assert new.done.get("antichain comparisons", 0) <= old.done.get("antichain comparisons", 0)
         dropped += len(members) - len(got.generators)
     assert dropped >= 1000
 
 
 def test_antichain_comparisons_are_metered():
     x, y, z, w = {(0,): 1, (1,): 2}, {(0,): 2}, {(0,): 1, (2,): 1}, {(2,): 1}
-    # largest first, each against the larger maxima kept: x against none,
-    # z and y against x, w against x and then z, which holds it: 0 + 1 + 1 + 2
+    # largest first, each against the larger maxima kept that hold its
+    # rarest tuple: x against none; z holds (2,), which x lacks, so none;
+    # y holds only (0,), so x; w holds only (2,), so z, which holds it:
+    # 0 + 0 + 1 + 1
     members = [w, z, x, y]
-    with pytest.raises(BudgetExceededError) as info, Meter(3):
+    with pytest.raises(BudgetExceededError) as info, Meter(1):
         _antichain_cluster(1, 3, members)
-    assert str(info.value) == "refusing antichain comparisons: 4 steps exceed budget 3"
-    with Meter(4) as meter:
+    assert str(info.value) == "refusing antichain comparisons: 2 steps exceed budget 1"
+    with Meter(2) as meter:
         got = _antichain_cluster(1, 3, members)
-    assert meter.done == {"antichain comparisons": 4}
+    assert meter.done == {"antichain comparisons": 2}
     assert got == ref_antichain_cluster(1, 3, [FiniteMultiset(1, s) for s in members])
     assert sorted(g.cap for g in got.generators) == [2, 2, 3]
 

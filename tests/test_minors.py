@@ -185,6 +185,15 @@ class TestRfMinorPredicates:
             v = predicate(*args, col_cap=1)
             assert not v and v.counterexample.columns == ((0,),)
 
+    @pytest.mark.parametrize("predicate", [is_restrictive_rf_minor, is_extensive_rf_minor])
+    @pytest.mark.parametrize("col_cap", [INF, 1.5, True])
+    def test_column_cap_that_is_no_int_is_refused(self, predicate, col_cap):
+        # INF and 1.5 would otherwise reach range() and raise TypeError
+        phi = RepetitionFunction(1, 2, 0, {(0,): 1})
+        args = (phi, [RepetitionFunction(1, 2, 0, {})], MinorScheme(1, (), ((0,),)))
+        with pytest.raises(GaloisKitError, match="column cap must be positive: an int"):
+            predicate(*args, col_cap=col_cap)
+
 
 class TestConjunctiveMinorConstraint:
     def test_relaxation_via_identity_scheme(self):

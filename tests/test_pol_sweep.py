@@ -1,9 +1,11 @@
-"""The compiled ``f_pol`` sweep against the sweep it replaced.
+"""The compiled ``f_pol`` and ``c_pol`` sweeps against the sweeps they
+replaced.
 
-The oracle is the earlier ``f_pol``: a sweep over every table, keeping
-the operations for which ``satisfies_constraint`` holds on every
-constraint in turn.  The compiled sweep must return the same class, or
-refuse with the same error, on randomized families.
+The oracles are the earlier bodies: a sweep over every table, keeping
+the operations for which ``satisfies_constraint`` (``satisfies_cluster``)
+holds on every constraint (cluster) in turn.  The compiled sweeps must
+return the same class, or refuse with the same error, on randomized
+families.
 """
 
 import random
@@ -12,7 +14,9 @@ from itertools import product
 import pytest
 
 from galois_kit import (
+    BoxedGenerator,
     BudgetExceededError,
+    Cluster,
     GaloisConfig,
     GaloisKitError,
     GeneralizedConstraint,
@@ -20,12 +24,18 @@ from galois_kit import (
     OperationClass,
     RepetitionFunction,
     all_operations,
+    c_pol,
+    cl_inv,
+    empty_cluster,
     enumerate_matrices_leq,
     f_pol,
     gc_inv,
+    order_cluster,
+    satisfies_cluster,
     satisfies_constraint,
     trivial_constraint,
 )
+from galois_kit import galois
 from galois_kit.errors import DEFAULT_BUDGET
 from galois_kit.extnat import INF
 from galois_kit.verify import _monotone_ops
@@ -38,6 +48,28 @@ def ref_f_pol(constraints, cfg):
         for op in all_operations(cfg.domain_size, n, cfg.codomain_size):
             if all(satisfies_constraint(op, c) for c in constraints):
                 out.add(op)
+    return out
+
+
+def ref_c_pol(clusters, cfg, reached=None):
+    """The earlier ``c_pol``; adds to ``reached`` the position of every
+    cluster some table is checked against."""
+    clusters = list(clusters)
+    if cfg.breadth < cfg.n_max:
+        raise GaloisKitError("breadth cap must be at least n_max")
+    k = cfg.domain_size
+    out = OperationClass(k, k)
+    with Meter() as meter:
+        galois._charge_tables(meter, cfg, k)
+        for n in range(1, cfg.n_max + 1):
+            for op in all_operations(k, n):
+                for j, phi in enumerate(clusters):
+                    if reached is not None:
+                        reached.add(j)
+                    if not satisfies_cluster(op, phi, cfg.breadth):
+                        break
+                else:
+                    out.add(op)
     return out
 
 
@@ -153,3 +185,79 @@ def test_monotone_frontier_answers_at_the_default_budget():
         got = f_pol(gc_inv(mono, cfg), cfg)
     assert {n: len(got.arity_part(n)) for n in got.arities()} == {1: 3, 2: 6, 3: 20, 4: 168}
     assert meter.done["sweep tests"] <= DEFAULT_BUDGET
+
+
+def _random_box(rng, m, k):
+    exc = {}
+    for _ in range(rng.randint(0, 4)):
+        exc[tuple(rng.randrange(k) for _ in range(m))] = rng.choice([0, 1, 2, INF])
+    return RepetitionFunction(m, k, rng.choice([0, 0, 1, 2, INF]), exc)
+
+
+def _random_cluster(rng, k, n_max):
+    kind = rng.choice(["boxed", "boxed", "boxed", "order", "empty", "cl_inv"])
+    if kind == "order":
+        leq = {(a, b) for a in range(k) for b in range(k) if a <= b}
+        return order_cluster(leq if rng.random() < 0.7 else {(a, a) for a in range(k)}, k)
+    if kind == "empty":
+        return empty_cluster(rng.randint(1, 2), k)
+    if kind == "cl_inv":
+        members = rng.sample(list(all_operations(k, 1)), rng.randint(1, 3))
+        cfg = GaloisConfig(k, n_max=min(n_max, 2 if k == 2 else 1), m_max=1, breadth=2)
+        return rng.choice(cl_inv(OperationClass(k, members=members), cfg))
+    m = rng.randint(1, 2)
+    gens = [BoxedGenerator(_random_box(rng, m, k), rng.choice([0, 1, 2, 3, INF]))
+            for _ in range(rng.randint(0, 3))]
+    return Cluster(m, k, frozenset(gens))
+
+
+def _random_cluster_case(rng):
+    k = rng.choice([2, 2, 3])
+    n_max = rng.randint(1, 2) if k == 2 else 1
+    family = [_random_cluster(rng, k, n_max) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.15:
+        # one cluster over another alphabet
+        family.insert(rng.randrange(len(family) + 1), _random_cluster(rng, 5 - k, 1))
+    breadth = rng.choice([n_max, n_max, n_max + 1, n_max - 1 or 1])
+    return family, GaloisConfig(k, n_max=n_max, m_max=1, breadth=breadth)
+
+
+def _metered_outcome(fn, *args):
+    with Meter(INF) as meter:
+        try:
+            got = fn(*args)
+        except GaloisKitError as e:
+            got = (type(e).__name__, str(e))
+    return got, meter.done
+
+
+def _support_tuples(cluster):
+    """The steps of listing each positive-default box's k^m tuples of m
+    entries, once per generator."""
+    k, m = cluster.domain_size, cluster.arity
+    return sum(k ** m * m for g in cluster.generators if g.box.default)
+
+
+def test_compiled_c_pol_matches_reference_sweep():
+    rng = random.Random(1717)
+    seen = {"breadth": 0, "alphabet": 0, "every table": 0, "proper": 0}
+    for _ in range(200):
+        family, cfg = _random_cluster_case(rng)
+        reached = set()
+        want, want_done = _metered_outcome(ref_c_pol, family, cfg, reached)
+        got, got_done = _metered_outcome(c_pol, family, cfg)
+        assert got == want
+        for phase in ("operation tables", "cluster members", "cluster splits"):
+            assert got_done.get(phase, 0) == want_done.get(phase, 0), phase
+        # one compile per reached cluster; one over another alphabet
+        # raises first
+        assert got_done.get("support tuples", 0) == sum(
+            _support_tuples(family[j]) for j in reached
+            if family[j].domain_size == cfg.domain_size)
+        if isinstance(want, tuple):
+            seen["breadth" if "breadth" in want[1] else "alphabet"] += 1
+        else:
+            every = sum(cfg.domain_size ** cfg.domain_size ** n for n in range(1, cfg.n_max + 1))
+            seen["every table" if len(want) == every else "proper"] += 1
+    assert min(seen.values()) >= 15, seen
+
