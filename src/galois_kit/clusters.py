@@ -12,13 +12,14 @@ identity, is the contract.
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
-from itertools import groupby, product
-from operator import itemgetter
+from functools import cached_property, partial
+from itertools import groupby, product, repeat
+from math import floor
+from operator import add, itemgetter
 
 from .errors import GaloisKitError, Meter, _current_meter
 from .extnat import INF, ext_min, ext_sub, is_extnat
-from .multisets import FiniteMultiset, TupleMatrix, _compiled, _splits, _walk
+from .multisets import FiniteMultiset, TupleMatrix, _SplitOrders, _compiled, _walk
 from .repetition import RepetitionFunction
 from .minors import _skolem_search
 
@@ -76,10 +77,16 @@ class Cluster:
                 raise GaloisKitError("generator arity/domain mismatch with cluster")
 
     def sorted_generators(self):
-        return sorted(
+        """The generators by cap, then default, then sorted exceptions."""
+        return list(self._generator_order)
+
+    @cached_property
+    def _generator_order(self):
+        # sorted once per cluster: the key reads every exception of every box
+        return tuple(sorted(
             self.generators,
             key=lambda g: (g.cap, g.box.default, sorted(g.box.exceptions.items())),
-        )
+        ))
 
     def __repr__(self):
         return (
@@ -123,19 +130,31 @@ def _compiled_cluster(cluster):
     return _compiled([(g.box, g.cap) for g in cluster.sorted_generators()])
 
 
+def _steps_left(meter, phase):
+    """How many more ``phase`` steps fit in the budget of ``meter``: a
+    whole number of at least 0, or inf."""
+    left = meter.budget - meter.done.get(phase, 0)
+    return left if left == INF else max(0, floor(left))
+
+
 def _members(compiled, limit, meter):
     """All members of cardinality <= limit, each once and one "cluster
     members" step, by cardinality, then by sorted (tuple, count) items, as
     ``(size, items, live)``: ``live`` is the mask of the ``_compiled``
-    generators that admit the member."""
+    generators that admit the member.  The walk is refused at the first
+    member past the budget, and the steps are charged once, at its end."""
     caps, allows, exact = compiled
     top = ext_min(limit, caps[-1]) if caps else 0
     if top == INF:
         raise GaloisKitError("member enumeration needs a finite cardinality limit")
-    counts, chosen = {}, []
-    members = [(len(chosen), tuple(counts.items()), live)
-               for live in meter.counted("cluster members",
-                                         _walk(caps, allows, exact, int(top), counts, chosen))]
+    left = _steps_left(meter, "cluster members")
+    counts, chosen, members = {}, [], []
+    for live in _walk(caps, allows, exact, int(top), counts, chosen):
+        if len(members) == left:
+            meter.charge("cluster members", left + 1)
+        members.append((len(chosen), tuple(counts.items()), live))
+    if members:
+        meter.charge("cluster members", len(members))
     members.sort()
     return members
 
@@ -179,7 +198,8 @@ def satisfies_cluster(f, cluster, breadth_cap):
         )
     compiled = _compiled_cluster(cluster)
     with Meter() as meter:
-        found = _violation(f.table, f.arity, cluster.domain_size, compiled, breadth_cap, meter)
+        found = _violation(f.table, f.arity, compiled, breadth_cap, meter,
+                           _SplitOrders(f.arity), _Scaled(f.domain_size, f.arity))
     if found is None:
         return ClusterVerdict(True, breadth_cap)
     cols, image, out = found
@@ -193,42 +213,94 @@ def satisfies_cluster(f, cluster, breadth_cap):
     return ClusterVerdict(False, breadth_cap, witness)
 
 
-def _violation(table, n, k, compiled, breadth_cap, meter):
+# the row ranks of the empty prefix: zeros, as many as the last column has
+_EMPTY_PREFIX = (repeat(0),)
+
+
+class _Scaled(dict):
+    """Each m-tuple t's column vectors t * k^(n-1), ..., t * k over domain
+    size k, one per column of an n-column prefix, built on first use."""
+
+    def __init__(self, k, n):
+        super().__init__()
+        self.powers = [k ** e for e in range(n - 1, 0, -1)]
+
+    def __missing__(self, t):
+        vectors = self[t] = [tuple([x * power for x in t]) for power in self.powers]
+        return vectors
+
+
+def _violation(table, n, compiled, breadth_cap, meter, orders, scaled):
     """The first split of a member of the ``_compiled`` cluster whose
-    output leaves the cluster under the n-ary table over k, as
-    ``(columns of M1, image, output counts)``, or None if there is none:
-    the check of ``satisfies_cluster``, unvalidated, charged to ``meter``."""
+    output leaves the cluster under the n-ary table, as ``(columns of M1,
+    image, output counts)``, or None if there is none: the check of
+    ``satisfies_cluster``, unvalidated, charged to ``meter``.
+
+    ``orders`` is the ``_SplitOrders`` of n columns and ``scaled`` the
+    ``_Scaled`` vectors over the table's domain, both reusable by every
+    n-ary table over that domain.  A member's splits are its ``orders``,
+    and the row ranks of M1 are its prefix's scaled vectors summed, plus
+    its last column.  Each split is a "cluster splits" step, refused at
+    the first one past the budget.
+    """
     caps, allows, exact = compiled
-    full = (1 << len(caps)) - 1
+    get = table.__getitem__
+    phase = "cluster splits"
+    left, taken = _steps_left(meter, phase), 0
     for member_size, items, live in _members(compiled, breadth_cap, meter):
         size = member_size - n + 1  # |f M1| + |M2|
         if size <= 0:
             continue
-        counts = dict(items)
-        # only generators whose cap admits the output size can admit it
-        j = bisect_left(caps, size)
-        fits = full >> j << j
-        used = {}
-        for cols, ranks in _splits(counts, n, k, used, meter):
-            image = tuple([table[r] for r in ranks])
-            # The output f M1 + M2 is no larger than the member and
-            # has no more of any tuple but the image, so every live
-            # generator admits it if the image is a column of M1, and
-            # one does if its box allows the image's new count.
-            held = counts.get(image, 0)
-            if used.get(image, 0) or live & (~exact[image].get(held, 0) if held
-                                             else allows.get(image, 0)):
+        tuples, counts = zip(*items)
+        levels, sels = orders[counts]
+        before, taken = taken, taken + len(sels)
+        if taken > left:  # check the splits within the budget, then refuse
+            sels = sels[:left - before]
+        bases = _EMPTY_PREFIX
+        for depth, level in enumerate(levels):
+            bases = ([scaled[tuples[p]][0] for _, p in level] if not depth else
+                     [tuple(map(add, bases[q], scaled[tuples[p]][depth])) for q, p in level])
+        for q, p, positions in sels:
+            image = tuple(map(get, map(add, bases[q], tuples[p])))
+            # The output f M1 + M2 is no larger than the member and has
+            # no more of any tuple but the image, so every live generator
+            # admits it if the image is a column of M1, and one does if
+            # its box allows the image's new count.
+            if image in tuples:
+                i = tuples.index(image)
+                held = counts[i]
+                if live & ~exact[image].get(held, 0) or i in positions:
+                    continue
+            elif live & allows.get(image, 0):
                 continue
-            out = {t: c - used.get(t, 0) for t, c in counts.items()}
-            out[image] = held + 1
-            admitting = fits
-            for t, c in out.items():
-                if c:
-                    admitting &= _at_least(allows, exact, t, c)
-                    if not admitting:
-                        break
-            if not admitting:
-                return cols, image, out
+            else:
+                held = 0
+            # only generators whose cap admits the output size can admit it
+            j = bisect_left(caps, size)
+            fits = (1 << len(caps)) - 1 >> j << j
+            if size == 1:  # |S| = n: M2 is empty, and the output is {f M1}
+                if fits & allows.get(image, 0):
+                    continue
+                out = {image: 1}
+            else:
+                out = dict(items)
+                for x in positions:
+                    out[tuples[x]] -= 1
+                out[image] = held + 1
+                admitting = fits
+                for t, c in out.items():
+                    if c:
+                        admitting &= _at_least(allows, exact, t, c)
+                        if not admitting:
+                            break
+                if admitting:
+                    continue
+            meter.charge(phase, before + sels.index((q, p, positions)) + 1)
+            return tuple([tuples[x] for x in positions]), image, out
+        if taken > left:
+            meter.charge(phase, left + 1)
+    if taken:
+        meter.charge(phase, taken)
     return None
 
 

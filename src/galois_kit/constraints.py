@@ -92,11 +92,11 @@ def satisfies_constraint(f, c):
     never answered wrongly.
     """
     _check_alphabets(f.domain_size, f.codomain_size, c)
-    consequent, table = c.consequent, f.table
+    consequent, get = c.consequent, f.table.__getitem__
     with Meter():
-        for cols, ranks in _matrices(c.antecedent, f.arity):
-            if tuple([table[r] for r in ranks]) not in consequent:
-                return ConstraintVerdict(False, TupleMatrix(c.arity, cols))
+        for prefix, col, ranks in _matrices(c.antecedent, f.arity):
+            if tuple(map(get, ranks)) not in consequent:
+                return ConstraintVerdict(False, TupleMatrix(c.arity, (*prefix, col)))
     return ConstraintVerdict(True)
 
 

@@ -20,7 +20,8 @@ from .multisets import FiniteMultiset, _counts, _matrices, _set_partitions, appl
 from .repetition import RepetitionFunction
 from .constraints import GeneralizedConstraint, _check_alphabets
 from .clusters import (
-    _antichain_cluster, _compiled_cluster, _violation, cluster_member, satisfies_cluster,
+    _Scaled, _SplitOrders, _antichain_cluster, _compiled_cluster, _violation, cluster_member,
+    satisfies_cluster,
 )
 
 __all__ = [
@@ -135,7 +136,7 @@ def _satisfying_tables(constraints, cfg):
     for n in range(1, cfg.n_max + 1):
         merged = {}  # rank vector -> the tuples every constraint allows there
         for c in constraints:
-            for _, ranks in _matrices(c.antecedent, n):
+            for _, _, ranks in _matrices(c.antecedent, n):
                 ranks = tuple(ranks)
                 allowed = merged.get(ranks)
                 merged[ranks] = c.consequent if allowed is None else allowed & c.consequent
@@ -214,11 +215,18 @@ def c_pol(clusters, cfg):
 
     Each cluster is compiled once per call, when the first candidate table
     reaches it, and every candidate runs the check of ``satisfies_cluster``
-    on that compile.  A cluster over another alphabet is an error once some
-    table satisfies every cluster before it, as it is for
+    on that compile, with the split orders and scaled columns of its arity
+    shared by every candidate.  A cluster over another alphabet is an error
+    once some table satisfies every cluster before it, as it is for
     ``satisfies_cluster`` on that table; the unary projection always does.
+    Clusters have one alphabet, so a configuration whose codomain differs
+    from its domain is refused.
     """
     clusters = list(clusters)
+    if cfg.codomain_size != cfg.domain_size:
+        raise GaloisKitError(
+            f"c_pol needs codomain_size equal to domain_size {cfg.domain_size}, "
+            f"not {cfg.codomain_size}: a cluster has one alphabet")
     if cfg.breadth < cfg.n_max:
         raise GaloisKitError("breadth cap must be at least n_max")
     k = cfg.domain_size
@@ -227,13 +235,14 @@ def c_pol(clusters, cfg):
     with Meter() as meter:
         _charge_tables(meter, cfg, k)
         for n in range(1, cfg.n_max + 1):
+            orders, scaled = _SplitOrders(n), _Scaled(k, n)
             for op in all_operations(k, n):
                 for j, phi in enumerate(clusters):
                     if j not in compiled:
                         if phi.domain_size != k:
                             raise GaloisKitError("operation alphabet does not match the cluster")
                         compiled[j] = _compiled_cluster(phi)
-                    if _violation(op.table, n, k, compiled[j], cfg.breadth, meter):
+                    if _violation(op.table, n, compiled[j], cfg.breadth, meter, orders, scaled):
                         break
                 else:
                     out.add(op)

@@ -7,6 +7,8 @@ matrix is the workhorse of every satisfaction check.
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import add
 
 from .errors import GaloisKitError, _current_meter
 from .extnat import INF
@@ -280,40 +282,44 @@ def _walk(caps, allows, exact, top, counts, chosen):
             del counts[t]
 
 
-def _prefixes(bounded, n, k, used, cols=(), ranks=None):
+def _prefixes(bounded, n, k, used, cols=(), scaled=None):
     """Every sequence of n columns from ``bounded`` after ``cols``, as
-    ``(cols, ranks)``, with ``used`` counting its columns while it is
-    current; ``ranks`` is None for the empty sequence."""
+    ``(cols, scaled)``, with ``used`` counting its columns while it is
+    current; ``scaled`` is k times the row ranks of the matrix with these
+    columns, None for the empty sequence."""
     if not n:
-        yield cols, ranks
+        yield cols, scaled
         return
     for col, b in bounded:
         c = used.get(col, 0)
         if c < b:
             used[col] = c + 1
             yield from _prefixes(bounded, n - 1, k, used, cols + (col,),
-                                 col if ranks is None else [r * k + x for r, x in zip(ranks, col)])
+                                 [k * x for x in col] if scaled is None
+                                 else [k * (r + x) for r, x in zip(scaled, col)])
             used[col] = c
 
 
 def _ranked_selections(bounded, n, k, used, meter, phase):
     """Every sequence of n >= 1 columns from the ``(column, bound)`` pairs
     of ``bounded``, using each column at most its bound times, in
-    lexicographic order of positions in ``bounded``, as ``(cols, ranks)``.
+    lexicographic order of positions in ``bounded``, as ``(prefix, col,
+    ranks)``: the first n - 1 columns, the last one, and an iterator over
+    the row ranks of the matrix with these columns over domain size k
+    (leftmost column most significant).
 
-    ``ranks`` is the row-rank vector of the matrix with these columns
-    over domain size k (leftmost column most significant), built one
-    column at a time: a prefix's ranks are computed once, for all its
-    extensions.  ``used`` counts the columns of the sequence just
-    yielded.  Each sequence is one ``phase`` step of ``meter``, refused
-    as ``Meter.counted`` refuses: as soon as the phase passes the budget,
+    A prefix's ranks are computed once for all its extensions, and
+    carried times k, so each sequence's ranks are one ``map(add, ...)``.
+    ``used`` counts the columns of the sequence just yielded.  Each
+    sequence is one ``phase`` step of ``meter``, refused as
+    ``Meter.counted`` refuses: as soon as the phase passes the budget,
     the steps taken charged once when the stream ends or is dropped.
     """
     left, taken = meter.budget - meter.done.get(phase, 0), 0
     try:
         # a one-column stream has only the empty prefix: no generator for it
         prefixes = _prefixes(bounded, n - 1, k, used) if n > 1 else [((), None)]
-        for prefix, prefix_ranks in prefixes:
+        for prefix, scaled in prefixes:
             for col, b in bounded:
                 c = used.get(col, 0)
                 if c < b:
@@ -322,9 +328,7 @@ def _ranked_selections(bounded, n, k, used, meter, phase):
                         steps, taken = taken, 0
                         meter.charge(phase, steps)
                     used[col] = c + 1
-                    yield prefix + (col,), (
-                        col if prefix_ranks is None
-                        else [r * k + x for r, x in zip(prefix_ranks, col)])
+                    yield prefix, col, col if scaled is None else map(add, scaled, col)
                     used[col] = c
     finally:
         if taken:
@@ -332,27 +336,79 @@ def _ranked_selections(bounded, n, k, used, meter, phase):
 
 
 def _matrices(phi, n):
-    """Every n-column matrix M < phi as ``(cols, ranks)``, columns chosen
+    """Every n-column matrix M < phi as ``(prefix, col, ranks)``, its
+    first n - 1 columns, its last one and its row ranks, columns chosen
     in lexicographic order position by position.
 
-    ``ranks`` is the row-rank vector of M, so an operation f maps M to
-    the tuple of f.table at those ranks.  Each matrix is a "constraint
-    matrices" step of the open meter.
+    An operation f maps M to the tuple of f.table at the ranks.  Each
+    matrix is a "constraint matrices" step of the open meter.
     """
     bounded = [(t, phi.value(t)) for t in phi.positive_support()]
     return _ranked_selections(bounded, n, phi.domain_size, {}, _current_meter(),
                               "constraint matrices")
 
 
-def _splits(counts, n, k, used, meter):
-    """Every ordered selection of n columns from the multiset with these
-    counts over domain size k, as ``(cols, ranks)``; identical columns
-    give one ordering.  ``used`` counts the columns of the selection just
-    yielded, so the remainder is counts minus used.  Each selection is a
-    "cluster splits" step of ``meter``.
+@lru_cache(maxsize=1024)
+def _split_orders(shape, n):
+    """The ordered selections of n positions from a member with this
+    count shape, position i used at most shape[i] times, in
+    lexicographic order of positions, as ``(levels, orders)``.
+
+    ``levels[d]`` lists the selections' distinct prefixes of d + 1
+    positions, in order, each as ``(index of its own prefix in
+    levels[d - 1], last position)``; ``orders`` lists the selections as
+    ``(index of the prefix in levels[-1], last position, positions)``,
+    the prefix index 0 when n = 1.  A member's count shape is the tuple
+    of min(count, n) over its distinct tuples in sorted order, so members
+    of one shape share the lists; they are tuples, built once per shape
+    and kept, since they depend on nothing else.
     """
-    bounded = sorted(counts.items())
-    return _ranked_selections(bounded, n, k, used, meter, "cluster splits")
+    levels = [[] for _ in range(n - 1)]
+    orders, used, prefix = [], [0] * len(shape), []
+
+    def extend(depth, parent):
+        if depth == n - 1:
+            sels = [(parent, p, (*prefix, p)) for p, b in enumerate(shape) if used[p] < b]
+            orders.extend(sels)
+            return bool(sels)
+        level, found = levels[depth], False
+        for p, b in enumerate(shape):
+            if used[p] < b:
+                used[p] += 1
+                prefix.append(p)
+                level.append((parent, p))
+                if extend(depth + 1, len(level) - 1):
+                    found = True
+                else:  # no selection extends this prefix
+                    level.pop()
+                prefix.pop()
+                used[p] -= 1
+        return found
+
+    extend(0, 0)
+    return tuple(map(tuple, levels)), tuple(orders)
+
+
+class _SplitOrders(dict):
+    """The ``_split_orders`` of n columns by member counts, each built on
+    first use from the count shape and shared by the counts of one shape."""
+
+    def __init__(self, n):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, counts):
+        n = self.n
+        shape = tuple([min(c, n) for c in counts])
+        orders = self[shape] if shape != counts else _split_orders(shape, n)
+        self[counts] = orders
+        return orders
+
+
+def _check_columns(name, n):
+    """Refuse a column count that is not an int of at least 1."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise GaloisKitError(f"{name} must be positive: an int, not {n!r}")
 
 
 def enumerate_matrices_leq(phi, n):
@@ -364,10 +420,9 @@ def enumerate_matrices_leq(phi, n):
     lexicographic and restartable).  Each matrix is a "constraint
     matrices" step of the open meter.
     """
-    if n < 1:
-        raise GaloisKitError("column count must be positive")
-    for cols, _ in _matrices(phi, n):
-        yield TupleMatrix(phi.arity, cols)
+    _check_columns("column count", n)
+    for prefix, col, _ in _matrices(phi, n):
+        yield TupleMatrix(phi.arity, (*prefix, col))
 
 
 def split_enumerate(s, n):
@@ -378,12 +433,15 @@ def split_enumerate(s, n):
     produce a single distinct ordering.  Empty stream if |s| < n.  Each
     selection is a "cluster splits" step of the open meter.
     """
-    if n < 1:
-        raise GaloisKitError("selection size must be positive")
+    _check_columns("selection size", n)
     if s.cardinality < n:
         return
-    counts, used = s.counts, {}
-    k = 1 + max(max(t) for t in counts)  # an alphabet holding every entry
-    for cols, _ in _splits(counts, n, k, used, _current_meter()):
-        rest = {t: c - used.get(t, 0) for t, c in counts.items()}
-        yield TupleMatrix(s.arity, cols), FiniteMultiset(s.arity, rest)
+    items = sorted(s.counts.items())
+    tuples, counts = zip(*items)
+    _, orders = _SplitOrders(n)[counts]
+    for _, _, positions in _current_meter().counted("cluster splits", orders):
+        rest = dict(items)
+        for p in positions:
+            rest[tuples[p]] -= 1
+        yield (TupleMatrix(s.arity, tuple([tuples[p] for p in positions])),
+               FiniteMultiset(s.arity, rest))

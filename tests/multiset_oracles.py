@@ -1,8 +1,9 @@
-"""Multiset algebra and the multiset stream that only the test oracles use.
+"""Multiset algebra and the multiset streams that only the test oracles use.
 
 Truncated difference, the submultiset test, duplicate-free partitions
-of a ``FiniteMultiset``, and the bounded multisets over a box listed by
-plain recursion.  The reference bodies in ``test_kernels.py`` build
+of a ``FiniteMultiset``, the bounded multisets over a box and the
+ordered column selections from bounded columns, both listed by plain
+recursion.  The reference bodies in ``test_kernels.py`` build
 members, minors and antichains with them, and ``test_multisets.py``
 checks their laws and holds the library's multiset walk to the
 recursive stream.
@@ -87,3 +88,27 @@ def bounded_multisets(arity, support, bound, cap):
     FiniteMultisets, in its order."""
     return [FiniteMultiset(arity, counts)
             for _, counts in recursive_nondecreasing_selections(support, bound, cap)]
+
+
+def recursive_ordered_selections(support, bound, n, used):
+    """Every sequence of n >= 1 columns from ``support`` using each column
+    t at most bound(t) times, in lexicographic order of support positions;
+    ``used`` counts the columns of the sequence just yielded."""
+    chosen = []
+    bounded = [(col, bound(col)) for col in support]
+
+    def rec(pos):
+        last = pos == n - 1
+        for col, b in bounded:
+            c = used.get(col, 0)
+            if c < b:
+                used[col] = c + 1
+                chosen.append(col)
+                if last:
+                    yield tuple(chosen)
+                else:
+                    yield from rec(pos + 1)
+                chosen.pop()
+                used[col] = c
+
+    yield from rec(0)

@@ -31,6 +31,7 @@ from galois_kit import (
     INF,
     empty_constraint,
     equality_constraint,
+    trivial_cluster,
     trivial_constraint,
 )
 from galois_kit.errors import DEFAULT_BUDGET, Meter, NotSeparableError
@@ -194,6 +195,15 @@ class TestClInvCPol:
         caps[field] = value
         with pytest.raises(GaloisKitError, match=f"{field} must be an int of at least 1"):
             GaloisConfig(2, **caps)
+
+    def test_codomain_must_be_the_domain(self):
+        # a cluster has one alphabet: the codomain of 3 was ignored, and the
+        # four binary-valued unary operations came back
+        cfg = GaloisConfig(2, n_max=1, m_max=1, breadth=1, codomain_size=3)
+        with pytest.raises(GaloisKitError, match="codomain_size equal to domain_size 2, not 3"), \
+                Meter(1) as meter:
+            c_pol([trivial_cluster(1, 1, 2)], cfg)
+        assert meter.done == {}
 
     def test_monotone_invariants_to_arity_five_fit_the_default_budget(self):
         # the arity-32 antichain keeps 2,744 of its members;

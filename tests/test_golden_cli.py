@@ -76,6 +76,23 @@ CASES = {
     "satisfies_cluster_witness_json": [
         "--format", "json-lines", "satisfies", "-w", "{ws}", "-w",
         "{inv_cluster}", "--fn", "XOR", "--cluster", "proj2.inv1"],
+    # --stats pins the predicate kernels' work: matrices, members, splits
+    "satisfies_constraint_xor_stats": [
+        "satisfies", "-w", "{ws}", "--fn", "XOR", "--constraint", "ord",
+        "--stats"],
+    "satisfies_constraint_and_stats": [
+        "satisfies", "-w", "{ws}", "--fn", "AND", "--constraint", "ord",
+        "--stats"],
+    "satisfies_cluster_and_stats": [
+        "satisfies", "-w", "{ws}", "-w", "{inv_cluster}", "--fn", "AND",
+        "--cluster", "proj2.inv1", "--breadth", "4", "--stats"],
+    "satisfies_cluster_p21_stats": [
+        "satisfies", "-w", "{ws}", "-w", "{inv_cluster}", "--fn", "P21",
+        "--cluster", "proj2.inv1", "--breadth", "4", "--stats"],
+    "pol_cluster_stats": [
+        "pol", "-w", "{inv_cluster}", "--kind", "cluster",
+        "--names", "proj2.inv0,proj2.inv1", "--cap", "2", "--breadth", "4",
+        "--stats"],
     "verify_minors": ["verify", "minors"],
     "verify_lemma_all": ["verify", "lemma-all"],
 }

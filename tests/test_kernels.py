@@ -1,14 +1,15 @@
 """The predicate and cluster kernels against their object-based reference bodies.
 
-The ranked selection stream of ``_matrices`` and ``_splits``,
-``satisfies_constraint``, ``satisfies_cluster``, the two rf-minor
-predicates, cluster member enumeration, the cluster minors and the
-invariant cluster of ``cl_inv`` work on raw column tuples and count
-dicts; ``gc_inv`` and both separators work on row ranks of the all-rows
-matrix.  The reference versions below are the earlier bodies, which
-build and validate a ``TupleMatrix`` or ``FiniteMultiset`` for every
-matrix, split, member, block and Skolem candidate, and which walk every
-ordering of each column multiset.  Their multisets come from the
+The ranked selection stream of ``_matrices``, the split orders of
+``satisfies_cluster`` and ``split_enumerate``, ``satisfies_constraint``,
+``satisfies_cluster``, the two rf-minor predicates, cluster member
+enumeration, the cluster minors and the invariant cluster of ``cl_inv``
+work on raw column tuples and count dicts; ``gc_inv`` and both
+separators work on row ranks of the all-rows matrix.  The reference
+versions below are the earlier bodies, which build and validate a
+``TupleMatrix`` or ``FiniteMultiset`` for every matrix, split, member,
+block and Skolem candidate, and which walk every ordering of each column
+multiset.  Their multisets come from the
 recursive stream of ``multiset_oracles``: ``ref_members`` walks each
 generator's box in full with it, where ``clusters._members`` walks the
 union of the boxes once, by generator bitmask.  On randomized instances both sides
@@ -61,6 +62,7 @@ from galois_kit import (
     materialize_minor,
     ms_join,
     order_cluster,
+    relation_cluster,
     satisfies_cluster,
     satisfies_constraint,
     separating_cluster,
@@ -74,13 +76,16 @@ from galois_kit.errors import DEFAULT_BUDGET, Meter, NotSeparableError, _current
 UNLIMITED = float("inf")
 from galois_kit.extnat import ext_min
 from galois_kit.minors import default_col_cap, skolem_maps
-from galois_kit.multisets import _compiled, _matrices, _ranked_selections
+from galois_kit.multisets import (
+    _SplitOrders, _compiled, _matrices, _ranked_selections, _split_orders,
+)
 from multiset_oracles import (
     bounded_multisets,
     ms_diff,
     ms_partitions,
     ms_sub,
     recursive_nondecreasing_selections,
+    recursive_ordered_selections,
 )
 
 
@@ -93,30 +98,6 @@ def ref_satisfies_constraint(f, c):
         if apply_op_rows(f, m) not in c.consequent:
             return ConstraintVerdict(False, m)
     return ConstraintVerdict(True)
-
-
-def ref_ordered_selections(support, bound, n, used):
-    """Every sequence of n >= 1 columns from ``support`` using each column
-    t at most bound(t) times, in lexicographic order of support positions;
-    ``used`` counts the columns of the sequence just yielded."""
-    chosen = []
-    bounded = [(col, bound(col)) for col in support]
-
-    def rec(pos):
-        last = pos == n - 1
-        for col, b in bounded:
-            c = used.get(col, 0)
-            if c < b:
-                used[col] = c + 1
-                chosen.append(col)
-                if last:
-                    yield tuple(chosen)
-                else:
-                    yield from rec(pos + 1)
-                chosen.pop()
-                used[col] = c
-
-    yield from rec(0)
 
 
 def ref_row_ranks(k, columns):
@@ -193,7 +174,7 @@ def ref_full_test_satisfies_cluster(f, cluster, breadth_cap):
                 continue
             live = [bounds for cap, bounds in boxes if size <= cap]
             used = {}
-            selections = ref_ordered_selections(sorted(counts), counts.get, n, used)
+            selections = recursive_ordered_selections(sorted(counts), counts.get, n, used)
             for cols in meter.counted("cluster splits", selections):
                 out = {t: c - used.get(t, 0) for t, c in counts.items()}
                 image = tuple(f.table[r] for r in ref_row_ranks(k, cols))
@@ -514,8 +495,8 @@ def test_constraint_tests_are_the_matrices_in_order_with_their_row_ranks():
         with Meter(UNLIMITED):
             tests = list(_matrices(phi, n))
             want = list(enumerate_matrices_leq(phi, n))
-        assert [TupleMatrix(m, cols) for cols, _ in tests] == want
-        assert [list(ranks) for _, ranks in tests] == [
+        assert [TupleMatrix(m, (*prefix, col)) for prefix, col, _ in tests] == want
+        assert [list(ranks) for _, _, ranks in tests] == [
             [sum(x * k ** (n - 1 - j) for j, x in enumerate(row)) for row in matrix.rows()]
             for matrix in want]
 
@@ -900,10 +881,10 @@ def test_ranked_selections_match_the_ordered_selections(case):
     k, n, support, bounds = case
     want_used, got_used = {}, {}
     want = [(cols, list(ref_row_ranks(k, cols)), dict(want_used))
-            for cols in ref_ordered_selections(support, bounds.get, n, want_used)]
+            for cols in recursive_ordered_selections(support, bounds.get, n, want_used)]
     with Meter(UNLIMITED) as meter:
         stream = _ranked_selections(list(bounds.items()), n, k, got_used, meter, "p")
-        got = [(cols, list(ranks), dict(got_used)) for cols, ranks in stream]
+        got = [((*prefix, col), list(ranks), dict(got_used)) for prefix, col, ranks in stream]
     assert got == want
     assert got_used == want_used
     assert meter.done == ({"p": len(want)} if want else {})
@@ -928,7 +909,7 @@ def _drive(stream, used, stop):
 @given(bounded_columns(), st.data())
 def test_ranked_selections_charge_and_refuse_like_the_counted_stream(case, data):
     k, n, support, bounds = case
-    total = sum(1 for _ in ref_ordered_selections(support, bounds.get, n, {}))
+    total = sum(1 for _ in recursive_ordered_selections(support, bounds.get, n, {}))
     budget = data.draw(st.integers(0, total + 2), label="budget")
     stop = data.draw(st.integers(0, total + 1), label="stop")
     before = data.draw(st.integers(0, 3), label="steps already charged")
@@ -940,12 +921,87 @@ def test_ranked_selections_charge_and_refuse_like_the_counted_stream(case, data)
             if ranked:
                 stream = _ranked_selections(list(bounds.items()), n, k, used, meter, "p")
                 items, refusal = _drive(stream, used, stop)
-                items = [(cols, counts) for (cols, _), counts in items]
+                items = [((*prefix, col), counts) for (prefix, col, _), counts in items]
             else:
-                stream = meter.counted("p", ref_ordered_selections(support, bounds.get, n, used))
+                selections = recursive_ordered_selections(support, bounds.get, n, used)
+                stream = meter.counted("p", selections)
                 items, refusal = _drive(stream, used, stop)
         runs.append((items, refusal, meter.done))
     assert runs[1] == runs[0]
+
+
+@st.composite
+def member_counts(draw):
+    """(counts, n): the counts of one to four distinct tuples, 1 to 5
+    each, and a selection length n of 1 to 6, so that counts fall both
+    above and below n and n may exceed the member's size."""
+    counts = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)))
+    return counts, draw(st.integers(1, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(member_counts())
+def test_split_orders_match_the_ordered_selections(case):
+    counts, n = case
+    # the member's i-th tuple in sorted order stands as (i,)
+    support = [(i,) for i in range(len(counts))]
+    want = list(recursive_ordered_selections(support, lambda t: counts[t[0]], n, {}))
+    levels, orders = _SplitOrders(n)[counts]
+    assert [tuple((p,) for p in positions) for _, _, positions in orders] == want
+    if sum(counts) < n:
+        assert orders == ()
+    shape = tuple(min(c, n) for c in counts)
+    assert _SplitOrders(n)[counts] == _split_orders(shape, n)
+    assert len(levels) == n - 1
+    for q, p, positions in orders:
+        # the prefix index leads through the levels to the first n - 1 positions
+        prefix = []
+        for level in reversed(levels):
+            q, first = level[q]
+            prefix.append(first)
+        assert (*reversed(prefix), p) == positions
+        assert q == 0
+
+
+def test_single_image_outputs_admit_by_cap_and_one_copy():
+    # |S| = n leaves M2 empty, so the output {f M1} is admitted exactly by
+    # the generators whose cap is at least 1 and whose box allows one copy
+    # of the image: over {0, 1, 2}, the cap-0 box allows every tuple but
+    # admits no single image, the cap-1 box allows one (1), and the INF box
+    # allows any number of (0), so an image (2) is refused
+    cluster = Cluster(1, 3, frozenset({
+        BoxedGenerator(RepetitionFunction.constant(1, 3, INF), 0),
+        BoxedGenerator(RepetitionFunction(1, 3, 0, {(1,): 1}), 1),
+        BoxedGenerator(RepetitionFunction(1, 3, 0, {(0,): INF}), INF)}))
+    rng = random.Random(3120)
+    ops = list(all_operations(3, 1)) + [_random_op(rng, 3, 2) for _ in range(60)]
+    verdicts, single = {True: 0, False: 0}, 0
+    for f in ops:
+        for breadth_cap in (f.arity, f.arity + 1):
+            case = (f, cluster, breadth_cap)
+            want = _metered_outcome(ref_full_test_satisfies_cluster, case, UNLIMITED)
+            got = _metered_outcome(satisfies_cluster, case, UNLIMITED)
+            # the reference charges a member once per generator listing it
+            assert got[0] == want[0]
+            assert got[1].get("cluster splits") == want[1].get("cluster splits")
+            verdicts[want[0].satisfied] += 1
+            if not want[0]:
+                single += want[0].witness[1] == FiniteMultiset.empty(1)
+    assert min(verdicts.values()) >= 10 and single >= 10, (verdicts, single)
+
+
+def test_a_fractional_budget_refuses_at_the_same_step():
+    # a budget of b + 0.5 fits the steps that b fits, so members and
+    # splits are refused at the same step, with the same count
+    cluster = relation_cluster({(0, 0), (0, 1), (1, 1), (2, 2), (1, 2)}, 2, 3)
+    seen = set()
+    for table in [(0, 1, 2, 1, 1, 2, 2, 2, 2), (0, 1, 2, 1, 1, 2, 2, 2, 0)]:
+        case = (Operation(3, 3, 2, table), cluster, 3)
+        for budget in range(0, 160, 3):
+            got = _metered_outcome(satisfies_cluster, case, budget + 0.5)
+            assert got == _metered_outcome(satisfies_cluster, case, budget)
+            seen.add(got[0][1] if isinstance(got[0], tuple) else got[0].satisfied)
+    assert seen == {"support tuples", "cluster members", "cluster splits", True, False}
 
 
 @st.composite

@@ -159,6 +159,15 @@ class TestEnumerateMatrices:
             list(enumerate_matrices_leq(self.PHI, 3))
         assert (info.value.phase, info.value.done) == ("constraint matrices", 9)
 
+    @pytest.mark.parametrize("n", [1.5, 2.0, True, 0, INF, "2"])
+    def test_column_count_must_be_a_positive_int(self, n):
+        # PHI has an INF entry: a count of 1.5 recursed without end, and
+        # 2.0 read as 2
+        with pytest.raises(GaloisKitError, match="column count must be positive: an int"), \
+                Meter(10 ** 9) as meter:
+            list(enumerate_matrices_leq(self.PHI, n))
+        assert meter.done == {}
+
     def test_charges_each_matrix(self):
         matrices = len(self.brute(self.PHI, 3))
         with Meter(10 ** 9) as meter:
@@ -194,6 +203,15 @@ class TestSplitEnumerate:
         with pytest.raises(BudgetExceededError) as info, Meter(5):
             list(split_enumerate(self.S, 3))
         assert (info.value.phase, info.value.done) == ("cluster splits", 6)
+
+    @pytest.mark.parametrize("n", [1.5, 2.0, True, 0, INF, "2"])
+    def test_selection_size_must_be_a_positive_int(self, n):
+        # a size of 1.5 yielded nothing, and 2.0 read as 2
+        s = FiniteMultiset(2, {(0, 1): 2, (1, 0): 1})
+        with pytest.raises(GaloisKitError, match="selection size must be positive: an int"), \
+                Meter(10 ** 9) as meter:
+            list(split_enumerate(s, n))
+        assert meter.done == {}
 
     def test_charges_each_split(self):
         splits = len(set(permutations(self.S.elements(), 3)))
