@@ -11,15 +11,15 @@ identity, is the contract.
 """
 
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import groupby, product, repeat
-from math import floor
 from operator import add, itemgetter
 
 from .errors import GaloisKitError, Meter, _current_meter
 from .extnat import INF, ext_min, ext_sub, is_extnat
-from .multisets import FiniteMultiset, TupleMatrix, _SplitOrders, _compiled, _walk
+from .multisets import FiniteMultiset, TupleMatrix, _compiled, _split_orders, _walk
 from .repetition import RepetitionFunction
 from .minors import _skolem_search
 
@@ -130,13 +130,6 @@ def _compiled_cluster(cluster):
     return _compiled([(g.box, g.cap) for g in cluster.sorted_generators()])
 
 
-def _steps_left(meter, phase):
-    """How many more ``phase`` steps fit in the budget of ``meter``: a
-    whole number of at least 0, or inf."""
-    left = meter.budget - meter.done.get(phase, 0)
-    return left if left == INF else max(0, floor(left))
-
-
 def _members(compiled, limit, meter):
     """All members of cardinality <= limit, each once and one "cluster
     members" step, by cardinality, then by sorted (tuple, count) items, as
@@ -147,11 +140,11 @@ def _members(compiled, limit, meter):
     top = ext_min(limit, caps[-1]) if caps else 0
     if top == INF:
         raise GaloisKitError("member enumeration needs a finite cardinality limit")
-    left = _steps_left(meter, "cluster members")
+    room = meter.room("cluster members")
     counts, chosen, members = {}, [], []
     for live in _walk(caps, allows, exact, int(top), counts, chosen):
-        if len(members) == left:
-            meter.charge("cluster members", left + 1)
+        if len(members) == room:
+            meter.refuse("cluster members", room)
         members.append((len(chosen), tuple(counts.items()), live))
     if members:
         meter.charge("cluster members", len(members))
@@ -199,7 +192,7 @@ def satisfies_cluster(f, cluster, breadth_cap):
     compiled = _compiled_cluster(cluster)
     with Meter() as meter:
         found = _violation(f.table, f.arity, compiled, breadth_cap, meter,
-                           _SplitOrders(f.arity), _Scaled(f.domain_size, f.arity))
+                           _kept_orders[f.arity], _Scaled(f.domain_size, f.arity))
     if found is None:
         return ClusterVerdict(True, breadth_cap)
     cols, image, out = found
@@ -215,6 +208,33 @@ def satisfies_cluster(f, cluster, breadth_cap):
 
 # the row ranks of the empty prefix: zeros, as many as the last column has
 _EMPTY_PREFIX = (repeat(0),)
+
+# the most split selections kept across satisfies_cluster calls, per arity
+_KEEP = 4096
+
+
+class _KeptOrders(dict):
+    """Split orders by member counts, for one arity, kept across
+    ``satisfies_cluster`` calls while they hold at most ``_KEEP``
+    selections in all: a longer list is not kept, and one that would
+    pass the bound drops the lists kept before it."""
+
+    def __init__(self):
+        super().__init__()
+        self.held = 0
+
+    def __setitem__(self, counts, orders):
+        size = len(orders[1])
+        if size > _KEEP:
+            return
+        if self.held + size > _KEEP:
+            self.clear()
+            self.held = 0
+        super().__setitem__(counts, orders)
+        self.held += size
+
+
+_kept_orders = defaultdict(_KeptOrders)  # by arity
 
 
 class _Scaled(dict):
@@ -236,32 +256,45 @@ def _violation(table, n, compiled, breadth_cap, meter, orders, scaled):
     image, output counts)``, or None if there is none: the check of
     ``satisfies_cluster``, unvalidated, charged to ``meter``.
 
-    ``orders`` is the ``_SplitOrders`` of n columns and ``scaled`` the
-    ``_Scaled`` vectors over the table's domain, both reusable by every
-    n-ary table over that domain.  A member's splits are its ``orders``,
-    and the row ranks of M1 are its prefix's scaled vectors summed, plus
-    its last column.  Each split is a "cluster splits" step, refused at
-    the first one past the budget.
+    ``orders`` maps member counts to the ``_split_orders`` of n columns,
+    and takes the complete ones built here; ``scaled`` holds the
+    ``_Scaled`` vectors over the table's domain.  Both may serve every
+    n-ary table over that domain.  A member's splits are its orders, and
+    the row ranks of M1 are its prefix's scaled vectors summed, plus its
+    last column.  Each split is a "cluster splits" step, refused at the
+    first one past the budget; no more orders are built than the budget
+    has room for.
     """
     caps, allows, exact = compiled
     get = table.__getitem__
     phase = "cluster splits"
-    left, taken = _steps_left(meter, phase), 0
+    room, taken = meter.room(phase), 0
     for member_size, items, live in _members(compiled, breadth_cap, meter):
         size = member_size - n + 1  # |f M1| + |M2|
         if size <= 0:
             continue
         tuples, counts = zip(*items)
-        levels, sels = orders[counts]
+        split = orders.get(counts)
+        if split is None:
+            # one past the room shows whether the budget cuts the orders
+            limit = None if room == INF else room - taken + 1
+            split = _split_orders(tuple([min(c, n) for c in counts]), n, limit)
+            if limit is None or len(split[1]) < limit:
+                orders[counts] = split
+        levels, sels = split
         before, taken = taken, taken + len(sels)
-        if taken > left:  # check the splits within the budget, then refuse
-            sels = sels[:left - before]
+        if taken > room:  # check the splits within the budget, then refuse
+            sels = sels[:room - before]
+        # Tuples are built from lists, [*map(...)]: tuple() gives an
+        # iterator's result 10 slots and shrinks it, so every such tuple is
+        # a fresh allocation, and once dropped it is kept on the
+        # interpreter's free list of its size, up to 2000 of them.
         bases = _EMPTY_PREFIX
         for depth, level in enumerate(levels):
             bases = ([scaled[tuples[p]][0] for _, p in level] if not depth else
-                     [tuple(map(add, bases[q], scaled[tuples[p]][depth])) for q, p in level])
+                     [tuple([*map(add, bases[q], scaled[tuples[p]][depth])]) for q, p in level])
         for q, p, positions in sels:
-            image = tuple(map(get, map(add, bases[q], tuples[p])))
+            image = tuple([*map(get, map(add, bases[q], tuples[p]))])
             # The output f M1 + M2 is no larger than the member and has
             # no more of any tuple but the image, so every live generator
             # admits it if the image is a column of M1, and one does if
@@ -297,8 +330,8 @@ def _violation(table, n, compiled, breadth_cap, meter, orders, scaled):
                     continue
             meter.charge(phase, before + sels.index((q, p, positions)) + 1)
             return tuple([tuples[x] for x in positions]), image, out
-        if taken > left:
-            meter.charge(phase, left + 1)
+        if taken > room:
+            meter.refuse(phase, room)
     if taken:
         meter.charge(phase, taken)
     return None

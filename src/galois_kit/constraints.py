@@ -95,7 +95,7 @@ def satisfies_constraint(f, c):
     consequent, get = c.consequent, f.table.__getitem__
     with Meter():
         for prefix, col, ranks in _matrices(c.antecedent, f.arity):
-            if tuple(map(get, ranks)) not in consequent:
+            if tuple([*map(get, ranks)]) not in consequent:  # sized exactly
                 return ConstraintVerdict(False, TupleMatrix(c.arity, (*prefix, col)))
     return ConstraintVerdict(True)
 

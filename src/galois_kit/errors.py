@@ -1,5 +1,5 @@
 from contextvars import ContextVar
-from math import log2
+from math import floor, inf, log2
 
 __all__ = [
     "BudgetExceededError", "DEFAULT_BUDGET", "GaloisKitError", "Meter", "NotSeparableError",
@@ -66,18 +66,31 @@ class Meter:
                                       self.budget)
         self.charge(phase, times * base ** exp)
 
+    def room(self, phase):
+        """How many more ``phase`` steps fit in the budget: a whole number
+        of at least 0, or inf.  A stream of ``phase`` steps takes at most
+        this many, refuses the next with ``refuse``, and charges what it
+        took once, when it ends."""
+        left = self.budget - self.done.get(phase, 0)
+        return left if left == inf else max(0, floor(left))
+
+    def refuse(self, phase, room):
+        """Refuse the step past ``room``, the phase's ``room`` when its
+        stream began, by charging all of them."""
+        self.charge(phase, room + 1)
+
     def counted(self, phase, items):
         """The items, one ``phase`` step each: refused as soon as the phase
         passes the budget, and the steps taken charged once, when the
         stream ends or is dropped.  Streams of one phase run one after
         another, never interleaved."""
-        left, taken = self.budget - self.done.get(phase, 0), 0
+        room, taken = self.room(phase), 0
         try:
             for item in items:
+                if taken == room:  # refuse, leaving nothing to charge again
+                    taken = 0
+                    self.refuse(phase, room)
                 taken += 1
-                if taken > left:  # refuse, leaving nothing to charge again
-                    steps, taken = taken, 0
-                    self.charge(phase, steps)
                 yield item
         finally:
             if taken:

@@ -20,8 +20,7 @@ from .multisets import FiniteMultiset, _counts, _matrices, _set_partitions, appl
 from .repetition import RepetitionFunction
 from .constraints import GeneralizedConstraint, _check_alphabets
 from .clusters import (
-    _Scaled, _SplitOrders, _antichain_cluster, _compiled_cluster, _violation, cluster_member,
-    satisfies_cluster,
+    _Scaled, _antichain_cluster, _compiled_cluster, _violation, cluster_member, satisfies_cluster,
 )
 
 __all__ = [
@@ -137,7 +136,7 @@ def _satisfying_tables(constraints, cfg):
         merged = {}  # rank vector -> the tuples every constraint allows there
         for c in constraints:
             for _, _, ranks in _matrices(c.antecedent, n):
-                ranks = tuple(ranks)
+                ranks = tuple([*ranks])  # sized exactly: it is kept
                 allowed = merged.get(ranks)
                 merged[ranks] = c.consequent if allowed is None else allowed & c.consequent
         tests = sorted(merged.items(), key=lambda t: (len(t[1]) / k_out ** len(t[0]), t[0]))
@@ -235,7 +234,7 @@ def c_pol(clusters, cfg):
     with Meter() as meter:
         _charge_tables(meter, cfg, k)
         for n in range(1, cfg.n_max + 1):
-            orders, scaled = _SplitOrders(n), _Scaled(k, n)
+            orders, scaled = {}, _Scaled(k, n)
             for op in all_operations(k, n):
                 for j, phi in enumerate(clusters):
                     if j not in compiled:

@@ -7,7 +7,7 @@ matrix is the workhorse of every satisfaction check.
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import islice
 from operator import add
 
 from .errors import GaloisKitError, _current_meter
@@ -315,7 +315,7 @@ def _ranked_selections(bounded, n, k, used, meter, phase):
     ``Meter.counted`` refuses: as soon as the phase passes the budget,
     the steps taken charged once when the stream ends or is dropped.
     """
-    left, taken = meter.budget - meter.done.get(phase, 0), 0
+    room, taken = meter.room(phase), 0
     try:
         # a one-column stream has only the empty prefix: no generator for it
         prefixes = _prefixes(bounded, n - 1, k, used) if n > 1 else [((), None)]
@@ -323,10 +323,10 @@ def _ranked_selections(bounded, n, k, used, meter, phase):
             for col, b in bounded:
                 c = used.get(col, 0)
                 if c < b:
+                    if taken == room:  # refuse, leaving nothing to charge again
+                        taken = 0
+                        meter.refuse(phase, room)
                     taken += 1
-                    if taken > left:  # refuse, leaving nothing to charge again
-                        steps, taken = taken, 0
-                        meter.charge(phase, steps)
                     used[col] = c + 1
                     yield prefix, col, col if scaled is None else map(add, scaled, col)
                     used[col] = c
@@ -348,61 +348,52 @@ def _matrices(phi, n):
                               "constraint matrices")
 
 
-@lru_cache(maxsize=1024)
-def _split_orders(shape, n):
-    """The ordered selections of n positions from a member with this
-    count shape, position i used at most shape[i] times, in
-    lexicographic order of positions, as ``(levels, orders)``.
+def _split_selections(shape, n, levels=None):
+    """Every ordered selection of n >= 1 positions from a member with this
+    count shape, position i used at most shape[i] times, in lexicographic
+    order of positions, as ``(q, p, positions)``: q is the index of its
+    first n - 1 positions among the distinct such prefixes, in order (0
+    when n = 1), and p its last position.
 
-    ``levels[d]`` lists the selections' distinct prefixes of d + 1
-    positions, in order, each as ``(index of its own prefix in
-    levels[d - 1], last position)``; ``orders`` lists the selections as
-    ``(index of the prefix in levels[-1], last position, positions)``,
-    the prefix index 0 when n = 1.  A member's count shape is the tuple
-    of min(count, n) over its distinct tuples in sorted order, so members
-    of one shape share the lists; they are tuples, built once per shape
-    and kept, since they depend on nothing else.
+    A member's count shape is the tuple of min(count, n) over its distinct
+    tuples in sorted order, so members of one shape have the same
+    selections.  With ``levels``, n - 1 lists, each prefix of d + 1
+    positions is appended to ``levels[d]`` when first reached, as ``(index
+    of its own prefix in levels[d - 1], last position)``: the levels hold
+    the prefixes of the selections yielded so far, and no others.
     """
+    if sum(shape) < n:  # no selection; otherwise every prefix reaches one
+        return
+    free, prefix, opened, width = list(shape), [], [-1] * (n - 1), len(shape)
+    d = p = 0  # the depth being chosen, and the first position to try there
+    while True:
+        while p < width and not free[p]:
+            p += 1
+        if p == width:  # no position left at depth d: back up one
+            if not d:
+                return
+            d -= 1
+            p = prefix.pop()
+            free[p] += 1
+            p += 1
+        elif d == n - 1:
+            yield opened[-1] if d else 0, p, (*prefix, p)
+            p += 1
+        else:
+            free[p] -= 1
+            prefix.append(p)
+            opened[d] += 1
+            if levels is not None:
+                levels[d].append((opened[d - 1] if d else 0, p))
+            d, p = d + 1, 0
+
+
+def _split_orders(shape, n, limit=None):
+    """The first ``limit`` ``_split_selections`` of this shape, all of
+    them when ``limit`` is None, as ``(levels, selections)``: lists to be
+    read by every member of the shape."""
     levels = [[] for _ in range(n - 1)]
-    orders, used, prefix = [], [0] * len(shape), []
-
-    def extend(depth, parent):
-        if depth == n - 1:
-            sels = [(parent, p, (*prefix, p)) for p, b in enumerate(shape) if used[p] < b]
-            orders.extend(sels)
-            return bool(sels)
-        level, found = levels[depth], False
-        for p, b in enumerate(shape):
-            if used[p] < b:
-                used[p] += 1
-                prefix.append(p)
-                level.append((parent, p))
-                if extend(depth + 1, len(level) - 1):
-                    found = True
-                else:  # no selection extends this prefix
-                    level.pop()
-                prefix.pop()
-                used[p] -= 1
-        return found
-
-    extend(0, 0)
-    return tuple(map(tuple, levels)), tuple(orders)
-
-
-class _SplitOrders(dict):
-    """The ``_split_orders`` of n columns by member counts, each built on
-    first use from the count shape and shared by the counts of one shape."""
-
-    def __init__(self, n):
-        super().__init__()
-        self.n = n
-
-    def __missing__(self, counts):
-        n = self.n
-        shape = tuple([min(c, n) for c in counts])
-        orders = self[shape] if shape != counts else _split_orders(shape, n)
-        self[counts] = orders
-        return orders
+    return levels, list(islice(_split_selections(shape, n, levels), limit))
 
 
 def _check_columns(name, n):
@@ -437,9 +428,10 @@ def split_enumerate(s, n):
     if s.cardinality < n:
         return
     items = sorted(s.counts.items())
-    tuples, counts = zip(*items)
-    _, orders = _SplitOrders(n)[counts]
-    for _, _, positions in _current_meter().counted("cluster splits", orders):
+    shape = tuple([min(c, n) for _, c in items])
+    tuples = [t for t, _ in items]
+    selections = _split_selections(shape, n)
+    for _, _, positions in _current_meter().counted("cluster splits", selections):
         rest = dict(items)
         for p in positions:
             rest[tuples[p]] -= 1

@@ -19,6 +19,7 @@ cases.
 """
 
 import random
+import time
 from contextvars import Context
 from functools import cache, lru_cache
 from itertools import combinations, groupby, product
@@ -70,6 +71,7 @@ from galois_kit import (
     split_enumerate,
     TupleMatrix,
 )
+from galois_kit import clusters
 from galois_kit.clusters import _antichain_cluster, _members
 from galois_kit.errors import DEFAULT_BUDGET, Meter, NotSeparableError, _current_meter
 
@@ -77,7 +79,7 @@ UNLIMITED = float("inf")
 from galois_kit.extnat import ext_min
 from galois_kit.minors import default_col_cap, skolem_maps
 from galois_kit.multisets import (
-    _SplitOrders, _compiled, _matrices, _ranked_selections, _split_orders,
+    _compiled, _matrices, _ranked_selections, _split_orders, _split_selections,
 )
 from multiset_oracles import (
     bounded_multisets,
@@ -946,12 +948,10 @@ def test_split_orders_match_the_ordered_selections(case):
     # the member's i-th tuple in sorted order stands as (i,)
     support = [(i,) for i in range(len(counts))]
     want = list(recursive_ordered_selections(support, lambda t: counts[t[0]], n, {}))
-    levels, orders = _SplitOrders(n)[counts]
-    assert [tuple((p,) for p in positions) for _, _, positions in orders] == want
-    if sum(counts) < n:
-        assert orders == ()
     shape = tuple(min(c, n) for c in counts)
-    assert _SplitOrders(n)[counts] == _split_orders(shape, n)
+    levels, orders = _split_orders(shape, n)
+    assert [tuple((p,) for p in positions) for _, _, positions in orders] == want
+    assert list(_split_selections(shape, n)) == orders
     assert len(levels) == n - 1
     for q, p, positions in orders:
         # the prefix index leads through the levels to the first n - 1 positions
@@ -961,6 +961,57 @@ def test_split_orders_match_the_ordered_selections(case):
             prefix.append(first)
         assert (*reversed(prefix), p) == positions
         assert q == 0
+    # a list cut short is the start of the whole, and its levels hold
+    # the prefixes of its selections and no others
+    for limit in {0, 1, len(orders) // 3, len(orders) - 1, len(orders), len(orders) + 1}:
+        cut_levels, cut = _split_orders(shape, n, max(limit, 0))
+        assert cut == orders[:limit]
+        for depth, level in enumerate(cut_levels):
+            assert level == levels[depth][:len(level)]
+            assert len(level) == len({positions[:depth + 1] for _, _, positions in cut})
+
+
+def test_split_orders_are_built_no_further_than_the_budget():
+    # a member of 12 distinct tuples has 12! splits at arity 12, so the
+    # orders of its shape must not be listed past the budget's room
+    space = list(product(range(2), repeat=4))
+    box = RepetitionFunction(4, 2, 0, {t: 1 for t in space[:12]})
+    cluster = Cluster(4, 2, frozenset({BoxedGenerator(box, 12)}))
+    # the first column of M1 is a tuple of the member, so every split passes
+    f = Operation(2, 2, 12, tuple(r >> 11 for r in range(2 ** 12)))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as refusal:
+        with Meter(10_000) as meter:
+            satisfies_cluster(f, cluster, 12)
+    assert time.perf_counter() - start < 1
+    assert (refusal.value.phase, refusal.value.done) == ("cluster splits", 10_001)
+    assert (meter.done["cluster members"], meter.done["cluster splits"]) == (4096, 10_001)
+    # split_enumerate stays a lazy stream of the same orders
+    s = FiniteMultiset(4, {t: 1 for t in space[:12]})
+    with Meter(10_000):
+        first = next(split_enumerate(s, 12))
+    assert first[0].columns == tuple(space[:12])
+    assert time.perf_counter() - start < 1
+
+
+def test_kept_orders_hold_at_most_the_bound(monkeypatch):
+    monkeypatch.setattr(clusters, "_KEEP", 10)
+    kept = clusters._KeptOrders()
+    three, four = _split_orders((1, 1, 1), 3), _split_orders((1, 1, 1, 1), 3)
+    kept[(1, 1, 1)] = three
+    kept[(2, 1, 1)] = three
+    assert (list(kept), kept.held) == ([(2, 1, 1)], 6)
+    kept[(1, 1, 1, 1)] = four  # 24 selections: never kept
+    assert (list(kept), kept.held) == ([(2, 1, 1)], 6)
+    kept[(1, 1, 2)] = _split_orders((1, 1, 2), 1)
+    assert (list(kept), kept.held) == ([(2, 1, 1), (1, 1, 2)], 9)
+    # a check answers and charges the same with its orders kept or not
+    cluster = relation_cluster({(0, 0), (0, 1), (1, 1), (2, 2), (1, 2)}, 2, 3)
+    f = Operation(3, 3, 2, (0, 1, 2, 1, 1, 2, 2, 2, 2))
+    runs = [_metered_outcome(satisfies_cluster, (f, cluster, 5), UNLIMITED) for _ in range(2)]
+    clusters._kept_orders.clear()
+    runs.append(_metered_outcome(satisfies_cluster, (f, cluster, 5), UNLIMITED))
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_single_image_outputs_admit_by_cap_and_one_copy():

@@ -3,7 +3,7 @@ from itertools import islice
 import pytest
 
 from galois_kit import (
-    BudgetExceededError, Meter, projection, satisfies_constraint, trivial_constraint,
+    INF, BudgetExceededError, Meter, projection, satisfies_constraint, trivial_constraint,
 )
 
 
@@ -55,6 +55,27 @@ class TestCounted:
             for _ in meter.counted("outer", range(2)):
                 assert list(meter.counted("inner", range(2))) == [0, 1]
         assert meter.done == {"outer": 2, "inner": 4}
+
+
+class TestRoom:
+    @pytest.mark.parametrize("budget, room", [(5, 3), (5.5, 3), (2, 0), (1, 0), (INF, INF)])
+    def test_room_is_the_whole_steps_left(self, budget, room):
+        with Meter(budget) as meter:
+            try:
+                meter.charge("items", 2)
+            except BudgetExceededError:
+                pass
+            assert meter.room("items") == room
+            assert meter.room("other") == (INF if budget == INF else int(budget))
+
+    @pytest.mark.parametrize("budget", [5, 5.5])
+    def test_refuse_charges_one_past_the_room(self, budget):
+        with Meter(budget) as meter:
+            meter.charge("items", 2)
+            with pytest.raises(BudgetExceededError) as info:
+                meter.refuse("items", meter.room("items"))
+        assert info.value.done == 6
+        assert meter.done == {"items": 6}
 
 
 class TestOpening:
