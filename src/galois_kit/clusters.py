@@ -21,7 +21,7 @@ from .errors import GaloisKitError, Meter, _current_meter
 from .extnat import INF, ext_min, ext_sub, is_extnat
 from .multisets import FiniteMultiset, TupleMatrix, _compiled, _split_orders, _walk
 from .repetition import RepetitionFunction
-from .minors import _skolem_search
+from .minors import _check_members, _skolem_search
 
 __all__ = [
     "BoxedGenerator",
@@ -192,7 +192,7 @@ def satisfies_cluster(f, cluster, breadth_cap):
     compiled = _compiled_cluster(cluster)
     with Meter() as meter:
         found = _violation(f.table, f.arity, compiled, breadth_cap, meter,
-                           _kept_orders[f.arity], _Scaled(f.domain_size, f.arity))
+                           _Scaled(f.domain_size, f.arity))
     if found is None:
         return ClusterVerdict(True, breadth_cap)
     cols, image, out = found
@@ -206,25 +206,22 @@ def satisfies_cluster(f, cluster, breadth_cap):
     return ClusterVerdict(False, breadth_cap, witness)
 
 
-# the row ranks of the empty prefix: zeros, as many as the last column has
-_EMPTY_PREFIX = (repeat(0),)
-
-# the most split selections kept across satisfies_cluster calls, per arity
+# the most split selections kept across split checks, per arity
 _KEEP = 4096
 
 
 class _KeptOrders(dict):
     """Split orders by member counts, for one arity, kept across
-    ``satisfies_cluster`` calls while they hold at most ``_KEEP``
-    selections in all: a longer list is not kept, and one that would
-    pass the bound drops the lists kept before it."""
+    ``_violation`` calls while they hold at most ``_KEEP`` selections in
+    all: a longer list is not kept, and one that would pass the bound
+    drops the lists kept before it."""
 
     def __init__(self):
         super().__init__()
         self.held = 0
 
     def __setitem__(self, counts, orders):
-        size = len(orders[1])
+        size = len(orders)
         if size > _KEEP:
             return
         if self.held + size > _KEEP:
@@ -250,23 +247,23 @@ class _Scaled(dict):
         return vectors
 
 
-def _violation(table, n, compiled, breadth_cap, meter, orders, scaled):
+def _violation(table, n, compiled, breadth_cap, meter, scaled):
     """The first split of a member of the ``_compiled`` cluster whose
     output leaves the cluster under the n-ary table, as ``(columns of M1,
     image, output counts)``, or None if there is none: the check of
     ``satisfies_cluster``, unvalidated, charged to ``meter``.
 
-    ``orders`` maps member counts to the ``_split_orders`` of n columns,
-    and takes the complete ones built here; ``scaled`` holds the
-    ``_Scaled`` vectors over the table's domain.  Both may serve every
-    n-ary table over that domain.  A member's splits are its orders, and
-    the row ranks of M1 are its prefix's scaled vectors summed, plus its
-    last column.  Each split is a "cluster splits" step, refused at the
-    first one past the budget; no more orders are built than the budget
-    has room for.
+    A member's splits are the ``_split_orders`` of its counts, read from
+    and kept in ``_kept_orders``; ``scaled`` holds the ``_Scaled``
+    vectors over the table's domain, and may serve every n-ary table over
+    that domain.  The row ranks of M1 are its prefix's scaled vectors
+    summed, once per prefix, plus its last column.  Each split is a
+    "cluster splits" step, refused at the first one past the budget; no
+    more orders are built than the budget has room for.
     """
     caps, allows, exact = compiled
     get = table.__getitem__
+    orders = _kept_orders[n]
     phase = "cluster splits"
     room, taken = meter.room(phase), 0
     for member_size, items, live in _members(compiled, breadth_cap, meter):
@@ -274,14 +271,13 @@ def _violation(table, n, compiled, breadth_cap, meter, orders, scaled):
         if size <= 0:
             continue
         tuples, counts = zip(*items)
-        split = orders.get(counts)
-        if split is None:
+        sels = orders.get(counts)
+        if sels is None:
             # one past the room shows whether the budget cuts the orders
             limit = None if room == INF else room - taken + 1
-            split = _split_orders(tuple([min(c, n) for c in counts]), n, limit)
-            if limit is None or len(split[1]) < limit:
-                orders[counts] = split
-        levels, sels = split
+            sels = _split_orders(tuple([min(c, n) for c in counts]), n, limit)
+            if limit is None or len(sels) < limit:
+                orders[counts] = sels
         before, taken = taken, taken + len(sels)
         if taken > room:  # check the splits within the budget, then refuse
             sels = sels[:room - before]
@@ -289,12 +285,13 @@ def _violation(table, n, compiled, breadth_cap, meter, orders, scaled):
         # iterator's result 10 slots and shrinks it, so every such tuple is
         # a fresh allocation, and once dropped it is kept on the
         # interpreter's free list of its size, up to 2000 of them.
-        bases = _EMPTY_PREFIX
-        for depth, level in enumerate(levels):
-            bases = ([scaled[tuples[p]][0] for _, p in level] if not depth else
-                     [tuple([*map(add, bases[q], scaled[tuples[p]][depth])]) for q, p in level])
+        last = None
         for q, p, positions in sels:
-            image = tuple([*map(get, map(add, bases[q], tuples[p]))])
+            if q != last:  # a new prefix: the zeros, for n = 1, or its columns summed
+                last, base = q, scaled[tuples[positions[0]]][0] if n > 1 else repeat(0)
+                for d in range(1, n - 1):
+                    base = [*map(add, base, scaled[tuples[positions[d]]][d])]
+            image = tuple([*map(get, map(add, base, tuples[p]))])
             # The output f M1 + M2 is no larger than the member and has
             # no more of any tuple but the image, so every live generator
             # admits it if the image is a column of M1, and one does if
@@ -420,6 +417,9 @@ def relation_cluster(relation, m, domain_size):
 def _validate_poset(leq, domain_size):
     pairs = {tuple(p) for p in leq}
     elements = range(domain_size)
+    for p in pairs:
+        if len(p) != 2 or not all(x in elements for x in p):
+            raise GaloisKitError(f"order pair {p!r} is not a pair over domain size {domain_size}")
     for a in elements:
         if (a, a) not in pairs:
             raise GaloisKitError("order must be reflexive")
@@ -490,9 +490,7 @@ def cluster_minor_member(m, clusters, scheme):
 
 def _minor_search(clusters, scheme):
     """The Skolem search of a cluster minor, one cluster per scheme map."""
-    clusters = list(clusters)
-    if len(clusters) != len(scheme.maps):
-        raise GaloisKitError("need one cluster per scheme map")
+    clusters = _check_members(scheme, clusters, "cluster")
     tests = [partial(_admitted, c.generators) for c in clusters]
     return _skolem_search(scheme, tests, clusters[0].domain_size)
 

@@ -82,6 +82,14 @@ def _invariant_constraint(closed, n, ranks, codomain_size):
     return GeneralizedConstraint(chi, image, codomain_size)
 
 
+def _check_config_domain(cls_, cfg):
+    """Refuse a configuration over another domain than the class's."""
+    if cfg.domain_size != cls_.domain_size:
+        raise GaloisKitError(
+            f"config domain_size {cfg.domain_size} does not match the class's "
+            f"domain size {cls_.domain_size}")
+
+
 def gc_inv(cls_, cfg):
     """The proof-canonical invariant constraints of a class.
 
@@ -94,6 +102,7 @@ def gc_inv(cls_, cfg):
     matrices of each width and row count are charged up front, so an
     oversized request builds none of them.
     """
+    _check_config_domain(cls_, cfg)
     k = cls_.domain_size
     blocks = []  # (width, row count); no matrix has more than k^n distinct rows
     with Meter() as meter:
@@ -204,6 +213,7 @@ def _inv_cluster_for_arity(closed, n):
 
 def cl_inv(cls_, cfg):
     """The proof-canonical invariant clusters of a class, one per arity <= n_max."""
+    _check_config_domain(cls_, cfg)
     with Meter():
         closed = close_composition(cls_, max(cfg.n_max, cls_.max_arity or 1))
         return [_inv_cluster_for_arity(closed, n) for n in range(1, cfg.n_max + 1)]
@@ -214,10 +224,11 @@ def c_pol(clusters, cfg):
 
     Each cluster is compiled once per call, when the first candidate table
     reaches it, and every candidate runs the check of ``satisfies_cluster``
-    on that compile, with the split orders and scaled columns of its arity
-    shared by every candidate.  A cluster over another alphabet is an error
-    once some table satisfies every cluster before it, as it is for
-    ``satisfies_cluster`` on that table; the unary projection always does.
+    on that compile, with the scaled columns of its arity shared by every
+    candidate and the split orders kept as ``satisfies_cluster`` keeps
+    them.  A cluster over another alphabet is an error once some table
+    satisfies every cluster before it, as it is for ``satisfies_cluster``
+    on that table; the unary projection always does.
     Clusters have one alphabet, so a configuration whose codomain differs
     from its domain is refused.
     """
@@ -234,14 +245,14 @@ def c_pol(clusters, cfg):
     with Meter() as meter:
         _charge_tables(meter, cfg, k)
         for n in range(1, cfg.n_max + 1):
-            orders, scaled = {}, _Scaled(k, n)
+            scaled = _Scaled(k, n)
             for op in all_operations(k, n):
                 for j, phi in enumerate(clusters):
                     if j not in compiled:
                         if phi.domain_size != k:
                             raise GaloisKitError("operation alphabet does not match the cluster")
                         compiled[j] = _compiled_cluster(phi)
-                    if _violation(op.table, n, compiled[j], cfg.breadth, meter, orders, scaled):
+                    if _violation(op.table, n, compiled[j], cfg.breadth, meter, scaled):
                         break
                 else:
                     out.add(op)
@@ -286,6 +297,7 @@ def separating_cluster(cls_, g, cfg):
     at the configured breadth, g checked on the all-rows witness).
     """
     _check_class_alphabet(cls_, g)
+    _check_config_domain(cls_, cfg)
     with Meter():
         n = g.arity
         closed = close_composition(cls_, max(n, cls_.max_arity or 1, cfg.n_max))

@@ -123,6 +123,15 @@ def tight_relation_minor(scheme, relations, domain_size):
     relations = [frozenset(map(tuple, r)) for r in relations]
     if len(relations) != len(scheme.maps):
         raise GaloisKitError("need one relation per scheme map")
+    domain = range(domain_size)
+    for j, (r, h) in enumerate(zip(relations, scheme.maps)):
+        for t in r:
+            if len(t) != len(h):
+                raise GaloisKitError(
+                    f"relation {j} tuple {t!r} has length {len(t)}, but map {j} has {len(h)}")
+            if not all(x in domain for x in t):
+                raise GaloisKitError(
+                    f"relation {j} tuple {t!r} has an entry outside domain size {domain_size}")
     out = set()
     meter = _current_meter()
     for a in product(range(domain_size), repeat=scheme.target):
@@ -216,10 +225,29 @@ def _column_multisets(phi, col_cap):
                 yield chosen, counts
 
 
-def _check_family(phis, scheme, col_cap):
-    phis = list(phis)
-    if len(phis) != len(scheme.maps):
-        raise GaloisKitError("need one repetition function per scheme map")
+def _check_members(scheme, family, what, domain_size=None):
+    """The family as a list, refused unless it fits the scheme: one
+    member per map h_j, the j-th of arity len(h_j), all over one domain
+    size, ``domain_size`` if given."""
+    family = list(family)
+    if len(family) != len(scheme.maps):
+        raise GaloisKitError(f"need one {what} per scheme map")
+    k = family[0].domain_size if domain_size is None else domain_size
+    for j, (x, h) in enumerate(zip(family, scheme.maps)):
+        if x.arity != len(h):
+            raise GaloisKitError(f"{what} {j} has arity {x.arity}, but map {j} has {len(h)}")
+        if x.domain_size != k:
+            raise GaloisKitError(f"{what} {j} has domain size {x.domain_size}, not {k}")
+    return family
+
+
+def _check_family(phi, phis, scheme, col_cap):
+    """The family and the column cap of an rf-minor predicate, refused
+    unless phi and the family fit the scheme."""
+    phis = _check_members(scheme, phis, "repetition function", phi.domain_size)
+    if phi.arity != scheme.target:
+        raise GaloisKitError(
+            f"phi has arity {phi.arity}, but the scheme target is {scheme.target}")
     if col_cap is None:
         return phis, default_col_cap(scheme)
     if not isinstance(col_cap, int) or isinstance(col_cap, bool) or col_cap < 1:
@@ -234,7 +262,7 @@ def is_restrictive_rf_minor(phi, phis, scheme, col_cap=None):
     sorted arrangement per multiset is checked; the counterexample is
     the first one in ``enumerate_matrices_leq`` order, widths ascending.
     """
-    phis, col_cap = _check_family(phis, scheme, col_cap)
+    phis, col_cap = _check_family(phi, phis, scheme, col_cap)
     exists = _skolem_search(scheme, [p.bounds for p in phis], phi.domain_size)
     for cols, _ in _column_multisets(phi, col_cap):
         if not exists(cols):
@@ -248,7 +276,7 @@ def is_extensive_rf_minor(phi, phis, scheme, col_cap=None):
     Checked on one sorted arrangement per column multiset, as in
     ``is_restrictive_rf_minor``.
     """
-    phis, col_cap = _check_family(phis, scheme, col_cap)
+    phis, col_cap = _check_family(phi, phis, scheme, col_cap)
     k = phi.domain_size
     exists = _skolem_search(scheme, [p.bounds for p in phis], k)
     everything = RepetitionFunction.constant(phi.arity, k, INF)
@@ -269,6 +297,10 @@ def is_conjunctive_minor_constraint(c, family, scheme, col_cap=None):
         raise GaloisKitError("need one constraint per scheme map")
     if scheme.target != c.arity:
         raise GaloisKitError("scheme target must equal the constraint arity")
+    for j, g in enumerate(family):
+        if g.codomain_size != c.codomain_size:
+            raise GaloisKitError(
+                f"constraint {j} has codomain size {g.codomain_size}, not {c.codomain_size}")
     ante = is_restrictive_rf_minor(
         c.antecedent, [g.antecedent for g in family], scheme, col_cap
     )

@@ -282,90 +282,60 @@ def _walk(caps, allows, exact, top, counts, chosen):
             del counts[t]
 
 
-def _prefixes(bounded, n, k, used, cols=(), scaled=None):
-    """Every sequence of n columns from ``bounded`` after ``cols``, as
-    ``(cols, scaled)``, with ``used`` counting its columns while it is
-    current; ``scaled`` is k times the row ranks of the matrix with these
-    columns, None for the empty sequence."""
-    if not n:
-        yield cols, scaled
-        return
-    for col, b in bounded:
-        c = used.get(col, 0)
-        if c < b:
-            used[col] = c + 1
-            yield from _prefixes(bounded, n - 1, k, used, cols + (col,),
-                                 [k * x for x in col] if scaled is None
-                                 else [k * (r + x) for r, x in zip(scaled, col)])
-            used[col] = c
+def _matrices(phi, n):
+    """Every n-column matrix M < phi as ``(prefix, col, ranks)``: its
+    first n - 1 columns, its last one and an iterator over its row ranks
+    (leftmost column most significant), columns chosen in lexicographic
+    order position by position.
 
-
-def _ranked_selections(bounded, n, k, used, meter, phase):
-    """Every sequence of n >= 1 columns from the ``(column, bound)`` pairs
-    of ``bounded``, using each column at most its bound times, in
-    lexicographic order of positions in ``bounded``, as ``(prefix, col,
-    ranks)``: the first n - 1 columns, the last one, and an iterator over
-    the row ranks of the matrix with these columns over domain size k
-    (leftmost column most significant).
-
-    A prefix's ranks are computed once for all its extensions, and
-    carried times k, so each sequence's ranks are one ``map(add, ...)``.
-    ``used`` counts the columns of the sequence just yielded.  Each
-    sequence is one ``phase`` step of ``meter``, refused as
-    ``Meter.counted`` refuses: as soon as the phase passes the budget,
-    the steps taken charged once when the stream ends or is dropped.
+    The prefixes are the ``_split_selections`` of n - 1 positions in phi's
+    positive support, each used at most min(phi(t), n) times, and each is
+    extended by every column that has room left.  A prefix's ranks are
+    computed once for all its extensions, carried times k.  An operation
+    f maps M to the tuple of f.table at the ranks.  Each matrix is a
+    "constraint matrices" step of the open meter, refused as
+    ``Meter.counted`` refuses: as soon as the phase passes the budget, the
+    steps taken charged once when the stream ends or is dropped.
     """
+    support = phi.positive_support()
+    shape = tuple([min(phi.value(t), n) for t in support])
+    k, meter, phase = phi.domain_size, _current_meter(), "constraint matrices"
     room, taken = meter.room(phase), 0
     try:
-        # a one-column stream has only the empty prefix: no generator for it
-        prefixes = _prefixes(bounded, n - 1, k, used) if n > 1 else [((), None)]
-        for prefix, scaled in prefixes:
-            for col, b in bounded:
-                c = used.get(col, 0)
-                if c < b:
+        for _, _, positions in _split_selections(shape, n - 1) if n > 1 else [(0, 0, ())]:
+            free = list(shape)
+            for p in positions:
+                free[p] -= 1
+            prefix = tuple([support[p] for p in positions])
+            scaled = [k * r for r in _row_ranks(k, prefix)] if prefix else None
+            for col, left in zip(support, free):
+                if left:
                     if taken == room:  # refuse, leaving nothing to charge again
                         taken = 0
                         meter.refuse(phase, room)
                     taken += 1
-                    used[col] = c + 1
                     yield prefix, col, col if scaled is None else map(add, scaled, col)
-                    used[col] = c
     finally:
         if taken:
             meter.charge(phase, taken)
 
 
-def _matrices(phi, n):
-    """Every n-column matrix M < phi as ``(prefix, col, ranks)``, its
-    first n - 1 columns, its last one and its row ranks, columns chosen
-    in lexicographic order position by position.
-
-    An operation f maps M to the tuple of f.table at the ranks.  Each
-    matrix is a "constraint matrices" step of the open meter.
-    """
-    bounded = [(t, phi.value(t)) for t in phi.positive_support()]
-    return _ranked_selections(bounded, n, phi.domain_size, {}, _current_meter(),
-                              "constraint matrices")
-
-
-def _split_selections(shape, n, levels=None):
-    """Every ordered selection of n >= 1 positions from a member with this
-    count shape, position i used at most shape[i] times, in lexicographic
-    order of positions, as ``(q, p, positions)``: q is the index of its
-    first n - 1 positions among the distinct such prefixes, in order (0
-    when n = 1), and p its last position.
+def _split_selections(shape, n):
+    """Every ordered selection of n >= 1 positions from a multiset with
+    this count shape, position i used at most shape[i] times, in
+    lexicographic order of positions, as ``(q, p, positions)``: q is the
+    index of its first n - 1 positions among the distinct such prefixes,
+    in order (0 when n = 1), and p its last position.
 
     A member's count shape is the tuple of min(count, n) over its distinct
     tuples in sorted order, so members of one shape have the same
-    selections.  With ``levels``, n - 1 lists, each prefix of d + 1
-    positions is appended to ``levels[d]`` when first reached, as ``(index
-    of its own prefix in levels[d - 1], last position)``: the levels hold
-    the prefixes of the selections yielded so far, and no others.
+    selections.
     """
     if sum(shape) < n:  # no selection; otherwise every prefix reaches one
         return
-    free, prefix, opened, width = list(shape), [], [-1] * (n - 1), len(shape)
+    free, prefix, width = list(shape), [], len(shape)
     d = p = 0  # the depth being chosen, and the first position to try there
+    q = 0 if n == 1 else -1  # the index of the last prefix of n - 1 positions
     while True:
         while p < width and not free[p]:
             p += 1
@@ -377,23 +347,21 @@ def _split_selections(shape, n, levels=None):
             free[p] += 1
             p += 1
         elif d == n - 1:
-            yield opened[-1] if d else 0, p, (*prefix, p)
+            yield q, p, (*prefix, p)
             p += 1
         else:
             free[p] -= 1
             prefix.append(p)
-            opened[d] += 1
-            if levels is not None:
-                levels[d].append((opened[d - 1] if d else 0, p))
+            if d == n - 2:
+                q += 1
             d, p = d + 1, 0
 
 
 def _split_orders(shape, n, limit=None):
     """The first ``limit`` ``_split_selections`` of this shape, all of
-    them when ``limit`` is None, as ``(levels, selections)``: lists to be
-    read by every member of the shape."""
-    levels = [[] for _ in range(n - 1)]
-    return levels, list(islice(_split_selections(shape, n, levels), limit))
+    them when ``limit`` is None: a list to be read by every member of
+    the shape."""
+    return list(islice(_split_selections(shape, n), limit))
 
 
 def _check_columns(name, n):

@@ -263,12 +263,19 @@ def all_operations(k, arity, codomain_size=None):
         yield Operation(k, k_out, arity, table)
 
 
+def _check_arity_cap(arity_cap):
+    """Refuse an arity cap that is not an int."""
+    if not isinstance(arity_cap, int) or isinstance(arity_cap, bool):
+        raise GaloisKitError(f"arity cap must be an int, not {arity_cap!r}")
+
+
 def close_perm_dummy(cls_, arity_cap):
     """Least superclass closed under permutation and dummy variables, arity <= cap.
 
     Equivalently all minor_by_injection images with target arity <= cap;
     one pass suffices because injections compose to injections.
     """
+    _check_arity_cap(arity_cap)
     if cls_.max_arity > arity_cap:
         raise GaloisKitError("arity cap below an existing member arity")
     out = OperationClass(cls_.domain_size, cls_.codomain_size)
@@ -298,6 +305,7 @@ def close_composition(cls_, arity_cap):
     """
     if cls_.domain_size != cls_.codomain_size:
         raise GaloisKitError("composition closure requires domain == codomain")
+    _check_arity_cap(arity_cap)
     if arity_cap < 1 or cls_.max_arity > arity_cap:
         raise GaloisKitError("invalid arity cap")
     k = cls_.domain_size

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from itertools import permutations, product
@@ -401,3 +402,11 @@ def test_materialize_minor_needs_one_cluster_per_map():
 def test_inf_minus_inf_raises_toolkit_error():
     with pytest.raises(GaloisKitError):
         ext_sub(INF, INF)
+
+
+@pytest.mark.parametrize("bad", [(0, 5), (0,), (0, 1, 1)])
+def test_order_pairs_outside_the_domain_are_refused(bad):
+    with Meter() as meter:
+        with pytest.raises(GaloisKitError, match=rf"order pair {re.escape(repr(bad))} is not a pair"):
+            order_cluster({(0, 0), (1, 1), bad}, 2)
+    assert meter.done == {}

@@ -292,6 +292,21 @@ def test_separating_a_member_raises_not_separable():
         separating_cluster(proj, member, cfg)
 
 
+@pytest.mark.parametrize("build", [
+    lambda cls_, cfg: gc_inv(cls_, cfg),
+    lambda cls_, cfg: cl_inv(cls_, cfg),
+    lambda cls_, cfg: separating_cluster(cls_, AND, cfg),
+])
+def test_a_config_over_another_domain_is_refused(build):
+    # f_pol with this config sweeps k = 3 tables, so an answer over k = 2
+    # would not be the one asked for
+    cfg = GaloisConfig(3, 1, 1, 1)
+    with Meter() as meter:
+        with pytest.raises(GaloisKitError, match="config domain_size 3 does not match"):
+            build(projections2(), cfg)
+    assert meter.done == {}
+
+
 def test_not_separable_error_is_exported():
     import galois_kit
 

@@ -93,6 +93,14 @@ CASES = {
         "pol", "-w", "{inv_cluster}", "--kind", "cluster",
         "--names", "proj2.inv0,proj2.inv1", "--cap", "2", "--breadth", "4",
         "--stats"],
+    # f_pol's work on the matrix stream: constraint matrices, sweep tests,
+    # support tuples (ord's antecedent has a positive default)
+    "pol_constraint_stats": [
+        "pol", "-w", "{inv_constraint}", "--kind", "constraint",
+        "--names", CONSTRAINT_INV, "--cap", "2", "--stats"],
+    "pol_ord_stats": [
+        "pol", "-w", "{ws}", "--kind", "constraint", "--names", "ord",
+        "--cap", "2", "--stats"],
     "verify_minors": ["verify", "minors"],
     "verify_lemma_all": ["verify", "lemma-all"],
 }

@@ -79,7 +79,7 @@ UNLIMITED = float("inf")
 from galois_kit.extnat import ext_min
 from galois_kit.minors import default_col_cap, skolem_maps
 from galois_kit.multisets import (
-    _compiled, _matrices, _ranked_selections, _split_orders, _split_selections,
+    _compiled, _matrices, _split_orders, _split_selections,
 )
 from multiset_oracles import (
     bounded_multisets,
@@ -877,30 +877,34 @@ def bounded_columns(draw):
     return k, draw(st.integers(1, 4)), support, bounds
 
 
+def _antecedent(k, support, bounds):
+    """The repetition function with these bounds on the support, 0
+    elsewhere, over domain size k."""
+    return RepetitionFunction(len(support[0]) if support else 1, k, 0, bounds)
+
+
 @settings(max_examples=300, deadline=None)
 @given(bounded_columns())
 def test_ranked_selections_match_the_ordered_selections(case):
     k, n, support, bounds = case
-    want_used, got_used = {}, {}
-    want = [(cols, list(ref_row_ranks(k, cols)), dict(want_used))
-            for cols in recursive_ordered_selections(support, bounds.get, n, want_used)]
+    want = [(cols, list(ref_row_ranks(k, cols)))
+            for cols in recursive_ordered_selections(support, bounds.get, n, {})]
     with Meter(UNLIMITED) as meter:
-        stream = _ranked_selections(list(bounds.items()), n, k, got_used, meter, "p")
-        got = [((*prefix, col), list(ranks), dict(got_used)) for prefix, col, ranks in stream]
+        stream = _matrices(_antecedent(k, support, bounds), n)
+        got = [((*prefix, col), list(ranks)) for prefix, col, ranks in stream]
     assert got == want
-    assert got_used == want_used
-    assert meter.done == ({"p": len(want)} if want else {})
+    assert meter.done.get("constraint matrices", 0) == len(want)
 
 
-def _drive(stream, used, stop):
-    """The columns and live counts a stream yields, read until it ends,
-    refuses, or has yielded ``stop`` items, and the refusal if any."""
+def _drive(stream, stop):
+    """The items a stream yields, read until it ends, refuses, or has
+    yielded ``stop`` items, and the refusal if any."""
     items, refusal = [], None
     try:
         for item in stream:
             if len(items) == stop:
                 break
-            items.append((item, dict(used)))
+            items.append(item)
     except BudgetExceededError as e:
         refusal = (e.phase, e.done, e.budget)
     stream.close()
@@ -915,19 +919,21 @@ def test_ranked_selections_charge_and_refuse_like_the_counted_stream(case, data)
     budget = data.draw(st.integers(0, total + 2), label="budget")
     stop = data.draw(st.integers(0, total + 1), label="stop")
     before = data.draw(st.integers(0, 3), label="steps already charged")
+    phi = _antecedent(k, support, bounds)
+
+    def selections():
+        phi.positive_support()  # charged as _matrices charges it
+        yield from recursive_ordered_selections(support, bounds.get, n, {})
+
     runs = []
     for ranked in (False, True):
-        used = {}
         with Meter(budget + before) as meter:
-            meter.charge("p", before)
+            meter.charge("constraint matrices", before)
             if ranked:
-                stream = _ranked_selections(list(bounds.items()), n, k, used, meter, "p")
-                items, refusal = _drive(stream, used, stop)
-                items = [((*prefix, col), counts) for (prefix, col, _), counts in items]
+                items, refusal = _drive(_matrices(phi, n), stop)
+                items = [(*prefix, col) for prefix, col, _ in items]
             else:
-                selections = recursive_ordered_selections(support, bounds.get, n, used)
-                stream = meter.counted("p", selections)
-                items, refusal = _drive(stream, used, stop)
+                items, refusal = _drive(meter.counted("constraint matrices", selections()), stop)
         runs.append((items, refusal, meter.done))
     assert runs[1] == runs[0]
 
@@ -949,26 +955,16 @@ def test_split_orders_match_the_ordered_selections(case):
     support = [(i,) for i in range(len(counts))]
     want = list(recursive_ordered_selections(support, lambda t: counts[t[0]], n, {}))
     shape = tuple(min(c, n) for c in counts)
-    levels, orders = _split_orders(shape, n)
+    orders = _split_orders(shape, n)
     assert [tuple((p,) for p in positions) for _, _, positions in orders] == want
     assert list(_split_selections(shape, n)) == orders
-    assert len(levels) == n - 1
-    for q, p, positions in orders:
-        # the prefix index leads through the levels to the first n - 1 positions
-        prefix = []
-        for level in reversed(levels):
-            q, first = level[q]
-            prefix.append(first)
-        assert (*reversed(prefix), p) == positions
-        assert q == 0
-    # a list cut short is the start of the whole, and its levels hold
-    # the prefixes of its selections and no others
+    # q indexes the first n - 1 positions among the distinct prefixes, in order
+    prefixes = list(dict.fromkeys(positions[:-1] for _, _, positions in orders))
+    assert [(prefixes[q], p) for q, p, positions in orders] == [
+        (positions[:-1], positions[-1]) for _, _, positions in orders]
+    # a list cut short is the start of the whole
     for limit in {0, 1, len(orders) // 3, len(orders) - 1, len(orders), len(orders) + 1}:
-        cut_levels, cut = _split_orders(shape, n, max(limit, 0))
-        assert cut == orders[:limit]
-        for depth, level in enumerate(cut_levels):
-            assert level == levels[depth][:len(level)]
-            assert len(level) == len({positions[:depth + 1] for _, _, positions in cut})
+        assert _split_orders(shape, n, max(limit, 0)) == orders[:limit]
 
 
 def test_split_orders_are_built_no_further_than_the_budget():

@@ -11,7 +11,9 @@ from galois_kit import (
     INF,
     MinorScheme,
     RepetitionFunction,
+    TupleMatrix,
     apply_scheme_map,
+    cluster_minor_member,
     compose_schemes,
     empty_constraint,
     equality_constraint,
@@ -313,3 +315,62 @@ class TestMetering:
         assert str(info.value) == "refusing minor multisets: 5 steps exceed budget 4"
         with Meter(6):
             assert len(materialize_minor(*args).generators) == 3
+
+
+def _refused_before_any_work(call, match):
+    """``call`` raises a GaloisKitError matching ``match`` and charges no step."""
+    with Meter() as meter:
+        with pytest.raises(GaloisKitError, match=match):
+            call()
+    assert meter.done == {}
+
+
+ID1 = MinorScheme.identity(1)
+
+
+class TestIllShapedFamiliesAreRefused:
+    def test_phi_arity_differs_from_the_target(self):
+        phi = RepetitionFunction(2, 2, INF)
+        _refused_before_any_work(
+            lambda: is_restrictive_rf_minor(phi, [RepetitionFunction(1, 2, INF)], ID1),
+            r"phi has arity 2, but the scheme target is 1")
+
+    def test_member_arity_differs_from_its_map(self):
+        phi = RepetitionFunction(1, 2, INF)
+        _refused_before_any_work(
+            lambda: is_restrictive_rf_minor(phi, [RepetitionFunction(2, 2, INF)], ID1),
+            r"repetition function 0 has arity 2, but map 0 has 1")
+
+    def test_domain_sizes_differ(self):
+        phi = RepetitionFunction(1, 2, INF)
+        _refused_before_any_work(
+            lambda: is_extensive_rf_minor(phi, [RepetitionFunction(1, 3, 0)], ID1),
+            r"repetition function 0 has domain size 3, not 2")
+
+    def test_codomain_sizes_differ(self):
+        _refused_before_any_work(
+            lambda: is_conjunctive_minor_constraint(
+                trivial_constraint(1, 2), [trivial_constraint(1, 2, 3)], ID1),
+            r"constraint 0 has codomain size 3, not 2")
+
+    def test_cluster_arity_differs_from_its_map(self):
+        _refused_before_any_work(
+            lambda: cluster_minor_member(TupleMatrix(1, ((0,),)), [trivial_cluster(2, 2, 2)], ID1),
+            r"cluster 0 has arity 2, but map 0 has 1")
+
+    def test_cluster_domain_sizes_differ(self):
+        scheme = MinorScheme(1, (), ((0,), (0,)))
+        _refused_before_any_work(
+            lambda: materialize_minor([trivial_cluster(1, 2, 2), trivial_cluster(1, 2, 3)],
+                                      scheme, 2),
+            r"cluster 1 has domain size 3, not 2")
+
+    def test_relation_tuple_has_the_wrong_length(self):
+        _refused_before_any_work(
+            lambda: tight_relation_minor(ID1, [{(0, 1)}], 2),
+            r"relation 0 tuple \(0, 1\) has length 2, but map 0 has 1")
+
+    def test_relation_entry_is_outside_the_domain(self):
+        _refused_before_any_work(
+            lambda: tight_relation_minor(ID1, [{(5,)}], 2),
+            r"relation 0 tuple \(5,\) has an entry outside domain size 2")

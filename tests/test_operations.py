@@ -493,3 +493,12 @@ class TestRowApplication:
         # rank of (0, 2) at k=2 is 2, a valid table index
         with pytest.raises(GaloisKitError):
             apply_op_rows(AND, TupleMatrix.from_rows([(0, 2)]))
+
+
+@pytest.mark.parametrize("close", [close_perm_dummy, close_composition])
+@pytest.mark.parametrize("cap", [1.5, "2", True])
+def test_closures_refuse_an_arity_cap_that_is_not_an_int(close, cap):
+    with Meter() as meter:
+        with pytest.raises(GaloisKitError, match=f"arity cap must be an int, not {cap!r}"):
+            close(OperationClass(2, members=[AND]), cap)
+    assert meter.done == {}

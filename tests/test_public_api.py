@@ -1,4 +1,8 @@
-"""The public surface of ``galois_kit``: a name is exported or dropped on purpose."""
+"""The public surface of ``galois_kit``: a name is exported or dropped on
+purpose, and no private name or import in the package is dead."""
+
+import ast
+from pathlib import Path
 
 import galois_kit
 
@@ -31,3 +35,66 @@ PUBLIC_NAMES = [
 def test_public_names_are_exactly_the_listed_ones():
     assert sorted(galois_kit.__all__) == PUBLIC_NAMES
     assert len(galois_kit.__all__) == len(PUBLIC_NAMES) == 88  # each name once
+
+
+# --- no dead private names and no unused imports in the package ---------
+
+SRC = Path(galois_kit.__file__).parent
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _read_names(node):
+    """The names read in the tree under ``node``: loaded names, attribute
+    names and names imported from another module."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def _defined_names(statement):
+    """The module-level names a top-level statement binds."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return [statement.name]
+    targets = (statement.targets if isinstance(statement, ast.Assign) else
+               [statement.target] if isinstance(statement, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def test_every_private_name_is_read_outside_its_definition():
+    statements = [(module, s) for module, tree in _trees().items() for s in tree.body]
+    reads = [_read_names(s) for _, s in statements]
+    dead = [
+        f"{module}: {name}"
+        for i, (module, statement) in enumerate(statements)
+        for name in _defined_names(statement)
+        if name.startswith("_") and not name.startswith("__")
+        and not any(name in r for j, r in enumerate(reads) if j != i)
+    ]
+    assert dead == []
+
+
+def test_every_imported_name_is_used_in_its_module():
+    unused = []
+    for module, tree in _trees().items():
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used |= {n.value.id for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                if alias.name == "*" and module == "__init__.py":
+                    continue
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append(f"{module}: {bound}")
+    assert unused == []
