@@ -17,8 +17,8 @@ from functools import cached_property, partial
 from itertools import groupby, product, repeat
 from operator import add, itemgetter
 
-from .errors import GaloisKitError, Meter, _current_meter
-from .extnat import INF, ext_min, ext_sub, is_extnat
+from .errors import GaloisKitError, Meter, _check_int, _current_meter
+from .extnat import INF, ext_sub, is_extnat
 from .multisets import FiniteMultiset, TupleMatrix, _compiled, _split_orders, _walk
 from .repetition import RepetitionFunction
 from .minors import _check_members, _skolem_search
@@ -69,6 +69,8 @@ class Cluster:
     generators: frozenset
 
     def __post_init__(self):
+        _check_int("cluster arity", self.arity)
+        _check_int("domain size", self.domain_size)
         if self.arity < 1 or self.domain_size < 1:
             raise GaloisKitError("cluster arity and domain size must be positive")
         object.__setattr__(self, "generators", frozenset(self.generators))
@@ -137,7 +139,7 @@ def _members(compiled, limit, meter):
     generators that admit the member.  The walk is refused at the first
     member past the budget, and the steps are charged once, at its end."""
     caps, allows, exact = compiled
-    top = ext_min(limit, caps[-1]) if caps else 0
+    top = min(limit, caps[-1]) if caps else 0
     if top == INF:
         raise GaloisKitError("member enumeration needs a finite cardinality limit")
     room = meter.room("cluster members")
@@ -371,7 +373,7 @@ def cluster_union(family):
 def breadth_restrict(cluster, p):
     """Cap every generator's cardinality at p."""
     gens = frozenset(
-        BoxedGenerator(g.box, ext_min(g.cap, p)) for g in cluster.generators
+        BoxedGenerator(g.box, min(g.cap, p)) for g in cluster.generators
     )
     return Cluster(cluster.arity, cluster.domain_size, gens)
 
@@ -399,6 +401,7 @@ def empty_cluster(m, domain_size):
 
 def equality_cluster(domain_size):
     """Binary cluster of multisets supported on the diagonal only."""
+    _check_int("domain size", domain_size)
     exc = {(a, a): INF for a in range(domain_size)}
     box = RepetitionFunction(2, domain_size, 0, exc)
     return Cluster(2, domain_size, frozenset({BoxedGenerator(box, INF)}))
@@ -406,6 +409,8 @@ def equality_cluster(domain_size):
 
 def relation_cluster(relation, m, domain_size):
     """Multisets supported inside the relation, unbounded cardinality."""
+    _check_int("arity", m)
+    _check_int("domain size", domain_size)
     exc = {tuple(t): INF for t in relation}
     for t in exc:
         if len(t) != m or any(not 0 <= x < domain_size for x in t):
@@ -415,6 +420,7 @@ def relation_cluster(relation, m, domain_size):
 
 
 def _validate_poset(leq, domain_size):
+    _check_int("domain size", domain_size)
     pairs = {tuple(p) for p in leq}
     elements = range(domain_size)
     for p in pairs:

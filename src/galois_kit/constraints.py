@@ -9,7 +9,7 @@ and is guarded by a work budget.
 
 from dataclasses import dataclass
 
-from .errors import GaloisKitError, Meter
+from .errors import GaloisKitError, Meter, _check_int
 from .extnat import INF
 from .multisets import TupleMatrix, _matrices, columns_multiset
 from .repetition import RepetitionFunction, rf_leq
@@ -38,6 +38,7 @@ class GeneralizedConstraint:
     codomain_size: int
 
     def __post_init__(self):
+        _check_int("codomain size", self.codomain_size)
         consequent = frozenset(map(tuple, self.consequent))
         object.__setattr__(self, "consequent", consequent)
         m, k_out = self.antecedent.arity, self.codomain_size
@@ -141,11 +142,21 @@ def finite_restriction(c, support):
     )
 
 
+def _codomain(m, domain_size, codomain_size):
+    """The codomain size, ``domain_size`` when None, once the arity and
+    both sizes are ints."""
+    k_out = codomain_size if codomain_size is not None else domain_size
+    _check_int("arity", m)
+    _check_int("domain size", domain_size)
+    _check_int("codomain size", k_out)
+    return k_out
+
+
 def equality_constraint(m, domain_size, codomain_size=None):
     """Antecedent infinite on constant tuples, 0 elsewhere; consequent the diagonal."""
+    k_out = _codomain(m, domain_size, codomain_size)
     if m < 1:
         raise GaloisKitError("arity must be positive")
-    k_out = codomain_size if codomain_size is not None else domain_size
     exc = {(a,) * m: INF for a in range(domain_size)}
     phi = RepetitionFunction(m, domain_size, 0, exc)
     diag = frozenset((b,) * m for b in range(k_out))
@@ -154,7 +165,7 @@ def equality_constraint(m, domain_size, codomain_size=None):
 
 def empty_constraint(m, domain_size, codomain_size=None):
     """Antecedent identically 0, consequent empty."""
-    k_out = codomain_size if codomain_size is not None else domain_size
+    k_out = _codomain(m, domain_size, codomain_size)
     return GeneralizedConstraint(
         RepetitionFunction.constant(m, domain_size, 0), frozenset(), k_out
     )
@@ -164,7 +175,7 @@ def trivial_constraint(m, domain_size, codomain_size=None):
     """Antecedent identically infinite, consequent the full tuple space."""
     from itertools import product
 
-    k_out = codomain_size if codomain_size is not None else domain_size
+    k_out = _codomain(m, domain_size, codomain_size)
     full = frozenset(product(range(k_out), repeat=m))
     return GeneralizedConstraint(
         RepetitionFunction.constant(m, domain_size, INF), full, k_out

@@ -97,6 +97,13 @@ class Meter:
                 self.charge(phase, taken)
 
 
+def _check_int(name, value, positive=False):
+    """Refuse, naming it, a size that is not an int (a bool is not one),
+    or, when ``positive``, one below 1."""
+    if not isinstance(value, int) or isinstance(value, bool) or positive and value < 1:
+        raise GaloisKitError(f"{name} must be positive: an int, not {value!r}")
+
+
 def _current_meter():
     """The open meter, or a new one at the default budget."""
     return _OPEN.get() or Meter()

@@ -1,9 +1,9 @@
 """Arithmetic over N extended with infinity.
 
 Infinity is the float ``math.inf`` throughout the toolkit; all other
-values are plain non-negative ints.  These helpers centralize the
-arithmetic rules (inf - n = inf, truncated subtraction on naturals) so
-callers never improvise them.
+values are plain non-negative ints, so the builtin ``min`` and ``max``
+order them.  ``ext_sub`` gives the one rule the builtins lack: truncated
+subtraction, with inf - n = inf.
 """
 
 import math
@@ -30,20 +30,12 @@ def ext_sub(a, b):
     return max(a - b, 0)
 
 
-def ext_min(a, b):
-    return a if a <= b else b
-
-
-def ext_max(a, b):
-    return a if a >= b else b
-
-
 def power_upto(base, exp, limit):
     """min(base ** exp, limit), building no power past twice a finite limit,
     so a tuple count k^m stays cheap however large m is."""
     if limit != INF and exp * math.log2(base) > math.log2(limit + 1) + 1:
         return limit
-    return ext_min(base ** exp, limit)
+    return min(base ** exp, limit)
 
 
 def parse_extnat(text):

@@ -11,7 +11,7 @@ matrix widths and are therefore checked up to an explicit column cap.
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import GaloisKitError, _current_meter
+from .errors import GaloisKitError, _check_int, _current_meter
 from .extnat import INF
 from .multisets import TupleMatrix, _compiled, _counts, _walk
 from .repetition import RepetitionFunction
@@ -42,6 +42,7 @@ class MinorScheme:
     maps: tuple
 
     def __post_init__(self):
+        _check_int("scheme target", self.target)
         if self.target < 1:
             raise GaloisKitError("scheme target must be positive")
         object.__setattr__(self, "indeterminates", tuple(self.indeterminates))
@@ -120,6 +121,7 @@ def compose_schemes(outer, inner_schemes):
 
 def tight_relation_minor(scheme, relations, domain_size):
     """R = { a : exists sigma, forall j, (a + sigma) h_j in R_j }, exact."""
+    _check_int("domain size", domain_size)
     relations = [frozenset(map(tuple, r)) for r in relations]
     if len(relations) != len(scheme.maps):
         raise GaloisKitError("need one relation per scheme map")
@@ -250,8 +252,7 @@ def _check_family(phi, phis, scheme, col_cap):
             f"phi has arity {phi.arity}, but the scheme target is {scheme.target}")
     if col_cap is None:
         return phis, default_col_cap(scheme)
-    if not isinstance(col_cap, int) or isinstance(col_cap, bool) or col_cap < 1:
-        raise GaloisKitError(f"column cap must be positive: an int, not {col_cap!r}")
+    _check_int("column cap", col_cap, positive=True)
     return phis, col_cap
 
 

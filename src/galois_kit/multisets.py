@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import islice
 from operator import add
 
-from .errors import GaloisKitError, _current_meter
+from .errors import GaloisKitError, _check_int, _current_meter
 from .extnat import INF
 
 __all__ = [
@@ -30,6 +30,7 @@ class FiniteMultiset:
     __slots__ = ("arity", "counts", "_key")
 
     def __init__(self, arity, counts=None):
+        _check_int("multiset arity", arity)
         if arity < 1:
             raise GaloisKitError("multiset arity must be positive")
         counts = {tuple(t): c for t, c in dict(counts or {}).items() if c}
@@ -128,6 +129,7 @@ class TupleMatrix:
     columns: tuple
 
     def __post_init__(self):
+        _check_int("row count", self.row_count)
         if self.row_count < 1:
             raise GaloisKitError("a matrix needs at least one row")
         cols = tuple(tuple(c) for c in self.columns)
@@ -235,16 +237,16 @@ def _walk(caps, allows, exact, top, counts, chosen):
     masks and the cap suffix is non-zero, and the union of the boxes is
     downward closed, so none is missed.  ``chosen`` holds the tuples of the
     selection just yielded, in that order, and ``counts`` their
-    multiplicities, in sorted tuple order; neither is copied, so a step
-    costs time in the support, not in the cardinality.  The candidate
-    tuples are narrowed to those some live generator allows only when the
-    live set shrinks.  The search keeps an explicit stack.
+    multiplicities, in sorted tuple order; neither is copied.  The walk
+    scans one sorted candidate list, the tuples with their masks, skipping
+    those no live generator allows, and keeps an explicit stack.
     """
     if not caps:
         return
     low = caps[0]  # below the smallest cap, no cap drops a generator
-    frames = []  # (candidates, index of the chosen tuple there, live before it)
-    cands, i, live = sorted(allows), 0, (1 << len(caps)) - 1
+    cands, width = sorted(allows.items()), len(allows)  # (tuple, its mask)
+    frames = []  # (index of the chosen tuple in cands, live before it)
+    i, live = 0, (1 << len(caps)) - 1
     yield live
     while True:
         size, new = len(chosen), 0
@@ -254,26 +256,24 @@ def _walk(caps, allows, exact, top, counts, chosen):
             if size >= low:
                 j = bisect_left(caps, size + 1)
                 keep = keep >> j << j
-            while keep and i < len(cands):
-                t = cands[i]
+            while keep and i < width:
+                t, mask = cands[i]
                 c = counts.get(t, 0)
                 # every live box allows c copies of t: drop those allowing no more
-                new = keep & ~exact[t].get(c, 0) if c else keep & allows[t]
+                new = keep & ~exact[t].get(c, 0) if c else keep & mask
                 if new:
                     break
                 i += 1
         if new:
             counts[t] = c + 1
             chosen.append(t)
-            frames.append((cands, i, live))
-            if new != live:
-                cands, i = [u for u in cands[i:] if new & allows[u]], 0
+            frames.append((i, live))
             live = new
             yield live
             continue
         if not frames:
             return
-        cands, i, live = frames.pop()
+        i, live = frames.pop()
         t = chosen.pop()
         i += 1
         if counts[t] > 1:
@@ -364,12 +364,6 @@ def _split_orders(shape, n, limit=None):
     return list(islice(_split_selections(shape, n), limit))
 
 
-def _check_columns(name, n):
-    """Refuse a column count that is not an int of at least 1."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise GaloisKitError(f"{name} must be positive: an int, not {n!r}")
-
-
 def enumerate_matrices_leq(phi, n):
     """All n-column matrices whose column multiset respects phi.
 
@@ -379,7 +373,7 @@ def enumerate_matrices_leq(phi, n):
     lexicographic and restartable).  Each matrix is a "constraint
     matrices" step of the open meter.
     """
-    _check_columns("column count", n)
+    _check_int("column count", n, positive=True)
     for prefix, col, _ in _matrices(phi, n):
         yield TupleMatrix(phi.arity, (*prefix, col))
 
@@ -392,7 +386,7 @@ def split_enumerate(s, n):
     produce a single distinct ordering.  Empty stream if |s| < n.  Each
     selection is a "cluster splits" step of the open meter.
     """
-    _check_columns("selection size", n)
+    _check_int("selection size", n, positive=True)
     if s.cardinality < n:
         return
     items = sorted(s.counts.items())

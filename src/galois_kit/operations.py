@@ -11,7 +11,7 @@ substitution into the first argument.
 from dataclasses import dataclass
 from itertools import chain, permutations, product
 
-from .errors import GaloisKitError, _current_meter
+from .errors import GaloisKitError, _check_int, _current_meter
 from .extnat import power_upto
 
 __all__ = [
@@ -41,6 +41,9 @@ class Operation:
     table: tuple
 
     def __post_init__(self):
+        _check_int("domain size", self.domain_size)
+        _check_int("codomain size", self.codomain_size)
+        _check_int("arity", self.arity)
         if self.arity < 1:
             raise GaloisKitError("nullary operations are not supported")
         if self.domain_size < 1 or self.codomain_size < 1:
@@ -82,6 +85,9 @@ class Operation:
 
 def projection(n, i, k):
     """The i-th n-ary projection (1-based i) over domain size k."""
+    _check_int("arity", n)
+    _check_int("projection index", i)
+    _check_int("domain size", k)
     if not 1 <= i <= n:
         raise GaloisKitError(f"projection index {i} out of range 1..{n}")
     return Operation(k, k, n, tuple(_source_ranks(k, n, (i - 1,))))
@@ -105,7 +111,9 @@ def _source_ranks(k, arity, positions):
 
 
 def _gather(table, ranks):
-    return tuple(map(table.__getitem__, ranks))
+    # built from a list, as the kernels build theirs: a tuple of an
+    # iterator is sized twice, and its dropped copies crowd the free lists
+    return tuple([*map(table.__getitem__, ranks)])
 
 
 def _substitute(f, arity, positions):
@@ -157,7 +165,7 @@ def _rows(table, k):
 
 def _star_table(f_rows, g_table):
     """The table of f * g: entry i * k^(n-1) + j is f[g[i] * k^(n-1) + j]."""
-    return tuple(chain.from_iterable(map(f_rows.__getitem__, g_table)))
+    return tuple([*chain.from_iterable(map(f_rows.__getitem__, g_table))])
 
 
 def star(f, g):
@@ -204,6 +212,8 @@ class OperationClass:
     def __init__(self, domain_size, codomain_size=None, members=()):
         self.domain_size = domain_size
         self.codomain_size = codomain_size if codomain_size is not None else domain_size
+        _check_int("domain size", domain_size)
+        _check_int("codomain size", self.codomain_size)
         self._by_arity = {}
         for op in members:
             self.add(op)
@@ -259,6 +269,9 @@ class OperationClass:
 def all_operations(k, arity, codomain_size=None):
     """All operations of the given arity over domain size k, canonical order."""
     k_out = codomain_size if codomain_size is not None else k
+    _check_int("domain size", k)
+    _check_int("codomain size", k_out)
+    _check_int("arity", arity)
     for table in product(range(k_out), repeat=k ** arity):
         yield Operation(k, k_out, arity, table)
 
@@ -370,6 +383,9 @@ def linear_class_fixture(k, p, arity_cap):
     rejected (there the class degenerates and is closed under
     identification, defeating its purpose as a fixture).
     """
+    _check_int("k", k)
+    _check_int("p", p)
+    _check_int("arity cap", arity_cap)
     if not _is_prime(k):
         raise GaloisKitError(f"k={k} must be prime for field arithmetic")
     if p < 2:

@@ -10,8 +10,8 @@ re-derived, so structural equality coincides with pointwise equality.
 
 from itertools import product
 
-from .errors import GaloisKitError, _current_meter
-from .extnat import INF, ext_min, is_extnat, power_upto
+from .errors import GaloisKitError, _check_int, _current_meter
+from .extnat import INF, is_extnat, power_upto
 
 __all__ = ["RepetitionFunction", "rf_leq"]
 
@@ -21,6 +21,8 @@ class RepetitionFunction:
     __slots__ = ("arity", "domain_size", "default", "exceptions", "_key")
 
     def __init__(self, arity, domain_size, default=0, exceptions=None):
+        _check_int("arity", arity)
+        _check_int("domain size", domain_size)
         if arity < 1 or domain_size < 1:
             raise GaloisKitError("arity and domain size must be positive")
         if not is_extnat(default):
@@ -101,7 +103,7 @@ class RepetitionFunction:
         if self.default:
             space = power_upto(self.domain_size, self.arity, limit + len(values) + 1)
             total += self.default * (space - len(values))
-        return ext_min(total, limit)
+        return min(total, limit)
 
     def bounds(self, counts):
         """True iff every count is at most this function's value at its tuple.

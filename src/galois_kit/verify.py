@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import GaloisKitError
-from .extnat import INF, ext_max
+from .extnat import INF
 from .operations import (
     Operation,
     OperationClass,
@@ -186,7 +186,7 @@ def _candidate_antecedent(scheme, phis, k):
                 phi.value(apply_scheme_map(a, sigma, h))
                 for h, phi in zip(scheme.maps, phis)
             )
-            best = ext_max(best, v)
+            best = max(best, v)
         exc[a] = best
     return RepetitionFunction(scheme.target, k, 0, exc)
 

@@ -3,11 +3,14 @@
 Truncated difference, the submultiset test, duplicate-free partitions
 of a ``FiniteMultiset``, the bounded multisets over a box and the
 ordered column selections from bounded columns, both listed by plain
-recursion.  The reference bodies in ``test_kernels.py`` build
-members, minors and antichains with them, and ``test_multisets.py``
-checks their laws and holds the library's multiset walk to the
-recursive stream.
+recursion, and the member walk that narrowed its candidate list
+whenever its live generators shrank.  The reference bodies in
+``test_kernels.py`` build members, minors and antichains with them, and
+``test_multisets.py`` checks their laws and holds the library's
+multiset walk to the recursive stream and to the narrowing walk.
 """
+
+from bisect import bisect_left
 
 from galois_kit import FiniteMultiset, GaloisKitError
 from galois_kit.multisets import _set_partitions
@@ -112,3 +115,64 @@ def recursive_ordered_selections(support, bound, n, used):
                 used[col] = c
 
     yield from rec(0)
+
+
+def narrowing_walk(caps, allows, exact, top, counts, chosen):
+    """The member walk as it was while it narrowed its candidates, kept as
+    the oracle of ``multisets._walk``, which yields the same stream.
+
+    Every multiset of cardinality <= top that some ``_compiled``
+    generator admits, each once, the empty one first, as its live mask:
+    the generators that admit it.
+
+    The multisets are the selections over the union of the supports in
+    nondecreasing support order, so each selection comes right before its
+    extensions; a selection is extended only while the AND of its tuples'
+    masks and the cap suffix is non-zero, and the union of the boxes is
+    downward closed, so none is missed.  ``chosen`` holds the tuples of the
+    selection just yielded, in that order, and ``counts`` their
+    multiplicities, in sorted tuple order; neither is copied, so a step
+    costs time in the support, not in the cardinality.  The candidate
+    tuples are narrowed to those some live generator allows only when the
+    live set shrinks.  The search keeps an explicit stack.
+    """
+    if not caps:
+        return
+    low = caps[0]  # below the smallest cap, no cap drops a generator
+    frames = []  # (candidates, index of the chosen tuple there, live before it)
+    cands, i, live = sorted(allows), 0, (1 << len(caps)) - 1
+    yield live
+    while True:
+        size, new = len(chosen), 0
+        if size < top:
+            # only generators whose cap admits size + 1 stay live
+            keep = live
+            if size >= low:
+                j = bisect_left(caps, size + 1)
+                keep = keep >> j << j
+            while keep and i < len(cands):
+                t = cands[i]
+                c = counts.get(t, 0)
+                # every live box allows c copies of t: drop those allowing no more
+                new = keep & ~exact[t].get(c, 0) if c else keep & allows[t]
+                if new:
+                    break
+                i += 1
+        if new:
+            counts[t] = c + 1
+            chosen.append(t)
+            frames.append((cands, i, live))
+            if new != live:
+                cands, i = [u for u in cands[i:] if new & allows[u]], 0
+            live = new
+            yield live
+            continue
+        if not frames:
+            return
+        cands, i, live = frames.pop()
+        t = chosen.pop()
+        i += 1
+        if counts[t] > 1:
+            counts[t] -= 1
+        else:
+            del counts[t]

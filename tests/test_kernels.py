@@ -76,7 +76,6 @@ from galois_kit.clusters import _antichain_cluster, _members
 from galois_kit.errors import DEFAULT_BUDGET, Meter, NotSeparableError, _current_meter
 
 UNLIMITED = float("inf")
-from galois_kit.extnat import ext_min
 from galois_kit.minors import default_col_cap, skolem_maps
 from galois_kit.multisets import (
     _compiled, _matrices, _split_orders, _split_selections,
@@ -130,7 +129,7 @@ def _reference_walk(cluster, limit):
             for gen in gens:
                 box = gen.box
                 support = box.positive_support()
-                cap = ext_min(gen.cap, limit)
+                cap = min(gen.cap, limit)
                 if cap == INF:
                     raise GaloisKitError("member enumeration needs a finite cardinality limit")
                 selections = recursive_nondecreasing_selections(support, box.value, int(cap))
@@ -195,7 +194,7 @@ def ref_full_test_satisfies_cluster(f, cluster, breadth_cap):
 
 def _ref_generator_members(gen, limit):
     box = gen.box
-    total_cap = ext_min(gen.cap, limit)
+    total_cap = min(gen.cap, limit)
     if total_cap == INF:
         raise GaloisKitError("member enumeration needs a finite cardinality limit")
     return bounded_multisets(

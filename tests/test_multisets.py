@@ -1,30 +1,36 @@
 import random
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from itertools import combinations_with_replacement, permutations, product
 
 from galois_kit import (
     INF,
     BudgetExceededError,
     FiniteMultiset,
+    GaloisConfig,
     GaloisKitError,
     Meter,
     Operation,
+    OperationClass,
     RepetitionFunction,
     TupleMatrix,
     apply_op_rows,
+    cl_inv,
     columns_multiset,
     enumerate_matrices_leq,
     ms_join,
     split_enumerate,
 )
 from galois_kit.multisets import _compiled, _walk
+from galois_kit.verify import _monotone_ops
 from multiset_oracles import (
     bounded_multisets,
     ms_diff,
     ms_partitions,
     ms_sub,
+    narrowing_walk,
     recursive_nondecreasing_selections,
 )
 
@@ -302,3 +308,48 @@ class TestStreamOrder:
             want = recursive_nondecreasing_selections(support, bounds.get, cap)
             assert got == [(cols, c, 1) for cols, c in want]
             assert counts == {} and chosen == []
+
+
+def _walk_stream(walk, compiled, top):
+    """Each yield of the walk as (live, chosen, counts items), copied."""
+    counts, chosen = {}, []
+    return [(live, tuple(chosen), tuple(counts.items()))
+            for live in walk(*compiled, top, counts, chosen)]
+
+
+@st.composite
+def compiled_generators(draw):
+    """The ``_compiled`` masks of 0-4 random (box, cap) pairs in ascending
+    cap order: caps 0-4 or inf, boxes whose default is 0, positive or inf,
+    with random exceptions."""
+    arity, k = draw(st.integers(1, 2)), draw(st.integers(2, 3))
+    space = list(product(range(k), repeat=arity))
+    values = st.sampled_from((0, 1, 2, 3, INF))
+    gens = []
+    for _ in range(draw(st.integers(0, 4))):
+        default = draw(st.sampled_from((0, 1, 2, INF)))
+        exceptions = draw(st.dictionaries(st.sampled_from(space), values))
+        cap = draw(st.sampled_from((0, 1, 2, 3, 4, INF)))
+        gens.append((RepetitionFunction(arity, k, default, exceptions), cap))
+    return _compiled(sorted(gens, key=lambda g: g[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(compiled_generators(), st.integers(0, 5))
+def test_walk_matches_the_narrowing_walk(compiled, top):
+    # one scan of the sorted candidates skips what narrowing dropped
+    assert _walk_stream(_walk, compiled, top) == _walk_stream(narrowing_walk, compiled, top)
+
+
+@lru_cache(maxsize=1)
+def _mono_invariant_clusters():
+    cfg = GaloisConfig(2, n_max=4, m_max=1, breadth=4)
+    return cl_inv(OperationClass(2, members=_monotone_ops(2)), cfg)
+
+
+@pytest.mark.parametrize("arity", [2, 4, 8, 16])
+def test_walk_matches_the_narrowing_walk_on_antichain_clusters(arity):
+    cluster, = (c for c in _mono_invariant_clusters() if c.arity == arity)
+    compiled = _compiled([(g.box, g.cap) for g in cluster.sorted_generators()])
+    for top in range(6):
+        assert _walk_stream(_walk, compiled, top) == _walk_stream(narrowing_walk, compiled, top)

@@ -98,3 +98,37 @@ def test_every_imported_name_is_used_in_its_module():
                 if bound not in used:
                     unused.append(f"{module}: {bound}")
     assert unused == []
+
+
+# --- every refusal message is checked somewhere under tests/ -------------
+
+REFUSALS = ("GaloisKitError", "NotSeparableError")
+
+
+def _message_fragment(call):
+    """The longest literal piece of a refusal's message, or None when the
+    message has no literal text."""
+    message = call.args[0] if call.args else None
+    if isinstance(message, ast.Constant) and isinstance(message.value, str):
+        pieces = [message.value]
+    elif isinstance(message, ast.JoinedStr):
+        pieces = [v.value for v in message.values if isinstance(v, ast.Constant)]
+    else:
+        pieces = []
+    return max(pieces, key=len, default=None)
+
+
+def test_every_refusal_message_is_mentioned_under_tests():
+    tests = Path(__file__).parent
+    text = "\n".join(p.read_text(errors="ignore") for p in sorted(tests.rglob("*"))
+                     if p.is_file() and "__pycache__" not in p.parts)
+    unchecked = [
+        f"{module}:{node.lineno}: {fragment!r}"
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) in REFUSALS
+        for fragment in [_message_fragment(node.exc)]
+        if fragment is None or fragment not in text
+    ]
+    assert unchecked == []
