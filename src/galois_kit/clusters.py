@@ -402,9 +402,7 @@ def empty_cluster(m, domain_size):
 def equality_cluster(domain_size):
     """Binary cluster of multisets supported on the diagonal only."""
     _check_int("domain size", domain_size)
-    exc = {(a, a): INF for a in range(domain_size)}
-    box = RepetitionFunction(2, domain_size, 0, exc)
-    return Cluster(2, domain_size, frozenset({BoxedGenerator(box, INF)}))
+    return relation_cluster({(a, a) for a in range(domain_size)}, 2, domain_size)
 
 
 def relation_cluster(relation, m, domain_size):

@@ -38,7 +38,7 @@ class GeneralizedConstraint:
     codomain_size: int
 
     def __post_init__(self):
-        _check_int("codomain size", self.codomain_size)
+        _check_int("codomain size", self.codomain_size, positive=True)
         consequent = frozenset(map(tuple, self.consequent))
         object.__setattr__(self, "consequent", consequent)
         m, k_out = self.antecedent.arity, self.codomain_size
@@ -176,7 +176,5 @@ def trivial_constraint(m, domain_size, codomain_size=None):
     from itertools import product
 
     k_out = _codomain(m, domain_size, codomain_size)
-    full = frozenset(product(range(k_out), repeat=m))
-    return GeneralizedConstraint(
-        RepetitionFunction.constant(m, domain_size, INF), full, k_out
-    )
+    phi = RepetitionFunction.constant(m, domain_size, INF)
+    return GeneralizedConstraint(phi, frozenset(product(range(k_out), repeat=m)), k_out)

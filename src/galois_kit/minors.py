@@ -68,6 +68,7 @@ class MinorScheme:
 
     @classmethod
     def identity(cls, m):
+        _check_int("scheme target", m)
         return cls(m, (), (tuple(range(m)),))
 
 
@@ -121,7 +122,7 @@ def compose_schemes(outer, inner_schemes):
 
 def tight_relation_minor(scheme, relations, domain_size):
     """R = { a : exists sigma, forall j, (a + sigma) h_j in R_j }, exact."""
-    _check_int("domain size", domain_size)
+    _check_int("domain size", domain_size, positive=True)
     relations = [frozenset(map(tuple, r)) for r in relations]
     if len(relations) != len(scheme.maps):
         raise GaloisKitError("need one relation per scheme map")

@@ -12,6 +12,7 @@ from operator import add
 
 from .errors import GaloisKitError, _check_int, _current_meter
 from .extnat import INF
+from .operations import _gather
 
 __all__ = [
     "FiniteMultiset",
@@ -173,7 +174,7 @@ def apply_op_rows(f, m):
     k = f.domain_size
     if any(not 0 <= x < k for col in m.columns for x in col):
         raise GaloisKitError("argument out of domain range")
-    return _apply_columns(f, m.columns)
+    return _gather(f.table, _row_ranks(k, m.columns))
 
 
 def _row_ranks(k, columns):
@@ -186,32 +187,24 @@ def _row_ranks(k, columns):
     return ranks
 
 
-def _apply_columns(f, columns):
-    """f applied row-wise to the matrix with these columns, unchecked.
-
-    Each row's rank is read straight from ``f.table``; callers guarantee
-    len(columns) == f.arity and entries below f.domain_size.
-    """
-    table = f.table
-    return tuple([table[r] for r in _row_ranks(f.domain_size, columns)])
-
-
 def _compiled(generators):
     """The ``(box, cap)`` pairs of ``generators`` as bitmasks, bit i
     standing for the i-th pair, as ``(caps, allows, exact)``.
 
     The pairs come in ascending cap order, so the generators whose cap
     admits a size are a suffix of ``caps``.  ``allows`` maps each tuple
-    some box allows to the generators whose box allows one copy of it,
-    and ``exact`` maps it to ``{c: generators whose box allows exactly c
-    copies}`` for each finite c > 0.  Built in one pass over the boxes'
-    positive supports.
+    some box of cap >= 1 allows to those of its generators whose box
+    allows one copy of it, and ``exact`` maps it to ``{c: generators
+    whose box allows exactly c copies}`` for each finite c > 0.  Built in
+    one pass over the positive supports of the boxes of cap >= 1.
     """
     caps, allows, exact = [], {}, {}
     for i, (box, cap) in enumerate(generators):
         bit = 1 << i
         exceptions, default = box.exceptions, box.default
         caps.append(cap)
+        if not cap:  # it admits only the empty multiset, which every walk yields
+            continue
         # canonically, a default-0 box has only positive exceptions
         support = (exceptions.items() if not default else
                    [(t, exceptions.get(t, default)) for t in box.positive_support()])

@@ -212,8 +212,8 @@ class OperationClass:
     def __init__(self, domain_size, codomain_size=None, members=()):
         self.domain_size = domain_size
         self.codomain_size = codomain_size if codomain_size is not None else domain_size
-        _check_int("domain size", domain_size)
-        _check_int("codomain size", self.codomain_size)
+        _check_int("domain size", domain_size, positive=True)
+        _check_int("codomain size", self.codomain_size, positive=True)
         self._by_arity = {}
         for op in members:
             self.add(op)
@@ -269,9 +269,9 @@ class OperationClass:
 def all_operations(k, arity, codomain_size=None):
     """All operations of the given arity over domain size k, canonical order."""
     k_out = codomain_size if codomain_size is not None else k
-    _check_int("domain size", k)
-    _check_int("codomain size", k_out)
-    _check_int("arity", arity)
+    _check_int("domain size", k, positive=True)
+    _check_int("codomain size", k_out, positive=True)
+    _check_int("arity", arity, positive=True)
     for table in product(range(k_out), repeat=k ** arity):
         yield Operation(k, k_out, arity, table)
 
@@ -286,19 +286,21 @@ def close_perm_dummy(cls_, arity_cap):
     """Least superclass closed under permutation and dummy variables, arity <= cap.
 
     Equivalently all minor_by_injection images with target arity <= cap;
-    one pass suffices because injections compose to injections.
+    one pass suffices because injections compose to injections.  Each image
+    is charged, then gathered as a raw table; each member is built once.
     """
     _check_arity_cap(arity_cap)
     if cls_.max_arity > arity_cap:
         raise GaloisKitError("arity cap below an existing member arity")
-    out = OperationClass(cls_.domain_size, cls_.codomain_size)
+    k, k_out = cls_.domain_size, cls_.codomain_size
+    members = set()  # (arity, table)
     meter = _current_meter()
     for f in cls_:
         for target in range(f.arity, arity_cap + 1):
-            for sigma in permutations(range(1, target + 1), f.arity):
-                meter.charge("closure", cls_.domain_size ** target)
-                out.add(minor_by_injection(f, sigma, target))
-    return out
+            for positions in permutations(range(target), f.arity):
+                meter.charge("closure", k ** target)
+                members.add((target, _gather(f.table, _source_ranks(k, target, positions))))
+    return OperationClass(k, k_out, [Operation(k, k_out, n, table) for n, table in members])
 
 
 def close_composition(cls_, arity_cap):
@@ -385,7 +387,7 @@ def linear_class_fixture(k, p, arity_cap):
     """
     _check_int("k", k)
     _check_int("p", p)
-    _check_int("arity cap", arity_cap)
+    _check_int("arity cap", arity_cap, positive=True)
     if not _is_prime(k):
         raise GaloisKitError(f"k={k} must be prime for field arithmetic")
     if p < 2:

@@ -103,6 +103,7 @@ CASES = {
         "--cap", "2", "--stats"],
     "verify_minors": ["verify", "minors"],
     "verify_lemma_all": ["verify", "lemma-all"],
+    "verify_all": ["verify", "all"],
 }
 
 

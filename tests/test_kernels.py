@@ -52,6 +52,7 @@ from galois_kit import (
     close_composition,
     close_perm_dummy,
     cluster_minor_member,
+    cluster_union,
     columns_multiset,
     empty_cluster,
     enumerate_cluster_members,
@@ -69,6 +70,7 @@ from galois_kit import (
     separating_cluster,
     separating_constraint,
     split_enumerate,
+    trivial_cluster,
     TupleMatrix,
 )
 from galois_kit import clusters
@@ -1128,12 +1130,12 @@ def _metered_outcome(fn, args, budget):
 def _expected_under(budget, cluster, members, want):
     """The outcome of ``satisfies_cluster`` under ``Meter(budget)``, from
     the unlimited reference outcome ``want`` with its steps per phase: the
-    walk charges every generator's support first, then lists each member
-    once, then splits."""
+    walk charges the support of every generator of cap at least 1 first,
+    then lists each member once, then splits."""
     outcome, done = want
     with Meter(budget):
         try:
-            for gen in cluster.sorted_generators():
+            for gen in _listed(cluster):
                 gen.box.positive_support()
         except BudgetExceededError as e:
             return ("refused", e.phase, e.done)
@@ -1142,6 +1144,12 @@ def _expected_under(budget, cluster, members, want):
     if done.get("cluster splits", 0) > budget:
         return ("refused", "cluster splits", budget + 1)
     return outcome
+
+
+def _listed(cluster):
+    """The generators whose boxes the walk lists: a cap-0 generator admits
+    only the empty multiset, which the walk yields first anyway."""
+    return [g for g in cluster.sorted_generators() if g.cap >= 1]
 
 
 def _assert_walk_exact(case, budget):
@@ -1162,7 +1170,8 @@ def _assert_walk_exact(case, budget):
     got = _metered_outcome(satisfies_cluster, case, UNLIMITED)
     assert got[0] == want[0]
     assert got[1].get("cluster splits") == want[1].get("cluster splits")
-    assert got[1].get("support tuples") == want[1].get("support tuples")
+    assert got[1].get("support tuples", 0) == sum(
+        g.box.arity * g.box.domain_size ** g.box.arity for g in _listed(cluster) if g.box.default)
     assert got[1].get("cluster members", 0) == len(got_members)
     assert (_metered_outcome(satisfies_cluster, case, budget)[0]
             == _expected_under(budget, cluster, len(got_members), want))
@@ -1185,3 +1194,21 @@ def test_cluster_shortcut_matches_the_full_test_on_order_clusters(case, budget):
 @given(inv_cluster_cases(), st.integers(0, 200))
 def test_cluster_shortcut_matches_the_full_test_on_inv_clusters(case, budget):
     _assert_walk_exact(case, budget)
+
+
+def test_a_cap_zero_box_is_left_out_of_the_walk():
+    """The union of a cap-0 box over all 1,024 Boolean 10-tuples and an
+    8-tuple relation has the relation's 495 members of size <= 4, in the
+    reference walk's order and with its live masks; the cap-0 box is not
+    listed, so no support tuple is charged."""
+    rng = random.Random(1)
+    relation = rng.sample(list(product(range(2), repeat=10)), 8)
+    cluster = cluster_union([trivial_cluster(10, 0, 2), relation_cluster(relation, 10, 2)])
+    want_members, want_lives, _ = _reference_walk(cluster, 4)
+    with Meter(UNLIMITED) as meter:
+        compiled = _compiled([(g.box, g.cap) for g in cluster.sorted_generators()])
+        got = _members(compiled, 4, meter)
+    assert [dict(items) for _, items, _ in got] == [c for c, _ in want_members]
+    assert [live for _, _, live in got] == want_lives
+    assert len(got) == 495
+    assert meter.done == {"cluster members": 495}

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from itertools import permutations, product
+from unittest.mock import patch
 
 from galois_kit import (
     DEFAULT_BUDGET,
@@ -37,10 +38,11 @@ XOR = op((0, 1, 1, 0), 2)
 NOT = op((1, 0), 1)
 
 
-def random_ops(k, arity):
+def random_ops(k, arity, k_out=None):
+    k_out = k if k_out is None else k_out
     return st.tuples(
-        *[st.integers(0, k - 1) for _ in range(k ** arity)]
-    ).map(lambda t: Operation(k, k, arity, t))
+        *[st.integers(0, k_out - 1) for _ in range(k ** arity)]
+    ).map(lambda t: Operation(k, k_out, arity, t))
 
 
 class TestOperation:
@@ -346,6 +348,75 @@ def test_close_composition_matches_reference(inputs):
         assert got == want
     else:
         assert got == want or isinstance(got[0], OperationClass)
+
+
+def ref_close_perm_dummy(cls_, arity_cap):
+    """The earlier closure: every injection image built through the
+    validated public ``minor_by_injection`` and added to the class."""
+    operations._check_arity_cap(arity_cap)
+    if cls_.max_arity > arity_cap:
+        raise GaloisKitError("arity cap below an existing member arity")
+    out = OperationClass(cls_.domain_size, cls_.codomain_size)
+    meter = _current_meter()
+    for f in cls_:
+        for target in range(f.arity, arity_cap + 1):
+            for sigma in permutations(range(1, target + 1), f.arity):
+                meter.charge("closure", cls_.domain_size ** target)
+                out.add(minor_by_injection(f, sigma, target))
+    return out
+
+
+def _perm_dummy_outcome(cls_, cap, budget, close):
+    """The class and its closure steps, or the refusal (its phase and
+    steps, or its message), and how many images were gathered."""
+    gathered = []
+    gather = operations._gather
+
+    def counted_gather(table, ranks):
+        gathered.append(len(ranks))
+        return gather(table, ranks)
+
+    with patch.object(operations, "_gather", counted_gather), Meter(budget) as meter:
+        try:
+            outcome = close(cls_, cap), meter.done.get("closure", 0)
+        except BudgetExceededError as e:
+            outcome = BudgetExceededError, e.phase, e.done
+        except GaloisKitError as e:
+            outcome = GaloisKitError, str(e)
+    return outcome, gathered
+
+
+def perm_dummy_inputs():
+    """(k, k_out, cap), 0 to 3 generators over k -> k_out, of arity <= 3
+    (k = 2) or <= 2 (k = 3), and a budget: the closures' own, or one that
+    may refuse.  A cap that is not an int, or one below a generator's
+    arity, makes both closures refuse."""
+    def generators(case):
+        k, k_out, _ = case
+        arities = (1, 2, 3) if k == 2 else (1, 2)
+        ops = st.one_of(*(random_ops(k, n, k_out) for n in arities))
+        budgets = st.one_of(st.just(CLOSURE_BUDGET), st.integers(0, 300))
+        return st.tuples(st.just(case), st.lists(ops, max_size=3), budgets)
+
+    cases = ([(2, k_out, cap) for k_out in (2, 3) for cap in (1, 2, 3, 4, 2.0, True)]
+             + [(3, k_out, cap) for k_out in (3, 2) for cap in (1, 2, 3)])
+    return st.sampled_from(cases).flatmap(generators)
+
+
+@settings(max_examples=200, deadline=None)
+@given(perm_dummy_inputs())
+@example(((2, 2, 3), [NOT, AND], CLOSURE_BUDGET))
+@example(((2, 3, 2), [Operation(2, 3, 2, (0, 1, 2, 2))], 10))
+def test_close_perm_dummy_matches_reference(inputs):
+    """The class and the closure steps of the closure through
+    ``minor_by_injection``, or its refusal at the same step; each image
+    is gathered after its charge, so none past a refusal."""
+    (k, k_out, cap), generators, budget = inputs
+    cls_ = OperationClass(k, k_out, generators)
+    want, want_gathered = _perm_dummy_outcome(cls_, cap, budget, ref_close_perm_dummy)
+    got, got_gathered = _perm_dummy_outcome(cls_, cap, budget, close_perm_dummy)
+    assert got == want
+    assert got_gathered == want_gathered
 
 
 @pytest.mark.parametrize("cls_, cap", [

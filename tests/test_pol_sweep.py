@@ -233,9 +233,10 @@ def _metered_outcome(fn, *args):
 
 def _support_tuples(cluster):
     """The steps of listing each positive-default box's k^m tuples of m
-    entries, once per generator."""
+    entries, once per generator of cap at least 1 (a cap-0 generator
+    admits only the empty multiset, so its box is not listed)."""
     k, m = cluster.domain_size, cluster.arity
-    return sum(k ** m * m for g in cluster.generators if g.box.default)
+    return sum(k ** m * m for g in cluster.generators if g.box.default and g.cap >= 1)
 
 
 def test_compiled_c_pol_matches_reference_sweep():

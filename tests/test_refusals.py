@@ -24,6 +24,7 @@ from galois_kit import (
     all_operations,
     apply_op_rows,
     c_pol,
+    close_composition,
     close_perm_dummy,
     cluster_member,
     cluster_union,
@@ -31,12 +32,14 @@ from galois_kit import (
     empty_cluster,
     empty_constraint,
     enumerate_cluster_members,
+    enumerate_matrices_leq,
     equality_cluster,
     equality_constraint,
     extend_consequent,
     gc_inv,
     intersect_consequents,
     is_conjunctive_minor_constraint,
+    is_extensive_rf_minor,
     is_restrictive_rf_minor,
     linear_class_fixture,
     minor_by_injection,
@@ -54,6 +57,7 @@ from galois_kit import (
     satisfies_constraint,
     scheme_fixture,
     separating_constraint,
+    split_enumerate,
     star,
     tight_relation_minor,
     trivial_cluster,
@@ -114,10 +118,43 @@ LIBRARY = [
      "domain size must be positive: an int, not 1.5"),
     ("scheme-float-target", lambda: MinorScheme(1.5, (), ((0,),)),
      "scheme target must be positive: an int, not 1.5"),
+    ("identity-scheme-float-target", lambda: MinorScheme.identity(1.5),
+     "scheme target must be positive: an int, not 1.5"),
     ("multiset-float-arity", lambda: FiniteMultiset(1.5, {}),
      "multiset arity must be positive: an int, not 1.5"),
     ("matrix-float-rows", lambda: TupleMatrix(1.5, ()),
      "row count must be positive: an int, not 1.5"),
+    # sizes below 1, refused before any work
+    ("class-zero-size", lambda: OperationClass(0),
+     "domain size must be positive: an int, not 0"),
+    ("class-negative-size", lambda: OperationClass(-1),
+     "domain size must be positive: an int, not -1"),
+    ("class-zero-codomain", lambda: OperationClass(2, 0),
+     "codomain size must be positive: an int, not 0"),
+    ("constraint-zero-codomain",
+     lambda: GeneralizedConstraint(RepetitionFunction(1, 2), frozenset(), 0),
+     "codomain size must be positive: an int, not 0"),
+    ("constraint-negative-codomain",
+     lambda: GeneralizedConstraint(RepetitionFunction(1, 2), frozenset(), -1),
+     "codomain size must be positive: an int, not -1"),
+    ("empty-constraint-zero-codomain", lambda: empty_constraint(1, 2, 0),
+     "codomain size must be positive: an int, not 0"),
+    ("equality-constraint-zero-codomain", lambda: equality_constraint(1, 2, 0),
+     "codomain size must be positive: an int, not 0"),
+    ("trivial-constraint-zero-codomain", lambda: trivial_constraint(1, 2, 0),
+     "codomain size must be positive: an int, not 0"),
+    ("trivial-constraint-negative-arity", lambda: trivial_constraint(-1, 2),
+     "arity and domain size must be positive"),
+    ("tight-minor-zero-size", lambda: tight_relation_minor(MinorScheme.identity(1), [set()], 0),
+     "domain size must be positive: an int, not 0"),
+    ("all-operations-negative-size", lambda: list(all_operations(-1, 1)),
+     "domain size must be positive: an int, not -1"),
+    ("all-operations-negative-arity", lambda: list(all_operations(2, -1)),
+     "arity must be positive: an int, not -1"),
+    ("all-operations-zero-codomain", lambda: list(all_operations(2, 1, 0)),
+     "codomain size must be positive: an int, not 0"),
+    ("linear-fixture-zero-cap", lambda: linear_class_fixture(3, 2, 0),
+     "arity cap must be positive: an int, not 0"),
     # clusters
     ("generator-cap", lambda: BoxedGenerator(RF1, -1), "invalid generator cap -1"),
     ("cluster-arity", lambda: Cluster(0, 2, frozenset()),
@@ -259,6 +296,74 @@ LIBRARY = [
 def test_library_refusal(call, message):
     with pytest.raises(GaloisKitError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# (id, a call given one public size parameter, the others valid)
+SIZE_PARAMETERS = [
+    ("Operation-domain", lambda v: Operation(v, 2, 1, (0, 1))),
+    ("Operation-codomain", lambda v: Operation(2, v, 1, (0, 0))),
+    ("Operation-arity", lambda v: Operation(2, 2, v, (0, 1))),
+    ("projection-arity", lambda v: projection(v, 1, 2)),
+    ("projection-index", lambda v: projection(1, v, 2)),
+    ("projection-domain", lambda v: projection(1, 1, v)),
+    ("OperationClass-domain", lambda v: OperationClass(v)),
+    ("OperationClass-codomain", lambda v: OperationClass(2, v)),
+    ("all_operations-domain", lambda v: list(all_operations(v, 1))),
+    ("all_operations-arity", lambda v: list(all_operations(2, v))),
+    ("all_operations-codomain", lambda v: list(all_operations(2, 1, v))),
+    ("close_composition-cap", lambda v: close_composition(OperationClass(2), v)),
+    ("linear_class_fixture-k", lambda v: linear_class_fixture(v, 2, 1)),
+    ("linear_class_fixture-p", lambda v: linear_class_fixture(3, v, 1)),
+    ("linear_class_fixture-cap", lambda v: linear_class_fixture(3, 2, v)),
+    ("RepetitionFunction-arity", lambda v: RepetitionFunction(v, 2)),
+    ("RepetitionFunction-domain", lambda v: RepetitionFunction(1, v)),
+    ("GeneralizedConstraint-codomain", lambda v: GeneralizedConstraint(RF1, frozenset(), v)),
+    ("equality_constraint-arity", lambda v: equality_constraint(v, 2)),
+    ("equality_constraint-domain", lambda v: equality_constraint(1, v)),
+    ("equality_constraint-codomain", lambda v: equality_constraint(1, 2, v)),
+    ("empty_constraint-arity", lambda v: empty_constraint(v, 2)),
+    ("empty_constraint-domain", lambda v: empty_constraint(1, v)),
+    ("empty_constraint-codomain", lambda v: empty_constraint(1, 2, v)),
+    ("trivial_constraint-arity", lambda v: trivial_constraint(v, 2)),
+    ("trivial_constraint-domain", lambda v: trivial_constraint(1, v)),
+    ("trivial_constraint-codomain", lambda v: trivial_constraint(1, 2, v)),
+    ("FiniteMultiset-arity", lambda v: FiniteMultiset(v)),
+    ("TupleMatrix-rows", lambda v: TupleMatrix(v, ())),
+    ("enumerate_matrices_leq-columns", lambda v: list(enumerate_matrices_leq(RF1, v))),
+    ("split_enumerate-size", lambda v: list(split_enumerate(FiniteMultiset(1), v))),
+    ("Cluster-arity", lambda v: Cluster(v, 2, frozenset())),
+    ("Cluster-domain", lambda v: Cluster(1, v, frozenset())),
+    ("trivial_cluster-arity", lambda v: trivial_cluster(v, 1, 2)),
+    ("trivial_cluster-domain", lambda v: trivial_cluster(1, 1, v)),
+    ("empty_cluster-arity", lambda v: empty_cluster(v, 2)),
+    ("empty_cluster-domain", lambda v: empty_cluster(1, v)),
+    ("equality_cluster-domain", lambda v: equality_cluster(v)),
+    ("relation_cluster-arity", lambda v: relation_cluster(set(), v, 2)),
+    ("relation_cluster-domain", lambda v: relation_cluster(set(), 1, v)),
+    ("order_cluster-domain", lambda v: order_cluster(set(), v)),
+    ("MinorScheme-target", lambda v: MinorScheme(v, (), ((0,),))),
+    ("MinorScheme.identity-arity", lambda v: MinorScheme.identity(v)),
+    ("scheme_fixture-arity", lambda v: scheme_fixture("empty_spread", v)),
+    ("tight_relation_minor-domain", lambda v: tight_relation_minor(ONE_MAP, [set()], v)),
+    ("is_restrictive_rf_minor-cap", lambda v: is_restrictive_rf_minor(RF1, [RF1], ONE_MAP, v)),
+    ("is_extensive_rf_minor-cap", lambda v: is_extensive_rf_minor(RF1, [RF1], ONE_MAP, v)),
+    ("is_conjunctive_minor_constraint-cap",
+     lambda v: is_conjunctive_minor_constraint(EQ2, [EQ2], MinorScheme.identity(2), v)),
+    *((f"GaloisConfig-{name}", lambda v, i=i: GaloisConfig(*[v if j == i else 1 for j in range(5)]))
+      for i, name in enumerate(["domain_size", "n_max", "m_max", "breadth", "codomain_size"])),
+]
+
+
+@pytest.mark.parametrize("value", [0, -1, 1.5, True], ids=["0", "-1", "1.5", "True"])
+@pytest.mark.parametrize("call", [c[1] for c in SIZE_PARAMETERS],
+                         ids=[c[0] for c in SIZE_PARAMETERS])
+def test_every_size_below_one_or_not_an_int_is_refused(call, value):
+    with pytest.raises(GaloisKitError):
+        call(value)
+
+
+def test_perm_dummy_closure_at_cap_zero_is_the_empty_class():
+    assert close_perm_dummy(OperationClass(2), 0) == OperationClass(2)
 
 
 # (id, the line after the header, exact message without the "line 2: " prefix)

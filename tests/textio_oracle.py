@@ -85,6 +85,8 @@ def operation_post_init(self):
 
 
 def constraint_post_init(self):
+    if self.codomain_size < 1:
+        raise GaloisKitError(f"codomain size must be positive: an int, not {self.codomain_size!r}")
     object.__setattr__(self, "consequent", frozenset(map(tuple, self.consequent)))
     m = self.antecedent.arity
     for t in self.consequent:
