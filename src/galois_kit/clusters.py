@@ -336,6 +336,122 @@ def _violation(table, n, compiled, breadth_cap, meter, scaled):
     return None
 
 
+class _Excluding(frozenset):
+    """An allowed image set kept as its complement: every image but these."""
+
+    __slots__ = ()
+
+    def __contains__(self, image):
+        return not frozenset.__contains__(self, image)
+
+
+def _share(allowed, space):
+    """The share of a space of images that an allowed set allows."""
+    return (space - len(allowed) if type(allowed) is _Excluding else len(allowed)) / space
+
+
+def _intersect(a, b):
+    """The images both allowed sets allow."""
+    if type(a) is _Excluding:
+        a, b = b, a
+    if type(a) is _Excluding:
+        return _Excluding(frozenset.union(a, b))
+    return frozenset.difference(a, b) if type(b) is _Excluding else a & b
+
+
+def _allowed_images(generators, m2):
+    """The images t such that some generator in the mask m2 allows one
+    copy of t, built from those generators' boxes: a set, or an
+    ``_Excluding`` set when some box has a positive default."""
+    allowed, excluded = set(), None
+    while m2:
+        box = generators[(m2 & -m2).bit_length() - 1].box
+        m2 &= m2 - 1
+        if box.default:  # it allows every image but its zeros
+            zeros = {t for t, v in box.exceptions.items() if not v}
+            excluded = zeros if excluded is None else excluded & zeros
+        else:
+            allowed.update(box.exceptions)
+    return frozenset(allowed) if excluded is None else _Excluding(excluded - allowed)
+
+
+def _cluster_tests(cluster, compiled, members, n, scaled, tests, meter):
+    """Merge into ``tests``, a dict from rank vector to allowed images,
+    the test of every split [M1 | M2] with n columns in M1 of the listed
+    ``_members`` of the ``_compiled`` cluster: an n-ary table maps each
+    such member into the cluster iff its image of M1's row ranks is an
+    image t with M2 + t in the cluster, for every split.
+
+    Those images are {t : m2 & ``_at_least``(t, M2(t) + 1) != 0}, where
+    m2 is the mask of the generators admitting M2 at size |M2| + 1: the
+    images one generator in m2 allows, built once per m2, less the
+    tuples of M2 no generator in m2 allows one more copy of.  M2 depends
+    only on which positions M1 takes, so it is built once per set of
+    positions; a test that allows every image is dropped, and tests on
+    one rank vector are merged by intersecting their allowed images.
+    ``scaled`` holds the ``_Scaled`` vectors over the cluster's domain.
+    Each split is a "cluster splits" step, refused as soon as the phase
+    passes the budget; no more orders are built than it has room for.
+    """
+    caps, allows, exact = compiled
+    generators = cluster.sorted_generators()
+    space = cluster.domain_size ** cluster.arity
+    full = (1 << len(caps)) - 1
+    images = {}  # m2 -> _allowed_images(generators, m2)
+    orders = {}  # count shape -> its split orders
+    phase = "cluster splits"
+    room, taken = meter.room(phase), 0
+    for member_size, items, _ in members:
+        if member_size < n:
+            continue
+        tuples, counts = zip(*items)
+        shape = tuple([min(c, n) for c in counts])
+        sels = orders.get(shape)
+        if sels is None:
+            # one past the room shows whether the budget cuts the orders
+            limit = None if room == INF else room - taken + 1
+            sels = orders[shape] = _split_orders(shape, n, limit)
+        taken += len(sels)
+        if taken > room:
+            meter.refuse(phase, room)
+        j = bisect_left(caps, member_size - n + 1)
+        fits = full >> j << j  # the generators whose cap admits |M2| + 1
+        after = {}  # the positions M1 takes, sorted -> the images allowed, or None for all
+        last = None
+        for q, p, positions in sels:
+            key = tuple(sorted(positions))
+            if key not in after:
+                rest = list(counts)
+                for x in positions:
+                    rest[x] -= 1
+                m2 = fits
+                for t, c in zip(tuples, rest):
+                    if c and m2:
+                        m2 &= _at_least(allows, exact, t, c)
+                allowed = images.get(m2)
+                if allowed is None:
+                    allowed = images[m2] = _allowed_images(generators, m2)
+                dropped = [t for t, c in zip(tuples, rest)
+                           if c and m2 & allows[t] and not m2 & _at_least(allows, exact, t, c + 1)]
+                if dropped:
+                    allowed = _intersect(allowed, _Excluding(dropped))
+                if len(allowed) == (0 if type(allowed) is _Excluding else space):
+                    allowed = None
+                after[key] = allowed
+            allowed = after[key]
+            if allowed is None:
+                continue
+            if q != last:  # a new prefix: the zeros, for n = 1, or its columns summed
+                last, base = q, scaled[tuples[positions[0]]][0] if n > 1 else repeat(0)
+                for d in range(1, n - 1):
+                    base = [*map(add, base, scaled[tuples[positions[d]]][d])]
+            ranks = tuple([*map(add, base, tuples[p])])
+            held = tests.get(ranks)
+            tests[ranks] = allowed if held is None else _intersect(held, allowed)
+    if taken:
+        meter.charge(phase, taken)
+
+
 def _rf_minus_counts(box, s):
     """box - nu_S pointwise, with inf - n = inf."""
     exc = dict(box.exceptions)

@@ -10,17 +10,18 @@ the function being excluded.
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, prod
+from operator import attrgetter
 
 from .errors import GaloisKitError, Meter, NotSeparableError, _current_meter
 from .operations import (
-    Operation, OperationClass, _gather, _source_ranks, all_operations, close_composition,
-    close_perm_dummy,
+    OperationClass, _gather, _source_ranks, all_operations, close_composition, close_perm_dummy,
 )
 from .multisets import FiniteMultiset, _counts, _matrices, _set_partitions, apply_op_rows
 from .repetition import RepetitionFunction
 from .constraints import GeneralizedConstraint, _check_alphabets
 from .clusters import (
-    _Scaled, _antichain_cluster, _compiled_cluster, _violation, cluster_member, satisfies_cluster,
+    _Scaled, _antichain_cluster, _cluster_tests, _compiled_cluster, _members, _share,
+    cluster_member, satisfies_cluster,
 )
 
 __all__ = [
@@ -66,19 +67,19 @@ def class_image(cls_, m):
     )
 
 
-def _invariant_constraint(closed, n, ranks, codomain_size):
-    """The constraint (chi_M, C M) of the matrix M of the n-tuples at
-    these ranks, in order.
+def _invariant_constraint(tables, k, n, ranks, codomain_size):
+    """The constraint (chi_M, C M) of the matrix M of the n-tuples over
+    domain size k at these ranks, in order, for the class whose n-ary
+    members have these tables.
 
     Column j of M is the table of the projection x_j read at the ranks,
     and f M is f's table read there.  Every member of a class closed
     under permutation and dummy variables satisfies the constraint.
     """
-    k = closed.domain_size
     # x_j's table holds digit j of each rank, leftmost most significant
     columns = [tuple([r // k ** (n - 1 - j) % k for r in ranks]) for j in range(n)]
     chi = RepetitionFunction.from_counts(len(ranks), k, _counts(columns))
-    image = frozenset(_gather(f.table, ranks) for f in closed.arity_part(n))
+    image = frozenset(_gather(t, ranks) for t in tables)
     return GeneralizedConstraint(chi, image, codomain_size)
 
 
@@ -98,9 +99,10 @@ def gc_inv(cls_, cfg):
     n-tuples at m increasing ranks, so the matrices come in the order of
     their row lists.  The class is closed under permutation and dummy
     variables first, which is exactly the hypothesis making every
-    emitted constraint satisfied by every member.  The C(k^n, m)
-    matrices of each width and row count are charged up front, so an
-    oversized request builds none of them.
+    emitted constraint satisfied by every member; its tables of each
+    width are read once.  The C(k^n, m) matrices of each width and row
+    count are charged up front, so an oversized request builds none of
+    them.
     """
     _check_config_domain(cls_, cfg)
     k = cls_.domain_size
@@ -111,8 +113,9 @@ def gc_inv(cls_, cfg):
                 meter.charge("invariant matrices", comb(k ** n, m))
                 blocks.append((n, m))
         closed = close_perm_dummy(cls_, max(cfg.n_max, cls_.max_arity or 1))
+        tables = {n: closed._tables(n) for n in range(1, cfg.n_max + 1)}
         return [
-            _invariant_constraint(closed, n, ranks, cls_.codomain_size)
+            _invariant_constraint(tables[n], k, n, ranks, cls_.codomain_size)
             for n, m in blocks
             for ranks in combinations(range(k ** n), m)
         ]
@@ -127,20 +130,38 @@ def _charge_tables(meter, cfg, codomain_size):
         meter.charge_power("operation tables", codomain_size, k_n, k_n)
 
 
+def _sweep(tests, tables, k_out):
+    """The tables meeting every test: ``tests`` maps a rank vector to the
+    image tuples allowed there, a table's image being its entries at the
+    ranks.
+
+    Each table meets the tests most restrictive first (the smallest share
+    of the k_out^m tuples allowed, ties by rank vector), so a rejected
+    table usually fails its first few; each test evaluated is a "sweep
+    tests" step.
+    """
+    tests = sorted(tests.items(), key=lambda t: (_share(t[1], k_out ** len(t[0])), t[0]))
+    meter = _current_meter()
+    for table in tables:
+        for i, (ranks, allowed) in enumerate(tests):
+            if tuple([table[r] for r in ranks]) not in allowed:
+                meter.charge("sweep tests", i + 1)
+                break
+        else:
+            meter.charge("sweep tests", len(tests))
+            yield table
+
+
 def _satisfying_tables(constraints, cfg):
     """Every table of arity <= n_max satisfying all the constraints, as
     (arity, table), in order of arity and then of table.
 
     At each arity n the tests of every constraint are read once and
     merged by rank vector: one test per distinct rank vector, allowing
-    the intersection of the consequents that share it.  Each table meets
-    the merged tests most restrictive first (the smallest share of the
-    k_out^m tuples allowed, ties by rank vector), so a rejected table
-    usually fails its first few; each test evaluated is a "sweep tests"
-    step.
+    the intersection of the consequents that share it, and the tables
+    are swept through the merged tests.
     """
     k, k_out = cfg.domain_size, cfg.codomain_size
-    meter = _current_meter()
     for n in range(1, cfg.n_max + 1):
         merged = {}  # rank vector -> the tuples every constraint allows there
         for c in constraints:
@@ -148,15 +169,8 @@ def _satisfying_tables(constraints, cfg):
                 ranks = tuple([*ranks])  # sized exactly: it is kept
                 allowed = merged.get(ranks)
                 merged[ranks] = c.consequent if allowed is None else allowed & c.consequent
-        tests = sorted(merged.items(), key=lambda t: (len(t[1]) / k_out ** len(t[0]), t[0]))
-        for table in product(range(k_out), repeat=k ** n):
-            for i, (ranks, allowed) in enumerate(tests):
-                if tuple([table[r] for r in ranks]) not in allowed:
-                    meter.charge("sweep tests", i + 1)
-                    break
-            else:
-                meter.charge("sweep tests", len(tests))
-                yield n, table
+        for table in _sweep(merged, product(range(k_out), repeat=k ** n), k_out):
+            yield n, table
 
 
 def f_pol(constraints, cfg):
@@ -181,7 +195,7 @@ def f_pol(constraints, cfg):
                     raise
                 return out  # no table reaches the mismatched constraint
         for n, table in _satisfying_tables(constraints, cfg):
-            out.add(Operation(k, k_out, n, table))
+            out._add(n, table)
     return out
 
 
@@ -197,6 +211,7 @@ def _inv_cluster_for_arity(closed, n):
     so an unmapped column is the image of its one-column block.
     """
     k = closed.domain_size
+    tables = {j: closed._tables(j) for j in range(1, n + 1)}
     images = {}  # block -> its class images
     members = set()  # each as its sorted elements
     for blocks in _set_partitions(list(range(n))):
@@ -204,7 +219,7 @@ def _inv_cluster_for_arity(closed, n):
         for block in map(tuple, blocks):
             if block not in images:
                 ranks = _source_ranks(k, n, block)
-                images[block] = {_gather(f.table, ranks) for f in closed.arity_part(len(block))}
+                images[block] = {_gather(t, ranks) for t in tables[len(block)]}
             image_sets.append(images[block])
         _current_meter().charge("invariant cluster members", prod(map(len, image_sets)))
         members.update(tuple(sorted(d)) for d in product(*image_sets))
@@ -222,15 +237,18 @@ def cl_inv(cls_, cfg):
 def c_pol(clusters, cfg):
     """All operations of arity <= n_max satisfying every cluster at the breadth cap.
 
-    Each cluster is compiled once per call, when the first candidate table
-    reaches it, and every candidate runs the check of ``satisfies_cluster``
-    on that compile, with the scaled columns of its arity shared by every
-    candidate and the split orders kept as ``satisfies_cluster`` keeps
-    them.  A cluster over another alphabet is an error once some table
-    satisfies every cluster before it, as it is for ``satisfies_cluster``
-    on that table; the unary projection always does.
-    Clusters have one alphabet, so a configuration whose codomain differs
-    from its domain is refused.
+    Each cluster's members at the breadth cap are listed once per call.
+    At each arity n every split of every member compiles to a test on
+    the row ranks of its first n columns, merged by rank vector as
+    ``f_pol`` merges its tests (see ``_cluster_tests``).  Every arity is
+    compiled before any table is swept, so an oversized compile refuses
+    before the sweep; then the candidate tables of ``all_operations``
+    are swept through the merged tests by ``f_pol``'s sweep.  A cluster
+    over another alphabet is an error once some table satisfies every
+    cluster before it, as it is for ``satisfies_cluster`` on that table;
+    the unary projection always does, so it is refused when it is
+    reached.  Clusters have one alphabet, so a configuration whose
+    codomain differs from its domain is refused.
     """
     clusters = list(clusters)
     if cfg.codomain_size != cfg.domain_size:
@@ -241,21 +259,23 @@ def c_pol(clusters, cfg):
         raise GaloisKitError("breadth cap must be at least n_max")
     k = cfg.domain_size
     out = OperationClass(k, k)
-    compiled = {}  # cluster position -> its _compiled masks
     with Meter() as meter:
         _charge_tables(meter, cfg, k)
-        for n in range(1, cfg.n_max + 1):
+        listed = []  # (cluster, its _compiled masks, its members at the breadth cap)
+        for phi in clusters:
+            if phi.domain_size != k:
+                raise GaloisKitError("operation alphabet does not match the cluster")
+            compiled = _compiled_cluster(phi)
+            listed.append((phi, compiled, _members(compiled, cfg.breadth, meter)))
+        arities = range(1, cfg.n_max + 1)
+        tests = {n: {} for n in arities}  # arity -> rank vector -> the images allowed
+        for n in arities:
             scaled = _Scaled(k, n)
-            for op in all_operations(k, n):
-                for j, phi in enumerate(clusters):
-                    if j not in compiled:
-                        if phi.domain_size != k:
-                            raise GaloisKitError("operation alphabet does not match the cluster")
-                        compiled[j] = _compiled_cluster(phi)
-                    if _violation(op.table, n, compiled[j], cfg.breadth, meter, scaled):
-                        break
-                else:
-                    out.add(op)
+            for phi, compiled, members in listed:
+                _cluster_tests(phi, compiled, members, n, scaled, tests[n], meter)
+        for n in arities:
+            for table in _sweep(tests.pop(n), map(attrgetter("table"), all_operations(k, n)), k):
+                out._add(n, table)
     return out
 
 
@@ -281,7 +301,8 @@ def separating_constraint(cls_, g):
     _check_class_alphabet(cls_, g)
     n = g.arity
     closed = close_perm_dummy(cls_, max(n, cls_.max_arity))
-    c = _invariant_constraint(closed, n, range(cls_.domain_size ** n), cls_.codomain_size)
+    k = cls_.domain_size
+    c = _invariant_constraint(closed._tables(n), k, n, range(k ** n), cls_.codomain_size)
     if g.table in c.consequent:
         raise NotSeparableError(
             "no separating constraint: g is in the closed class at its arity"

@@ -201,51 +201,77 @@ def minor_by_injection(f, sigma, target_arity):
 
 
 class OperationClass:
-    """Per-arity sets of operations with a fixed domain and codomain.
+    """Operations with a fixed domain and codomain, kept as bare value tables.
 
-    Members are deduplicated by table equality; iteration is in the
-    canonical order (arity ascending, table lexicographic ascending).
+    One dict maps each member table, stored as its ``_code``, to the
+    bitmask of the arities holding it: a code names one table per arity
+    (the table of k^n entries), and over a one-letter domain every arity
+    shares its tables.  Members are deduplicated by table equality; the
+    public reads build each ``Operation`` through its checked
+    constructor, in the canonical order (arity ascending, table
+    lexicographic ascending, which is code order).  The kernels read and
+    add tables through ``_tables``, ``_pairs`` and ``_add``.
     """
 
-    __slots__ = ("domain_size", "codomain_size", "_by_arity")
+    __slots__ = ("domain_size", "codomain_size", "_arities")
 
     def __init__(self, domain_size, codomain_size=None, members=()):
         self.domain_size = domain_size
         self.codomain_size = codomain_size if codomain_size is not None else domain_size
         _check_int("domain size", domain_size, positive=True)
         _check_int("codomain size", self.codomain_size, positive=True)
-        self._by_arity = {}
+        self._arities = {}  # table code -> bit n set for each arity n holding it
         for op in members:
             self.add(op)
 
     def add(self, op):
         if op.domain_size != self.domain_size or op.codomain_size != self.codomain_size:
             raise GaloisKitError("operation domain/codomain mismatch with class")
-        self._by_arity.setdefault(op.arity, {})[op.table] = op
+        self._add(op.arity, op.table)
+
+    def _add(self, n, table):
+        """Add the n-ary member with this table, valid for the class's alphabet."""
+        code = _code(table, self.codomain_size)
+        self._arities[code] = self._arities.get(code, 0) | 1 << n
+
+    def _tables(self, n):
+        """The tables of the n-ary members, in order."""
+        bit, k_out, length = 1 << n, self.codomain_size, self.domain_size ** n
+        return [_table(code, k_out, length)
+                for code in sorted([c for c, mask in self._arities.items() if mask & bit])]
+
+    def _pairs(self):
+        """Every member as (arity, table), in the canonical order."""
+        return [(n, table) for n in self.arities() for table in self._tables(n)]
 
     def arity_part(self, n):
-        return [self._by_arity[n][t] for t in sorted(self._by_arity.get(n, {}))]
+        k, k_out = self.domain_size, self.codomain_size
+        return [Operation(k, k_out, n, t) for t in self._tables(n)]
 
     def arities(self):
-        return sorted(self._by_arity)
+        held = 0
+        for mask in self._arities.values():
+            held |= mask
+        return [n for n in range(held.bit_length()) if held >> n & 1]
 
     @property
     def max_arity(self):
-        return max(self._by_arity) if self._by_arity else 0
+        arities = self.arities()
+        return arities[-1] if arities else 0
 
     def __iter__(self):
-        for n in sorted(self._by_arity):
-            for t in sorted(self._by_arity[n]):
-                yield self._by_arity[n][t]
+        k, k_out = self.domain_size, self.codomain_size
+        for n, t in self._pairs():
+            yield Operation(k, k_out, n, t)
 
     def __len__(self):
-        return sum(len(d) for d in self._by_arity.values())
+        return sum(mask.bit_count() for mask in self._arities.values())
 
     def __contains__(self, op):
         return (
             op.domain_size == self.domain_size
             and op.codomain_size == self.codomain_size
-            and op.table in self._by_arity.get(op.arity, {})
+            and self._arities.get(_code(op.table, self.codomain_size), 0) >> op.arity & 1 == 1
         )
 
     def __eq__(self, other):
@@ -254,16 +280,33 @@ class OperationClass:
         return (
             self.domain_size == other.domain_size
             and self.codomain_size == other.codomain_size
-            and {n: set(d) for n, d in self._by_arity.items() if d}
-            == {n: set(d) for n, d in other._by_arity.items() if d}
+            and self._arities == other._arities
         )
 
     def __le__(self, other):
         return all(op in other for op in self)
 
     def __repr__(self):
-        sizes = {n: len(d) for n, d in sorted(self._by_arity.items())}
+        sizes = {n: sum(mask >> n & 1 for mask in self._arities.values())
+                 for n in self.arities()}
         return f"OperationClass(k={self.domain_size}->{self.codomain_size}, {sizes})"
+
+
+def _code(table, k_out):
+    """The table's entries read as one base-k_out numeral, first entry
+    most significant: tables of one length compare as their codes do."""
+    code = 0
+    for x in table:
+        code = code * k_out + x
+    return code
+
+
+def _table(code, k_out, length):
+    """The table of ``length`` entries whose ``_code`` is ``code``."""
+    entries = [0] * length
+    for i in range(length - 1, -1, -1):
+        code, entries[i] = divmod(code, k_out)
+    return tuple(entries)
 
 
 def all_operations(k, arity, codomain_size=None):
@@ -277,9 +320,11 @@ def all_operations(k, arity, codomain_size=None):
 
 
 def _check_arity_cap(arity_cap):
-    """Refuse an arity cap that is not an int."""
+    """Refuse an arity cap that is not an int, or one below 0."""
     if not isinstance(arity_cap, int) or isinstance(arity_cap, bool):
         raise GaloisKitError(f"arity cap must be an int, not {arity_cap!r}")
+    if arity_cap < 0:
+        raise GaloisKitError(f"arity cap must be nonnegative, not {arity_cap}")
 
 
 def close_perm_dummy(cls_, arity_cap):
@@ -287,20 +332,20 @@ def close_perm_dummy(cls_, arity_cap):
 
     Equivalently all minor_by_injection images with target arity <= cap;
     one pass suffices because injections compose to injections.  Each image
-    is charged, then gathered as a raw table; each member is built once.
+    is charged, then gathered as a raw table and added to the class.
     """
     _check_arity_cap(arity_cap)
     if cls_.max_arity > arity_cap:
         raise GaloisKitError("arity cap below an existing member arity")
-    k, k_out = cls_.domain_size, cls_.codomain_size
-    members = set()  # (arity, table)
+    k = cls_.domain_size
+    out = OperationClass(k, cls_.codomain_size)
     meter = _current_meter()
-    for f in cls_:
-        for target in range(f.arity, arity_cap + 1):
-            for positions in permutations(range(target), f.arity):
+    for n, table in cls_._pairs():
+        for target in range(n, arity_cap + 1):
+            for positions in permutations(range(target), n):
                 meter.charge("closure", k ** target)
-                members.add((target, _gather(f.table, _source_ranks(k, target, positions))))
-    return OperationClass(k, k_out, [Operation(k, k_out, n, table) for n, table in members])
+                out._add(target, _gather(table, _source_ranks(k, target, positions)))
+    return out
 
 
 def close_composition(cls_, arity_cap):
@@ -315,8 +360,8 @@ def close_composition(cls_, arity_cap):
     The worklist holds raw tables, kept by arity.  A popped n-ary f is
     composed only with itself and, in both orders, with the members popped
     before it of arity <= cap - n + 1: any later member meets f when it is
-    popped, and every other pair is over the cap.  An ``Operation`` is
-    built once per member, at the end.
+    popped, and every other pair is over the cap.  The members' tables
+    are added to the class at the end.
     """
     if cls_.domain_size != cls_.codomain_size:
         raise GaloisKitError("composition closure requires domain == codomain")
@@ -348,8 +393,8 @@ def close_composition(cls_, arity_cap):
         n: [_source_ranks(k, n, p) for p in dict.fromkeys((_shift(n), _swap(n)))]
         for n in range(2, arity_cap + 1)
     }
-    for op in cls_:
-        push(op.arity, op.table)
+    for n, table in cls_._pairs():
+        push(n, table)
 
     popped = {n: [] for n in range(1, arity_cap + 1)}  # arity -> [(table, rows)]
     while worklist:
@@ -368,7 +413,7 @@ def close_composition(cls_, arity_cap):
     out = OperationClass(k, k)
     for n, tables in members.items():
         for table in tables:
-            out.add(Operation(k, k, n, table))
+            out._add(n, table)
     return out
 
 

@@ -15,6 +15,7 @@ from .operations import (
     Operation,
     OperationClass,
     all_operations,
+    close_composition,
     close_perm_dummy,
     delta,
     linear_class_fixture,
@@ -436,7 +437,7 @@ def _monotone_ops(n_max=2):
 
 
 def suite_roundtrip():
-    """The three bounded Galois round trips, exact set equality."""
+    """The four bounded Galois round trips, exact set equality."""
     results = []
 
     mono = _monotone_ops()
@@ -470,6 +471,17 @@ def suite_roundtrip():
             "roundtrip: c_pol(cl_inv(linear fixture k=3 p=2)) = fixture",
             back == lin,
             "" if back == lin else f"got {len(back)} ops, expected {len(lin)}",
+        )
+    )
+
+    cfg = GaloisConfig(2, n_max=3, m_max=1, breadth=3)
+    back = c_pol(cl_inv(mono, cfg), cfg)
+    closed = close_composition(mono, 3)
+    results.append(
+        CheckResult(
+            "roundtrip: c_pol(cl_inv(monotone)) = close_composition(monotone, 3)",
+            back == closed,
+            "" if back == closed else f"got {len(back)} ops, expected {len(closed)}",
         )
     )
     return results

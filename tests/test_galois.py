@@ -116,23 +116,27 @@ class TestGcInvFPol:
             assert len(gc_inv(proj, cfg)) == 18
 
     def test_nested_calls_share_the_meter(self):
-        # each of the 20 checks c_pol makes walks at most 6 members, 120 in all
+        # each of the 20 checks satisfies_cluster makes walks at most 6 members
         cluster = relation_cluster({(0,), (1,)}, 1, 2)
         ops = [f for n in (1, 2) for f in all_operations(2, n)]
         for f in ops:
             with Meter(6):
                 assert satisfies_cluster(f, cluster, 2)
         cfg = GaloisConfig(2, n_max=2, m_max=1, breadth=2)
-        with pytest.raises(BudgetExceededError) as info, Meter(100):
+        # c_pol lists the 6 members once, joining the open meter's 95
+        with pytest.raises(BudgetExceededError) as info, Meter(100) as meter:
+            meter.charge("cluster members", 95)
             c_pol([cluster], cfg)
         assert str(info.value) == "refusing cluster members: 101 steps exceed budget 100"
         with Meter() as meter:
             assert len(c_pol([cluster], cfg)) == 20  # joins the open meter
         # c_pol compiles the cluster once: its box allows both unary tuples
         # without bound, so its canonical default is INF and listing its
-        # positive support builds the k^m = 2 tuples of m = 1 entry: 2 steps
+        # positive support builds the k^m = 2 tuples of m = 1 entry: 2
+        # steps.  Its 6 members split 10 ways at arities 1 and 2, and every
+        # split allows every image, so no test is left to sweep.
         assert meter.done == {"operation tables": 72, "support tuples": 2,
-                              "cluster members": 120, "cluster splits": 88}
+                              "cluster members": 6, "cluster splits": 10, "sweep tests": 0}
 
     def test_invariant_cluster_members_are_metered(self):
         # cl_inv's closure charges more steps first, so this is asked directly

@@ -93,6 +93,14 @@ CASES = {
         "pol", "-w", "{inv_cluster}", "--kind", "cluster",
         "--names", "proj2.inv0,proj2.inv1", "--cap", "2", "--breadth", "4",
         "--stats"],
+    # c_pol's compile and sweep on the monotone clone's invariant clusters
+    "inv_cluster_mono": [
+        "inv", "-w", "{pol_ord}", "--class", "pol", "--kind", "cluster",
+        "--cap", "3", "--breadth", "3"],
+    "pol_cluster_mono_stats": [
+        "pol", "-w", "{inv_cluster_mono}", "--kind", "cluster",
+        "--names", "pol.inv0,pol.inv1,pol.inv2", "--cap", "3", "--breadth", "3",
+        "--stats"],
     # f_pol's work on the matrix stream: constraint matrices, sweep tests,
     # support tuples (ord's antecedent has a positive default)
     "pol_constraint_stats": [

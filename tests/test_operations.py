@@ -573,3 +573,118 @@ def test_closures_refuse_an_arity_cap_that_is_not_an_int(close, cap):
         with pytest.raises(GaloisKitError, match=f"arity cap must be an int, not {cap!r}"):
             close(OperationClass(2, members=[AND]), cap)
     assert meter.done == {}
+
+
+class RefOperationClass:
+    """The earlier ``OperationClass``: per-arity dicts from each table to
+    its ``Operation``, built when it is added."""
+
+    def __init__(self, domain_size, codomain_size=None, members=()):
+        self.domain_size = domain_size
+        self.codomain_size = codomain_size if codomain_size is not None else domain_size
+        self._by_arity = {}
+        for f in members:
+            self.add(f)
+
+    def add(self, f):
+        if f.domain_size != self.domain_size or f.codomain_size != self.codomain_size:
+            raise GaloisKitError("operation domain/codomain mismatch with class")
+        self._by_arity.setdefault(f.arity, {})[f.table] = f
+
+    def arity_part(self, n):
+        return [self._by_arity[n][t] for t in sorted(self._by_arity.get(n, {}))]
+
+    def arities(self):
+        return sorted(self._by_arity)
+
+    @property
+    def max_arity(self):
+        return max(self._by_arity) if self._by_arity else 0
+
+    def __iter__(self):
+        for n in sorted(self._by_arity):
+            for t in sorted(self._by_arity[n]):
+                yield self._by_arity[n][t]
+
+    def __len__(self):
+        return sum(len(d) for d in self._by_arity.values())
+
+    def __contains__(self, f):
+        return (
+            f.domain_size == self.domain_size
+            and f.codomain_size == self.codomain_size
+            and f.table in self._by_arity.get(f.arity, {})
+        )
+
+    def __eq__(self, other):
+        return (
+            self.domain_size == other.domain_size
+            and self.codomain_size == other.codomain_size
+            and {n: set(d) for n, d in self._by_arity.items() if d}
+            == {n: set(d) for n, d in other._by_arity.items() if d}
+        )
+
+    def __repr__(self):
+        sizes = {n: len(d) for n, d in sorted(self._by_arity.items())}
+        return f"OperationClass(k={self.domain_size}->{self.codomain_size}, {sizes})"
+
+
+@st.composite
+def class_steps(draw):
+    """An alphabet k -> k_out and up to 30 steps, each on one of two
+    classes: add an operation over k -> k_out (now and then over another
+    codomain), test one, or read the class.  Over k = 1 every arity has
+    the same one-entry tables."""
+    k, k_out = draw(st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 2)]))
+    arities = (1, 2, 3, 4) if k == 1 else (1, 2, 3) if k == 2 else (1, 2)
+    ops = st.one_of(*(random_ops(k, n, k_out) for n in arities))
+    strangers = st.one_of(*(random_ops(k, n, k_out + 1) for n in arities[:2]))
+    step = st.one_of(
+        st.tuples(st.just("add"), st.integers(0, 1), ops),
+        st.tuples(st.just("add"), st.integers(0, 1), strangers),
+        st.tuples(st.just("in"), st.integers(0, 1), st.one_of(ops, strangers)),
+        st.tuples(st.just("arity_part"), st.integers(0, 1), st.integers(0, 5)),
+        st.tuples(st.sampled_from(["iter", "==", "len", "arities", "max_arity", "repr"]),
+                  st.integers(0, 1), st.none()),
+    )
+    return k, k_out, draw(st.lists(step, max_size=30))
+
+
+def _class_read(cls_, other, step, arg):
+    """What one step returns: a value, or the refusal's message."""
+    try:
+        if step == "add":
+            return cls_.add(arg)
+        if step == "in":
+            return arg in cls_
+        if step == "arity_part":
+            return cls_.arity_part(arg)
+        if step == "iter":
+            return list(cls_)
+        if step == "==":
+            return cls_ == other
+        if step == "max_arity":
+            return cls_.max_arity
+        return {"len": len, "arities": type(cls_).arities, "repr": repr}[step](cls_)
+    except GaloisKitError as e:
+        return str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(class_steps())
+@example((1, 1, [("add", 0, Operation(1, 1, 1, (0,))), ("add", 0, Operation(1, 1, 3, (0,))),
+                 ("add", 1, Operation(1, 1, 3, (0,))), ("==", 0, None), ("iter", 0, None),
+                 ("repr", 0, None), ("arity_part", 0, 3), ("len", 0, None)]))
+def test_operation_class_reads_like_the_reference(case):
+    """Every read of the class returns what the per-arity class returns:
+    equal operations, in the canonical order."""
+    k, k_out, steps = case
+    got = [OperationClass(k, k_out), OperationClass(k, k_out)]
+    want = [RefOperationClass(k, k_out), RefOperationClass(k, k_out)]
+    for step, i, arg in steps:
+        result = _class_read(got[i], got[1 - i], step, arg)
+        assert result == _class_read(want[i], want[1 - i], step, arg), step
+        if step in ("iter", "arity_part"):
+            assert all(type(f) is Operation for f in result)
+    for cls_, ref in zip(got, want):
+        assert list(cls_) == list(ref)

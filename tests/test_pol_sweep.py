@@ -5,13 +5,15 @@ The oracles are the earlier bodies: a sweep over every table, keeping
 the operations for which ``satisfies_constraint`` (``satisfies_cluster``)
 holds on every constraint (cluster) in turn.  The compiled sweeps must
 return the same class, or refuse with the same error, on randomized
-families.
+families; ``c_pol``'s compile takes the member and split counts that
+``_compile_counts`` derives from the reference member walk.
 """
 
 import random
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from galois_kit import (
     BoxedGenerator,
@@ -26,6 +28,7 @@ from galois_kit import (
     all_operations,
     c_pol,
     cl_inv,
+    close_composition,
     empty_cluster,
     enumerate_matrices_leq,
     f_pol,
@@ -33,12 +36,15 @@ from galois_kit import (
     order_cluster,
     satisfies_cluster,
     satisfies_constraint,
+    trivial_cluster,
     trivial_constraint,
 )
 from galois_kit import galois
 from galois_kit.errors import DEFAULT_BUDGET
 from galois_kit.extnat import INF
 from galois_kit.verify import _monotone_ops
+from multiset_oracles import recursive_ordered_selections
+from test_kernels import ref_enumerate_cluster_members
 
 
 def ref_f_pol(constraints, cfg):
@@ -239,6 +245,21 @@ def _support_tuples(cluster):
     return sum(k ** m * m for g in cluster.generators if g.box.default and g.cap >= 1)
 
 
+def _compile_counts(family, cfg, reached, answered):
+    """The "cluster members" and "cluster splits" steps of ``c_pol``'s
+    compile: each reached cluster over the configured domain lists its
+    members at the breadth cap once, and, unless a cluster over another
+    alphabet was reached, each member S is split at every arity
+    n <= n_max into its ordered selections of n columns."""
+    listed = [ref_enumerate_cluster_members(family[j], cfg.breadth) for j in sorted(reached)
+              if family[j].domain_size == cfg.domain_size]
+    splits = sum(
+        sum(1 for _ in recursive_ordered_selections(s.support(), s.multiplicity, n, {}))
+        for members in listed for s in members for n in range(1, cfg.n_max + 1)
+        if s.cardinality >= n)
+    return {"cluster members": sum(map(len, listed)), "cluster splits": splits if answered else 0}
+
+
 def test_compiled_c_pol_matches_reference_sweep():
     rng = random.Random(1717)
     seen = {"breadth": 0, "alphabet": 0, "every table": 0, "proper": 0}
@@ -248,8 +269,10 @@ def test_compiled_c_pol_matches_reference_sweep():
         want, want_done = _metered_outcome(ref_c_pol, family, cfg, reached)
         got, got_done = _metered_outcome(c_pol, family, cfg)
         assert got == want
-        for phase in ("operation tables", "cluster members", "cluster splits"):
-            assert got_done.get(phase, 0) == want_done.get(phase, 0), phase
+        assert got_done.get("operation tables", 0) == want_done.get("operation tables", 0)
+        counts = _compile_counts(family, cfg, reached, not isinstance(want, tuple))
+        for phase, steps in counts.items():
+            assert got_done.get(phase, 0) == steps, phase
         # one compile per reached cluster; one over another alphabet
         # raises first
         assert got_done.get("support tuples", 0) == sum(
@@ -262,3 +285,112 @@ def test_compiled_c_pol_matches_reference_sweep():
             seen["every table" if len(want) == every else "proper"] += 1
     assert min(seen.values()) >= 15, seen
 
+
+
+# --- the compile of c_pol against the reference sweep, as a property ---
+
+CAPS = st.sampled_from([0, 1, 2, 3, INF])
+
+
+@st.composite
+def boxes(draw, m, k):
+    """A repetition function over k^m, its default 0 or positive."""
+    space = list(product(range(k), repeat=m))
+    exceptions = draw(st.dictionaries(st.sampled_from(space), st.sampled_from([0, 1, 2, 3, INF]),
+                                      max_size=4))
+    return RepetitionFunction(m, k, draw(st.sampled_from([0, 0, 1, 2, INF])), exceptions)
+
+
+@st.composite
+def random_clusters(draw, k):
+    kind = draw(st.sampled_from(["boxed", "boxed", "boxed", "order", "empty", "trivial",
+                                 "cl_inv"]))
+    if kind == "order":
+        chain = {(a, b) for a in range(k) for b in range(k) if a <= b}
+        return order_cluster(draw(st.sampled_from([chain, {(a, a) for a in range(k)}])), k)
+    if kind == "empty":
+        return empty_cluster(draw(st.integers(1, 2)), k)
+    if kind == "trivial":
+        return trivial_cluster(draw(st.integers(1, 2)), draw(st.integers(0, 3)), k)
+    if kind == "cl_inv":
+        unary = list(all_operations(k, 1))
+        members = draw(st.lists(st.sampled_from(unary), min_size=1, max_size=3))
+        cfg = GaloisConfig(k, n_max=2 if k == 2 else 1, m_max=1, breadth=2)
+        return draw(st.sampled_from(cl_inv(OperationClass(k, members=members), cfg)))
+    m = draw(st.integers(1, 3 if k == 2 else 2))
+    gens = draw(st.lists(st.builds(BoxedGenerator, boxes(m, k), CAPS), max_size=3))
+    return Cluster(m, k, frozenset(gens))
+
+
+@st.composite
+def cluster_families(draw):
+    """A family of 1 to 3 clusters over k = 2 or 3, now and then one over
+    the other alphabet, and a config whose breadth may pass n_max by up
+    to 2 or fall below it."""
+    k = draw(st.sampled_from([2, 3]))
+    n_max = draw(st.integers(1, 2)) if k == 2 else 1
+    family = draw(st.lists(random_clusters(k), min_size=1, max_size=3))
+    if draw(st.integers(0, 9)) == 0:
+        family.insert(draw(st.integers(0, len(family))), draw(random_clusters(5 - k)))
+    breadth = draw(st.integers(max(n_max - 1, 1), n_max + (2 if k == 2 else 1)))
+    return family, GaloisConfig(k, n_max=n_max, m_max=1, breadth=breadth)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cluster_families())
+@example(([Cluster(1, 2, frozenset({BoxedGenerator(RepetitionFunction(1, 2, 0, {(0,): 1}), 1)}))],
+          GaloisConfig(2, n_max=1, m_max=1, breadth=1)))
+@example(([order_cluster({(0, 0), (0, 1), (1, 1)}, 2), trivial_cluster(2, 0, 2)],
+          GaloisConfig(2, n_max=2, m_max=1, breadth=3)))
+# M2 may hold two copies of (0, 0), which the cap-3 box allows once
+@example(([Cluster(2, 2, frozenset({
+    BoxedGenerator(RepetitionFunction(2, 2, 2, {(1, 0): 0, (1, 1): 0}), INF),
+    BoxedGenerator(RepetitionFunction(2, 2, 2, {(0, 0): 1}), 3)}))],
+    GaloisConfig(2, n_max=2, m_max=1, breadth=4)))
+def test_compiled_c_pol_matches_reference_on_random_families(case):
+    family, cfg = case
+    assert _outcome(c_pol, family, cfg) == _outcome(ref_c_pol, family, cfg)
+
+
+# --- budgets -------------------------------------------------------------
+
+@pytest.mark.parametrize("phase", ["cluster members", "cluster splits"])
+def test_c_pol_compile_refuses_before_the_sweep(phase):
+    # 185 members and 1,050 splits at breadth 3, past the 72 tables
+    family = [order_cluster({(0, 0), (0, 1), (1, 1)}, 2)]
+    cfg = GaloisConfig(2, n_max=2, m_max=1, breadth=3)
+    with Meter() as meter:
+        c_pol(family, cfg)
+    budget = meter.done[phase] - 1
+    assert meter.done["operation tables"] <= budget
+    if phase == "cluster splits":
+        assert meter.done["cluster members"] <= budget
+    with pytest.raises(BudgetExceededError) as info, Meter(budget) as meter:
+        c_pol(family, cfg)
+    assert (info.value.phase, info.value.done) == (phase, budget + 1)
+    assert "sweep tests" not in meter.done
+
+
+def test_c_pol_sweep_refuses_in_its_own_phase():
+    cfg = GaloisConfig(2, n_max=3, m_max=1, breadth=3)
+    family = cl_inv(OperationClass(2, members=_monotone_ops(2)), cfg)
+    with Meter() as meter:
+        c_pol(family, cfg)
+    tests = meter.done.pop("sweep tests")
+    budget = tests - 1
+    assert max(meter.done.values()) <= budget  # every other phase fits
+    with pytest.raises(BudgetExceededError) as info, Meter(budget):
+        c_pol(family, cfg)
+    assert info.value.phase == "sweep tests"
+    assert budget < info.value.done <= tests
+
+
+def test_monotone_cluster_frontier_answers_at_the_default_budget():
+    # c_pol(cl_inv(mono)) at n_max=4: the Pol-Inv theorem for clusters
+    # gives the composition closure, 65,536 4-ary candidate tables
+    mono = OperationClass(2, members=_monotone_ops(2))
+    cfg = GaloisConfig(2, n_max=4, m_max=1, breadth=4)
+    with Meter(DEFAULT_BUDGET):
+        got = c_pol(cl_inv(mono, cfg), cfg)
+    assert got == close_composition(mono, 4)
+    assert {n: len(got.arity_part(n)) for n in got.arities()} == {1: 3, 2: 6, 3: 19, 4: 102}

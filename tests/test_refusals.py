@@ -274,6 +274,13 @@ LIBRARY = [
      "operation domain/codomain mismatch with class"),
     ("closure-cap", lambda: close_perm_dummy(OperationClass(2, members=[AND]), 1),
      "arity cap below an existing member arity"),
+    # a negative cap is refused as such, whether or not the class has members
+    ("perm-dummy-negative-cap", lambda: close_perm_dummy(OperationClass(2), -1),
+     "arity cap must be nonnegative, not -1"),
+    ("composition-negative-cap", lambda: close_composition(OperationClass(2), -1),
+     "arity cap must be nonnegative, not -1"),
+    ("composition-zero-cap", lambda: close_composition(OperationClass(2), 0),
+     "invalid arity cap"),
     ("linear-fixture-prime", lambda: linear_class_fixture(4, 3, 2),
      "k=4 must be prime for field arithmetic"),
     ("linear-fixture-p", lambda: linear_class_fixture(3, 1, 2), "p must be at least 2"),
