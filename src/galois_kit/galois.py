@@ -8,6 +8,7 @@ the function being excluded.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb, prod
 from operator import attrgetter
@@ -16,7 +17,7 @@ from .errors import GaloisKitError, Meter, NotSeparableError, _current_meter
 from .operations import (
     OperationClass, _gather, _source_ranks, all_operations, close_composition, close_perm_dummy,
 )
-from .multisets import FiniteMultiset, _counts, _matrices, _set_partitions, apply_op_rows
+from .multisets import FiniteMultiset, _counts, _rank_vectors, _set_partitions, apply_op_rows
 from .repetition import RepetitionFunction
 from .constraints import GeneralizedConstraint, _check_alphabets
 from .clusters import (
@@ -67,20 +68,32 @@ def class_image(cls_, m):
     )
 
 
+@lru_cache(maxsize=4096)
+def _antecedent(k, n, ranks):
+    """chi_M for the matrix M of the n-tuples over domain size k at these
+    ranks, in order: the multiset of M's columns.
+
+    Column j of M is the table of the projection x_j read at the ranks.
+    chi_M depends on no class, so every ``gc_inv`` at one configuration
+    shares these objects, and with them the rank vectors ``f_pol``
+    compiles into each (see ``multisets._rank_vectors``); only the most
+    recent 4,096 are kept.
+    """
+    # x_j's table holds digit j of each rank, leftmost most significant
+    columns = [tuple([r // k ** (n - 1 - j) % k for r in ranks]) for j in range(n)]
+    return RepetitionFunction.from_counts(len(ranks), k, _counts(columns))
+
+
 def _invariant_constraint(tables, k, n, ranks, codomain_size):
     """The constraint (chi_M, C M) of the matrix M of the n-tuples over
     domain size k at these ranks, in order, for the class whose n-ary
     members have these tables.
 
-    Column j of M is the table of the projection x_j read at the ranks,
-    and f M is f's table read there.  Every member of a class closed
+    f M is f's table read at the ranks.  Every member of a class closed
     under permutation and dummy variables satisfies the constraint.
     """
-    # x_j's table holds digit j of each rank, leftmost most significant
-    columns = [tuple([r // k ** (n - 1 - j) % k for r in ranks]) for j in range(n)]
-    chi = RepetitionFunction.from_counts(len(ranks), k, _counts(columns))
     image = frozenset(_gather(t, ranks) for t in tables)
-    return GeneralizedConstraint(chi, image, codomain_size)
+    return GeneralizedConstraint(_antecedent(k, n, ranks), image, codomain_size)
 
 
 def _check_config_domain(cls_, cfg):
@@ -102,7 +115,8 @@ def gc_inv(cls_, cfg):
     emitted constraint satisfied by every member; its tables of each
     width are read once.  The C(k^n, m) matrices of each width and row
     count are charged up front, so an oversized request builds none of
-    them.
+    them.  The antecedents come from ``_antecedent``, so calls at one
+    configuration return the same antecedent objects.
     """
     _check_config_domain(cls_, cfg)
     k = cls_.domain_size
@@ -156,19 +170,24 @@ def _satisfying_tables(constraints, cfg):
     """Every table of arity <= n_max satisfying all the constraints, as
     (arity, table), in order of arity and then of table.
 
-    At each arity n the tests of every constraint are read once and
-    merged by rank vector: one test per distinct rank vector, allowing
-    the intersection of the consequents that share it, and the tables
-    are swept through the merged tests.
+    The constraints are merged by antecedent first, allowing the
+    intersection of the consequents that share one.  At each arity n the
+    rank vectors of every distinct antecedent are read once and merged:
+    one test per distinct rank vector, allowing the intersection of the
+    consequents that reach it, and the tables are swept through the
+    merged tests.
     """
     k, k_out = cfg.domain_size, cfg.codomain_size
+    consequents = {}  # antecedent -> the tuples every constraint on it allows
+    for c in constraints:
+        allowed = consequents.get(c.antecedent)
+        consequents[c.antecedent] = c.consequent if allowed is None else allowed & c.consequent
     for n in range(1, cfg.n_max + 1):
         merged = {}  # rank vector -> the tuples every constraint allows there
-        for c in constraints:
-            for _, _, ranks in _matrices(c.antecedent, n):
-                ranks = tuple([*ranks])  # sized exactly: it is kept
-                allowed = merged.get(ranks)
-                merged[ranks] = c.consequent if allowed is None else allowed & c.consequent
+        for phi, allowed in consequents.items():
+            for ranks in _rank_vectors(phi, n):
+                before = merged.get(ranks)
+                merged[ranks] = allowed if before is None else before & allowed
         for table in _sweep(merged, product(range(k_out), repeat=k ** n), k_out):
             yield n, table
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import islice
 from operator import add
 
-from .errors import GaloisKitError, _check_int, _current_meter
+from .errors import GaloisKitError, Meter, _check_int, _current_meter
 from .extnat import INF
 from .operations import _gather
 
@@ -311,6 +311,35 @@ def _matrices(phi, n):
     finally:
         if taken:
             meter.charge(phase, taken)
+
+
+def _rank_vectors(phi, n):
+    """The row ranks of every n-column matrix M < phi, in ``_matrices``
+    order, each as a tuple.
+
+    The first read streams ``_matrices`` under the open meter and keeps,
+    in phi, by width, one flat tuple: the "support tuples" and
+    "constraint matrices" steps the stream charged, then the ranks.  A
+    later read charges those steps if both fit the budget; if one does
+    not, it streams again, so it refuses as the first read would: in the
+    same phase, at the same count.
+    """
+    phases = ("support tuples", "constraint matrices")  # what _matrices charges
+    with Meter() as meter:
+        done, kept = meter.done, phi._ranks and phi._ranks.get(n)
+        if kept and all(done.get(p, 0) + s <= meter.budget for p, s in zip(phases, kept)):
+            for p, s in zip(phases, kept):
+                if s:  # a phase the stream never charged stays out of meter.done
+                    meter.charge(p, s)
+        else:
+            before = [done.get(p, 0) for p in phases]
+            ranks = [r for _, _, ranks in _matrices(phi, n) for r in ranks]
+            kept = (*[done.get(p, 0) - b for p, b in zip(phases, before)], *ranks)
+            if phi._ranks is None:
+                phi._ranks = {}
+            phi._ranks[n] = kept
+    ranks = islice(kept, 2, None)
+    return zip(*[ranks] * phi.arity)
 
 
 def _split_selections(shape, n):

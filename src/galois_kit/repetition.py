@@ -18,7 +18,8 @@ __all__ = ["RepetitionFunction", "rf_leq"]
 
 class RepetitionFunction:
 
-    __slots__ = ("arity", "domain_size", "default", "exceptions", "_key")
+    # _ranks: None, or width -> what ``multisets._rank_vectors`` compiled
+    __slots__ = ("arity", "domain_size", "default", "exceptions", "_key", "_ranks")
 
     def __init__(self, arity, domain_size, default=0, exceptions=None):
         _check_int("arity", arity)
@@ -60,6 +61,7 @@ class RepetitionFunction:
         self.default = default
         self.exceptions = exceptions
         self._key = (arity, domain_size, default, frozenset(exceptions.items()))
+        self._ranks = None
 
     @classmethod
     def constant(cls, arity, domain_size, value):

@@ -1,5 +1,8 @@
+import subprocess
+import sys
+from itertools import combinations, product
+
 import pytest
-from itertools import product
 
 from galois_kit import (
     BudgetExceededError,
@@ -35,6 +38,7 @@ from galois_kit import (
     trivial_constraint,
 )
 from galois_kit.errors import DEFAULT_BUDGET, Meter, NotSeparableError
+from galois_kit import galois
 from galois_kit.galois import _inv_cluster_for_arity
 from galois_kit.verify import _monotone_ops
 
@@ -318,3 +322,44 @@ def test_not_separable_error_is_exported():
     assert galois_kit.NotSeparableError is galois_kit.errors.NotSeparableError
     with pytest.raises(galois_kit.NotSeparableError):
         separating_constraint(projections2(), projection(2, 1, 2))
+
+
+class TestAntecedentMemo:
+    """gc_inv's antecedents come from one memo keyed by (k, n, ranks)."""
+
+    def test_classes_share_antecedents_and_keep_their_consequents(self):
+        cfg = GaloisConfig(2, n_max=2, m_max=3, breadth=2)
+        mono, proj = gc_inv(monotone_ops(), cfg), gc_inv(projections2(), cfg)
+        assert len(mono) == len(proj)
+        assert all(a.antecedent is b.antecedent for a, b in zip(mono, proj))
+        assert [c.consequent for c in mono] != [c.consequent for c in proj]
+        galois._antecedent.cache_clear()
+        fresh_mono, fresh_proj = gc_inv(monotone_ops(), cfg), gc_inv(projections2(), cfg)
+        assert not any(a.antecedent is b.antecedent for a, b in zip(mono, fresh_mono))
+        assert (mono, proj) == (fresh_mono, fresh_proj)
+
+    def test_the_memo_keeps_at_most_4096_antecedents(self):
+        galois._antecedent.cache_clear()
+        # 5,488 matrices of width 5 alone
+        got = gc_inv(projections2(), GaloisConfig(2, n_max=5, m_max=3, breadth=5))
+        info = galois._antecedent.cache_info()
+        assert info.misses == len(got) > 4096
+        assert info.currsize == info.maxsize == 4096
+
+    def test_the_memo_holds_only_the_antecedents(self):
+        galois._antecedent.cache_clear()
+        got = gc_inv(monotone_ops(), GaloisConfig(2, n_max=3, m_max=2, breadth=3))
+        keys = [(2, n, ranks) for n in (1, 2, 3) for m in (1, 2)
+                for ranks in combinations(range(2 ** n), m)]
+        info = galois._antecedent.cache_info()
+        assert info.currsize == len(keys) == len(got)
+        # each entry is the antecedent of the constraint built at its key
+        assert all(galois._antecedent(*key) is c.antecedent for key, c in zip(keys, got))
+        assert all(type(c.antecedent) is RepetitionFunction for c in got)
+        assert galois._antecedent.cache_info().hits == info.hits + len(keys)
+
+    def test_the_memo_is_empty_at_import(self):
+        code = "import galois_kit.galois as g; print(g._antecedent.cache_info().currsize)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True).stdout
+        assert out == "0\n"

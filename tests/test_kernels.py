@@ -80,7 +80,7 @@ from galois_kit.errors import DEFAULT_BUDGET, Meter, NotSeparableError, _current
 UNLIMITED = float("inf")
 from galois_kit.minors import default_col_cap, skolem_maps
 from galois_kit.multisets import (
-    _compiled, _matrices, _split_orders, _split_selections,
+    _compiled, _matrices, _rank_vectors, _split_orders, _split_selections,
 )
 from multiset_oracles import (
     bounded_multisets,
@@ -495,13 +495,19 @@ def test_constraint_tests_are_the_matrices_in_order_with_their_row_ranks():
         n = rng.randint(1, 3)
         m = rng.randint(1, 3 if k == 2 else 2)
         phi = _random_rf(rng, m, k, positive_default=rng.random() < 0.2)
-        with Meter(UNLIMITED):
+        with Meter(UNLIMITED) as stream_meter:
             tests = list(_matrices(phi, n))
+        with Meter(UNLIMITED):
             want = list(enumerate_matrices_leq(phi, n))
         assert [TupleMatrix(m, (*prefix, col)) for prefix, col, _ in tests] == want
-        assert [list(ranks) for _, _, ranks in tests] == [
-            [sum(x * k ** (n - 1 - j) for j, x in enumerate(row)) for row in matrix.rows()]
+        want_ranks = [
+            tuple(sum(x * k ** (n - 1 - j) for j, x in enumerate(row)) for row in matrix.rows())
             for matrix in want]
+        assert [tuple(ranks) for _, _, ranks in tests] == want_ranks
+        for _ in ("cold", "warm"):  # the warm read charges what the stream charged
+            with Meter(UNLIMITED) as meter:
+                assert list(_rank_vectors(phi, n)) == want_ranks
+            assert meter.done == stream_meter.done
 
 
 def _cluster_cases(rng):

@@ -120,13 +120,26 @@ def _random_case(rng):
     return family, GaloisConfig(k, n_max=n_max, m_max=3, breadth=n_max, codomain_size=k_out)
 
 
+def _forget_compiles(family):
+    """Drop the rank vectors compiled into the family's antecedents, so
+    the next ``f_pol`` on it compiles them cold."""
+    galois._antecedent.cache_clear()
+    for c in family:
+        c.antecedent._ranks = None
+
+
 def test_compiled_sweep_matches_reference_sweep():
     rng = random.Random(9001)
     seen = {"error": 0, "empty": 0, "members": 0}
     for _ in range(300):
         family, cfg = _random_case(rng)
         want = _outcome(ref_f_pol, family, cfg)
-        assert _outcome(f_pol, family, cfg) == want
+        # cold, then warm: the second run reads the rank vectors the first compiled
+        _forget_compiles(family)
+        cold, cold_done = _metered_outcome(f_pol, family, cfg)
+        warm, warm_done = _metered_outcome(f_pol, family, cfg)
+        assert cold == warm == want
+        assert warm_done == cold_done
         if isinstance(want, tuple):
             seen["error"] += 1
         else:
@@ -134,7 +147,7 @@ def test_compiled_sweep_matches_reference_sweep():
     assert min(seen.values()) >= 20, seen
 
 
-@pytest.mark.parametrize("first", ["mismatched", "rejects all"])
+@pytest.mark.parametrize("first", ["mismatched", "rejects all", "shared antecedent"])
 def test_mismatched_constraint_is_reached_only_past_the_ones_before(first):
     # the reference checks a constraint's alphabet only on a table that
     # satisfies every constraint before it
@@ -142,11 +155,19 @@ def test_mismatched_constraint_is_reached_only_past_the_ones_before(first):
     rejects_all = GeneralizedConstraint(trivial_constraint(1, 2).antecedent, (), 2)
     mismatched = trivial_constraint(1, 3)
     family = [mismatched, rejects_all] if first == "mismatched" else [rejects_all, mismatched]
+    if first == "shared antecedent":
+        # an earlier constraint's antecedent, its consequent over another
+        # codomain: it is refused, never merged into the earlier one
+        allows_all = trivial_constraint(1, 2)
+        family = [allows_all, GeneralizedConstraint(allows_all.antecedent, (), 3)]
     want = _outcome(ref_f_pol, family, cfg)
     assert _outcome(f_pol, family, cfg) == want
     if first == "mismatched":
         assert want == ("GaloisKitError",
                         "operation domain does not match the antecedent domain")
+    elif first == "shared antecedent":
+        assert want == ("GaloisKitError",
+                        "operation codomain does not match the consequent alphabet")
     else:
         assert want == OperationClass(2)
 
@@ -158,15 +179,69 @@ def test_tables_are_charged_before_the_alphabets_are_checked():
     assert info.value.phase == "operation tables"
 
 
-def test_each_constraint_is_compiled_once_per_arity():
+def _repeated_antecedents():
+    """Six constraints on four distinct antecedents: two more consequents,
+    one on an earlier antecedent object and one on an equal copy."""
     rng = random.Random(17)
     family = [_random_constraint(rng, 2, 2, 2) for _ in range(4)]
+    phi = family[1].antecedent
+    family.append(_random_constraint(rng, 2, 2, 2, family[0].antecedent))
+    family.append(_random_constraint(rng, 2, 2, 2, RepetitionFunction(
+        phi.arity, phi.domain_size, phi.default, phi.exceptions)))
+    return family
+
+
+@pytest.mark.parametrize("kind", ["repeated antecedents", "gc_inv(mono)"])
+def test_each_antecedent_is_compiled_once_per_arity(kind):
     cfg = GaloisConfig(2, n_max=3, m_max=2, breadth=3)
+    if kind == "gc_inv(mono)":
+        family = gc_inv(OperationClass(2, members=_monotone_ops(2)), cfg)
+    else:
+        family = _repeated_antecedents()
+    distinct = set(c.antecedent for c in family)
+    assert len(distinct) < len(family)
+    for cold in (True, False):
+        if cold:
+            _forget_compiles(family)
+        with Meter() as meter:
+            f_pol(family, cfg)
+        assert meter.done.get("constraint matrices", 0) == sum(
+            len(list(enumerate_matrices_leq(phi, n))) for phi in distinct for n in range(1, 4))
+        # a positive default lists the k^m tuples of m entries, once per arity
+        assert meter.done.get("support tuples", 0) == 3 * sum(
+            phi.arity * 2 ** phi.arity for phi in distinct if phi.default)
+
+
+def _refusal(family, cfg, budget):
+    with Meter(budget) as meter:
+        try:
+            f_pol(family, cfg)
+        except BudgetExceededError as e:
+            return (e.phase, e.done, e.budget), meter.done
+    return None, meter.done
+
+
+def test_warm_compile_refuses_as_the_cold_one_at_every_budget():
+    # positive defaults: 24 support tuples and 8 or 63 matrices per
+    # antecedent and arity, so budgets past the 72 operation tables
+    # refuse mid-compile in both compile phases
+    family = [GeneralizedConstraint(RepetitionFunction(3, 2, INF, {t: 1}),
+                                    product(range(2), repeat=3), 2)
+              for t in [(0, 0, 0), (0, 1, 1), (1, 1, 0)]]
+    cfg = GaloisConfig(2, n_max=2, m_max=3, breadth=2)
+    _forget_compiles(family)
     with Meter() as meter:
         f_pol(family, cfg)
-    assert meter.done.get("constraint matrices", 0) == sum(
-        len(list(enumerate_matrices_leq(c.antecedent, n)))
-        for c in family for n in range(1, 4))
+    phases = set()
+    for budget in range(meter.done["operation tables"], meter.done["constraint matrices"] + 1):
+        _forget_compiles(family)
+        cold = _refusal(family, cfg, budget)
+        # warm: past the cold call's refusal, then with every arity kept
+        assert _refusal(family, cfg, budget) == cold, budget
+        _outcome(f_pol, family, cfg)
+        assert _refusal(family, cfg, budget) == cold, budget
+        phases.add(cold[0] and cold[0][0])
+    assert {"support tuples", "constraint matrices"} <= phases, phases
 
 
 def test_sweep_refuses_in_its_own_phase():
