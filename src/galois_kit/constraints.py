@@ -9,7 +9,7 @@ and is guarded by a work budget.
 
 from dataclasses import dataclass
 
-from .errors import GaloisKitError, Meter, _check_int
+from .errors import GaloisKitError, Meter, _check_entries, _check_int
 from .extnat import INF
 from .multisets import TupleMatrix, _matrices, columns_multiset
 from .repetition import RepetitionFunction, rf_leq
@@ -41,6 +41,7 @@ class GeneralizedConstraint:
         _check_int("codomain size", self.codomain_size, positive=True)
         consequent = frozenset(map(tuple, self.consequent))
         object.__setattr__(self, "consequent", consequent)
+        _check_entries("consequent tuple", consequent)
         m, k_out = self.antecedent.arity, self.codomain_size
         for t in consequent:
             if len(t) != m:

@@ -104,6 +104,15 @@ def _check_int(name, value, positive=False):
         raise GaloisKitError(f"{name} must be positive: an int, not {value!r}")
 
 
+def _check_entries(what, tuples):
+    """Refuse, naming it, the first of the tuples with an entry that is not
+    an int.  A bool is one: tables built from comparisons hold bools."""
+    for t in tuples:
+        for x in t:
+            if not isinstance(x, int):
+                raise GaloisKitError(f"{what} {tuple(t)!r}: entry {x!r} is not an int")
+
+
 def _current_meter():
     """The open meter, or a new one at the default budget."""
     return _OPEN.get() or Meter()

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, prod
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .errors import GaloisKitError, Meter, NotSeparableError, _current_meter
 from .operations import (
@@ -21,7 +21,7 @@ from .multisets import FiniteMultiset, _counts, _rank_vectors, _set_partitions, 
 from .repetition import RepetitionFunction
 from .constraints import GeneralizedConstraint, _check_alphabets
 from .clusters import (
-    _Scaled, _antichain_cluster, _cluster_tests, _compiled_cluster, _members, _share,
+    _Excluding, _Scaled, _antichain_cluster, _cluster_tests, _compiled_cluster, _members, _share,
     cluster_member, satisfies_cluster,
 )
 
@@ -144,6 +144,12 @@ def _charge_tables(meter, cfg, codomain_size):
         meter.charge_power("operation tables", codomain_size, k_n, k_n)
 
 
+def _unwrapped(allowed):
+    """The entries of an allowed set of 1-tuples, a complement kept as one."""
+    entries = [x for x, in allowed]
+    return _Excluding(entries) if type(allowed) is _Excluding else frozenset(entries)
+
+
 def _sweep(tests, tables, k_out):
     """The tables meeting every test: ``tests`` maps a rank vector to the
     image tuples allowed there, a table's image being its entries at the
@@ -152,13 +158,17 @@ def _sweep(tests, tables, k_out):
     Each table meets the tests most restrictive first (the smallest share
     of the k_out^m tuples allowed, ties by rank vector), so a rejected
     table usually fails its first few; each test evaluated is a "sweep
-    tests" step.
+    tests" step.  A test is read as one ``itemgetter`` of its ranks; on
+    one rank that gives the bare entry, so the allowed 1-tuples are
+    unwrapped to their entries.
     """
-    tests = sorted(tests.items(), key=lambda t: (_share(t[1], k_out ** len(t[0])), t[0]))
+    order = sorted(tests.items(), key=lambda t: (_share(t[1], k_out ** len(t[0])), t[0]))
+    tests = [(itemgetter(*ranks), allowed if len(ranks) > 1 else _unwrapped(allowed))
+             for ranks, allowed in order]
     meter = _current_meter()
     for table in tables:
-        for i, (ranks, allowed) in enumerate(tests):
-            if tuple([table[r] for r in ranks]) not in allowed:
+        for i, (get, allowed) in enumerate(tests):
+            if get(table) not in allowed:
                 meter.charge("sweep tests", i + 1)
                 break
         else:

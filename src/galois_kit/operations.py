@@ -11,7 +11,7 @@ substitution into the first argument.
 from dataclasses import dataclass
 from itertools import chain, permutations, product
 
-from .errors import GaloisKitError, _check_int, _current_meter
+from .errors import GaloisKitError, _check_entries, _check_int, _current_meter
 from .extnat import power_upto
 
 __all__ = [
@@ -53,6 +53,7 @@ class Operation:
             raise GaloisKitError(
                 f"table length {len(table)} != {self.domain_size}^{self.arity}"
             )
+        _check_entries("table", (table,))
         if min(table) < 0 or max(table) >= self.codomain_size:
             raise GaloisKitError("table entry out of codomain range")
         object.__setattr__(self, "table", tuple(table))
@@ -310,13 +311,26 @@ def _table(code, k_out, length):
 
 
 def all_operations(k, arity, codomain_size=None):
-    """All operations of the given arity over domain size k, canonical order."""
+    """All operations of the given arity over domain size k, canonical order.
+
+    Once the sizes are checked, every table of ``product`` is valid by
+    construction: k^arity int entries in range.  So each ``Operation``
+    is built without running its checks again, the one place in the
+    package that skips the checked constructor, and a candidate that
+    ``c_pol`` sweeps costs a bare object.
+    """
     k_out = codomain_size if codomain_size is not None else k
     _check_int("domain size", k, positive=True)
     _check_int("codomain size", k_out, positive=True)
     _check_int("arity", arity, positive=True)
+    new, put = object.__new__, object.__setattr__
     for table in product(range(k_out), repeat=k ** arity):
-        yield Operation(k, k_out, arity, table)
+        op = new(Operation)
+        put(op, "domain_size", k)
+        put(op, "codomain_size", k_out)
+        put(op, "arity", arity)
+        put(op, "table", table)
+        yield op
 
 
 def _check_arity_cap(arity_cap):

@@ -10,7 +10,7 @@ re-derived, so structural equality coincides with pointwise equality.
 
 from itertools import product
 
-from .errors import GaloisKitError, _check_int, _current_meter
+from .errors import GaloisKitError, _check_entries, _check_int, _current_meter
 from .extnat import INF, is_extnat, power_upto
 
 __all__ = ["RepetitionFunction", "rf_leq"]
@@ -18,8 +18,9 @@ __all__ = ["RepetitionFunction", "rf_leq"]
 
 class RepetitionFunction:
 
-    # _ranks: None, or width -> what ``multisets._rank_vectors`` compiled
-    __slots__ = ("arity", "domain_size", "default", "exceptions", "_key", "_ranks")
+    # _hash: None until first hashed; _ranks: None, or width -> what
+    # ``multisets._rank_vectors`` compiled
+    __slots__ = ("arity", "domain_size", "default", "exceptions", "_hash", "_ranks")
 
     def __init__(self, arity, domain_size, default=0, exceptions=None):
         _check_int("arity", arity)
@@ -29,6 +30,7 @@ class RepetitionFunction:
         if not is_extnat(default):
             raise GaloisKitError(f"invalid default value {default!r}")
         exceptions = dict(exceptions or {})
+        _check_entries("exception key", exceptions)
         for t, v in exceptions.items():
             if len(t) != arity or min(t) < 0 or max(t) >= domain_size:
                 raise GaloisKitError(f"invalid exception key {t!r}")
@@ -60,7 +62,7 @@ class RepetitionFunction:
         self.domain_size = domain_size
         self.default = default
         self.exceptions = exceptions
-        self._key = (arity, domain_size, default, frozenset(exceptions.items()))
+        self._hash = None
         self._ranks = None
 
     @classmethod
@@ -119,10 +121,14 @@ class RepetitionFunction:
     def __eq__(self, other):
         if not isinstance(other, RepetitionFunction):
             return NotImplemented
-        return self._key == other._key
+        return (self.arity == other.arity and self.domain_size == other.domain_size
+                and self.default == other.default and self.exceptions == other.exceptions)
 
     def __hash__(self):
-        return hash(self._key)
+        if self._hash is None:
+            self._hash = hash((self.arity, self.domain_size, self.default,
+                               frozenset(self.exceptions.items())))
+        return self._hash
 
     def __repr__(self):
         exc = {t: v for t, v in sorted(self.exceptions.items())}

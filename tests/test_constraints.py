@@ -94,6 +94,31 @@ class TestRepetitionFunctionCanonical:
         assert RepetitionFunction(10**8, 3, 0).total() == 0
 
 
+def old_key(phi):
+    """The key a repetition function was once stored with, and hashed and
+    compared by."""
+    return phi.arity, phi.domain_size, phi.default, frozenset(phi.exceptions.items())
+
+
+@st.composite
+def few_tuple_rfs(draw):
+    """Repetition functions over tuple spaces of at most 4 tuples, so that
+    two draws are often equal, sometimes through different arguments."""
+    m, k = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    values = st.sampled_from([0, 1, INF])
+    keys = st.tuples(*[st.integers(0, k - 1)] * m)
+    return RepetitionFunction(m, k, draw(values), draw(st.dictionaries(keys, values)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=few_tuple_rfs(), b=few_tuple_rfs())
+def test_equality_and_hash_match_the_old_key(a, b):
+    assert (a == b) == (old_key(a) == old_key(b))
+    assert (a != b) == (old_key(a) != old_key(b))
+    assert hash(a) == hash(old_key(a))
+    assert a != old_key(a) and a != 5
+
+
 tuples_k3 = st.tuples(st.integers(0, 2), st.integers(0, 2))
 
 rfs_with_inf = st.builds(

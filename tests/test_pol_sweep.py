@@ -23,6 +23,7 @@ from galois_kit import (
     GaloisKitError,
     GeneralizedConstraint,
     Meter,
+    Operation,
     OperationClass,
     RepetitionFunction,
     all_operations,
@@ -40,7 +41,8 @@ from galois_kit import (
     trivial_constraint,
 )
 from galois_kit import galois
-from galois_kit.errors import DEFAULT_BUDGET
+from galois_kit.clusters import _Excluding, _share
+from galois_kit.errors import DEFAULT_BUDGET, _current_meter
 from galois_kit.extnat import INF
 from galois_kit.verify import _monotone_ops
 from multiset_oracles import recursive_ordered_selections
@@ -469,3 +471,83 @@ def test_monotone_cluster_frontier_answers_at_the_default_budget():
         got = c_pol(cl_inv(mono, cfg), cfg)
     assert got == close_composition(mono, 4)
     assert {n: len(got.arity_part(n)) for n in got.arities()} == {1: 3, 2: 6, 3: 19, 4: 102}
+
+
+# --- the sweep and its candidates against their earlier forms ---
+
+def ref_sweep(tests, tables, k_out):
+    """The tables meeting every test: ``tests`` maps a rank vector to the
+    image tuples allowed there, a table's image being its entries at the
+    ranks.
+
+    Each table meets the tests most restrictive first (the smallest share
+    of the k_out^m tuples allowed, ties by rank vector), so a rejected
+    table usually fails its first few; each test evaluated is a "sweep
+    tests" step.
+    """
+    tests = sorted(tests.items(), key=lambda t: (_share(t[1], k_out ** len(t[0])), t[0]))
+    meter = _current_meter()
+    for table in tables:
+        for i, (ranks, allowed) in enumerate(tests):
+            if tuple([table[r] for r in ranks]) not in allowed:
+                meter.charge("sweep tests", i + 1)
+                break
+        else:
+            meter.charge("sweep tests", len(tests))
+            yield table
+
+
+@st.composite
+def sweep_cases(draw):
+    """(tests, tables, k_out, budget): rank vectors of 1 to 3 ranks,
+    repeats allowed, each allowing a set of images, an empty one
+    included, or every image but a set."""
+    k_out, length = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    vectors = draw(st.lists(st.lists(st.integers(0, length - 1), min_size=1, max_size=3)
+                            .map(tuple), unique=True, max_size=6))
+    tests = {}
+    for ranks in vectors:
+        images = draw(st.frozensets(st.tuples(*[st.integers(0, k_out - 1)] * len(ranks)),
+                                    max_size=k_out ** len(ranks)))
+        tests[ranks] = _Excluding(images) if draw(st.booleans()) else images
+    tables = draw(st.lists(st.tuples(*[st.integers(0, k_out - 1)] * length), max_size=12))
+    return tests, tables, k_out, draw(st.sampled_from([0, 1, 2, 5, 20, INF]))
+
+
+def _swept(sweep, tests, tables, k_out, budget):
+    """The tables a sweep yields, then its refusal as (phase, done,
+    budget) if it refuses, and the steps it charged."""
+    got = []
+    with Meter(budget) as meter:
+        try:
+            got.extend(sweep(dict(tests), iter(tables), k_out))
+        except BudgetExceededError as e:
+            got.append((e.phase, e.done, e.budget))
+    return got, meter.done
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweep_cases())
+@example(({(0,): frozenset({(1,)}), (1, 1): _Excluding({(0, 0)})},
+          [(0, 0), (1, 0), (1, 1)], 2, INF))
+@example(({(0,): _Excluding({(0,)}), (0, 1): frozenset()}, [(0, 1), (1, 1)], 2, 2))
+def test_sweep_matches_reference(case):
+    tests, tables, k_out, budget = case
+    assert (_swept(galois._sweep, tests, tables, k_out, budget)
+            == _swept(ref_sweep, tests, tables, k_out, budget))
+
+
+def field_types(op):
+    """The types of an operation's fields and of its table's entries."""
+    return (type(op.domain_size), type(op.codomain_size), type(op.arity), type(op.table),
+            *map(type, op.table))
+
+
+def test_unchecked_candidates_equal_checked_operations():
+    for k, k_out, n in product(range(1, 4), range(1, 4), range(1, 3)):
+        got = list(all_operations(k, n, k_out))
+        want = [Operation(k, k_out, n, t) for t in product(range(k_out), repeat=k ** n)]
+        assert got == want
+        assert list(map(hash, got)) == list(map(hash, want))
+        assert list(map(repr, got)) == list(map(repr, want))
+        assert list(map(field_types, got)) == list(map(field_types, want))

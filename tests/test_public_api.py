@@ -132,3 +132,27 @@ def test_every_refusal_message_is_mentioned_under_tests():
         if fragment is None or fragment not in text
     ]
     assert unchecked == []
+
+
+# --- one unchecked construction path ------------------------------------
+
+def _new_reads(node, where=None):
+    """(innermost enclosing function, line) of every ``__new__`` read under
+    ``node``: each builds an object without running its checks."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = node.name
+    found = []
+    if isinstance(node, ast.Attribute) and node.attr == "__new__":
+        found.append((where, node.lineno))
+    for child in ast.iter_child_nodes(node):
+        found += _new_reads(child, where)
+    return found
+
+
+def test_only_all_operations_skips_the_checked_constructor():
+    """Its tables come from ``product`` with checked sizes, so they are
+    valid by construction; every other object is built through checks."""
+    reads = [(module, where, line) for module, tree in _trees().items()
+             for where, line in _new_reads(tree)]
+    assert [(module, where) for module, where, _ in reads] == [
+        ("operations.py", "all_operations")], reads

@@ -295,6 +295,15 @@ LIBRARY = [
     ("unknown-suite", lambda: run_suite("x"), "unknown suite 'x'"),
     ("unknown-entity-kind", lambda: Workspace().add("bogus", "x", None),
      "unknown entity kind 'bogus'"),
+    # entries that are not ints, refused where the entity is built
+    ("operation-float-entry", lambda: Operation(2, 2, 1, (1.0, 0.0)),
+     "table (1.0, 0.0): entry 1.0 is not an int"),
+    ("operation-none-entry", lambda: Operation(2, 2, 1, [0, None]),
+     "table (0, None): entry None is not an int"),
+    ("rf-float-key-entry", lambda: RepetitionFunction(1, 2, 0, {(0.5,): 1}),
+     "exception key (0.5,): entry 0.5 is not an int"),
+    ("constraint-float-entry", lambda: GeneralizedConstraint(RF1, frozenset({(0.5,)}), 2),
+     "consequent tuple (0.5,): entry 0.5 is not an int"),
 ]
 
 
@@ -303,6 +312,14 @@ LIBRARY = [
 def test_library_refusal(call, message):
     with pytest.raises(GaloisKitError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_bool_entries_are_ints():
+    """Tables built from comparisons hold bools, and stay accepted."""
+    leq = Operation.from_callable(2, 2, 2, lambda x, y: x <= y)
+    assert leq.table == (1, 1, 0, 1)
+    assert RepetitionFunction(1, 2, 0, {(True,): 1}) == RepetitionFunction(1, 2, 0, {(1,): 1})
+    assert GeneralizedConstraint(RF1, {(False,)}, 2).consequent == {(0,)}
 
 
 # (id, a call given one public size parameter, the others valid)

@@ -142,6 +142,9 @@ def test_parse_workspace_matches_reference(text):
 
 # --- constructors ---
 
+# entries that are not ints, and a bool, which is one
+NON_INTS = st.sampled_from([0.5, 1.0, None, "0", True])
+
 @st.composite
 def rf_arguments(draw):
     """(arity, domain size, default, exceptions): anything in small ranges, or
@@ -154,9 +157,11 @@ def rf_arguments(draw):
         values = st.sampled_from([0, 1, 2, INF])
         return m, k, draw(values), {t: draw(values) for t in keys}
     m, k = draw(st.sampled_from([1, 2, 3, 0, -1])), draw(st.sampled_from([1, 2, 3, 0]))
-    # mostly of the right length, with coordinates in range or just outside it
-    keys = st.one_of(st.lists(st.integers(-1, max(k, 0)), min_size=max(m, 0),
-                              max_size=max(m, 0)),
+    # mostly of the right length, with coordinates in range or just outside
+    # it, and now and then one that is not an int
+    coordinates = st.one_of(st.integers(-1, max(k, 0)), st.integers(-1, max(k, 0)),
+                            st.integers(-1, max(k, 0)), NON_INTS)
+    keys = st.one_of(st.lists(coordinates, min_size=max(m, 0), max_size=max(m, 0)),
                      st.lists(st.integers(-1, 4), max_size=4)).map(tuple)
     values = st.sampled_from([0, 1, 2, INF, -1, True, 1.5, None])
     exceptions = st.one_of(st.none(), st.dictionaries(keys, values, max_size=4))
@@ -164,7 +169,7 @@ def rf_arguments(draw):
 
 
 def rf_fields(phi):
-    return phi.arity, phi.domain_size, phi.default, list(phi.exceptions.items()), phi._key
+    return phi.arity, phi.domain_size, phi.default, list(phi.exceptions.items()), hash(phi)
 
 
 @ORACLE_SETTINGS
@@ -172,6 +177,8 @@ def rf_fields(phi):
 @example(args=(1, 2, 0, {(0,): 1}))  # a tie over half the space, won by the larger value
 @example(args=(1, 2, 1, {(0,): 0}))
 @example(args=(2, 2, 0, {(0, 0): 1, (0, 2): 1}))
+@example(args=(1, 2, 0, {(0.5,): 1}))
+@example(args=(1, 2, 0, {(True,): 1}))
 def test_repetition_function_matches_reference(args):
     assert (outcome(lambda: rf_fields(RepetitionFunction(*args)))
             == outcome(lambda: rf_fields(oracle.RepetitionFunction(*args))))
@@ -185,7 +192,8 @@ def operation_arguments(draw):
     size = max(size + draw(st.sampled_from([0, 0, 0, -1, 1])), 0)
     # mostly in range, so that the range check decides
     values = st.integers(-1, 0) if k_out < 1 else st.one_of(
-        st.integers(0, k_out - 1), st.integers(0, k_out - 1), st.integers(-1, k_out))
+        st.integers(0, k_out - 1), st.integers(0, k_out - 1), st.integers(-1, k_out),
+        st.integers(0, k_out - 1), st.integers(0, k_out - 1), NON_INTS)
     table = draw(st.lists(values, min_size=size, max_size=size))
     return k, k_out, n, draw(st.sampled_from([tuple, list]))(table)
 
@@ -197,6 +205,8 @@ def operation_fields(op):
 @ORACLE_SETTINGS
 @given(args=operation_arguments())
 @example(args=(2, 2, 1, (0, 2)))
+@example(args=(2, 2, 1, (1.0, 0.0)))
+@example(args=(2, 2, 1, (True, False)))
 def test_operation_matches_reference(args):
     assert (outcome(lambda: operation_fields(Operation(*args)))
             == outcome(lambda: operation_fields(oracle.Operation(*args))))
@@ -205,7 +215,8 @@ def test_operation_matches_reference(args):
 @st.composite
 def constraint_arguments(draw):
     m, k, k_out = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 3))
-    tuples = st.lists(st.integers(-1, k_out), min_size=m - 1, max_size=m + 1)
+    entries = st.one_of(st.integers(-1, k_out), st.integers(-1, k_out), NON_INTS)
+    tuples = st.lists(entries, min_size=m - 1, max_size=m + 1)
     consequent = draw(st.lists(st.one_of(tuples, tuples.map(tuple)), max_size=5))
     return RepetitionFunction(m, k), consequent, k_out
 
@@ -217,6 +228,7 @@ def constraint_fields(c):
 @ORACLE_SETTINGS
 @given(args=constraint_arguments())
 @example(args=(RepetitionFunction(1, 2), [(0,), (2,)], 2))
+@example(args=(RepetitionFunction(1, 2), [(0.5,)], 2))
 def test_constraint_matches_reference(args):
     assert (outcome(lambda: constraint_fields(GeneralizedConstraint(*args)))
             == outcome(lambda: constraint_fields(oracle.GeneralizedConstraint(*args))))

@@ -36,6 +36,10 @@ def rf_init(self, arity, domain_size, default=0, exceptions=None):
     if not is_extnat(default):
         raise GaloisKitError(f"invalid default value {default!r}")
     exceptions = dict(exceptions or {})
+    for t in exceptions:
+        for x in t:
+            if not isinstance(x, int):
+                raise GaloisKitError(f"exception key {tuple(t)!r}: entry {x!r} is not an int")
     for t, v in exceptions.items():
         if len(t) != arity or any(not 0 <= x < domain_size for x in t):
             raise GaloisKitError(f"invalid exception key {t!r}")
@@ -66,7 +70,7 @@ def rf_init(self, arity, domain_size, default=0, exceptions=None):
     self.domain_size = domain_size
     self.default = default
     self.exceptions = exceptions
-    self._key = (arity, domain_size, default, frozenset(exceptions.items()))
+    self._hash = None
 
 
 def operation_post_init(self):
@@ -79,6 +83,9 @@ def operation_post_init(self):
         raise GaloisKitError(
             f"table length {len(self.table)} != {self.domain_size}^{self.arity}"
         )
+    for v in self.table:
+        if not isinstance(v, int):
+            raise GaloisKitError(f"table {tuple(self.table)!r}: entry {v!r} is not an int")
     if any(not (0 <= v < self.codomain_size) for v in self.table):
         raise GaloisKitError("table entry out of codomain range")
     object.__setattr__(self, "table", tuple(self.table))
@@ -88,6 +95,10 @@ def constraint_post_init(self):
     if self.codomain_size < 1:
         raise GaloisKitError(f"codomain size must be positive: an int, not {self.codomain_size!r}")
     object.__setattr__(self, "consequent", frozenset(map(tuple, self.consequent)))
+    for t in self.consequent:
+        for x in t:
+            if not isinstance(x, int):
+                raise GaloisKitError(f"consequent tuple {t!r}: entry {x!r} is not an int")
     m = self.antecedent.arity
     for t in self.consequent:
         if len(t) != m:
