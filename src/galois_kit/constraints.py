@@ -9,7 +9,7 @@ and is guarded by a work budget.
 
 from dataclasses import dataclass
 
-from .errors import GaloisKitError, Meter, _check_entries, _check_int
+from .errors import GaloisKitError, Meter, _check_entries, _check_int, _refuse_non_sequence
 from .extnat import INF
 from .multisets import TupleMatrix, _matrices, columns_multiset
 from .repetition import RepetitionFunction, rf_leq
@@ -29,6 +29,19 @@ __all__ = [
 ]
 
 
+def _refuse_malformed_consequent(items):
+    """Refuse, naming it, a consequent that is not a collection, or its
+    first tuple that is not a sequence or has an entry that is not an int
+    (an unhashable entry is one): the failure path of reading it as a set
+    of tuples, which raised a ``TypeError``."""
+    try:
+        iter(items)
+    except TypeError:
+        raise GaloisKitError(f"consequent {items!r} is not a collection of tuples") from None
+    _refuse_non_sequence("consequent tuple", items)
+    _check_entries("consequent tuple", items)
+
+
 @dataclass(frozen=True)
 class GeneralizedConstraint:
     """An antecedent repetition function paired with a consequent relation."""
@@ -39,7 +52,14 @@ class GeneralizedConstraint:
 
     def __post_init__(self):
         _check_int("codomain size", self.codomain_size, positive=True)
-        consequent = frozenset(map(tuple, self.consequent))
+        items = self.consequent
+        try:
+            if iter(items) is items:  # an iterator is read once: keep its items to check
+                items = list(items)
+            consequent = frozenset(map(tuple, items))
+        except TypeError:
+            _refuse_malformed_consequent(items)
+            raise
         object.__setattr__(self, "consequent", consequent)
         _check_entries("consequent tuple", consequent)
         m, k_out = self.antecedent.arity, self.codomain_size

@@ -105,12 +105,28 @@ def _check_int(name, value, positive=False):
 
 
 def _check_entries(what, tuples):
-    """Refuse, naming it, the first of the tuples with an entry that is not
-    an int.  A bool is one: tables built from comparisons hold bools."""
-    for t in tuples:
-        for x in t:
-            if not isinstance(x, int):
-                raise GaloisKitError(f"{what} {tuple(t)!r}: entry {x!r} is not an int")
+    """Refuse, naming it, the first of the tuples that is not a sequence or
+    has an entry that is not an int.  A bool is one: tables built from
+    comparisons hold bools."""
+    try:
+        for t in tuples:
+            for x in t:
+                if not isinstance(x, int):
+                    raise GaloisKitError(f"{what} {tuple(t)!r}: entry {x!r} is not an int")
+    except TypeError:
+        _refuse_non_sequence(what, tuples)
+        raise
+
+
+def _refuse_non_sequence(what, items):
+    """Refuse, naming it, the first of the items that cannot be iterated:
+    the failure path of a read of each item as a sequence, which raised a
+    ``TypeError``."""
+    for t in items:
+        try:
+            iter(t)
+        except TypeError:
+            raise GaloisKitError(f"{what} {t!r} is not a sequence") from None
 
 
 def _current_meter():

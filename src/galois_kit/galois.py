@@ -158,22 +158,35 @@ def _sweep(tests, tables, k_out):
     Each table meets the tests most restrictive first (the smallest share
     of the k_out^m tuples allowed, ties by rank vector), so a rejected
     table usually fails its first few; each test evaluated is a "sweep
-    tests" step.  A test is read as one ``itemgetter`` of its ranks; on
+    tests" step, refused as ``Meter.counted`` refuses, at the table whose
+    tests pass the budget, and charged once when the stream ends or is
+    dropped.  A test is read as one ``itemgetter`` of its ranks; on
     one rank that gives the bare entry, so the allowed 1-tuples are
     unwrapped to their entries.
     """
     order = sorted(tests.items(), key=lambda t: (_share(t[1], k_out ** len(t[0])), t[0]))
     tests = [(itemgetter(*ranks), allowed if len(ranks) > 1 else _unwrapped(allowed))
              for ranks, allowed in order]
-    meter = _current_meter()
-    for table in tables:
-        for i, (get, allowed) in enumerate(tests):
-            if get(table) not in allowed:
-                meter.charge("sweep tests", i + 1)
-                break
-        else:
-            meter.charge("sweep tests", len(tests))
-            yield table
+    meter, phase, width = _current_meter(), "sweep tests", len(tests)
+    room, taken = meter.room(phase), 0
+    met = False  # some table met every test: with no tests, it charges 0 steps
+    try:
+        for table in tables:
+            for failed, (get, allowed) in enumerate(tests, 1):
+                if get(table) not in allowed:
+                    break
+            else:
+                failed = 0
+            taken += failed or width
+            if taken > room:  # refuse, leaving nothing to charge again
+                over, taken, met = taken, 0, False
+                meter.charge(phase, over)
+            if not failed:
+                met = True
+                yield table
+    finally:
+        if taken or met:
+            meter.charge(phase, taken)
 
 
 def _satisfying_tables(constraints, cfg):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import islice
 from operator import add
 
-from .errors import GaloisKitError, Meter, _check_int, _current_meter
+from .errors import GaloisKitError, _check_int, _current_meter
 from .extnat import INF
 from .operations import _gather
 
@@ -320,26 +320,31 @@ def _rank_vectors(phi, n):
     The first read streams ``_matrices`` under the open meter and keeps,
     in phi, by width, one flat tuple: the "support tuples" and
     "constraint matrices" steps the stream charged, then the ranks.  A
-    later read charges those steps if both fit the budget; if one does
-    not, it streams again, so it refuses as the first read would: in the
-    same phase, at the same count.
+    later read charges those steps to the open meter, opening none, if
+    both fit the budget; if one does not, it streams again, so it refuses
+    as the first read would: in the same phase, at the same count.
     """
-    phases = ("support tuples", "constraint matrices")  # what _matrices charges
-    with Meter() as meter:
-        done, kept = meter.done, phi._ranks and phi._ranks.get(n)
-        if kept and all(done.get(p, 0) + s <= meter.budget for p, s in zip(phases, kept)):
-            for p, s in zip(phases, kept):
-                if s:  # a phase the stream never charged stays out of meter.done
-                    meter.charge(p, s)
-        else:
-            before = [done.get(p, 0) for p in phases]
-            ranks = [r for _, _, ranks in _matrices(phi, n) for r in ranks]
-            kept = (*[done.get(p, 0) - b for p, b in zip(phases, before)], *ranks)
-            if phi._ranks is None:
-                phi._ranks = {}
-            phi._ranks[n] = kept
-    ranks = islice(kept, 2, None)
-    return zip(*[ranks] * phi.arity)
+    tuples, matrices = "support tuples", "constraint matrices"  # what _matrices charges
+    meter = _current_meter()
+    done, kept = meter.done, phi._ranks and phi._ranks.get(n)
+    if kept:
+        steps = done.get(tuples, 0) + kept[0], done.get(matrices, 0) + kept[1]
+        if max(steps) <= meter.budget:
+            # both fit, so both are counted; a phase the stream never
+            # charged stays out of meter.done
+            if kept[0]:
+                done[tuples] = steps[0]
+            if kept[1]:
+                done[matrices] = steps[1]
+            return zip(*[islice(kept, 2, None)] * phi.arity)
+    with meter:  # the stream charges the open meter, or this new one
+        before = done.get(tuples, 0), done.get(matrices, 0)
+        ranks = [r for _, _, ranks in _matrices(phi, n) for r in ranks]
+        kept = (done.get(tuples, 0) - before[0], done.get(matrices, 0) - before[1], *ranks)
+    if phi._ranks is None:
+        phi._ranks = {}
+    phi._ranks[n] = kept
+    return zip(*[islice(kept, 2, None)] * phi.arity)
 
 
 def _split_selections(shape, n):

@@ -9,6 +9,7 @@ substitution into the first argument.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, permutations, product
 
 from .errors import GaloisKitError, _check_entries, _check_int, _current_meter
@@ -49,10 +50,12 @@ class Operation:
         if self.domain_size < 1 or self.codomain_size < 1:
             raise GaloisKitError("domain sizes must be positive")
         table = self.table
-        if len(table) != power_upto(self.domain_size, self.arity, len(table) + 1):
-            raise GaloisKitError(
-                f"table length {len(table)} != {self.domain_size}^{self.arity}"
-            )
+        try:
+            length = len(table)
+        except TypeError:
+            raise GaloisKitError(f"table {table!r} is not a sequence") from None
+        if length != power_upto(self.domain_size, self.arity, length + 1):
+            raise GaloisKitError(f"table length {length} != {self.domain_size}^{self.arity}")
         _check_entries("table", (table,))
         if min(table) < 0 or max(table) >= self.codomain_size:
             raise GaloisKitError("table entry out of codomain range")
@@ -72,9 +75,15 @@ class Operation:
             raise GaloisKitError(
                 f"arity mismatch: got {len(inputs)} arguments for arity {self.arity}"
             )
-        if any(not (0 <= x < self.domain_size) for x in inputs):
-            raise GaloisKitError("argument out of domain range")
-        return self.table[self.rank(inputs)]
+        try:
+            if any(not (0 <= x < self.domain_size) for x in inputs):
+                raise GaloisKitError("argument out of domain range")
+            return self.table[self.rank(inputs)]
+        except TypeError:
+            x = next((x for x in inputs if not isinstance(x, int)), None)
+            if x is None:
+                raise
+            raise GaloisKitError(f"argument {x!r} is not an int") from None
 
     @classmethod
     def from_callable(cls, domain_size, codomain_size, arity, fn):
@@ -91,16 +100,38 @@ def projection(n, i, k):
     _check_int("domain size", k)
     if not 1 <= i <= n:
         raise GaloisKitError(f"projection index {i} out of range 1..{n}")
-    return Operation(k, k, n, tuple(_source_ranks(k, n, (i - 1,))))
+    return Operation(k, k, n, _source_ranks(k, n, (i - 1,)))
+
+
+# a source-rank map of at most this many entries is kept: its entries are
+# then below 256, ints the interpreter shares, so a kept map costs only
+# its pointers and the memo at most 256 * 256 * 8 bytes = 512 KB.  The
+# workloads' maps have at most 9 entries, 22 keys for a roundtrip batch.
+_KEPT_LENGTH = 256
 
 
 def _source_ranks(k, arity, positions):
     """The source-rank map of g(x_0, ..., x_{arity-1}) = f(x_{p_1}, ..., x_{p_n}).
 
-    ``positions`` lists one 0-based variable of g per argument of f; entry
-    r of the map is the rank in f's table of the tuple that g's r-th input
-    maps to, so g's table is f's table gathered at the map.
+    ``positions`` is a tuple of one 0-based variable of g per argument of
+    f; entry r of the map is the rank in f's table of the tuple that g's
+    r-th input maps to, so g's table is f's table gathered at the map.
+    The map depends on no class, so a short one is kept (see
+    ``_kept_source_ranks``); a longer one is built on each call.
     """
+    if k ** arity <= _KEPT_LENGTH:
+        return _kept_source_ranks(k, arity, positions)
+    return _build_source_ranks(k, arity, positions)
+
+
+@lru_cache(maxsize=256)
+def _kept_source_ranks(k, arity, positions):
+    """``_source_ranks`` for maps of at most ``_KEPT_LENGTH`` entries: each
+    built once and kept, only the most recent 256."""
+    return _build_source_ranks(k, arity, positions)
+
+
+def _build_source_ranks(k, arity, positions):
     n = len(positions)
     weights = [0] * arity
     for j, p in enumerate(positions):
@@ -108,7 +139,7 @@ def _source_ranks(k, arity, positions):
     ranks = [0]
     for w in weights:
         ranks = [r + x * w for r in ranks for x in range(k)]
-    return ranks
+    return tuple(ranks)
 
 
 def _gather(table, ranks):
@@ -155,7 +186,7 @@ def delta(op):
 
 def nabla(op):
     """Dummy variable: (nabla f)(x1, ..., x_{n+1}) = f(x2, ..., x_{n+1})."""
-    return _substitute(op, op.arity + 1, range(1, op.arity + 1))
+    return _substitute(op, op.arity + 1, tuple(range(1, op.arity + 1)))
 
 
 def _rows(table, k):
@@ -192,13 +223,15 @@ def minor_by_injection(f, sigma, target_arity):
     permutation-plus-dummy form of variable manipulation.
     """
     sigma = tuple(sigma)
+    _check_int("target arity", target_arity)
+    _check_entries("sigma", (sigma,))
     if len(sigma) != f.arity:
         raise GaloisKitError("sigma must have one entry per argument of f")
     if len(set(sigma)) != len(sigma):
         raise GaloisKitError("sigma must be injective")
     if any(not 1 <= s <= target_arity for s in sigma):
         raise GaloisKitError("sigma value out of range")
-    return _substitute(f, target_arity, [s - 1 for s in sigma])
+    return _substitute(f, target_arity, tuple([s - 1 for s in sigma]))
 
 
 class OperationClass:
@@ -399,7 +432,7 @@ def close_composition(cls_, arity_cap):
     for n in range(1, arity_cap + 1):
         for i in range(n):
             meter.charge_power("closure", k, n)  # before its k^n entries are built
-            add(n, tuple(_source_ranks(k, n, (i,))))
+            add(n, _source_ranks(k, n, (i,)))
     # the source-rank maps of zeta and tau on n-ary members, built once
     # every projection is charged, so no map outgrows the charges; both
     # are the identity at n = 1 and agree at n = 2

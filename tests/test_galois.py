@@ -1,6 +1,8 @@
+import ast
 import subprocess
 import sys
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
@@ -18,11 +20,14 @@ from galois_kit import (
     cl_inv,
     class_image,
     close_composition,
+    close_perm_dummy,
     cluster_member,
     columns_multiset,
+    delta,
     f_pol,
     gc_inv,
     linear_class_fixture,
+    minor_by_injection,
     nabla,
     projection,
     relation_cluster,
@@ -36,9 +41,11 @@ from galois_kit import (
     equality_constraint,
     trivial_cluster,
     trivial_constraint,
+    tau,
+    zeta,
 )
 from galois_kit.errors import DEFAULT_BUDGET, Meter, NotSeparableError
-from galois_kit import galois
+from galois_kit import galois, operations
 from galois_kit.galois import _inv_cluster_for_arity
 from galois_kit.verify import _monotone_ops
 
@@ -358,8 +365,64 @@ class TestAntecedentMemo:
         assert all(type(c.antecedent) is RepetitionFunction for c in got)
         assert galois._antecedent.cache_info().hits == info.hits + len(keys)
 
-    def test_the_memo_is_empty_at_import(self):
-        code = "import galois_kit.galois as g; print(g._antecedent.cache_info().currsize)"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True).stdout
-        assert out == "0\n"
+
+def _ints_and_tuples(x):
+    return type(x) is int or type(x) is tuple and all(map(_ints_and_tuples, x))
+
+
+class TestModuleMemos:
+    """The module-level memos hold what depends on no class: each fills as
+    calls run, keeps a bounded number of entries, and holds only ints and
+    tuples of them, except the antecedent memo (see TestAntecedentMemo)."""
+
+    def test_every_memo_is_empty_at_import(self):
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "from package_memos import module_memos; "
+                "print(sorted((n, m.cache_info().currsize) for n, m in module_memos().items()))")
+        out = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent)],
+                             capture_output=True, text=True, check=True).stdout
+        sizes = dict(ast.literal_eval(out))
+        assert {"galois._antecedent", "operations._kept_source_ranks"} <= set(sizes)
+        assert set(sizes.values()) == {0}, sizes
+
+    def test_the_source_rank_memo_keeps_at_most_256_maps(self):
+        operations._kept_source_ranks.cache_clear()
+        # 504 maps, of 16 to 64 entries, for the 4-ary member at arities 4 to 6
+        close_perm_dummy(OperationClass(2, members=[Operation(2, 2, 4, (0, 1) * 8)]), 6)
+        info = operations._kept_source_ranks.cache_info()
+        assert info.misses == 504
+        assert info.currsize == info.maxsize == 256
+
+    def test_the_source_rank_memo_keeps_no_map_over_256_entries(self):
+        operations._kept_source_ranks.cache_clear()
+        assert projection(9, 1, 2) == Operation(2, 2, 9, (0,) * 256 + (1,) * 256)
+        assert operations._kept_source_ranks.cache_info().misses == 0
+        # the projections of arities 1 to 10 and the zeta and tau maps of
+        # arities 2 to 10 (one map at arity 2): only those up to arity 8 are kept
+        close_composition(OperationClass(2), 10)
+        assert operations._kept_source_ranks.cache_info().currsize == sum(range(1, 9)) + 1 + 2 * 6
+
+    def test_keys_and_values_are_ints_and_tuples(self, monkeypatch):
+        seen = {}
+
+        def recording(name, memo):
+            def call(*args):
+                got = memo(*args)
+                seen.setdefault(name, []).append((args, got))
+                return got
+            return call
+
+        memo = operations._kept_source_ranks
+        monkeypatch.setattr(operations, "_kept_source_ranks", recording("source ranks", memo))
+        mono = monotone_ops()
+        cfg = GaloisConfig(2, n_max=3, m_max=2, breadth=3)
+        c_pol(cl_inv(mono, cfg), cfg)
+        f_pol(gc_inv(mono, cfg), cfg)
+        separating_cluster(projections2(), AND, cfg)
+        close_perm_dummy(mono, 3)
+        for rewrite in (zeta, tau, delta, nabla):
+            rewrite(AND)
+        minor_by_injection(AND, [True, 3], 3)
+        projection(3, 2, 2)
+        assert set(seen) == {"source ranks"}
+        assert all(_ints_and_tuples(call) for calls in seen.values() for call in calls)

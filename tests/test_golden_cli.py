@@ -2,7 +2,8 @@
 
 Each case runs ``galois_kit.cli.main`` on the workspace of
 ``test_cli.py`` and compares stdout and the exit code with
-``golden/<case>.out`` and ``golden/exit_codes.json``.  Some cases read
+``golden/<case>.out`` and ``golden/exit_codes.json``, twice in one
+process: cold, with every module-level memo emptied, then warm.  Some cases read
 the recorded output of an earlier case (an ``inv`` output, or the
 monotone class from ``pol_ord``) as a workspace, so each case's input
 stays fixed even if an earlier case changes.
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from galois_kit.cli import main
+from package_memos import clear_memos
 from test_cli import WORKSPACE
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -134,9 +136,13 @@ def ws_file(tmp_path):
 @pytest.mark.parametrize("name", list(CASES))
 def test_cli_output_matches_golden(name, ws_file):
     codes = json.loads((GOLDEN / "exit_codes.json").read_text())
-    code, out = run_case(name, ws_file)
-    assert code == codes[name]
-    assert out == (GOLDEN / f"{name}.out").read_text()
+    want = (GOLDEN / f"{name}.out").read_text()
+    clear_memos()
+    # cold, then warm: the second run reads what the first one kept
+    for run in ("cold", "warm"):
+        code, out = run_case(name, ws_file)
+        assert code == codes[name], run
+        assert out == want, run
 
 
 def _record():

@@ -260,6 +260,8 @@ LIBRARY = [
     # operations
     ("call-arity", lambda: AND(0), "arity mismatch: got 1 arguments for arity 2"),
     ("call-range", lambda: AND(0, 2), "argument out of domain range"),
+    ("call-float", lambda: Operation(2, 2, 1, (1, 0))(0.5), "argument 0.5 is not an int"),
+    ("call-str", lambda: AND(0, "1"), "argument '1' is not an int"),
     ("projection-index", lambda: projection(2, 3, 2), "projection index 3 out of range 1..2"),
     ("star-codomain", lambda: star(ID2, Operation(2, 3, 1, (0, 2))),
      "codomain of g must equal domain of f"),
@@ -270,6 +272,10 @@ LIBRARY = [
     ("sigma-injective", lambda: minor_by_injection(AND, (1, 1), 2),
      "sigma must be injective"),
     ("sigma-range", lambda: minor_by_injection(AND, (1, 3), 2), "sigma value out of range"),
+    ("sigma-float-entry", lambda: minor_by_injection(AND, (1.0, 2), 2),
+     "sigma (1.0, 2): entry 1.0 is not an int"),
+    ("sigma-float-target", lambda: minor_by_injection(AND, (1, 2), 2.0),
+     "target arity must be positive: an int, not 2.0"),
     ("class-alphabet", lambda: OperationClass(3).add(ID2),
      "operation domain/codomain mismatch with class"),
     ("closure-cap", lambda: close_perm_dummy(OperationClass(2, members=[AND]), 1),
@@ -304,6 +310,19 @@ LIBRARY = [
      "exception key (0.5,): entry 0.5 is not an int"),
     ("constraint-float-entry", lambda: GeneralizedConstraint(RF1, frozenset({(0.5,)}), 2),
      "consequent tuple (0.5,): entry 0.5 is not an int"),
+    # a table, exception key or consequent tuple that is not a sequence
+    ("operation-int-table", lambda: Operation(2, 2, 1, 5), "table 5 is not a sequence"),
+    ("rf-int-key", lambda: RepetitionFunction(1, 2, 0, {0: 1}),
+     "exception key 0 is not a sequence"),
+    ("constraint-int-tuple", lambda: GeneralizedConstraint(RepetitionFunction(1, 2), {0}, 2),
+     "consequent tuple 0 is not a sequence"),
+    ("constraint-iterator-tuple",
+     lambda: GeneralizedConstraint(RepetitionFunction(1, 2), iter([(1,), 0]), 2),
+     "consequent tuple 0 is not a sequence"),
+    ("constraint-int-consequent", lambda: GeneralizedConstraint(RepetitionFunction(1, 2), 5, 2),
+     "consequent 5 is not a collection of tuples"),
+    ("constraint-list-entry", lambda: GeneralizedConstraint(RepetitionFunction(1, 2), [[[0]]], 2),
+     "consequent tuple ([0],): entry [0] is not an int"),
 ]
 
 

@@ -179,6 +179,7 @@ def rf_fields(phi):
 @example(args=(2, 2, 0, {(0, 0): 1, (0, 2): 1}))
 @example(args=(1, 2, 0, {(0.5,): 1}))
 @example(args=(1, 2, 0, {(True,): 1}))
+@example(args=(1, 2, 0, {0: 1}))  # a key that is not a sequence
 def test_repetition_function_matches_reference(args):
     assert (outcome(lambda: rf_fields(RepetitionFunction(*args)))
             == outcome(lambda: rf_fields(oracle.RepetitionFunction(*args))))
@@ -207,6 +208,7 @@ def operation_fields(op):
 @example(args=(2, 2, 1, (0, 2)))
 @example(args=(2, 2, 1, (1.0, 0.0)))
 @example(args=(2, 2, 1, (True, False)))
+@example(args=(2, 2, 1, 5))
 def test_operation_matches_reference(args):
     assert (outcome(lambda: operation_fields(Operation(*args)))
             == outcome(lambda: operation_fields(oracle.Operation(*args))))
@@ -229,6 +231,10 @@ def constraint_fields(c):
 @given(args=constraint_arguments())
 @example(args=(RepetitionFunction(1, 2), [(0,), (2,)], 2))
 @example(args=(RepetitionFunction(1, 2), [(0.5,)], 2))
+@example(args=(RepetitionFunction(1, 2), [(0,), 0], 2))
+@example(args=(RepetitionFunction(1, 2), [(0.5,), 0], 2))
+@example(args=(RepetitionFunction(1, 2), [[[0]]], 2))
+@example(args=(RepetitionFunction(1, 2), 5, 2))
 def test_constraint_matches_reference(args):
     assert (outcome(lambda: constraint_fields(GeneralizedConstraint(*args)))
             == outcome(lambda: constraint_fields(oracle.GeneralizedConstraint(*args))))

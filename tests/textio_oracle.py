@@ -30,6 +30,14 @@ from galois_kit.textio import HEADER, Workspace
 
 # --- constructor bodies ---
 
+def iterable(t):
+    try:
+        iter(t)
+    except TypeError:
+        return False
+    return True
+
+
 def rf_init(self, arity, domain_size, default=0, exceptions=None):
     if arity < 1 or domain_size < 1:
         raise GaloisKitError("arity and domain size must be positive")
@@ -37,6 +45,8 @@ def rf_init(self, arity, domain_size, default=0, exceptions=None):
         raise GaloisKitError(f"invalid default value {default!r}")
     exceptions = dict(exceptions or {})
     for t in exceptions:
+        if not iterable(t):
+            raise GaloisKitError(f"exception key {t!r} is not a sequence")
         for x in t:
             if not isinstance(x, int):
                 raise GaloisKitError(f"exception key {tuple(t)!r}: entry {x!r} is not an int")
@@ -78,6 +88,8 @@ def operation_post_init(self):
         raise GaloisKitError("nullary operations are not supported")
     if self.domain_size < 1 or self.codomain_size < 1:
         raise GaloisKitError("domain sizes must be positive")
+    if not hasattr(type(self.table), "__len__"):
+        raise GaloisKitError(f"table {self.table!r} is not a sequence")
     expected = power_upto(self.domain_size, self.arity, len(self.table) + 1)
     if len(self.table) != expected:
         raise GaloisKitError(
@@ -94,11 +106,21 @@ def operation_post_init(self):
 def constraint_post_init(self):
     if self.codomain_size < 1:
         raise GaloisKitError(f"codomain size must be positive: an int, not {self.codomain_size!r}")
-    object.__setattr__(self, "consequent", frozenset(map(tuple, self.consequent)))
-    for t in self.consequent:
+    if not iterable(self.consequent):
+        raise GaloisKitError(f"consequent {self.consequent!r} is not a collection of tuples")
+    items = list(self.consequent)
+    for t in items:
+        if not iterable(t):
+            raise GaloisKitError(f"consequent tuple {t!r} is not a sequence")
+    try:
+        consequent = frozenset(map(tuple, items))
+    except TypeError:  # an unhashable entry, refused below as not an int
+        consequent = items
+    for t in consequent:
         for x in t:
             if not isinstance(x, int):
-                raise GaloisKitError(f"consequent tuple {t!r}: entry {x!r} is not an int")
+                raise GaloisKitError(f"consequent tuple {tuple(t)!r}: entry {x!r} is not an int")
+    object.__setattr__(self, "consequent", consequent)
     m = self.antecedent.arity
     for t in self.consequent:
         if len(t) != m:
