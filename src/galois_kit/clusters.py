@@ -646,6 +646,13 @@ def _antichain_cluster(m, k, members):
     the maximal members kept so far that hold its rarest tuple, the one
     fewest of them hold.  Each subset test is one "antichain
     comparisons" step.
+
+    The members are distinct dicts of positive int counts of m-tuples
+    over range(k), and m and k are positive ints, so every box, generator
+    and the cluster are valid by construction: they are built without
+    running their checks again, the boxes through
+    ``RepetitionFunction._store`` so they stay canonical.  A box keeps its
+    member's dict as its exceptions, so the caller must not change it.
     """
     meter = _current_meter()
     kept = []  # (size, counts) of the maximal members, largest first
@@ -667,7 +674,17 @@ def _antichain_cluster(m, k, members):
             kept.append((size, s))
             for x in s:
                 holders.setdefault(x, []).append(s)
-    gens = frozenset(
-        BoxedGenerator(RepetitionFunction.from_counts(m, k, s), size) for size, s in kept
-    )
-    return Cluster(m, k, gens)
+    new, put = object.__new__, object.__setattr__
+    gens = set()
+    for size, s in kept:
+        box = new(RepetitionFunction)
+        box._store(m, k, 0, s)
+        g = new(BoxedGenerator)
+        put(g, "box", box)
+        put(g, "cap", size)
+        gens.add(g)
+    cluster = new(Cluster)
+    put(cluster, "arity", m)
+    put(cluster, "domain_size", k)
+    put(cluster, "generators", frozenset(gens))
+    return cluster

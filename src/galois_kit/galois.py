@@ -15,7 +15,7 @@ from operator import attrgetter, itemgetter
 
 from .errors import GaloisKitError, Meter, NotSeparableError, _current_meter
 from .operations import (
-    OperationClass, _gather, _source_ranks, all_operations, close_composition, close_perm_dummy,
+    OperationClass, _source_ranks, all_operations, close_composition, close_perm_dummy,
 )
 from .multisets import FiniteMultiset, _counts, _rank_vectors, _set_partitions, apply_op_rows
 from .repetition import RepetitionFunction
@@ -84,16 +84,30 @@ def _antecedent(k, n, ranks):
     return RepetitionFunction.from_counts(len(ranks), k, _counts(columns))
 
 
+def _images(tables, ranks):
+    """Each table read at the ranks, as a tuple, by one ``itemgetter``: on
+    one rank that gives the bare entry, which ``zip`` wraps as a 1-tuple."""
+    images = map(itemgetter(*ranks), tables)
+    return images if len(ranks) > 1 else zip(images)
+
+
 def _invariant_constraint(tables, k, n, ranks, codomain_size):
     """The constraint (chi_M, C M) of the matrix M of the n-tuples over
     domain size k at these ranks, in order, for the class whose n-ary
     members have these tables.
 
     f M is f's table read at the ranks.  Every member of a class closed
-    under permutation and dummy variables satisfies the constraint.
+    under permutation and dummy variables satisfies the constraint.  The
+    tables are valid, so each image is a tuple of len(ranks) ints in
+    range(codomain_size), and the constraint is built without running
+    its checks again; the antecedent comes checked from ``_antecedent``.
     """
-    image = frozenset(_gather(t, ranks) for t in tables)
-    return GeneralizedConstraint(_antecedent(k, n, ranks), image, codomain_size)
+    c = object.__new__(GeneralizedConstraint)
+    put = object.__setattr__
+    put(c, "antecedent", _antecedent(k, n, ranks))
+    put(c, "consequent", frozenset(_images(tables, ranks)))
+    put(c, "codomain_size", codomain_size)
+    return c
 
 
 def _check_config_domain(cls_, cfg):
@@ -260,8 +274,7 @@ def _inv_cluster_for_arity(closed, n):
         image_sets = []
         for block in map(tuple, blocks):
             if block not in images:
-                ranks = _source_ranks(k, n, block)
-                images[block] = {_gather(t, ranks) for t in tables[len(block)]}
+                images[block] = set(_images(tables[len(block)], _source_ranks(k, n, block)))
             image_sets.append(images[block])
         _current_meter().charge("invariant cluster members", prod(map(len, image_sets)))
         members.update(tuple(sorted(d)) for d in product(*image_sets))

@@ -10,7 +10,9 @@ from dataclasses import dataclass
 from itertools import islice
 from operator import add
 
-from .errors import GaloisKitError, _check_int, _current_meter
+from .errors import (
+    GaloisKitError, _check_entries, _check_int, _current_meter, _refuse_non_sequence,
+)
 from .extnat import INF
 from .operations import _gather
 
@@ -34,7 +36,13 @@ class FiniteMultiset:
         _check_int("multiset arity", arity)
         if arity < 1:
             raise GaloisKitError("multiset arity must be positive")
-        counts = {tuple(t): c for t, c in dict(counts or {}).items() if c}
+        counts = dict(counts or {})
+        try:
+            counts = {tuple(t): c for t, c in counts.items() if c}
+        except TypeError:
+            _refuse_non_sequence("multiset key", counts)
+            raise
+        _check_entries("multiset key", counts)
         for t, c in counts.items():
             if len(t) != arity:
                 raise GaloisKitError(f"tuple {t!r} has wrong length for arity {arity}")
@@ -133,7 +141,12 @@ class TupleMatrix:
         _check_int("row count", self.row_count)
         if self.row_count < 1:
             raise GaloisKitError("a matrix needs at least one row")
-        cols = tuple(tuple(c) for c in self.columns)
+        try:
+            cols = tuple([tuple(c) for c in self.columns])
+        except TypeError:
+            _refuse_non_sequence("matrix column", self.columns)
+            raise
+        _check_entries("matrix column", cols)
         if any(len(c) != self.row_count for c in cols):
             raise GaloisKitError("column length must equal row count")
         object.__setattr__(self, "columns", cols)

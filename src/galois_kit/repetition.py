@@ -38,12 +38,21 @@ class RepetitionFunction:
                 raise GaloisKitError(f"invalid exception value {v!r}")
         if default in exceptions.values():
             exceptions = {t: v for t, v in exceptions.items() if v != default}
-        # Canonical default: the most frequent value, ties going to the
-        # larger (inf the largest), so pointwise-equal functions are
-        # structurally equal even when the exceptions nearly cover the tuple
-        # space.  On more than twice the exceptions' count of tuples the
-        # default holds a strict majority, so only a smaller space, never
-        # k^m, is counted out.
+        self._store(arity, domain_size, default, exceptions)
+
+    def _store(self, arity, domain_size, default, exceptions):
+        """Set the fields from valid parts whose exceptions hold no value
+        equal to ``default``, in canonical form.  The checked constructor
+        and the build that skips it (``clusters._antichain_cluster``) both
+        end here, so both keep the canonical form.
+
+        Canonical default: the most frequent value, ties going to the
+        larger (inf the largest), so pointwise-equal functions are
+        structurally equal even when the exceptions nearly cover the tuple
+        space.  On more than twice the exceptions' count of tuples the
+        default holds a strict majority, so only a smaller space, never
+        k^m, is counted out.
+        """
         twice = 2 * len(exceptions)
         space = power_upto(domain_size, arity, twice + 1)
         if space <= twice:

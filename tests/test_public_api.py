@@ -149,10 +149,17 @@ def _new_reads(node, where=None):
     return found
 
 
-def test_only_all_operations_skips_the_checked_constructor():
-    """Its tables come from ``product`` with checked sizes, so they are
-    valid by construction; every other object is built through checks."""
+def test_only_the_listed_kernels_skip_the_checked_constructor():
+    """Each builds objects valid by construction without running their
+    checks again: ``all_operations`` its tables of ``product`` with checked
+    sizes, ``galois._invariant_constraint`` the constraints of images read
+    off valid tables, and ``clusters._antichain_cluster`` the boxes,
+    generators and cluster of valid count dicts.  Every other object is
+    built through checks."""
     reads = [(module, where, line) for module, tree in _trees().items()
              for where, line in _new_reads(tree)]
-    assert [(module, where) for module, where, _ in reads] == [
-        ("operations.py", "all_operations")], reads
+    assert sorted((module, where) for module, where, _ in reads) == [
+        ("clusters.py", "_antichain_cluster"),
+        ("galois.py", "_invariant_constraint"),
+        ("operations.py", "all_operations"),
+    ], reads

@@ -246,11 +246,19 @@ LIBRARY = [
      "tuple (0,) has wrong length for arity 2"),
     ("multiset-count", lambda: FiniteMultiset(1, {(0,): -1}),
      "multiplicity -1 must be a nonnegative int"),
+    ("multiset-non-sequence-key", lambda: FiniteMultiset(1, {0: 1}),
+     "multiset key 0 is not a sequence"),
+    ("multiset-float-entry", lambda: FiniteMultiset(1, {(0.5,): 1}),
+     "multiset key (0.5,): entry 0.5 is not an int"),
     ("join-arities", lambda: ms_join(FiniteMultiset(1), FiniteMultiset(2)),
      "multiset arity mismatch"),
     ("matrix-rows", lambda: TupleMatrix(0, ()), "a matrix needs at least one row"),
     ("matrix-column-length", lambda: TupleMatrix(2, ((0,),)),
      "column length must equal row count"),
+    ("matrix-non-sequence-column", lambda: TupleMatrix(1, (5,)),
+     "matrix column 5 is not a sequence"),
+    ("matrix-float-entry", lambda: TupleMatrix(2, ((0, 1.5),)),
+     "matrix column (0, 1.5): entry 1.5 is not an int"),
     ("matrix-no-rows", lambda: TupleMatrix.from_rows([]), "a matrix needs at least one row"),
     ("matrix-ragged", lambda: TupleMatrix.from_rows([(0, 1), (0,)]), "ragged rows"),
     ("apply-columns", lambda: apply_op_rows(AND, TupleMatrix(1, ((0,),))),
