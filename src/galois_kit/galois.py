@@ -4,16 +4,19 @@ Functions vs generalized constraints (f_pol / gc_inv) and operations vs
 clusters (c_pol / cl_inv), plus the separating-object constructions: on
 a finite domain the disagreement row set can always be taken to be the
 whole input space, which makes both separators exact at the arity of
-the function being excluded.
+the function being excluded.  ``f_pol`` searches for its tables entry by
+entry, so a failing prefix rules out every table extending it; ``c_pol``
+sweeps every candidate table, charged up front.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from math import comb, prod
 from operator import attrgetter, itemgetter
 
 from .errors import GaloisKitError, Meter, NotSeparableError, _current_meter
+from .extnat import power_upto
 from .operations import (
     OperationClass, _source_ranks, all_operations, close_composition, close_perm_dummy,
 )
@@ -203,46 +206,102 @@ def _sweep(tests, tables, k_out):
             meter.charge(phase, taken)
 
 
+def _search(checks, size, k_out):
+    """The tables of ``size`` entries in range(k_out) that meet every
+    check, in table order: ``checks`` maps a rank to the ``(get,
+    allowed)`` pairs whose largest rank it is, and a table meets a check
+    when ``get`` reads an image in ``allowed`` off it.
+
+    A depth-first search: it assigns the entries in rank order, tries the
+    values of each in ascending order, and reads the checks of a rank as
+    soon as its entry is assigned, so no prefix failing a check is
+    extended.  Each entry assigned is a "table search" step, and each
+    table yielded is ``size`` more, its entries; the steps are refused as
+    ``Meter.counted`` refuses, at the step past the budget, and charged
+    once when the stream ends or is dropped.  The table holds only the
+    entries assigned so far, so it never outgrows the steps charged.
+    """
+    meter, phase = _current_meter(), "table search"
+    room, taken = meter.room(phase), 0
+    at, table, top = checks.get, [0], k_out - 1
+    try:
+        while True:
+            taken += 1
+            if taken > room:  # refuse, leaving nothing to charge again
+                taken = 0
+                meter.refuse(phase, room)
+            for get, allowed in at(len(table) - 1, ()):
+                if get(table) not in allowed:
+                    break
+            else:
+                if len(table) < size:
+                    table.append(0)
+                    continue
+                taken += size
+                if taken > room:
+                    taken = 0
+                    meter.refuse(phase, room)
+                yield tuple(table)
+            while table[-1] == top:  # the next prefix in table order
+                table.pop()
+                if not table:
+                    return
+            table[-1] += 1
+    finally:
+        if taken:
+            meter.charge(phase, taken)
+
+
 def _satisfying_tables(constraints, cfg):
     """Every table of arity <= n_max satisfying all the constraints, as
     (arity, table), in order of arity and then of table.
 
     The constraints are merged by antecedent first, allowing the
     intersection of the consequents that share one.  At each arity n the
-    rank vectors of every distinct antecedent are read once and merged:
-    one test per distinct rank vector, allowing the intersection of the
-    consequents that reach it, and the tables are swept through the
-    merged tests.
+    rank vectors of every distinct antecedent are read once, grouped by
+    their largest rank (``multisets._rank_vectors``), and each is paired
+    with the antecedent's allowed set as a check at that rank.  An allowed
+    set holding every image is met by every table, so it gives no check,
+    though its rank vectors are read all the same: what the compile
+    charges does not depend on the consequents.  The tables are then
+    searched for (``_search``).
     """
     k, k_out = cfg.domain_size, cfg.codomain_size
     consequents = {}  # antecedent -> the tuples every constraint on it allows
     for c in constraints:
         allowed = consequents.get(c.antecedent)
         consequents[c.antecedent] = c.consequent if allowed is None else allowed & c.consequent
+    for phi, allowed in consequents.items():
+        if power_upto(k_out, phi.arity, len(allowed) + 1) == len(allowed):
+            consequents[phi] = None  # every image: no check
+        elif phi.arity == 1:  # a getter of one rank reads the bare entry
+            consequents[phi] = _unwrapped(allowed)
     for n in range(1, cfg.n_max + 1):
-        merged = {}  # rank vector -> the tuples every constraint allows there
+        checks = {}  # rank -> (getter, allowed) of each rank vector largest there
         for phi, allowed in consequents.items():
-            for ranks in _rank_vectors(phi, n):
-                before = merged.get(ranks)
-                merged[ranks] = allowed if before is None else before & allowed
-        for table in _sweep(merged, product(range(k_out), repeat=k ** n), k_out):
+            groups = _rank_vectors(phi, n)
+            if allowed is not None:
+                for r, getters in groups:
+                    checks.setdefault(r, []).extend(zip(getters, repeat(allowed)))
+        for table in _search(checks, k ** n, k_out):
             yield n, table
 
 
 def f_pol(constraints, cfg):
     """All operations of arity <= n_max satisfying every constraint.
 
-    The candidate tables are charged up front.  A constraint over another
-    alphabet than the configuration's is an error once some table
-    satisfies every constraint before it, as it is for
+    The tables of each arity are searched for entry by entry (see
+    ``_search``), each step charged as the search takes it; no table is
+    charged up front.  A constraint over another alphabet than the
+    configuration's is an error once some table satisfies every
+    constraint before it, as it is for
     ``satisfies_constraint`` on that table; if none does, the class is
     empty.
     """
     constraints = list(constraints)
     k, k_out = cfg.domain_size, cfg.codomain_size
     out = OperationClass(k, k_out)
-    with Meter() as meter:
-        _charge_tables(meter, cfg, k_out)
+    with Meter():
         for j, c in enumerate(constraints):
             try:
                 _check_alphabets(k, k_out, c)
@@ -292,13 +351,13 @@ def cl_inv(cls_, cfg):
 def c_pol(clusters, cfg):
     """All operations of arity <= n_max satisfying every cluster at the breadth cap.
 
-    Each cluster's members at the breadth cap are listed once per call.
-    At each arity n every split of every member compiles to a test on
-    the row ranks of its first n columns, merged by rank vector as
-    ``f_pol`` merges its tests (see ``_cluster_tests``).  Every arity is
-    compiled before any table is swept, so an oversized compile refuses
-    before the sweep; then the candidate tables of ``all_operations``
-    are swept through the merged tests by ``f_pol``'s sweep.  A cluster
+    The candidate tables are charged up front.  Each cluster's members
+    at the breadth cap are listed once per call.  At each arity n every
+    split of every member compiles to a test on the row ranks of its
+    first n columns, merged by rank vector (see ``_cluster_tests``).
+    Every arity is compiled before any table is swept, so an oversized
+    compile refuses before the sweep; then the candidate tables of
+    ``all_operations`` are swept through the merged tests.  A cluster
     over another alphabet is an error once some table satisfies every
     cluster before it, as it is for ``satisfies_cluster`` on that table;
     the unary projection always does, so it is refused when it is

@@ -8,7 +8,7 @@ matrix is the workhorse of every satisfaction check.
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
-from operator import add
+from operator import add, itemgetter
 
 from .errors import (
     GaloisKitError, _check_entries, _check_int, _current_meter, _refuse_non_sequence,
@@ -36,7 +36,11 @@ class FiniteMultiset:
         _check_int("multiset arity", arity)
         if arity < 1:
             raise GaloisKitError("multiset arity must be positive")
-        counts = dict(counts or {})
+        try:
+            counts = dict(counts or {})
+        except (TypeError, ValueError):
+            raise GaloisKitError(f"multiset counts {counts!r} is not a mapping of tuples "
+                                 "to multiplicities") from None
         try:
             counts = {tuple(t): c for t, c in counts.items() if c}
         except TypeError:
@@ -144,6 +148,11 @@ class TupleMatrix:
         try:
             cols = tuple([tuple(c) for c in self.columns])
         except TypeError:
+            try:
+                iter(self.columns)
+            except TypeError:
+                raise GaloisKitError(
+                    f"matrix columns {self.columns!r} is not a sequence of columns") from None
             _refuse_non_sequence("matrix column", self.columns)
             raise
         _check_entries("matrix column", cols)
@@ -327,15 +336,18 @@ def _matrices(phi, n):
 
 
 def _rank_vectors(phi, n):
-    """The row ranks of every n-column matrix M < phi, in ``_matrices``
-    order, each as a tuple.
+    """The row ranks of every n-column matrix M < phi, grouped by their
+    largest rank, as ``(r, getters)`` pairs: ``getters`` holds one
+    ``itemgetter`` of the ranks of each matrix whose largest row rank is
+    r, in ``_matrices`` order, and reads an operation's image of M off
+    its table (on one rank, as the bare entry).
 
     The first read streams ``_matrices`` under the open meter and keeps,
-    in phi, by width, one flat tuple: the "support tuples" and
-    "constraint matrices" steps the stream charged, then the ranks.  A
-    later read charges those steps to the open meter, opening none, if
-    both fit the budget; if one does not, it streams again, so it refuses
-    as the first read would: in the same phase, at the same count.
+    in phi, by width, the "support tuples" and "constraint matrices"
+    steps the stream charged and the groups.  A later read charges those
+    steps to the open meter, opening none, if both fit the budget; if one
+    does not, it streams again, so it refuses as the first read would: in
+    the same phase, at the same count.
     """
     tuples, matrices = "support tuples", "constraint matrices"  # what _matrices charges
     meter = _current_meter()
@@ -349,15 +361,19 @@ def _rank_vectors(phi, n):
                 done[tuples] = steps[0]
             if kept[1]:
                 done[matrices] = steps[1]
-            return zip(*[islice(kept, 2, None)] * phi.arity)
+            return kept[2]
     with meter:  # the stream charges the open meter, or this new one
         before = done.get(tuples, 0), done.get(matrices, 0)
-        ranks = [r for _, _, ranks in _matrices(phi, n) for r in ranks]
-        kept = (done.get(tuples, 0) - before[0], done.get(matrices, 0) - before[1], *ranks)
+        groups = {}  # largest rank -> the getters of the rank vectors there
+        for _, _, ranks in _matrices(phi, n):
+            ranks = tuple(ranks)
+            groups.setdefault(max(ranks), []).append(itemgetter(*ranks))
+        kept = (done.get(tuples, 0) - before[0], done.get(matrices, 0) - before[1],
+                tuple([(r, tuple(getters)) for r, getters in groups.items()]))
     if phi._ranks is None:
         phi._ranks = {}
     phi._ranks[n] = kept
-    return zip(*[islice(kept, 2, None)] * phi.arity)
+    return kept[2]
 
 
 def _split_selections(shape, n):

@@ -341,13 +341,15 @@ cluster pair arity=1 k=2 { gen cap=inf rf=[default=0 { 0 -> inf ; 1 -> inf }] }
     # NOT satisfies pair: its 10 members have 12 splits, refused at the 11th
     pytest.param(["satisfies", "--fn", "NOT", "--cluster", "pair", "--breadth", "3"], 10,
                  "cluster splits", 11, id="satisfies-cluster-splits"),
-    pytest.param(["pol", "--kind", "constraint", "--names", "ord", "--cap", "2"], 10,
-                 "operation tables", 72, id="pol-constraint"),
+    # ord's 4 pairs of 2 entries are listed for the arity-1 compile, before any search
+    pytest.param(["pol", "--kind", "constraint", "--names", "ord", "--cap", "2"], 5,
+                 "support tuples", 8, id="pol-constraint"),
     pytest.param(["pol", "--kind", "cluster", "--names", "pair", "--cap", "2"], 10,
                  "operation tables", 72, id="pol-cluster"),
-    # the 72 table entries fit; a table's tests are charged together, passing 80 at 82
-    pytest.param(["pol", "--kind", "constraint", "--names", "ord", "--cap", "2"], 80,
-                 "sweep tests", 82, id="pol-constraint-sweep"),
+    # the compiles fit; the search takes 12 steps at arity 1 and 46 at arity 2,
+    # one per entry assigned and 2 or 4 per table found, refused at the 51st
+    pytest.param(["pol", "--kind", "constraint", "--names", "ord", "--cap", "2"], 50,
+                 "table search", 51, id="pol-constraint-sweep"),
     # the closure pushes the 2-entry unary and then a 4-entry binary projection
     pytest.param(["inv", "--class", "proj2", "--kind", "cluster", "--cap", "2"], 5,
                  "closure", 6, id="inv-cluster"),
@@ -483,9 +485,11 @@ HUGE = "100000000"
                  ["pol", "--kind", "cluster", "--names", "c", "--cap", "1"], 3,
                  "error: refusing operation tables: 1400 * 1400^1400 steps exceed budget 2000000",
                  id="pol-cluster-alphabet"),
+    # no check: the search finds a table of 1400 entries at each of its steps
+    # past the first table, and each is charged its entries
     pytest.param("constraint d : rf=[arity=1 k=1400 default=0 { }] k_out=2000 consequent={ }",
                  ["pol", "--kind", "constraint", "--names", "d", "--cap", "1"], 3,
-                 "error: refusing operation tables: 1400 * 2000^1400 steps exceed budget 2000000",
+                 "error: refusing table search: 2000001 steps exceed budget 2000000",
                  id="pol-constraint-codomain"),
 ])
 def test_huge_tuple_space_answers_in_one_line(entity, argv, code, message, tmp_path,
@@ -498,14 +502,15 @@ def test_huge_tuple_space_answers_in_one_line(entity, argv, code, message, tmp_p
 
 
 def test_pol_charges_table_entries(tmp_path, capsys):
-    # one table per arity into a codomain of size 1, of 2^n entries each:
-    # 2 + 4 + 8 + 16 + 32 entries fit the budget, the 64 of arity 6 do not
+    # one table per arity into a codomain of size 1, of 2^n entries each,
+    # charged twice: as the search assigns them and as it returns the table;
+    # arities 1 to 4 take 60 steps, and arity 5 passes the budget
     path = tmp_path / "ws.gk"
     path.write_text("galois-kit v1\nconstraint one : rf=[arity=1 k=2 default=0 { }] "
                     "k_out=1 consequent={ (0) }\n")
     assert run(capsys, "pol", "-w", str(path), "--kind", "constraint", "--names", "one",
                "--cap", "30", "--budget", "100") == (
-        3, "error: refusing operation tables: 126 steps exceed budget 100\n")
+        3, "error: refusing table search: 101 steps exceed budget 100\n")
 
 
 def test_huge_alphabet_closure_refuses_before_building(tmp_path, capsys):
@@ -530,7 +535,8 @@ class TestStats:
         stats = [line for line in out.splitlines() if line.startswith("stats.")]
         # ord: 3 one-column and 9 two-column matrices; eq2: 2 and 4
         assert "stats.constraint_matrices: 18" in stats
-        assert "stats.operation_tables: 72" in stats
+        # 6 entries assigned and 3 tables of 2 found at arity 1, 24 and 6 of 4 at arity 2
+        assert "stats.table_search: 58" in stats
         assert stats == sorted(stats)
         assert out.endswith(stats[-1] + "\n")
 
@@ -540,8 +546,10 @@ class TestStats:
                         "--budget", "30", "--stats")
         assert code == 3
         assert [json.loads(line) for line in out.splitlines()] == [
-            {"error": "refusing operation tables: 72 steps exceed budget 30"},
-            {"stats.operation_tables": "72"},
+            {"error": "refusing table search: 31 steps exceed budget 30"},
+            {"stats.constraint_matrices": "12"},
+            {"stats.support_tuples": "16"},
+            {"stats.table_search": "31"},
         ]
 
     def test_without_the_flag_no_stats(self, ws_file, capsys):

@@ -504,10 +504,18 @@ def test_constraint_tests_are_the_matrices_in_order_with_their_row_ranks():
             tuple(sum(x * k ** (n - 1 - j) for j, x in enumerate(row)) for row in matrix.rows())
             for matrix in want]
         assert [tuple(ranks) for _, _, ranks in tests] == want_ranks
+        # the rank vectors grouped by their largest rank, each read by its getter
+        want_groups = {}
+        for ranks in want_ranks:
+            want_groups.setdefault(max(ranks), []).append(ranks)
+        probe = range(k ** n)  # a getter reads its ranks off it
         for _ in ("cold", "warm"):  # the warm read charges what the stream charged
             with Meter(UNLIMITED) as meter:
-                assert list(_rank_vectors(phi, n)) == want_ranks
+                groups = _rank_vectors(phi, n)
             assert meter.done == stream_meter.done
+            assert {r: [get(probe) if m > 1 else (get(probe),) for get in getters]
+                    for r, getters in groups} == want_groups
+            assert [r for r, _ in groups] == list(want_groups)
 
 
 def _cluster_cases(rng):

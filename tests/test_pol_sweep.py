@@ -1,12 +1,14 @@
-"""The compiled ``f_pol`` and ``c_pol`` sweeps against the sweeps they
-replaced.
+"""``f_pol``'s search and ``c_pol``'s compiled sweep against blind sweeps.
 
 The oracles are the earlier bodies: a sweep over every table, keeping
 the operations for which ``satisfies_constraint`` (``satisfies_cluster``)
-holds on every constraint (cluster) in turn.  The compiled sweeps must
-return the same class, or refuse with the same error, on randomized
-families; ``c_pol``'s compile takes the member and split counts that
-``_compile_counts`` derives from the reference member walk.
+holds on every constraint (cluster) in turn, and, for ``f_pol``, a sweep
+of every table through the tests read off ``enumerate_matrices_leq``.
+Both must return the same class, or refuse with the same error, on
+randomized families; ``f_pol``'s search takes the steps that a level by
+level count of the prefixes meeting those tests gives, and ``c_pol``'s
+compile the member and split counts that ``_compile_counts`` derives
+from the reference member walk.
 """
 
 import random
@@ -149,6 +151,98 @@ def test_compiled_sweep_matches_reference_sweep():
     assert min(seen.values()) >= 20, seen
 
 
+def blind_tests(constraints, k, n):
+    """The tests of arity n: each rank vector of an n-column matrix
+    M < phi, listed by ``enumerate_matrices_leq``, mapped to the images
+    that every constraint reaching it allows."""
+    tests = {}
+    for c in constraints:
+        for matrix in enumerate_matrices_leq(c.antecedent, n):
+            ranks = tuple(sum(x * k ** (n - 1 - j) for j, x in enumerate(row))
+                          for row in matrix.rows())
+            tests[ranks] = tests.get(ranks, c.consequent) & c.consequent
+    return tests
+
+
+def _meets(table, tests):
+    return all(tuple(table[r] for r in ranks) in allowed for ranks, allowed in tests)
+
+
+def blind_f_pol(constraints, cfg):
+    """The class of every table meeting the tests of its arity, each
+    table of each arity tested, and the "table search" steps of a search
+    for them, counted level by level: k_out entries are assigned under
+    each prefix meeting every test inside it, and each table found is
+    charged its entries again."""
+    k, k_out = cfg.domain_size, cfg.codomain_size
+    out, steps = OperationClass(k, k_out), 0
+    with Meter(INF):
+        for n in range(1, cfg.n_max + 1):
+            tests, size = blind_tests(constraints, k, n), k ** n
+            for table in product(range(k_out), repeat=size):
+                if _meets(table, tests.items()):
+                    out._add(n, table)
+            prefixes = [()]
+            for r in range(size):
+                steps += k_out * len(prefixes)
+                at = [(ranks, allowed) for ranks, allowed in tests.items() if max(ranks) == r]
+                prefixes = [p for q in prefixes for p in (q + (x,) for x in range(k_out))
+                            if _meets(p, at)]
+            assert prefixes == out._tables(n)
+            steps += size * len(prefixes)
+    return out, steps
+
+
+def _asymmetric_case(rng):
+    """Random constraints over k = 1 to 3 and k_out = 1 to 3, at most
+    4,096 tables of the top arity: one-rank tests, and now and then an
+    antecedent whose columns repeat a row, so its rank vectors repeat a
+    rank."""
+    k, k_out = rng.randint(1, 3), rng.randint(1, 3)
+    n_max = rng.randint(1, max(n for n in (1, 2, 3) if k_out ** (k ** n) <= 4096))
+    family = []
+    for _ in range(rng.randint(1, 4)):
+        m = rng.choice([1, 1, 2, 2, 3] if k < 3 else [1, 1, 2])
+        phi = None
+        if m > 1 and rng.random() < 0.3:
+            # constant columns: every row of M is the same tuple
+            phi = RepetitionFunction(m, k, 0, {(x,) * m: rng.choice([1, 2, INF])
+                                               for x in rng.sample(range(k), rng.randint(1, k))})
+        family.append(_random_constraint(rng, m, k, k_out, phi))
+    return family, GaloisConfig(k, n_max=n_max, m_max=3, breadth=n_max, codomain_size=k_out)
+
+
+def test_search_matches_the_blind_sweep_and_its_steps():
+    rng = random.Random(2828)
+    seen = {"empty": 0, "members": 0, "one-rank": 0, "repeated rank": 0, "refused": 0}
+    for _ in range(250):
+        family, cfg = _asymmetric_case(rng)
+        want, steps = blind_f_pol(family, cfg)
+        _forget_compiles(family)
+        cold, cold_done = _metered_outcome(f_pol, family, cfg)
+        warm, warm_done = _metered_outcome(f_pol, family, cfg)
+        assert cold == warm == want
+        assert cold_done == warm_done
+        assert cold_done.get("table search", 0) == steps
+        vectors = [ranks for n in range(1, cfg.n_max + 1)
+                   for ranks in blind_tests(family, cfg.domain_size, n)]
+        seen["members" if len(want) else "empty"] += 1
+        seen["one-rank"] += any(len(ranks) == 1 for ranks in vectors)
+        seen["repeated rank"] += any(len(set(ranks)) < len(ranks) for ranks in vectors)
+        # under a smaller budget, cold and warm refuse alike, in a phase
+        # that needs more; the search refuses at the step past the budget
+        for budget in {rng.randrange(max(cold_done.values())) for _ in range(2)}:
+            _forget_compiles(family)
+            refused = _refusal(family, cfg, budget)
+            assert _refusal(family, cfg, budget) == refused  # warm
+            phase, done, _ = refused[0]
+            assert done > budget and cold_done[phase] > budget
+            if phase == "table search":
+                assert done == budget + 1
+                seen["refused"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
 @pytest.mark.parametrize("first", ["mismatched", "rejects all", "shared antecedent"])
 def test_mismatched_constraint_is_reached_only_past_the_ones_before(first):
     # the reference checks a constraint's alphabet only on a table that
@@ -175,10 +269,16 @@ def test_mismatched_constraint_is_reached_only_past_the_ones_before(first):
 
 
 def test_tables_are_charged_before_the_alphabets_are_checked():
+    # a mismatched constraint is refused once some table satisfies the
+    # constraints before it, here none; the search for that table is
+    # charged first: two entries assigned, then the table's two entries
     cfg = GaloisConfig(2, n_max=3, m_max=1, breadth=3)
-    with pytest.raises(BudgetExceededError) as info, Meter(100):
+    with pytest.raises(BudgetExceededError) as info, Meter(3):
         f_pol([trivial_constraint(1, 3)], cfg)
-    assert info.value.phase == "operation tables"
+    assert (info.value.phase, info.value.done) == ("table search", 4)
+    with pytest.raises(GaloisKitError, match="operation domain"), Meter(4) as meter:
+        f_pol([trivial_constraint(1, 3)], cfg)
+    assert meter.done == {"table search": 4}
 
 
 def _repeated_antecedents():
@@ -225,8 +325,8 @@ def _refusal(family, cfg, budget):
 
 def test_warm_compile_refuses_as_the_cold_one_at_every_budget():
     # positive defaults: 24 support tuples and 8 or 63 matrices per
-    # antecedent and arity, so budgets past the 72 operation tables
-    # refuse mid-compile in both compile phases
+    # antecedent and arity, so budgets up to the matrices refuse
+    # mid-compile in both compile phases
     family = [GeneralizedConstraint(RepetitionFunction(3, 2, INF, {t: 1}),
                                     product(range(2), repeat=3), 2)
               for t in [(0, 0, 0), (0, 1, 1), (1, 1, 0)]]
@@ -235,7 +335,7 @@ def test_warm_compile_refuses_as_the_cold_one_at_every_budget():
     with Meter() as meter:
         f_pol(family, cfg)
     phases = set()
-    for budget in range(meter.done["operation tables"], meter.done["constraint matrices"] + 1):
+    for budget in range(meter.done["constraint matrices"] + 1):
         _forget_compiles(family)
         cold = _refusal(family, cfg, budget)
         # warm: past the cold call's refusal, then with every arity kept
@@ -247,17 +347,17 @@ def test_warm_compile_refuses_as_the_cold_one_at_every_budget():
 
 
 def test_sweep_refuses_in_its_own_phase():
-    cfg = GaloisConfig(2, n_max=2, m_max=2, breadth=2)
+    cfg = GaloisConfig(2, n_max=3, m_max=2, breadth=3)
     family = gc_inv(OperationClass(2, members=_monotone_ops(2)), cfg)
     with Meter() as meter:
         f_pol(family, cfg)
-    tests = meter.done.pop("sweep tests")
-    budget = tests - 1
+    steps = meter.done.pop("table search")
+    budget = steps - 1
     assert max(meter.done.values()) <= budget  # every other phase fits
     with pytest.raises(BudgetExceededError) as info, Meter(budget):
         f_pol(family, cfg)
-    assert info.value.phase == "sweep tests"
-    assert budget < info.value.done <= tests
+    # refused at the step past the budget, as Meter.counted refuses
+    assert (info.value.phase, info.value.done) == ("table search", steps)
 
 
 def test_monotone_frontier_answers_at_the_default_budget():
@@ -267,7 +367,32 @@ def test_monotone_frontier_answers_at_the_default_budget():
     with Meter(DEFAULT_BUDGET) as meter:
         got = f_pol(gc_inv(mono, cfg), cfg)
     assert {n: len(got.arity_part(n)) for n in got.arities()} == {1: 3, 2: 6, 3: 20, 4: 168}
-    assert meter.done["sweep tests"] <= DEFAULT_BUDGET
+    assert meter.done["table search"] <= DEFAULT_BUDGET
+
+
+# Post's maximal Boolean clones as Pol of one relation R: the constraint
+# whose antecedent is INF on R and 0 elsewhere, with consequent R; each
+# count at arity n comes from its closed form, or from OEIS A000372
+POST_CLONES = {
+    "T0": ({(0,)}, lambda n: 2 ** (2 ** n - 1)),
+    "T1": ({(1,)}, lambda n: 2 ** (2 ** n - 1)),
+    "D": ({(0, 1), (1, 0)}, lambda n: 2 ** (2 ** (n - 1))),
+    "M": ({(0, 0), (0, 1), (1, 1)}, lambda n: [3, 6, 20, 168][n - 1]),
+    "L": ({t for t in product(range(2), repeat=4) if sum(t) % 2 == 0}, lambda n: 2 ** (n + 1)),
+}
+
+
+@pytest.mark.parametrize("clone", POST_CLONES)
+def test_post_clones_are_pol_of_one_relational_constraint(clone):
+    relation, count = POST_CLONES[clone]
+    m = len(next(iter(relation)))
+    constraint = GeneralizedConstraint(
+        RepetitionFunction(m, 2, 0, {t: INF for t in relation}), relation, 2)
+    cfg = GaloisConfig(2, n_max=4, m_max=1, breadth=4)
+    with Meter(DEFAULT_BUDGET):
+        got = f_pol([constraint], cfg)
+    assert {n: len(got.arity_part(n)) for n in got.arities()} == {
+        n: count(n) for n in range(1, 5)}
 
 
 def _random_box(rng, m, k):

@@ -250,6 +250,8 @@ LIBRARY = [
      "multiset key 0 is not a sequence"),
     ("multiset-float-entry", lambda: FiniteMultiset(1, {(0.5,): 1}),
      "multiset key (0.5,): entry 0.5 is not an int"),
+    ("multiset-int-counts", lambda: FiniteMultiset(1, 5),
+     "multiset counts 5 is not a mapping of tuples to multiplicities"),
     ("join-arities", lambda: ms_join(FiniteMultiset(1), FiniteMultiset(2)),
      "multiset arity mismatch"),
     ("matrix-rows", lambda: TupleMatrix(0, ()), "a matrix needs at least one row"),
@@ -259,6 +261,8 @@ LIBRARY = [
      "matrix column 5 is not a sequence"),
     ("matrix-float-entry", lambda: TupleMatrix(2, ((0, 1.5),)),
      "matrix column (0, 1.5): entry 1.5 is not an int"),
+    ("matrix-int-columns", lambda: TupleMatrix(2, 5),
+     "matrix columns 5 is not a sequence of columns"),
     ("matrix-no-rows", lambda: TupleMatrix.from_rows([]), "a matrix needs at least one row"),
     ("matrix-ragged", lambda: TupleMatrix.from_rows([(0, 1), (0,)]), "ragged rows"),
     ("apply-columns", lambda: apply_op_rows(AND, TupleMatrix(1, ((0,),))),
