@@ -11,7 +11,7 @@ sweeps every candidate table, charged up front.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product, repeat
+from itertools import combinations, product
 from math import comb, prod
 from operator import attrgetter, itemgetter
 
@@ -20,7 +20,7 @@ from .extnat import power_upto
 from .operations import (
     OperationClass, _source_ranks, all_operations, close_composition, close_perm_dummy,
 )
-from .multisets import FiniteMultiset, _counts, _rank_vectors, _set_partitions, apply_op_rows
+from .multisets import FiniteMultiset, _counts, _rank_checks, _set_partitions, apply_op_rows
 from .repetition import RepetitionFunction
 from .constraints import GeneralizedConstraint, _check_alphabets
 from .clusters import (
@@ -215,22 +215,25 @@ def _search(checks, size, k_out):
     A depth-first search: it assigns the entries in rank order, tries the
     values of each in ascending order, and reads the checks of a rank as
     soon as its entry is assigned, so no prefix failing a check is
-    extended.  Each entry assigned is a "table search" step, and each
-    table yielded is ``size`` more, its entries; the steps are refused as
-    ``Meter.counted`` refuses, at the step past the budget, and charged
-    once when the stream ends or is dropped.  The table holds only the
-    entries assigned so far, so it never outgrows the steps charged.
+    extended.  Each entry assigned is 1 + c "table search" steps, c the
+    checks at its rank, which bounds the checks it reads; each table
+    yielded is ``size`` more, its entries.  So every step is one entry or
+    one check read.  The steps are refused as ``Meter.counted`` refuses,
+    at the step past the budget, and charged once when the stream ends or
+    is dropped.  The table holds only the entries assigned so far, so it
+    never outgrows the steps charged.
     """
     meter, phase = _current_meter(), "table search"
     room, taken = meter.room(phase), 0
     at, table, top = checks.get, [0], k_out - 1
     try:
         while True:
-            taken += 1
+            tests = at(len(table) - 1, ())
+            taken += 1 + len(tests)
             if taken > room:  # refuse, leaving nothing to charge again
                 taken = 0
                 meter.refuse(phase, room)
-            for get, allowed in at(len(table) - 1, ()):
+            for get, allowed in tests:
                 if get(table) not in allowed:
                     break
             else:
@@ -257,32 +260,25 @@ def _satisfying_tables(constraints, cfg):
     (arity, table), in order of arity and then of table.
 
     The constraints are merged by antecedent first, allowing the
-    intersection of the consequents that share one.  At each arity n the
-    rank vectors of every distinct antecedent are read once, grouped by
-    their largest rank (``multisets._rank_vectors``), and each is paired
-    with the antecedent's allowed set as a check at that rank.  An allowed
-    set holding every image is met by every table, so it gives no check,
-    though its rank vectors are read all the same: what the compile
-    charges does not depend on the consequents.  The tables are then
-    searched for (``_search``).
+    intersection of the consequents that share one.  An antecedent whose
+    allowed set holds every image is met by every table, so it is
+    dropped and never compiled.  At each arity n every other antecedent's
+    checks are read once, grouped by their largest rank
+    (``multisets._rank_checks``), and the tables are then searched for
+    (``_search``).
     """
     k, k_out = cfg.domain_size, cfg.codomain_size
     consequents = {}  # antecedent -> the tuples every constraint on it allows
     for c in constraints:
         allowed = consequents.get(c.antecedent)
         consequents[c.antecedent] = c.consequent if allowed is None else allowed & c.consequent
-    for phi, allowed in consequents.items():
-        if power_upto(k_out, phi.arity, len(allowed) + 1) == len(allowed):
-            consequents[phi] = None  # every image: no check
-        elif phi.arity == 1:  # a getter of one rank reads the bare entry
-            consequents[phi] = _unwrapped(allowed)
+    consequents = [(phi, allowed) for phi, allowed in consequents.items()
+                   if power_upto(k_out, phi.arity, len(allowed) + 1) > len(allowed)]
     for n in range(1, cfg.n_max + 1):
-        checks = {}  # rank -> (getter, allowed) of each rank vector largest there
-        for phi, allowed in consequents.items():
-            groups = _rank_vectors(phi, n)
-            if allowed is not None:
-                for r, getters in groups:
-                    checks.setdefault(r, []).extend(zip(getters, repeat(allowed)))
+        checks = {}  # rank -> the checks whose largest rank it is
+        for phi, allowed in consequents:
+            for r, pairs in _rank_checks(phi, n, allowed):
+                checks.setdefault(r, []).extend(pairs)
         for table in _search(checks, k ** n, k_out):
             yield n, table
 

@@ -7,7 +7,7 @@ matrix is the workhorse of every satisfaction check.
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 from operator import add, itemgetter
 
 from .errors import (
@@ -374,6 +374,18 @@ def _rank_vectors(phi, n):
         phi._ranks = {}
     phi._ranks[n] = kept
     return kept[2]
+
+
+def _rank_checks(phi, n, allowed):
+    """The checks that an operation maps every n-column matrix M < phi
+    into ``allowed``, grouped by largest row rank as ``(r, checks)``
+    pairs: each check pairs a getter of ``_rank_vectors`` with the images
+    it must read.  A getter of one rank reads the bare entry, so a
+    one-row phi's allowed 1-tuples are unwrapped to their entries here.
+    """
+    if phi.arity == 1:
+        allowed = frozenset([x for x, in allowed])
+    return [(r, zip(getters, repeat(allowed))) for r, getters in _rank_vectors(phi, n)]
 
 
 def _split_selections(shape, n):

@@ -164,6 +164,24 @@ def blind_tests(constraints, k, n):
     return tests
 
 
+def blind_checks(constraints, k, k_out, n):
+    """How many checks a search reads at each rank of arity n: one per
+    n-column matrix M < phi, listed by ``enumerate_matrices_leq``, at its
+    largest row rank, for each distinct antecedent phi whose constraints
+    together exclude some image."""
+    allowed = {}
+    for c in constraints:
+        allowed[c.antecedent] = allowed.get(c.antecedent, c.consequent) & c.consequent
+    checks = {}
+    for phi, images in allowed.items():
+        if len(images) < k_out ** phi.arity:
+            for matrix in enumerate_matrices_leq(phi, n):
+                r = max(sum(x * k ** (n - 1 - j) for j, x in enumerate(row))
+                        for row in matrix.rows())
+                checks[r] = checks.get(r, 0) + 1
+    return checks
+
+
 def _meets(table, tests):
     return all(tuple(table[r] for r in ranks) in allowed for ranks, allowed in tests)
 
@@ -172,19 +190,21 @@ def blind_f_pol(constraints, cfg):
     """The class of every table meeting the tests of its arity, each
     table of each arity tested, and the "table search" steps of a search
     for them, counted level by level: k_out entries are assigned under
-    each prefix meeting every test inside it, and each table found is
-    charged its entries again."""
+    each prefix meeting every test inside it, each charged with the
+    checks at its rank, and each table found is charged its entries
+    again."""
     k, k_out = cfg.domain_size, cfg.codomain_size
     out, steps = OperationClass(k, k_out), 0
     with Meter(INF):
         for n in range(1, cfg.n_max + 1):
             tests, size = blind_tests(constraints, k, n), k ** n
+            checks = blind_checks(constraints, k, k_out, n)
             for table in product(range(k_out), repeat=size):
                 if _meets(table, tests.items()):
                     out._add(n, table)
             prefixes = [()]
             for r in range(size):
-                steps += k_out * len(prefixes)
+                steps += k_out * len(prefixes) * (1 + checks.get(r, 0))
                 at = [(ranks, allowed) for ranks, allowed in tests.items() if max(ranks) == r]
                 prefixes = [p for q in prefixes for p in (q + (x,) for x in range(k_out))
                             if _meets(p, at)]
@@ -302,16 +322,23 @@ def test_each_antecedent_is_compiled_once_per_arity(kind):
         family = _repeated_antecedents()
     distinct = set(c.antecedent for c in family)
     assert len(distinct) < len(family)
+    allowed = {}
+    for c in family:
+        allowed[c.antecedent] = allowed.get(c.antecedent, c.consequent) & c.consequent
+    excluding = [phi for phi in distinct if len(allowed[phi]) < 2 ** phi.arity]
+    assert 0 < len(excluding)
     for cold in (True, False):
         if cold:
             _forget_compiles(family)
         with Meter() as meter:
             f_pol(family, cfg)
+        # an antecedent whose constraints allow every image is not compiled
         assert meter.done.get("constraint matrices", 0) == sum(
-            len(list(enumerate_matrices_leq(phi, n))) for phi in distinct for n in range(1, 4))
+            len(list(enumerate_matrices_leq(phi, n))) for phi in excluding
+            for n in range(1, 4))
         # a positive default lists the k^m tuples of m entries, once per arity
         assert meter.done.get("support tuples", 0) == 3 * sum(
-            phi.arity * 2 ** phi.arity for phi in distinct if phi.default)
+            phi.arity * 2 ** phi.arity for phi in excluding if phi.default)
 
 
 def _refusal(family, cfg, budget):
@@ -326,9 +353,10 @@ def _refusal(family, cfg, budget):
 def test_warm_compile_refuses_as_the_cold_one_at_every_budget():
     # positive defaults: 24 support tuples and 8 or 63 matrices per
     # antecedent and arity, so budgets up to the matrices refuse
-    # mid-compile in both compile phases
+    # mid-compile in both compile phases; each consequent excludes one
+    # image, so every antecedent is compiled
     family = [GeneralizedConstraint(RepetitionFunction(3, 2, INF, {t: 1}),
-                                    product(range(2), repeat=3), 2)
+                                    set(product(range(2), repeat=3)) - {(1, 0, 1)}, 2)
               for t in [(0, 0, 0), (0, 1, 1), (1, 1, 0)]]
     cfg = GaloisConfig(2, n_max=2, m_max=3, breadth=2)
     _forget_compiles(family)
