@@ -52,6 +52,8 @@ class BoxedGenerator:
     cap: object  # int or INF
 
     def __post_init__(self):
+        if not isinstance(self.box, RepetitionFunction):
+            raise GaloisKitError(f"generator box {self.box!r} is not a repetition function")
         if not is_extnat(self.cap):
             raise GaloisKitError(f"invalid generator cap {self.cap!r}")
 
@@ -75,6 +77,8 @@ class Cluster:
             raise GaloisKitError("cluster arity and domain size must be positive")
         object.__setattr__(self, "generators", frozenset(self.generators))
         for g in self.generators:
+            if not isinstance(g, BoxedGenerator):
+                raise GaloisKitError(f"cluster generator {g!r} is not a boxed generator")
             if g.box.arity != self.arity or g.box.domain_size != self.domain_size:
                 raise GaloisKitError("generator arity/domain mismatch with cluster")
 
@@ -213,10 +217,12 @@ _KEEP = 4096
 
 
 class _KeptOrders(dict):
-    """Split orders by member counts, for one arity, kept across
-    ``_violation`` calls while they hold at most ``_KEEP`` selections in
-    all: a longer list is not kept, and one that would pass the bound
-    drops the lists kept before it."""
+    """Split orders by member counts, for one arity, kept across the
+    ``_violation`` checks of ``satisfies_cluster`` and the
+    ``_cluster_tests`` compiles of ``c_pol`` while they hold at most
+    ``_KEEP`` selections in all: a longer list is not kept, and one that
+    would pass the bound drops the lists kept before it.  Only complete
+    lists are kept, never one a budget cut short."""
 
     def __init__(self):
         super().__init__()
@@ -390,27 +396,30 @@ def _cluster_tests(cluster, compiled, members, n, scaled, tests, meter):
     positions; a test that allows every image is dropped, and tests on
     one rank vector are merged by intersecting their allowed images.
     ``scaled`` holds the ``_Scaled`` vectors over the cluster's domain.
-    Each split is a "cluster splits" step, refused as soon as the phase
-    passes the budget; no more orders are built than it has room for.
+    A member's splits are the ``_split_orders`` of its counts, read from
+    and kept in ``_kept_orders``, which ``_violation`` shares.  Each split
+    is a "cluster splits" step, refused as soon as the phase passes the
+    budget; no more orders are built than it has room for.
     """
     caps, allows, exact = compiled
     generators = cluster.sorted_generators()
     space = cluster.domain_size ** cluster.arity
     full = (1 << len(caps)) - 1
     images = {}  # m2 -> _allowed_images(generators, m2)
-    orders = {}  # count shape -> its split orders
+    orders = _kept_orders[n]
     phase = "cluster splits"
     room, taken = meter.room(phase), 0
     for member_size, items, _ in members:
         if member_size < n:
             continue
         tuples, counts = zip(*items)
-        shape = tuple([min(c, n) for c in counts])
-        sels = orders.get(shape)
+        sels = orders.get(counts)
         if sels is None:
             # one past the room shows whether the budget cuts the orders
             limit = None if room == INF else room - taken + 1
-            sels = orders[shape] = _split_orders(shape, n, limit)
+            sels = _split_orders(tuple([min(c, n) for c in counts]), n, limit)
+            if limit is None or len(sels) < limit:
+                orders[counts] = sels
         taken += len(sels)
         if taken > room:
             meter.refuse(phase, room)
@@ -488,6 +497,7 @@ def cluster_union(family):
 
 def breadth_restrict(cluster, p):
     """Cap every generator's cardinality at p."""
+    _check_limit("breadth", p)
     gens = frozenset(
         BoxedGenerator(g.box, min(g.cap, p)) for g in cluster.generators
     )
@@ -504,8 +514,7 @@ def breadth(cluster):
 
 def trivial_cluster(m, p, domain_size):
     """All multisets of cardinality at most p (p = 0 still contains epsilon)."""
-    if p < 0:
-        raise GaloisKitError("breadth must be nonnegative")
+    _check_limit("breadth", p)
     box = RepetitionFunction.constant(m, domain_size, INF)
     return Cluster(m, domain_size, frozenset({BoxedGenerator(box, p)}))
 

@@ -174,7 +174,8 @@ def _sweep(tests, tables, k_out):
 
     Each table meets the tests most restrictive first (the smallest share
     of the k_out^m tuples allowed, ties by rank vector), so a rejected
-    table usually fails its first few; each test evaluated is a "sweep
+    table usually fails its first few, most often the first, which is
+    read before the loop over the rest; each test evaluated is a "sweep
     tests" step, refused as ``Meter.counted`` refuses, at the table whose
     tests pass the budget, and charged once when the stream ends or is
     dropped.  A test is read as one ``itemgetter`` of its ranks; on
@@ -185,15 +186,20 @@ def _sweep(tests, tables, k_out):
     tests = [(itemgetter(*ranks), allowed if len(ranks) > 1 else _unwrapped(allowed))
              for ranks, allowed in order]
     meter, phase, width = _current_meter(), "sweep tests", len(tests)
+    # with no tests, a first test that every table meets, at no step
+    (first, first_allowed), *rest = tests or [(len, _Excluding())]
     room, taken = meter.room(phase), 0
     met = False  # some table met every test: with no tests, it charges 0 steps
     try:
         for table in tables:
-            for failed, (get, allowed) in enumerate(tests, 1):
-                if get(table) not in allowed:
-                    break
+            if first(table) not in first_allowed:
+                failed = 1
             else:
-                failed = 0
+                for failed, (get, allowed) in enumerate(rest, 2):
+                    if get(table) not in allowed:
+                        break
+                else:
+                    failed = 0
             taken += failed or width
             if taken > room:  # refuse, leaving nothing to charge again
                 over, taken, met = taken, 0, False
@@ -262,8 +268,8 @@ def _satisfying_tables(constraints, cfg):
     The constraints are merged by antecedent first, allowing the
     intersection of the consequents that share one.  An antecedent whose
     allowed set holds every image is met by every table, so it is
-    dropped and never compiled.  At each arity n every other antecedent's
-    checks are read once, grouped by their largest rank
+    dropped and never compiled.  At each arity n the other antecedents'
+    checks are read together, grouped by their largest rank
     (``multisets._rank_checks``), and the tables are then searched for
     (``_search``).
     """
@@ -275,11 +281,7 @@ def _satisfying_tables(constraints, cfg):
     consequents = [(phi, allowed) for phi, allowed in consequents.items()
                    if power_upto(k_out, phi.arity, len(allowed) + 1) > len(allowed)]
     for n in range(1, cfg.n_max + 1):
-        checks = {}  # rank -> the checks whose largest rank it is
-        for phi, allowed in consequents:
-            for r, pairs in _rank_checks(phi, n, allowed):
-                checks.setdefault(r, []).extend(pairs)
-        for table in _search(checks, k ** n, k_out):
+        for table in _search(_rank_checks(consequents, n), k ** n, k_out):
             yield n, table
 
 
@@ -310,9 +312,11 @@ def f_pol(constraints, cfg):
     return out
 
 
-def _inv_cluster_for_arity(closed, n):
-    """The separating cluster built from the all-rows matrix of width n,
-    whose columns are the tables of the projections x_1, ..., x_n.
+def _inv_cluster_for_arity(tables, k, n):
+    """The separating cluster built from the all-rows matrix of width n
+    over domain size k, whose columns are the tables of the projections
+    x_1, ..., x_n, for the composition-closed class whose j-ary members
+    have the tables ``tables[j]``, for every j <= n.
 
     For every set partition of the columns, a member takes one class
     image f B per block B, computed once per block: f's table read at
@@ -321,8 +325,6 @@ def _inv_cluster_for_arity(closed, n):
     unmapped: the composition-closed class contains the unary projection,
     so an unmapped column is the image of its one-column block.
     """
-    k = closed.domain_size
-    tables = {j: closed._tables(j) for j in range(1, n + 1)}
     images = {}  # block -> its class images
     members = set()  # each as its sorted elements
     for blocks in _set_partitions(list(range(n))):
@@ -337,11 +339,15 @@ def _inv_cluster_for_arity(closed, n):
 
 
 def cl_inv(cls_, cfg):
-    """The proof-canonical invariant clusters of a class, one per arity <= n_max."""
+    """The proof-canonical invariant clusters of a class, one per arity
+    <= n_max.  The composition closure's tables of each arity are decoded
+    once and read by every cluster of that arity or above."""
     _check_config_domain(cls_, cfg)
     with Meter():
         closed = close_composition(cls_, max(cfg.n_max, cls_.max_arity or 1))
-        return [_inv_cluster_for_arity(closed, n) for n in range(1, cfg.n_max + 1)]
+        tables = {j: closed._tables(j) for j in range(1, cfg.n_max + 1)}
+        return [_inv_cluster_for_arity(tables, cls_.domain_size, n)
+                for n in range(1, cfg.n_max + 1)]
 
 
 def c_pol(clusters, cfg):
@@ -434,7 +440,8 @@ def separating_cluster(cls_, g, cfg):
         closed = close_composition(cls_, max(n, cls_.max_arity or 1, cfg.n_max))
         if g in closed:
             raise NotSeparableError("no separating cluster: g is in the closed class")
-        cluster = _inv_cluster_for_arity(closed, n)
+        tables = {j: closed._tables(j) for j in range(1, n + 1)}
+        cluster = _inv_cluster_for_arity(tables, cls_.domain_size, n)
         if cluster_member(FiniteMultiset.from_tuples(len(g.table), [g.table]), cluster):
             raise GaloisKitError("separation failed: g image unexpectedly admitted")
         for f in closed:

@@ -11,7 +11,7 @@ matrix widths and are therefore checked up to an explicit column cap.
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import GaloisKitError, _check_int, _current_meter
+from .errors import GaloisKitError, _check_int, _current_meter, _refuse_non_sequence
 from .extnat import INF
 from .multisets import TupleMatrix, _compiled, _counts, _walk
 from .repetition import RepetitionFunction
@@ -46,7 +46,12 @@ class MinorScheme:
         if self.target < 1:
             raise GaloisKitError("scheme target must be positive")
         object.__setattr__(self, "indeterminates", tuple(self.indeterminates))
-        object.__setattr__(self, "maps", tuple(tuple(h) for h in self.maps))
+        try:
+            maps = tuple([tuple(h) for h in self.maps])
+        except TypeError:
+            _refuse_non_sequence("scheme map", self.maps)
+            raise
+        object.__setattr__(self, "maps", maps)
         if not self.maps:
             raise GaloisKitError("a scheme needs at least one map")
         names = set(self.indeterminates)

@@ -376,16 +376,46 @@ def _rank_vectors(phi, n):
     return kept[2]
 
 
-def _rank_checks(phi, n, allowed):
+def _rank_checks(consequents, n):
     """The checks that an operation maps every n-column matrix M < phi
-    into ``allowed``, grouped by largest row rank as ``(r, checks)``
-    pairs: each check pairs a getter of ``_rank_vectors`` with the images
-    it must read.  A getter of one rank reads the bare entry, so a
-    one-row phi's allowed 1-tuples are unwrapped to their entries here.
+    into ``allowed``, for each ``(phi, allowed)`` of ``consequents``, as a
+    dict from a row rank to the checks whose largest rank it is, in the
+    order of ``consequents`` and then of ``_matrices``: each check pairs a
+    getter of ``_rank_vectors`` with the images it must read.  A getter of
+    one rank reads the bare entry, so a one-row phi's allowed 1-tuples
+    are unwrapped to their entries here.
+
+    When every phi keeps its width-n groups and the summed kept "support
+    tuples" and "constraint matrices" steps both fit the budget, each sum
+    is charged once, as the reads one phi at a time would charge it, since
+    each of them would fit too.  Otherwise each phi is read in turn
+    through ``_rank_vectors``, so a cold read or a refusal comes in the
+    same phase at the same count.
     """
-    if phi.arity == 1:
-        allowed = frozenset([x for x, in allowed])
-    return [(r, zip(getters, repeat(allowed))) for r, getters in _rank_vectors(phi, n)]
+    kept = [phi._ranks and phi._ranks.get(n) for phi, _ in consequents]
+    groups = None
+    if all(kept):
+        tuples, matrices = "support tuples", "constraint matrices"  # as in _rank_vectors
+        meter = _current_meter()
+        done = meter.done
+        added = sum([entry[0] for entry in kept]), sum([entry[1] for entry in kept])
+        steps = done.get(tuples, 0) + added[0], done.get(matrices, 0) + added[1]
+        if max(steps) <= meter.budget:
+            # a phase no kept read charges stays out of meter.done
+            if added[0]:
+                done[tuples] = steps[0]
+            if added[1]:
+                done[matrices] = steps[1]
+            groups = [k[2] for k in kept]
+    if groups is None:
+        groups = [_rank_vectors(phi, n) for phi, _ in consequents]
+    checks = {}  # rank -> the checks whose largest rank it is
+    for (phi, allowed), by_rank in zip(consequents, groups):
+        if phi.arity == 1:
+            allowed = frozenset([x for x, in allowed])
+        for r, getters in by_rank:
+            checks.setdefault(r, []).extend(zip(getters, repeat(allowed)))
+    return checks
 
 
 def _split_selections(shape, n):

@@ -259,6 +259,8 @@ class OperationClass:
             self.add(op)
 
     def add(self, op):
+        if not isinstance(op, Operation):
+            raise GaloisKitError(f"class member {op!r} is not an operation")
         if op.domain_size != self.domain_size or op.codomain_size != self.codomain_size:
             raise GaloisKitError("operation domain/codomain mismatch with class")
         self._add(op.arity, op.table)
@@ -356,13 +358,16 @@ def all_operations(k, arity, codomain_size=None):
     _check_int("domain size", k, positive=True)
     _check_int("codomain size", k_out, positive=True)
     _check_int("arity", arity, positive=True)
-    new, put = object.__new__, object.__setattr__
+    new = object.__new__
+    # each slot set through its descriptor, past the frozen __setattr__
+    put_k, put_k_out = Operation.domain_size.__set__, Operation.codomain_size.__set__
+    put_arity, put_table = Operation.arity.__set__, Operation.table.__set__
     for table in product(range(k_out), repeat=k ** arity):
         op = new(Operation)
-        put(op, "domain_size", k)
-        put(op, "codomain_size", k_out)
-        put(op, "arity", arity)
-        put(op, "table", table)
+        put_k(op, k)
+        put_k_out(op, k_out)
+        put_arity(op, arity)
+        put_table(op, table)
         yield op
 
 

@@ -153,7 +153,7 @@ class TestGcInvFPol:
         # cl_inv's closure charges more steps first, so this is asked directly
         closed = close_composition(OperationClass(2, members=[projection(2, 1, 2)]), 2)
         with pytest.raises(BudgetExceededError) as info, Meter(2):
-            _inv_cluster_for_arity(closed, 2)
+            _inv_cluster_for_arity({j: closed._tables(j) for j in (1, 2)}, 2, 2)
         # one member from the partition {0} {1}, two from {0, 1}
         assert str(info.value) == "refusing invariant cluster members: 3 steps exceed budget 2"
 

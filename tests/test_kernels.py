@@ -47,6 +47,7 @@ from galois_kit import (
     all_operations,
     apply_op_rows,
     apply_scheme_map,
+    c_pol,
     cl_inv,
     class_image,
     close_composition,
@@ -1023,6 +1024,31 @@ def test_kept_orders_hold_at_most_the_bound(monkeypatch):
     clusters._kept_orders.clear()
     runs.append(_metered_outcome(satisfies_cluster, (f, cluster, 5), UNLIMITED))
     assert runs[0] == runs[1] == runs[2]
+
+
+def test_c_pol_compile_shares_the_kept_orders():
+    # c_pol's compile reads and fills the store of satisfies_cluster's
+    # check: it answers and charges alike cold, warm and after a check,
+    # and a budget that cuts a member's orders short keeps only complete
+    # lists.  The 72 operation tables are charged first.
+    cluster = relation_cluster({(0, 0), (0, 1), (1, 1)}, 2, 2)
+    cfg = GaloisConfig(2, n_max=2, m_max=1, breadth=4)
+    clusters._kept_orders.clear()
+    runs = [_metered_outcome(c_pol, ([cluster], cfg), UNLIMITED) for _ in range(2)]
+    f = Operation(2, 2, 2, (0, 1, 1, 1))
+    assert _metered_outcome(satisfies_cluster, (f, cluster, 5), UNLIMITED)[0]
+    runs.append(_metered_outcome(c_pol, ([cluster], cfg), UNLIMITED))
+    assert runs[0] == runs[1] == runs[2]
+    done = runs[0][1]
+    assert (done["operation tables"], done["cluster splits"]) == (72, 150)
+    for budget in range(72, 150):
+        clusters._kept_orders.clear()
+        assert _metered_outcome(c_pol, ([cluster], cfg), budget)[0] == (
+            "refused", "cluster splits", budget + 1)
+        for n, kept in clusters._kept_orders.items():
+            for counts, orders in kept.items():
+                assert orders == _split_orders(tuple([min(c, n) for c in counts]), n)
+    assert clusters._kept_orders[2]
 
 
 def test_single_image_outputs_admit_by_cap_and_one_copy():

@@ -12,7 +12,7 @@ from the reference member walk.
 """
 
 import random
-from itertools import product
+from itertools import product, repeat
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -42,7 +42,7 @@ from galois_kit import (
     trivial_cluster,
     trivial_constraint,
 )
-from galois_kit import galois
+from galois_kit import galois, multisets
 from galois_kit.clusters import _Excluding, _share
 from galois_kit.errors import DEFAULT_BUDGET, _current_meter
 from galois_kit.extnat import INF
@@ -372,6 +372,78 @@ def test_warm_compile_refuses_as_the_cold_one_at_every_budget():
         assert _refusal(family, cfg, budget) == cold, budget
         phases.add(cold[0] and cold[0][0])
     assert {"support tuples", "constraint matrices"} <= phases, phases
+
+
+READ_GROUPS = multisets._rank_vectors
+
+
+def per_antecedent_checks(consequents, n):
+    """The checks by rank that ``multisets._rank_checks`` returns, each
+    antecedent's groups read in turn through ``_rank_vectors``, each read
+    with its own fit test and charge."""
+    checks = {}
+    for phi, allowed in consequents:
+        if phi.arity == 1:
+            allowed = frozenset([x for x, in allowed])
+        for r, getters in READ_GROUPS(phi, n):
+            checks.setdefault(r, []).extend(zip(getters, repeat(allowed)))
+    return checks
+
+
+def _read_widths(read, consequents, n_max, budget):
+    """Each width's checks, up to n_max, read in turn under one meter,
+    the getters shown by their ranks, then the refusal as (phase, done,
+    budget) if one comes; and ``meter.done``."""
+    got = []
+    with Meter(budget) as meter:
+        try:
+            for n in range(1, n_max + 1):
+                got.append({r: [(repr(get), allowed) for get, allowed in checks]
+                            for r, checks in read(consequents, n).items()})
+        except BudgetExceededError as e:
+            got.append((e.phase, e.done, e.budget))
+    return got, meter.done
+
+
+def test_kept_read_per_width_matches_the_read_per_antecedent(monkeypatch):
+    reads = []  # the antecedents _rank_checks reads one at a time
+    monkeypatch.setattr(multisets, "_rank_vectors",
+                        lambda phi, n: reads.append(phi) or READ_GROUPS(phi, n))
+    rng = random.Random(2929)
+    seen = {"one-row": 0, "kept read": 0, "refused": 0}
+    alphabets = set()  # (k, k_out)
+    for _ in range(150):
+        family, cfg = _asymmetric_case(rng)
+        consequents = [(c.antecedent, c.consequent) for c in family]
+        # cold: nothing is kept, so both read antecedent by antecedent
+        _forget_compiles(family)
+        cold = _read_widths(multisets._rank_checks, consequents, cfg.n_max, INF)
+        _forget_compiles(family)
+        assert _read_widths(per_antecedent_checks, consequents, cfg.n_max, INF) == cold
+        # warm, at an unlimited budget, then, reading the widths up to n,
+        # at the kept steps summed over them and one step below: the kept
+        # read charges the sums while they fit, and reads antecedent by
+        # antecedent past them
+        warm = _read_widths(multisets._rank_checks, consequents, cfg.n_max, INF)
+        assert warm == cold
+        assert _read_widths(per_antecedent_checks, consequents, cfg.n_max, INF) == cold
+        totals = [0, 0]
+        for n in range(1, cfg.n_max + 1):
+            for phi, _ in consequents:
+                totals[0] += phi._ranks[n][0]
+                totals[1] += phi._ranks[n][1]
+            fits = max(totals)
+            for budget in (fits, fits - 1) if fits else (fits,):
+                del reads[:]
+                got = _read_widths(multisets._rank_checks, consequents, n, budget)
+                assert bool(reads) == (budget < fits)
+                assert _read_widths(per_antecedent_checks, consequents, n, budget) == got
+                seen["kept read"] += budget == fits
+                seen["refused"] += isinstance(got[0][-1], tuple)
+        seen["one-row"] += any(phi.arity == 1 for phi, _ in consequents)
+        alphabets.add((cfg.domain_size, cfg.codomain_size))
+    assert min(seen.values()) >= 20, seen
+    assert len(alphabets) == 9, alphabets
 
 
 def test_sweep_refuses_in_its_own_phase():

@@ -23,6 +23,7 @@ from galois_kit import (
     Workspace,
     all_operations,
     apply_op_rows,
+    breadth_restrict,
     c_pol,
     close_composition,
     close_perm_dummy,
@@ -173,7 +174,17 @@ LIBRARY = [
      lambda: cluster_union([trivial_cluster(1, 1, 2), trivial_cluster(2, 1, 2)]),
      "cluster arity mismatch in union"),
     ("trivial-cluster-breadth", lambda: trivial_cluster(1, -1, 2),
-     "breadth must be nonnegative"),
+     "breadth must be nonnegative: an int or inf, not -1"),
+    ("trivial-cluster-str-breadth", lambda: trivial_cluster(1, "x", 2),
+     "breadth must be nonnegative: an int or inf, not 'x'"),
+    ("breadth-restrict-str", lambda: breadth_restrict(trivial_cluster(1, 1, 2), "x"),
+     "breadth must be nonnegative: an int or inf, not 'x'"),
+    ("breadth-restrict-negative", lambda: breadth_restrict(trivial_cluster(1, 1, 2), -1),
+     "breadth must be nonnegative: an int or inf, not -1"),
+    ("generator-int-box", lambda: BoxedGenerator(5, 1),
+     "generator box 5 is not a repetition function"),
+    ("cluster-int-generator", lambda: Cluster(1, 2, [5]),
+     "cluster generator 5 is not a boxed generator"),
     ("relation-tuple", lambda: relation_cluster({(0, 2)}, 2, 2),
      "relation tuple (0, 2) invalid"),
     ("order-pair", lambda: order_cluster({(0, 0), (1, 1), (0, 2)}, 2),
@@ -223,6 +234,7 @@ LIBRARY = [
     ("scheme-empty-map", lambda: MinorScheme(1, (), ((),)), "source arities must be positive"),
     ("scheme-index", lambda: MinorScheme(1, (), ((1,),)), "index 1 out of target range"),
     ("scheme-unknown-name", lambda: MinorScheme(1, (), (("y",),)), "unknown indeterminate 'y'"),
+    ("scheme-int-map", lambda: MinorScheme(2, (), (5,)), "scheme map 5 is not a sequence"),
     ("compose-count", lambda: compose_schemes(ONE_MAP, []),
      "need exactly one inner scheme per outer map"),
     ("compose-target", lambda: compose_schemes(ONE_MAP, [MinorScheme.identity(2)]),
@@ -290,6 +302,7 @@ LIBRARY = [
      "target arity must be positive: an int, not 2.0"),
     ("class-alphabet", lambda: OperationClass(3).add(ID2),
      "operation domain/codomain mismatch with class"),
+    ("class-int-member", lambda: OperationClass(2, 2, [5]), "class member 5 is not an operation"),
     ("closure-cap", lambda: close_perm_dummy(OperationClass(2, members=[AND]), 1),
      "arity cap below an existing member arity"),
     # a negative cap is refused as such, whether or not the class has members
