@@ -17,7 +17,7 @@ from functools import cached_property, partial
 from itertools import groupby, product, repeat
 from operator import add, itemgetter
 
-from .errors import GaloisKitError, Meter, _check_int, _current_meter
+from .errors import GaloisKitError, Meter, _check_int, _current_meter, _iterate
 from .extnat import INF, ext_sub, is_extnat
 from .multisets import FiniteMultiset, TupleMatrix, _compiled, _split_orders, _walk
 from .repetition import RepetitionFunction
@@ -75,12 +75,15 @@ class Cluster:
         _check_int("domain size", self.domain_size)
         if self.arity < 1 or self.domain_size < 1:
             raise GaloisKitError("cluster arity and domain size must be positive")
-        object.__setattr__(self, "generators", frozenset(self.generators))
-        for g in self.generators:
+        generators = self.generators
+        if type(generators) is not frozenset:  # a frozenset is kept as it is, not hashed again
+            generators = list(_iterate("cluster generators", generators))
+        for g in generators:
             if not isinstance(g, BoxedGenerator):
                 raise GaloisKitError(f"cluster generator {g!r} is not a boxed generator")
             if g.box.arity != self.arity or g.box.domain_size != self.domain_size:
                 raise GaloisKitError("generator arity/domain mismatch with cluster")
+        object.__setattr__(self, "generators", frozenset(generators))
 
     def sorted_generators(self):
         """The generators by cap, then default, then sorted exceptions."""
@@ -217,16 +220,14 @@ _KEEP = 4096
 
 
 class _KeptOrders(dict):
-    """Split orders by member counts, for one arity, kept across the
-    ``_violation`` checks of ``satisfies_cluster`` and the
-    ``_cluster_tests`` compiles of ``c_pol`` while they hold at most
-    ``_KEEP`` selections in all: a longer list is not kept, and one that
-    would pass the bound drops the lists kept before it.  Only complete
-    lists are kept, never one a budget cut short."""
+    """Split orders by member counts, for one arity, read and filled
+    through ``read`` by the ``_violation`` checks of ``satisfies_cluster``
+    and the ``_cluster_tests`` compiles of ``c_pol`` while they hold at
+    most ``_KEEP`` selections in all: a longer list is not kept, and one
+    that would pass the bound drops the lists kept before it.  Only
+    complete lists are kept, never one a budget cut short."""
 
-    def __init__(self):
-        super().__init__()
-        self.held = 0
+    held = 0  # the selections kept, in all
 
     def __setitem__(self, counts, orders):
         size = len(orders)
@@ -237,6 +238,18 @@ class _KeptOrders(dict):
             self.held = 0
         super().__setitem__(counts, orders)
         self.held += size
+
+    def read(self, counts, n, left):
+        """The ``_split_orders`` of a member's counts at width n, kept or
+        built.  At most one order past ``left``, the room left (or inf), is
+        built, to show a list the budget cuts short; that list is not kept."""
+        orders = self.get(counts)
+        if orders is None:
+            limit = None if left == INF else left + 1
+            orders = _split_orders(tuple([min(c, n) for c in counts]), n, limit)
+            if limit is None or len(orders) < limit:
+                self[counts] = orders
+        return orders
 
 
 _kept_orders = defaultdict(_KeptOrders)  # by arity
@@ -261,8 +274,8 @@ def _violation(table, n, compiled, breadth_cap, meter, scaled):
     image, output counts)``, or None if there is none: the check of
     ``satisfies_cluster``, unvalidated, charged to ``meter``.
 
-    A member's splits are the ``_split_orders`` of its counts, read from
-    and kept in ``_kept_orders``; ``scaled`` holds the ``_Scaled``
+    A member's splits are the ``_split_orders`` of its counts, read
+    through ``_kept_orders``; ``scaled`` holds the ``_Scaled``
     vectors over the table's domain, and may serve every n-ary table over
     that domain.  The row ranks of M1 are its prefix's scaled vectors
     summed, once per prefix, plus its last column.  Each split is a
@@ -279,13 +292,7 @@ def _violation(table, n, compiled, breadth_cap, meter, scaled):
         if size <= 0:
             continue
         tuples, counts = zip(*items)
-        sels = orders.get(counts)
-        if sels is None:
-            # one past the room shows whether the budget cuts the orders
-            limit = None if room == INF else room - taken + 1
-            sels = _split_orders(tuple([min(c, n) for c in counts]), n, limit)
-            if limit is None or len(sels) < limit:
-                orders[counts] = sels
+        sels = orders.read(counts, n, room - taken)
         before, taken = taken, taken + len(sels)
         if taken > room:  # check the splits within the budget, then refuse
             sels = sels[:room - before]
@@ -396,8 +403,8 @@ def _cluster_tests(cluster, compiled, members, n, scaled, tests, meter):
     positions; a test that allows every image is dropped, and tests on
     one rank vector are merged by intersecting their allowed images.
     ``scaled`` holds the ``_Scaled`` vectors over the cluster's domain.
-    A member's splits are the ``_split_orders`` of its counts, read from
-    and kept in ``_kept_orders``, which ``_violation`` shares.  Each split
+    A member's splits are the ``_split_orders`` of its counts, read
+    through ``_kept_orders``, as ``_violation`` reads them.  Each split
     is a "cluster splits" step, refused as soon as the phase passes the
     budget; no more orders are built than it has room for.
     """
@@ -413,13 +420,7 @@ def _cluster_tests(cluster, compiled, members, n, scaled, tests, meter):
         if member_size < n:
             continue
         tuples, counts = zip(*items)
-        sels = orders.get(counts)
-        if sels is None:
-            # one past the room shows whether the budget cuts the orders
-            limit = None if room == INF else room - taken + 1
-            sels = _split_orders(tuple([min(c, n) for c in counts]), n, limit)
-            if limit is None or len(sels) < limit:
-                orders[counts] = sels
+        sels = orders.read(counts, n, room - taken)
         taken += len(sels)
         if taken > room:
             meter.refuse(phase, room)

@@ -118,6 +118,14 @@ def _check_entries(what, tuples):
         raise
 
 
+def _iterate(what, items):
+    """An iterator over a collection argument, or its refusal naming it."""
+    try:
+        return iter(items)
+    except TypeError:
+        raise GaloisKitError(f"{what} {items!r} is not a collection") from None
+
+
 def _refuse_non_sequence(what, items):
     """Refuse, naming it, the first of the items that cannot be iterated:
     the failure path of a read of each item as a sequence, which raised a

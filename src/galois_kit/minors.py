@@ -11,7 +11,7 @@ matrix widths and are therefore checked up to an explicit column cap.
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import GaloisKitError, _check_int, _current_meter, _refuse_non_sequence
+from .errors import GaloisKitError, _check_int, _current_meter, _iterate, _refuse_non_sequence
 from .extnat import INF
 from .multisets import TupleMatrix, _compiled, _counts, _walk
 from .repetition import RepetitionFunction
@@ -45,11 +45,16 @@ class MinorScheme:
         _check_int("scheme target", self.target)
         if self.target < 1:
             raise GaloisKitError("scheme target must be positive")
-        object.__setattr__(self, "indeterminates", tuple(self.indeterminates))
+        indeterminates = tuple(_iterate("scheme indeterminates", self.indeterminates))
+        for v in indeterminates:
+            if not isinstance(v, str):
+                raise GaloisKitError(f"indeterminate {v!r} is not a name: a str")
+        object.__setattr__(self, "indeterminates", indeterminates)
+        maps = tuple(_iterate("scheme maps", self.maps))
         try:
-            maps = tuple([tuple(h) for h in self.maps])
+            maps = tuple([tuple(h) for h in maps])
         except TypeError:
-            _refuse_non_sequence("scheme map", self.maps)
+            _refuse_non_sequence("scheme map", maps)
             raise
         object.__setattr__(self, "maps", maps)
         if not self.maps:
@@ -64,7 +69,7 @@ class MinorScheme:
                 if isinstance(e, int):
                     if not 0 <= e < self.target:
                         raise GaloisKitError(f"index {e} out of target range")
-                elif e not in names:
+                elif not (isinstance(e, str) and e in names):
                     raise GaloisKitError(f"unknown indeterminate {e!r}")
 
     @property

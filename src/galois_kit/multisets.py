@@ -42,7 +42,8 @@ class FiniteMultiset:
             raise GaloisKitError(f"multiset counts {counts!r} is not a mapping of tuples "
                                  "to multiplicities") from None
         try:
-            counts = {tuple(t): c for t, c in counts.items() if c}
+            # a zero that is not an int is kept, for the check below to refuse
+            counts = {tuple(t): c for t, c in counts.items() if c or not isinstance(c, int)}
         except TypeError:
             _refuse_non_sequence("multiset key", counts)
             raise
@@ -335,6 +336,10 @@ def _matrices(phi, n):
             meter.charge(phase, taken)
 
 
+# the phases _matrices charges, in the order phi._ranks keeps their steps
+_COMPILE_PHASES = ("support tuples", "constraint matrices")
+
+
 def _rank_vectors(phi, n):
     """The row ranks of every n-column matrix M < phi, grouped by their
     largest rank, as ``(r, getters)`` pairs: ``getters`` holds one
@@ -342,38 +347,22 @@ def _rank_vectors(phi, n):
     r, in ``_matrices`` order, and reads an operation's image of M off
     its table (on one rank, as the bare entry).
 
-    The first read streams ``_matrices`` under the open meter and keeps,
-    in phi, by width, the "support tuples" and "constraint matrices"
-    steps the stream charged and the groups.  A later read charges those
-    steps to the open meter, opening none, if both fit the budget; if one
-    does not, it streams again, so it refuses as the first read would: in
-    the same phase, at the same count.
+    The cold compile: it streams ``_matrices`` and keeps, in phi, by width,
+    its steps of ``_COMPILE_PHASES`` and the groups, for ``_rank_checks``.
     """
-    tuples, matrices = "support tuples", "constraint matrices"  # what _matrices charges
-    meter = _current_meter()
-    done, kept = meter.done, phi._ranks and phi._ranks.get(n)
-    if kept:
-        steps = done.get(tuples, 0) + kept[0], done.get(matrices, 0) + kept[1]
-        if max(steps) <= meter.budget:
-            # both fit, so both are counted; a phase the stream never
-            # charged stays out of meter.done
-            if kept[0]:
-                done[tuples] = steps[0]
-            if kept[1]:
-                done[matrices] = steps[1]
-            return kept[2]
-    with meter:  # the stream charges the open meter, or this new one
+    tuples, matrices = _COMPILE_PHASES
+    with _current_meter() as meter:  # the stream charges the open meter, or this new one
+        done = meter.done
         before = done.get(tuples, 0), done.get(matrices, 0)
         groups = {}  # largest rank -> the getters of the rank vectors there
         for _, _, ranks in _matrices(phi, n):
             ranks = tuple(ranks)
             groups.setdefault(max(ranks), []).append(itemgetter(*ranks))
-        kept = (done.get(tuples, 0) - before[0], done.get(matrices, 0) - before[1],
-                tuple([(r, tuple(getters)) for r, getters in groups.items()]))
+    groups = tuple([(r, tuple(getters)) for r, getters in groups.items()])
     if phi._ranks is None:
         phi._ranks = {}
-    phi._ranks[n] = kept
-    return kept[2]
+    phi._ranks[n] = (done.get(tuples, 0) - before[0], done.get(matrices, 0) - before[1], groups)
+    return groups
 
 
 def _rank_checks(consequents, n):
@@ -385,32 +374,27 @@ def _rank_checks(consequents, n):
     one rank reads the bare entry, so a one-row phi's allowed 1-tuples
     are unwrapped to their entries here.
 
-    When every phi keeps its width-n groups and the summed kept "support
-    tuples" and "constraint matrices" steps both fit the budget, each sum
-    is charged once, as the reads one phi at a time would charge it, since
-    each of them would fit too.  Otherwise each phi is read in turn
-    through ``_rank_vectors``, so a cold read or a refusal comes in the
-    same phase at the same count.
+    A phi that keeps its width-n groups charges its kept steps to the
+    open meter if both fit the budget.  Any other phi is compiled by
+    ``_rank_vectors``, so a kept read that does not fit refuses as the
+    first read did: in the same phase, at the same count.
     """
-    kept = [phi._ranks and phi._ranks.get(n) for phi, _ in consequents]
-    groups = None
-    if all(kept):
-        tuples, matrices = "support tuples", "constraint matrices"  # as in _rank_vectors
-        meter = _current_meter()
-        done = meter.done
-        added = sum([entry[0] for entry in kept]), sum([entry[1] for entry in kept])
-        steps = done.get(tuples, 0) + added[0], done.get(matrices, 0) + added[1]
-        if max(steps) <= meter.budget:
-            # a phase no kept read charges stays out of meter.done
-            if added[0]:
-                done[tuples] = steps[0]
-            if added[1]:
-                done[matrices] = steps[1]
-            groups = [k[2] for k in kept]
-    if groups is None:
-        groups = [_rank_vectors(phi, n) for phi, _ in consequents]
+    tuples, matrices = _COMPILE_PHASES
+    meter = _current_meter()
+    done, budget = meter.done, meter.budget
     checks = {}  # rank -> the checks whose largest rank it is
-    for (phi, allowed), by_rank in zip(consequents, groups):
+    for phi, allowed in consequents:
+        kept = phi._ranks and phi._ranks.get(n)
+        if (kept and done.get(tuples, 0) + kept[0] <= budget
+                and done.get(matrices, 0) + kept[1] <= budget):
+            # both fit; a phase the stream never charged stays out of done
+            if kept[0]:
+                done[tuples] = done.get(tuples, 0) + kept[0]
+            if kept[1]:
+                done[matrices] = done.get(matrices, 0) + kept[1]
+            by_rank = kept[2]
+        else:
+            by_rank = _rank_vectors(phi, n)
         if phi.arity == 1:
             allowed = frozenset([x for x, in allowed])
         for r, getters in by_rank:

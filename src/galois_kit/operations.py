@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, permutations, product
 
-from .errors import GaloisKitError, _check_entries, _check_int, _current_meter
+from .errors import GaloisKitError, _check_entries, _check_int, _current_meter, _iterate
 from .extnat import power_upto
 
 __all__ = [
@@ -255,7 +255,7 @@ class OperationClass:
         _check_int("domain size", domain_size, positive=True)
         _check_int("codomain size", self.codomain_size, positive=True)
         self._arities = {}  # table code -> bit n set for each arity n holding it
-        for op in members:
+        for op in _iterate("class members", members):
             self.add(op)
 
     def add(self, op):

@@ -81,7 +81,7 @@ from galois_kit.errors import DEFAULT_BUDGET, Meter, NotSeparableError, _current
 UNLIMITED = float("inf")
 from galois_kit.minors import default_col_cap, skolem_maps
 from galois_kit.multisets import (
-    _compiled, _matrices, _rank_vectors, _split_orders, _split_selections,
+    _compiled, _matrices, _rank_checks, _split_orders, _split_selections,
 )
 from multiset_oracles import (
     bounded_multisets,
@@ -510,13 +510,16 @@ def test_constraint_tests_are_the_matrices_in_order_with_their_row_ranks():
         for ranks in want_ranks:
             want_groups.setdefault(max(ranks), []).append(ranks)
         probe = range(k ** n)  # a getter reads its ranks off it
-        for _ in ("cold", "warm"):  # the warm read charges what the stream charged
+        for read in ("cold", "warm"):  # the warm read charges what the stream charged
             with Meter(UNLIMITED) as meter:
-                groups = _rank_vectors(phi, n)
+                checks = _rank_checks([(phi, frozenset())], n)
             assert meter.done == stream_meter.done
-            assert {r: [get(probe) if m > 1 else (get(probe),) for get in getters]
-                    for r, getters in groups} == want_groups
-            assert [r for r, _ in groups] == list(want_groups)
+            assert {r: [get(probe) if m > 1 else (get(probe),) for get, _ in tests]
+                    for r, tests in checks.items()} == want_groups
+            assert list(checks) == list(want_groups)
+            if read == "cold":
+                kept = phi._ranks[n]
+            assert phi._ranks[n] is kept  # the warm read streamed nothing
 
 
 def _cluster_cases(rng):
@@ -1045,10 +1048,25 @@ def test_c_pol_compile_shares_the_kept_orders():
         clusters._kept_orders.clear()
         assert _metered_outcome(c_pol, ([cluster], cfg), budget)[0] == (
             "refused", "cluster splits", budget + 1)
-        for n, kept in clusters._kept_orders.items():
-            for counts, orders in kept.items():
-                assert orders == _split_orders(tuple([min(c, n) for c in counts]), n)
+        _assert_kept_orders_complete()
     assert clusters._kept_orders[2]
+    # satisfies_cluster's check reads through the same lookup: under every
+    # budget that refuses in its splits, it too keeps only complete lists
+    with Meter(UNLIMITED) as meter:
+        satisfies_cluster(f, cluster, 5)
+    splits, refused = meter.done["cluster splits"], 0
+    for budget in range(splits):
+        clusters._kept_orders.clear()
+        outcome = _metered_outcome(satisfies_cluster, (f, cluster, 5), budget)[0]
+        refused += outcome == ("refused", "cluster splits", budget + 1)
+        _assert_kept_orders_complete()
+    assert refused and clusters._kept_orders[2]
+
+
+def _assert_kept_orders_complete():
+    for n, kept in clusters._kept_orders.items():
+        for counts, orders in kept.items():
+            assert orders == _split_orders(tuple([min(c, n) for c in counts]), n)
 
 
 def test_single_image_outputs_admit_by_cap_and_one_copy():

@@ -13,6 +13,7 @@ from the reference member walk.
 
 import random
 from itertools import product, repeat
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -374,18 +375,46 @@ def test_warm_compile_refuses_as_the_cold_one_at_every_budget():
     assert {"support tuples", "constraint matrices"} <= phases, phases
 
 
-READ_GROUPS = multisets._rank_vectors
+def ref_read_groups(phi, n):
+    """An antecedent's width-n groups, read on their own: the kept groups,
+    with the kept "support tuples" and "constraint matrices" steps
+    charged, if both fit the budget; otherwise a stream of ``_matrices``
+    grouped by largest rank, its steps and groups kept in phi, so a kept
+    read that does not fit refuses as the first read did."""
+    tuples, matrices = "support tuples", "constraint matrices"
+    meter = _current_meter()
+    done, kept = meter.done, phi._ranks and phi._ranks.get(n)
+    if kept:
+        steps = done.get(tuples, 0) + kept[0], done.get(matrices, 0) + kept[1]
+        if max(steps) <= meter.budget:
+            if kept[0]:
+                done[tuples] = steps[0]
+            if kept[1]:
+                done[matrices] = steps[1]
+            return kept[2]
+    with meter:
+        before = done.get(tuples, 0), done.get(matrices, 0)
+        groups = {}
+        for _, _, ranks in multisets._matrices(phi, n):
+            ranks = tuple(ranks)
+            groups.setdefault(max(ranks), []).append(itemgetter(*ranks))
+        kept = (done.get(tuples, 0) - before[0], done.get(matrices, 0) - before[1],
+                tuple([(r, tuple(getters)) for r, getters in groups.items()]))
+    if phi._ranks is None:
+        phi._ranks = {}
+    phi._ranks[n] = kept
+    return kept[2]
 
 
 def per_antecedent_checks(consequents, n):
     """The checks by rank that ``multisets._rank_checks`` returns, each
-    antecedent's groups read in turn through ``_rank_vectors``, each read
-    with its own fit test and charge."""
+    antecedent's groups read in turn through ``ref_read_groups``, each
+    read with its own fit test and charge."""
     checks = {}
     for phi, allowed in consequents:
         if phi.arity == 1:
             allowed = frozenset([x for x, in allowed])
-        for r, getters in READ_GROUPS(phi, n):
+        for r, getters in ref_read_groups(phi, n):
             checks.setdefault(r, []).extend(zip(getters, repeat(allowed)))
     return checks
 
@@ -406,11 +435,12 @@ def _read_widths(read, consequents, n_max, budget):
 
 
 def test_kept_read_per_width_matches_the_read_per_antecedent(monkeypatch):
-    reads = []  # the antecedents _rank_checks reads one at a time
+    reads = []  # the antecedents _rank_checks compiles, by streaming
+    compile_groups = multisets._rank_vectors
     monkeypatch.setattr(multisets, "_rank_vectors",
-                        lambda phi, n: reads.append(phi) or READ_GROUPS(phi, n))
+                        lambda phi, n: reads.append(phi) or compile_groups(phi, n))
     rng = random.Random(2929)
-    seen = {"one-row": 0, "kept read": 0, "refused": 0}
+    seen = {"one-row": 0, "kept read": 0, "refused": 0, "mixed": 0}
     alphabets = set()  # (k, k_out)
     for _ in range(150):
         family, cfg = _asymmetric_case(rng)
@@ -421,9 +451,9 @@ def test_kept_read_per_width_matches_the_read_per_antecedent(monkeypatch):
         _forget_compiles(family)
         assert _read_widths(per_antecedent_checks, consequents, cfg.n_max, INF) == cold
         # warm, at an unlimited budget, then, reading the widths up to n,
-        # at the kept steps summed over them and one step below: the kept
-        # read charges the sums while they fit, and reads antecedent by
-        # antecedent past them
+        # at the kept steps summed over them and one step below: every
+        # kept read fits at the sums, and below them some kept read does
+        # not, so its antecedent streams again
         warm = _read_widths(multisets._rank_checks, consequents, cfg.n_max, INF)
         assert warm == cold
         assert _read_widths(per_antecedent_checks, consequents, cfg.n_max, INF) == cold
@@ -440,6 +470,17 @@ def test_kept_read_per_width_matches_the_read_per_antecedent(monkeypatch):
                 assert _read_widths(per_antecedent_checks, consequents, n, budget) == got
                 seen["kept read"] += budget == fits
                 seen["refused"] += isinstance(got[0][-1], tuple)
+        # mixed: some antecedents kept by the reads above, the rest fresh
+        if len(consequents) > 1:
+            fresh = rng.sample(consequents, rng.randint(1, len(consequents) - 1))
+            for budget in (INF, fits, fits - 1, fits // 2) if fits else (INF, fits):
+                got = []
+                for read in (multisets._rank_checks, per_antecedent_checks):
+                    for phi, _ in fresh:
+                        phi._ranks = None
+                    got.append(_read_widths(read, consequents, cfg.n_max, budget))
+                assert got[0] == got[1]
+            seen["mixed"] += 1
         seen["one-row"] += any(phi.arity == 1 for phi, _ in consequents)
         alphabets.add((cfg.domain_size, cfg.codomain_size))
     assert min(seen.values()) >= 20, seen

@@ -185,6 +185,11 @@ LIBRARY = [
      "generator box 5 is not a repetition function"),
     ("cluster-int-generator", lambda: Cluster(1, 2, [5]),
      "cluster generator 5 is not a boxed generator"),
+    ("cluster-int-generators", lambda: Cluster(1, 2, 5), "cluster generators 5 is not a collection"),
+    ("cluster-none-generators", lambda: Cluster(1, 2, None),
+     "cluster generators None is not a collection"),
+    ("cluster-list-generator", lambda: Cluster(1, 2, (g for g in [[5]])),
+     "cluster generator [5] is not a boxed generator"),
     ("relation-tuple", lambda: relation_cluster({(0, 2)}, 2, 2),
      "relation tuple (0, 2) invalid"),
     ("order-pair", lambda: order_cluster({(0, 0), (1, 1), (0, 2)}, 2),
@@ -235,6 +240,14 @@ LIBRARY = [
     ("scheme-index", lambda: MinorScheme(1, (), ((1,),)), "index 1 out of target range"),
     ("scheme-unknown-name", lambda: MinorScheme(1, (), (("y",),)), "unknown indeterminate 'y'"),
     ("scheme-int-map", lambda: MinorScheme(2, (), (5,)), "scheme map 5 is not a sequence"),
+    ("scheme-int-maps", lambda: MinorScheme(2, (), 5), "scheme maps 5 is not a collection"),
+    ("scheme-int-map-streamed", lambda: MinorScheme(2, (), (h for h in [(0,), 5])),
+     "scheme map 5 is not a sequence"),
+    ("scheme-int-names", lambda: MinorScheme(2, 5, ((0,),)),
+     "scheme indeterminates 5 is not a collection"),
+    ("scheme-list-entry", lambda: MinorScheme(2, (), (([0],),)), "unknown indeterminate [0]"),
+    ("scheme-list-name", lambda: MinorScheme(2, ([1],), ((0,),)),
+     "indeterminate [1] is not a name: a str"),
     ("compose-count", lambda: compose_schemes(ONE_MAP, []),
      "need exactly one inner scheme per outer map"),
     ("compose-target", lambda: compose_schemes(ONE_MAP, [MinorScheme.identity(2)]),
@@ -258,6 +271,8 @@ LIBRARY = [
      "tuple (0,) has wrong length for arity 2"),
     ("multiset-count", lambda: FiniteMultiset(1, {(0,): -1}),
      "multiplicity -1 must be a nonnegative int"),
+    ("multiset-float-zero-count", lambda: FiniteMultiset(1, {(0,): 0.0}),
+     "multiplicity 0.0 must be a nonnegative int"),
     ("multiset-non-sequence-key", lambda: FiniteMultiset(1, {0: 1}),
      "multiset key 0 is not a sequence"),
     ("multiset-float-entry", lambda: FiniteMultiset(1, {(0.5,): 1}),
@@ -303,6 +318,7 @@ LIBRARY = [
     ("class-alphabet", lambda: OperationClass(3).add(ID2),
      "operation domain/codomain mismatch with class"),
     ("class-int-member", lambda: OperationClass(2, 2, [5]), "class member 5 is not an operation"),
+    ("class-int-members", lambda: OperationClass(2, 2, 5), "class members 5 is not a collection"),
     ("closure-cap", lambda: close_perm_dummy(OperationClass(2, members=[AND]), 1),
      "arity cap below an existing member arity"),
     # a negative cap is refused as such, whether or not the class has members
