@@ -141,9 +141,11 @@ def _compiled_cluster(cluster):
 
 def _members(compiled, limit, meter):
     """All members of cardinality <= limit, each once and one "cluster
-    members" step, by cardinality, then by sorted (tuple, count) items, as
-    ``(size, items, live)``: ``live`` is the mask of the ``_compiled``
-    generators that admit the member.  The walk is refused at the first
+    members" step, in the order of the walk, as ``(size, items, live)``:
+    ``items`` are the member's sorted (tuple, count) pairs, and ``live``
+    is the mask of the ``_compiled`` generators that admit the member.
+    Sorted, they come by cardinality, then by items, the order of
+    ``enumerate_cluster_members``.  The walk is refused at the first
     member past the budget, and the steps are charged once, at its end."""
     caps, allows, exact = compiled
     top = min(limit, caps[-1]) if caps else 0
@@ -157,7 +159,6 @@ def _members(compiled, limit, meter):
         members.append((len(chosen), tuple(counts.items()), live))
     if members:
         meter.charge("cluster members", len(members))
-    members.sort()
     return members
 
 
@@ -166,7 +167,7 @@ def enumerate_cluster_members(cluster, limit):
     by sorted (tuple, count) items: the order ``satisfies_cluster`` checks."""
     _check_limit("limit", limit)
     with Meter() as meter:
-        members = _members(_compiled_cluster(cluster), limit, meter)
+        members = sorted(_members(_compiled_cluster(cluster), limit, meter))
     return [FiniteMultiset(cluster.arity, dict(items)) for _, items, _ in members]
 
 
@@ -287,7 +288,7 @@ def _violation(table, n, compiled, breadth_cap, meter, scaled):
     orders = _kept_orders[n]
     phase = "cluster splits"
     room, taken = meter.room(phase), 0
-    for member_size, items, live in _members(compiled, breadth_cap, meter):
+    for member_size, items, live in sorted(_members(compiled, breadth_cap, meter)):
         size = member_size - n + 1  # |f M1| + |M2|
         if size <= 0:
             continue

@@ -30,9 +30,22 @@ def ext_sub(a, b):
     return max(a - b, 0)
 
 
+_EXACT_BASE = 1 << 64
+
+
 def power_upto(base, exp, limit):
     """min(base ** exp, limit), building no power past twice a finite limit,
-    so a tuple count k^m stays cheap however large m is."""
+    so a tuple count k^m stays cheap however large m is.  A power of a
+    base below 2^64 with an exponent below 64 has at most 4,032 bits: it
+    is built exactly, with no logarithm taken."""
+    if exp < 64 and base < _EXACT_BASE:
+        return min(base ** exp, limit)
+    return _power_upto_by_logs(base, exp, limit)
+
+
+def _power_upto_by_logs(base, exp, limit):
+    """``power_upto``, told from the logarithms whether the power passes
+    twice the limit before building it."""
     if limit != INF and exp * math.log2(base) > math.log2(limit + 1) + 1:
         return limit
     return min(base ** exp, limit)

@@ -9,6 +9,7 @@ entry, so a failing prefix rules out every table extending it; ``c_pol``
 sweeps every candidate table, charged up front.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -18,7 +19,8 @@ from operator import attrgetter, itemgetter
 from .errors import GaloisKitError, Meter, NotSeparableError, _current_meter
 from .extnat import power_upto
 from .operations import (
-    OperationClass, _source_ranks, all_operations, close_composition, close_perm_dummy,
+    Operation, OperationClass, _composition_tables, _perm_dummy_tables, _source_ranks,
+    all_operations,
 )
 from .multisets import FiniteMultiset, _counts, _rank_checks, _set_partitions, apply_op_rows
 from .repetition import RepetitionFunction
@@ -121,6 +123,38 @@ def _check_config_domain(cls_, cfg):
             f"domain size {cls_.domain_size}")
 
 
+def _matrix_blocks(k, n_max, m_max):
+    """``gc_inv``'s blocks of matrices, in order: (width n, row count m,
+    C(k^n, m)) for every n <= n_max and m <= m_max, since no matrix has
+    more than k^n distinct rows.  Each count is computed only once the
+    blocks before it are taken."""
+    for n in range(1, n_max + 1):
+        for m in range(1, min(m_max, k ** n) + 1):
+            yield n, m, comb(k ** n, m)
+
+
+# a configuration's matrices are kept while they number at most this
+# many, as many as the antecedent memo holds
+_KEPT_MATRICES = 4096
+
+
+@lru_cache(maxsize=8)
+def _kept_matrices(k, n_max, m_max):
+    """``gc_inv``'s matrices at a configuration, as (counts, blocks): the
+    ``_matrix_blocks`` counts in order, and each block as (width, its
+    matrices' row ranks in order); or () once they number more than
+    ``_KEPT_MATRICES``, found before any row list is built.  Only the
+    most recent 8 configurations are kept."""
+    blocks, total = [], 0
+    for block in _matrix_blocks(k, n_max, m_max):
+        total += block[2]
+        if total > _KEPT_MATRICES:
+            return ()
+        blocks.append(block)
+    return (tuple([count for _, _, count in blocks]),
+            tuple([(n, tuple(combinations(range(k ** n), m))) for n, m, _ in blocks]))
+
+
 def gc_inv(cls_, cfg):
     """The proof-canonical invariant constraints of a class.
 
@@ -132,24 +166,30 @@ def gc_inv(cls_, cfg):
     emitted constraint satisfied by every member; its tables of each
     width are read once.  The C(k^n, m) matrices of each width and row
     count are charged up front, so an oversized request builds none of
-    them.  The antecedents come from ``_antecedent``, so calls at one
-    configuration return the same antecedent objects.
+    them.  The counts and row lists of a configuration of at most
+    ``_KEPT_MATRICES`` matrices are built once, before any charge, and
+    kept (``_kept_matrices``); a larger one's rows are listed on each
+    call, once every count is charged.  The antecedents come from
+    ``_antecedent``, so calls at one configuration return the same
+    antecedent objects.
     """
     _check_config_domain(cls_, cfg)
     k = cls_.domain_size
-    blocks = []  # (width, row count); no matrix has more than k^n distinct rows
     with Meter() as meter:
-        for n in range(1, cfg.n_max + 1):
-            for m in range(1, min(cfg.m_max, k ** n) + 1):
-                meter.charge("invariant matrices", comb(k ** n, m))
-                blocks.append((n, m))
-        closed = close_perm_dummy(cls_, max(cfg.n_max, cls_.max_arity or 1))
-        tables = {n: closed._tables(n) for n in range(1, cfg.n_max + 1)}
-        return [
-            _invariant_constraint(tables[n], k, n, ranks, cls_.codomain_size)
-            for n, m in blocks
-            for ranks in combinations(range(k ** n), m)
-        ]
+        kept = _kept_matrices(k, cfg.n_max, cfg.m_max)
+        if kept:
+            counts, blocks = kept
+            for count in counts:
+                meter.charge("invariant matrices", count)
+        else:
+            sizes = []
+            for n, m, count in _matrix_blocks(k, cfg.n_max, cfg.m_max):
+                meter.charge("invariant matrices", count)
+                sizes.append((n, m))
+            blocks = [(n, combinations(range(k ** n), m)) for n, m in sizes]
+        tables = _perm_dummy_tables(cls_, max(cfg.n_max, cls_.max_arity or 1))
+        return [_invariant_constraint(tables.get(n, ()), k, n, ranks, cls_.codomain_size)
+                for n, rows in blocks for ranks in rows]
 
 
 def _charge_tables(meter, cfg, codomain_size):
@@ -312,6 +352,25 @@ def f_pol(constraints, cfg):
     return out
 
 
+# the set partitions of at most this many columns are kept: 203 at 6
+_KEPT_COLUMNS = 6
+
+
+def _column_partitions(n):
+    """The set partitions of n columns, each a tuple of blocks, each block
+    a tuple of columns, in ``_set_partitions`` order; built once and kept
+    for n <= ``_KEPT_COLUMNS``, streamed for more."""
+    if n <= _KEPT_COLUMNS:
+        return _kept_partitions(n)
+    return (tuple(map(tuple, blocks)) for blocks in _set_partitions(list(range(n))))
+
+
+@lru_cache(maxsize=_KEPT_COLUMNS)
+def _kept_partitions(n):
+    """``_column_partitions`` for n <= ``_KEPT_COLUMNS``: 278 partitions in all."""
+    return tuple([tuple(map(tuple, blocks)) for blocks in _set_partitions(list(range(n)))])
+
+
 def _inv_cluster_for_arity(tables, k, n):
     """The separating cluster built from the all-rows matrix of width n
     over domain size k, whose columns are the tables of the projections
@@ -327,9 +386,9 @@ def _inv_cluster_for_arity(tables, k, n):
     """
     images = {}  # block -> its class images
     members = set()  # each as its sorted elements
-    for blocks in _set_partitions(list(range(n))):
+    for blocks in _column_partitions(n):
         image_sets = []
-        for block in map(tuple, blocks):
+        for block in blocks:
             if block not in images:
                 images[block] = set(_images(tables[len(block)], _source_ranks(k, n, block)))
             image_sets.append(images[block])
@@ -340,12 +399,11 @@ def _inv_cluster_for_arity(tables, k, n):
 
 def cl_inv(cls_, cfg):
     """The proof-canonical invariant clusters of a class, one per arity
-    <= n_max.  The composition closure's tables of each arity are decoded
-    once and read by every cluster of that arity or above."""
+    <= n_max.  The composition closure's tables of each arity are read by
+    every cluster of that arity or above."""
     _check_config_domain(cls_, cfg)
     with Meter():
-        closed = close_composition(cls_, max(cfg.n_max, cls_.max_arity or 1))
-        tables = {j: closed._tables(j) for j in range(1, cfg.n_max + 1)}
+        tables = _composition_tables(cls_, max(cfg.n_max, cls_.max_arity or 1))
         return [_inv_cluster_for_arity(tables, cls_.domain_size, n)
                 for n in range(1, cfg.n_max + 1)]
 
@@ -354,7 +412,9 @@ def c_pol(clusters, cfg):
     """All operations of arity <= n_max satisfying every cluster at the breadth cap.
 
     The candidate tables are charged up front.  Each cluster's members
-    at the breadth cap are listed once per call.  At each arity n every
+    at the breadth cap are listed once per call, in the walk's order:
+    the merged tests, the charges and a refusal's count do not depend
+    on the members' order, so they are not sorted.  At each arity n every
     split of every member compiles to a test on the row ranks of its
     first n columns, merged by rank vector (see ``_cluster_tests``).
     Every arity is compiled before any table is swept, so an oversized
@@ -416,9 +476,9 @@ def separating_constraint(cls_, g):
         raise GaloisKitError("cannot separate from the empty class")
     _check_class_alphabet(cls_, g)
     n = g.arity
-    closed = close_perm_dummy(cls_, max(n, cls_.max_arity))
+    tables = _perm_dummy_tables(cls_, max(n, cls_.max_arity))
     k = cls_.domain_size
-    c = _invariant_constraint(closed._tables(n), k, n, range(k ** n), cls_.codomain_size)
+    c = _invariant_constraint(tables.get(n, ()), k, n, range(k ** n), cls_.codomain_size)
     if g.table in c.consequent:
         raise NotSeparableError(
             "no separating constraint: g is in the closed class at its arity"
@@ -436,18 +496,19 @@ def separating_cluster(cls_, g, cfg):
     _check_class_alphabet(cls_, g)
     _check_config_domain(cls_, cfg)
     with Meter():
-        n = g.arity
-        closed = close_composition(cls_, max(n, cls_.max_arity or 1, cfg.n_max))
-        if g in closed:
+        n, k = g.arity, cls_.domain_size
+        tables = _composition_tables(cls_, max(n, cls_.max_arity or 1, cfg.n_max))
+        held = tables[n]
+        at = bisect_left(held, g.table)
+        if at < len(held) and held[at] == g.table:
             raise NotSeparableError("no separating cluster: g is in the closed class")
-        tables = {j: closed._tables(j) for j in range(1, n + 1)}
-        cluster = _inv_cluster_for_arity(tables, cls_.domain_size, n)
+        cluster = _inv_cluster_for_arity(tables, k, n)
         if cluster_member(FiniteMultiset.from_tuples(len(g.table), [g.table]), cluster):
             raise GaloisKitError("separation failed: g image unexpectedly admitted")
-        for f in closed:
-            if f.arity <= cfg.n_max:
-                verdict = satisfies_cluster(f, cluster, max(cfg.breadth, f.arity))
-                if not verdict:
+        for j in range(1, cfg.n_max + 1):
+            for table in tables[j]:
+                f = Operation(k, k, j, table)
+                if not satisfies_cluster(f, cluster, max(cfg.breadth, j)):
                     raise GaloisKitError(
                         f"separation failed: class member {f} violates the cluster"
                     )

@@ -243,8 +243,9 @@ class OperationClass:
     shares its tables.  Members are deduplicated by table equality; the
     public reads build each ``Operation`` through its checked
     constructor, in the canonical order (arity ascending, table
-    lexicographic ascending, which is code order).  The kernels read and
-    add tables through ``_tables``, ``_pairs`` and ``_add``.
+    lexicographic ascending, which is code order).  The closure kernels
+    read a class through ``_pairs``, and tables are added through
+    ``_add``.
     """
 
     __slots__ = ("domain_size", "codomain_size", "_arities")
@@ -383,25 +384,43 @@ def close_perm_dummy(cls_, arity_cap):
     """Least superclass closed under permutation and dummy variables, arity <= cap.
 
     Equivalently all minor_by_injection images with target arity <= cap;
-    one pass suffices because injections compose to injections.  Each image
-    is charged, then gathered as a raw table and added to the class.
+    one pass suffices because injections compose to injections.  The
+    tables come from ``_perm_dummy_tables``.
+    """
+    return _class_of(cls_.domain_size, cls_.codomain_size, _perm_dummy_tables(cls_, arity_cap))
+
+
+def _perm_dummy_tables(cls_, arity_cap):
+    """The tables of ``close_perm_dummy(cls_, arity_cap)``, as {arity:
+    sorted tables}, holding only the arities that have members.
+
+    Each image is charged, then gathered as a raw table; the images of
+    one member come target arity by target arity, injection by injection.
     """
     _check_arity_cap(arity_cap)
     if cls_.max_arity > arity_cap:
         raise GaloisKitError("arity cap below an existing member arity")
     k = cls_.domain_size
-    out = OperationClass(k, cls_.codomain_size)
+    found = {}  # arity -> its tables
     meter = _current_meter()
     for n, table in cls_._pairs():
         for target in range(n, arity_cap + 1):
+            add = found.setdefault(target, set()).add
             for positions in permutations(range(target), n):
                 meter.charge("closure", k ** target)
-                out._add(target, _gather(table, _source_ranks(k, target, positions)))
-    return out
+                add(_gather(table, _source_ranks(k, target, positions)))
+    return {n: sorted(tables) for n, tables in sorted(found.items())}
 
 
 def close_composition(cls_, arity_cap):
-    """Fixpoint closure under zeta, tau, nabla, star with all projections.
+    """Fixpoint closure under zeta, tau, nabla, star with all projections,
+    at arities <= arity_cap; the tables come from ``_composition_tables``."""
+    return _class_of(cls_.domain_size, cls_.codomain_size, _composition_tables(cls_, arity_cap))
+
+
+def _composition_tables(cls_, arity_cap):
+    """The tables of ``close_composition(cls_, arity_cap)``, as {arity:
+    sorted tables}, for every arity 1..arity_cap.
 
     Only zeta, tau and star are applied: nabla f = f * p, with p the second
     binary projection, so a star already adds each dummy variable.
@@ -412,8 +431,7 @@ def close_composition(cls_, arity_cap):
     The worklist holds raw tables, kept by arity.  A popped n-ary f is
     composed only with itself and, in both orders, with the members popped
     before it of arity <= cap - n + 1: any later member meets f when it is
-    popped, and every other pair is over the cap.  The members' tables
-    are added to the class at the end.
+    popped, and every other pair is over the cap.
     """
     if cls_.domain_size != cls_.codomain_size:
         raise GaloisKitError("composition closure requires domain == codomain")
@@ -421,7 +439,7 @@ def close_composition(cls_, arity_cap):
     if arity_cap < 1 or cls_.max_arity > arity_cap:
         raise GaloisKitError("invalid arity cap")
     k = cls_.domain_size
-    members = {n: {} for n in range(1, arity_cap + 1)}  # arity -> {table: None}
+    members = {}  # arity -> {table: None}, each made as its projections are charged
     worklist = []
     meter = _current_meter()
 
@@ -435,6 +453,7 @@ def close_composition(cls_, arity_cap):
         add(n, table)
 
     for n in range(1, arity_cap + 1):
+        members[n] = {}
         for i in range(n):
             meter.charge_power("closure", k, n)  # before its k^n entries are built
             add(n, _source_ranks(k, n, (i,)))
@@ -461,10 +480,15 @@ def close_composition(cls_, arity_cap):
             push(n + m - 1, _star_table(f_rows, g))
             if g is not f:
                 push(n + m - 1, _star_table(g_rows, f))
+    return {n: sorted(tables) for n, tables in members.items()}
 
-    out = OperationClass(k, k)
-    for n, tables in members.items():
-        for table in tables:
+
+def _class_of(k, k_out, tables):
+    """The class over these domain and codomain sizes whose members have
+    these tables, given as {arity: tables}."""
+    out = OperationClass(k, k_out)
+    for n, arity_tables in tables.items():
+        for table in arity_tables:
             out._add(n, table)
     return out
 

@@ -47,6 +47,7 @@ from galois_kit import (
 from galois_kit.errors import DEFAULT_BUDGET, Meter, NotSeparableError
 from galois_kit import galois, operations
 from galois_kit.galois import _inv_cluster_for_arity
+from galois_kit.multisets import _set_partitions
 from galois_kit.verify import _monotone_ops
 
 LEQ = frozenset({(0, 0), (0, 1), (1, 1)})
@@ -402,6 +403,56 @@ class TestModuleMemos:
         close_composition(OperationClass(2), 10)
         assert operations._kept_source_ranks.cache_info().currsize == sum(range(1, 9)) + 1 + 2 * 6
 
+    def test_the_matrix_memo_keeps_8_configurations_of_at_most_4096_matrices(self, monkeypatch):
+        galois._kept_matrices.cache_clear()
+        counts, blocks = galois._kept_matrices(2, 4, 3)
+        assert sum(counts) == sum(len(rows) for _, rows in blocks) == 805
+        assert [n for n, _ in blocks] == [1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4]
+        built = []
+        monkeypatch.setattr(galois, "combinations",
+                            lambda *args: built.append(args) or combinations(*args))
+        # 6,293 matrices, and a configuration whose count passes any budget
+        assert galois._kept_matrices(2, 5, 3) == galois._kept_matrices(2, 10 ** 9, 3) == ()
+        assert built == []
+        for n_max in range(1, 7):  # 3 to 2,536 matrices
+            galois._kept_matrices(2, n_max, 2)
+        info = galois._kept_matrices.cache_info()
+        assert info.currsize == info.maxsize == 8
+
+    def test_kept_and_streamed_matrices_charge_and_refuse_alike(self, monkeypatch):
+        cfg = GaloisConfig(2, n_max=3, m_max=3, breadth=3)
+
+        def outcomes():
+            got = []
+            # 3, 17 and 109 matrices up to widths 1, 2 and 3
+            for budget in (DEFAULT_BUDGET, 109, 108, 17, 16, 2, 0):
+                with Meter(budget) as meter:
+                    try:
+                        answer = gc_inv(monotone_ops(), cfg)
+                    except BudgetExceededError as e:
+                        answer = e.phase, e.done
+                got.append((answer, meter.done))
+            return got
+
+        want = outcomes()
+        assert [answer for answer, _ in want[2:]] == [
+            ("invariant matrices", 109), ("invariant matrices", 25),
+            ("invariant matrices", 17), ("invariant matrices", 3), ("invariant matrices", 2)]
+        monkeypatch.setattr(galois, "_kept_matrices", lambda *args: ())
+        assert outcomes() == want
+
+    def test_the_partition_memo_keeps_the_partitions_of_at_most_6_columns(self):
+        galois._kept_partitions.cache_clear()
+        cl_inv(OperationClass(1), GaloisConfig(1, n_max=7, m_max=1, breadth=7))
+        info = galois._kept_partitions.cache_info()
+        assert (info.misses, info.currsize, info.maxsize) == (6, 6, 6)
+        # the Bell numbers: 1 + 2 + 5 + 15 + 52 + 203
+        assert sum(len(galois._kept_partitions(n)) for n in range(1, 7)) == 278
+        streamed = list(galois._column_partitions(7))
+        assert streamed == [tuple(map(tuple, p)) for p in _set_partitions(list(range(7)))]
+        assert len(streamed) == 877
+        assert galois._kept_partitions.cache_info().currsize == 6
+
     def test_keys_and_values_are_ints_and_tuples(self, monkeypatch):
         seen = {}
 
@@ -412,8 +463,9 @@ class TestModuleMemos:
                 return got
             return call
 
-        memo = operations._kept_source_ranks
-        monkeypatch.setattr(operations, "_kept_source_ranks", recording("source ranks", memo))
+        for module, name in ((operations, "_kept_source_ranks"), (galois, "_kept_matrices"),
+                             (galois, "_kept_partitions")):
+            monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
         mono = monotone_ops()
         cfg = GaloisConfig(2, n_max=3, m_max=2, breadth=3)
         c_pol(cl_inv(mono, cfg), cfg)
@@ -424,5 +476,5 @@ class TestModuleMemos:
             rewrite(AND)
         minor_by_injection(AND, [True, 3], 3)
         projection(3, 2, 2)
-        assert set(seen) == {"source ranks"}
+        assert set(seen) == {"_kept_source_ranks", "_kept_matrices", "_kept_partitions"}
         assert all(_ints_and_tuples(call) for calls in seen.values() for call in calls)

@@ -1212,14 +1212,15 @@ def _listed(cluster):
 
 def _assert_walk_exact(case, budget):
     """The one-pass member walk and the bitmask admission give the
-    reference walk's members, in its order, each with the mask of the
-    generators admitting it, and the full test's verdict, witness, split
-    steps and refusal, with one member step per distinct member."""
+    reference walk's members, in its order once sorted, each with the
+    mask of the generators admitting it, and the full test's verdict,
+    witness, split steps and refusal, with one member step per distinct
+    member."""
     f, cluster, breadth_cap = case
     want_members, want_lives, _ = _reference_walk(cluster, breadth_cap)
     compiled = _compiled([(g.box, g.cap) for g in cluster.sorted_generators()])
     with Meter(UNLIMITED) as meter:
-        got_members = _members(compiled, breadth_cap, meter)
+        got_members = sorted(_members(compiled, breadth_cap, meter))
     assert [dict(items) for _, items, _ in got_members] == [c for c, _ in want_members]
     assert meter.done.get("cluster members", 0) == len(got_members)
     assert [size for size, _, _ in got_members] == [sum(c.values()) for c, _ in want_members]
@@ -1257,15 +1258,15 @@ def test_cluster_shortcut_matches_the_full_test_on_inv_clusters(case, budget):
 def test_a_cap_zero_box_is_left_out_of_the_walk():
     """The union of a cap-0 box over all 1,024 Boolean 10-tuples and an
     8-tuple relation has the relation's 495 members of size <= 4, in the
-    reference walk's order and with its live masks; the cap-0 box is not
-    listed, so no support tuple is charged."""
+    reference walk's order once sorted and with its live masks; the cap-0
+    box is not listed, so no support tuple is charged."""
     rng = random.Random(1)
     relation = rng.sample(list(product(range(2), repeat=10)), 8)
     cluster = cluster_union([trivial_cluster(10, 0, 2), relation_cluster(relation, 10, 2)])
     want_members, want_lives, _ = _reference_walk(cluster, 4)
     with Meter(UNLIMITED) as meter:
         compiled = _compiled([(g.box, g.cap) for g in cluster.sorted_generators()])
-        got = _members(compiled, 4, meter)
+        got = sorted(_members(compiled, 4, meter))
     assert [dict(items) for _, items, _ in got] == [c for c, _ in want_members]
     assert [live for _, _, live in got] == want_lives
     assert len(got) == 495

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from itertools import permutations, product
@@ -564,6 +566,75 @@ class TestRowApplication:
         # rank of (0, 2) at k=2 is 2, a valid table index
         with pytest.raises(GaloisKitError):
             apply_op_rows(AND, TupleMatrix.from_rows([(0, 2)]))
+
+
+def kernel_inputs():
+    """(k, k_out, cap), 0 to 3 generators over k -> k_out of arity <= cap
+    (<= 2 at k = 3), and a budget: one that lets the closures answer or
+    refuse late, or a small one.  k_out differs from k in half the
+    cases; only the perm-dummy closure takes those."""
+    def generators(case):
+        k, k_out, cap = case
+        arities = range(1, min(cap, 2 if k == 3 else 3) + 1)
+        ops = st.one_of(*(random_ops(k, n, k_out) for n in arities))
+        budgets = st.one_of(st.just(20_000), st.integers(0, 400))
+        return st.tuples(st.just(case), st.lists(ops, max_size=3), budgets)
+
+    cases = [(k, k_out, cap) for k in (1, 2, 3) for k_out in (k, k % 3 + 1)
+             for cap in (1, 2, 3)]
+    return st.sampled_from(cases).flatmap(generators)
+
+
+def _metered(close, cls_, cap, budget):
+    """What the closure returns, or its refusal's phase and steps, and
+    the meter's steps."""
+    with Meter(budget) as meter:
+        try:
+            return close(cls_, cap), meter.done
+        except BudgetExceededError as e:
+            return (e.phase, e.done), meter.done
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_inputs())
+@example(((1, 1, 3), [Operation(1, 1, 2, (0,))], 20_000))
+@example(((2, 3, 3), [Operation(2, 3, 2, (0, 1, 2, 2))], 20_000))
+def test_raw_table_kernels_match_their_public_closures(inputs):
+    """Each closure's raw-table kernel gives, at each arity, the public
+    closure's ``_tables``, in the same order, and holds exactly the
+    arities that have members; it charges the same steps, and refuses
+    in the same phase at the same count."""
+    (k, k_out, cap), generators, budget = inputs
+    cls_ = OperationClass(k, k_out, generators)
+    kernels = [(operations._perm_dummy_tables, close_perm_dummy)]
+    if k_out == k:
+        kernels.append((operations._composition_tables, close_composition))
+    for kernel, close in kernels:
+        got, got_done = _metered(kernel, cls_, cap, budget)
+        want, want_done = _metered(close, cls_, cap, budget)
+        assert got_done == want_done
+        if isinstance(want, OperationClass):
+            assert list(got) == want.arities()
+            assert all(got[n] == want._tables(n) for n in got)
+        else:
+            assert got == want
+
+
+def test_a_huge_cap_refuses_before_its_arities_are_built():
+    """The composition closure makes each arity's table dict as it
+    charges that arity's projections, so under a budget of 100 a cap of
+    a million refuses at arity 5 with only those five dicts built, not
+    a million of them (about 100 MB)."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as info, Meter(100):
+            operations._composition_tables(OperationClass(2), 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 2 + 8 + 24 + 64 steps for the projections of arities 1 to 4
+    assert (info.value.phase, info.value.done) == ("closure", 98 + 32)
+    assert peak < 100_000
 
 
 @pytest.mark.parametrize("close", [close_perm_dummy, close_composition])

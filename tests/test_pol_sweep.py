@@ -714,6 +714,36 @@ def test_c_pol_compile_refuses_before_the_sweep(phase):
     assert "sweep tests" not in meter.done
 
 
+def test_c_pol_reads_the_members_in_any_order(monkeypatch):
+    """c_pol reads each cluster's members in the order of the walk: its
+    merged tests, its charges and its refusals do not depend on that
+    order, so the members reversed or sorted give the same class, the
+    same ``meter.done`` and the same refusal at every budget."""
+    cfg = GaloisConfig(2, n_max=2, m_max=1, breadth=3)
+    family = [order_cluster({(0, 0), (0, 1), (1, 1)}, 2),
+              *cl_inv(OperationClass(2, members=_monotone_ops(2)), cfg)]
+
+    def outcomes():
+        got = []
+        # 204 members and 1,087 splits: the last three budgets refuse
+        for budget in (DEFAULT_BUDGET, 1000, 300, 150):
+            with Meter(budget) as meter:
+                try:
+                    answer = c_pol(family, cfg)
+                except BudgetExceededError as e:
+                    answer = e.phase, e.done
+            got.append((answer, meter.done))
+        return got
+
+    want = outcomes()
+    assert [answer[0] for answer, _ in want[1:]] == [
+        "cluster splits", "cluster splits", "cluster members"]
+    members = galois._members
+    for order in (reversed, sorted):
+        monkeypatch.setattr(galois, "_members", lambda *args: list(order(members(*args))))
+        assert outcomes() == want
+
+
 def test_c_pol_sweep_refuses_in_its_own_phase():
     cfg = GaloisConfig(2, n_max=3, m_max=1, breadth=3)
     family = cl_inv(OperationClass(2, members=_monotone_ops(2)), cfg)
