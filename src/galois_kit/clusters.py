@@ -162,6 +162,28 @@ def _members(compiled, limit, meter):
     return members
 
 
+def _boxes(cluster, limit, meter):
+    """The cluster's distinct boxes, as members ``(size, items)`` with
+    sorted items, when every generator's box has default 0 and a total
+    within its cap and ``limit``; else None.  Each such box is then a
+    member, and every member of cardinality <= limit lies below one.
+    Each box is one "cluster members" step, refused as ``_members``
+    refuses."""
+    members = set()
+    for g in cluster.generators:
+        counts = g.box.exceptions
+        size = sum(counts.values())  # inf if a count is
+        if g.box.default or size > g.cap or size > limit:
+            return None
+        members.add((size, tuple(sorted(counts.items()))))
+    room = meter.room("cluster members")
+    if len(members) > room:
+        meter.refuse("cluster members", room)
+    if members:
+        meter.charge("cluster members", len(members))
+    return list(members)
+
+
 def enumerate_cluster_members(cluster, limit):
     """All members of cardinality <= limit, each once, by cardinality, then
     by sorted (tuple, count) items: the order ``satisfies_cluster`` checks."""
@@ -392,9 +414,10 @@ def _allowed_images(generators, m2):
 def _cluster_tests(cluster, compiled, members, n, scaled, tests, meter):
     """Merge into ``tests``, a dict from rank vector to allowed images,
     the test of every split [M1 | M2] with n columns in M1 of the listed
-    ``_members`` of the ``_compiled`` cluster: an n-ary table maps each
-    such member into the cluster iff its image of M1's row ranks is an
-    image t with M2 + t in the cluster, for every split.
+    members of the ``_compiled`` cluster, each as ``(size, items)``: an
+    n-ary table maps each such member into the cluster iff its image of
+    M1's row ranks is an image t with M2 + t in the cluster, for every
+    split.
 
     Those images are {t : m2 & ``_at_least``(t, M2(t) + 1) != 0}, where
     m2 is the mask of the generators admitting M2 at size |M2| + 1: the
@@ -417,7 +440,7 @@ def _cluster_tests(cluster, compiled, members, n, scaled, tests, meter):
     orders = _kept_orders[n]
     phase = "cluster splits"
     room, taken = meter.room(phase), 0
-    for member_size, items, _ in members:
+    for member_size, items in members:
         if member_size < n:
             continue
         tuples, counts = zip(*items)

@@ -23,11 +23,11 @@ from .operations import (
     all_operations,
 )
 from .multisets import FiniteMultiset, _counts, _rank_checks, _set_partitions, apply_op_rows
-from .repetition import RepetitionFunction
+from .repetition import RepetitionFunction, _row_deletions
 from .constraints import GeneralizedConstraint, _check_alphabets
 from .clusters import (
-    _Excluding, _Scaled, _antichain_cluster, _cluster_tests, _compiled_cluster, _members, _share,
-    cluster_member, satisfies_cluster,
+    _Excluding, _Scaled, _antichain_cluster, _boxes, _cluster_tests, _compiled_cluster, _members,
+    _share, cluster_member, satisfies_cluster,
 )
 
 __all__ = [
@@ -187,7 +187,7 @@ def gc_inv(cls_, cfg):
                 meter.charge("invariant matrices", count)
                 sizes.append((n, m))
             blocks = [(n, combinations(range(k ** n), m)) for n, m in sizes]
-        tables = _perm_dummy_tables(cls_, max(cfg.n_max, cls_.max_arity or 1))
+        tables = _perm_dummy_tables(cls_, cfg.n_max)
         return [_invariant_constraint(tables.get(n, ()), k, n, ranks, cls_.codomain_size)
                 for n, rows in blocks for ranks in rows]
 
@@ -301,6 +301,40 @@ def _search(checks, size, k_out):
             meter.charge(phase, taken)
 
 
+def _unimplied(consequents):
+    """The merged ``(phi, allowed)`` pairs of a dict, in order, less each
+    one that a pair of one more row implies.
+
+    (phi_A, S_A) implies (phi_B, S_B) when phi_B is phi_A with row i
+    deleted (``_row_deletions``) and S_A, each tuple read without entry
+    i, lies inside S_B: every M < phi_B is some M' < phi_A with row i
+    deleted, and f M is f M' without entry i, so an f meeting A meets B.
+    A pair is implied only by one with more rows, so each dropped pair
+    is implied by a kept one.  Each deletion looked up is one "row
+    deletions" step, and one found among the pairs still kept is |S_A|
+    more, for projecting S_A; the steps are refused at the step past the
+    budget and charged once.  The deletions are kept in phi_A, so a call
+    on kept antecedents takes the same steps as the first.
+    """
+    meter, phase = _current_meter(), "row deletions"
+    room, taken = meter.room(phase), 0
+    kept = dict(consequents)
+    for phi, allowed in consequents.items():
+        if phi.arity < 2:
+            continue
+        for psi, get in _row_deletions(phi):
+            held = kept.get(psi)
+            taken += 1 if held is None else 1 + len(allowed)
+            if taken > room:  # refuse, leaving nothing to charge again
+                taken = 0
+                meter.refuse(phase, room)
+            if held is not None and held.issuperset(map(get, allowed)):
+                del kept[psi]
+    if taken:
+        meter.charge(phase, taken)
+    return list(kept.items())
+
+
 def _satisfying_tables(constraints, cfg):
     """Every table of arity <= n_max satisfying all the constraints, as
     (arity, table), in order of arity and then of table.
@@ -308,18 +342,19 @@ def _satisfying_tables(constraints, cfg):
     The constraints are merged by antecedent first, allowing the
     intersection of the consequents that share one.  An antecedent whose
     allowed set holds every image is met by every table, so it is
-    dropped and never compiled.  At each arity n the other antecedents'
-    checks are read together, grouped by their largest rank
-    (``multisets._rank_checks``), and the tables are then searched for
-    (``_search``).
+    dropped and never compiled, and so is one that a merged antecedent
+    of one more row implies (``_unimplied``).  At each arity n the other
+    antecedents' checks are read together, grouped by their largest
+    rank (``multisets._rank_checks``), and the tables are then searched
+    for (``_search``).
     """
     k, k_out = cfg.domain_size, cfg.codomain_size
     consequents = {}  # antecedent -> the tuples every constraint on it allows
     for c in constraints:
         allowed = consequents.get(c.antecedent)
         consequents[c.antecedent] = c.consequent if allowed is None else allowed & c.consequent
-    consequents = [(phi, allowed) for phi, allowed in consequents.items()
-                   if power_upto(k_out, phi.arity, len(allowed) + 1) > len(allowed)]
+    consequents = _unimplied({phi: allowed for phi, allowed in consequents.items()
+                              if power_upto(k_out, phi.arity, len(allowed) + 1) > len(allowed)})
     for n in range(1, cfg.n_max + 1):
         for table in _search(_rank_checks(consequents, n), k ** n, k_out):
             yield n, table
@@ -403,7 +438,7 @@ def cl_inv(cls_, cfg):
     every cluster of that arity or above."""
     _check_config_domain(cls_, cfg)
     with Meter():
-        tables = _composition_tables(cls_, max(cfg.n_max, cls_.max_arity or 1))
+        tables = _composition_tables(cls_, cfg.n_max)
         return [_inv_cluster_for_arity(tables, cls_.domain_size, n)
                 for n in range(1, cfg.n_max + 1)]
 
@@ -411,12 +446,19 @@ def cl_inv(cls_, cfg):
 def c_pol(clusters, cfg):
     """All operations of arity <= n_max satisfying every cluster at the breadth cap.
 
-    The candidate tables are charged up front.  Each cluster's members
-    at the breadth cap are listed once per call, in the walk's order:
-    the merged tests, the charges and a refusal's count do not depend
-    on the members' order, so they are not sorted.  At each arity n every
-    split of every member compiles to a test on the row ranks of its
-    first n columns, merged by rank vector (see ``_cluster_tests``).
+    The candidate tables are charged up front.  Each cluster lists, once
+    per call, the members whose splits it tests.  For the same M1, a
+    split of a member allows every image that the split of a larger
+    member allows, so only the maximal members, those below no other,
+    need testing.  When every generator is a default-0 box within its
+    cap and the breadth cap, as in every ``cl_inv`` antichain, those are
+    among the distinct boxes, which are listed without a walk (``_boxes``);
+    any other cluster walks all its members at the breadth cap
+    (``_members``), in the walk's order.  The merged tests, the charges
+    and a refusal's count do not depend on the members' order, so they
+    are not sorted.  At each arity n every split of every listed member
+    compiles to a test on the row ranks of its first n columns, merged
+    by rank vector (see ``_cluster_tests``).
     Every arity is compiled before any table is swept, so an oversized
     compile refuses before the sweep; then the candidate tables of
     ``all_operations`` are swept through the merged tests.  A cluster
@@ -437,12 +479,15 @@ def c_pol(clusters, cfg):
     out = OperationClass(k, k)
     with Meter() as meter:
         _charge_tables(meter, cfg, k)
-        listed = []  # (cluster, its _compiled masks, its members at the breadth cap)
+        listed = []  # (cluster, its _compiled masks, the members whose splits it tests)
         for phi in clusters:
             if phi.domain_size != k:
                 raise GaloisKitError("operation alphabet does not match the cluster")
             compiled = _compiled_cluster(phi)
-            listed.append((phi, compiled, _members(compiled, cfg.breadth, meter)))
+            members = _boxes(phi, cfg.breadth, meter)
+            if members is None:
+                members = [member[:2] for member in _members(compiled, cfg.breadth, meter)]
+            listed.append((phi, compiled, members))
         arities = range(1, cfg.n_max + 1)
         tests = {n: {} for n in arities}  # arity -> rank vector -> the images allowed
         for n in arities:
@@ -476,7 +521,7 @@ def separating_constraint(cls_, g):
         raise GaloisKitError("cannot separate from the empty class")
     _check_class_alphabet(cls_, g)
     n = g.arity
-    tables = _perm_dummy_tables(cls_, max(n, cls_.max_arity))
+    tables = _perm_dummy_tables(cls_, n)
     k = cls_.domain_size
     c = _invariant_constraint(tables.get(n, ()), k, n, range(k ** n), cls_.codomain_size)
     if g.table in c.consequent:
@@ -497,7 +542,7 @@ def separating_cluster(cls_, g, cfg):
     _check_config_domain(cls_, cfg)
     with Meter():
         n, k = g.arity, cls_.domain_size
-        tables = _composition_tables(cls_, max(n, cls_.max_arity or 1, cfg.n_max))
+        tables = _composition_tables(cls_, max(n, cfg.n_max))
         held = tables[n]
         at = bisect_left(held, g.table)
         if at < len(held) and held[at] == g.table:

@@ -384,43 +384,65 @@ def close_perm_dummy(cls_, arity_cap):
     """Least superclass closed under permutation and dummy variables, arity <= cap.
 
     Equivalently all minor_by_injection images with target arity <= cap;
-    one pass suffices because injections compose to injections.  The
-    tables come from ``_perm_dummy_tables``.
-    """
-    return _class_of(cls_.domain_size, cls_.codomain_size, _perm_dummy_tables(cls_, arity_cap))
-
-
-def _perm_dummy_tables(cls_, arity_cap):
-    """The tables of ``close_perm_dummy(cls_, arity_cap)``, as {arity:
-    sorted tables}, holding only the arities that have members.
-
-    Each image is charged, then gathered as a raw table; the images of
-    one member come target arity by target arity, injection by injection.
+    one pass suffices because injections compose to injections.  A cap
+    below a member's arity is refused; the tables come from
+    ``_perm_dummy_tables``.
     """
     _check_arity_cap(arity_cap)
     if cls_.max_arity > arity_cap:
         raise GaloisKitError("arity cap below an existing member arity")
+    return _class_of(cls_.domain_size, cls_.codomain_size, _perm_dummy_tables(cls_, arity_cap))
+
+
+def _perm_dummy_tables(cls_, arity_cap):
+    """The tables of ``close_perm_dummy`` at the larger of ``arity_cap``
+    and the class's largest arity, as {arity: sorted tables}, holding
+    only the arities that have members.  The members are read once,
+    through ``_pairs``, which gives that arity too.
+
+    Each image is taken as k^target "closure" steps against the meter's
+    room, then gathered as a raw table, and the steps are charged once:
+    a refusal comes at the image whose steps pass the budget, with none
+    gathered past it.  The images of one member come target arity by
+    target arity, injection by injection.
+    """
+    pairs = cls_._pairs()
+    arity_cap = max(arity_cap, pairs[-1][0] if pairs else 0)
     k = cls_.domain_size
     found = {}  # arity -> its tables
     meter = _current_meter()
-    for n, table in cls_._pairs():
+    room, taken = meter.room("closure"), 0
+    for n, table in pairs:
         for target in range(n, arity_cap + 1):
             add = found.setdefault(target, set()).add
+            steps = k ** target
             for positions in permutations(range(target), n):
-                meter.charge("closure", k ** target)
+                taken += steps
+                if taken > room:
+                    meter.charge("closure", taken)  # refuses
                 add(_gather(table, _source_ranks(k, target, positions)))
+    if taken:
+        meter.charge("closure", taken)
     return {n: sorted(tables) for n, tables in sorted(found.items())}
 
 
 def close_composition(cls_, arity_cap):
     """Fixpoint closure under zeta, tau, nabla, star with all projections,
-    at arities <= arity_cap; the tables come from ``_composition_tables``."""
+    at arities <= arity_cap.  A cap below 1 or below a member's arity is
+    refused; the tables come from ``_composition_tables``."""
+    if cls_.domain_size != cls_.codomain_size:
+        raise GaloisKitError("composition closure requires domain == codomain")
+    _check_arity_cap(arity_cap)
+    if arity_cap < 1 or cls_.max_arity > arity_cap:
+        raise GaloisKitError("invalid arity cap")
     return _class_of(cls_.domain_size, cls_.codomain_size, _composition_tables(cls_, arity_cap))
 
 
 def _composition_tables(cls_, arity_cap):
-    """The tables of ``close_composition(cls_, arity_cap)``, as {arity:
-    sorted tables}, for every arity 1..arity_cap.
+    """The tables of ``close_composition`` at the larger of ``arity_cap``
+    and the class's largest arity, as {arity: sorted tables}, for every
+    arity from 1 to that cap.  The members are read once, through
+    ``_pairs``, which gives that arity too.
 
     Only zeta, tau and star are applied: nabla f = f * p, with p the second
     binary projection, so a star already adds each dummy variable.
@@ -431,13 +453,16 @@ def _composition_tables(cls_, arity_cap):
     The worklist holds raw tables, kept by arity.  A popped n-ary f is
     composed only with itself and, in both orders, with the members popped
     before it of arity <= cap - n + 1: any later member meets f when it is
-    popped, and every other pair is over the cap.
+    popped, and every other pair is over the cap.  The projections are
+    charged arity by arity, before their entries are built; every later
+    step, a table pushed or a partner list, is taken against the meter's
+    room and charged once, at the end, so a refusal comes at the same
+    count as a charge per step.
     """
     if cls_.domain_size != cls_.codomain_size:
         raise GaloisKitError("composition closure requires domain == codomain")
-    _check_arity_cap(arity_cap)
-    if arity_cap < 1 or cls_.max_arity > arity_cap:
-        raise GaloisKitError("invalid arity cap")
+    pairs = cls_._pairs()
+    arity_cap = max(arity_cap, pairs[-1][0] if pairs else 0)
     k = cls_.domain_size
     members = {}  # arity -> {table: None}, each made as its projections are charged
     worklist = []
@@ -449,7 +474,10 @@ def _composition_tables(cls_, arity_cap):
             worklist.append((n, table))
 
     def push(n, table):
-        meter.charge("closure", len(table))
+        nonlocal taken
+        taken += len(table)
+        if taken > room:
+            meter.charge("closure", taken)  # refuses
         add(n, table)
 
     for n in range(1, arity_cap + 1):
@@ -464,7 +492,8 @@ def _composition_tables(cls_, arity_cap):
         n: [_source_ranks(k, n, p) for p in dict.fromkeys((_shift(n), _swap(n)))]
         for n in range(2, arity_cap + 1)
     }
-    for n, table in cls_._pairs():
+    room, taken = meter.room("closure"), 0
+    for n, table in pairs:
         push(n, table)
 
     popped = {n: [] for n in range(1, arity_cap + 1)}  # arity -> [(table, rows)]
@@ -475,11 +504,15 @@ def _composition_tables(cls_, arity_cap):
         f_rows = _rows(f, k)
         popped[n].append((f, f_rows))
         partners = [(m, g) for m in range(1, arity_cap - n + 2) for g in popped[m]]
-        meter.charge("closure", len(partners))
+        taken += len(partners)
+        if taken > room:
+            meter.charge("closure", taken)  # refuses
         for m, (g, g_rows) in partners:
             push(n + m - 1, _star_table(f_rows, g))
             if g is not f:
                 push(n + m - 1, _star_table(g_rows, f))
+    if taken:
+        meter.charge("closure", taken)
     return {n: sorted(tables) for n, tables in members.items()}
 
 

@@ -9,6 +9,7 @@ re-derived, so structural equality coincides with pointwise equality.
 """
 
 from itertools import product
+from operator import itemgetter
 
 from .errors import GaloisKitError, _check_entries, _check_int, _current_meter
 from .extnat import INF, is_extnat, power_upto
@@ -19,8 +20,10 @@ __all__ = ["RepetitionFunction", "rf_leq"]
 class RepetitionFunction:
 
     # _hash: None until first hashed; _ranks: None, or width -> what
-    # ``multisets._rank_vectors`` compiled
-    __slots__ = ("arity", "domain_size", "default", "exceptions", "_hash", "_ranks")
+    # ``multisets._rank_vectors`` compiled; _deletions: None, or what
+    # ``_row_deletions`` built
+    __slots__ = ("arity", "domain_size", "default", "exceptions", "_hash", "_ranks",
+                 "_deletions")
 
     def __init__(self, arity, domain_size, default=0, exceptions=None):
         _check_int("arity", arity)
@@ -73,6 +76,7 @@ class RepetitionFunction:
         self.exceptions = exceptions
         self._hash = None
         self._ranks = None
+        self._deletions = None
 
     @classmethod
     def constant(cls, arity, domain_size, value):
@@ -145,6 +149,37 @@ class RepetitionFunction:
             f"RepetitionFunction(m={self.arity}, k={self.domain_size}, "
             f"default={self.default}, exceptions={exc})"
         )
+
+
+def _row_deletions(phi):
+    """phi's m >= 2 rows deleted in turn, as m pairs (psi, get): psi is
+    the function of arity m - 1 that maps each (m-1)-tuple u to the sum
+    of phi over the m-tuples that read u without entry i, and ``get``
+    reads an m-tuple without its entry i, as a tuple.  So the columns of
+    an M < phi with row i deleted are bounded by psi, and every M' < psi
+    is such an M with row i deleted.  Built once, psi through the checked
+    constructor, and kept in phi."""
+    if phi._deletions is None:
+        k, m, default, exceptions = phi.domain_size, phi.arity, phi.default, phi.exceptions
+        deletions = []
+        for i in range(m):
+            counts = {}
+            if default:  # each u an exception reads sums its k extensions
+                for t in exceptions:
+                    u = t[:i] + t[i + 1:]
+                    if u not in counts:
+                        counts[u] = sum([exceptions.get((*u[:i], x, *u[i:]), default)
+                                         for x in range(k)])
+            else:
+                for t, v in exceptions.items():
+                    u = t[:i] + t[i + 1:]
+                    counts[u] = counts.get(u, 0) + v
+            # on one entry left, a slice keeps the 1-tuple
+            get = itemgetter(*[j for j in range(m) if j != i]) if m > 2 else itemgetter(
+                slice(1 - i, 2 - i))
+            deletions.append((RepetitionFunction(m - 1, k, k * default, counts), get))
+        phi._deletions = tuple(deletions)
+    return phi._deletions
 
 
 def rf_leq(phi, phi2):

@@ -551,6 +551,8 @@ class TestStats:
         assert [json.loads(line) for line in out.splitlines()] == [
             {"error": "refusing table search: 31 steps exceed budget 30"},
             {"stats.constraint_matrices": "12"},
+            # ord's antecedent has two rows, each deletion looked up once
+            {"stats.row_deletions": "2"},
             {"stats.support_tuples": "16"},
             {"stats.table_search": "31"},
         ]

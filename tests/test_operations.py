@@ -620,6 +620,28 @@ def test_raw_table_kernels_match_their_public_closures(inputs):
             assert got == want
 
 
+@pytest.mark.parametrize("close, refusals", [
+    # the projections of arities 1 to 3 take 2 + 8 + 24 steps, charged
+    # arity by arity; every later step is taken against the room
+    (close_composition, {0: 2, 10: 18, 30: 34, 100: 106, 1000: 1003, 6244: 6245}),
+    # each image of a member is k^target steps: 2, 4 or 8
+    (close_perm_dummy, {0: 2, 10: 18, 30: 34, 60: 66, 89: 90}),
+])
+def test_closures_refuse_at_the_recorded_counts(close, refusals):
+    """Each closure takes its steps against the meter's room and charges
+    them once, and refuses, under each budget, at the count a charge per
+    step gave (recorded from that version); at the budget past the last
+    refusal it answers."""
+    cls_ = OperationClass(2, members=[NOT, AND])
+    for budget, done in refusals.items():
+        with pytest.raises(BudgetExceededError) as info, Meter(budget):
+            close(cls_, 3)
+        assert (info.value.phase, info.value.done) == ("closure", done)
+    with Meter(done) as meter:
+        close(cls_, 3)
+    assert meter.done == {"closure": done}
+
+
 def test_a_huge_cap_refuses_before_its_arities_are_built():
     """The composition closure makes each arity's table dict as it
     charges that arity's projections, so under a budget of 100 a cap of

@@ -14,6 +14,7 @@ from the reference member walk.
 import random
 from itertools import product, repeat
 from operator import itemgetter
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,6 +23,7 @@ from galois_kit import (
     BoxedGenerator,
     BudgetExceededError,
     Cluster,
+    FiniteMultiset,
     GaloisConfig,
     GaloisKitError,
     GeneralizedConstraint,
@@ -126,11 +128,11 @@ def _random_case(rng):
 
 
 def _forget_compiles(family):
-    """Drop the rank vectors compiled into the family's antecedents, so
-    the next ``f_pol`` on it compiles them cold."""
+    """Drop the rank vectors and row deletions kept in the family's
+    antecedents, so the next ``f_pol`` on it builds them cold."""
     galois._antecedent.cache_clear()
     for c in family:
-        c.antecedent._ranks = None
+        c.antecedent._ranks = c.antecedent._deletions = None
 
 
 def test_compiled_sweep_matches_reference_sweep():
@@ -165,21 +167,55 @@ def blind_tests(constraints, k, n):
     return tests
 
 
-def blind_checks(constraints, k, k_out, n):
-    """How many checks a search reads at each rank of arity n: one per
-    n-column matrix M < phi, listed by ``enumerate_matrices_leq``, at its
-    largest row rank, for each distinct antecedent phi whose constraints
-    together exclude some image."""
+def blind_deleted(phi, i):
+    """phi with row i deleted, built pointwise: at every (m-1)-tuple u,
+    the sum of phi over the k m-tuples that read u without entry i."""
+    k = phi.domain_size
+    return RepetitionFunction(phi.arity - 1, k, 0, {
+        u: sum(phi.value((*u[:i], x, *u[i:])) for x in range(k))
+        for u in product(range(k), repeat=phi.arity - 1)})
+
+
+def blind_merged(constraints, k_out):
+    """Each distinct antecedent whose constraints together exclude some
+    image, in order of first appearance, with the images they allow."""
     allowed = {}
     for c in constraints:
         allowed[c.antecedent] = allowed.get(c.antecedent, c.consequent) & c.consequent
-    checks = {}
+    return {phi: images for phi, images in allowed.items() if len(images) < k_out ** phi.arity}
+
+
+def blind_kept(constraints, k_out):
+    """The antecedents a search compiles, with their allowed images: the
+    ``blind_merged`` ones less each (phi_B, S_B) that a kept or dropped
+    (phi_A, S_A) of one more row implies (phi_B is phi_A with a row i
+    deleted, and S_A read without entry i lies inside S_B); and the "row
+    deletions" steps of finding them: each row of each phi_A looked up,
+    and each image of S_A projected onto a phi_B not yet dropped."""
+    allowed = blind_merged(constraints, k_out)
+    implied, steps = set(), 0
     for phi, images in allowed.items():
-        if len(images) < k_out ** phi.arity:
-            for matrix in enumerate_matrices_leq(phi, n):
-                r = max(sum(x * k ** (n - 1 - j) for j, x in enumerate(row))
-                        for row in matrix.rows())
-                checks[r] = checks.get(r, 0) + 1
+        for i in range(phi.arity if phi.arity > 1 else 0):
+            steps += 1
+            deleted = blind_deleted(phi, i)
+            for psi in allowed:
+                if psi not in implied and psi == deleted:
+                    steps += len(images)
+                    if {t[:i] + t[i + 1:] for t in images} <= allowed[psi]:
+                        implied.add(psi)
+    return {phi: images for phi, images in allowed.items() if phi not in implied}, steps
+
+
+def blind_checks(kept, k, n):
+    """How many checks a search reads at each rank of arity n: one per
+    n-column matrix M < phi, listed by ``enumerate_matrices_leq``, at its
+    largest row rank, for each kept antecedent phi."""
+    checks = {}
+    for phi in kept:
+        for matrix in enumerate_matrices_leq(phi, n):
+            r = max(sum(x * k ** (n - 1 - j) for j, x in enumerate(row))
+                    for row in matrix.rows())
+            checks[r] = checks.get(r, 0) + 1
     return checks
 
 
@@ -189,29 +225,34 @@ def _meets(table, tests):
 
 def blind_f_pol(constraints, cfg):
     """The class of every table meeting the tests of its arity, each
-    table of each arity tested, and the "table search" steps of a search
-    for them, counted level by level: k_out entries are assigned under
-    each prefix meeting every test inside it, each charged with the
-    checks at its rank, and each table found is charged its entries
-    again."""
+    table of each arity tested; the "table search" steps of a search
+    through the kept antecedents' tests alone (``blind_kept``), counted
+    level by level: k_out entries are assigned under each prefix meeting
+    every kept test inside it, each charged with the checks at its
+    rank, and each table found is charged its entries again; and the
+    "row deletions" steps.  The search must find the class: a dropped
+    antecedent's tests are implied by the kept ones."""
     k, k_out = cfg.domain_size, cfg.codomain_size
+    kept, deletions = blind_kept(constraints, k_out)
+    searched = [c for c in constraints if c.antecedent in kept]
     out, steps = OperationClass(k, k_out), 0
     with Meter(INF):
         for n in range(1, cfg.n_max + 1):
             tests, size = blind_tests(constraints, k, n), k ** n
-            checks = blind_checks(constraints, k, k_out, n)
+            checks = blind_checks(kept, k, n)
             for table in product(range(k_out), repeat=size):
                 if _meets(table, tests.items()):
                     out._add(n, table)
-            prefixes = [()]
+            prefixes, kept_tests = [()], blind_tests(searched, k, n)
             for r in range(size):
                 steps += k_out * len(prefixes) * (1 + checks.get(r, 0))
-                at = [(ranks, allowed) for ranks, allowed in tests.items() if max(ranks) == r]
+                at = [(ranks, allowed) for ranks, allowed in kept_tests.items()
+                      if max(ranks) == r]
                 prefixes = [p for q in prefixes for p in (q + (x,) for x in range(k_out))
                             if _meets(p, at)]
             assert prefixes == out._tables(n)
             steps += size * len(prefixes)
-    return out, steps
+    return out, steps, deletions
 
 
 def _asymmetric_case(rng):
@@ -238,13 +279,14 @@ def test_search_matches_the_blind_sweep_and_its_steps():
     seen = {"empty": 0, "members": 0, "one-rank": 0, "repeated rank": 0, "refused": 0}
     for _ in range(250):
         family, cfg = _asymmetric_case(rng)
-        want, steps = blind_f_pol(family, cfg)
+        want, steps, deletions = blind_f_pol(family, cfg)
         _forget_compiles(family)
         cold, cold_done = _metered_outcome(f_pol, family, cfg)
         warm, warm_done = _metered_outcome(f_pol, family, cfg)
         assert cold == warm == want
         assert cold_done == warm_done
         assert cold_done.get("table search", 0) == steps
+        assert cold_done.get("row deletions", 0) == deletions
         vectors = [ranks for n in range(1, cfg.n_max + 1)
                    for ranks in blind_tests(family, cfg.domain_size, n)]
         seen["members" if len(want) else "empty"] += 1
@@ -261,6 +303,80 @@ def test_search_matches_the_blind_sweep_and_its_steps():
             if phase == "table search":
                 assert done == budget + 1
                 seen["refused"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def _deletion_case(rng):
+    """A family built down from one wide constraint (phi, S): phi has 2 or
+    3 rows, counts up to INF and a default of 0, 1 or INF, and S excludes
+    some image.  Then phi with a row deleted, again and again, each with
+    a consequent that holds the projection of the one above (implied),
+    misses one of its tuples (not implied: it must stay), or is random;
+    now and then a second consequent on phi, or an unrelated constraint.
+    Shuffled, over k and k_out from 1 to 3, at most 4,096 tables of the
+    top arity.  Also the kinds of consequent drawn."""
+    k, k_out = rng.randint(1, 3), rng.randint(1, 3)
+    n_max = rng.randint(1, max(n for n in (1, 2, 3) if k_out ** (k ** n) <= 4096))
+    m = rng.choice([2, 3] if k < 3 else [2])
+    exc = {tuple(rng.randrange(k) for _ in range(m)): rng.choice([1, 2, 3, INF])
+           for _ in range(rng.randint(1, 4))}
+    phi = RepetitionFunction(m, k, rng.choice([0, 0, 0, 1, INF]), exc)
+    space = list(product(range(k_out), repeat=m))
+    allowed = set(rng.sample(space, rng.randint(0, len(space) - 1)))
+    family, kinds = [GeneralizedConstraint(phi, allowed, k_out)], set()
+    if rng.random() < 0.2:
+        family.append(_random_constraint(rng, m, k, k_out, phi))
+    while phi.arity > 1 and rng.random() < 0.85:
+        i = rng.randrange(phi.arity)
+        phi, projected = blind_deleted(phi, i), {t[:i] + t[i + 1:] for t in allowed}
+        space = list(product(range(k_out), repeat=phi.arity))
+        kind = rng.choice(["implied", "not implied", "random"])
+        if kind == "implied":
+            allowed = projected | set(rng.sample(space, rng.randint(0, 1)))
+        elif kind == "not implied" and projected:
+            allowed = projected - {rng.choice(sorted(projected))}
+        else:
+            kind, allowed = "random", set(rng.sample(space, rng.randint(0, len(space))))
+        kinds.add(kind)
+        family.append(GeneralizedConstraint(phi, allowed, k_out))
+    if rng.random() < 0.3:
+        family.append(_random_constraint(rng, rng.randint(1, m), k, k_out))
+    rng.shuffle(family)
+    cfg = GaloisConfig(k, n_max=n_max, m_max=3, breadth=n_max, codomain_size=k_out)
+    return family, cfg, kinds
+
+
+def test_search_drops_only_the_constraints_a_wider_one_implies():
+    """On families of one-row deletions, the search finds the blind
+    sweep's class with the steps of a search through the kept
+    antecedents alone, cold and warm; a deletion whose consequent misses
+    a projected tuple is kept.  Under a budget below the row deletions,
+    it refuses there, at the step past the budget."""
+    rng = random.Random(3232)
+    seen = {"dropped": 0, "kept deletion": 0, "INF": 0, "members": 0, "empty": 0,
+            "refused": 0}
+    for _ in range(200):
+        family, cfg, kinds = _deletion_case(rng)
+        want, steps, deletions = blind_f_pol(family, cfg)
+        _forget_compiles(family)
+        cold, cold_done = _metered_outcome(f_pol, family, cfg)
+        warm, warm_done = _metered_outcome(f_pol, family, cfg)
+        assert cold == warm == want
+        assert cold_done == warm_done
+        assert cold_done.get("table search", 0) == steps
+        assert cold_done.get("row deletions", 0) == deletions
+        kept, _ = blind_kept(family, cfg.codomain_size)
+        antecedents = {c.antecedent for c in family}
+        seen["dropped"] += len(kept) < len(blind_merged(family, cfg.codomain_size))
+        seen["kept deletion"] += "not implied" in kinds and any(
+            blind_deleted(phi, i) in kept for phi in antecedents if phi.arity > 1
+            for i in range(phi.arity))
+        seen["INF"] += any(INF in (phi.default, *phi.exceptions.values()) for phi in antecedents)
+        seen["members" if len(want) else "empty"] += 1
+        for budget in range(min(deletions, 3)):
+            for _ in ("cold", "warm"):
+                assert _refusal(family, cfg, budget)[0] == ("row deletions", budget + 1, budget)
+            seen["refused"] += 1
     assert min(seen.values()) >= 20, seen
 
 
@@ -588,14 +704,33 @@ def _support_tuples(cluster):
     return sum(k ** m * m for g in cluster.generators if g.box.default and g.cap >= 1)
 
 
+def blind_boxes(cluster, breadth):
+    """The distinct boxes of the cluster as multisets, when every box is
+    0 at all but finitely many tuples and finite at those, every tuple
+    listed, and holds at most min(cap, breadth) elements; else None."""
+    k, m = cluster.domain_size, cluster.arity
+    boxes = set()
+    for g in cluster.generators:
+        counts = {t: g.box.value(t) for t in product(range(k), repeat=m) if g.box.value(t)}
+        if g.box.default or INF in counts.values() or sum(counts.values()) > min(g.cap, breadth):
+            return None
+        boxes.add(FiniteMultiset(m, counts))
+    return boxes
+
+
 def _compile_counts(family, cfg, reached, answered):
     """The "cluster members" and "cluster splits" steps of ``c_pol``'s
-    compile: each reached cluster over the configured domain lists its
-    members at the breadth cap once, and, unless a cluster over another
-    alphabet was reached, each member S is split at every arity
-    n <= n_max into its ordered selections of n columns."""
-    listed = [ref_enumerate_cluster_members(family[j], cfg.breadth) for j in sorted(reached)
-              if family[j].domain_size == cfg.domain_size]
+    compile: each reached cluster over the configured domain lists, once,
+    its distinct boxes if ``blind_boxes`` finds them, or else its members
+    at the breadth cap, and, unless a cluster over another alphabet was
+    reached, each listed S is split at every arity n <= n_max into its
+    ordered selections of n columns."""
+    listed = []
+    for j in sorted(reached):
+        if family[j].domain_size == cfg.domain_size:
+            boxes = blind_boxes(family[j], cfg.breadth)
+            listed.append(ref_enumerate_cluster_members(family[j], cfg.breadth)
+                          if boxes is None else boxes)
     splits = sum(
         sum(1 for _ in recursive_ordered_selections(s.support(), s.multiplicity, n, {}))
         for members in listed for s in members for n in range(1, cfg.n_max + 1)
@@ -628,6 +763,80 @@ def test_compiled_c_pol_matches_reference_sweep():
             seen["every table" if len(want) == every else "proper"] += 1
     assert min(seen.values()) >= 15, seen
 
+
+def _box_cluster_case(rng):
+    """1 to 3 clusters of 0 to 4 generators, each a finite default-0 box
+    within its cap and the breadth, so ``c_pol`` lists the boxes; in the
+    mixed cases one generator is changed so that its cluster is walked:
+    a cap below its box's total, an INF count, a positive default, or a
+    total past the breadth.  Also the change made, or "boxes"."""
+    k = rng.choice([2, 2, 3])
+    n_max = rng.randint(1, 2) if k == 2 else 1
+    breadth = rng.randint(n_max, n_max + 2)
+    family = []
+    for _ in range(rng.randint(1, 3)):
+        m = rng.randint(1, 2)
+        space = list(product(range(k), repeat=m))
+        gens = []
+        for _ in range(rng.randint(0, 4)):
+            size = rng.randint(0, breadth)
+            box = RepetitionFunction(m, k, 0, multisets._counts(
+                rng.choice(space) for _ in range(size)))
+            gens.append(BoxedGenerator(box, rng.choice([size, size, size + 1, INF])))
+        family.append((m, k, gens))
+    kind = rng.choice(["boxes", "boxes", "cap below", "INF count", "positive default",
+                       "past breadth"])
+    m, k, gens = rng.choice(family)
+    space = list(product(range(k), repeat=m))
+    counts = {rng.choice(space): rng.randint(1, 2)}
+    if kind == "cap below":
+        gens.append(BoxedGenerator(RepetitionFunction(m, k, 0, counts),
+                                   sum(counts.values()) - 1))
+    elif kind == "INF count":
+        gens.append(BoxedGenerator(RepetitionFunction(m, k, 0, {**counts, space[0]: INF}),
+                                   rng.choice([breadth, INF])))
+    elif kind == "positive default":
+        gens.append(BoxedGenerator(RepetitionFunction(m, k, rng.choice([1, INF]), counts),
+                                   rng.choice([breadth, INF])))
+    elif kind == "past breadth":
+        gens.append(BoxedGenerator(RepetitionFunction(m, k, 0, {space[-1]: breadth + 1}), INF))
+    family = [Cluster(m, k, frozenset(gens)) for m, k, gens in family]
+    return family, GaloisConfig(k, n_max=n_max, m_max=1, breadth=breadth), kind
+
+
+def test_c_pol_compiles_the_boxes_or_walks():
+    """On clusters of finite boxes, c_pol lists the distinct boxes, and
+    walks every member of a cluster with a generator of another shape:
+    it finds the blind sweep's class with the members and splits that
+    ``_compile_counts`` gives, and walking every cluster instead
+    merges tests that sweep alike, so they are the same tests."""
+    rng = random.Random(4343)
+    seen = dict.fromkeys(["boxes", "cap below", "INF count", "positive default",
+                          "past breadth"], 0)
+    seen.update({"all boxes": 0, "fewer members": 0, "proper": 0})
+    for _ in range(150):
+        family, cfg, kind = _box_cluster_case(rng)
+        reached = set()
+        want = _outcome(ref_c_pol, family, cfg, reached)
+        got, got_done = _metered_outcome(c_pol, family, cfg)
+        assert got == want
+        for phase, steps in _compile_counts(family, cfg, reached, True).items():
+            assert got_done.get(phase, 0) == steps, phase
+        # a default-0 box that holds one count at most tuples is stored
+        # with that count as its default, so "boxes" may walk too
+        walked_some = any(blind_boxes(phi, cfg.breadth) is None for phi in family)
+        assert walked_some or kind == "boxes"
+        with patch.object(galois, "_boxes", lambda *args: None):
+            walked, walked_done = _metered_outcome(c_pol, family, cfg)
+        assert walked == got
+        assert walked_done["sweep tests"] == got_done["sweep tests"]
+        seen[kind] += 1
+        seen["all boxes"] += not walked_some
+        seen["fewer members"] += (walked_done.get("cluster members", 0)
+                                  > got_done.get("cluster members", 0))
+        every = sum(cfg.domain_size ** cfg.domain_size ** n for n in range(1, cfg.n_max + 1))
+        seen["proper"] += len(want) < every
+    assert min(seen.values()) >= 15, seen
 
 
 # --- the compile of c_pol against the reference sweep, as a property ---
@@ -715,18 +924,22 @@ def test_c_pol_compile_refuses_before_the_sweep(phase):
 
 
 def test_c_pol_reads_the_members_in_any_order(monkeypatch):
-    """c_pol reads each cluster's members in the order of the walk: its
-    merged tests, its charges and its refusals do not depend on that
-    order, so the members reversed or sorted give the same class, the
-    same ``meter.done`` and the same refusal at every budget."""
+    """c_pol reads each cluster's walked members in the order of the walk,
+    and its boxes in the order of a set: its merged tests, its charges
+    and its refusals do not depend on either order, so the members and
+    the boxes reversed or sorted give the same class, the same
+    ``meter.done`` and the same refusal at every budget."""
     cfg = GaloisConfig(2, n_max=2, m_max=1, breadth=3)
+    # the order cluster walks 185 members; cl_inv's two antichains give
+    # 13 boxes
     family = [order_cluster({(0, 0), (0, 1), (1, 1)}, 2),
               *cl_inv(OperationClass(2, members=_monotone_ops(2)), cfg)]
 
     def outcomes():
         got = []
-        # 204 members and 1,087 splits: the last three budgets refuse
-        for budget in (DEFAULT_BUDGET, 1000, 300, 150):
+        # 198 members and 1,083 splits: the last four budgets refuse, two
+        # in the splits, one in the boxes and one in the walk
+        for budget in (DEFAULT_BUDGET, 1000, 300, 190, 150):
             with Meter(budget) as meter:
                 try:
                     answer = c_pol(family, cfg)
@@ -736,11 +949,14 @@ def test_c_pol_reads_the_members_in_any_order(monkeypatch):
         return got
 
     want = outcomes()
-    assert [answer[0] for answer, _ in want[1:]] == [
-        "cluster splits", "cluster splits", "cluster members"]
-    members = galois._members
+    assert [answer for answer, _ in want[1:]] == [
+        ("cluster splits", 1001), ("cluster splits", 301), ("cluster members", 191),
+        ("cluster members", 151)]
+    members, boxes = galois._members, galois._boxes
     for order in (reversed, sorted):
         monkeypatch.setattr(galois, "_members", lambda *args: list(order(members(*args))))
+        monkeypatch.setattr(galois, "_boxes", lambda *args: (
+            None if (listed := boxes(*args)) is None else list(order(listed))))
         assert outcomes() == want
 
 
