@@ -167,8 +167,7 @@ def _boxes(cluster, limit, meter):
     sorted items, when every generator's box has default 0 and a total
     within its cap and ``limit``; else None.  Each such box is then a
     member, and every member of cardinality <= limit lies below one.
-    Each box is one "cluster members" step, refused as ``_members``
-    refuses."""
+    Each box is one "cluster members" step of ``Meter.counted``."""
     members = set()
     for g in cluster.generators:
         counts = g.box.exceptions
@@ -176,12 +175,7 @@ def _boxes(cluster, limit, meter):
         if g.box.default or size > g.cap or size > limit:
             return None
         members.add((size, tuple(sorted(counts.items()))))
-    room = meter.room("cluster members")
-    if len(members) > room:
-        meter.refuse("cluster members", room)
-    if members:
-        meter.charge("cluster members", len(members))
-    return list(members)
+    return list(meter.counted("cluster members", members))
 
 
 def enumerate_cluster_members(cluster, limit):
@@ -227,9 +221,9 @@ def satisfies_cluster(f, cluster, breadth_cap):
                            _Scaled(f.domain_size, f.arity))
     if found is None:
         return ClusterVerdict(True, breadth_cap)
-    cols, image, out = found
-    rest = dict(out)
-    rest[image] -= 1
+    cols, image, rest = found
+    out = dict(rest)
+    out[image] = out.get(image, 0) + 1
     witness = (
         TupleMatrix(cluster.arity, cols),
         FiniteMultiset(cluster.arity, rest),
@@ -291,10 +285,27 @@ class _Scaled(dict):
         return vectors
 
 
+def _remainder(allows, exact, tuples, counts, positions, fits):
+    """M2 of the split [M1 | M2] of a member, with these tuples and counts,
+    whose M1 takes these positions: its counts, a list aligned with
+    ``tuples``, and m2, the generators of the mask ``fits`` that admit M2.
+    With ``fits`` the generators whose cap admits |M2| + 1, the output
+    M2 + t lies in the cluster iff m2 & ``_at_least``(t, M2(t) + 1) is
+    non-zero: the rule of both ``_violation`` and ``_cluster_tests``."""
+    rest = list(counts)
+    for x in positions:
+        rest[x] -= 1
+    m2 = fits
+    for t, c in zip(tuples, rest):
+        if c and m2:
+            m2 &= _at_least(allows, exact, t, c)
+    return rest, m2
+
+
 def _violation(table, n, compiled, breadth_cap, meter, scaled):
     """The first split of a member of the ``_compiled`` cluster whose
     output leaves the cluster under the n-ary table, as ``(columns of M1,
-    image, output counts)``, or None if there is none: the check of
+    image, counts of M2)``, or None if there is none: the check of
     ``satisfies_cluster``, unvalidated, charged to ``meter``.
 
     A member's splits are the ``_split_orders`` of its counts, read
@@ -303,7 +314,9 @@ def _violation(table, n, compiled, breadth_cap, meter, scaled):
     that domain.  The row ranks of M1 are its prefix's scaled vectors
     summed, once per prefix, plus its last column.  Each split is a
     "cluster splits" step, refused at the first one past the budget; no
-    more orders are built than the budget has room for.
+    more orders are built than the budget has room for.  A split's output
+    is admitted by a generator that admits the member, by the one-copy
+    test when M2 is empty, or else by the ``_remainder`` rule.
     """
     caps, allows, exact = compiled
     get = table.__getitem__
@@ -336,35 +349,22 @@ def _violation(table, n, compiled, breadth_cap, meter, scaled):
             # its box allows the image's new count.
             if image in tuples:
                 i = tuples.index(image)
-                held = counts[i]
+                held = counts[i]  # M2(image), unless the image is a column of M1
                 if live & ~exact[image].get(held, 0) or i in positions:
                     continue
             elif live & allows.get(image, 0):
                 continue
             else:
                 held = 0
-            # only generators whose cap admits the output size can admit it
             j = bisect_left(caps, size)
-            fits = (1 << len(caps)) - 1 >> j << j
-            if size == 1:  # |S| = n: M2 is empty, and the output is {f M1}
-                if fits & allows.get(image, 0):
-                    continue
-                out = {image: 1}
-            else:
-                out = dict(items)
-                for x in positions:
-                    out[tuples[x]] -= 1
-                out[image] = held + 1
-                admitting = fits
-                for t, c in out.items():
-                    if c:
-                        admitting &= _at_least(allows, exact, t, c)
-                        if not admitting:
-                            break
-                if admitting:
-                    continue
+            fits = (1 << len(caps)) - 1 >> j << j  # the generators whose cap admits |M2| + 1
+            if size == 1 and fits & allows.get(image, 0):  # M2 is empty: the output is {f M1}
+                continue
+            rest, m2 = _remainder(allows, exact, tuples, counts, positions, fits)
+            if m2 & _at_least(allows, exact, image, held + 1):
+                continue
             meter.charge(phase, before + sels.index((q, p, positions)) + 1)
-            return tuple([tuples[x] for x in positions]), image, out
+            return tuple([tuples[x] for x in positions]), image, dict(zip(tuples, rest))
         if taken > room:
             meter.refuse(phase, room)
     if taken:
@@ -419,10 +419,10 @@ def _cluster_tests(cluster, compiled, members, n, scaled, tests, meter):
     M1's row ranks is an image t with M2 + t in the cluster, for every
     split.
 
-    Those images are {t : m2 & ``_at_least``(t, M2(t) + 1) != 0}, where
-    m2 is the mask of the generators admitting M2 at size |M2| + 1: the
-    images one generator in m2 allows, built once per m2, less the
-    tuples of M2 no generator in m2 allows one more copy of.  M2 depends
+    Those images are {t : m2 & ``_at_least``(t, M2(t) + 1) != 0}, with
+    M2 and m2 from ``_remainder``: the images one generator in m2 allows,
+    built once per m2, less the tuples of M2 no generator in m2 allows
+    one more copy of.  M2 depends
     only on which positions M1 takes, so it is built once per set of
     positions; a test that allows every image is dropped, and tests on
     one rank vector are merged by intersecting their allowed images.
@@ -455,13 +455,7 @@ def _cluster_tests(cluster, compiled, members, n, scaled, tests, meter):
         for q, p, positions in sels:
             key = tuple(sorted(positions))
             if key not in after:
-                rest = list(counts)
-                for x in positions:
-                    rest[x] -= 1
-                m2 = fits
-                for t, c in zip(tuples, rest):
-                    if c and m2:
-                        m2 &= _at_least(allows, exact, t, c)
+                rest, m2 = _remainder(allows, exact, tuples, counts, positions, fits)
                 allowed = images.get(m2)
                 if allowed is None:
                     allowed = images[m2] = _allowed_images(generators, m2)
@@ -657,6 +651,8 @@ def materialize_minor(clusters, scheme, breadth_cap):
     generators (box = the multiset, cap = its cardinality).
     """
     _check_limit("breadth cap", breadth_cap)
+    if breadth_cap == INF:  # the walk would never end
+        raise GaloisKitError("materialize_minor needs a finite breadth cap, not inf")
     clusters = list(clusters)
     with Meter() as meter:
         exists = _minor_search(clusters, scheme)

@@ -197,17 +197,22 @@ def _skolem_search(scheme, accepts, k):
 
     The family is one test per scheme map on the count dict of the mapped
     columns: ``phi.bounds``, or cluster admission.  The answer depends
-    only on the column multiset.  Each column's mapped tuples under every
-    Skolem map are computed once per call of this factory.
+    only on the column multiset.  The k^|V| Skolem maps are listed once
+    per call of this factory, one "Skolem maps" step per entry, charged
+    before they are built; so are a column's mapped tuples under every
+    Skolem map, one step per tuple, on the column's first use.
     """
-    sigmas = list(skolem_maps(scheme.indeterminates, k))
-    images = {}
-    meter = _current_meter()
+    names, meter = scheme.indeterminates, _current_meter()
+    if names:
+        meter.charge_power("Skolem maps", k, len(names), times=len(names))
+    sigmas = list(skolem_maps(names, k))
+    images, per_column_steps = {}, len(sigmas) * len(scheme.maps)
 
     def exists(columns):
         per_column = []
         for col in columns:
             if col not in images:
+                meter.charge("Skolem maps", per_column_steps)
                 images[col] = [
                     tuple(apply_scheme_map(col, sigma, h) for h in scheme.maps)
                     for sigma in sigmas

@@ -309,31 +309,26 @@ def _matrices(phi, n):
     extended by every column that has room left.  A prefix's ranks are
     computed once for all its extensions, carried times k.  An operation
     f maps M to the tuple of f.table at the ranks.  Each matrix is a
-    "constraint matrices" step of the open meter, refused as
-    ``Meter.counted`` refuses: as soon as the phase passes the budget, the
-    steps taken charged once when the stream ends or is dropped.
+    "constraint matrices" step of ``Meter.counted``; nothing, not even
+    the support, is charged before the first matrix is drawn.
     """
+    return _current_meter().counted("constraint matrices", _unmetered_matrices(phi, n))
+
+
+def _unmetered_matrices(phi, n):
+    """The stream of ``_matrices``, uncharged but for the support."""
     support = phi.positive_support()
     shape = tuple([min(phi.value(t), n) for t in support])
-    k, meter, phase = phi.domain_size, _current_meter(), "constraint matrices"
-    room, taken = meter.room(phase), 0
-    try:
-        for _, _, positions in _split_selections(shape, n - 1) if n > 1 else [(0, 0, ())]:
-            free = list(shape)
-            for p in positions:
-                free[p] -= 1
-            prefix = tuple([support[p] for p in positions])
-            scaled = [k * r for r in _row_ranks(k, prefix)] if prefix else None
-            for col, left in zip(support, free):
-                if left:
-                    if taken == room:  # refuse, leaving nothing to charge again
-                        taken = 0
-                        meter.refuse(phase, room)
-                    taken += 1
-                    yield prefix, col, col if scaled is None else map(add, scaled, col)
-    finally:
-        if taken:
-            meter.charge(phase, taken)
+    k = phi.domain_size
+    for _, _, positions in _split_selections(shape, n - 1) if n > 1 else [(0, 0, ())]:
+        free = list(shape)
+        for p in positions:
+            free[p] -= 1
+        prefix = tuple([support[p] for p in positions])
+        scaled = [k * r for r in _row_ranks(k, prefix)] if prefix else None
+        for col, left in zip(support, free):
+            if left:
+                yield prefix, col, col if scaled is None else map(add, scaled, col)
 
 
 # the phases _matrices charges, in the order phi._ranks keeps their steps

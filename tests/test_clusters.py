@@ -8,6 +8,7 @@ from galois_kit import (
     BoxedGenerator,
     BudgetExceededError,
     Cluster,
+    DEFAULT_BUDGET,
     FiniteMultiset,
     GaloisConfig,
     GaloisKitError,
@@ -392,6 +393,17 @@ def test_an_infinite_limit_stops_at_the_largest_cap():
     assert satisfies_cluster(f, c, INF).satisfied == satisfies_cluster(f, c, 3).satisfied
     with pytest.raises(GaloisKitError, match="needs a finite cardinality limit"):
         enumerate_cluster_members(relation_cluster({(0,)}, 1, 2), INF)
+
+
+@pytest.mark.parametrize("budget", [10, DEFAULT_BUDGET])
+def test_materialize_minor_refuses_an_infinite_breadth_cap_before_the_walk(budget):
+    # the walk over every multiset of the target arity would never end
+    cluster = relation_cluster({(0,)}, 1, 2)
+    scheme = MinorScheme(1, (), ((0,),))
+    with Meter(budget) as meter, pytest.raises(
+            GaloisKitError, match="materialize_minor needs a finite breadth cap, not inf"):
+        materialize_minor([cluster], scheme, INF)
+    assert meter.done == {}
 
 
 def test_materialize_minor_needs_one_cluster_per_map():

@@ -26,7 +26,7 @@ from galois_kit import (
     trivial_cluster,
     trivial_constraint,
 )
-from galois_kit.errors import Meter
+from galois_kit.errors import DEFAULT_BUDGET, Meter
 from galois_kit.minors import skolem_maps
 from multiset_oracles import recursive_nondecreasing_selections
 
@@ -308,13 +308,38 @@ class TestMetering:
         assert meter.done.get("support tuples", 0) == (k ** m * m if walked.default else 0)
 
     def test_materialized_minor_charges_minor_multisets(self):
-        # (), (0), (0 0), (0 1), then (1) is the fifth multiset of breadth <= 2
+        # the six multisets of breadth <= 2 are (), (0), (0 0), (0 1), (1) and
+        # (1 1); each tries its one Skolem choice, and the columns (0) and (1)
+        # charge their one image each on first use, so (1 1) takes the eighth
+        # Skolem maps step
         args = ([trivial_cluster(1, 3, 2)], MinorScheme(1, (), ((0,),)), 2)
-        with pytest.raises(BudgetExceededError) as info, Meter(4):
+        with pytest.raises(BudgetExceededError) as info, Meter(7):
             materialize_minor(*args)
-        assert str(info.value) == "refusing minor multisets: 5 steps exceed budget 4"
-        with Meter(6):
+        assert str(info.value) == "refusing Skolem maps: 8 steps exceed budget 7"
+        with Meter(8) as meter:
             assert len(materialize_minor(*args).generators) == 3
+        assert meter.done["minor multisets"] == 6 and meter.done["Skolem maps"] == 8
+
+    def test_skolem_maps_and_their_images_are_charged_before_they_are_built(self):
+        # 3 entries in each of the 8 Skolem maps, the 8 images of each of the
+        # columns (0) and (1), then one choice for each of (0), (1) and (0 1)
+        phi = RepetitionFunction(1, 2, 0, {(0,): 1, (1,): 1})
+        scheme = MinorScheme(1, ("u", "v", "w"), ((0,),))
+        call = partial(is_restrictive_rf_minor, phi, [phi], scheme, 2)
+        with Meter() as meter:
+            assert call()
+        assert meter.done["Skolem maps"] == 3 * 8 + 2 * 8 + 3
+        assert _refusal(call, 42) == "refusing Skolem maps: 43 steps exceed budget 42"
+
+    @pytest.mark.parametrize("budget", [10, DEFAULT_BUDGET])
+    def test_unused_indeterminates_are_refused_before_their_maps_are_listed(self, budget):
+        # 20 entries in each of 2^20 Skolem maps: listing them would take
+        # seconds and hundreds of MB
+        names = tuple(f"v{i}" for i in range(20))
+        phi = RepetitionFunction(1, 2, 0, {(0,): 2, (1,): 1})
+        call = partial(is_restrictive_rf_minor, phi, [phi], MinorScheme(1, names, ((0,),)))
+        assert _refusal(call, budget) == (
+            f"refusing Skolem maps: {20 * 2 ** 20} steps exceed budget {budget}")
 
 
 def _refused_before_any_work(call, match):

@@ -46,7 +46,9 @@ from galois_kit import (
     trivial_constraint,
 )
 from galois_kit import galois, multisets
-from galois_kit.clusters import _Excluding, _share
+from galois_kit.clusters import (
+    _Excluding, _Scaled, _cluster_tests, _compiled_cluster, _members, _share,
+)
 from galois_kit.errors import DEFAULT_BUDGET, _current_meter
 from galois_kit.extnat import INF
 from galois_kit.verify import _monotone_ops
@@ -902,6 +904,41 @@ def cluster_families(draw):
 def test_compiled_c_pol_matches_reference_on_random_families(case):
     family, cfg = case
     assert _outcome(c_pol, family, cfg) == _outcome(ref_c_pol, family, cfg)
+
+
+@st.composite
+def cluster_checks(draw):
+    """(f, cluster, breadth cap): an n-ary table over k = 1 to 3 and a
+    cluster of arity 1 to 3 with one to three generators, whose boxes may
+    have a positive default or INF counts and whose caps, 0 to 4 or INF,
+    often fall below the box's total; the breadth cap is n to n + 2."""
+    k = draw(st.sampled_from([1, 2, 2, 2, 3]))
+    m = draw(st.integers(1, 3 if k < 3 else 2))
+    n = draw(st.integers(1, 2))
+    space = list(product(range(k), repeat=m))
+    counts = st.sampled_from([0, 1, 1, 2, 3, INF])
+    box = st.builds(RepetitionFunction, st.just(m), st.just(k), st.sampled_from([0, 0, 0, 1, INF]),
+                    st.dictionaries(st.sampled_from(space), counts, min_size=1, max_size=4))
+    caps = st.one_of(st.sampled_from([0, INF]), st.integers(1, 4))
+    gens = draw(st.lists(st.builds(BoxedGenerator, box, caps), min_size=1, max_size=3))
+    table = tuple(draw(st.lists(st.integers(0, k - 1), min_size=k ** n, max_size=k ** n)))
+    return Operation(k, k, n, table), Cluster(m, k, frozenset(gens)), draw(st.integers(n, n + 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cluster_checks())
+def test_satisfies_cluster_holds_iff_the_table_meets_the_compiled_tests(case):
+    # both kernels decide M2 + f M1 in the cluster by one rule; the
+    # compile reads every member at the breadth cap, not only the maximal ones
+    f, phi, breadth = case
+    compiled = _compiled_cluster(phi)
+    tests = {}
+    with Meter(INF) as meter:
+        members = [member[:2] for member in _members(compiled, breadth, meter)]
+        _cluster_tests(phi, compiled, members, f.arity, _Scaled(phi.domain_size, f.arity),
+                       tests, meter)
+        satisfied = satisfies_cluster(f, phi, breadth).satisfied
+    assert satisfied == _meets(f.table, tests.items())
 
 
 # --- budgets -------------------------------------------------------------
