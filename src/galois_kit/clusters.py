@@ -13,7 +13,7 @@ identity, is the contract.
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import groupby, product, repeat
 from operator import add, itemgetter
 
@@ -162,6 +162,16 @@ def _members(compiled, limit, meter):
     return members
 
 
+def _charge_members(meter, count):
+    """Charge a walk of ``count`` members again, as ``_members`` charged it:
+    refused at the first member past the budget, else charged once."""
+    room = meter.room("cluster members")
+    if count > room:
+        meter.refuse("cluster members", room)
+    if count:
+        meter.charge("cluster members", count)
+
+
 def _boxes(cluster, limit, meter):
     """The cluster's distinct boxes, as members ``(size, items)`` with
     sorted items, when every generator's box has default 0 and a total
@@ -207,6 +217,14 @@ def satisfies_cluster(f, cluster, breadth_cap):
     equals exact satisfaction of the breadth restriction of the cluster.
     The witness is the first violating split, members in the order of
     ``enumerate_cluster_members`` and splits in that of ``split_enumerate``.
+
+    The cluster's compile and sorted walk at the last breadth cap are
+    kept in the cluster when the walk is at most ``_KEEP`` members and
+    every box has default 0, so the compile charged nothing (a positive
+    default's support is charged).  A later check at that cap reads them
+    and charges the walk's steps again (``_charge_members``), so the
+    checks of one cluster, such as ``separating_cluster``'s, compile and
+    walk it once, and each charges what a fresh walk charges.
     """
     _check_limit("breadth cap", breadth_cap)
     if f.domain_size != cluster.domain_size or f.codomain_size != cluster.domain_size:
@@ -215,10 +233,20 @@ def satisfies_cluster(f, cluster, breadth_cap):
         raise GaloisKitError(
             f"breadth cap {breadth_cap} is below the arity {f.arity}: no split exists"
         )
-    compiled = _compiled_cluster(cluster)
+    walked = cluster.__dict__.get("_walked")  # (breadth cap, compiled, sorted members)
+    if walked is not None and walked[0] != breadth_cap:
+        walked = None
+    compiled = _compiled_cluster(cluster) if walked is None else walked[1]
     with Meter() as meter:
-        found = _violation(f.table, f.arity, compiled, breadth_cap, meter,
-                           _Scaled(f.domain_size, f.arity))
+        if walked is None:
+            members = sorted(_members(compiled, breadth_cap, meter))
+            if len(members) <= _KEEP and not any(g.box.default for g in cluster.generators):
+                cluster.__dict__["_walked"] = breadth_cap, compiled, members
+        else:
+            members = walked[2]
+            _charge_members(meter, len(members))
+        found = _violation(f.table, f.arity, compiled, members, meter,
+                           _kept_scaled(f.domain_size, f.arity))
     if found is None:
         return ClusterVerdict(True, breadth_cap)
     cols, image, rest = found
@@ -232,7 +260,8 @@ def satisfies_cluster(f, cluster, breadth_cap):
     return ClusterVerdict(False, breadth_cap, witness)
 
 
-# the most split selections kept across split checks, per arity
+# the most split selections kept across split checks, per arity, and the
+# most members of a cluster's kept walk
 _KEEP = 4096
 
 
@@ -272,17 +301,41 @@ class _KeptOrders(dict):
 _kept_orders = defaultdict(_KeptOrders)  # by arity
 
 
+# the most ints, one more per tuple, kept in the scaled vectors of one (k, n)
+_KEEP_SCALED = 65536
+
+
 class _Scaled(dict):
     """Each m-tuple t's column vectors t * k^(n-1), ..., t * k over domain
-    size k, one per column of an n-column prefix, built on first use."""
+    size k, one per column of an n-column prefix, built on first use and
+    kept while they hold at most ``_KEEP_SCALED`` ints, each tuple
+    counting one more: a larger entry is not kept, and one that would
+    pass the bound drops the entries kept before it."""
+
+    held = 0  # the ints kept, one more per tuple
 
     def __init__(self, k, n):
         super().__init__()
         self.powers = [k ** e for e in range(n - 1, 0, -1)]
 
     def __missing__(self, t):
-        vectors = self[t] = [tuple([x * power for x in t]) for power in self.powers]
+        vectors = [tuple([x * power for x in t]) for power in self.powers]
+        size = 1 + len(t) * len(vectors)
+        if size <= _KEEP_SCALED:
+            if self.held + size > _KEEP_SCALED:
+                self.clear()
+                self.held = 0
+            self[t] = vectors
+            self.held += size
         return vectors
+
+
+@lru_cache(maxsize=16)
+def _kept_scaled(k, n):
+    """The ``_Scaled`` vectors over domain size k for n-column prefixes,
+    shared by every ``satisfies_cluster`` check and ``c_pol`` compile at
+    (k, n); only the most recent 16 (k, n) are kept."""
+    return _Scaled(k, n)
 
 
 def _remainder(allows, exact, tuples, counts, positions, fits):
@@ -302,10 +355,11 @@ def _remainder(allows, exact, tuples, counts, positions, fits):
     return rest, m2
 
 
-def _violation(table, n, compiled, breadth_cap, meter, scaled):
-    """The first split of a member of the ``_compiled`` cluster whose
-    output leaves the cluster under the n-ary table, as ``(columns of M1,
-    image, counts of M2)``, or None if there is none: the check of
+def _violation(table, n, compiled, members, meter, scaled):
+    """The first split of one of the members of the ``_compiled``
+    cluster, as ``_members`` lists them and sorted, whose output leaves
+    the cluster under the n-ary table, as ``(columns of M1, image,
+    counts of M2)``, or None if there is none: the check of
     ``satisfies_cluster``, unvalidated, charged to ``meter``.
 
     A member's splits are the ``_split_orders`` of its counts, read
@@ -323,7 +377,7 @@ def _violation(table, n, compiled, breadth_cap, meter, scaled):
     orders = _kept_orders[n]
     phase = "cluster splits"
     room, taken = meter.room(phase), 0
-    for member_size, items, live in sorted(_members(compiled, breadth_cap, meter)):
+    for member_size, items, live in members:
         size = member_size - n + 1  # |f M1| + |M2|
         if size <= 0:
             continue

@@ -26,8 +26,8 @@ from .multisets import FiniteMultiset, _counts, _rank_checks, _set_partitions, a
 from .repetition import RepetitionFunction, _row_deletions
 from .constraints import GeneralizedConstraint, _check_alphabets
 from .clusters import (
-    _Excluding, _Scaled, _antichain_cluster, _boxes, _cluster_tests, _compiled_cluster, _members,
-    _share, cluster_member, satisfies_cluster,
+    _Excluding, _antichain_cluster, _boxes, _cluster_tests, _compiled_cluster, _kept_scaled,
+    _members, _share, cluster_member, satisfies_cluster,
 )
 
 __all__ = [
@@ -89,28 +89,28 @@ def _antecedent(k, n, ranks):
     return RepetitionFunction.from_counts(len(ranks), k, _counts(columns))
 
 
-def _images(tables, ranks):
-    """Each table read at the ranks, as a tuple, by one ``itemgetter``: on
-    one rank that gives the bare entry, which ``zip`` wraps as a 1-tuple."""
-    images = map(itemgetter(*ranks), tables)
-    return images if len(ranks) > 1 else zip(images)
+def _image_getter(ranks):
+    """The getter of a table's image at the ranks, as a tuple: one
+    ``itemgetter`` of the ranks, or on one rank, where that would read
+    the bare entry, of the slice that holds it."""
+    return itemgetter(*ranks) if len(ranks) > 1 else itemgetter(slice(ranks[0], ranks[0] + 1))
 
 
-def _invariant_constraint(tables, k, n, ranks, codomain_size):
-    """The constraint (chi_M, C M) of the matrix M of the n-tuples over
-    domain size k at these ranks, in order, for the class whose n-ary
-    members have these tables.
+def _invariant_constraint(antecedent, images, codomain_size):
+    """The constraint (chi_M, C M) for the antecedent chi_M of a matrix M
+    and C M, the images f M of the class's members of M's width.
 
-    f M is f's table read at the ranks.  Every member of a class closed
-    under permutation and dummy variables satisfies the constraint.  The
-    tables are valid, so each image is a tuple of len(ranks) ints in
-    range(codomain_size), and the constraint is built without running
-    its checks again; the antecedent comes checked from ``_antecedent``.
+    f M is f's table read at M's row ranks.  Every member of a class
+    closed under permutation and dummy variables satisfies the
+    constraint.  The tables are valid, so each image is a tuple of
+    len(M's rows) ints in range(codomain_size), and the constraint is
+    built without running its checks again; the antecedent comes checked
+    from ``_antecedent``.
     """
     c = object.__new__(GeneralizedConstraint)
     put = object.__setattr__
-    put(c, "antecedent", _antecedent(k, n, ranks))
-    put(c, "consequent", frozenset(_images(tables, ranks)))
+    put(c, "antecedent", antecedent)
+    put(c, "consequent", frozenset(images))
     put(c, "codomain_size", codomain_size)
     return c
 
@@ -133,6 +133,14 @@ def _matrix_blocks(k, n_max, m_max):
             yield n, m, comb(k ** n, m)
 
 
+def _readers(k, blocks):
+    """Each block of ``gc_inv``'s matrices, (width n, the matrices' row
+    ranks in order), as (n, each matrix's ``_antecedent`` and the getter
+    of its image, in order)."""
+    return tuple([(n, tuple([(_antecedent(k, n, ranks), _image_getter(ranks)) for ranks in rows]))
+                  for n, rows in blocks])
+
+
 # a configuration's matrices are kept while they number at most this
 # many, as many as the antecedent memo holds
 _KEPT_MATRICES = 4096
@@ -140,11 +148,11 @@ _KEPT_MATRICES = 4096
 
 @lru_cache(maxsize=8)
 def _kept_matrices(k, n_max, m_max):
-    """``gc_inv``'s matrices at a configuration, as (counts, blocks): the
-    ``_matrix_blocks`` counts in order, and each block as (width, its
-    matrices' row ranks in order); or () once they number more than
-    ``_KEPT_MATRICES``, found before any row list is built.  Only the
-    most recent 8 configurations are kept."""
+    """What ``gc_inv`` reads of a configuration, as (counts, readers): the
+    ``_matrix_blocks`` counts in order, and the ``_readers`` of its
+    blocks; or () once they number more than ``_KEPT_MATRICES``, found
+    before any row list is built.  Only the most recent 8 configurations
+    are kept."""
     blocks, total = [], 0
     for block in _matrix_blocks(k, n_max, m_max):
         total += block[2]
@@ -152,7 +160,7 @@ def _kept_matrices(k, n_max, m_max):
             return ()
         blocks.append(block)
     return (tuple([count for _, _, count in blocks]),
-            tuple([(n, tuple(combinations(range(k ** n), m))) for n, m, _ in blocks]))
+            _readers(k, [(n, combinations(range(k ** n), m)) for n, m, _ in blocks]))
 
 
 def gc_inv(cls_, cfg):
@@ -166,30 +174,31 @@ def gc_inv(cls_, cfg):
     emitted constraint satisfied by every member; its tables of each
     width are read once.  The C(k^n, m) matrices of each width and row
     count are charged up front, so an oversized request builds none of
-    them.  The counts and row lists of a configuration of at most
-    ``_KEPT_MATRICES`` matrices are built once, before any charge, and
-    kept (``_kept_matrices``); a larger one's rows are listed on each
-    call, once every count is charged.  The antecedents come from
-    ``_antecedent``, so calls at one configuration return the same
-    antecedent objects.
+    them.  The counts, antecedents and image getters of a configuration
+    of at most ``_KEPT_MATRICES`` matrices are built once, before any
+    charge, and kept (``_kept_matrices``); a larger one's are built on
+    each call, once every count is charged and the class's tables are
+    built.  The antecedents come from ``_antecedent``, so calls at one
+    configuration return the same antecedent objects.
     """
     _check_config_domain(cls_, cfg)
-    k = cls_.domain_size
+    k, n_max, m_max = cls_.domain_size, cfg.n_max, cfg.m_max
     with Meter() as meter:
-        kept = _kept_matrices(k, cfg.n_max, cfg.m_max)
+        kept = _kept_matrices(k, n_max, m_max)
         if kept:
             counts, blocks = kept
             for count in counts:
                 meter.charge("invariant matrices", count)
         else:
             sizes = []
-            for n, m, count in _matrix_blocks(k, cfg.n_max, cfg.m_max):
+            for n, m, count in _matrix_blocks(k, n_max, m_max):
                 meter.charge("invariant matrices", count)
                 sizes.append((n, m))
-            blocks = [(n, combinations(range(k ** n), m)) for n, m in sizes]
-        tables = _perm_dummy_tables(cls_, cfg.n_max)
-        return [_invariant_constraint(tables.get(n, ()), k, n, ranks, cls_.codomain_size)
-                for n, rows in blocks for ranks in rows]
+        tables = _perm_dummy_tables(cls_, n_max)
+        if not kept:
+            blocks = _readers(k, [(n, combinations(range(k ** n), m)) for n, m in sizes])
+        return [_invariant_constraint(phi, map(get, tables.get(n, ())), cls_.codomain_size)
+                for n, matrices in blocks for phi, get in matrices]
 
 
 def _charge_tables(meter, cfg, codomain_size):
@@ -301,60 +310,98 @@ def _search(checks, size, k_out):
             meter.charge(phase, taken)
 
 
-def _unimplied(consequents):
-    """The merged ``(phi, allowed)`` pairs of a dict, in order, less each
-    one that a pair of one more row implies.
+# a plan is kept for a sequence of at most this many antecedents
+_KEPT_PLAN = 4096
+
+# no allowed set holds this many images: the size an arity's image space
+# is capped at, so a set that reaches it allows every image
+_NO_SET = 1 << 64
+
+
+@lru_cache(maxsize=8)
+def _kept_plan(k_out, antecedents):
+    """``_build_plan``, kept for a sequence of at most ``_KEPT_PLAN``
+    antecedents: keyed by the antecedents, so equal ones share a plan,
+    which holds the first objects seen; only the most recent 8 are kept."""
+    return _build_plan(k_out, antecedents)
+
+
+def _build_plan(k_out, antecedents):
+    """The merge plan of a sequence of antecedents over codomain size
+    k_out, as (distinct, positions, spaces, links): the distinct antecedents, in
+    order of first occurrence; each antecedent's position among them; the
+    size of each one's space of images, capped at ``_NO_SET``; and each
+    one's one-row deletions (``_row_deletions``) as ``(i, get)`` links, i
+    the position of the deletion among the distinct antecedents, or
+    len(distinct) when it is none of them, and get the getter that reads
+    a tuple without the deleted row.  A one-row antecedent has no links.
+    """
+    at = {}  # antecedent -> its position among the distinct ones
+    positions = tuple([at.setdefault(phi, len(at)) for phi in antecedents])
+    distinct, absent = tuple(at), len(at)
+    spaces = tuple([power_upto(k_out, phi.arity, _NO_SET) for phi in distinct])
+    links = tuple([tuple([(at.get(psi, absent), get) for psi, get in _row_deletions(phi)])
+                   if phi.arity > 1 else () for phi in distinct])
+    return distinct, positions, spaces, links
+
+
+def _merged(constraints, k_out):
+    """The constraints merged by antecedent, as ``(phi, allowed)`` pairs in
+    order of first occurrence: allowed is the intersection of the
+    consequents on phi.  A pair whose allowed set holds every image is
+    met by every table, so it is dropped, and so is each that a kept
+    pair of one more row implies.  The plan of the antecedent sequence
+    (``_build_plan``, kept by ``_kept_plan`` for at most ``_KEPT_PLAN``
+    antecedents) gives each pair's place and its row-deletion links, so
+    a call only reads its own consequents.
 
     (phi_A, S_A) implies (phi_B, S_B) when phi_B is phi_A with row i
-    deleted (``_row_deletions``) and S_A, each tuple read without entry
-    i, lies inside S_B: every M < phi_B is some M' < phi_A with row i
-    deleted, and f M is f M' without entry i, so an f meeting A meets B.
-    A pair is implied only by one with more rows, so each dropped pair
-    is implied by a kept one.  Each deletion looked up is one "row
-    deletions" step, and one found among the pairs still kept is |S_A|
-    more, for projecting S_A; the steps are refused at the step past the
-    budget and charged once.  The deletions are kept in phi_A, so a call
-    on kept antecedents takes the same steps as the first.
+    deleted and S_A, each tuple read without entry i, lies inside S_B:
+    every M < phi_B is some M' < phi_A with row i deleted, and f M is f
+    M' without entry i, so an f meeting A meets B.  A pair is implied
+    only by one with more rows, so each dropped pair is implied by a
+    kept one.  Each link read is one "row deletions" step, and one to a
+    pair still kept is |S_A| more, for projecting S_A; the steps are
+    refused at the step past the budget and charged once.
     """
+    antecedents = tuple([c.antecedent for c in constraints])
+    plan = _kept_plan if len(antecedents) <= _KEPT_PLAN else _build_plan
+    distinct, positions, spaces, links = plan(k_out, antecedents)
+    allowed = [None] * len(distinct)
+    for j, c in zip(positions, constraints):
+        held = allowed[j]
+        allowed[j] = c.consequent if held is None else held & c.consequent
+    allowed = [None if len(s) >= space else s for s, space in zip(allowed, spaces)]
+    kept = [*allowed, None]  # the last slot stands for a deletion that is no antecedent
     meter, phase = _current_meter(), "row deletions"
     room, taken = meter.room(phase), 0
-    kept = dict(consequents)
-    for phi, allowed in consequents.items():
-        if phi.arity < 2:
+    for s, deletions in zip(allowed, links):
+        if s is None:
             continue
-        for psi, get in _row_deletions(phi):
-            held = kept.get(psi)
-            taken += 1 if held is None else 1 + len(allowed)
-            if taken > room:  # refuse, leaving nothing to charge again
-                taken = 0
+        for i, get in deletions:
+            held = kept[i]
+            taken += 1 if held is None else 1 + len(s)
+            if taken > room:
                 meter.refuse(phase, room)
-            if held is not None and held.issuperset(map(get, allowed)):
-                del kept[psi]
+            if held is not None and held.issuperset(map(get, s)):
+                kept[i] = None
     if taken:
         meter.charge(phase, taken)
-    return list(kept.items())
+    return [(phi, s) for phi, s in zip(distinct, kept) if s is not None]
 
 
 def _satisfying_tables(constraints, cfg):
     """Every table of arity <= n_max satisfying all the constraints, as
     (arity, table), in order of arity and then of table.
 
-    The constraints are merged by antecedent first, allowing the
-    intersection of the consequents that share one.  An antecedent whose
-    allowed set holds every image is met by every table, so it is
-    dropped and never compiled, and so is one that a merged antecedent
-    of one more row implies (``_unimplied``).  At each arity n the other
-    antecedents' checks are read together, grouped by their largest
-    rank (``multisets._rank_checks``), and the tables are then searched
-    for (``_search``).
+    The constraints are merged by antecedent first, less those every
+    table meets or a wider one implies (``_merged``).  At each arity n
+    the other antecedents' checks are read together, grouped by their
+    largest rank (``multisets._rank_checks``), and the tables are then
+    searched for (``_search``).
     """
     k, k_out = cfg.domain_size, cfg.codomain_size
-    consequents = {}  # antecedent -> the tuples every constraint on it allows
-    for c in constraints:
-        allowed = consequents.get(c.antecedent)
-        consequents[c.antecedent] = c.consequent if allowed is None else allowed & c.consequent
-    consequents = _unimplied({phi: allowed for phi, allowed in consequents.items()
-                              if power_upto(k_out, phi.arity, len(allowed) + 1) > len(allowed)})
+    consequents = _merged(constraints, k_out)
     for n in range(1, cfg.n_max + 1):
         for table in _search(_rank_checks(consequents, n), k ** n, k_out):
             yield n, table
@@ -425,7 +472,7 @@ def _inv_cluster_for_arity(tables, k, n):
         image_sets = []
         for block in blocks:
             if block not in images:
-                images[block] = set(_images(tables[len(block)], _source_ranks(k, n, block)))
+                images[block] = set(map(_image_getter(_source_ranks(k, n, block)), tables[len(block)]))
             image_sets.append(images[block])
         _current_meter().charge("invariant cluster members", prod(map(len, image_sets)))
         members.update(tuple(sorted(d)) for d in product(*image_sets))
@@ -491,7 +538,7 @@ def c_pol(clusters, cfg):
         arities = range(1, cfg.n_max + 1)
         tests = {n: {} for n in arities}  # arity -> rank vector -> the images allowed
         for n in arities:
-            scaled = _Scaled(k, n)
+            scaled = _kept_scaled(k, n)
             for phi, compiled, members in listed:
                 _cluster_tests(phi, compiled, members, n, scaled, tests[n], meter)
         for n in arities:
@@ -523,7 +570,9 @@ def separating_constraint(cls_, g):
     n = g.arity
     tables = _perm_dummy_tables(cls_, n)
     k = cls_.domain_size
-    c = _invariant_constraint(tables.get(n, ()), k, n, range(k ** n), cls_.codomain_size)
+    # f M of the all-rows matrix M is f's table
+    c = _invariant_constraint(_antecedent(k, n, range(k ** n)), tables.get(n, ()),
+                              cls_.codomain_size)
     if g.table in c.consequent:
         raise NotSeparableError(
             "no separating constraint: g is in the closed class at its arity"

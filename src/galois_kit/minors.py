@@ -197,12 +197,16 @@ def _skolem_search(scheme, accepts, k):
 
     The family is one test per scheme map on the count dict of the mapped
     columns: ``phi.bounds``, or cluster admission.  The answer depends
-    only on the column multiset.  The k^|V| Skolem maps are listed once
-    per call of this factory, one "Skolem maps" step per entry, charged
-    before they are built; so are a column's mapped tuples under every
-    Skolem map, one step per tuple, on the column's first use.
+    only on the column multiset.  The Skolem maps range over V, the
+    indeterminates some map reads: one that no map reads changes no
+    image.  The k^|V| maps are listed once per call of this factory, one
+    "Skolem maps" step per entry, charged before they are built; so are
+    a column's mapped tuples under every Skolem map, one step per tuple,
+    on the column's first use.
     """
-    names, meter = scheme.indeterminates, _current_meter()
+    read = {e for h in scheme.maps for e in h}
+    names = tuple([v for v in scheme.indeterminates if v in read])
+    meter = _current_meter()
     if names:
         meter.charge_power("Skolem maps", k, len(names), times=len(names))
     sigmas = list(skolem_maps(names, k))

@@ -2,6 +2,7 @@ import ast
 import subprocess
 import sys
 from itertools import combinations, product
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -45,10 +46,11 @@ from galois_kit import (
     zeta,
 )
 from galois_kit.errors import DEFAULT_BUDGET, Meter, NotSeparableError
-from galois_kit import galois, operations
+from galois_kit import clusters, galois, operations
 from galois_kit.galois import _inv_cluster_for_arity
 from galois_kit.multisets import _set_partitions
 from galois_kit.verify import _monotone_ops
+from package_memos import clear_memos, module_memos
 
 LEQ = frozenset({(0, 0), (0, 1), (1, 1)})
 AND = Operation(2, 2, 2, (0, 0, 0, 1))
@@ -332,6 +334,13 @@ def test_not_separable_error_is_exported():
         separating_constraint(projections2(), projection(2, 1, 2))
 
 
+def _clear_antecedents():
+    """Empty the antecedent memo and the kept configurations that hold
+    its antecedents, so gc_inv builds its antecedents afresh."""
+    galois._antecedent.cache_clear()
+    galois._kept_matrices.cache_clear()
+
+
 class TestAntecedentMemo:
     """gc_inv's antecedents come from one memo keyed by (k, n, ranks)."""
 
@@ -341,13 +350,13 @@ class TestAntecedentMemo:
         assert len(mono) == len(proj)
         assert all(a.antecedent is b.antecedent for a, b in zip(mono, proj))
         assert [c.consequent for c in mono] != [c.consequent for c in proj]
-        galois._antecedent.cache_clear()
+        _clear_antecedents()
         fresh_mono, fresh_proj = gc_inv(monotone_ops(), cfg), gc_inv(projections2(), cfg)
         assert not any(a.antecedent is b.antecedent for a, b in zip(mono, fresh_mono))
         assert (mono, proj) == (fresh_mono, fresh_proj)
 
     def test_the_memo_keeps_at_most_4096_antecedents(self):
-        galois._antecedent.cache_clear()
+        _clear_antecedents()
         # 5,488 matrices of width 5 alone
         got = gc_inv(projections2(), GaloisConfig(2, n_max=5, m_max=3, breadth=5))
         info = galois._antecedent.cache_info()
@@ -355,7 +364,7 @@ class TestAntecedentMemo:
         assert info.currsize == info.maxsize == 4096
 
     def test_the_memo_holds_only_the_antecedents(self):
-        galois._antecedent.cache_clear()
+        _clear_antecedents()
         got = gc_inv(monotone_ops(), GaloisConfig(2, n_max=3, m_max=2, breadth=3))
         keys = [(2, n, ranks) for n in (1, 2, 3) for m in (1, 2)
                 for ranks in combinations(range(2 ** n), m)]
@@ -374,7 +383,10 @@ def _ints_and_tuples(x):
 class TestModuleMemos:
     """The module-level memos hold what depends on no class: each fills as
     calls run, keeps a bounded number of entries, and holds only ints and
-    tuples of them, except the antecedent memo (see TestAntecedentMemo)."""
+    tuples of them, except the antecedent memo (see TestAntecedentMemo)
+    and the memos that hold antecedents with getters
+    (``galois._kept_matrices``, ``galois._kept_plan``) or tuples with
+    their scaled vectors (``clusters._kept_scaled``)."""
 
     def test_every_memo_is_empty_at_import(self):
         code = ("import sys; sys.path.insert(0, sys.argv[1]); "
@@ -383,8 +395,64 @@ class TestModuleMemos:
         out = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent)],
                              capture_output=True, text=True, check=True).stdout
         sizes = dict(ast.literal_eval(out))
-        assert {"galois._antecedent", "operations._kept_source_ranks"} <= set(sizes)
+        assert {"galois._antecedent", "operations._kept_source_ranks", "galois._kept_matrices",
+                "galois._kept_plan", "clusters._kept_scaled"} <= set(sizes)
         assert set(sizes.values()) == {0}, sizes
+
+    def test_clear_memos_empties_every_memo(self):
+        mono = monotone_ops()
+        cfg = GaloisConfig(2, n_max=2, m_max=4, breadth=2)
+        f_pol(gc_inv(mono, cfg), cfg)
+        c_pol(cl_inv(mono, cfg), cfg)
+        satisfies_cluster(AND, relation_cluster({(0, 0), (1, 1)}, 2, 2), 3)
+        memos = module_memos()
+        assert all(memos[name].cache_info().currsize for name in (
+            "galois._kept_matrices", "galois._kept_plan", "clusters._kept_scaled"))
+        clear_memos()
+        assert {m.cache_info().currsize for m in memos.values()} == {0}
+        assert not clusters._kept_orders
+
+    def test_the_plan_memo_keeps_8_plans(self):
+        galois._kept_plan.cache_clear()
+        mono = monotone_ops()
+        for m_max in range(1, 11):
+            cfg = GaloisConfig(2, n_max=2, m_max=m_max, breadth=2)
+            f_pol(gc_inv(mono, cfg), cfg)
+        info = galois._kept_plan.cache_info()
+        # m_max of 4 and above give one sequence: every matrix has at most 4 rows
+        assert (info.misses, info.currsize, info.maxsize) == (4, 4, 8)
+        for k_out in (1, 2, 3):
+            for n_max in (1, 2):
+                cfg = GaloisConfig(2, n_max=n_max, m_max=2, breadth=2, codomain_size=k_out)
+                f_pol([c for c in gc_inv(OperationClass(2, k_out), cfg)], cfg)
+        assert galois._kept_plan.cache_info().currsize == 8
+
+    def test_the_scaled_memo_keeps_16_domain_and_width_pairs(self):
+        clusters._kept_scaled.cache_clear()
+        # 12 widths over k = 1, 5 over k = 2 and 3 over k = 3
+        for k, top in ((1, 12), (2, 5), (3, 3)):
+            cluster = relation_cluster({(a, a) for a in range(k)}, 2, k)
+            for n in range(1, top + 1):
+                satisfies_cluster(projection(n, 1, k), cluster, n)
+        info = clusters._kept_scaled.cache_info()
+        assert (info.misses, info.currsize, info.maxsize) == (20, 16, 16)
+        assert all(type(v) is list and all(map(_ints_and_tuples, v))
+                   for k_n in ((3, 3), (2, 5)) for v in clusters._kept_scaled(*k_n).values())
+        assert clusters._kept_scaled(2, 5)[(1, 1)] == [(16, 16), (8, 8), (4, 4), (2, 2)]
+
+    def test_the_kept_plans_and_readers_hold_no_consequent_image_or_class(self):
+        mono = monotone_ops()
+        cfg = GaloisConfig(2, n_max=2, m_max=4, breadth=2)
+        f_pol(gc_inv(mono, cfg), cfg)
+        held = (galois._kept_matrices(2, 2, 4),
+                galois._kept_plan(2, tuple([c.antecedent for c in gc_inv(mono, cfg)])))
+
+        def leaves(x):
+            if type(x) is tuple:
+                return [y for item in x for y in leaves(item)]
+            return [x]
+
+        assert {type(x) for x in leaves(held)} == {int, RepetitionFunction, itemgetter}
 
     def test_the_source_rank_memo_keeps_at_most_256_maps(self):
         operations._kept_source_ranks.cache_clear()
@@ -418,6 +486,17 @@ class TestModuleMemos:
             galois._kept_matrices(2, n_max, 2)
         info = galois._kept_matrices.cache_info()
         assert info.currsize == info.maxsize == 8
+
+    def test_the_matrix_memo_keeps_each_matrix_antecedent_and_image_getter(self):
+        galois._kept_matrices.cache_clear()
+        counts, readers = galois._kept_matrices(2, 3, 2)
+        rows = [combinations(range(2 ** n), m) for n in (1, 2, 3) for m in (1, 2)]
+        assert [n for n, _ in readers] == [1, 1, 2, 2, 3, 3]
+        assert counts == tuple([len(pairs) for _, pairs in readers]) == (2, 1, 4, 6, 8, 28)
+        # the antecedent memo's object, and a getter of the image at the rows
+        assert all(phi is galois._antecedent(2, n, ranks) and get(tuple(range(8))) == ranks
+                   for (n, pairs), block in zip(readers, rows)
+                   for (phi, get), ranks in zip(pairs, block))
 
     def test_kept_and_streamed_matrices_charge_and_refuse_alike(self, monkeypatch):
         cfg = GaloisConfig(2, n_max=3, m_max=3, breadth=3)
@@ -463,8 +542,7 @@ class TestModuleMemos:
                 return got
             return call
 
-        for module, name in ((operations, "_kept_source_ranks"), (galois, "_kept_matrices"),
-                             (galois, "_kept_partitions")):
+        for module, name in ((operations, "_kept_source_ranks"), (galois, "_kept_partitions")):
             monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
         mono = monotone_ops()
         cfg = GaloisConfig(2, n_max=3, m_max=2, breadth=3)
@@ -476,5 +554,5 @@ class TestModuleMemos:
             rewrite(AND)
         minor_by_injection(AND, [True, 3], 3)
         projection(3, 2, 2)
-        assert set(seen) == {"_kept_source_ranks", "_kept_matrices", "_kept_partitions"}
+        assert set(seen) == {"_kept_source_ranks", "_kept_partitions"}
         assert all(_ints_and_tuples(call) for calls in seen.values() for call in calls)

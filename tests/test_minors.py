@@ -324,22 +324,43 @@ class TestMetering:
         # 3 entries in each of the 8 Skolem maps, the 8 images of each of the
         # columns (0) and (1), then one choice for each of (0), (1) and (0 1)
         phi = RepetitionFunction(1, 2, 0, {(0,): 1, (1,): 1})
-        scheme = MinorScheme(1, ("u", "v", "w"), ((0,),))
-        call = partial(is_restrictive_rf_minor, phi, [phi], scheme, 2)
+        scheme = MinorScheme(1, ("u", "v", "w"), ((0, "u", "v", "w"),))
+        call = partial(is_restrictive_rf_minor, phi, [RepetitionFunction.constant(4, 2, INF)],
+                       scheme, 2)
         with Meter() as meter:
             assert call()
         assert meter.done["Skolem maps"] == 3 * 8 + 2 * 8 + 3
         assert _refusal(call, 42) == "refusing Skolem maps: 43 steps exceed budget 42"
 
     @pytest.mark.parametrize("budget", [10, DEFAULT_BUDGET])
-    def test_unused_indeterminates_are_refused_before_their_maps_are_listed(self, budget):
+    def test_indeterminates_are_refused_before_their_maps_are_listed(self, budget):
         # 20 entries in each of 2^20 Skolem maps: listing them would take
         # seconds and hundreds of MB
         names = tuple(f"v{i}" for i in range(20))
         phi = RepetitionFunction(1, 2, 0, {(0,): 2, (1,): 1})
-        call = partial(is_restrictive_rf_minor, phi, [phi], MinorScheme(1, names, ((0,),)))
+        family = [RepetitionFunction.constant(21, 2, INF)]
+        call = partial(is_restrictive_rf_minor, phi, family, MinorScheme(1, names, ((0, *names),)))
         assert _refusal(call, budget) == (
             f"refusing Skolem maps: {20 * 2 ** 20} steps exceed budget {budget}")
+
+    @pytest.mark.parametrize("unused", [1, 3, 20])
+    def test_unused_indeterminates_cost_what_the_scheme_without_them_costs(self, unused):
+        # a name no map reads changes no image, so it lists no Skolem map
+        spare = tuple(f"spare{i}" for i in range(unused))
+        phi = RepetitionFunction(2, 2, 0, {(0, 0): 2, (0, 1): 1, (1, 1): INF})
+        relation = RepetitionFunction(3, 2, 0, {(0, 0, 1): 2, (0, 1, 0): 1, (1, 1, 1): INF})
+        for maps, family in ((((0,),), [RepetitionFunction.constant(1, 2, INF)]),
+                             (((1, "u", 0),), [relation]),
+                             (((0, "u", "v"), (1,)), [relation, RepetitionFunction(1, 2, 1)])):
+            names = tuple(sorted({e for h in maps for e in h if isinstance(e, str)}))
+            outcomes = []
+            for scheme in (MinorScheme(2, names, maps), MinorScheme(2, spare + names, maps),
+                           MinorScheme(2, names[:1] + spare + names[1:], maps)):
+                for predicate in (is_restrictive_rf_minor, is_extensive_rf_minor):
+                    with Meter() as meter:
+                        verdict = predicate(phi, family, scheme, 3)
+                    outcomes.append((predicate.__name__, verdict, meter.done))
+            assert outcomes[:2] == outcomes[2:4] == outcomes[4:], maps
 
 
 def _refused_before_any_work(call, match):
