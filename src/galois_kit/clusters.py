@@ -11,7 +11,6 @@ identity, is the contract.
 """
 
 from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import groupby, product, repeat
@@ -162,16 +161,6 @@ def _members(compiled, limit, meter):
     return members
 
 
-def _charge_members(meter, count):
-    """Charge a walk of ``count`` members again, as ``_members`` charged it:
-    refused at the first member past the budget, else charged once."""
-    room = meter.room("cluster members")
-    if count > room:
-        meter.refuse("cluster members", room)
-    if count:
-        meter.charge("cluster members", count)
-
-
 def _boxes(cluster, limit, meter):
     """The cluster's distinct boxes, as members ``(size, items)`` with
     sorted items, when every generator's box has default 0 and a total
@@ -222,9 +211,10 @@ def satisfies_cluster(f, cluster, breadth_cap):
     kept in the cluster when the walk is at most ``_KEEP`` members and
     every box has default 0, so the compile charged nothing (a positive
     default's support is charged).  A later check at that cap reads them
-    and charges the walk's steps again (``_charge_members``), so the
-    checks of one cluster, such as ``separating_cluster``'s, compile and
-    walk it once, and each charges what a fresh walk charges.
+    when the walk's steps fit (``Meter.charge_kept``), and walks again
+    when they do not, so the checks of one cluster, such as
+    ``separating_cluster``'s, compile and walk it once, and each charges
+    and refuses as a fresh walk does.
     """
     _check_limit("breadth cap", breadth_cap)
     if f.domain_size != cluster.domain_size or f.codomain_size != cluster.domain_size:
@@ -238,13 +228,12 @@ def satisfies_cluster(f, cluster, breadth_cap):
         walked = None
     compiled = _compiled_cluster(cluster) if walked is None else walked[1]
     with Meter() as meter:
-        if walked is None:
+        if walked is not None and meter.charge_kept({"cluster members": len(walked[2])}):
+            members = walked[2]
+        else:
             members = sorted(_members(compiled, breadth_cap, meter))
             if len(members) <= _KEEP and not any(g.box.default for g in cluster.generators):
                 cluster.__dict__["_walked"] = breadth_cap, compiled, members
-        else:
-            members = walked[2]
-            _charge_members(meter, len(members))
         found = _violation(f.table, f.arity, compiled, members, meter,
                            _kept_scaled(f.domain_size, f.arity))
     if found is None:
@@ -265,54 +254,58 @@ def satisfies_cluster(f, cluster, breadth_cap):
 _KEEP = 4096
 
 
-class _KeptOrders(dict):
-    """Split orders by member counts, for one arity, read and filled
-    through ``read`` by the ``_violation`` checks of ``satisfies_cluster``
-    and the ``_cluster_tests`` compiles of ``c_pol`` while they hold at
-    most ``_KEEP`` selections in all: a longer list is not kept, and one
-    that would pass the bound drops the lists kept before it.  Only
-    complete lists are kept, never one a budget cut short."""
+class _Store(dict):
+    """A store of what its subclass builds, each entry kept while the
+    entries weigh at most a bound in all: a heavier entry is not kept,
+    and one that would pass the bound drops the entries kept before it.
+    A hit is a plain dict read; the build runs only on a miss."""
 
-    held = 0  # the selections kept, in all
+    held = 0  # the weight kept, in all
 
-    def __setitem__(self, counts, orders):
-        size = len(orders)
-        if size > _KEEP:
-            return
-        if self.held + size > _KEEP:
-            self.clear()
-            self.held = 0
-        super().__setitem__(counts, orders)
-        self.held += size
+    def keep(self, key, value, weight, bound):
+        """``value``, kept at ``key`` if its ``weight`` is within ``bound``."""
+        if weight <= bound:
+            if self.held + weight > bound:
+                self.clear()
+                self.held = 0
+            self[key] = value
+            self.held += weight
+        return value
 
-    def read(self, counts, n, left):
-        """The ``_split_orders`` of a member's counts at width n, kept or
-        built.  At most one order past ``left``, the room left (or inf), is
-        built, to show a list the budget cuts short; that list is not kept."""
-        orders = self.get(counts)
-        if orders is None:
-            limit = None if left == INF else left + 1
-            orders = _split_orders(tuple([min(c, n) for c in counts]), n, limit)
-            if limit is None or len(orders) < limit:
-                self[counts] = orders
+
+class _KeptOrders(_Store):
+    """Split orders by member counts, for one arity, read by the
+    ``_violation`` checks of ``satisfies_cluster`` and the
+    ``_cluster_tests`` compiles of ``c_pol``, weighing a selection each,
+    at most ``_KEEP`` in all.  Only complete lists are kept, never one a
+    budget cut short."""
+
+    def build(self, counts, n, left):
+        """The ``_split_orders`` of a member's counts at width n.  At most
+        one order past ``left``, the room left (or inf), is built, to show
+        a list the budget cuts short; that list is not kept."""
+        limit = None if left == INF else left + 1
+        orders = _split_orders(tuple([min(c, n) for c in counts]), n, limit)
+        if limit is None or len(orders) < limit:
+            self.keep(counts, orders, len(orders), _KEEP)
         return orders
 
 
-_kept_orders = defaultdict(_KeptOrders)  # by arity
+@lru_cache(maxsize=None)
+def _kept_orders(n):
+    """The ``_KeptOrders`` of arity n, shared by every check and compile."""
+    return _KeptOrders()
 
 
 # the most ints, one more per tuple, kept in the scaled vectors of one (k, n)
 _KEEP_SCALED = 65536
 
 
-class _Scaled(dict):
+class _Scaled(_Store):
     """Each m-tuple t's column vectors t * k^(n-1), ..., t * k over domain
     size k, one per column of an n-column prefix, built on first use and
     kept while they hold at most ``_KEEP_SCALED`` ints, each tuple
-    counting one more: a larger entry is not kept, and one that would
-    pass the bound drops the entries kept before it."""
-
-    held = 0  # the ints kept, one more per tuple
+    counting one more."""
 
     def __init__(self, k, n):
         super().__init__()
@@ -320,14 +313,7 @@ class _Scaled(dict):
 
     def __missing__(self, t):
         vectors = [tuple([x * power for x in t]) for power in self.powers]
-        size = 1 + len(t) * len(vectors)
-        if size <= _KEEP_SCALED:
-            if self.held + size > _KEEP_SCALED:
-                self.clear()
-                self.held = 0
-            self[t] = vectors
-            self.held += size
-        return vectors
+        return self.keep(t, vectors, 1 + len(t) * len(vectors), _KEEP_SCALED)
 
 
 @lru_cache(maxsize=16)
@@ -374,7 +360,7 @@ def _violation(table, n, compiled, members, meter, scaled):
     """
     caps, allows, exact = compiled
     get = table.__getitem__
-    orders = _kept_orders[n]
+    orders = _kept_orders(n)
     phase = "cluster splits"
     room, taken = meter.room(phase), 0
     for member_size, items, live in members:
@@ -382,7 +368,7 @@ def _violation(table, n, compiled, members, meter, scaled):
         if size <= 0:
             continue
         tuples, counts = zip(*items)
-        sels = orders.read(counts, n, room - taken)
+        sels = orders.get(counts) or orders.build(counts, n, room - taken)
         before, taken = taken, taken + len(sels)
         if taken > room:  # check the splits within the budget, then refuse
             sels = sels[:room - before]
@@ -491,14 +477,14 @@ def _cluster_tests(cluster, compiled, members, n, scaled, tests, meter):
     space = cluster.domain_size ** cluster.arity
     full = (1 << len(caps)) - 1
     images = {}  # m2 -> _allowed_images(generators, m2)
-    orders = _kept_orders[n]
+    orders = _kept_orders(n)
     phase = "cluster splits"
     room, taken = meter.room(phase), 0
     for member_size, items in members:
         if member_size < n:
             continue
         tuples, counts = zip(*items)
-        sels = orders.read(counts, n, room - taken)
+        sels = orders.get(counts) or orders.build(counts, n, room - taken)
         taken += len(sels)
         if taken > room:
             meter.refuse(phase, room)

@@ -1,5 +1,6 @@
 from contextvars import ContextVar
-from math import floor, inf, log2
+from functools import lru_cache, wraps
+from math import inf, log2
 
 __all__ = [
     "BudgetExceededError", "DEFAULT_BUDGET", "GaloisKitError", "Meter", "NotSeparableError",
@@ -38,6 +39,9 @@ class Meter:
     ``DEFAULT_BUDGET`` for itself."""
 
     def __init__(self, budget=DEFAULT_BUDGET):
+        if budget != inf and (not isinstance(budget, int) or isinstance(budget, bool)
+                              or budget < 0):
+            raise GaloisKitError(f"budget must be a nonnegative int or inf, not {budget!r}")
         self.budget, self.done, self.tokens = budget, {}, []
 
     def __enter__(self):
@@ -66,13 +70,26 @@ class Meter:
                                       self.budget)
         self.charge(phase, times * base ** exp)
 
+    def charge_kept(self, steps):
+        """Charge a kept result's steps, ``{phase: steps}``, and say so, if
+        every phase fits the budget; else charge nothing, so the caller
+        runs the cold path, which refuses in the same phase at the same
+        count.  A phase of 0 steps stays out of ``done``, as in a cold run."""
+        done, budget = self.done, self.budget
+        for phase, count in steps.items():
+            if done.get(phase, 0) + count > budget:
+                return False
+        for phase, count in steps.items():
+            if count:
+                done[phase] = done.get(phase, 0) + count
+        return True
+
     def room(self, phase):
         """How many more ``phase`` steps fit in the budget: a whole number
         of at least 0, or inf.  A stream of ``phase`` steps takes at most
         this many, refuses the next with ``refuse``, and charges what it
         took once, when it ends."""
-        left = self.budget - self.done.get(phase, 0)
-        return left if left == inf else max(0, floor(left))
+        return max(0, self.budget - self.done.get(phase, 0))
 
     def refuse(self, phase, room):
         """Refuse the step past ``room``, the phase's ``room`` when its
@@ -95,6 +112,25 @@ class Meter:
         finally:
             if taken:
                 self.charge(phase, taken)
+
+
+def _kept(maxsize, small):
+    """The keep rule of the kernels' memos, as a decorator of ``build``:
+    a call where ``small(*args)`` holds returns ``tuple(build(*args))``,
+    kept for the ``maxsize`` most recent such calls; any other call
+    returns what ``build`` returns, so a stream stays a stream.  The
+    read has ``build``'s name and module, and the memo's ``cache_info``
+    and ``cache_clear``."""
+    def keeping(build):
+        memo = lru_cache(maxsize=maxsize)(lambda *args: tuple(build(*args)))
+
+        @wraps(build)
+        def read(*args):
+            return memo(*args) if small(*args) else build(*args)
+
+        read.cache_info, read.cache_clear = memo.cache_info, memo.cache_clear
+        return read
+    return keeping
 
 
 def _check_int(name, value, positive=False):

@@ -16,7 +16,7 @@ from itertools import combinations, product
 from math import comb, prod
 from operator import attrgetter, itemgetter
 
-from .errors import GaloisKitError, Meter, NotSeparableError, _current_meter
+from .errors import GaloisKitError, Meter, NotSeparableError, _current_meter, _kept
 from .extnat import power_upto
 from .operations import (
     Operation, OperationClass, _composition_tables, _perm_dummy_tables, _source_ranks,
@@ -133,72 +133,49 @@ def _matrix_blocks(k, n_max, m_max):
             yield n, m, comb(k ** n, m)
 
 
-def _readers(k, blocks):
-    """Each block of ``gc_inv``'s matrices, (width n, the matrices' row
-    ranks in order), as (n, each matrix's ``_antecedent`` and the getter
-    of its image, in order)."""
-    return tuple([(n, tuple([(_antecedent(k, n, ranks), _image_getter(ranks)) for ranks in rows]))
-                  for n, rows in blocks])
-
-
-# a configuration's matrices are kept while they number at most this
-# many, as many as the antecedent memo holds
+# a configuration's readers are kept while its matrices number at most
+# this many, as many as the antecedent memo holds
 _KEPT_MATRICES = 4096
 
 
-@lru_cache(maxsize=8)
-def _kept_matrices(k, n_max, m_max):
-    """What ``gc_inv`` reads of a configuration, as (counts, readers): the
-    ``_matrix_blocks`` counts in order, and the ``_readers`` of its
-    blocks; or () once they number more than ``_KEPT_MATRICES``, found
-    before any row list is built.  Only the most recent 8 configurations
-    are kept."""
-    blocks, total = [], 0
-    for block in _matrix_blocks(k, n_max, m_max):
-        total += block[2]
-        if total > _KEPT_MATRICES:
-            return ()
-        blocks.append(block)
-    return (tuple([count for _, _, count in blocks]),
-            _readers(k, [(n, combinations(range(k ** n), m)) for n, m, _ in blocks]))
+@_kept(8, lambda k, sizes, total: total <= _KEPT_MATRICES)
+def _readers(k, sizes, total):
+    """``gc_inv``'s blocks of the (width n, row count m) ``sizes``, of
+    ``total`` matrices in all, as (n, each matrix's ``_antecedent`` and
+    the getter of its image, in order).  A matrix's rows are the n-tuples
+    at m increasing ranks, so the matrices come in the order of their
+    row lists.  Kept for a configuration of at most ``_KEPT_MATRICES``
+    matrices, only the most recent 8; a larger one's blocks are streamed."""
+    for n, m in sizes:
+        yield n, tuple([(_antecedent(k, n, ranks), _image_getter(ranks))
+                        for ranks in combinations(range(k ** n), m)])
 
 
 def gc_inv(cls_, cfg):
     """The proof-canonical invariant constraints of a class.
 
     One constraint (chi_M, C M) per matrix M with distinct rows, for
-    every width n <= n_max and row count m <= m_max.  M's rows are the
-    n-tuples at m increasing ranks, so the matrices come in the order of
-    their row lists.  The class is closed under permutation and dummy
-    variables first, which is exactly the hypothesis making every
-    emitted constraint satisfied by every member; its tables of each
-    width are read once.  The C(k^n, m) matrices of each width and row
-    count are charged up front, so an oversized request builds none of
-    them.  The counts, antecedents and image getters of a configuration
-    of at most ``_KEPT_MATRICES`` matrices are built once, before any
-    charge, and kept (``_kept_matrices``); a larger one's are built on
-    each call, once every count is charged and the class's tables are
-    built.  The antecedents come from ``_antecedent``, so calls at one
-    configuration return the same antecedent objects.
+    every width n <= n_max and row count m <= m_max.  The class is closed
+    under permutation and dummy variables first, which is exactly the
+    hypothesis making every emitted constraint satisfied by every
+    member; its tables of each width are read once.  The C(k^n, m)
+    matrices of each width and row count are charged up front, so an
+    oversized request builds none of them; then the class's tables are
+    built, and the matrices are read through ``_readers``.  The
+    antecedents come from ``_antecedent``, so calls at one configuration
+    return the same antecedent objects.
     """
     _check_config_domain(cls_, cfg)
-    k, n_max, m_max = cls_.domain_size, cfg.n_max, cfg.m_max
+    k = cls_.domain_size
     with Meter() as meter:
-        kept = _kept_matrices(k, n_max, m_max)
-        if kept:
-            counts, blocks = kept
-            for count in counts:
-                meter.charge("invariant matrices", count)
-        else:
-            sizes = []
-            for n, m, count in _matrix_blocks(k, n_max, m_max):
-                meter.charge("invariant matrices", count)
-                sizes.append((n, m))
-        tables = _perm_dummy_tables(cls_, n_max)
-        if not kept:
-            blocks = _readers(k, [(n, combinations(range(k ** n), m)) for n, m in sizes])
+        sizes, total = [], 0
+        for n, m, count in _matrix_blocks(k, cfg.n_max, cfg.m_max):
+            meter.charge("invariant matrices", count)
+            sizes.append((n, m))
+            total += count
+        tables = _perm_dummy_tables(cls_, cfg.n_max)
         return [_invariant_constraint(phi, map(get, tables.get(n, ())), cls_.codomain_size)
-                for n, matrices in blocks for phi, get in matrices]
+                for n, pairs in _readers(k, tuple(sizes), total) for phi, get in pairs]
 
 
 def _charge_tables(meter, cfg, codomain_size):
@@ -318,15 +295,8 @@ _KEPT_PLAN = 4096
 _NO_SET = 1 << 64
 
 
-@lru_cache(maxsize=8)
-def _kept_plan(k_out, antecedents):
-    """``_build_plan``, kept for a sequence of at most ``_KEPT_PLAN``
-    antecedents: keyed by the antecedents, so equal ones share a plan,
-    which holds the first objects seen; only the most recent 8 are kept."""
-    return _build_plan(k_out, antecedents)
-
-
-def _build_plan(k_out, antecedents):
+@_kept(8, lambda k_out, antecedents: len(antecedents) <= _KEPT_PLAN)
+def _plan(k_out, antecedents):
     """The merge plan of a sequence of antecedents over codomain size
     k_out, as (distinct, positions, spaces, links): the distinct antecedents, in
     order of first occurrence; each antecedent's position among them; the
@@ -335,6 +305,9 @@ def _build_plan(k_out, antecedents):
     the position of the deletion among the distinct antecedents, or
     len(distinct) when it is none of them, and get the getter that reads
     a tuple without the deleted row.  A one-row antecedent has no links.
+    Kept for a sequence of at most ``_KEPT_PLAN`` antecedents, only the
+    most recent 8: keyed by the antecedents, so equal ones share a plan,
+    which holds the first objects seen.
     """
     at = {}  # antecedent -> its position among the distinct ones
     positions = tuple([at.setdefault(phi, len(at)) for phi in antecedents])
@@ -351,9 +324,8 @@ def _merged(constraints, k_out):
     consequents on phi.  A pair whose allowed set holds every image is
     met by every table, so it is dropped, and so is each that a kept
     pair of one more row implies.  The plan of the antecedent sequence
-    (``_build_plan``, kept by ``_kept_plan`` for at most ``_KEPT_PLAN``
-    antecedents) gives each pair's place and its row-deletion links, so
-    a call only reads its own consequents.
+    (``_plan``) gives each pair's place and its row-deletion links, so a
+    call only reads its own consequents.
 
     (phi_A, S_A) implies (phi_B, S_B) when phi_B is phi_A with row i
     deleted and S_A, each tuple read without entry i, lies inside S_B:
@@ -364,9 +336,7 @@ def _merged(constraints, k_out):
     pair still kept is |S_A| more, for projecting S_A; the steps are
     refused at the step past the budget and charged once.
     """
-    antecedents = tuple([c.antecedent for c in constraints])
-    plan = _kept_plan if len(antecedents) <= _KEPT_PLAN else _build_plan
-    distinct, positions, spaces, links = plan(k_out, antecedents)
+    distinct, positions, spaces, links = _plan(k_out, tuple([c.antecedent for c in constraints]))
     allowed = [None] * len(distinct)
     for j, c in zip(positions, constraints):
         held = allowed[j]
@@ -438,19 +408,12 @@ def f_pol(constraints, cfg):
 _KEPT_COLUMNS = 6
 
 
+@_kept(_KEPT_COLUMNS, lambda n: n <= _KEPT_COLUMNS)
 def _column_partitions(n):
     """The set partitions of n columns, each a tuple of blocks, each block
-    a tuple of columns, in ``_set_partitions`` order; built once and kept
-    for n <= ``_KEPT_COLUMNS``, streamed for more."""
-    if n <= _KEPT_COLUMNS:
-        return _kept_partitions(n)
+    a tuple of columns, in ``_set_partitions`` order; kept for n <=
+    ``_KEPT_COLUMNS``, 278 partitions in all, streamed for more."""
     return (tuple(map(tuple, blocks)) for blocks in _set_partitions(list(range(n))))
-
-
-@lru_cache(maxsize=_KEPT_COLUMNS)
-def _kept_partitions(n):
-    """``_column_partitions`` for n <= ``_KEPT_COLUMNS``: 278 partitions in all."""
-    return tuple([tuple(map(tuple, blocks)) for blocks in _set_partitions(list(range(n)))])
 
 
 def _inv_cluster_for_arity(tables, k, n):

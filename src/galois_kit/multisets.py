@@ -331,7 +331,7 @@ def _unmetered_matrices(phi, n):
                 yield prefix, col, col if scaled is None else map(add, scaled, col)
 
 
-# the phases _matrices charges, in the order phi._ranks keeps their steps
+# the phases _matrices charges, whose steps phi._ranks keeps
 _COMPILE_PHASES = ("support tuples", "constraint matrices")
 
 
@@ -343,12 +343,12 @@ def _rank_vectors(phi, n):
     its table (on one rank, as the bare entry).
 
     The cold compile: it streams ``_matrices`` and keeps, in phi, by width,
-    its steps of ``_COMPILE_PHASES`` and the groups, for ``_rank_checks``.
+    its steps, ``{phase: steps}`` of ``_COMPILE_PHASES``, and the groups,
+    for ``_rank_checks``.
     """
-    tuples, matrices = _COMPILE_PHASES
     with _current_meter() as meter:  # the stream charges the open meter, or this new one
         done = meter.done
-        before = done.get(tuples, 0), done.get(matrices, 0)
+        before = [done.get(phase, 0) for phase in _COMPILE_PHASES]
         groups = {}  # largest rank -> the getters of the rank vectors there
         for _, _, ranks in _matrices(phi, n):
             ranks = tuple(ranks)
@@ -356,7 +356,7 @@ def _rank_vectors(phi, n):
     groups = tuple([(r, tuple(getters)) for r, getters in groups.items()])
     if phi._ranks is None:
         phi._ranks = {}
-    phi._ranks[n] = (done.get(tuples, 0) - before[0], done.get(matrices, 0) - before[1], groups)
+    phi._ranks[n] = {p: done.get(p, 0) - b for p, b in zip(_COMPILE_PHASES, before)}, groups
     return groups
 
 
@@ -369,25 +369,17 @@ def _rank_checks(consequents, n):
     one rank reads the bare entry, so a one-row phi's allowed 1-tuples
     are unwrapped to their entries here.
 
-    A phi that keeps its width-n groups charges its kept steps to the
-    open meter if both fit the budget.  Any other phi is compiled by
+    A phi that keeps its width-n groups reads them if its kept steps fit
+    the budget (``Meter.charge_kept``).  Any other phi is compiled by
     ``_rank_vectors``, so a kept read that does not fit refuses as the
     first read did: in the same phase, at the same count.
     """
-    tuples, matrices = _COMPILE_PHASES
     meter = _current_meter()
-    done, budget = meter.done, meter.budget
     checks = {}  # rank -> the checks whose largest rank it is
     for phi, allowed in consequents:
         kept = phi._ranks and phi._ranks.get(n)
-        if (kept and done.get(tuples, 0) + kept[0] <= budget
-                and done.get(matrices, 0) + kept[1] <= budget):
-            # both fit; a phase the stream never charged stays out of done
-            if kept[0]:
-                done[tuples] = done.get(tuples, 0) + kept[0]
-            if kept[1]:
-                done[matrices] = done.get(matrices, 0) + kept[1]
-            by_rank = kept[2]
+        if kept and meter.charge_kept(kept[0]):
+            by_rank = kept[1]
         else:
             by_rank = _rank_vectors(phi, n)
         if phi.arity == 1:

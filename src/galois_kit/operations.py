@@ -9,10 +9,9 @@ substitution into the first argument.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, permutations, product
 
-from .errors import GaloisKitError, _check_entries, _check_int, _current_meter, _iterate
+from .errors import GaloisKitError, _check_entries, _check_int, _current_meter, _iterate, _kept
 from .extnat import power_upto
 
 __all__ = [
@@ -110,28 +109,17 @@ def projection(n, i, k):
 _KEPT_LENGTH = 256
 
 
+@_kept(256, lambda k, arity, positions: k ** arity <= _KEPT_LENGTH)
 def _source_ranks(k, arity, positions):
     """The source-rank map of g(x_0, ..., x_{arity-1}) = f(x_{p_1}, ..., x_{p_n}).
 
     ``positions`` is a tuple of one 0-based variable of g per argument of
     f; entry r of the map is the rank in f's table of the tuple that g's
     r-th input maps to, so g's table is f's table gathered at the map.
-    The map depends on no class, so a short one is kept (see
-    ``_kept_source_ranks``); a longer one is built on each call.
+    The map depends on no class, so one of at most ``_KEPT_LENGTH``
+    entries is kept, the most recent 256; a longer one is built on each
+    call.
     """
-    if k ** arity <= _KEPT_LENGTH:
-        return _kept_source_ranks(k, arity, positions)
-    return _build_source_ranks(k, arity, positions)
-
-
-@lru_cache(maxsize=256)
-def _kept_source_ranks(k, arity, positions):
-    """``_source_ranks`` for maps of at most ``_KEPT_LENGTH`` entries: each
-    built once and kept, only the most recent 256."""
-    return _build_source_ranks(k, arity, positions)
-
-
-def _build_source_ranks(k, arity, positions):
     n = len(positions)
     weights = [0] * arity
     for j, p in enumerate(positions):

@@ -5,7 +5,6 @@ import importlib
 import pkgutil
 
 import galois_kit
-from galois_kit import clusters
 
 
 def module_memos():
@@ -21,8 +20,6 @@ def module_memos():
 
 
 def clear_memos():
-    """Empty every module-level memo and the kept split orders, so the next
-    call runs cold."""
+    """Empty every module-level memo, so the next call runs cold."""
     for memo in module_memos().values():
         memo.cache_clear()
-    clusters._kept_orders.clear()

@@ -338,7 +338,7 @@ def _clear_antecedents():
     """Empty the antecedent memo and the kept configurations that hold
     its antecedents, so gc_inv builds its antecedents afresh."""
     galois._antecedent.cache_clear()
-    galois._kept_matrices.cache_clear()
+    galois._readers.cache_clear()
 
 
 class TestAntecedentMemo:
@@ -380,13 +380,20 @@ def _ints_and_tuples(x):
     return type(x) is int or type(x) is tuple and all(map(_ints_and_tuples, x))
 
 
+def _sizes(k, n_max, m_max):
+    """The arguments of ``galois._readers`` after the configuration's k:
+    its (width, row count) blocks and their matrices in all."""
+    blocks = list(galois._matrix_blocks(k, n_max, m_max))
+    return tuple([(n, m) for n, m, _ in blocks]), sum(count for _, _, count in blocks)
+
+
 class TestModuleMemos:
     """The module-level memos hold what depends on no class: each fills as
     calls run, keeps a bounded number of entries, and holds only ints and
-    tuples of them, except the antecedent memo (see TestAntecedentMemo)
-    and the memos that hold antecedents with getters
-    (``galois._kept_matrices``, ``galois._kept_plan``) or tuples with
-    their scaled vectors (``clusters._kept_scaled``)."""
+    tuples of them, except the antecedent memo (see TestAntecedentMemo),
+    the memos that hold antecedents with getters (``galois._readers``,
+    ``galois._plan``), and the stores of split orders and scaled vectors
+    (``clusters._kept_orders``, ``clusters._kept_scaled``)."""
 
     def test_every_memo_is_empty_at_import(self):
         code = ("import sys; sys.path.insert(0, sys.argv[1]); "
@@ -395,8 +402,9 @@ class TestModuleMemos:
         out = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent)],
                              capture_output=True, text=True, check=True).stdout
         sizes = dict(ast.literal_eval(out))
-        assert {"galois._antecedent", "operations._kept_source_ranks", "galois._kept_matrices",
-                "galois._kept_plan", "clusters._kept_scaled"} <= set(sizes)
+        assert {"galois._antecedent", "operations._source_ranks", "galois._readers",
+                "galois._plan", "galois._column_partitions", "clusters._kept_scaled",
+                "clusters._kept_orders"} <= set(sizes)
         assert set(sizes.values()) == {0}, sizes
 
     def test_clear_memos_empties_every_memo(self):
@@ -407,25 +415,24 @@ class TestModuleMemos:
         satisfies_cluster(AND, relation_cluster({(0, 0), (1, 1)}, 2, 2), 3)
         memos = module_memos()
         assert all(memos[name].cache_info().currsize for name in (
-            "galois._kept_matrices", "galois._kept_plan", "clusters._kept_scaled"))
+            "galois._readers", "galois._plan", "clusters._kept_scaled", "clusters._kept_orders"))
         clear_memos()
         assert {m.cache_info().currsize for m in memos.values()} == {0}
-        assert not clusters._kept_orders
 
     def test_the_plan_memo_keeps_8_plans(self):
-        galois._kept_plan.cache_clear()
+        galois._plan.cache_clear()
         mono = monotone_ops()
         for m_max in range(1, 11):
             cfg = GaloisConfig(2, n_max=2, m_max=m_max, breadth=2)
             f_pol(gc_inv(mono, cfg), cfg)
-        info = galois._kept_plan.cache_info()
+        info = galois._plan.cache_info()
         # m_max of 4 and above give one sequence: every matrix has at most 4 rows
         assert (info.misses, info.currsize, info.maxsize) == (4, 4, 8)
         for k_out in (1, 2, 3):
             for n_max in (1, 2):
                 cfg = GaloisConfig(2, n_max=n_max, m_max=2, breadth=2, codomain_size=k_out)
                 f_pol([c for c in gc_inv(OperationClass(2, k_out), cfg)], cfg)
-        assert galois._kept_plan.cache_info().currsize == 8
+        assert galois._plan.cache_info().currsize == 8
 
     def test_the_scaled_memo_keeps_16_domain_and_width_pairs(self):
         clusters._kept_scaled.cache_clear()
@@ -440,12 +447,23 @@ class TestModuleMemos:
                    for k_n in ((3, 3), (2, 5)) for v in clusters._kept_scaled(*k_n).values())
         assert clusters._kept_scaled(2, 5)[(1, 1)] == [(16, 16), (8, 8), (4, 4), (2, 2)]
 
+    def test_the_order_memo_keeps_one_store_per_arity(self):
+        clusters._kept_orders.cache_clear()
+        cluster = relation_cluster({(0, 0), (0, 1), (1, 1)}, 2, 2)
+        for n in (1, 2, 3, 2, 1):
+            satisfies_cluster(projection(n, 1, 2), cluster, 3)
+        info = clusters._kept_orders.cache_info()
+        assert (info.misses, info.currsize, info.maxsize) == (3, 3, None)
+        # each store maps a member's counts to its complete split orders
+        assert all(type(counts) is tuple and all(map(_ints_and_tuples, orders))
+                   for n in (1, 2, 3) for counts, orders in clusters._kept_orders(n).items())
+
     def test_the_kept_plans_and_readers_hold_no_consequent_image_or_class(self):
         mono = monotone_ops()
         cfg = GaloisConfig(2, n_max=2, m_max=4, breadth=2)
         f_pol(gc_inv(mono, cfg), cfg)
-        held = (galois._kept_matrices(2, 2, 4),
-                galois._kept_plan(2, tuple([c.antecedent for c in gc_inv(mono, cfg)])))
+        held = (galois._readers(2, *_sizes(2, 2, 4)),
+                galois._plan(2, tuple([c.antecedent for c in gc_inv(mono, cfg)])))
 
         def leaves(x):
             if type(x) is tuple:
@@ -455,44 +473,56 @@ class TestModuleMemos:
         assert {type(x) for x in leaves(held)} == {int, RepetitionFunction, itemgetter}
 
     def test_the_source_rank_memo_keeps_at_most_256_maps(self):
-        operations._kept_source_ranks.cache_clear()
+        operations._source_ranks.cache_clear()
         # 504 maps, of 16 to 64 entries, for the 4-ary member at arities 4 to 6
         close_perm_dummy(OperationClass(2, members=[Operation(2, 2, 4, (0, 1) * 8)]), 6)
-        info = operations._kept_source_ranks.cache_info()
+        info = operations._source_ranks.cache_info()
         assert info.misses == 504
         assert info.currsize == info.maxsize == 256
 
     def test_the_source_rank_memo_keeps_no_map_over_256_entries(self):
-        operations._kept_source_ranks.cache_clear()
+        operations._source_ranks.cache_clear()
         assert projection(9, 1, 2) == Operation(2, 2, 9, (0,) * 256 + (1,) * 256)
-        assert operations._kept_source_ranks.cache_info().misses == 0
+        assert operations._source_ranks.cache_info().misses == 0
         # the projections of arities 1 to 10 and the zeta and tau maps of
         # arities 2 to 10 (one map at arity 2): only those up to arity 8 are kept
         close_composition(OperationClass(2), 10)
-        assert operations._kept_source_ranks.cache_info().currsize == sum(range(1, 9)) + 1 + 2 * 6
+        assert operations._source_ranks.cache_info().currsize == sum(range(1, 9)) + 1 + 2 * 6
 
     def test_the_matrix_memo_keeps_8_configurations_of_at_most_4096_matrices(self, monkeypatch):
-        galois._kept_matrices.cache_clear()
-        counts, blocks = galois._kept_matrices(2, 4, 3)
-        assert sum(counts) == sum(len(rows) for _, rows in blocks) == 805
+        galois._readers.cache_clear()
+        blocks = galois._readers(2, *_sizes(2, 4, 3))
+        assert sum(len(pairs) for _, pairs in blocks) == 805
         assert [n for n, _ in blocks] == [1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4]
         built = []
         monkeypatch.setattr(galois, "combinations",
                             lambda *args: built.append(args) or combinations(*args))
-        # 6,293 matrices, and a configuration whose count passes any budget
-        assert galois._kept_matrices(2, 5, 3) == galois._kept_matrices(2, 10 ** 9, 3) == ()
+        # a configuration whose count passes any budget is refused before
+        # any row list is built
+        with pytest.raises(BudgetExceededError, match="invariant matrices"):
+            gc_inv(projections2(), GaloisConfig(2, n_max=10 ** 9, m_max=3, breadth=1))
         assert built == []
-        for n_max in range(1, 7):  # 3 to 2,536 matrices
-            galois._kept_matrices(2, n_max, 2)
-        info = galois._kept_matrices.cache_info()
-        assert info.currsize == info.maxsize == 8
+        # 6,293 matrices: streamed a block at a time, and never kept
+        sizes, total = _sizes(2, 5, 3)
+        stream = galois._readers(2, sizes, total)
+        assert (total, built) == (6293, [])
+        n, pairs = next(stream)
+        assert (n, len(pairs), built) == (1, 2, [(range(2), 1)])
+        gc_inv(projections2(), GaloisConfig(2, n_max=5, m_max=3, breadth=5))
+        assert galois._readers.cache_info().currsize == 1
+        for n_max in range(1, 7):  # 2 to 2,536 matrices each
+            for m_max in (1, 2):
+                galois._readers(2, *_sizes(2, n_max, m_max))
+        info = galois._readers.cache_info()
+        assert info.misses == 13 and info.currsize == info.maxsize == 8
 
     def test_the_matrix_memo_keeps_each_matrix_antecedent_and_image_getter(self):
-        galois._kept_matrices.cache_clear()
-        counts, readers = galois._kept_matrices(2, 3, 2)
+        galois._readers.cache_clear()
+        readers = galois._readers(2, *_sizes(2, 3, 2))
+        assert galois._readers(2, *_sizes(2, 3, 2)) is readers
         rows = [combinations(range(2 ** n), m) for n in (1, 2, 3) for m in (1, 2)]
         assert [n for n, _ in readers] == [1, 1, 2, 2, 3, 3]
-        assert counts == tuple([len(pairs) for _, pairs in readers]) == (2, 1, 4, 6, 8, 28)
+        assert tuple([len(pairs) for _, pairs in readers]) == (2, 1, 4, 6, 8, 28)
         # the antecedent memo's object, and a getter of the image at the rows
         assert all(phi is galois._antecedent(2, n, ranks) and get(tuple(range(8))) == ranks
                    for (n, pairs), block in zip(readers, rows)
@@ -513,37 +543,43 @@ class TestModuleMemos:
                 got.append((answer, meter.done))
             return got
 
+        galois._readers.cache_clear()
         want = outcomes()
         assert [answer for answer, _ in want[2:]] == [
             ("invariant matrices", 109), ("invariant matrices", 25),
             ("invariant matrices", 17), ("invariant matrices", 3), ("invariant matrices", 2)]
-        monkeypatch.setattr(galois, "_kept_matrices", lambda *args: ())
+        monkeypatch.setattr(galois, "_KEPT_MATRICES", 0)  # every configuration streamed
         assert outcomes() == want
 
     def test_the_partition_memo_keeps_the_partitions_of_at_most_6_columns(self):
-        galois._kept_partitions.cache_clear()
+        galois._column_partitions.cache_clear()
         cl_inv(OperationClass(1), GaloisConfig(1, n_max=7, m_max=1, breadth=7))
-        info = galois._kept_partitions.cache_info()
+        info = galois._column_partitions.cache_info()
         assert (info.misses, info.currsize, info.maxsize) == (6, 6, 6)
         # the Bell numbers: 1 + 2 + 5 + 15 + 52 + 203
-        assert sum(len(galois._kept_partitions(n)) for n in range(1, 7)) == 278
-        streamed = list(galois._column_partitions(7))
+        assert sum(len(galois._column_partitions(n)) for n in range(1, 7)) == 278
+        streamed = galois._column_partitions(7)
+        assert type(streamed) is not tuple
+        streamed = list(streamed)
         assert streamed == [tuple(map(tuple, p)) for p in _set_partitions(list(range(7)))]
         assert len(streamed) == 877
-        assert galois._kept_partitions.cache_info().currsize == 6
+        assert galois._column_partitions.cache_info().currsize == 6
 
     def test_keys_and_values_are_ints_and_tuples(self, monkeypatch):
         seen = {}
 
-        def recording(name, memo):
+        def recording(name, read):
             def call(*args):
-                got = memo(*args)
+                got = read(*args)
                 seen.setdefault(name, []).append((args, got))
                 return got
             return call
 
-        for module, name in ((operations, "_kept_source_ranks"), (galois, "_kept_partitions")):
-            monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+        ranks = recording("_source_ranks", operations._source_ranks)
+        for module in (operations, galois):  # both bind the read
+            monkeypatch.setattr(module, "_source_ranks", ranks)
+        monkeypatch.setattr(galois, "_column_partitions",
+                            recording("_column_partitions", galois._column_partitions))
         mono = monotone_ops()
         cfg = GaloisConfig(2, n_max=3, m_max=2, breadth=3)
         c_pol(cl_inv(mono, cfg), cfg)
@@ -554,5 +590,5 @@ class TestModuleMemos:
             rewrite(AND)
         minor_by_injection(AND, [True, 3], 3)
         projection(3, 2, 2)
-        assert set(seen) == {"_kept_source_ranks", "_kept_partitions"}
+        assert set(seen) == {"_source_ranks", "_column_partitions"}
         assert all(_ints_and_tuples(call) for calls in seen.values() for call in calls)

@@ -1,7 +1,8 @@
 """What a round trip keeps per configuration answers and charges as a
 fresh build does: ``f_pol``'s merge plan against the dict merge it
 replaced, the kept scaled vectors of the cluster kernels against fresh
-ones, and a cluster's kept walk against a fresh compile and walk."""
+ones, a cluster's kept walk against a fresh compile and walk, and both
+reads of kept steps (``Meter.charge_kept``) against the cold runs."""
 
 import random
 from itertools import product
@@ -149,13 +150,13 @@ def test_the_plan_merges_as_the_dict_merge(case):
     constraints, cfg = case
     k_out = cfg.codomain_size
     want, done = _metered(lambda: ref_merged(constraints, k_out))
-    galois._kept_plan.cache_clear()
+    galois._plan.cache_clear()
     for run in ("cold", "warm"):
         assert _metered(lambda: galois._merged(constraints, k_out)) == (want, done), run
     # antecedents compare by value: a kept plan holds the equal ones seen first
     for budget in _budgets(done.get("row deletions", 0)):
         want = _metered(lambda: ref_merged(constraints, k_out), budget)
-        galois._kept_plan.cache_clear()
+        galois._plan.cache_clear()
         for run in ("cold", "warm"):
             assert _metered(lambda: galois._merged(constraints, k_out), budget) == want, (
                 run, budget)
@@ -170,11 +171,11 @@ def test_f_pol_answers_and_charges_as_with_the_dict_merge(case):
         want = _metered(lambda: f_pol(constraints, cfg))
         outcomes = [_metered(lambda: f_pol(constraints, cfg), budget)
                     for budget in _budgets(want[1].get("row deletions", 0))]
-    galois._kept_plan.cache_clear()
+    galois._plan.cache_clear()
     for run in ("cold", "warm"):
         got = _metered(lambda: f_pol(constraints, cfg))
         assert (_answer(got[0]), got[1]) == (_answer(want[0]), want[1]), run
-    galois._kept_plan.cache_clear()
+    galois._plan.cache_clear()
     for run in ("cold", "warm"):
         got = [_metered(lambda: f_pol(constraints, cfg), budget)
                for budget in _budgets(want[1].get("row deletions", 0))]
@@ -188,9 +189,9 @@ def test_the_plan_reads_positions_not_antecedents():
     cfg = GaloisConfig(2, n_max=2, m_max=4, breadth=2)
     got = gc_inv(OperationClass(2, members=_monotone_ops(2)), cfg)
     antecedents = tuple([c.antecedent for c in got])
-    galois._kept_plan.cache_clear()
+    galois._plan.cache_clear()
     galois._merged(got, 2)
-    distinct, positions, spaces, links = galois._kept_plan(2, antecedents)
+    distinct, positions, spaces, links = galois._plan(2, antecedents)
     # two matrices whose columns are one multiset in two orders share chi_M
     assert distinct == tuple(dict.fromkeys(antecedents)) and len(distinct) == 14
     assert [distinct[j] for j in positions] == list(antecedents)
@@ -203,19 +204,19 @@ def test_the_plan_reads_positions_not_antecedents():
                for (i, _), (psi, _) in zip(deletions, _row_deletions(phi)))
     # the next class's call reads the same plan
     galois._merged(gc_inv(OperationClass(2), cfg), 2)
-    assert galois._kept_plan.cache_info()[:2] == (2, 1)
+    assert galois._plan.cache_info()[:2] == (2, 1)
 
 
 def test_a_sequence_of_more_than_4096_antecedents_keeps_no_plan():
     # gc_inv at n_max=5 gives 6,293 antecedents
     cfg = GaloisConfig(2, n_max=5, m_max=3, breadth=5)
     constraints = gc_inv(OperationClass(2), cfg)
-    galois._kept_plan.cache_clear()
+    galois._plan.cache_clear()
     for size in (4097, len(constraints)):
         galois._merged(constraints[:size], 2)
-    assert galois._kept_plan.cache_info().currsize == 0
+    assert galois._plan.cache_info().currsize == 0
     galois._merged(constraints[:4096], 2)
-    assert galois._kept_plan.cache_info().currsize == 1
+    assert galois._plan.cache_info().currsize == 1
 
 
 # --- the kept scaled vectors and a cluster's kept walk ------------------
@@ -332,3 +333,51 @@ def test_a_refused_walk_is_not_kept():
     with pytest.raises(BudgetExceededError), Meter(2):
         satisfies_cluster(f, cluster, 3)
     assert "_walked" not in cluster.__dict__
+
+
+# --- the one rule for kept steps, at both of its sites -------------------
+
+def _kept_groups_site():
+    """f_pol over gc_inv's constraints: cold with every antecedent's
+    compiles forgotten, warm reading the groups kept in the antecedents."""
+    cfg = GaloisConfig(2, n_max=2, m_max=2, breadth=2)
+    constraints = gc_inv(OperationClass(2, members=_monotone_ops(2)), cfg)
+
+    def cold():
+        for c in constraints:
+            c.antecedent._ranks = None
+        return f_pol(constraints, cfg)._pairs()
+
+    return cold, lambda: f_pol(constraints, cfg)._pairs(), ("support tuples", "constraint matrices")
+
+
+def _kept_walk_site():
+    """satisfies_cluster on a default-0 box cluster: cold on a fresh copy
+    of the cluster, warm reading the walk kept in the cluster."""
+    box = RepetitionFunction(2, 3, 0, {(0, 0): 2, (0, 1): 1, (1, 1): 2, (2, 2): 1})
+    generators = frozenset({BoxedGenerator(box, 4)})
+    cluster = Cluster(2, 3, generators)
+    f = Operation(3, 3, 2, (0,) * 9)
+
+    def verdict(c):
+        got = satisfies_cluster(f, c, 4)
+        return got.satisfied, got.witness
+
+    return (lambda: verdict(Cluster(2, 3, generators)), lambda: verdict(cluster),
+            ("cluster members",))
+
+
+@pytest.mark.parametrize("site", [_kept_groups_site, _kept_walk_site])
+def test_a_kept_read_charges_and_refuses_as_the_cold_run(site):
+    cold, warm, kept_phases = site()
+    answer, done = _metered(cold)
+    assert _metered(warm) == (answer, done)  # and the warm state is kept
+    refused = set()
+    for budget in range(max(done.values()) + 1):
+        want = _metered(cold, budget)
+        _metered(warm)  # what a refused run compiled afresh is kept again
+        assert _metered(warm, budget) == want, budget
+        if type(want[0]) is tuple and type(want[0][0]) is str:
+            refused.add(want[0][0])
+    # a kept phase refuses at some budget, and so does another phase
+    assert refused & set(kept_phases) and refused - set(kept_phases), refused

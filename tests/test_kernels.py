@@ -1012,19 +1012,22 @@ def test_split_orders_are_built_no_further_than_the_budget():
 def test_kept_orders_hold_at_most_the_bound(monkeypatch):
     monkeypatch.setattr(clusters, "_KEEP", 10)
     kept = clusters._KeptOrders()
-    three, four = _split_orders((1, 1, 1), 3), _split_orders((1, 1, 1, 1), 3)
-    kept[(1, 1, 1)] = three
-    kept[(2, 1, 1)] = three
-    assert (list(kept), kept.held) == ([(2, 1, 1)], 6)
-    kept[(1, 1, 1, 1)] = four  # 24 selections: never kept
-    assert (list(kept), kept.held) == ([(2, 1, 1)], 6)
-    kept[(1, 1, 2)] = _split_orders((1, 1, 2), 1)
-    assert (list(kept), kept.held) == ([(2, 1, 1), (1, 1, 2)], 9)
+    assert kept.build((1, 1, 1), 3, UNLIMITED) == _split_orders((1, 1, 1), 3)
+    assert (list(kept), kept.held) == ([(1, 1, 1)], 6)
+    assert len(kept.build((1, 1, 1, 1), 3, UNLIMITED)) == 24  # never kept
+    assert (list(kept), kept.held) == ([(1, 1, 1)], 6)
+    kept.build((1, 1), 1, UNLIMITED)
+    assert (list(kept), kept.held) == ([(1, 1, 1), (1, 1)], 8)
+    kept.build((2, 1), 2, UNLIMITED)  # would pass the bound: the lists before it are dropped
+    assert (list(kept), kept.held) == ([(2, 1)], 3)
+    # a list the room cuts short is built one order past it, and not kept
+    assert kept.build((1, 1, 1), 3, 2) == _split_orders((1, 1, 1), 3)[:3]
+    assert (list(kept), kept.held) == ([(2, 1)], 3)
     # a check answers and charges the same with its orders kept or not
     cluster = relation_cluster({(0, 0), (0, 1), (1, 1), (2, 2), (1, 2)}, 2, 3)
     f = Operation(3, 3, 2, (0, 1, 2, 1, 1, 2, 2, 2, 2))
     runs = [_metered_outcome(satisfies_cluster, (f, cluster, 5), UNLIMITED) for _ in range(2)]
-    clusters._kept_orders.clear()
+    clusters._kept_orders.cache_clear()
     runs.append(_metered_outcome(satisfies_cluster, (f, cluster, 5), UNLIMITED))
     assert runs[0] == runs[1] == runs[2]
 
@@ -1036,7 +1039,7 @@ def test_c_pol_compile_shares_the_kept_orders():
     # lists.  The 72 operation tables are charged first.
     cluster = relation_cluster({(0, 0), (0, 1), (1, 1)}, 2, 2)
     cfg = GaloisConfig(2, n_max=2, m_max=1, breadth=4)
-    clusters._kept_orders.clear()
+    clusters._kept_orders.cache_clear()
     runs = [_metered_outcome(c_pol, ([cluster], cfg), UNLIMITED) for _ in range(2)]
     f = Operation(2, 2, 2, (0, 1, 1, 1))
     assert _metered_outcome(satisfies_cluster, (f, cluster, 5), UNLIMITED)[0]
@@ -1045,27 +1048,27 @@ def test_c_pol_compile_shares_the_kept_orders():
     done = runs[0][1]
     assert (done["operation tables"], done["cluster splits"]) == (72, 150)
     for budget in range(72, 150):
-        clusters._kept_orders.clear()
+        clusters._kept_orders.cache_clear()
         assert _metered_outcome(c_pol, ([cluster], cfg), budget)[0] == (
             "refused", "cluster splits", budget + 1)
         _assert_kept_orders_complete()
-    assert clusters._kept_orders[2]
+    assert clusters._kept_orders(2)
     # satisfies_cluster's check reads through the same lookup: under every
     # budget that refuses in its splits, it too keeps only complete lists
     with Meter(UNLIMITED) as meter:
         satisfies_cluster(f, cluster, 5)
     splits, refused = meter.done["cluster splits"], 0
     for budget in range(splits):
-        clusters._kept_orders.clear()
+        clusters._kept_orders.cache_clear()
         outcome = _metered_outcome(satisfies_cluster, (f, cluster, 5), budget)[0]
         refused += outcome == ("refused", "cluster splits", budget + 1)
         _assert_kept_orders_complete()
-    assert refused and clusters._kept_orders[2]
+    assert refused and clusters._kept_orders(2)
 
 
 def _assert_kept_orders_complete():
-    for n, kept in clusters._kept_orders.items():
-        for counts, orders in kept.items():
+    for n in (1, 2, 3):  # every arity these checks read
+        for counts, orders in clusters._kept_orders(n).items():
             assert orders == _split_orders(tuple([min(c, n) for c in counts]), n)
 
 
@@ -1094,20 +1097,6 @@ def test_single_image_outputs_admit_by_cap_and_one_copy():
             if not want[0]:
                 single += want[0].witness[1] == FiniteMultiset.empty(1)
     assert min(verdicts.values()) >= 10 and single >= 10, (verdicts, single)
-
-
-def test_a_fractional_budget_refuses_at_the_same_step():
-    # a budget of b + 0.5 fits the steps that b fits, so members and
-    # splits are refused at the same step, with the same count
-    cluster = relation_cluster({(0, 0), (0, 1), (1, 1), (2, 2), (1, 2)}, 2, 3)
-    seen = set()
-    for table in [(0, 1, 2, 1, 1, 2, 2, 2, 2), (0, 1, 2, 1, 1, 2, 2, 2, 0)]:
-        case = (Operation(3, 3, 2, table), cluster, 3)
-        for budget in range(0, 160, 3):
-            got = _metered_outcome(satisfies_cluster, case, budget + 0.5)
-            assert got == _metered_outcome(satisfies_cluster, case, budget)
-            seen.add(got[0][1] if isinstance(got[0], tuple) else got[0].satisfied)
-    assert seen == {"support tuples", "cluster members", "cluster splits", True, False}
 
 
 @st.composite

@@ -1,9 +1,11 @@
+import re
 from itertools import islice
 
 import pytest
 
 from galois_kit import (
-    INF, BudgetExceededError, Meter, projection, satisfies_constraint, trivial_constraint,
+    INF, BudgetExceededError, GaloisKitError, Meter, projection, satisfies_constraint,
+    trivial_constraint,
 )
 
 
@@ -58,7 +60,7 @@ class TestCounted:
 
 
 class TestRoom:
-    @pytest.mark.parametrize("budget, room", [(5, 3), (5.5, 3), (2, 0), (1, 0), (INF, INF)])
+    @pytest.mark.parametrize("budget, room", [(5, 3), (2, 0), (1, 0), (INF, INF)])
     def test_room_is_the_whole_steps_left(self, budget, room):
         with Meter(budget) as meter:
             try:
@@ -66,16 +68,62 @@ class TestRoom:
             except BudgetExceededError:
                 pass
             assert meter.room("items") == room
-            assert meter.room("other") == (INF if budget == INF else int(budget))
+            assert meter.room("other") == budget
 
-    @pytest.mark.parametrize("budget", [5, 5.5])
-    def test_refuse_charges_one_past_the_room(self, budget):
-        with Meter(budget) as meter:
+    def test_refuse_charges_one_past_the_room(self):
+        with Meter(5) as meter:
             meter.charge("items", 2)
             with pytest.raises(BudgetExceededError) as info:
                 meter.refuse("items", meter.room("items"))
         assert info.value.done == 6
         assert meter.done == {"items": 6}
+
+
+class TestBudget:
+    @pytest.mark.parametrize("budget", [
+        None, "5", float("nan"), True, False, -5, 2.5, 10.0, -INF, [5]])
+    def test_a_budget_that_is_no_nonnegative_int_nor_inf_is_refused_by_name(self, budget):
+        with pytest.raises(GaloisKitError) as info:
+            Meter(budget)
+        assert type(info.value) is GaloisKitError
+        assert str(info.value) == f"budget must be a nonnegative int or inf, not {budget!r}"
+
+    @pytest.mark.parametrize("budget", [0, 7, 10 ** 30, INF])
+    def test_a_nonnegative_int_or_inf_is_taken(self, budget):
+        with Meter(budget) as meter:
+            assert meter.budget == budget
+            assert meter.room("items") == budget
+
+    def test_a_refused_budget_opens_no_meter(self):
+        c, f = trivial_constraint(1, 2), projection(3, 1, 2)
+        with pytest.raises(GaloisKitError, match=re.escape("not 2.5")):
+            with Meter(2.5):
+                pass
+        assert satisfies_constraint(f, c)  # at the default budget
+
+
+class TestChargeKept:
+    def test_steps_that_fit_are_charged_and_a_phase_of_0_stays_out(self):
+        with Meter(5) as meter:
+            meter.charge("a", 2)
+            assert meter.charge_kept({"a": 3, "b": 0, "c": 5})
+        assert meter.done == {"a": 5, "c": 5}
+
+    @pytest.mark.parametrize("steps", [{"a": 4, "b": 1}, {"b": 1, "a": 4}, {"a": 0, "b": 6}])
+    def test_steps_that_do_not_all_fit_charge_nothing(self, steps):
+        with Meter(5) as meter:
+            meter.charge("a", 2)
+            assert not meter.charge_kept(steps)
+        assert meter.done == {"a": 2}
+
+    def test_a_phase_of_0_past_the_budget_does_not_fit(self):
+        # as a cold run would: its check reads the phase's count so far
+        with Meter(1) as meter:
+            with pytest.raises(BudgetExceededError):
+                meter.charge("a", 2)
+            assert not meter.charge_kept({"a": 0})
+            assert meter.charge_kept({"b": 1})
+        assert meter.done == {"a": 2, "b": 1}
 
 
 class TestOpening:

@@ -503,25 +503,27 @@ def ref_read_groups(phi, n):
     meter = _current_meter()
     done, kept = meter.done, phi._ranks and phi._ranks.get(n)
     if kept:
-        steps = done.get(tuples, 0) + kept[0], done.get(matrices, 0) + kept[1]
+        counts = kept[0][tuples], kept[0][matrices]
+        steps = done.get(tuples, 0) + counts[0], done.get(matrices, 0) + counts[1]
         if max(steps) <= meter.budget:
-            if kept[0]:
+            if counts[0]:
                 done[tuples] = steps[0]
-            if kept[1]:
+            if counts[1]:
                 done[matrices] = steps[1]
-            return kept[2]
+            return kept[1]
     with meter:
         before = done.get(tuples, 0), done.get(matrices, 0)
         groups = {}
         for _, _, ranks in multisets._matrices(phi, n):
             ranks = tuple(ranks)
             groups.setdefault(max(ranks), []).append(itemgetter(*ranks))
-        kept = (done.get(tuples, 0) - before[0], done.get(matrices, 0) - before[1],
+        kept = ({tuples: done.get(tuples, 0) - before[0],
+                 matrices: done.get(matrices, 0) - before[1]},
                 tuple([(r, tuple(getters)) for r, getters in groups.items()]))
     if phi._ranks is None:
         phi._ranks = {}
     phi._ranks[n] = kept
-    return kept[2]
+    return kept[1]
 
 
 def per_antecedent_checks(consequents, n):
@@ -578,8 +580,8 @@ def test_kept_read_per_width_matches_the_read_per_antecedent(monkeypatch):
         totals = [0, 0]
         for n in range(1, cfg.n_max + 1):
             for phi, _ in consequents:
-                totals[0] += phi._ranks[n][0]
-                totals[1] += phi._ranks[n][1]
+                totals[0] += phi._ranks[n][0]["support tuples"]
+                totals[1] += phi._ranks[n][0]["constraint matrices"]
             fits = max(totals)
             for budget in (fits, fits - 1) if fits else (fits,):
                 del reads[:]
