@@ -208,10 +208,9 @@ def satisfies_cluster(f, cluster, breadth_cap):
     ``enumerate_cluster_members`` and splits in that of ``split_enumerate``.
 
     The cluster's compile and sorted walk at the last breadth cap are
-    kept in the cluster when the walk is at most ``_KEEP`` members and
-    every box has default 0, so the compile charged nothing (a positive
-    default's support is charged).  A later check at that cap reads them
-    when the walk's steps fit (``Meter.charge_kept``), and walks again
+    kept in the cluster, with the steps they charged, when the walk is at
+    most ``_KEEP`` members.  A later check at that cap reads them when
+    those steps fit (``Meter.charge_kept``), and compiles and walks again
     when they do not, so the checks of one cluster, such as
     ``separating_cluster``'s, compile and walk it once, and each charges
     and refuses as a fresh walk does.
@@ -223,17 +222,18 @@ def satisfies_cluster(f, cluster, breadth_cap):
         raise GaloisKitError(
             f"breadth cap {breadth_cap} is below the arity {f.arity}: no split exists"
         )
-    walked = cluster.__dict__.get("_walked")  # (breadth cap, compiled, sorted members)
-    if walked is not None and walked[0] != breadth_cap:
-        walked = None
-    compiled = _compiled_cluster(cluster) if walked is None else walked[1]
+    walked = cluster.__dict__.get("_walked")  # (breadth cap, steps, compiled, sorted members)
     with Meter() as meter:
-        if walked is not None and meter.charge_kept({"cluster members": len(walked[2])}):
-            members = walked[2]
+        if walked is not None and walked[0] == breadth_cap and meter.charge_kept(walked[1]):
+            compiled, members = walked[2:]
         else:
+            support = meter.done.get("support tuples", 0)  # a positive default's support
+            compiled = _compiled_cluster(cluster)
             members = sorted(_members(compiled, breadth_cap, meter))
-            if len(members) <= _KEEP and not any(g.box.default for g in cluster.generators):
-                cluster.__dict__["_walked"] = breadth_cap, compiled, members
+            if len(members) <= _KEEP:
+                steps = {"support tuples": meter.done.get("support tuples", 0) - support,
+                         "cluster members": len(members)}
+                cluster.__dict__["_walked"] = breadth_cap, steps, compiled, members
         found = _violation(f.table, f.arity, compiled, members, meter,
                            _kept_scaled(f.domain_size, f.arity))
     if found is None:

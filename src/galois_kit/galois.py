@@ -11,7 +11,6 @@ sweeps every candidate table, charged up front.
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, product
 from math import comb, prod
 from operator import attrgetter, itemgetter
@@ -73,20 +72,17 @@ def class_image(cls_, m):
     )
 
 
-@lru_cache(maxsize=4096)
+def _columns(k, n, ranks):
+    """The columns of the matrix of the n-tuples over domain size k at these
+    ranks: column j is the projection x_j's table read at the ranks."""
+    # x_j's table holds digit j of each rank, leftmost most significant
+    return [tuple([r // k ** (n - 1 - j) % k for r in ranks]) for j in range(n)]
+
+
 def _antecedent(k, n, ranks):
     """chi_M for the matrix M of the n-tuples over domain size k at these
-    ranks, in order: the multiset of M's columns.
-
-    Column j of M is the table of the projection x_j read at the ranks.
-    chi_M depends on no class, so every ``gc_inv`` at one configuration
-    shares these objects, and with them the rank vectors ``f_pol``
-    compiles into each (see ``multisets._rank_vectors``); only the most
-    recent 4,096 are kept.
-    """
-    # x_j's table holds digit j of each rank, leftmost most significant
-    columns = [tuple([r // k ** (n - 1 - j) % k for r in ranks]) for j in range(n)]
-    return RepetitionFunction.from_counts(len(ranks), k, _counts(columns))
+    ranks, in order: the multiset of M's columns."""
+    return RepetitionFunction.from_counts(len(ranks), k, _counts(_columns(k, n, ranks)))
 
 
 def _image_getter(ranks):
@@ -133,37 +129,40 @@ def _matrix_blocks(k, n_max, m_max):
             yield n, m, comb(k ** n, m)
 
 
-# a configuration's readers are kept while its matrices number at most
-# this many, as many as the antecedent memo holds
+# a configuration's readers are kept while it has at most this many matrices
 _KEPT_MATRICES = 4096
 
 
 @_kept(8, lambda k, sizes, total: total <= _KEPT_MATRICES)
 def _readers(k, sizes, total):
     """``gc_inv``'s blocks of the (width n, row count m) ``sizes``, of
-    ``total`` matrices in all, as (n, each matrix's ``_antecedent`` and
-    the getter of its image, in order).  A matrix's rows are the n-tuples
-    at m increasing ranks, so the matrices come in the order of their
-    row lists.  Kept for a configuration of at most ``_KEPT_MATRICES``
-    matrices, only the most recent 8; a larger one's blocks are streamed."""
+    ``total`` matrices in all, as (n, each distinct ``_antecedent`` with
+    the getter of its image).  The matrices, the n-tuples at m increasing
+    ranks, come in the order of their row lists, and each antecedent is
+    built from the first with its columns.  Kept for a configuration of
+    at most ``_KEPT_MATRICES`` matrices, only the most recent 8; a larger
+    one's blocks are streamed."""
     for n, m in sizes:
+        first = {}  # sorted columns -> the ranks of the first matrix with them
+        for ranks in combinations(range(k ** n), m):
+            first.setdefault(tuple(sorted(_columns(k, n, ranks))), ranks)
         yield n, tuple([(_antecedent(k, n, ranks), _image_getter(ranks))
-                        for ranks in combinations(range(k ** n), m)])
+                        for ranks in first.values()])
 
 
 def gc_inv(cls_, cfg):
     """The proof-canonical invariant constraints of a class.
 
-    One constraint (chi_M, C M) per matrix M with distinct rows, for
-    every width n <= n_max and row count m <= m_max.  The class is closed
-    under permutation and dummy variables first, which is exactly the
-    hypothesis making every emitted constraint satisfied by every
-    member; its tables of each width are read once.  The C(k^n, m)
-    matrices of each width and row count are charged up front, so an
-    oversized request builds none of them; then the class's tables are
-    built, and the matrices are read through ``_readers``.  The
-    antecedents come from ``_antecedent``, so calls at one configuration
-    return the same antecedent objects.
+    One constraint (chi_M, C M) per antecedent chi_M, the multiset of the
+    columns of a matrix M with distinct rows, for every width n <= n_max
+    and row count m <= m_max.  The class is closed under permutation and
+    dummy variables first, which is exactly the hypothesis making every
+    emitted constraint satisfied by every member, and C M then depends on
+    M only through chi_M, so the first M with each chi_M is read.  The
+    C(k^n, m) matrices of each width and row count are charged up front,
+    so an oversized request builds none of them; then the class's tables
+    of each width are built once, and the antecedents read through
+    ``_readers``.
     """
     _check_config_domain(cls_, cfg)
     k = cls_.domain_size

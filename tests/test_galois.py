@@ -120,14 +120,24 @@ class TestGcInvFPol:
     def test_gc_inv_refuses_matrices_over_budget(self):
         proj = OperationClass(2, members=[projection(2, 1, 2)])
         # C(k^n, m) for n <= 2, m <= 4, charged in order: 2 + 1 + 0 + 0 + 4 + 6
-        # passes 10 before any matrix is built; all of them make 18
+        # passes 10 before any matrix is built; all of them make 18, of 14
+        # antecedents
         cfg = GaloisConfig(2, n_max=2, m_max=4, breadth=2)
         with pytest.raises(BudgetExceededError) as info, Meter(10):
             gc_inv(proj, cfg)
         error = info.value
         assert (error.phase, error.done, error.budget) == ("invariant matrices", 13, 10)
         with Meter(18):
-            assert len(gc_inv(proj, cfg)) == 18
+            assert len(gc_inv(proj, cfg)) == 14
+
+    @pytest.mark.parametrize("n_max, m_max, antecedents, matrices", [
+        (2, 4, 14, 18), (3, 8, 161, 273), (4, 3, 166, 805), (5, 3, 495, 6293)])
+    def test_gc_inv_gives_each_antecedent_once(self, n_max, m_max, antecedents, matrices):
+        cfg = GaloisConfig(2, n_max=n_max, m_max=m_max, breadth=n_max)
+        with Meter() as meter:
+            got = gc_inv(monotone_ops(), cfg)
+        assert meter.done["invariant matrices"] == matrices
+        assert len(got) == len({c.antecedent for c in got}) == antecedents
 
     def test_nested_calls_share_the_meter(self):
         # each of the 20 checks satisfies_cluster makes walks at most 6 members
@@ -334,15 +344,9 @@ def test_not_separable_error_is_exported():
         separating_constraint(projections2(), projection(2, 1, 2))
 
 
-def _clear_antecedents():
-    """Empty the antecedent memo and the kept configurations that hold
-    its antecedents, so gc_inv builds its antecedents afresh."""
-    galois._antecedent.cache_clear()
-    galois._readers.cache_clear()
-
-
 class TestAntecedentMemo:
-    """gc_inv's antecedents come from one memo keyed by (k, n, ranks)."""
+    """gc_inv's antecedents are held by one memo, the kept configurations
+    of ``galois._readers``."""
 
     def test_classes_share_antecedents_and_keep_their_consequents(self):
         cfg = GaloisConfig(2, n_max=2, m_max=3, breadth=2)
@@ -350,30 +354,10 @@ class TestAntecedentMemo:
         assert len(mono) == len(proj)
         assert all(a.antecedent is b.antecedent for a, b in zip(mono, proj))
         assert [c.consequent for c in mono] != [c.consequent for c in proj]
-        _clear_antecedents()
+        galois._readers.cache_clear()
         fresh_mono, fresh_proj = gc_inv(monotone_ops(), cfg), gc_inv(projections2(), cfg)
         assert not any(a.antecedent is b.antecedent for a, b in zip(mono, fresh_mono))
         assert (mono, proj) == (fresh_mono, fresh_proj)
-
-    def test_the_memo_keeps_at_most_4096_antecedents(self):
-        _clear_antecedents()
-        # 5,488 matrices of width 5 alone
-        got = gc_inv(projections2(), GaloisConfig(2, n_max=5, m_max=3, breadth=5))
-        info = galois._antecedent.cache_info()
-        assert info.misses == len(got) > 4096
-        assert info.currsize == info.maxsize == 4096
-
-    def test_the_memo_holds_only_the_antecedents(self):
-        _clear_antecedents()
-        got = gc_inv(monotone_ops(), GaloisConfig(2, n_max=3, m_max=2, breadth=3))
-        keys = [(2, n, ranks) for n in (1, 2, 3) for m in (1, 2)
-                for ranks in combinations(range(2 ** n), m)]
-        info = galois._antecedent.cache_info()
-        assert info.currsize == len(keys) == len(got)
-        # each entry is the antecedent of the constraint built at its key
-        assert all(galois._antecedent(*key) is c.antecedent for key, c in zip(keys, got))
-        assert all(type(c.antecedent) is RepetitionFunction for c in got)
-        assert galois._antecedent.cache_info().hits == info.hits + len(keys)
 
 
 def _ints_and_tuples(x):
@@ -390,9 +374,9 @@ def _sizes(k, n_max, m_max):
 class TestModuleMemos:
     """The module-level memos hold what depends on no class: each fills as
     calls run, keeps a bounded number of entries, and holds only ints and
-    tuples of them, except the antecedent memo (see TestAntecedentMemo),
-    the memos that hold antecedents with getters (``galois._readers``,
-    ``galois._plan``), and the stores of split orders and scaled vectors
+    tuples of them, except the memos that hold antecedents with getters
+    (``galois._readers``, see TestAntecedentMemo, and ``galois._plan``),
+    and the stores of split orders and scaled vectors
     (``clusters._kept_orders``, ``clusters._kept_scaled``)."""
 
     def test_every_memo_is_empty_at_import(self):
@@ -402,7 +386,7 @@ class TestModuleMemos:
         out = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent)],
                              capture_output=True, text=True, check=True).stdout
         sizes = dict(ast.literal_eval(out))
-        assert {"galois._antecedent", "operations._source_ranks", "galois._readers",
+        assert {"operations._source_ranks", "galois._readers",
                 "galois._plan", "galois._column_partitions", "clusters._kept_scaled",
                 "clusters._kept_orders"} <= set(sizes)
         assert set(sizes.values()) == {0}, sizes
@@ -492,7 +476,8 @@ class TestModuleMemos:
     def test_the_matrix_memo_keeps_8_configurations_of_at_most_4096_matrices(self, monkeypatch):
         galois._readers.cache_clear()
         blocks = galois._readers(2, *_sizes(2, 4, 3))
-        assert sum(len(pairs) for _, pairs in blocks) == 805
+        # 805 matrices, of 166 antecedents
+        assert sum(len(pairs) for _, pairs in blocks) == 166
         assert [n for n, _ in blocks] == [1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4]
         built = []
         monkeypatch.setattr(galois, "combinations",
@@ -522,11 +507,14 @@ class TestModuleMemos:
         assert galois._readers(2, *_sizes(2, 3, 2)) is readers
         rows = [combinations(range(2 ** n), m) for n in (1, 2, 3) for m in (1, 2)]
         assert [n for n, _ in readers] == [1, 1, 2, 2, 3, 3]
-        assert tuple([len(pairs) for _, pairs in readers]) == (2, 1, 4, 6, 8, 28)
-        # the antecedent memo's object, and a getter of the image at the rows
-        assert all(phi is galois._antecedent(2, n, ranks) and get(tuple(range(8))) == ranks
-                   for (n, pairs), block in zip(readers, rows)
-                   for (phi, get), ranks in zip(pairs, block))
+        # of 2, 1, 4, 6, 8 and 28 matrices
+        assert tuple([len(pairs) for _, pairs in readers]) == (2, 1, 3, 4, 4, 10)
+        for (n, pairs), block in zip(readers, rows):
+            first = {}  # each antecedent's first matrix, in order of row lists
+            for ranks in block:
+                first.setdefault(galois._antecedent(2, n, ranks), ranks)
+            # each antecedent once, with the getter of its first matrix's image
+            assert [(phi, get(tuple(range(8)))) for phi, get in pairs] == list(first.items())
 
     def test_kept_and_streamed_matrices_charge_and_refuse_alike(self, monkeypatch):
         cfg = GaloisConfig(2, n_max=3, m_max=3, breadth=3)

@@ -26,7 +26,7 @@ from test_cli import WORKSPACE
 
 GOLDEN = Path(__file__).with_name("golden")
 
-CONSTRAINT_INV = ",".join(f"proj2.inv{i}" for i in range(13))
+CONSTRAINT_INV = ",".join(f"proj2.inv{i}" for i in range(10))
 
 # name -> argv; "{ws}" is the workspace, "{name}" the golden output of
 # another case, listed before the cases that read it

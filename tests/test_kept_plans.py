@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from galois_kit import (
     INF, BoxedGenerator, BudgetExceededError, Cluster, GaloisConfig,
     GeneralizedConstraint, Meter, Operation, OperationClass, RepetitionFunction, f_pol, gc_inv,
-    order_cluster, satisfies_cluster, separating_cluster,
+    order_cluster, relation_cluster, satisfies_cluster, separating_cluster,
 )
 from galois_kit import clusters, galois
 from galois_kit.errors import _current_meter
@@ -208,9 +208,9 @@ def test_the_plan_reads_positions_not_antecedents():
 
 
 def test_a_sequence_of_more_than_4096_antecedents_keeps_no_plan():
-    # gc_inv at n_max=5 gives 6,293 antecedents
+    # gc_inv at n_max=5 gives 495 antecedents, here repeated 9 times: 4,455
     cfg = GaloisConfig(2, n_max=5, m_max=3, breadth=5)
-    constraints = gc_inv(OperationClass(2), cfg)
+    constraints = gc_inv(OperationClass(2), cfg) * 9
     galois._plan.cache_clear()
     for size in (4097, len(constraints)):
         galois._merged(constraints[:size], 2)
@@ -320,10 +320,27 @@ def test_a_kept_walk_is_read_only_at_its_breadth_cap():
              for cap in caps]
     assert [_metered(lambda: satisfies_cluster(f, cluster, cap)) for cap in caps] == fresh
     assert cluster.__dict__["_walked"][0] == caps[-1]
-    # a positive default's support is charged by the compile: nothing is kept
+    # a positive default's support, charged by the compile, is kept with
+    # the walk and charged again by each check that reads them
     positive = Cluster(1, 2, frozenset({BoxedGenerator(RepetitionFunction(1, 2, 1), 2)}))
-    satisfies_cluster(f, positive, 2)
-    assert "_walked" not in positive.__dict__
+    cold = _metered(lambda: satisfies_cluster(f, positive, 2))
+    assert cold[1]["support tuples"] == 2
+    assert _metered(lambda: satisfies_cluster(f, positive, 2)) == cold
+    assert positive.__dict__["_walked"][1] == {"support tuples": 2, "cluster members": 4}
+
+
+def test_a_check_compiles_its_cluster_under_its_own_meter(monkeypatch):
+    # with no meter open, the compile's support steps go to the check's
+    meters = []
+    compile_cluster, walk = clusters._compiled_cluster, clusters._members
+    monkeypatch.setattr(clusters, "_compiled_cluster",
+                        lambda c: meters.append(_current_meter()) or compile_cluster(c))
+    monkeypatch.setattr(clusters, "_members",
+                        lambda *args: meters.append(args[2]) or walk(*args))
+    satisfies_cluster(Operation(2, 2, 1, (0, 1)),
+                      relation_cluster({(0, 0), (0, 1), (1, 1)}, 2, 2), 3)
+    assert len(meters) == 2 and meters[0] is meters[1]
+    assert meters[0].done["support tuples"] == 8
 
 
 def test_a_refused_walk_is_not_kept():
@@ -367,7 +384,23 @@ def _kept_walk_site():
             ("cluster members",))
 
 
-@pytest.mark.parametrize("site", [_kept_groups_site, _kept_walk_site])
+def _kept_support_site():
+    """satisfies_cluster on a relation cluster, whose box has the
+    canonical default inf: the walk is kept with the support tuples its
+    compile charged, and a warm check reads both."""
+    relation = {(0, 0), (0, 1), (1, 1)}
+    cluster = relation_cluster(relation, 2, 2)
+    f = Operation(2, 2, 1, (0, 1))
+
+    def verdict(c):
+        got = satisfies_cluster(f, c, 3)
+        return got.satisfied, got.witness
+
+    return (lambda: verdict(relation_cluster(relation, 2, 2)), lambda: verdict(cluster),
+            ("support tuples", "cluster members"))
+
+
+@pytest.mark.parametrize("site", [_kept_groups_site, _kept_walk_site, _kept_support_site])
 def test_a_kept_read_charges_and_refuses_as_the_cold_run(site):
     cold, warm, kept_phases = site()
     answer, done = _metered(cold)

@@ -58,6 +58,7 @@ from galois_kit import (
     empty_cluster,
     enumerate_cluster_members,
     enumerate_matrices_leq,
+    f_pol,
     format_cluster,
     gc_inv,
     is_extensive_rf_minor,
@@ -687,7 +688,47 @@ def test_inv_constraints_match_reference():
         m_max = 3 if k ** n == 27 else rng.randint(1, 3)
         cfg = GaloisConfig(k, n_max=n, m_max=m_max, breadth=n,
                            codomain_size=cls_.codomain_size)
-        assert gc_inv(cls_, cfg) == ref_gc_inv(cls_, cfg)
+        assert gc_inv(cls_, cfg) == first_occurrences(ref_gc_inv(cls_, cfg))
+
+
+def first_occurrences(constraints):
+    """The constraints with each antecedent once, at its first occurrence;
+    each repeat's consequent must be the one kept."""
+    first = {}
+    for c in constraints:
+        assert first.setdefault(c.antecedent, c).consequent == c.consequent
+    return list(first.values())
+
+
+@st.composite
+def classes_and_caps(draw):
+    """(class, cfg): 0-2 random generators of arity <= 2 over k = 2 or 3,
+    a codomain size k_out mostly unlike k, and n_max, m_max of 1 to 3, with
+    n_max <= 2 over k = 3."""
+    k = draw(st.sampled_from([2, 3]))
+    k_out = draw(st.sampled_from([c for c in (1, 2, 3) if c != k] + [k]))
+    n_max = draw(st.integers(1, 5 - k))
+    cls_ = OperationClass(k, k_out)
+    for _ in range(draw(st.integers(0, 2))):
+        n = draw(st.integers(1, min(n_max, 2)))
+        cls_.add(Operation(k, k_out, n, tuple(draw(st.lists(
+            st.integers(0, k_out - 1), min_size=k ** n, max_size=k ** n)))))
+    return cls_, GaloisConfig(k, n_max=n_max, m_max=draw(st.integers(1, 3)), breadth=n_max,
+                              codomain_size=k_out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(classes_and_caps())
+def test_gc_inv_gives_each_antecedent_once_and_f_pol_the_same_class(case):
+    cls_, cfg = case
+    got, per_matrix = gc_inv(cls_, cfg), ref_gc_inv(cls_, cfg)
+    assert len({c.antecedent for c in got}) == len(got)
+    assert got == first_occurrences(per_matrix)
+    answers = []
+    for constraints in (got, per_matrix):
+        with Meter(UNLIMITED) as meter:
+            answers.append((f_pol(constraints, cfg)._pairs(), meter.done))
+    assert answers[0] == answers[1]
 
 
 def test_separating_constraint_matches_reference():
